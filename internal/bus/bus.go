@@ -794,18 +794,14 @@ func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
 		}
 		p.stats.ArbLosses++
 		p.mArbLoss.Inc()
-		if b.tel != nil {
-			b.tel.Emit(telemetry.Event{
-				At: b.sched.Now(), Kind: telemetry.EvArbLost,
-				Actor: p.name, Name: "arb-lost", ID: uint32(winnerID),
-			})
+		if ev := b.tel.Begin(telemetry.EvArbLost, b.sched.Now(), p.name, "arb-lost"); ev != nil {
+			ev.ID = uint32(winnerID)
+			b.tel.Commit()
 		}
 	}
-	if b.tel != nil {
-		b.tel.Emit(telemetry.Event{
-			At: b.sched.Now(), Kind: telemetry.EvArbWon,
-			Actor: winner.name, Name: "arb-won", ID: uint32(winnerID),
-		})
+	if ev := b.tel.Begin(telemetry.EvArbWon, b.sched.Now(), winner.name, "arb-won"); ev != nil {
+		ev.ID = uint32(winnerID)
+		b.tel.Commit()
 	}
 }
 
@@ -827,11 +823,9 @@ func (b *Bus) noteErrorFrame(tx *Port, id can.ID, dur time.Duration) {
 	tx.bumpTEC(8)
 	tx.stats.TxErrors++
 	b.mCorrupted.Inc()
-	if b.tel != nil {
-		b.tel.Emit(telemetry.Event{
-			At: b.sched.Now() - dur, Dur: dur, Kind: telemetry.EvErrorFrame,
-			Actor: tx.name, Name: "error-frame", ID: uint32(id),
-		})
+	if ev := b.tel.Begin(telemetry.EvErrorFrame, b.sched.Now()-dur, tx.name, "error-frame"); ev != nil {
+		ev.Dur, ev.ID = dur, uint32(id)
+		b.tel.Commit()
 	}
 }
 
@@ -846,9 +840,9 @@ func (b *Bus) noteDelivered(tx *Port, id can.ID, dur time.Duration, bits int) {
 	tx.mTx.Inc()
 	if b.tel != nil {
 		b.hWireTime.ObserveDuration(dur)
-		b.tel.Emit(telemetry.Event{
-			At: b.sched.Now() - dur, Dur: dur, Kind: telemetry.EvTx,
-			Actor: tx.name, Name: "tx", ID: uint32(id), N: uint64(bits),
-		})
+		if ev := b.tel.Begin(telemetry.EvTx, b.sched.Now()-dur, tx.name, "tx"); ev != nil {
+			ev.Dur, ev.ID, ev.N = dur, uint32(id), uint64(bits)
+			b.tel.Commit()
+		}
 	}
 }

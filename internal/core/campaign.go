@@ -181,6 +181,7 @@ type Campaign struct {
 
 	stopOnFinding bool
 	reset         func()
+	onStop        func()
 	onFinding     func(Finding)
 	window        int
 	maxFrames     uint64
@@ -265,6 +266,11 @@ func (c *Campaign) Monitor() *Monitor { return c.mon }
 // candidate executions this way. See WithFrameSource.
 func (c *Campaign) SetFrameSource(src FrameSource) { c.src = src }
 
+// SetStopHook installs fn to run at the end of every Stop (nil clears
+// it). Guided-engine builders use it to publish the engine's exact final
+// introspection counters, whatever wraps the frame source.
+func (c *Campaign) SetStopHook(fn func()) { c.onStop = fn }
+
 // FrameSource returns the installed external frame source, or nil.
 func (c *Campaign) FrameSource() FrameSource { return c.src }
 
@@ -317,6 +323,9 @@ func (c *Campaign) Start() {
 	}
 	c.running = true
 	c.started = c.sched.Now()
+	// The run's events all come from this scheduler goroutine, so the
+	// tracer can batch its publications until Stop.
+	c.tel.Trc().Buffer()
 	for _, o := range c.oracles {
 		o.Start(c.sched, c.report)
 	}
@@ -340,11 +349,15 @@ func (c *Campaign) Stop() {
 			At: c.sched.Now(), Kind: telemetry.EvGenBatch,
 			Actor: "campaign", Name: "gen-batch", N: c.framesSent,
 		})
+		c.tel.Tracer.Flush()
 	}
 	c.timer.Stop()
 	c.stopWatchdog()
 	for _, o := range c.oracles {
 		o.Stop()
+	}
+	if c.onStop != nil {
+		c.onStop()
 	}
 }
 

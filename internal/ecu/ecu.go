@@ -251,11 +251,9 @@ func (e *ECU) dispatch(m bus.Message) {
 		return // wedged application task: the frame is lost
 	}
 	e.mDispatched.Inc()
-	if e.tel != nil {
-		e.tel.Emit(telemetry.Event{
-			At: e.sched.Now(), Kind: telemetry.EvDispatch,
-			Actor: e.name, Name: "dispatch", ID: uint32(m.Frame.ID),
-		})
+	if ev := e.tel.Begin(telemetry.EvDispatch, e.sched.Now(), e.name, "dispatch"); ev != nil {
+		ev.ID = uint32(m.Frame.ID)
+		e.tel.Commit()
 	}
 	defer e.guard()
 	if e.panicNext != "" {

@@ -18,11 +18,18 @@ import (
 // registers every trial's engine as it is built, and Snapshot folds the
 // live ones into campaign-level totals. Engines publish through atomic
 // stores (single writer: the engine's own scheduler goroutine), so
-// sampling never stalls a worker.
+// sampling never stalls a worker. A live sample is at most
+// statsPublishEvery ticks stale; once the campaign stops (and its stop
+// hook calls Engine.PublishStats) it is exact.
+
+// statsPublishEvery is how many engine ticks pass between scalar-counter
+// publications; a tick that finds novelty publishes at once.
+const statsPublishEvery = 64
 
 // energyPublishEvery is how many engine ticks pass between corpus-energy
 // snapshots. Energies need a short lock and a buffer copy, so they are
-// amortised; the scalar counters are stored every tick.
+// amortised further. A multiple of statsPublishEvery, so every energy
+// tick is also a publishing tick.
 const energyPublishEvery = 512
 
 // EngineStats is one engine's introspection slot. All scalar fields are

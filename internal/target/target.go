@@ -57,6 +57,9 @@ type Spec struct {
 // uninstrumented, hot path unchanged.
 type Options struct {
 	// Telemetry, when non-nil, instruments the world's bus/ECUs/campaign.
+	// The world owns it: its tracer takes writes from the world's
+	// simulation goroutine without locking while the campaign runs, so one
+	// Telemetry must not instrument two worlds that run at the same time.
 	Telemetry *telemetry.Telemetry
 	// Plan, when non-nil, attaches a fault-injection plan; the injector is
 	// built on the world's own scheduler and returned in Built.Injector.
@@ -233,6 +236,7 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 			return nil, err
 		}
 		campaign.SetFrameSource(eng)
+		campaign.SetStopHook(eng.PublishStats)
 		world.Corpus = eng.CorpusFrames
 	}
 	// The bench target supports in-place world reuse: every component on

@@ -15,9 +15,11 @@ import (
 //	/trace.json    Chrome trace_event document (load in Perfetto)
 //	/healthz       liveness + virtual-time progress
 //
-// All routes read atomically published state, so scraping while the
-// simulation loop runs is race-free; a scrape observes the counters as of
-// the last completed event.
+// All routes read published state, so scraping while the simulation loop
+// runs is race-free. A scrape observes the counters as of the last
+// completed event; /trace.json and the /healthz event count are as of the
+// tracer's last publication — at most 256 events behind during a campaign
+// run, exact after the campaign stops.
 func Handler(t *Telemetry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -55,12 +57,29 @@ func Serve(addr string, t *Telemetry) (*http.Server, string, error) {
 // The observatory passes its event sink's Close here, which wakes /events
 // long-pollers that would otherwise hold the drain until their client
 // timeout.
+//
+// The server drops a client that has not sent its request headers within
+// readHeaderTimeout, and a keep-alive connection idle for idleTimeout, so
+// stalled or abandoned clients cannot pin connections. There is no
+// overall read or write timeout: /events long-polls and large
+// /trace.json documents may legitimately take long.
 func ServeHandler(addr string, h http.Handler, onShutdown ...func()) (*http.Server, string, error) {
+	return serveWithTimeouts(addr, h, readHeaderTimeout, idleTimeout, onShutdown...)
+}
+
+// Connection timeouts of every server ServeHandler starts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// serveWithTimeouts is ServeHandler with explicit connection timeouts.
+func serveWithTimeouts(addr string, h http.Handler, readHeader, idle time.Duration, onShutdown ...func()) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 	for _, fn := range onShutdown {
 		srv.RegisterOnShutdown(fn)
 	}

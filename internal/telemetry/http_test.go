@@ -2,10 +2,13 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -68,5 +71,36 @@ func TestServeBindsAndCloses(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", res.StatusCode)
+	}
+}
+
+// TestServerDropsStalledHeaders opens a connection, sends half a request
+// head and never finishes it: the server must close the connection once
+// the header timeout passes instead of holding it open.
+func TestServerDropsStalledHeaders(t *testing.T) {
+	srv, addr, err := serveWithTimeouts("127.0.0.1:0", Handler(New(0)), 100*time.Millisecond, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Generous client-side deadline: only a hung server reaches it.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept the stalled connection open for %v", time.Since(start))
+	}
+	if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("read from stalled connection: %v", err)
 	}
 }

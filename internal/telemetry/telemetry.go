@@ -12,6 +12,13 @@
 // one predictable branch per sample and allocates nothing — so the fuzzing
 // hot path is unchanged unless observability is requested.
 //
+// Live reads are race-free and cheap for the writer. Metric series are
+// atomics: a scrape observes the counters as of the last completed event.
+// The tracer publishes in batches during a campaign run: a trace read
+// (/trace.json, /healthz, Events, Len, Total) is as of the last
+// publication, at most 256 events behind during a run, and exact after
+// the campaign stops. A Telemetry instruments one world; see Tracer.
+//
 // Exports:
 //   - Registry: Prometheus text exposition and a JSON snapshot.
 //   - Tracer: Chrome trace_event JSON; open a campaign in Perfetto and see
@@ -77,6 +84,18 @@ func (t *Telemetry) Reset() {
 	t.Registry.Reset()
 	t.Tracer.Reset()
 }
+
+// Begin forwards to Tracer.Begin; nil when t is nil. Pair a non-nil
+// result with Commit.
+func (t *Telemetry) Begin(kind EventKind, at time.Duration, actor, name string) *Event {
+	if t == nil {
+		return nil
+	}
+	return t.Tracer.Begin(kind, at, actor, name)
+}
+
+// Commit forwards to Tracer.Commit.
+func (t *Telemetry) Commit() { t.Tracer.Commit() }
 
 // Emit forwards one trace event.
 func (t *Telemetry) Emit(e Event) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,14 +72,13 @@ func (k EventKind) category() string {
 }
 
 // Event is one trace sample on the virtual timeline. The fixed-shape args
-// (ID, N, Detail) keep Emit allocation-free.
+// (ID, N, Detail) keep Emit allocation-free; Kind sits beside ID so the
+// struct packs into 80 bytes, the ring's per-slot cost.
 type Event struct {
 	// At is the virtual start instant.
 	At time.Duration
 	// Dur is the span length; zero means an instant event.
 	Dur time.Duration
-	// Kind classifies the event.
-	Kind EventKind
 	// Actor is the emitting entity (port, ECU, campaign); it becomes the
 	// trace track (tid).
 	Actor string
@@ -88,6 +88,8 @@ type Event struct {
 	Detail string
 	// ID is the CAN identifier involved, when meaningful.
 	ID uint32
+	// Kind classifies the event.
+	Kind EventKind
 	// N is a generic numeric argument (frame count, error counter...).
 	N uint64
 }
@@ -96,17 +98,44 @@ type Event struct {
 // events are overwritten, so a long campaign keeps its most recent history
 // (the frames *before* a finding — exactly what the paper's failure
 // analysis needs). A nil *Tracer is valid and Emit on it is a no-op.
+//
+// A tracer has two write modes. Outside a run every Emit takes the mutex,
+// so any goroutine may emit. During a run (Buffer ... Flush, which
+// core.Campaign's Start and Stop call) the world's simulation goroutine is
+// the only writer: it fills ring slots no reader can see without locking
+// and publishes them under the mutex once per traceSlack events. Readers
+// (Events, Len, Total, WriteChromeTrace) copy only published slots, under
+// the mutex, so they see every event up to the last publication — at most
+// traceSlack events behind during a run, exact after Flush. A tracer
+// therefore belongs to one world: sharing one between worlds that run at
+// the same time is a data race.
 type Tracer struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int
-	filled  bool
-	total   uint64
-	enabled map[EventKind]bool // nil = all kinds
+	// kinds is the recording filter: bit k set records EventKind k; zero
+	// records every kind.
+	kinds atomic.Uint64
+
+	// Writer state: the owner's alone while buffered, guarded by mu
+	// otherwise.
+	buf      []Event // capacity + traceSlack slots
+	capacity int     // events retained for readers
+	w        int     // slot the next event is written to
+	pending  int     // events written but not yet published
+	buffered bool
+
+	// Published state, guarded by mu: readers see the min(pubN, capacity)
+	// events that end just before slot pubW.
+	mu   sync.Mutex
+	pubN uint64
+	pubW int
 }
 
 // DefaultTraceCapacity bounds the ring buffer (events retained).
 const DefaultTraceCapacity = 1 << 16
+
+// traceSlack is how many events a buffered tracer writes between
+// publications. The ring carries this many slots beyond its capacity, so
+// the unpublished ones never overlap the retained window readers copy.
+const traceSlack = 256
 
 // NewTracer creates a tracer retaining up to capacity events
 // (DefaultTraceCapacity when capacity <= 0).
@@ -114,99 +143,161 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity)}
+	return &Tracer{buf: make([]Event, capacity+traceSlack), capacity: capacity}
 }
 
-// SetKinds restricts recording to the given kinds (all kinds when empty).
-// Restricting high-rate kinds (EvDispatch, EvTx) stretches the ring's
-// history for long campaigns.
+// SetKinds restricts recording to the given kinds (all kinds when empty;
+// only kinds below 64 can be selected). Restricting high-rate kinds
+// (EvDispatch, EvTx) stretches the ring's history for long campaigns.
 func (t *Tracer) SetKinds(kinds ...EventKind) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(kinds) == 0 {
-		t.enabled = nil
-		return
-	}
-	t.enabled = make(map[EventKind]bool, len(kinds))
+	var mask uint64
 	for _, k := range kinds {
-		t.enabled[k] = true
+		mask |= 1 << k
 	}
+	t.kinds.Store(mask)
 }
 
-// Emit records one event. Safe on a nil receiver and for concurrent use.
-func (t *Tracer) Emit(e Event) {
+// records reports whether the kind filter admits k.
+func (t *Tracer) records(k EventKind) bool {
+	m := t.kinds.Load()
+	return m == 0 || m&(1<<k) != 0
+}
+
+// Buffer switches the tracer to buffered mode for a run: from now until
+// Flush the calling goroutine must be its only writer. Idempotent.
+func (t *Tracer) Buffer() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	if t.enabled != nil && !t.enabled[e.Kind] {
-		t.mu.Unlock()
+	t.buffered = true
+}
+
+// Flush publishes every buffered event and returns the tracer to locked
+// mode, after which reads are exact. A no-op outside buffered mode.
+func (t *Tracer) Flush() {
+	if t == nil || !t.buffered {
 		return
 	}
-	t.buf[t.next] = e
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.filled = true
-	}
-	t.total++
+	t.publish()
+	t.buffered = false
+}
+
+// publish makes every written event visible to readers.
+func (t *Tracer) publish() {
+	t.mu.Lock()
+	t.publishLocked()
 	t.mu.Unlock()
 }
 
-// Reset discards all retained events (the kind filter and capacity are
-// kept), so a reused world's trace starts empty like a fresh one's.
+// publishLocked is publish with mu held.
+func (t *Tracer) publishLocked() {
+	t.pubN += uint64(t.pending)
+	t.pubW, t.pending = t.w, 0
+}
+
+// Begin returns the ring slot the next event is written into, holding the
+// given kind, instant, actor and name with every other field cleared, or
+// nil when t is nil or the kind filter drops the event. The caller sets
+// any other fields and must call Commit before any other call on t. Hot
+// emit sites use it instead of Emit so the event is written in place
+// rather than built and copied.
+func (t *Tracer) Begin(kind EventKind, at time.Duration, actor, name string) *Event {
+	if t == nil || !t.records(kind) {
+		return nil
+	}
+	if !t.buffered {
+		t.mu.Lock()
+	}
+	e := &t.buf[t.w]
+	e.At, e.Dur, e.Kind, e.Actor, e.Name, e.Detail, e.ID, e.N = at, 0, kind, actor, name, "", 0, 0
+	return e
+}
+
+// Commit records the event Begin returned.
+func (t *Tracer) Commit() {
+	if t.w++; t.w == len(t.buf) {
+		t.w = 0
+	}
+	t.pending++
+	if !t.buffered {
+		t.publishLocked()
+		t.mu.Unlock()
+		return
+	}
+	if t.pending == traceSlack {
+		t.publish()
+	}
+}
+
+// Emit records one event. Safe on a nil receiver, and for concurrent use
+// outside buffered mode.
+func (t *Tracer) Emit(e Event) {
+	if s := t.Begin(e.Kind, e.At, e.Actor, e.Name); s != nil {
+		*s = e
+		t.Commit()
+	}
+}
+
+// Reset discards all retained events, published or not (the kind filter,
+// capacity and write mode are kept), so a reused world's trace starts
+// empty like a fresh one's.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.next = 0
-	t.filled = false
-	t.total = 0
+	t.w, t.pending = 0, 0
+	t.pubN, t.pubW = 0, 0
 }
 
-// Total returns how many events were emitted (including overwritten ones).
+// Total returns how many events were published (including overwritten
+// ones).
 func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.pubN
 }
 
-// Len returns how many events are currently retained.
+// Len returns how many published events are currently retained.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.filled {
-		return len(t.buf)
-	}
-	return t.next
+	return t.retained()
 }
 
-// Events returns the retained events, oldest first.
+// retained is Len under mu.
+func (t *Tracer) retained() int {
+	if t.pubN < uint64(t.capacity) {
+		return int(t.pubN)
+	}
+	return t.capacity
+}
+
+// Events returns the retained published events, oldest first.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.filled {
-		out := make([]Event, t.next)
-		copy(out, t.buf[:t.next])
-		return out
+	n := t.retained()
+	out := make([]Event, n)
+	if start := t.pubW - n; start >= 0 {
+		copy(out, t.buf[start:t.pubW])
+	} else {
+		k := copy(out, t.buf[len(t.buf)+start:])
+		copy(out[k:], t.buf[:t.pubW])
 	}
-	out := make([]Event, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
 	return out
 }
 

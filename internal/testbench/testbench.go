@@ -233,6 +233,7 @@ func NewGuidedUnlockExperiment(cfg Config, fuzzCfg core.Config, opts ...guided.E
 	if err != nil {
 		return nil, err
 	}
+	campaign.SetStopHook(engine.PublishStats)
 	campaign.AddOracle(bench.UnlockOracle())
 	return &GuidedUnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}, nil
 }
