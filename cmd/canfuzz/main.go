@@ -41,18 +41,23 @@ import (
 	busPkg "repro/internal/bus"
 )
 
-// logger is the shared structured stderr logger of the tool; run replaces
-// it once the -log-level/-log-format flags are parsed.
-var logger = telemetry.NewCLILogger(os.Stderr, "canfuzz", slog.LevelInfo)
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		logger.Error("run failed", "err", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run is the whole tool: it parses args, runs the selected mode and logs a
+// failure as "run failed" before returning it. The structured stderr
+// logger is built from -log-level/-log-format and passed down, never kept
+// in a global, so concurrent runs do not share it.
+func run(args []string) (err error) {
+	logger := telemetry.NewCLILogger(os.Stderr, "canfuzz", slog.LevelInfo)
+	defer func() {
+		if err != nil {
+			logger.Error("run failed", "err", err)
+		}
+	}()
 	fs := flag.NewFlagSet("canfuzz", flag.ContinueOnError)
 	target := fs.String("target", "bench", "target system: bench, cluster or vehicle")
 	busName := fs.String("bus", "body", "vehicle bus: body or powertrain")
@@ -88,13 +93,10 @@ func run(args []string) error {
 	eventsFile := fs.String("events", "", "fleet mode: stream the campaign event log (JSONL) to this file")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof on the -metrics endpoint")
 	trialTimeout := fs.Duration("trial-timeout", 0, "fleet mode: wall-clock budget per trial (0 = none); a hung trial is cancelled and counted stalled")
-	coordAddr := fs.String("coordinator", "", "serve a distributed campaign coordinator on this address (requires -events and -trials > 1)")
-	resume := fs.Bool("resume", false, "coordinator mode: resume a crashed campaign from the -events journal")
-	leaseTTL := fs.Duration("lease-ttl", campaignd.DefaultLeaseTTL, "coordinator mode: worker lease deadline before a trial is re-dispatched")
-	workerURL := fs.String("worker", "", "run as a campaign worker for the coordinator at this URL (e.g. http://host:9990)")
-	workerName := fs.String("worker-name", "", "worker mode: name reported to the coordinator (default hostname-pid)")
+	workerURL := fs.String("worker", "", "run as a campaign worker for the canfuzzd service at this URL (e.g. http://host:9090)")
+	workerName := fs.String("worker-name", "", "worker mode: name reported to the service (default hostname-pid)")
 	submitURL := fs.String("submit", "", "submit this invocation's campaign to the canfuzzd service at this URL and print the campaign ID")
-	watch := fs.Bool("watch", false, "submit mode: poll the service until the campaign completes, then print its final report")
+	watch := fs.Bool("watch", false, "submit mode: poll the service until the campaign completes, then print its final report (and write -corpus-out)")
 	priority := fs.Int("priority", 1, "submit mode: fair-share scheduling weight (>= 1; higher gets proportionally more of the fleet)")
 	maxInflight := fs.Int("max-inflight", 0, "submit mode: cap on this campaign's concurrently leased trials (0 = unlimited)")
 	statusURL := fs.String("status", "", "print a one-line-per-campaign table from the canfuzzd service at this URL and exit")
@@ -118,15 +120,12 @@ func run(args []string) error {
 	}
 
 	// Worker mode is a different program: the campaign definition comes
-	// from the coordinator, so any local campaign flag is rejected.
+	// from the service, so any local campaign flag is rejected.
 	if *workerURL != "" {
-		if *coordAddr != "" {
-			return fmt.Errorf("-worker and -coordinator are mutually exclusive")
-		}
 		if err := rejectWorkerFlags(fs); err != nil {
 			return err
 		}
-		return runWorker(*workerURL, *workerName, *token)
+		return runWorker(logger, *workerURL, *workerName, *token)
 	}
 	if *priority < 1 {
 		return fmt.Errorf("-priority must be >= 1, got %d", *priority)
@@ -134,11 +133,8 @@ func run(args []string) error {
 	if *maxInflight < 0 {
 		return fmt.Errorf("-max-inflight must be >= 0, got %d", *maxInflight)
 	}
-	if *submitURL == "" {
-		switch {
-		case *watch:
-			return fmt.Errorf("-watch requires -submit")
-		}
+	if *submitURL == "" && *watch {
+		return fmt.Errorf("-watch requires -submit")
 	}
 
 	// Flag validation: loud errors instead of silent misbehaviour.
@@ -169,35 +165,21 @@ func run(args []string) error {
 	if *trialTimeout < 0 {
 		return fmt.Errorf("-trial-timeout must be >= 0, got %v", *trialTimeout)
 	}
-	if *resume && *coordAddr == "" {
-		return fmt.Errorf("-resume requires -coordinator: it reloads the coordinator's -events journal")
-	}
 	if *submitURL != "" {
 		switch {
-		case *coordAddr != "":
-			return fmt.Errorf("-submit and -coordinator are mutually exclusive")
 		case *chaosSpec != "" || *traceFile != "" || *minimize:
 			return fmt.Errorf("-chaos/-trace/-minimize are not supported with -submit: the campaign runs on the service's worker fleet")
 		case *metricsAddr != "" || *eventsFile != "":
 			return fmt.Errorf("-metrics/-events are not supported with -submit: the canfuzzd service owns the observatory and the journal")
-		}
-	}
-	if *findingsDB != "" && (*submitURL != "" || *coordAddr != "") {
-		return fmt.Errorf("-findings-db is not supported with -submit/-coordinator: run canfuzzd -findings-db (service) or canregress add (journals) instead")
-	}
-	if *coordAddr != "" {
-		switch {
-		case *trials <= 1:
-			return fmt.Errorf("-coordinator requires fleet mode (-trials > 1)")
-		case *eventsFile == "":
-			return fmt.Errorf("-coordinator requires -events: the event log is the campaign's durable journal")
 		case *failFast:
-			return fmt.Errorf("-fail-fast is not supported with -coordinator: early stop would make the report depend on worker timing")
-		case *metricsAddr != "":
-			return fmt.Errorf("-metrics is redundant with -coordinator: the coordinator address serves the observatory routes too")
+			return fmt.Errorf("-fail-fast is not supported with -submit: early stop would make the report depend on worker timing")
+		case *findingsDB != "":
+			return fmt.Errorf("-findings-db is not supported with -submit: run canfuzzd -findings-db instead")
+		case *corpusOut != "" && !*watch:
+			return fmt.Errorf("-corpus-out with -submit requires -watch: the merged corpus arrives with the final report")
 		}
 	}
-	if *pprofFlag && *metricsAddr == "" && *coordAddr == "" {
+	if *pprofFlag && *metricsAddr == "" {
 		return fmt.Errorf("-pprof requires -metrics: profiles are served on the metrics endpoint")
 	}
 	if *minimize && *chaosSpec != "" {
@@ -301,7 +283,7 @@ func run(args []string) error {
 		if *minimize {
 			return fmt.Errorf("-minimize is not supported in bits mode")
 		}
-		return runBitsMode(ctx, *seed, *dur, *interval, *mutateBits, corpus,
+		return runBitsMode(ctx, logger, *seed, *dur, *interval, *mutateBits, corpus,
 			tel, *metricsAddr, *traceFile, *metricsHold)
 	default:
 		return fmt.Errorf("unknown mode %q", *mode)
@@ -346,10 +328,10 @@ func run(args []string) error {
 		plan = &p
 	}
 
-	if *coordAddr != "" || *submitURL != "" {
+	if *submitURL != "" {
 		// The wire spec is the complete campaign definition: workers rebuild
-		// identical worlds from it, and the journal embeds it so -resume can
-		// prove it is continuing the same campaign.
+		// identical worlds from it, and the journal embeds it so a resumed
+		// service can prove it is continuing the same campaign.
 		wireSpec := campaignd.CampaignSpec{
 			Target:            spec.Target,
 			Bus:               spec.Bus,
@@ -365,27 +347,17 @@ func run(args []string) error {
 		for _, f := range spec.GuidedSeed {
 			wireSpec.GuidedSeed = append(wireSpec.GuidedSeed, core.FormatCorpusFrame(f))
 		}
-		if *submitURL != "" {
-			return runSubmit(ctx, *submitURL, *token, wireSpec, submitOpts{
-				priority:    *priority,
-				maxInflight: *maxInflight,
-				watch:       *watch,
-				jsonOut:     *jsonOut,
-			})
-		}
-		return runCoordinator(ctx, wireSpec, coordinatorOpts{
-			addr:       *coordAddr,
-			leaseTTL:   *leaseTTL,
-			resume:     *resume,
-			eventsFile: *eventsFile,
-			corpusOut:  *corpusOut,
-			jsonOut:    *jsonOut,
-			pprof:      *pprofFlag,
+		return runSubmit(ctx, logger, *submitURL, *token, wireSpec, submitOpts{
+			priority:    *priority,
+			maxInflight: *maxInflight,
+			watch:       *watch,
+			jsonOut:     *jsonOut,
+			corpusOut:   *corpusOut,
 		})
 	}
 
 	if *trials > 1 {
-		return runFleet(ctx, spec, cfg, fleetRunOpts{
+		return runFleet(ctx, logger, spec, cfg, fleetRunOpts{
 			trials:       *trials,
 			workers:      *workers,
 			maxPerTrial:  *dur,
@@ -424,7 +396,7 @@ func run(args []string) error {
 	if *metricsAddr != "" {
 		handler = observatory.New(observatory.Config{Fuzz: intr, Telemetry: tel})
 	}
-	stopServing, err := serveObservatory(handler, *metricsAddr, *pprofFlag)
+	stopServing, err := serveObservatory(logger, handler, *metricsAddr, *pprofFlag)
 	if err != nil {
 		return err
 	}
@@ -447,12 +419,12 @@ func run(args []string) error {
 		inj.Stop()
 	}
 
-	if err := finishTelemetry(ctx, tel, *traceFile, *metricsHold); err != nil {
+	if err := finishTelemetry(ctx, logger, tel, *traceFile, *metricsHold); err != nil {
 		return err
 	}
 
 	if *corpusOut != "" && world.Corpus != nil {
-		if err := writeCorpusFile(*corpusOut, world.Corpus()); err != nil {
+		if err := writeCorpusFile(logger, *corpusOut, world.Corpus()); err != nil {
 			return err
 		}
 	}
@@ -462,7 +434,7 @@ func run(args []string) error {
 	if *minimize {
 		var err error
 		minimizeStart := time.Now()
-		if minimized, err = runMinimize(spec, cfg, campaign, *minimizeOut); err != nil {
+		if minimized, err = runMinimize(logger, spec, cfg, campaign, *minimizeOut); err != nil {
 			return err
 		}
 		minimizeWall = time.Since(minimizeStart)
@@ -527,7 +499,7 @@ func run(args []string) error {
 // runMinimize shrinks the first finding's trigger window by re-executing
 // candidate subsequences in fresh replay worlds. It returns nil without
 // error when the campaign produced no findings.
-func runMinimize(spec targetPkg.Spec, cfg core.Config, campaign *core.Campaign, outFile string) (*core.MinimizedTrigger, error) {
+func runMinimize(logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, campaign *core.Campaign, outFile string) (*core.MinimizedTrigger, error) {
 	findings := campaign.Findings()
 	if len(findings) == 0 {
 		logger.Info("minimize: no findings to minimize")
@@ -569,7 +541,7 @@ func runMinimize(spec targetPkg.Spec, cfg core.Config, campaign *core.Campaign, 
 
 // writeCorpusFile serializes an evolved corpus in the shareable
 // one-frame-per-line format.
-func writeCorpusFile(path string, lines []string) error {
+func writeCorpusFile(logger *slog.Logger, path string, lines []string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -624,7 +596,7 @@ type fleetRunOpts struct {
 // prints the deterministic fleet report (JSON with -json, a summary
 // otherwise). With -events or -metrics the campaign observatory rides
 // along: a streaming JSONL event log and/or the live HTTP campaign API.
-func runFleet(ctx context.Context, spec targetPkg.Spec, cfg core.Config, o fleetRunOpts) error {
+func runFleet(ctx context.Context, logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, o fleetRunOpts) error {
 	logEvery := o.trials / 10
 	if logEvery < 1 {
 		logEvery = 1
@@ -658,7 +630,7 @@ func runFleet(ctx context.Context, spec targetPkg.Spec, cfg core.Config, o fleet
 	}
 	obs := observatory.New(observatory.Config{Sink: sink, Fuzz: intr, Telemetry: o.tel})
 
-	stopServing, err := serveObservatory(obs, o.metricsAddr, o.pprof)
+	stopServing, err := serveObservatory(logger, obs, o.metricsAddr, o.pprof)
 	if err != nil {
 		return err
 	}
@@ -702,7 +674,7 @@ func runFleet(ctx context.Context, spec targetPkg.Spec, cfg core.Config, o fleet
 		logger.Info("event log written", "file", o.eventsFile, "events", sink.Count())
 	}
 	if o.corpusOut != "" {
-		if err := writeCorpusFile(o.corpusOut, rep.MergedCorpus); err != nil {
+		if err := writeCorpusFile(logger, o.corpusOut, rep.MergedCorpus); err != nil {
 			return err
 		}
 	}
@@ -730,9 +702,8 @@ func runFleet(ctx context.Context, spec targetPkg.Spec, cfg core.Config, o fleet
 }
 
 // printFleetReport prints the human-readable campaign summary shared by the
-// in-process fleet and the distributed coordinator. It sticks to the
-// deterministic report fields, so both paths describe the same campaign the
-// same way.
+// in-process fleet and `-submit -watch`. It sticks to the deterministic
+// report fields, so both paths describe the same campaign the same way.
 func printFleetReport(rep *fleet.Report) {
 	fmt.Printf("fleet: %d trials (%d findings, %d timeouts, %d stalled, %d panics, %d skipped) over %v total virtual time\n",
 		rep.Trials, rep.FoundFindings, rep.TimedOut, rep.Stalled, rep.Panics, rep.Skipped, rep.VirtualTimeTotal)
@@ -756,7 +727,7 @@ func printFleetReport(rep *fleet.Report) {
 // runBitsMode runs the data-link-layer fuzzer against a bench-mounted
 // victim ECU and reports the protocol-level damage: error-frame counts and
 // the victim's fault-confinement state.
-func runBitsMode(ctx context.Context, seed int64, dur, interval time.Duration, flipBits int, corpus []can.Frame,
+func runBitsMode(ctx context.Context, logger *slog.Logger, seed int64, dur, interval time.Duration, flipBits int, corpus []can.Frame,
 	tel *telemetry.Telemetry, metricsAddr, traceFile string, metricsHold time.Duration) error {
 	sched := clock.New()
 	b := busPkg.New(sched, busPkg.WithName("bench"))
@@ -777,7 +748,7 @@ func runBitsMode(ctx context.Context, seed int64, dur, interval time.Duration, f
 	if tel != nil && metricsAddr != "" {
 		obs = observatory.New(observatory.Config{Telemetry: tel})
 	}
-	stopServing, err := serveObservatory(obs, metricsAddr, false)
+	stopServing, err := serveObservatory(logger, obs, metricsAddr, false)
 	if err != nil {
 		return err
 	}
@@ -789,7 +760,7 @@ func runBitsMode(ctx context.Context, seed int64, dur, interval time.Duration, f
 	sched.RunUntil(sched.Now() + dur)
 	bf.Stop()
 
-	if err := finishTelemetry(ctx, tel, traceFile, metricsHold); err != nil {
+	if err := finishTelemetry(ctx, logger, tel, traceFile, metricsHold); err != nil {
 		return err
 	}
 
@@ -806,7 +777,7 @@ func runBitsMode(ctx context.Context, seed int64, dur, interval time.Duration, f
 // given, mounting the observatory routes on top of the telemetry ones. The
 // returned function drains the server gracefully; it is always safe to
 // call.
-func serveObservatory(obs *observatory.Observatory, addr string, pprofOn bool) (func(), error) {
+func serveObservatory(logger *slog.Logger, obs *observatory.Observatory, addr string, pprofOn bool) (func(), error) {
 	if obs == nil || addr == "" {
 		return func() {}, nil
 	}
@@ -826,7 +797,7 @@ func serveObservatory(obs *observatory.Observatory, addr string, pprofOn bool) (
 // finishTelemetry writes the Chrome trace file if requested and holds the
 // metrics endpoint open for scraping after the virtual run ends; SIGINT
 // (via ctx) ends the hold early.
-func finishTelemetry(ctx context.Context, tel *telemetry.Telemetry, traceFile string, hold time.Duration) error {
+func finishTelemetry(ctx context.Context, logger *slog.Logger, tel *telemetry.Telemetry, traceFile string, hold time.Duration) error {
 	if tel == nil {
 		return nil
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"net"
 	"os"
 	"runtime"
 	"sort"
@@ -170,20 +169,20 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-mode", "mutate", "-corpus-in", "/tmp/c.corpus"},
 		{"-mode", "guided", "-corpus-in", "/nonexistent.corpus"},
 		{"-trial-timeout", "-1s"},
+		// The single-campaign coordinator is gone; canfuzzd serves every
+		// distributed campaign.
+		{"-coordinator", ":0", "-trials", "2", "-events", "/tmp/j.jsonl"},
 		{"-resume"},
-		{"-worker", "http://x", "-coordinator", ":0"},
+		{"-lease-ttl", "5s"},
 		{"-worker", "http://x", "-trials", "3"},
 		{"-worker", "http://x", "-seed", "7"},
-		{"-coordinator", ":0"},
-		{"-coordinator", ":0", "-trials", "2"},
-		{"-coordinator", ":0", "-trials", "2", "-events", "/tmp/j.jsonl", "-fail-fast"},
-		{"-coordinator", ":0", "-trials", "2", "-events", "/tmp/j.jsonl", "-metrics", "localhost:0"},
-		{"-coordinator", ":0", "-trials", "2", "-events", "/nonexistent/dir/j.jsonl"},
-		{"-submit", "http://x", "-coordinator", ":0"},
 		{"-submit", "http://x", "-trials", "2", "-priority", "0"},
 		{"-submit", "http://x", "-trials", "2", "-max-inflight", "-1"},
 		{"-submit", "http://x", "-trials", "2", "-minimize"},
 		{"-submit", "http://x", "-trials", "2", "-metrics", "localhost:0"},
+		{"-submit", "http://127.0.0.1:1", "-trials", "2", "-findings-db", "/tmp/db"},
+		{"-submit", "http://127.0.0.1:1", "-trials", "2", "-fail-fast"},
+		{"-submit", "http://127.0.0.1:1", "-trials", "2", "-mode", "guided", "-corpus-out", "/tmp/c.corpus"},
 		{"-watch", "-trials", "2"},
 		{"-worker", "http://x", "-priority", "2"},
 	}
@@ -280,63 +279,6 @@ func TestRunMinimizeNoFindingIsNotAnError(t *testing.T) {
 		"-seed", "1", "-minimize"})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRunDistributedCampaign(t *testing.T) {
-	// CLI-level smoke of the distributed path: a coordinator and one worker
-	// in the same process complete a campaign, the journal holds every
-	// trial's result, and a -resume restart of the finished campaign is a
-	// clean no-op (all trials replayed from the journal, nothing re-run).
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	dir := t.TempDir()
-	journal := dir + "/journal.jsonl"
-	coordDone := make(chan error, 1)
-	coordArgs := []string{"-target", "bench", "-ids", "215", "-trials", "4",
-		"-dur", "30m", "-seed", "9", "-coordinator", addr, "-events", journal,
-		"-lease-ttl", "5s"}
-	go func() { coordDone <- run(coordArgs) }()
-
-	if err := run([]string{"-worker", "http://" + addr, "-worker-name", "w1"}); err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	if err := <-coordDone; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-
-	data, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := strings.Count(string(data), `"type":"trial_result"`)
-	if results != 4 {
-		t.Fatalf("journal has %d trial_result lines, want 4:\n%s", results, data)
-	}
-
-	// Resume the completed campaign: no worker needed, identical spec
-	// required, journal must not grow.
-	if err := run(append(append([]string(nil), coordArgs...), "-resume")); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	after, err := os.ReadFile(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(after), string(data)) || len(after) != len(data) {
-		t.Fatalf("resume of a finished campaign changed the journal (%d -> %d bytes)", len(data), len(after))
-	}
-
-	// A resume with a different spec must be refused.
-	if err := run([]string{"-target", "bench", "-ids", "215", "-trials", "5",
-		"-dur", "30m", "-seed", "9", "-coordinator", addr, "-events", journal,
-		"-resume"}); err == nil {
-		t.Fatal("resume with a different trial count accepted")
 	}
 }
 

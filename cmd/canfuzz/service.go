@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
 	"time"
 
@@ -15,11 +18,14 @@ import (
 	"repro/internal/campsrv"
 	"repro/internal/fleet"
 	"repro/internal/retry"
+	"repro/internal/target"
 )
 
-// Service client modes: `canfuzz -submit URL [-watch]` posts this
-// invocation's campaign to a canfuzzd service, and `canfuzz -status URL`
-// renders the service's /fleet.json as a one-line-per-campaign table.
+// Distributed campaigns run through a canfuzzd service: `canfuzz -submit
+// URL [-watch]` posts this invocation's campaign to it, any number of
+// `canfuzz -worker URL` processes execute its trials, and `canfuzz -status
+// URL` renders the service's /fleet.json as a one-line-per-campaign table.
+// DESIGN §12 has the full protocol.
 
 // submitOpts carries the -submit flags.
 type submitOpts struct {
@@ -27,6 +33,73 @@ type submitOpts struct {
 	maxInflight int
 	watch       bool
 	jsonOut     bool
+	corpusOut   string
+}
+
+// rejectWorkerFlags refuses flag combinations that contradict worker mode:
+// the campaign definition comes from the service, so every local campaign
+// flag is a footgun that would silently be ignored.
+func rejectWorkerFlags(fs *flag.FlagSet) error {
+	allowed := map[string]bool{
+		"worker": true, "worker-name": true, "token": true,
+		"log-level": true, "log-format": true,
+	}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		if !allowed[f.Name] {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		return fmt.Errorf("worker mode takes its campaign from the service; drop %s",
+			strings.Join(bad, ", "))
+	}
+	return nil
+}
+
+// buildRuntime maps a fetched campaign spec onto a worker runtime: a
+// factory closing over the same internal/target builder the in-process
+// fleet uses, so results are byte-identical to local execution. The Worker
+// calls this lazily — once per campaign, the first time the scheduler hands
+// it one of that campaign's trials — and caches the result across leases.
+func buildRuntime(spec campaignd.CampaignSpec) (campaignd.Runtime, error) {
+	ts, cfg, err := target.FromCampaignSpec(spec)
+	if err != nil {
+		return campaignd.Runtime{}, err
+	}
+	return campaignd.Runtime{
+		Factory: func(tsp fleet.TrialSpec) (*fleet.World, error) {
+			tcfg := cfg
+			tcfg.Seed = tsp.Seed
+			world, _, werr := newWorld(ts, tcfg, nil, nil, nil)
+			return world, werr
+		},
+		FleetCfg: spec.FleetConfig(),
+	}, nil
+}
+
+// runWorker is `canfuzz -worker URL`: lease, execute and submit trials
+// until the service says no work is left (it is shutting down). The worker
+// is campaign-agnostic, building and caching one runtime per campaign it is
+// handed trials from.
+func runWorker(logger *slog.Logger, serverURL, name, token string) error {
+	ctx, cancelSig := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer cancelSig()
+	if name == "" {
+		host, _ := os.Hostname()
+		if host == "" {
+			host = "worker"
+		}
+		name = fmt.Sprintf("%s-%d", host, os.Getpid())
+	}
+	logger.Info("worker joined fleet", "name", name, "server", serverURL)
+	w := &campaignd.Worker{
+		Client: &campaignd.Client{Base: serverURL, Token: token},
+		Name:   name,
+		Build:  buildRuntime,
+		Logger: logger,
+	}
+	return w.Run(ctx)
 }
 
 // svcRequest issues one authenticated request against the service.
@@ -59,10 +132,11 @@ func svcGetJSON(url, token string, v any) error {
 }
 
 // runSubmit posts the campaign spec to the service and prints the
-// assigned campaign ID; with -watch it polls until the campaign completes
-// and prints the final report (the exact bytes of /report.json with
-// -json, the human summary otherwise).
-func runSubmit(ctx context.Context, baseURL, token string, spec campaignd.CampaignSpec, o submitOpts) error {
+// assigned campaign ID. With -watch it instead polls until the campaign
+// completes, writes the merged corpus to -corpus-out and prints only the
+// final report (the exact bytes of /report.json with -json — identical to
+// an in-process -json run — the human summary otherwise).
+func runSubmit(ctx context.Context, logger *slog.Logger, baseURL, token string, spec campaignd.CampaignSpec, o submitOpts) error {
 	base := strings.TrimSuffix(baseURL, "/")
 	body, err := json.Marshal(campsrv.Submission{
 		Spec: spec, Priority: o.priority, MaxInflight: o.maxInflight,
@@ -85,16 +159,18 @@ func runSubmit(ctx context.Context, baseURL, token string, spec campaignd.Campai
 	}
 	logger.Info("campaign submitted", "campaign", v.ID, "state", v.State,
 		"trials", v.Trials, "priority", v.Priority)
-	fmt.Println(v.ID)
 	if !o.watch {
+		fmt.Println(v.ID)
 		return nil
 	}
-	return watchCampaign(ctx, base, token, v.ID, o.jsonOut)
+	if err := watchCampaign(ctx, logger, base, token, v.ID); err != nil {
+		return err
+	}
+	return printRemoteReport(logger, base, token, v.ID, o)
 }
 
-// watchCampaign polls the campaign until it reaches a terminal state,
-// then fetches and prints the final report.
-func watchCampaign(ctx context.Context, base, token, id string, jsonOut bool) error {
+// watchCampaign polls the campaign until it completes.
+func watchCampaign(ctx context.Context, logger *slog.Logger, base, token, id string) error {
 	lastDone := -1
 	for {
 		var d campsrv.CampaignDetail
@@ -108,7 +184,7 @@ func watchCampaign(ctx context.Context, base, token, id string, jsonOut bool) er
 			if d.Error != "" {
 				return fmt.Errorf("campaign %s finished with a server-side defect: %s", id, d.Error)
 			}
-			return printRemoteReport(base, token, id, jsonOut)
+			return nil
 		}
 		if d.Progress.TrialsDone != lastDone {
 			lastDone = d.Progress.TrialsDone
@@ -123,10 +199,11 @@ func watchCampaign(ctx context.Context, base, token, id string, jsonOut bool) er
 	}
 }
 
-// printRemoteReport fetches /campaigns/{id}/report.json. With jsonOut the
-// exact server bytes go to stdout — byte-identical to an in-process
-// fleet.Run -json report; otherwise the shared human summary is printed.
-func printRemoteReport(base, token, id string, jsonOut bool) error {
+// printRemoteReport fetches /campaigns/{id}/report.json and writes its
+// merged corpus to o.corpusOut when set. With o.jsonOut the exact server
+// bytes go to stdout — byte-identical to an in-process fleet.Run -json
+// report; otherwise the shared human summary is printed.
+func printRemoteReport(logger *slog.Logger, base, token, id string, o submitOpts) error {
 	resp, err := svcRequest(http.MethodGet, base+"/campaigns/"+id+"/report.json", token, nil)
 	if err != nil {
 		return err
@@ -139,13 +216,18 @@ func printRemoteReport(base, token, id string, jsonOut bool) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("report for %s: %s: %s", id, resp.Status, bytes.TrimSpace(raw))
 	}
-	if jsonOut {
-		_, err := os.Stdout.Write(raw)
-		return err
-	}
 	var rep fleet.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return fmt.Errorf("report for %s: %w", id, err)
+	}
+	if o.corpusOut != "" {
+		if err := writeCorpusFile(logger, o.corpusOut, rep.MergedCorpus); err != nil {
+			return err
+		}
+	}
+	if o.jsonOut {
+		_, err := os.Stdout.Write(raw)
+		return err
 	}
 	printFleetReport(&rep)
 	return nil

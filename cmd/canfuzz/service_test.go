@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"repro/internal/campsrv"
@@ -29,6 +31,31 @@ func TestRunServiceClientModes(t *testing.T) {
 		"-priority", "2", "-token", "hunter2"})
 	if err != nil {
 		t.Fatalf("submit -watch: %v", err)
+	}
+
+	// A guided campaign's merged corpus comes back with the report: the
+	// -corpus-out file must match the in-process fleet's byte for byte.
+	dir := t.TempDir()
+	guided := []string{"-target", "bench", "-mode", "guided", "-trials", "2",
+		"-dur", "30m", "-seed", "3"}
+	local, remote := dir+"/local.corpus", dir+"/remote.corpus"
+	if err := run(append(guided, "-workers", "1", "-corpus-out", local)); err != nil {
+		t.Fatalf("in-process guided fleet: %v", err)
+	}
+	if err := run(append(guided, "-submit", hs.URL, "-watch", "-token", "hunter2",
+		"-corpus-out", remote)); err != nil {
+		t.Fatalf("guided submit -watch: %v", err)
+	}
+	want, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(remote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("service merged corpus (%d bytes) differs from in-process (%d bytes)", len(got), len(want))
 	}
 
 	if err := run([]string{"-status", hs.URL, "-token", "hunter2"}); err != nil {

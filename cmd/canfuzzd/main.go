@@ -39,7 +39,7 @@ func run(argv []string) error {
 	dataDir := fs.String("data", "", "durable data directory: index.json plus one journal directory per campaign (required)")
 	resume := fs.Bool("resume", false, "reload an existing -data directory and continue its campaigns")
 	authToken := fs.String("auth-token", "", "shared secret; when set every request (except /healthz) must send 'Authorization: Bearer <token>'")
-	leaseTTL := fs.Duration("lease-ttl", 0, "worker lease deadline for every campaign (default 30s)")
+	leaseTTL := fs.Duration("lease-ttl", 0, "worker lease deadline for every campaign (0 = 10s)")
 	maxActive := fs.Int("max-active", 0, "cap on concurrently running campaigns; excess submissions queue (0 = unlimited)")
 	grace := fs.Duration("grace", 5*time.Second, "shutdown grace: how long to keep answering workers after SIGINT/SIGTERM")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

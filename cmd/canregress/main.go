@@ -1,5 +1,5 @@
 // Command canregress is the regression side of the findings pipeline
-// (DESIGN §14): it maintains the deduplicated findings database and
+// (DESIGN §13): it maintains the deduplicated findings database and
 // replays it against the current tree.
 //
 //	canregress add  -db DIR [sources...]   merge findings into the database
@@ -8,7 +8,7 @@
 //
 // Sources for add: fleet report files (canfuzz -json output, positional
 // arguments, with -target/-check/... naming the world they ran against),
-// a campaign service or coordinator data directory (-campaigns), and a
+// a canfuzzd data directory (-campaigns), and a
 // canreplay-compatible trigger log (-log, with -oracle naming the oracle
 // it reproduces).
 //
@@ -66,7 +66,7 @@ func run(args []string) error {
 func runAdd(args []string) error {
 	fs := flag.NewFlagSet("canregress add", flag.ContinueOnError)
 	dbDir := fs.String("db", "", "findings database directory (required)")
-	campaignsDir := fs.String("campaigns", "", "campaign service/coordinator data directory to scan (one journal per campaign subdirectory)")
+	campaignsDir := fs.String("campaigns", "", "canfuzzd data directory to scan (one journal per campaign subdirectory)")
 	logFile := fs.String("log", "", "canreplay-compatible trigger log to store as one finding (requires -oracle)")
 	oracleName := fs.String("oracle", "", "oracle the -log trigger reproduces")
 	detail := fs.String("detail", "", "finding detail for the -log trigger")

@@ -1,7 +1,6 @@
 package campaignd
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,9 +61,9 @@ type Config struct {
 	Progress *fleet.Progress
 	// Logger, when non-nil, receives lease-churn lines.
 	Logger *slog.Logger
-	// Resumed seeds the coordinator with results recovered from a journal
-	// (LoadJournal): those trials are born completed and their events are
-	// not re-emitted — the journal already holds them.
+	// Resumed, when non-nil, continues a journal (OpenJournal) that
+	// already holds the campaign_start line: its trials are born completed
+	// and their events are not re-emitted. Nil starts a fresh journal.
 	Resumed map[int]fleet.TrialResult
 	// Seed seeds the redispatch jitter RNG (content determinism never
 	// depends on it; 0 is fine).
@@ -81,7 +80,7 @@ const (
 	stateDone
 )
 
-// trial is the coordinator's record of one shard.
+// trial is the lease book's record of one shard.
 type trial struct {
 	state   trialState
 	seed    int64
@@ -95,13 +94,12 @@ type trial struct {
 	result      fleet.TrialResult // stateDone
 }
 
-// Coordinator shards a campaign into leases and folds accepted results
-// into the same deterministic report an in-process fleet.Run produces.
-// All methods are safe for concurrent use; the HTTP layer in http.go is a
-// thin translation over them.
+// Coordinator is one campaign's lease book: it shards the campaign into
+// leases and folds accepted results into the same deterministic report an
+// in-process fleet.Run produces. All methods are safe for concurrent use;
+// campsrv schedules many of them behind one HTTP API.
 type Coordinator struct {
 	spec     CampaignSpec
-	specJSON []byte
 	ttl      time.Duration
 	policy   retry.Policy
 	every    int
@@ -119,17 +117,13 @@ type Coordinator struct {
 	rng         *rand.Rand
 	report      *fleet.Report
 	finishedSig chan struct{}
-	// waiters tracks workers that will contact us again (leased a trial or
-	// told to wait) and have not yet been told the campaign is done; Drain
-	// keeps the coordinator answerable until this set empties.
-	waiters map[string]struct{}
 }
 
-// New builds a coordinator for the spec, journalling to cfg.Sink. With
+// New builds a lease book for the spec, journalling to cfg.Sink. With
 // cfg.Resumed it continues a crashed campaign: recovered trials start
 // completed, everything else (including leases that were in flight when
-// the previous coordinator died) is re-dispatched from scratch — an
-// expired lease and a dead coordinator look identical to a worker.
+// the previous server died) is re-dispatched from scratch — an expired
+// lease and a dead server look identical to a worker.
 func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -149,7 +143,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		spec:        cfg.Spec,
-		specJSON:    specJSON,
 		ttl:         cfg.LeaseTTL,
 		policy:      cfg.Redispatch,
 		every:       cfg.CheckpointEvery,
@@ -159,13 +152,12 @@ func New(cfg Config) (*Coordinator, error) {
 		trials:      make([]trial, cfg.Spec.Trials),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		finishedSig: make(chan struct{}),
-		waiters:     make(map[string]struct{}),
 	}
 	c.progress.CampaignStarted(cfg.Spec.FleetConfig(), 0)
 	for i := range c.trials {
 		c.trials[i].seed = faults.DeriveSeed(cfg.Spec.BaseSeed, i)
 	}
-	if len(cfg.Resumed) == 0 {
+	if cfg.Resumed == nil {
 		// Fresh campaign: open the journal with the spec line.
 		c.sink.Emit(observatory.Event{
 			Type: observatory.EventCampaignStart, Trial: -1, Seq: 0, Raw: specJSON,
@@ -198,9 +190,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// SpecJSON returns the canonical spec bytes served at /campaignd/spec.
-func (c *Coordinator) SpecJSON() []byte { return c.specJSON }
-
 // Lease statuses.
 const (
 	// LeaseGranted carries a trial assignment.
@@ -209,17 +198,18 @@ const (
 	// trials are leased out or in redispatch backoff) — retry after
 	// RetryAfter.
 	LeaseWait = "wait"
-	// LeaseDone means the campaign is complete; the worker should exit.
+	// LeaseDone means no work is left: from a lease book, its campaign is
+	// complete; from the campsrv scheduler, the server is shutting down and
+	// the worker should exit.
 	LeaseDone = "done"
 )
 
-// Lease is a coordinator lease decision.
+// Lease is a lease decision.
 type Lease struct {
 	// Status is LeaseGranted, LeaseWait or LeaseDone.
 	Status string `json:"status"`
-	// Campaign identifies which campaign the trial belongs to when the
-	// lease was granted by a multi-campaign scheduler (campsrv). Empty on a
-	// single-campaign coordinator, whose workers already know the campaign.
+	// Campaign identifies which campaign the trial belongs to; the campsrv
+	// scheduler stamps it on every grant.
 	Campaign string `json:"campaign,omitempty"`
 	// Trial and Seed identify the assigned shard (LeaseGranted).
 	Trial int   `json:"trial"`
@@ -233,23 +223,17 @@ type Lease struct {
 }
 
 // AcquireLease hands the worker the lowest dispatchable trial, or tells it
-// to wait or exit. Expired leases are reclaimed lazily here — the
-// coordinator needs no background goroutine, which keeps its state machine
-// single-threaded under the mutex and trivially crash-consistent: the only
-// durable state is the journal.
+// to wait or that the campaign is done. Expired leases are reclaimed
+// lazily here — the lease book needs no background goroutine, which keeps
+// its state machine single-threaded under the mutex and trivially
+// crash-consistent: the only durable state is the journal.
 func (c *Coordinator) AcquireLease(worker string) Lease {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reclaimExpiredLocked(now)
 	if c.done == len(c.trials) {
-		delete(c.waiters, worker)
 		return Lease{Status: LeaseDone}
-	}
-	// Whatever we answer below, this worker will poll or submit again: keep
-	// the coordinator up for it after completion (see Drain).
-	if worker != "" {
-		c.waiters[worker] = struct{}{}
 	}
 	var nextAvail time.Time
 	for i := range c.trials {
@@ -438,44 +422,6 @@ func (c *Coordinator) Finished() bool {
 	}
 }
 
-// forgetWaiter records that a worker has been told the campaign is done
-// (it will not contact the coordinator again).
-func (c *Coordinator) forgetWaiter(worker string) {
-	if worker == "" {
-		return
-	}
-	c.mu.Lock()
-	delete(c.waiters, worker)
-	c.mu.Unlock()
-}
-
-// Drain blocks after completion until every worker known to be polling or
-// submitting has been answered with "done", so none is left retrying
-// against a vanished server. max bounds the wait (a crashed worker never
-// comes back to be told); ctx cancels it early. Calling Drain before
-// completion returns immediately.
-func (c *Coordinator) Drain(ctx context.Context, max time.Duration) {
-	if !c.Finished() {
-		return
-	}
-	deadline := time.Now().Add(max)
-	t := time.NewTicker(25 * time.Millisecond)
-	defer t.Stop()
-	for {
-		c.mu.Lock()
-		waiting := len(c.waiters)
-		c.mu.Unlock()
-		if waiting == 0 || !time.Now().Before(deadline) {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
-}
-
 // Leased counts the currently leased trials after reclaiming expired
 // leases — the live in-flight width a fair-share scheduler caps per
 // campaign (campsrv's max-inflight).
@@ -500,17 +446,8 @@ func (c *Coordinator) Report() *fleet.Report {
 	return c.report
 }
 
-// Wait blocks until the campaign completes or ctx ends.
-func (c *Coordinator) Wait(ctx context.Context) (*fleet.Report, error) {
-	select {
-	case <-c.finishedSig:
-		return c.Report(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Status is the coordinator's live view, served at /campaignd/status.
+// Status is the lease book's live view, served in campsrv's
+// GET /campaigns/{id} detail.
 type Status struct {
 	Trials     int  `json:"trials"`
 	Done       int  `json:"done"`
@@ -522,7 +459,7 @@ type Status struct {
 	Complete   bool `json:"complete"`
 }
 
-// Snapshot samples the coordinator state.
+// Snapshot samples the lease book state.
 func (c *Coordinator) Snapshot() Status {
 	now := time.Now()
 	c.mu.Lock()

@@ -4,14 +4,13 @@ package campaignd_test
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"net/http/httptest"
 
 	"repro/internal/bcm"
 	"repro/internal/campaignd"
@@ -81,6 +80,9 @@ func reportBytes(t *testing.T, rep *fleet.Report) []byte {
 }
 
 func TestDistributedReportMatchesInProcess(t *testing.T) {
+	// Three workers race over one lease book (the HTTP layer is campsrv's
+	// and is covered there); the report must match fleet.Run byte for byte
+	// whichever worker computed which trial.
 	spec := testSpec(6)
 	golden := inProcessGolden(t, spec)
 
@@ -90,38 +92,44 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-
 	var wg sync.WaitGroup
 	for _, name := range []string{"w1", "w2", "w3"} {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			w := &campaignd.Worker{
-				Client: &campaignd.Client{Base: srv.URL},
-				Name:   name,
-				Build:  buildBench,
-			}
-			if err := w.Run(context.Background()); err != nil {
-				t.Errorf("worker %s: %v", name, err)
+			for {
+				l := coord.AcquireLease(name)
+				switch l.Status {
+				case campaignd.LeaseDone:
+					return
+				case campaignd.LeaseWait:
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				res := fleet.RunTrial(fleet.TrialSpec{Index: l.Trial, Seed: l.Seed},
+					spec.FleetConfig(), unlockFactory)
+				if err := coord.Submit(l.Trial, l.ID, res); err != nil {
+					t.Errorf("worker %s: submit trial %d: %v", name, l.Trial, err)
+					return
+				}
 			}
 		}(name)
 	}
 	wg.Wait()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	rep, err := coord.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-coord.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("campaign did not complete")
 	}
-	if got := reportBytes(t, rep); !bytes.Equal(got, golden) {
+	if got := reportBytes(t, coord.Report()); !bytes.Equal(got, golden) {
 		t.Fatalf("distributed report differs from in-process run:\n--- dist ---\n%s\n--- golden ---\n%s", got, golden)
 	}
 
 	// The journal must be a self-sufficient record: replay it and the same
 	// report falls out.
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
 	j, err := campaignd.LoadJournal(bytes.NewReader(journal.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +137,17 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 	if err := j.Compatible(spec); err != nil {
 		t.Fatal(err)
 	}
-	if len(j.Results) != spec.Trials {
-		t.Fatalf("journal holds %d results, want %d", len(j.Results), spec.Trials)
+	results := make([]fleet.TrialResult, spec.Trials)
+	for i := range results {
+		res, ok := j.Results[i]
+		if !ok {
+			t.Fatalf("journal lacks trial %d", i)
+		}
+		results[i] = res
+	}
+	replayed := fleet.NewReport(spec.BaseSeed, time.Duration(spec.MaxPerTrialNanos), results)
+	if got := reportBytes(t, replayed); !bytes.Equal(got, golden) {
+		t.Fatalf("journal replay report differs from in-process run:\n%s", got)
 	}
 	st := coord.Snapshot()
 	if !st.Complete || st.Done != spec.Trials {
@@ -314,25 +331,64 @@ func TestJournalTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Tear the final line mid-write, as a crash during append would.
-	torn := journal.String()
-	torn = torn[:len(torn)-len("\n")-7] + "\n"
-	j, err := campaignd.LoadJournal(strings.NewReader(torn[:len(torn)-1]))
-	if err != nil {
-		t.Fatalf("torn tail should be tolerated: %v", err)
-	}
-	if !j.TruncatedTail {
-		t.Error("TruncatedTail not reported")
-	}
-	if len(j.Results) == 0 || len(j.Results) > 2 {
-		t.Fatalf("recovered %d results from torn journal", len(j.Results))
+	full := journal.String()
+	lines := strings.SplitAfter(full, "\n") // ends with "" after the last '\n'
+	if last := lines[len(lines)-2]; !strings.Contains(last, `"trial_result"`) {
+		t.Fatalf("journal ends in %q, want a trial_result line", last)
 	}
 
-	// A malformed line mid-stream is corruption, not a torn tail.
-	corrupt := "{bad json}\n" + journal.String()
-	if _, err := campaignd.LoadJournal(strings.NewReader(corrupt)); err == nil {
-		t.Fatal("mid-stream corruption accepted")
+	// Tear the final line mid-write, as a crash during append would, or
+	// lose only its '\n': either way the line is a torn tail. Counting a
+	// complete-but-unterminated line as done would be wrong — OpenJournal
+	// cuts it, so that trial would never be journalled again.
+	for name, torn := range map[string]string{
+		"mid-line":   full[:len(full)-8],
+		"no-newline": full[:len(full)-1],
+	} {
+		j, err := campaignd.LoadJournal(strings.NewReader(torn))
+		if err != nil {
+			t.Fatalf("%s: torn tail should be tolerated: %v", name, err)
+		}
+		if !j.TruncatedTail || len(j.Results) != 1 {
+			t.Fatalf("%s: TruncatedTail=%v, %d results; want true, 1", name, j.TruncatedTail, len(j.Results))
+		}
+
+		// OpenJournal applies the same rule to a file and cuts the tail.
+		path := filepath.Join(t.TempDir(), "events.jsonl")
+		if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, oj, err := campaignd.OpenJournal(path)
+		if err != nil {
+			t.Fatalf("%s: OpenJournal: %v", name, err)
+		}
+		if _, err := f.WriteString("{}\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if len(oj.Results) != len(j.Results) || oj.Lines != j.Lines {
+			t.Fatalf("%s: OpenJournal read %d results/%d lines, LoadJournal %d/%d",
+				name, len(oj.Results), oj.Lines, len(j.Results), j.Lines)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := torn[:strings.LastIndex(torn, "\n")+1] + "{}\n"; string(got) != want {
+			t.Fatalf("%s: appended after %d bytes, want after the %d-byte prefix",
+				name, len(got)-3, len(want)-3)
+		}
+	}
+
+	// A malformed line mid-stream is corruption, not a torn tail; so is a
+	// malformed last line that has its '\n'.
+	for _, corrupt := range []string{"{bad json}\n" + full, full + "{bad json}\n"} {
+		if _, err := campaignd.LoadJournal(strings.NewReader(corrupt)); !errors.Is(err, campaignd.ErrCorruptJournal) {
+			t.Fatalf("corrupt journal: err %v, want ErrCorruptJournal", err)
+		}
+	}
+	if _, _, err := campaignd.OpenJournal(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing journal: err %v, want os.ErrNotExist", err)
 	}
 }
 
@@ -364,128 +420,5 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := coord.Submit(l.Trial, l.ID, fleet.TrialResult{Trial: l.Trial, Seed: 12345}); err == nil {
 		t.Error("seed-mismatched result accepted")
-	}
-}
-
-func TestDrainWaitsForPollingWorkers(t *testing.T) {
-	// A coordinator must not vanish the instant the last result lands:
-	// workers parked in the lease-wait loop still need to hear "done".
-	spec := testSpec(1)
-	coord, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := coord.AcquireLease("runner")
-	if runner.Status != campaignd.LeaseGranted {
-		t.Fatalf("runner lease = %+v", runner)
-	}
-	// A second worker finds nothing dispatchable and becomes a waiter.
-	if l := coord.AcquireLease("idler"); l.Status != campaignd.LeaseWait {
-		t.Fatalf("idler lease = %+v", l)
-	}
-
-	res := fleet.TrialResult{Trial: 0, Seed: runner.Seed, Status: fleet.StatusTimeout}
-	if err := coord.Submit(runner.Trial, runner.ID, res); err != nil {
-		t.Fatal(err)
-	}
-	if !coord.Finished() {
-		t.Fatal("campaign not finished after last submit")
-	}
-	// The runner polls once more and is told done (over HTTP the submit ack
-	// itself carries the done flag; the direct API learns it here).
-	if l := coord.AcquireLease("runner"); l.Status != campaignd.LeaseDone {
-		t.Fatalf("runner final lease = %+v", l)
-	}
-
-	// Drain must block on the idler, then return promptly once the idler's
-	// next poll is answered with done.
-	start := time.Now()
-	done := make(chan struct{})
-	go func() {
-		coord.Drain(context.Background(), 10*time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Drain returned with a waiter still unanswered")
-	case <-time.After(100 * time.Millisecond):
-	}
-	if l := coord.AcquireLease("idler"); l.Status != campaignd.LeaseDone {
-		t.Fatalf("idler final lease = %+v", l)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not return after the waiter was answered")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Drain took %v", elapsed)
-	}
-
-	// The cap bounds the wait for a worker that never comes back: register
-	// a waiter on a fresh campaign, finish it, and Drain must give up at
-	// the cap instead of blocking forever.
-	coord2, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner2 := coord2.AcquireLease("runner")
-	if l := coord2.AcquireLease("ghost"); l.Status != campaignd.LeaseWait {
-		t.Fatalf("ghost lease = %+v", l)
-	}
-	res2 := fleet.TrialResult{Trial: 0, Seed: runner2.Seed, Status: fleet.StatusTimeout}
-	if err := coord2.Submit(runner2.Trial, runner2.ID, res2); err != nil {
-		t.Fatal(err)
-	}
-	capStart := time.Now()
-	coord2.Drain(context.Background(), 100*time.Millisecond)
-	if elapsed := time.Since(capStart); elapsed < 50*time.Millisecond || elapsed > 2*time.Second {
-		t.Fatalf("capped Drain took %v, want ~100ms", elapsed)
-	}
-}
-
-func TestSubmitResponseCarriesDone(t *testing.T) {
-	// The submit ack's done flag lets the finishing worker exit without one
-	// more lease poll against a server that may already be gone.
-	spec := testSpec(2)
-	coord, err := campaignd.New(campaignd.Config{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	client := &campaignd.Client{Base: srv.URL}
-
-	for i := 0; i < 2; i++ {
-		l, err := client.Lease("w1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l.Status != campaignd.LeaseGranted {
-			t.Fatalf("lease %d = %+v", i, l)
-		}
-		res := fleet.TrialResult{Trial: l.Trial, Seed: l.Seed, Status: fleet.StatusTimeout}
-		body, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ack, err := client.Submit("", l.Trial, l.ID, "w1", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ack.Accepted || ack.Duplicate {
-			t.Fatalf("submit %d ack = %+v", i, ack)
-		}
-		// A single-campaign coordinator sets both flags together: its
-		// campaign draining IS all work running out.
-		if want := i == 1; ack.Done != want || ack.CampaignDone != want {
-			t.Fatalf("submit %d ack = %+v, want done=%v", i, ack, want)
-		}
-	}
-	// With w1 told done at submit time, Drain has nobody to wait for.
-	start := time.Now()
-	coord.Drain(context.Background(), 10*time.Second)
-	if time.Since(start) > time.Second {
-		t.Fatal("Drain waited despite the submit-done notification")
 	}
 }

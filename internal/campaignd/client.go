@@ -17,18 +17,16 @@ import (
 // retry loops must not ride it out.
 var ErrCampaignGone = errors.New("campaignd: campaign gone")
 
-// Client speaks the coordinator API from a worker process — either a
-// single-campaign coordinator (`canfuzz -coordinator`) or the
-// multi-campaign campsrv scheduler (`canfuzzd`), which scope every call
-// with a campaign ID. Methods return transport errors verbatim so the
-// worker's retry loop can distinguish "the server is briefly down — keep
-// trying, it may be resuming from its journal" from protocol errors that
-// will not heal.
+// Client speaks the canfuzzd worker protocol (the campsrv /campaignd/
+// routes, every call but Lease scoped by a campaign ID). Methods return
+// transport errors verbatim so the worker's retry loop can distinguish
+// "the server is briefly down — keep trying, it may be resuming from its
+// journal" from protocol errors that will not heal.
 type Client struct {
 	// Base is the server URL, e.g. "http://127.0.0.1:9990".
 	Base string
 	// Token, when non-empty, is sent as a bearer token on every call
-	// (canfuzzd -auth-token). mTLS remains future work; see DESIGN §13.
+	// (canfuzzd -auth-token). mTLS remains future work; see DESIGN §12.
 	Token string
 	// HTTP is the client used for every call (default http.DefaultClient).
 	HTTP *http.Client
@@ -41,12 +39,8 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) url(path, query string) string {
-	u := strings.TrimSuffix(c.Base, "/") + path
-	if query != "" {
-		u += "?" + query
-	}
-	return u
+func (c *Client) url(path string, query url.Values) string {
+	return strings.TrimSuffix(c.Base, "/") + path + "?" + query.Encode()
 }
 
 // do issues one request with the auth header attached.
@@ -64,31 +58,10 @@ func (c *Client) do(method, url, contentType string, body io.Reader) (*http.Resp
 	return c.http().Do(req)
 }
 
-// campaignQuery renders the optional campaign scope; a single-campaign
-// coordinator is addressed with the empty ID and no parameter at all, so
-// the PR 7 wire format is a strict subset of the multi-campaign one.
-func campaignQuery(campaign string) string {
-	if campaign == "" {
-		return ""
-	}
-	return "campaign=" + url.QueryEscape(campaign)
-}
-
-func joinQuery(parts ...string) string {
-	var nonEmpty []string
-	for _, p := range parts {
-		if p != "" {
-			nonEmpty = append(nonEmpty, p)
-		}
-	}
-	return strings.Join(nonEmpty, "&")
-}
-
-// Spec fetches and validates a campaign spec. The empty campaign ID
-// addresses a single-campaign coordinator.
+// Spec fetches and validates a campaign spec.
 func (c *Client) Spec(campaign string) (CampaignSpec, error) {
 	var spec CampaignSpec
-	resp, err := c.do(http.MethodGet, c.url("/campaignd/spec", campaignQuery(campaign)), "", nil)
+	resp, err := c.do(http.MethodGet, c.url("/campaignd/spec", url.Values{"campaign": {campaign}}), "", nil)
 	if err != nil {
 		return spec, err
 	}
@@ -106,11 +79,10 @@ func (c *Client) Spec(campaign string) (CampaignSpec, error) {
 	return spec, spec.Validate()
 }
 
-// Lease asks for a trial assignment. Against a multi-campaign scheduler
-// the returned lease carries the campaign ID the trial belongs to.
+// Lease asks for a trial assignment; a granted lease carries the campaign
+// ID the trial belongs to.
 func (c *Client) Lease(worker string) (Lease, error) {
-	resp, err := c.do(http.MethodPost,
-		c.url("/campaignd/lease", "worker="+url.QueryEscape(worker)), "", nil)
+	resp, err := c.do(http.MethodPost, c.url("/campaignd/lease", url.Values{"worker": {worker}}), "", nil)
 	if err != nil {
 		return Lease{}, err
 	}
@@ -128,7 +100,7 @@ func (c *Client) Lease(worker string) (Lease, error) {
 // Heartbeat extends a lease; ErrLeaseGone when it is no longer current,
 // ErrCampaignGone when its whole campaign is.
 func (c *Client) Heartbeat(campaign string, leaseID uint64) error {
-	q := joinQuery(campaignQuery(campaign), "lease="+strconv.FormatUint(leaseID, 10))
+	q := url.Values{"campaign": {campaign}, "lease": {strconv.FormatUint(leaseID, 10)}}
 	resp, err := c.do(http.MethodPost, c.url("/campaignd/heartbeat", q), "", nil)
 	if err != nil {
 		return err
@@ -155,10 +127,12 @@ func (c *Client) Heartbeat(campaign string, leaseID uint64) error {
 // retry. The ack's CampaignDone/Done flags drive the worker's re-poll-vs-
 // exit decision; see SubmitAck.
 func (c *Client) Submit(campaign string, index int, leaseID uint64, worker string, resultJSON []byte) (SubmitAck, error) {
-	q := joinQuery(campaignQuery(campaign),
-		"trial="+strconv.Itoa(index),
-		"lease="+strconv.FormatUint(leaseID, 10),
-		"worker="+url.QueryEscape(worker))
+	q := url.Values{
+		"campaign": {campaign},
+		"trial":    {strconv.Itoa(index)},
+		"lease":    {strconv.FormatUint(leaseID, 10)},
+		"worker":   {worker},
+	}
 	resp, err := c.do(http.MethodPost, c.url("/campaignd/result", q),
 		"application/json", bytes.NewReader(resultJSON))
 	if err != nil {

@@ -1,19 +1,6 @@
 package campaignd
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"net/http"
-	"strconv"
-	"time"
-
-	"repro/internal/fleet"
-)
-
-// maxResultBody bounds one submitted TrialResult document; guided-corpus
-// trials are the large case and stay far under this.
-const maxResultBody = 8 << 20
+import "time"
 
 // wireLease is the JSON body of a lease decision; durations travel as
 // integral milliseconds.
@@ -27,12 +14,10 @@ type wireLease struct {
 	RetryAfterMs int64  `json:"retryAfterMs"`
 }
 
-// SubmitAck is the result-submission response. Done means "this server has
-// no work left, ever — exit"; CampaignDone means only that the submitted
-// trial's campaign drained. A single-campaign coordinator sets both
-// together; the multi-campaign scheduler keeps Done false until it shuts
-// down, so workers re-poll for other campaigns instead of exiting (the PR 7
-// worker conflated the two and would have orphaned every other campaign).
+// SubmitAck is the result-submission response. CampaignDone means the
+// submitted trial's campaign drained — the worker re-polls, because the
+// scheduler may hold other campaigns. Done means the server has no work
+// left, ever (it is shutting down) — the worker exits.
 type SubmitAck struct {
 	Accepted     bool `json:"accepted"`
 	Duplicate    bool `json:"duplicate,omitempty"`
@@ -43,9 +28,8 @@ type SubmitAck struct {
 	Gone bool `json:"-"`
 }
 
-// WireLease converts a lease decision to its wire body — exported for the
-// campsrv scheduler, whose lease endpoint answers with the same document a
-// single-campaign coordinator produces (plus the campaign field).
+// WireLease converts a lease decision to its wire body, the document the
+// campsrv lease endpoint answers with.
 func WireLease(l Lease) any {
 	return wireLease{
 		Status: l.Status, Campaign: l.Campaign, Trial: l.Trial, Seed: l.Seed,
@@ -53,98 +37,6 @@ func WireLease(l Lease) any {
 		LeaseMs:      l.TTL.Milliseconds(),
 		RetryAfterMs: l.RetryAfter.Milliseconds(),
 	}
-}
-
-// Handler returns the coordinator API. All routes are rooted at
-// /campaignd/ so the handler composes with the observatory mux on one
-// server:
-//
-//	GET  /campaignd/spec       the canonical CampaignSpec document
-//	POST /campaignd/lease      ?worker=NAME -> lease decision JSON
-//	POST /campaignd/heartbeat  ?lease=ID    -> 204, or 410 when gone
-//	POST /campaignd/result     ?trial=N&lease=ID&worker=NAME,
-//	                           body = fleet.TrialResult
-//	                           -> 200 accepted, 200 duplicate, 400 bad;
-//	                           "done":true tells the worker to exit
-//	GET  /campaignd/status     live Status JSON
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/campaignd/spec", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(c.specJSON)
-	})
-	mux.HandleFunc("/campaignd/lease", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		l := c.AcquireLease(r.URL.Query().Get("worker"))
-		writeJSON(w, WireLease(l))
-	})
-	mux.HandleFunc("/campaignd/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		leaseID, err := strconv.ParseUint(r.URL.Query().Get("lease"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad lease id", http.StatusBadRequest)
-			return
-		}
-		if err := c.Heartbeat(leaseID); err != nil {
-			http.Error(w, err.Error(), http.StatusGone)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/campaignd/result", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		q := r.URL.Query()
-		index, err := strconv.Atoi(q.Get("trial"))
-		if err != nil {
-			http.Error(w, "bad trial index", http.StatusBadRequest)
-			return
-		}
-		leaseID, _ := strconv.ParseUint(q.Get("lease"), 10, 64)
-		var res fleet.TrialResult
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBody))
-		if err := dec.Decode(&res); err != nil {
-			http.Error(w, fmt.Sprintf("bad result body: %v", err), http.StatusBadRequest)
-			return
-		}
-		serr := c.Submit(index, leaseID, res)
-		if serr != nil && !errors.Is(serr, ErrTrialDone) {
-			http.Error(w, serr.Error(), http.StatusBadRequest)
-			return
-		}
-		// Telling the submitter the campaign is over here (rather than on
-		// its next lease poll) lets it exit before the coordinator's server
-		// goes away. For a single-campaign coordinator "campaign drained"
-		// and "no work left" coincide, so both ack flags carry it.
-		done := c.Finished()
-		if done {
-			c.forgetWaiter(q.Get("worker"))
-		}
-		writeJSON(w, SubmitAck{
-			Accepted:     serr == nil,
-			Duplicate:    serr != nil, // only ErrTrialDone reaches here
-			CampaignDone: done,
-			Done:         done,
-		})
-	})
-	mux.HandleFunc("/campaignd/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Snapshot())
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
 }
 
 // leaseFromWire converts the JSON body back to a Lease (client side).

@@ -1,14 +1,14 @@
-// Package campaignd is the crash-tolerant distributed campaign service: an
-// HTTP coordinator that shards a fleet campaign into per-trial leases, and
-// a worker loop that executes leased trials through fleet.RunTrial and
-// streams the results back.
+// Package campaignd is the machinery under the distributed campaign
+// service (internal/campsrv, cmd/canfuzzd): the per-campaign lease book
+// (Coordinator), the worker loop that executes leased trials through
+// fleet.RunTrial, its HTTP client, the wire spec, and the journal codec.
 //
 // The design goal is the fleet package's determinism guarantee stretched
 // over an unreliable network of crashing processes. It holds because
 // nothing that matters ever depends on wall time or topology:
 //
 //   - Trial i's seed is faults.DeriveSeed(BaseSeed, i) — a pure function,
-//     computed identically by coordinator and workers.
+//     computed identically by the lease book and the workers.
 //   - A trial's result is a pure function of its seed (fleet.RunTrial on a
 //     fresh world), and its JSON serialisation is lossless for every field
 //     the report keeps (wall-clock phase timings are excluded from JSON on
@@ -22,11 +22,11 @@
 // backoff via internal/retry). Duplicate submissions — a slow worker
 // racing its re-dispatched replacement — are idempotent because both
 // computed the same bytes; the first accepted result wins and the journal
-// records each trial exactly once. Coordinator crashes are survivable
-// through the journal: every accepted result is appended to the
-// observatory event log as a trial_result line, and a restarted
-// coordinator rebuilds its state from that log, skipping completed trials
-// and re-leasing the rest. DESIGN §12 documents the full state machine.
+// records each trial exactly once. Server crashes are survivable through
+// the journal: every accepted result is appended to the observatory event
+// log as a trial_result line, and a restarted server reopens that log
+// (OpenJournal), skipping completed trials and re-leasing the rest.
+// DESIGN §12 documents the full state machine.
 package campaignd
 
 import (
@@ -41,7 +41,7 @@ import (
 
 // CampaignSpec is the wire description of a distributed campaign: enough
 // for a worker to reconstruct the exact world a trial needs, and for a
-// restarted coordinator to verify a journal belongs to the campaign it is
+// restarted server to verify a journal belongs to the campaign it is
 // resuming. It is serialised compactly (stable struct field order) into
 // the campaign_start journal line.
 type CampaignSpec struct {
@@ -93,7 +93,7 @@ func (s CampaignSpec) Validate() error {
 }
 
 // FleetConfig maps the spec onto the fleet configuration both sides use:
-// the worker passes it to fleet.RunTrial, the coordinator to
+// the worker passes it to fleet.RunTrial, the lease book to
 // fleet.NewReport — so deadline semantics cannot diverge.
 func (s CampaignSpec) FleetConfig() fleet.Config {
 	return fleet.Config{

@@ -46,11 +46,11 @@ type Runtime struct {
 type RuntimeBuilder func(spec CampaignSpec) (Runtime, error)
 
 // Worker executes leased trials until the server reports no work left. It
-// is campaign-agnostic: each lease names the campaign it belongs to (empty
-// on a single-campaign coordinator), the worker fetches and caches that
-// campaign's spec-derived runtime, and executes the trial through
-// fleet.RunTrial — the same function an in-process fleet worker runs — so
-// a trial's result does not depend on which process computed it.
+// is campaign-agnostic: each lease names the campaign it belongs to, the
+// worker fetches and caches that campaign's spec-derived runtime, and
+// executes the trial through fleet.RunTrial — the same function an
+// in-process fleet worker runs — so a trial's result does not depend on
+// which process computed it.
 type Worker struct {
 	// Client reaches the server (required).
 	Client *Client
@@ -76,11 +76,10 @@ type Worker struct {
 }
 
 // Run leases, executes and submits trials until done. It returns nil when
-// the server reports no work left (a drained single-campaign coordinator,
-// or a shutting-down multi-campaign scheduler), ctx.Err on cancellation,
-// and a transport error only after TransportAttempts consecutive failed
-// calls — a server crash shorter than that window is invisible apart from
-// latency. A submit ack that only says *this campaign* drained does not
+// the server reports no work left (it is shutting down), ctx.Err on
+// cancellation, and a transport error only after TransportAttempts
+// consecutive failed calls — a server crash shorter than that window is
+// invisible apart from latency. A submit ack that only says *this campaign* drained does not
 // end the worker: it re-polls the scheduler, which may hold other
 // campaigns' trials.
 func (w *Worker) Run(ctx context.Context) error {

@@ -1,27 +1,26 @@
-// Package campsrv is the multi-campaign fuzzing service: a long-lived
-// server that accepts campaign submissions over HTTP, runs each one as its
-// own crash-tolerant campaignd lease book, and multiplexes all of them
-// over one shared, campaign-agnostic worker fleet.
+// Package campsrv is the distributed campaign service behind canfuzzd: a
+// long-lived server that accepts campaign submissions over HTTP, runs each
+// one as its own crash-tolerant campaignd lease book, and multiplexes all
+// of them over one shared, campaign-agnostic worker fleet.
 //
-// Where PR 7's coordinator ran exactly one campaign and exited, campsrv is
-// the standing "fuzzing as a service" layer the ROADMAP targets: clients
-// POST a spec and get a campaign ID; workers lease (campaign, trial) pairs
-// from a single endpoint; a weighted round-robin scheduler with
-// per-campaign priorities and max-inflight caps decides whose trial the
-// next free worker gets, so one huge campaign cannot starve small ones.
+// Clients POST a spec and get a campaign ID; workers lease (campaign,
+// trial) pairs from a single endpoint; a weighted round-robin scheduler
+// with per-campaign priorities and max-inflight caps decides whose trial
+// the next free worker gets, so one huge campaign cannot starve small
+// ones. A one-campaign distributed run is simply a service holding one
+// campaign.
 //
 // Everything durable lives under one data directory:
 //
 //	<data>/index.json        campaign registry: id, state, priority, spec
 //	<data>/<id>/events.jsonl per-campaign journal (campaignd format)
 //
-// The journals are the same event logs a single-campaign coordinator
-// writes, so the whole directory resumes through the existing LoadJournal
-// path: a restarted server rebuilds every done campaign's report from its
-// journal and re-opens a lease book for every interrupted one, and the
-// per-campaign determinism guarantee — final report byte-identical to an
-// in-process fleet.Run — survives any SIGKILL. DESIGN §13 documents the
-// scheduler, the campaign state machine and the resume protocol.
+// A restarted server reopens every journal through campaignd.OpenJournal:
+// it rebuilds every done campaign's report from its journal and re-opens
+// a lease book for every interrupted one, and the per-campaign determinism
+// guarantee — final report byte-identical to an in-process fleet.Run —
+// survives any SIGKILL. DESIGN §12 documents the scheduler, the campaign
+// state machine and the resume protocol.
 package campsrv
 
 import (
@@ -144,8 +143,8 @@ type campaign struct {
 }
 
 // Server is the multi-campaign scheduler. All exported methods are safe
-// for concurrent use. Lock order is Server.mu before any coordinator's
-// internal mutex; coordinators never call back into the server.
+// for concurrent use. Lock order is Server.mu before any lease book's
+// internal mutex; lease books never call back into the server.
 type Server struct {
 	dataDir string
 	ttl     time.Duration
@@ -170,8 +169,7 @@ type Server struct {
 // New builds the server, either initialising a fresh data directory or
 // resuming an existing one (cfg.Resume). On resume, interrupted campaigns
 // come back as live lease books seeded from their journals and completed
-// ones get their reports rebuilt — both through the same LoadJournal path
-// the single-campaign coordinator uses.
+// ones get their reports rebuilt.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("campsrv: Config.DataDir is required")
@@ -261,7 +259,7 @@ func (s *Server) Submit(sub Submission) (CampaignView, error) {
 	s.campaigns[c.id] = c
 	s.bySeq = append(s.bySeq, c)
 	if s.slotFreeLocked() {
-		if err := s.startLocked(c, nil); err != nil {
+		if err := s.startLocked(c, nil, nil); err != nil {
 			// The campaign cannot open its journal — refuse the submission
 			// rather than park a campaign that can never run.
 			delete(s.campaigns, c.id)
@@ -287,13 +285,16 @@ func (s *Server) slotFreeLocked() bool {
 	return s.maxAct <= 0 || len(s.ring) < s.maxAct
 }
 
-// startLocked opens the campaign's journal and lease book and enters it
-// into the scheduler ring. resumed is non-nil when continuing an
-// interrupted campaign from its journal.
-func (s *Server) startLocked(c *campaign, resumed map[int]fleet.TrialResult) error {
-	journal, err := s.openJournal(c, resumed != nil)
-	if err != nil {
-		return err
+// startLocked opens the campaign's lease book and enters it into the
+// scheduler ring. A fresh campaign passes a nil journal (one is created);
+// a resumed one passes its reopened journal and the results recovered
+// from it. The lease book owns the journal from here on.
+func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]fleet.TrialResult) error {
+	if journal == nil {
+		var err error
+		if journal, err = s.createJournal(c); err != nil {
+			return err
+		}
 	}
 	sink := observatory.NewSink(journal)
 	progress := fleet.NewProgress()
@@ -429,7 +430,7 @@ func (s *Server) promoteLocked() {
 		if best == nil {
 			return
 		}
-		if err := s.startLocked(best, nil); err != nil {
+		if err := s.startLocked(best, nil, nil); err != nil {
 			// A campaign whose journal cannot open would wedge the queue if
 			// we retried it forever: cancel it and record why.
 			best.state = StateCancelled

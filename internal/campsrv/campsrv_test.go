@@ -8,6 +8,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/campsrv"
 	"repro/internal/can"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/findings"
 	"repro/internal/fleet"
 	"repro/internal/signal"
@@ -98,6 +102,13 @@ func runLease(spec campaignd.CampaignSpec, l campaignd.Lease) fleet.TrialResult 
 // acting as a single synchronous worker against the server API.
 func drainAll(t *testing.T, s *campsrv.Server, specs map[string]campaignd.CampaignSpec) {
 	t.Helper()
+	drainWith(t, s, specs, runLease)
+}
+
+// drainWith is drainAll with the trial computation supplied by the caller.
+func drainWith(t *testing.T, s *campsrv.Server, specs map[string]campaignd.CampaignSpec,
+	result func(campaignd.CampaignSpec, campaignd.Lease) fleet.TrialResult) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	remaining := len(specs)
 	for remaining > 0 {
@@ -111,7 +122,7 @@ func drainAll(t *testing.T, s *campsrv.Server, specs map[string]campaignd.Campai
 			if !ok {
 				t.Fatalf("lease for unexpected campaign %q", l.Campaign)
 			}
-			ack, err := s.SubmitResult(l.Campaign, l.Trial, l.ID, runLease(spec, l))
+			ack, err := s.SubmitResult(l.Campaign, l.Trial, l.ID, result(spec, l))
 			if err != nil {
 				t.Fatalf("submit %s trial %d: %v", l.Campaign, l.Trial, err)
 			}
@@ -147,6 +158,41 @@ func waitState(t *testing.T, s *campsrv.Server, id string, want campsrv.State) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// journalReport replays a campaign journal on its own: it must name the
+// spec, hold every trial's trial_result exactly once, and the report
+// rebuilt from it alone is returned for comparison with the golden.
+func journalReport(t *testing.T, path string, spec campaignd.CampaignSpec) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte(`"type":"trial_result"`)); n != spec.Trials {
+		t.Fatalf("%s journals %d trial_result lines, want each of %d trials once", path, n, spec.Trials)
+	}
+	j, err := campaignd.LoadJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compatible(spec); err != nil {
+		t.Fatal(err)
+	}
+	results := make([]fleet.TrialResult, spec.Trials)
+	for i := range results {
+		res, ok := j.Results[i]
+		if !ok {
+			t.Fatalf("%s lacks trial %d", path, i)
+		}
+		results[i] = res
+	}
+	var buf bytes.Buffer
+	rep := fleet.NewReport(spec.BaseSeed, time.Duration(spec.MaxPerTrialNanos), results)
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func reportJSON(t *testing.T, s *campsrv.Server, id string) []byte {
@@ -281,7 +327,8 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 		goldens[i] = inProcessGolden(t, spec)
 	}
 
-	s := newServer(t, campsrv.Config{})
+	dir := t.TempDir()
+	s := newServer(t, campsrv.Config{DataDir: dir})
 	defer s.Close()
 	hs := httptest.NewServer(s.Handler(campsrv.HandlerConfig{}))
 	defer hs.Close()
@@ -323,6 +370,11 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 		if got := reportJSON(t, s, id); !bytes.Equal(got, goldens[i]) {
 			t.Fatalf("campaign %s report differs from in-process run:\n%s\n--- golden ---\n%s",
 				id, got, goldens[i])
+		}
+		// Each journal is a self-sufficient record: the same report falls
+		// out of it alone.
+		if got := journalReport(t, filepath.Join(dir, id, "events.jsonl"), specs[i]); !bytes.Equal(got, goldens[i]) {
+			t.Fatalf("campaign %s journal replay differs from in-process run:\n%s", id, got)
 		}
 	}
 }
@@ -422,6 +474,92 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 	if got := reportJSON(t, s3, idB); !bytes.Equal(got, goldenB) {
 		t.Fatalf("campaign B report differs after second resume:\n%s\n--- golden ---\n%s", got, goldenB)
+	}
+}
+
+// TestJournalCrashPointResume cuts a running campaign's journal at every
+// byte offset — each state a SIGKILL mid-append can leave on disk —
+// resumes the data directory and finishes the campaign. Every cut must
+// resume: the report is byte-identical to the in-process golden and the
+// final journal holds each trial_result exactly once. A corrupted line
+// before the tail, which no crash produces, must fail with a named error.
+func TestJournalCrashPointResume(t *testing.T) {
+	spec := testSpec(2, 11)
+	golden := inProcessGolden(t, spec)
+	// Results are pure in (spec, trial): compute each once, up front.
+	cached := make([]fleet.TrialResult, spec.Trials)
+	for i := range cached {
+		cached[i] = runLease(spec, campaignd.Lease{Trial: i, Seed: faults.DeriveSeed(spec.BaseSeed, i)})
+	}
+	result := func(_ campaignd.CampaignSpec, l campaignd.Lease) fleet.TrialResult { return cached[l.Trial] }
+
+	// Record the on-disk state of a running campaign (its index) and the
+	// complete journal it goes on to write.
+	src := t.TempDir()
+	s := newServer(t, campsrv.Config{DataDir: src})
+	id := submit(t, s, spec, 1, 0)
+	index, err := os.ReadFile(filepath.Join(src, "index.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainWith(t, s, map[string]campaignd.CampaignSpec{id: spec}, result)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(src, id, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// crashed lays out a data directory as the crash left it.
+	root := t.TempDir()
+	crashed := func(name string, journal []byte) string {
+		dir := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "index.json"), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, "events.jsonl"), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	// Each resume waits on fsyncs, so the cuts run as parallel subtests.
+	t.Run("cuts", func(t *testing.T) {
+		for cut := 0; cut <= len(journal); cut++ {
+			t.Run(strconv.Itoa(cut), func(t *testing.T) {
+				t.Parallel()
+				dir := crashed(strconv.Itoa(cut), journal[:cut])
+				s, err := campsrv.New(campsrv.Config{DataDir: dir, Resume: true})
+				if err != nil {
+					t.Fatalf("cut at %d of %d bytes: resume: %v", cut, len(journal), err)
+				}
+				if d, _ := s.Detail(id); d.State != campsrv.StateDone {
+					drainWith(t, s, map[string]campaignd.CampaignSpec{id: spec}, result)
+				}
+				if got := reportJSON(t, s, id); !bytes.Equal(got, golden) {
+					t.Fatalf("cut at %d: report differs from in-process run:\n%s", cut, got)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := journalReport(t, filepath.Join(dir, id, "events.jsonl"), spec); !bytes.Equal(got, golden) {
+					t.Fatalf("cut at %d: journal replay differs from in-process run:\n%s", cut, got)
+				}
+				if err := os.RemoveAll(dir); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+
+	// Damage before the tail is corruption, never a torn write.
+	bad := append([]byte(nil), journal...)
+	bad[bytes.IndexByte(bad, '\n')-1] = '#'
+	if _, err := campsrv.New(campsrv.Config{DataDir: crashed("corrupt", bad), Resume: true}); !errors.Is(err, campaignd.ErrCorruptJournal) {
+		t.Fatalf("corrupt journal: err %v, want ErrCorruptJournal", err)
 	}
 }
 

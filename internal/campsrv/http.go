@@ -20,7 +20,8 @@ import (
 // corpora are the large case and stay far under this.
 const maxSubmissionBody = 8 << 20
 
-// maxResultBody mirrors campaignd's bound on one submitted TrialResult.
+// maxResultBody bounds one submitted TrialResult document; guided-corpus
+// trials are the large case and stay far under this.
 const maxResultBody = 8 << 20
 
 // HandlerConfig tunes Handler.
@@ -28,7 +29,7 @@ type HandlerConfig struct {
 	// AuthToken, when non-empty, is the shared secret every request (except
 	// /healthz) must present as "Authorization: Bearer <token>". This is
 	// transport-level perimeter auth for a trusted network; mTLS with
-	// per-client identities remains future work (DESIGN §13).
+	// per-client identities remains future work (DESIGN §12).
 	AuthToken string
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool

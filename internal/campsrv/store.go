@@ -5,19 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
 	"repro/internal/campaignd"
+	"repro/internal/durable"
 	"repro/internal/fleet"
 )
 
-// journalName is the per-campaign event log file inside <data>/<id>/ —
-// the same JSONL format the single-campaign coordinator writes, so any
-// campaignd tooling (and LoadJournal) reads it unchanged.
+// journalName is the per-campaign event log file inside <data>/<id>/, in
+// the campaignd journal format (LoadJournal, OpenJournal).
 const journalName = "events.jsonl"
 
 // indexCampaign is one campaign's durable registry entry. The spec rides
@@ -48,8 +47,9 @@ func (s *Server) journalPath(id string) string {
 	return filepath.Join(s.campaignDir(id), journalName)
 }
 
-// persistLocked writes the index atomically (temp file + rename), so a
-// crash mid-write leaves the previous index intact rather than a torn one.
+// persistLocked writes the index durably (fsynced temp file + rename +
+// directory fsync), so a crash mid-write leaves the previous index intact
+// rather than a torn one.
 func (s *Server) persistLocked() error {
 	doc := indexDoc{NextSeq: s.nextSeq}
 	for _, c := range s.bySeq {
@@ -63,56 +63,19 @@ func (s *Server) persistLocked() error {
 	if err != nil {
 		return fmt.Errorf("campsrv: marshal index: %w", err)
 	}
-	tmp := s.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("campsrv: write index: %w", err)
-	}
-	if err := os.Rename(tmp, s.indexPath()); err != nil {
+	if err := durable.WriteFile(s.indexPath(), append(data, '\n'), 0o644); err != nil {
 		return fmt.Errorf("campsrv: write index: %w", err)
 	}
 	return nil
 }
 
-// openJournal creates (fresh) or re-opens (resume) a campaign's event log.
-// On resume the torn tail a SIGKILL mid-append can leave is truncated
-// before new events append after it, the same recovery the
-// single-campaign coordinator performs.
-func (s *Server) openJournal(c *campaign, resume bool) (*os.File, error) {
+// createJournal starts a fresh campaign's event log.
+func (s *Server) createJournal(c *campaign) (*os.File, error) {
 	if err := os.MkdirAll(s.campaignDir(c.id), 0o755); err != nil {
 		return nil, fmt.Errorf("campsrv: campaign dir %s: %w", c.id, err)
 	}
-	path := s.journalPath(c.id)
-	if !resume {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
-		}
-		return f, nil
-	}
-	data, err := os.ReadFile(path)
+	f, err := os.Create(s.journalPath(c.id))
 	if err != nil {
-		return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
-	}
-	keep := 0
-	if idx := bytes.LastIndexByte(data, '\n'); idx >= 0 {
-		keep = idx + 1
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
-	}
-	if keep < len(data) {
-		if s.log != nil {
-			s.log.Warn("journal has a torn tail line; truncating",
-				"campaign", c.id, "dropped_bytes", len(data)-keep)
-		}
-		if err := f.Truncate(int64(keep)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("campsrv: campaign %s journal: truncate torn tail: %w", c.id, err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
 	}
 	return f, nil
@@ -186,9 +149,9 @@ func (s *Server) resume() error {
 }
 
 // resumeCampaignLocked rebuilds one interrupted or completed campaign
-// from its journal.
+// from its journal, reopened (torn tail cut) by campaignd.OpenJournal.
 func (s *Server) resumeCampaignLocked(c *campaign) error {
-	data, err := os.ReadFile(s.journalPath(c.id))
+	journal, j, err := campaignd.OpenJournal(s.journalPath(c.id))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) && c.state == StateRunning {
 			// Crashed between the index write and the journal create:
@@ -198,9 +161,13 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 		}
 		return fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
 	}
-	j, err := campaignd.LoadJournal(bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
+	defer func() {
+		if journal != nil {
+			journal.Close()
+		}
+	}()
+	if j.TruncatedTail && s.log != nil {
+		s.log.Warn("journal had a torn tail line; truncated", "campaign", c.id)
 	}
 	if j.Lines == 0 {
 		// Journal created but never written: fresh start.
@@ -210,7 +177,6 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 	if err := j.Compatible(c.spec); err != nil {
 		return fmt.Errorf("campsrv: campaign %s: %w", c.id, err)
 	}
-
 	if len(j.Results) == c.spec.Trials {
 		// Every trial is durably recorded: rebuild the report directly —
 		// fleet.NewReport over the results in index order, the same
@@ -238,9 +204,9 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 		}
 		return nil
 	}
-	// Incomplete: back to a live lease book with the recovered results.
-	if err := s.startLocked(c, j.Results); err != nil {
-		return err
-	}
-	return nil
+	// Incomplete: back to a live lease book, which takes over the open
+	// journal, with the recovered results.
+	f := journal
+	journal = nil
+	return s.startLocked(c, f, j.Results)
 }

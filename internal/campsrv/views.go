@@ -123,7 +123,7 @@ func (s *Server) Fleet() FleetView {
 		}
 	}
 	s.mu.Unlock()
-	// Leased counts take each coordinator's lock; sample them outside the
+	// Leased counts take each lease book's lock; sample them outside the
 	// server lock to keep /fleet.json scrapes off the lease hot path.
 	for _, coord := range coords {
 		v.Leased += coord.Leased()

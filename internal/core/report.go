@@ -198,7 +198,7 @@ type ConfigJSON struct {
 // as random), and corpus frames render in the shared "ID#HEXDATA" form.
 // The distributed campaign service ships worker configuration through it,
 // so a leased trial's generator is built from exactly the bytes the
-// coordinator validated.
+// service validated.
 func (c Config) ToJSON() ConfigJSON {
 	cj := ConfigJSON{
 		Seed:           c.Seed,

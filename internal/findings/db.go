@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // DB is a findings database: a directory holding one `<key>.json` file per
@@ -74,8 +76,10 @@ func (db *DB) Merge(rec Record) (bool, error) {
 			return false, nil // no-op merge: leave the file untouched
 		}
 	}
-	if err := writeAtomic(path, data); err != nil {
-		return false, err
+	// Durable replace: a reader never observes a partial record, and a
+	// crash leaves at worst an ignorable `.tmp` file.
+	if err := durable.WriteFile(path, data, 0o600); err != nil {
+		return false, fmt.Errorf("findings: %w", err)
 	}
 	return fresh, nil
 }
@@ -138,29 +142,4 @@ func readRecord(path string) (Record, error) {
 		return Record{}, fmt.Errorf("decode: %w", err)
 	}
 	return rec, nil
-}
-
-// writeAtomic writes data to path via a same-directory temp file and
-// rename, so a reader never observes a partial record and a crash leaves
-// at worst an ignorable `.tmp` file.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("findings: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("findings: write %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("findings: close %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("findings: rename %s: %w", tmpName, err)
-	}
-	return nil
 }

@@ -161,7 +161,7 @@ func ContextFromCampaignSpec(spec campaignd.CampaignSpec) Context {
 }
 
 // FromCampaignSpec extracts records from a distributed campaign's results
-// map (journal or coordinator state), in trial-index order.
+// map (a campaign journal or a finished lease book), in trial-index order.
 func FromCampaignSpec(spec campaignd.CampaignSpec, results map[int]fleet.TrialResult, prov Provenance) ([]Record, error) {
 	cfg, err := spec.Config.ToConfig()
 	if err != nil {
@@ -188,8 +188,10 @@ func FromCampaignSpec(spec campaignd.CampaignSpec, results map[int]fleet.TrialRe
 // FromDataDir scans a campaign service data directory (one subdirectory
 // per campaign, each holding an events.jsonl journal) and extracts records
 // from every readable campaign, using the subdirectory name as the
-// campaign identifier. Unreadable or incomplete journals are skipped — a
-// service directory legitimately contains campaigns mid-flight.
+// campaign identifier. Journals are read under campaignd.LoadJournal's
+// recovery rule, so a trial whose result line is still being appended is
+// not counted; unreadable journals are skipped — a service directory
+// legitimately contains campaigns mid-flight.
 func FromDataDir(dir string) ([]Record, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -125,8 +125,7 @@ type TrialSpec struct {
 type TargetFactory func(spec TrialSpec) (*World, error)
 
 // Observer receives fleet lifecycle callbacks while the campaign runs —
-// the hook the observatory layer (and the future coordinator/worker
-// service) builds on. TrialStarted and TrialFinished are invoked from
+// the hook the observatory layer builds on. TrialStarted and TrialFinished are invoked from
 // worker goroutines, concurrently; implementations must be safe for
 // concurrent use and must not block, or they stall the pool. A nil
 // Observer in the Config disables all callbacks at the cost of one branch

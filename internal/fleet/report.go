@@ -214,9 +214,9 @@ var timeToFindingBoundsSeconds = [ttfBounds]float64{1, 5, 10, 30, 60, 120, 300, 
 
 // NewReport assembles the deterministic fleet report from per-trial
 // results ordered by trial index. It is the single aggregation path for
-// both execution models: Run feeds it the pool's result slice, and the
-// distributed coordinator (internal/campaignd) feeds it results collected
-// over HTTP from any worker topology — because every TrialResult is a pure
+// both execution models: Run feeds it the pool's result slice, and a
+// campaign service lease book (internal/campaignd) feeds it results
+// collected over HTTP from any worker topology — because every TrialResult is a pure
 // function of its seed and aggregation is pure sequential code, the two
 // serialise byte-identically. Callers may set the JSON-excluded execution
 // details (Workers, FailFast) on the returned report afterwards.

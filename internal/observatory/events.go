@@ -6,8 +6,8 @@ import (
 	"sync"
 )
 
-// Event types. Together they are the wire vocabulary the future
-// coordinator/worker service will speak; DESIGN §11 documents the schema.
+// Event types. Together they are the journal vocabulary of the campaign
+// service; DESIGN §11 documents the schema.
 const (
 	// EventTrialStart marks a worker picking up a trial.
 	EventTrialStart = "trial_start"
@@ -23,10 +23,10 @@ const (
 	EventCheckpoint = "checkpoint"
 	// EventCampaignStart opens a distributed campaign journal: its Raw
 	// payload is the serialised campaignd spec, which lets a restarted
-	// coordinator verify a journal belongs to the campaign it is resuming.
+	// server verify a journal belongs to the campaign it is resuming.
 	EventCampaignStart = "campaign_start"
 	// EventTrialResult carries a complete serialised fleet.TrialResult in
-	// Raw — the coordinator's durable record of an accepted trial, precise
+	// Raw — the service's durable record of an accepted trial, precise
 	// enough to rebuild the final report from the journal alone.
 	EventTrialResult = "trial_result"
 )

@@ -11,8 +11,8 @@
 // is therefore designed as a wire format first — every line is
 // deterministic in content (stable field order, virtual-time stamps,
 // (trial, seq) sequencing metadata) so the *sorted* log is byte-identical
-// at any worker count, and a coordinator can replay, dedupe or resume a
-// campaign from it. The live API reads atomically published state
+// at any worker count, and the campaign service (internal/campsrv) can
+// replay, dedupe or resume a campaign from it. The live API reads atomically published state
 // (fleet.Progress, guided.Introspection) and never stalls a worker.
 package observatory
 

@@ -6,14 +6,14 @@ import (
 )
 
 // Event-log replay: the inverse of Event.MarshalJSONL, used by the
-// distributed coordinator (internal/campaignd) to rebuild campaign state
+// campaign journal codec (internal/campaignd) to rebuild campaign state
 // from its journal after a crash. Parsing is deliberately tolerant of
 // unknown fields so older binaries can read logs written by newer ones;
 // what it will not tolerate is a line that is not a JSON object with a
 // string "type" — that marks a corrupt journal, not a version skew.
 
 // wireEvent mirrors every key MarshalJSONL can emit. The two opaque
-// payloads stay raw: the coordinator decodes them against its own spec
+// payloads stay raw: the journal codec decodes them against its own spec
 // and fleet.TrialResult types.
 type wireEvent struct {
 	Type         string          `json:"type"`
