@@ -61,7 +61,9 @@ func rejectWorkerFlags(fs *flag.FlagSet) error {
 // factory closing over the same internal/target builder the in-process
 // fleet uses, so results are byte-identical to local execution. The Worker
 // calls this lazily — once per campaign, the first time the scheduler hands
-// it one of that campaign's trials — and caches the result across leases.
+// it one of that campaign's trials — and caches the result across leases;
+// bench worlds carry a Reset hook, so the factory then runs once per
+// campaign and every later trial resets that world in place.
 func buildRuntime(spec campaignd.CampaignSpec) (campaignd.Runtime, error) {
 	ts, cfg, err := target.FromCampaignSpec(spec)
 	if err != nil {

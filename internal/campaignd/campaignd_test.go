@@ -422,3 +422,15 @@ func TestSubmitValidation(t *testing.T) {
 		t.Error("seed-mismatched result accepted")
 	}
 }
+
+// TestSpecTrialBounds: the lease book allocates a record per trial, so a
+// spec must name between one and MaxTrials of them.
+func TestSpecTrialBounds(t *testing.T) {
+	for trials, ok := range map[int]bool{
+		0: false, 1: true, campaignd.MaxTrials: true, campaignd.MaxTrials + 1: false,
+	} {
+		if err := testSpec(trials).Validate(); (err == nil) != ok {
+			t.Errorf("Trials=%d: Validate err %v, want ok=%t", trials, err, ok)
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package campaignd is the machinery under the distributed campaign
 // service (internal/campsrv, cmd/canfuzzd): the per-campaign lease book
-// (Coordinator), the worker loop that executes leased trials through
-// fleet.RunTrial, its HTTP client, the wire spec, and the journal codec.
+// (Coordinator), the worker loop that executes leased trials on one
+// recycled world per campaign (fleet.WorldPool.RunTrial), its HTTP client,
+// the wire spec, and the journal codec.
 //
 // The design goal is the fleet package's determinism guarantee stretched
 // over an unreliable network of crashing processes. It holds because
@@ -9,11 +10,14 @@
 //
 //   - Trial i's seed is faults.DeriveSeed(BaseSeed, i) — a pure function,
 //     computed identically by the lease book and the workers.
-//   - A trial's result is a pure function of its seed (fleet.RunTrial on a
-//     fresh world), and its JSON serialisation is lossless for every field
-//     the report keeps (wall-clock phase timings are excluded from JSON on
-//     both sides), so a result that crossed the wire is byte-equivalent to
-//     one produced in-process.
+//   - A trial's result is a pure function of its seed: the worker runs it
+//     through the same warm path an in-process fleet worker uses, on the
+//     campaign's previous world reset in place or a fresh one, and
+//     reset-then-run is pinned bit-identical to fresh-build-then-run. Its
+//     JSON serialisation is lossless for every field the report keeps
+//     (wall-clock phase timings are excluded from JSON on both sides), so
+//     a result that crossed the wire is byte-equivalent to one produced
+//     in-process.
 //   - The final report is fleet.NewReport over the results in trial-index
 //     order — the exact aggregation path fleet.Run uses.
 //
@@ -73,6 +77,11 @@ type CampaignSpec struct {
 	Config core.ConfigJSON `json:"config"`
 }
 
+// MaxTrials bounds a spec's trial count. The lease book keeps a record
+// per trial from the moment a campaign starts, so an unbounded count in a
+// submission would let one request exhaust the server's memory.
+const MaxTrials = 100_000
+
 // Validate checks the shardable parts of the spec. Target-string validity
 // is the world builder's concern (the CLI rejects unknown targets before a
 // spec is ever served).
@@ -80,8 +89,8 @@ func (s CampaignSpec) Validate() error {
 	if s.Target == "" {
 		return errors.New("campaignd: spec has no target")
 	}
-	if s.Trials < 1 {
-		return errors.New("campaignd: spec needs Trials >= 1")
+	if s.Trials < 1 || s.Trials > MaxTrials {
+		return fmt.Errorf("campaignd: spec needs 1 <= Trials <= %d, got %d", MaxTrials, s.Trials)
 	}
 	if s.MaxPerTrialNanos <= 0 {
 		return errors.New("campaignd: spec needs MaxPerTrialNanos > 0")
@@ -93,7 +102,7 @@ func (s CampaignSpec) Validate() error {
 }
 
 // FleetConfig maps the spec onto the fleet configuration both sides use:
-// the worker passes it to fleet.RunTrial, the lease book to
+// the worker passes it to fleet.WorldPool.RunTrial, the lease book to
 // fleet.NewReport — so deadline semantics cannot diverge.
 func (s CampaignSpec) FleetConfig() fleet.Config {
 	return fleet.Config{

@@ -31,26 +31,35 @@ const DefaultTransportAttempts = 60
 // the world factory and the fleet configuration (deadlines) both sides
 // agreed on through the spec.
 type Runtime struct {
-	// Factory builds each leased trial's world.
+	// Factory builds a leased trial's world when the campaign has no
+	// recycled world to reset.
 	Factory fleet.TargetFactory
 	// FleetCfg supplies the per-trial deadlines (from the spec's
 	// FleetConfig; only MaxPerTrial and TrialTimeout are consulted).
 	FleetCfg fleet.Config
+
+	// pool recycles the campaign's world between its leased trials; the
+	// worker gives each cached runtime its own.
+	pool *fleet.WorldPool
 }
 
 // RuntimeBuilder maps a fetched campaign spec onto an executable runtime.
-// The worker calls it once per campaign — the first time the scheduler
-// hands it one of that campaign's trials — and caches the result across
-// leases, so a worker serving many campaigns builds each campaign's world
-// recipe exactly once.
+// The worker calls it the first time the scheduler hands it one of a
+// campaign's trials and caches the result, with the campaign's recycled
+// world, until the campaign drains or is gone; a spec that does not build
+// is tried again on the campaign's next lease. A worker running one trial
+// at a time therefore builds one world per campaign when the factory's
+// worlds advertise Reset, and one per trial otherwise.
 type RuntimeBuilder func(spec CampaignSpec) (Runtime, error)
 
 // Worker executes leased trials until the server reports no work left. It
 // is campaign-agnostic: each lease names the campaign it belongs to, the
 // worker fetches and caches that campaign's spec-derived runtime, and
-// executes the trial through fleet.RunTrial — the same function an
-// in-process fleet worker runs — so a trial's result does not depend on
-// which process computed it.
+// executes the trial through the runtime's fleet.WorldPool — the warm
+// path an in-process fleet worker runs: the campaign's previous world is
+// reset in place, or built through the factory when there is none or its
+// reset fails — so a trial's result does not depend on which process
+// computed it.
 type Worker struct {
 	// Client reaches the server (required).
 	Client *Client
@@ -67,12 +76,14 @@ type Worker struct {
 	// DefaultTransportAttempts).
 	TransportAttempts int
 
-	// runtimes caches the built runtime per campaign ID across leases.
+	// runtimes caches the built runtime, and with it the campaign's
+	// recycled world, per campaign ID across leases. An entry is dropped
+	// when a submit ack says its campaign drained or is gone, so a
+	// long-lived worker holds no world for a campaign it saw finish.
+	// Campaigns whose spec does not build are never cached: each of their
+	// leases fetches the spec again, which is how the worker learns that
+	// such a campaign is gone.
 	runtimes map[string]Runtime
-	// broken records campaigns whose spec could not be built — skipped on
-	// subsequent leases instead of crashing the worker (one bad campaign
-	// must not take down a fleet serving many good ones).
-	broken map[string]error
 }
 
 // Run leases, executes and submits trials until done. It returns nil when
@@ -96,7 +107,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	w.runtimes = map[string]Runtime{}
-	w.broken = map[string]error{}
 
 	for {
 		var lease Lease
@@ -146,6 +156,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		if ack.CampaignDone || ack.Gone {
+			delete(w.runtimes, lease.Campaign)
+		}
 		if ack.Done {
 			if w.Logger != nil {
 				w.Logger.Info("no work left, worker exiting", "worker", w.Name)
@@ -163,18 +176,12 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runtime returns the cached runtime for the campaign, fetching and
 // building it on first use. ok=false means this campaign cannot be served
-// (gone, or its spec does not build) — skip, don't crash. A non-nil error
-// is fatal to the worker (transport budget exhausted or cancellation).
+// (gone, or its spec does not build) — skip, don't crash: one bad campaign
+// must not take down a worker serving many good ones. A non-nil error is
+// fatal to the worker (transport budget exhausted or cancellation).
 func (w *Worker) runtime(ctx context.Context, campaign string, policy retry.Policy, attempts int, rng *rand.Rand) (Runtime, bool, error) {
 	if rt, ok := w.runtimes[campaign]; ok {
 		return rt, true, nil
-	}
-	if berr, bad := w.broken[campaign]; bad {
-		if w.Logger != nil {
-			w.Logger.Warn("skipping lease for unbuildable campaign",
-				"worker", w.Name, "campaign", campaign, "err", berr)
-		}
-		return Runtime{}, false, nil
 	}
 	var spec CampaignSpec
 	err := retry.Do(ctx, policy, attempts, rng, func() error {
@@ -203,7 +210,6 @@ func (w *Worker) runtime(ctx context.Context, campaign string, policy retry.Poli
 	}
 	rt, err := w.Build(spec)
 	if err != nil {
-		w.broken[campaign] = err
 		if w.Logger != nil {
 			w.Logger.Error("campaign spec does not build on this worker",
 				"worker", w.Name, "campaign", campaign, "err", err)
@@ -214,6 +220,7 @@ func (w *Worker) runtime(ctx context.Context, campaign string, policy retry.Poli
 		w.Logger.Info("campaign runtime cached", "worker", w.Name,
 			"campaign", campaign, "target", spec.Target, "trials", spec.Trials)
 	}
+	rt.pool = &fleet.WorldPool{}
 	w.runtimes[campaign] = rt
 	return rt, true, nil
 }
@@ -254,7 +261,7 @@ func (w *Worker) runLeased(ctx context.Context, lease Lease, rt Runtime, policy 
 	}()
 
 	spec := fleet.TrialSpec{Index: lease.Trial, Seed: lease.Seed}
-	res := fleet.RunTrial(spec, rt.FleetCfg, rt.Factory)
+	res := rt.pool.RunTrial(spec, rt.FleetCfg, rt.Factory)
 	stopHB()
 	<-hbDone
 

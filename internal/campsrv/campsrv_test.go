@@ -28,19 +28,59 @@ import (
 	"repro/internal/testbench"
 )
 
-// unlockFactory builds the Table V bench world per trial.
+// unlockFactory builds the Table V bench world per trial. The world
+// resets in place, so a worker recycles it across a campaign's trials.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
 		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+	return &fleet.World{
+		Sched:    exp.Bench.Scheduler(),
+		Campaign: exp.Campaign,
+		Reset:    func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil },
+	}, nil
 }
 
-// buildBench is the campaign-agnostic worker runtime builder.
-func buildBench(spec campaignd.CampaignSpec) (campaignd.Runtime, error) {
-	return campaignd.Runtime{Factory: unlockFactory, FleetCfg: spec.FleetConfig()}, nil
+// workerBuilds is one worker's campaign-agnostic runtime builder. It
+// counts, per campaign base seed, the runtimes the worker built and the
+// worlds their factories built; reset, when non-nil, replaces every
+// world's Reset hook.
+type workerBuilds struct {
+	reset    func(fleet.TrialSpec) error
+	runtimes map[int64]int
+	worlds   map[int64]int
+}
+
+func newWorkerBuilds() *workerBuilds {
+	return &workerBuilds{runtimes: map[int64]int{}, worlds: map[int64]int{}}
+}
+
+func (b *workerBuilds) build(spec campaignd.CampaignSpec) (campaignd.Runtime, error) {
+	b.runtimes[spec.BaseSeed]++
+	factory := func(ts fleet.TrialSpec) (*fleet.World, error) {
+		b.worlds[spec.BaseSeed]++
+		w, err := unlockFactory(ts)
+		if err == nil && b.reset != nil {
+			w.Reset = b.reset
+		}
+		return w, err
+	}
+	return campaignd.Runtime{Factory: factory, FleetCfg: spec.FleetConfig()}, nil
+}
+
+// checkWarm asserts the worker built one runtime and one world per
+// campaign it served — not one world per trial. Call it once the worker
+// has returned.
+func (b *workerBuilds) checkWarm(t *testing.T, name string) {
+	t.Helper()
+	for seed, n := range b.runtimes {
+		if n != 1 || b.worlds[seed] != 1 {
+			t.Fatalf("worker %s, campaign with base seed %d: %d runtimes, %d worlds built; want 1, 1",
+				name, seed, n, b.worlds[seed])
+		}
+	}
 }
 
 // testSpec returns a bench campaign; distinct base seeds keep distinct
@@ -55,12 +95,13 @@ func testSpec(trials int, baseSeed int64) campaignd.CampaignSpec {
 	}
 }
 
-// inProcessGolden runs the same campaign through fleet.Run at workers=1
-// and returns its serialised report — the byte-identity reference.
+// inProcessGolden runs the same campaign through fleet.Run at workers=1 on
+// the cold path, a fresh world per trial, and returns its serialised
+// report — the byte-identity reference.
 func inProcessGolden(t *testing.T, spec campaignd.CampaignSpec) []byte {
 	t.Helper()
 	cfg := spec.FleetConfig()
-	cfg.Workers = 1
+	cfg.Workers, cfg.DisableReuse = 1, true
 	rep, err := fleet.Run(cfg, unlockFactory)
 	if err != nil {
 		t.Fatal(err)
@@ -340,14 +381,16 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 
 	var wg sync.WaitGroup
 	workerErrs := make([]error, 4)
+	builds := make([]*workerBuilds, len(workerErrs))
 	for i := range workerErrs {
+		builds[i] = newWorkerBuilds()
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			w := &campaignd.Worker{
 				Client: &campaignd.Client{Base: hs.URL},
 				Name:   string(rune('a' + i)),
-				Build:  buildBench,
+				Build:  builds[i].build,
 			}
 			workerErrs[i] = w.Run(context.Background())
 		}(i)
@@ -364,6 +407,7 @@ func TestThreeCampaignsSharedWorkersByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
+		builds[i].checkWarm(t, string(rune('a'+i)))
 	}
 
 	for i, id := range ids {
@@ -394,13 +438,14 @@ func TestWorkerOutlivesFirstCampaign(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var workerErr error
+	builds := newWorkerBuilds()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		w := &campaignd.Worker{
 			Client: &campaignd.Client{Base: hs.URL},
 			Name:   "survivor",
-			Build:  buildBench,
+			Build:  builds.build,
 		}
 		workerErr = w.Run(context.Background())
 	}()
@@ -418,11 +463,59 @@ func TestWorkerOutlivesFirstCampaign(t *testing.T) {
 	if workerErr != nil {
 		t.Fatalf("worker: %v", workerErr)
 	}
+	if len(builds.runtimes) != 2 {
+		t.Fatalf("worker built runtimes for %d campaigns, want 2", len(builds.runtimes))
+	}
+	builds.checkWarm(t, "survivor")
 	if got := reportJSON(t, s, idA); !bytes.Equal(got, goldenA) {
 		t.Fatalf("first campaign report differs:\n%s\n--- golden ---\n%s", got, goldenA)
 	}
 	if got := reportJSON(t, s, idB); !bytes.Equal(got, goldenB) {
 		t.Fatalf("second campaign report differs:\n%s\n--- golden ---\n%s", got, goldenB)
+	}
+}
+
+// TestWorkerResetFallback: a recycled world whose Reset fails — by error
+// or by panic — is discarded and the trial runs on a freshly built world,
+// so the worker builds once per trial and the report still equals the
+// in-process golden.
+func TestWorkerResetFallback(t *testing.T) {
+	spec := testSpec(4, 11)
+	golden := inProcessGolden(t, spec)
+	for name, reset := range map[string]func(fleet.TrialSpec) error{
+		"error": func(fleet.TrialSpec) error { return errors.New("reset refused") },
+		"panic": func(fleet.TrialSpec) error { panic("reset exploded") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newServer(t, campsrv.Config{})
+			defer s.Close()
+			hs := httptest.NewServer(s.Handler(campsrv.HandlerConfig{}))
+			defer hs.Close()
+			id := submit(t, s, spec, 1, 0)
+
+			builds := newWorkerBuilds()
+			builds.reset = reset
+			done := make(chan error, 1)
+			go func() {
+				w := &campaignd.Worker{
+					Client: &campaignd.Client{Base: hs.URL},
+					Name:   name,
+					Build:  builds.build,
+				}
+				done <- w.Run(context.Background())
+			}()
+			waitState(t, s, id, campsrv.StateDone)
+			s.BeginShutdown()
+			if err := <-done; err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			if n := builds.worlds[spec.BaseSeed]; n != spec.Trials {
+				t.Fatalf("worker built %d worlds, want one per trial (%d)", n, spec.Trials)
+			}
+			if got := reportJSON(t, s, id); !bytes.Equal(got, golden) {
+				t.Fatalf("report differs from in-process run:\n%s\n--- golden ---\n%s", got, golden)
+			}
+		})
 	}
 }
 
@@ -730,13 +823,14 @@ func TestWorkerTokenRoundTrip(t *testing.T) {
 
 	var wg sync.WaitGroup
 	var workerErr error
+	builds := newWorkerBuilds()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		w := &campaignd.Worker{
 			Client: &campaignd.Client{Base: hs.URL, Token: "s3cret"},
 			Name:   "authed",
-			Build:  buildBench,
+			Build:  builds.build,
 		}
 		workerErr = w.Run(context.Background())
 	}()
@@ -746,6 +840,7 @@ func TestWorkerTokenRoundTrip(t *testing.T) {
 	if workerErr != nil {
 		t.Fatalf("worker: %v", workerErr)
 	}
+	builds.checkWarm(t, "authed")
 	if got := reportJSON(t, s, id); !bytes.Equal(got, golden) {
 		t.Fatalf("authenticated campaign report differs:\n%s\n--- golden ---\n%s", got, golden)
 	}

@@ -2,6 +2,7 @@ package findings
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -131,15 +132,28 @@ func (db *DB) Load() ([]Record, error) {
 	return recs, nil
 }
 
+// ErrCorruptRecord marks a record file that is not one JSON record naming
+// its oracle and target. Merge never writes such a file, so finding one
+// means the database was damaged or edited by hand.
+var ErrCorruptRecord = errors.New("findings: corrupt record")
+
 // readRecord loads and decodes one record file.
 func readRecord(path string) (Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Record{}, err
 	}
+	return decodeRecord(data)
+}
+
+// decodeRecord decodes the contents of one record file.
+func decodeRecord(data []byte) (Record, error) {
 	var rec Record
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return Record{}, fmt.Errorf("decode: %w", err)
+		return Record{}, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+	}
+	if rec.Oracle == "" || rec.Target == "" {
+		return Record{}, fmt.Errorf("%w: missing oracle or target", ErrCorruptRecord)
 	}
 	return rec, nil
 }

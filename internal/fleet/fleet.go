@@ -60,13 +60,14 @@ type World struct {
 	Reset func(spec TrialSpec) error
 }
 
-// WorldPool retains reset-capable worlds across Run calls, so back-to-back
-// fleets over the same target configuration (benchmark iterations, a
-// campaign service draining trial batches) skip world construction
-// entirely. Every world ever put in one pool must come from the same
-// factory and configuration, because the pool hands any retained world to
-// any worker; worlds without a Reset hook are never pooled. Safe for
-// concurrent use; the zero value and a nil pool are both valid and empty.
+// WorldPool retains reset-capable worlds across trials and Run calls, so
+// back-to-back fleets over the same target configuration (benchmark
+// iterations) and a campaign-service worker executing one leased trial at
+// a time (WorldPool.RunTrial) skip world construction entirely. Every
+// world ever put in one pool must come from the same factory and
+// configuration, because the pool hands any retained world to any worker;
+// worlds without a Reset hook are never pooled. Safe for concurrent use;
+// the zero value and a nil pool are both valid and empty.
 type WorldPool struct {
 	mu     sync.Mutex
 	worlds []*World
@@ -318,17 +319,27 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 	return rep, nil
 }
 
-// RunTrial builds and runs one world exactly as a pooled fleet worker
-// would; only cfg.MaxPerTrial (required) and cfg.TrialTimeout are
-// consulted. It is exported for the distributed campaign service: a
-// campaignd worker executes leased trials through it, so a trial's result
-// is bit-for-bit the same whether it ran in-process or on a remote worker.
-// RunTrial always takes the cold path — every call builds a fresh world
-// through the factory — which is what makes it the correctness oracle the
-// warm reuse path is differentially tested against.
-func RunTrial(spec TrialSpec, cfg Config, factory TargetFactory) TrialResult {
-	res, _ := runTrial(spec, cfg, factory, nil)
+// RunTrial runs one trial exactly as a fleet worker would: on a pooled
+// world reset in place when the pool holds one, through the factory
+// otherwise, and parks the world again afterwards when it advertises
+// Reset. Only cfg.MaxPerTrial (required) and cfg.TrialTimeout are
+// consulted. As in Run, a reset that fails or panics sends the trial to
+// the factory, and a world whose trial panicked is never parked. A
+// campaignd worker executes every leased trial of a campaign through one
+// pool, so it builds each campaign's world once and a trial's result is
+// bit-for-bit the same whichever process ran it. On a nil pool every call
+// takes the cold path.
+func (p *WorldPool) RunTrial(spec TrialSpec, cfg Config, factory TargetFactory) TrialResult {
+	res, keep := runTrial(spec, cfg, factory, p.get())
+	p.put(keep)
 	return res
+}
+
+// RunTrial builds and runs one trial on a fresh world: the cold path, kept
+// as the correctness oracle the warm path (Run, WorldPool.RunTrial) is
+// differentially tested against.
+func RunTrial(spec TrialSpec, cfg Config, factory TargetFactory) TrialResult {
+	return (*WorldPool)(nil).RunTrial(spec, cfg, factory)
 }
 
 // tryReset re-initializes a cached world for the next trial, containing

@@ -5,6 +5,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -220,6 +221,94 @@ func TestRunTrialMatchesFleetRun(t *testing.T) {
 		t.Fatalf("RunTrial+NewReport diverges from Run:\n--- run ---\n%s\n--- rebuilt ---\n%s",
 			a.String(), b.String())
 	}
+}
+
+// resettableFactory is unlockFactory with a Reset hook whose behaviour the
+// caller picks: "ok" resets in place, "error" and "panic" fail, "none"
+// leaves the hook nil. builds counts the factory calls.
+func resettableFactory(reset string, builds *int) fleet.TargetFactory {
+	return func(spec fleet.TrialSpec) (*fleet.World, error) {
+		*builds++
+		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+		if err != nil {
+			return nil, err
+		}
+		w := &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}
+		switch reset {
+		case "ok":
+			w.Reset = func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil }
+		case "error":
+			w.Reset = func(fleet.TrialSpec) error { return fmt.Errorf("reset refused") }
+		case "panic":
+			w.Reset = func(fleet.TrialSpec) error { panic("reset exploded") }
+		}
+		return w, nil
+	}
+}
+
+func TestWorldPoolRunTrial(t *testing.T) {
+	// A pool recycles one world across sequential trials; a reset that
+	// fails or panics, or a world without a Reset hook, falls back to the
+	// factory. Every way, each result equals the cold RunTrial's.
+	const trials = 5
+	cfg := fleet.Config{MaxPerTrial: 30 * time.Minute}
+	specs := make([]fleet.TrialSpec, trials)
+	cold := make([][]byte, trials)
+	for i := range specs {
+		specs[i] = fleet.TrialSpec{Index: i, Seed: faults.DeriveSeed(21, i)}
+		cold[i] = trialJSON(t, fleet.RunTrial(specs[i], cfg, unlockFactory(bcm.CheckByteOnly)))
+	}
+	for _, tc := range []struct {
+		reset      string
+		wantBuilds int
+		wantPooled int
+	}{
+		{"ok", 1, 1},
+		{"error", trials, 1},
+		{"panic", trials, 1},
+		{"none", trials, 0},
+	} {
+		t.Run(tc.reset, func(t *testing.T) {
+			builds := 0
+			factory := resettableFactory(tc.reset, &builds)
+			pool := &fleet.WorldPool{}
+			for i, spec := range specs {
+				if got := trialJSON(t, pool.RunTrial(spec, cfg, factory)); !bytes.Equal(got, cold[i]) {
+					t.Fatalf("trial %d: pooled result differs from cold\npooled: %s\ncold:   %s", i, got, cold[i])
+				}
+			}
+			if builds != tc.wantBuilds || pool.Len() != tc.wantPooled {
+				t.Fatalf("factory calls %d, pooled worlds %d; want %d, %d",
+					builds, pool.Len(), tc.wantBuilds, tc.wantPooled)
+			}
+		})
+	}
+
+	// A trial that panics poisons its world: it is not put back.
+	pool := &fleet.WorldPool{}
+	res := pool.RunTrial(specs[0], cfg, func(spec fleet.TrialSpec) (*fleet.World, error) {
+		w, err := idleFactory(spec)
+		if err != nil {
+			return nil, err
+		}
+		w.Reset = func(fleet.TrialSpec) error { return nil }
+		w.Sched.After(0, func() { panic("trial exploded") })
+		return w, nil
+	})
+	if res.Status != fleet.StatusPanic || pool.Len() != 0 {
+		t.Fatalf("panicking trial: status %s, pooled worlds %d; want panic, 0", res.Status, pool.Len())
+	}
+}
+
+// trialJSON serialises a result as the service journal does.
+func trialJSON(t *testing.T, res fleet.TrialResult) []byte {
+	t.Helper()
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestFleetPanicIsolation(t *testing.T) {

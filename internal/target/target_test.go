@@ -1,12 +1,17 @@
 package target_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/bcm"
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/guided"
 	"repro/internal/signal"
@@ -72,4 +77,104 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 			t.Fatalf("trial %d: engine execs %d, campaign sent %d", trial, want.Execs, w.Campaign.FramesSent())
 		}
 	}
+}
+
+// TestBuildTable builds every target × bus × check × recovery × mode
+// combination. A bench world must be reusable: after a dirtying trial,
+// reset-and-run gives the same TrialResult JSON (guided corpus included)
+// as a cold build-and-run at the same seed. Cluster, vehicle and
+// fault-plan worlds must have no Reset hook, so every fleet and campaign
+// service worker builds them fresh for each trial.
+func TestBuildTable(t *testing.T) {
+	var specs []target.Spec
+	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength, bcm.CheckTwoBytes} {
+		specs = append(specs, target.Spec{Target: "bench", Check: check})
+	}
+	specs = append(specs, target.Spec{Target: "cluster"},
+		target.Spec{Target: "vehicle", Bus: "body"}, target.Spec{Target: "vehicle", Bus: "powertrain"})
+
+	cfg := fleet.Config{MaxPerTrial: 2 * time.Second}
+	dirty := fleet.TrialSpec{Index: 0, Seed: 5}
+	trial := fleet.TrialSpec{Index: 1, Seed: 6}
+	for _, base := range specs {
+		for _, recovery := range []bool{false, true} {
+			for _, mode := range []core.Mode{core.ModeRandom, core.ModeGuided} {
+				spec := base
+				spec.Recovery = recovery
+				spec.Stop = true
+				name := spec.Target
+				switch spec.Target {
+				case "bench":
+					name += "/check=" + target.CheckModeName(spec.Check)
+				case "vehicle":
+					name += "/bus=" + spec.Bus
+				}
+				name += fmt.Sprintf("/recovery=%t/%s", recovery, mode)
+				t.Run(name, func(t *testing.T) {
+					builds := 0
+					factory := func(ts fleet.TrialSpec) (*fleet.World, error) {
+						builds++
+						b, err := target.Build(spec, core.Config{
+							Seed: ts.Seed, Mode: mode, TargetIDs: []can.ID{signal.IDBodyCommand},
+						}, target.Options{})
+						if err != nil {
+							return nil, err
+						}
+						return b.World, nil
+					}
+					w, err := factory(dirty)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if spec.Target != "bench" {
+						if w.Reset != nil {
+							t.Fatal("non-bench world advertises Reset; the worker's cold fallback must serve it")
+						}
+						return
+					}
+					if w.Reset == nil {
+						t.Fatal("bench world has no Reset hook")
+					}
+					pool := &fleet.WorldPool{}
+					if res := pool.RunTrial(dirty, cfg, factory); res.Status == fleet.StatusError || res.Status == fleet.StatusPanic {
+						t.Fatalf("dirtying trial: %+v", res)
+					}
+					warm := resultJSON(t, pool.RunTrial(trial, cfg, factory))
+					cold := resultJSON(t, fleet.RunTrial(trial, cfg, factory))
+					if !bytes.Equal(warm, cold) {
+						t.Fatalf("reset-and-run differs from a cold build-and-run\nwarm: %s\ncold: %s", warm, cold)
+					}
+					// One build for the probe above, one for the pooled
+					// world, one for the cold run: the reset trial built none.
+					if builds != 3 {
+						t.Fatalf("factory called %d times, want 3", builds)
+					}
+				})
+			}
+		}
+	}
+
+	plan, err := faults.ParsePlan("seed=1;corrupt(p=1,at=50ms,for=50ms)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := target.Build(target.Spec{Target: "bench"}, core.Config{Seed: 1}, target.Options{Plan: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.World.Reset != nil {
+		t.Fatal("fault-plan bench world advertises Reset; its injector cannot be re-armed")
+	}
+}
+
+func resultJSON(t *testing.T, res fleet.TrialResult) []byte {
+	t.Helper()
+	if res.Status == fleet.StatusError || res.Status == fleet.StatusPanic {
+		t.Fatalf("trial %d failed: %+v", res.Trial, res)
+	}
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
