@@ -354,7 +354,12 @@ func workloads(quick bool) []workload {
 		{name: "Unstuff", bench: benchUnstuff},
 		{name: "CRC15", bench: benchCRC15},
 		{name: "FDCRC", bench: benchFDCRC},
-		{name: "WorldReset", bench: benchWorldReset},
+		{name: "WorldReset", bench: func(b *testing.B) {
+			benchWorldReset(b, func(int) int64 { return 5 })
+		}},
+		{name: "WorldResetFreshSeed", bench: func(b *testing.B) {
+			benchWorldReset(b, func(i int) int64 { return int64(i) + 6 })
+		}},
 	}
 }
 
@@ -569,8 +574,10 @@ func benchFDCRC(b *testing.B) {
 
 // benchWorldReset measures recycling a dirtied unlock world back to a
 // pristine seeded state — the cost the fleet pays per trial instead of a
-// factory build.
-func benchWorldReset(b *testing.B) {
+// factory build. Op i resets to seed(i): WorldReset reuses the seed the
+// world ran with, the best case, while WorldResetFreshSeed gives every op
+// a new seed, as every fleet and service trial does.
+func benchWorldReset(b *testing.B, seed func(i int) int64) {
 	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
 		Seed:      5,
 		TargetIDs: []can.ID{0x215},
@@ -585,6 +592,6 @@ func benchWorldReset(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.Reset(5)
+		exp.Reset(seed(i))
 	}
 }

@@ -18,6 +18,7 @@ const loadWindowBuckets = 10
 type loadWindow struct {
 	bucket time.Duration // span of one bucket
 	busy   [loadWindowBuckets]time.Duration
+	total  time.Duration // sum of busy, kept by add and rotate
 	cur    int           // index of the bucket being filled
 	curEnd time.Duration // exclusive end instant of cur
 }
@@ -32,15 +33,15 @@ func (w *loadWindow) rotate(now time.Duration) {
 	steps := int64((now-w.curEnd)/w.bucket) + 1
 	if steps >= loadWindowBuckets {
 		// The whole window aged out: clear everything and realign.
-		for i := range w.busy {
-			w.busy[i] = 0
-		}
+		w.busy = [loadWindowBuckets]time.Duration{}
+		w.total = 0
 		w.cur = 0
 		w.curEnd = (now/w.bucket + 1) * w.bucket
 		return
 	}
 	for i := int64(0); i < steps; i++ {
 		w.cur = (w.cur + 1) % loadWindowBuckets
+		w.total -= w.busy[w.cur]
 		w.busy[w.cur] = 0
 	}
 	w.curEnd += time.Duration(steps) * w.bucket
@@ -49,9 +50,8 @@ func (w *loadWindow) rotate(now time.Duration) {
 // reset clears the accumulated window back to the zero value, keeping
 // the configured bucket span. Used by Bus.Reset for world reuse.
 func (w *loadWindow) reset() {
-	for i := range w.busy {
-		w.busy[i] = 0
-	}
+	w.busy = [loadWindowBuckets]time.Duration{}
+	w.total = 0
 	w.cur = 0
 	w.curEnd = 0
 }
@@ -60,17 +60,15 @@ func (w *loadWindow) reset() {
 func (w *loadWindow) add(now, dur time.Duration) {
 	w.rotate(now)
 	w.busy[w.cur] += dur
+	w.total += dur
 }
 
 // load returns busy/window over the retained buckets, clamped to [0,1].
+// The busy time is the running total, so a read costs O(1).
 // Early in a run (elapsed < window) it divides by elapsed time instead, so
 // a bus that has been saturated from t=0 reads 1.0, not a fraction.
 func (w *loadWindow) load(now time.Duration) float64 {
 	w.rotate(now)
-	var busy time.Duration
-	for _, b := range w.busy {
-		busy += b
-	}
 	window := time.Duration(loadWindowBuckets) * w.bucket
 	if now < window {
 		window = now
@@ -78,7 +76,7 @@ func (w *loadWindow) load(now time.Duration) float64 {
 	if window <= 0 {
 		return 0
 	}
-	l := float64(busy) / float64(window)
+	l := float64(w.total) / float64(window)
 	if l > 1 {
 		l = 1
 	}

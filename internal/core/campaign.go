@@ -94,7 +94,8 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 }
 
 // genBatchEvery is the generator checkpoint period: one EvGenBatch trace
-// event and a gauge refresh per this many transmitted frames.
+// event, a gauge refresh and a registry publication per this many
+// transmitted frames.
 const genBatchEvery = 256
 
 // Send-error causes, as reported by SendErrorsByCause and the campaign
@@ -323,9 +324,9 @@ func (c *Campaign) Start() {
 	}
 	c.running = true
 	c.started = c.sched.Now()
-	// The run's events all come from this scheduler goroutine, so the
-	// tracer can batch its publications until Stop.
-	c.tel.Trc().Buffer()
+	// The run's metric writes and events all come from this scheduler
+	// goroutine, so the plane can batch its publications until Stop.
+	c.tel.Buffer()
 	for _, o := range c.oracles {
 		o.Start(c.sched, c.report)
 	}
@@ -349,7 +350,7 @@ func (c *Campaign) Stop() {
 			At: c.sched.Now(), Kind: telemetry.EvGenBatch,
 			Actor: "campaign", Name: "gen-batch", N: c.framesSent,
 		})
-		c.tel.Tracer.Flush()
+		c.tel.Flush()
 	}
 	c.timer.Stop()
 	c.stopWatchdog()
@@ -518,6 +519,7 @@ func (c *Campaign) sendOne() {
 			At: now, Kind: telemetry.EvGenBatch,
 			Actor: "campaign", Name: "gen-batch", N: c.framesSent,
 		})
+		c.tel.Publish()
 	}
 }
 

@@ -56,6 +56,74 @@ func TestHashFeatureOrderSensitive(t *testing.T) {
 	if hashFeature(featProbe, 1, 2) == hashFeature(featResponse, 1, 2) {
 		t.Fatal("feature kinds must separate hash spaces")
 	}
+	// The pre-mixed kinds leave every feature hash — and so every novelty
+	// bit, corpus and campaign report — where the three-mix form put it.
+	for _, c := range []struct{ got, want uint64 }{
+		{hashFeature(featProbe, 1, 2), 0x854e570c612cc1d},
+		{hashFeature(featProbe, 2, 1), 0x417432b1d06758f7},
+		{hashFeature(featResponse, 1, 2), 0x1403f0b03987a94d},
+	} {
+		if c.got != c.want {
+			t.Errorf("feature hash %#x, want %#x", c.got, c.want)
+		}
+	}
+}
+
+// TestProbeMemoExact pins the probe memo: a probe whose bucket did not
+// move since the previous tick is skipped, which must report exactly what
+// observing it again would have.
+func TestProbeMemoExact(t *testing.T) {
+	var v uint64
+	e, err := NewEngine(core.Config{Seed: 1}, WithProbes(Probe{Name: "p", Fn: func() uint64 { return v }}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A -> B -> A -> B -> A: novel on the first two ticks only.
+	const a, b = 0, 9 // buckets 0 and 5
+	for i, tick := range []struct{ v, novel uint64 }{{a, 1}, {b, 1}, {a, 0}, {b, 0}, {a, 0}} {
+		v = tick.v
+		if got := e.harvest(); got != tick.novel {
+			t.Fatalf("tick %d (value %d): %d novel, want %d", i, v, got, tick.novel)
+		}
+	}
+	// Reset clears the map and the memo: A, the memo's last bucket, is new
+	// again.
+	e.Reset(1)
+	v = a
+	if got := e.harvest(); got != 1 {
+		t.Fatalf("after Reset: %d novel, want 1", got)
+	}
+
+	// Against an unmemoised reference over a random walk of two probes.
+	rng := rand.New(rand.NewSource(7))
+	var vals [2]uint64
+	e, err = NewEngine(core.Config{Seed: 1}, WithProbes(
+		Probe{Name: "x", Fn: func() uint64 { return vals[0] }},
+		Probe{Name: "y", Fn: func() uint64 { return vals[1] }}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref noveltyMap
+	for tick := 0; tick < 2000; tick++ {
+		if tick == 1000 {
+			e.Reset(2)
+			ref = noveltyMap{}
+		}
+		for i := range vals {
+			if rng.Intn(4) == 0 {
+				vals[i] = uint64(rng.Intn(200))
+			}
+		}
+		var want uint64
+		for i, name := range []string{"x", "y"} {
+			if ref.observe(hashFeature(featProbe, hashName(name), bucketize(vals[i]))) {
+				want++
+			}
+		}
+		if got := e.harvest(); got != want {
+			t.Fatalf("tick %d: %d novel, reference %d", tick, got, want)
+		}
+	}
 }
 
 func TestCorpusAddDedupeAndEnergy(t *testing.T) {

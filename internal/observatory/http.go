@@ -39,7 +39,7 @@ type HandlerConfig struct {
 //
 // plus, when the observatory carries a telemetry plane, all telemetry
 // routes (/metrics, /metrics.json, /trace.json, /healthz) with
-// campaign-level gauges refreshed per scrape. Every route reads atomically
+// campaign-level gauges evaluated per scrape. Every route reads atomically
 // published state; scraping never stalls fleet workers.
 func (o *Observatory) Handler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
@@ -60,7 +60,7 @@ func (o *Observatory) Handler(cfg HandlerConfig) http.Handler {
 	if o.tel != nil {
 		inner := telemetry.Handler(o.tel)
 		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-			o.syncMetrics()
+			o.advanceFleetClock()
 			inner.ServeHTTP(w, r)
 		})
 	}

@@ -37,8 +37,8 @@ type Config struct {
 	Fuzz *guided.Introspection
 	// Telemetry, when non-nil, is the metrics plane whose routes
 	// (/metrics, /metrics.json, /trace.json, /healthz) the observatory
-	// handler also serves, refreshed with campaign-level gauges on every
-	// scrape.
+	// handler also serves, with campaign-level gauges evaluated on every
+	// export.
 	Telemetry *telemetry.Telemetry
 }
 
@@ -56,10 +56,6 @@ type Observatory struct {
 	checkpointEvery int64
 	completions     atomic.Int64
 	trialsTotal     atomic.Int64
-
-	// Campaign-level gauges refreshed on scrape (nil without telemetry).
-	gTrialsDone, gTrialsTotal, gFindings, gFrames *telemetry.Gauge
-	gCorpus, gNoveltyBits, gExecsSinceNovelty     *telemetry.Gauge
 }
 
 // New assembles an observatory. Every Config field is optional; the zero
@@ -77,14 +73,24 @@ func New(cfg Config) *Observatory {
 		o.checkpointEvery = 10
 	}
 	if o.tel != nil {
+		// The campaign-level gauges are evaluated at export time from the
+		// trackers' atomic snapshots: the observatory only reads, so it
+		// never writes into a registry a running world owns.
 		reg := o.tel.Registry
-		o.gTrialsDone = reg.Gauge("campaign_trials_done", "Fleet trials finished so far.")
-		o.gTrialsTotal = reg.Gauge("campaign_trials_total", "Fleet trials configured.")
-		o.gFindings = reg.Gauge("campaign_finding_trials", "Trials that ended in a finding.")
-		o.gFrames = reg.Gauge("campaign_frames_sent", "Fuzz frames transmitted across finished trials.")
-		o.gCorpus = reg.Gauge("fuzz_corpus_size", "Corpus entries summed over guided engines.")
-		o.gNoveltyBits = reg.Gauge("fuzz_novelty_bits_set", "Novelty-map bits set, summed over guided engines.")
-		o.gExecsSinceNovelty = reg.Gauge("fuzz_execs_since_novelty", "Smallest per-engine staleness (execs since novelty).")
+		reg.GaugeFunc("campaign_trials_done", "Fleet trials finished so far.",
+			func() float64 { return float64(o.progress.Snapshot().TrialsDone) })
+		reg.GaugeFunc("campaign_trials_total", "Fleet trials configured.",
+			func() float64 { return float64(o.progress.Snapshot().TrialsTotal) })
+		reg.GaugeFunc("campaign_finding_trials", "Trials that ended in a finding.",
+			func() float64 { return float64(o.progress.Snapshot().Findings) })
+		reg.GaugeFunc("campaign_frames_sent", "Fuzz frames transmitted across finished trials.",
+			func() float64 { return float64(o.progress.Snapshot().FramesSent) })
+		reg.GaugeFunc("fuzz_corpus_size", "Corpus entries summed over guided engines.",
+			func() float64 { return float64(o.fuzz.Snapshot().CorpusSize) })
+		reg.GaugeFunc("fuzz_novelty_bits_set", "Novelty-map bits set, summed over guided engines.",
+			func() float64 { return float64(o.fuzz.Snapshot().NoveltyBitsSet) })
+		reg.GaugeFunc("fuzz_execs_since_novelty", "Smallest per-engine staleness (execs since novelty).",
+			func() float64 { return float64(o.fuzz.Snapshot().ExecsSinceNoveltyMin) })
 	}
 	return o
 }
@@ -168,28 +174,17 @@ func (o *Observatory) CampaignDone(rep *fleet.Report) {
 	}
 }
 
-// syncMetrics refreshes the campaign-level gauges from the live trackers;
-// the HTTP handler calls it before serving any metrics route, so a scrape
-// always sees current values without any per-trial push cost.
-func (o *Observatory) syncMetrics() {
+// advanceFleetClock stands the deepest finished trial in for campaign
+// virtual progress on the registry clock; the HTTP handler calls it before
+// serving any metrics route. Only fleet mode has finished trials, and its
+// plane belongs to no world (trial worlds run uninstrumented), so this is
+// the registry's only writer there. A single-run campaign advances the
+// clock itself and never reaches the write.
+func (o *Observatory) advanceFleetClock() {
 	if o.tel == nil {
 		return
 	}
-	ps := o.progress.Snapshot()
-	if ps.MaxVirtualNanos > 0 {
-		// Fleet mode: no single world advances the registry clock, so the
-		// deepest trial stands in for campaign virtual progress. Single-run
-		// campaigns advance it themselves; leave their clock alone.
-		o.tel.Advance(time.Duration(ps.MaxVirtualNanos))
-	}
-	o.gTrialsDone.Set(float64(ps.TrialsDone))
-	o.gTrialsTotal.Set(float64(ps.TrialsTotal))
-	o.gFindings.Set(float64(ps.Findings))
-	o.gFrames.Set(float64(ps.FramesSent))
-	if o.fuzz != nil {
-		fs := o.fuzz.Snapshot()
-		o.gCorpus.Set(float64(fs.CorpusSize))
-		o.gNoveltyBits.Set(float64(fs.NoveltyBitsSet))
-		o.gExecsSinceNovelty.Set(float64(fs.ExecsSinceNoveltyMin))
+	if deepest := o.progress.Snapshot().MaxVirtualNanos; deepest > 0 {
+		o.tel.Advance(time.Duration(deepest))
 	}
 }

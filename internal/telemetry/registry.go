@@ -17,9 +17,19 @@ import (
 // time (see Advance), not wall time: a scrape of a campaign that ran 4472
 // simulated seconds in 40 ms of real time reports 4472 s.
 //
-// Hot-path operations (Counter.Inc, Gauge.Set, Histogram.Observe) are
-// lock-free atomic updates with zero allocations, so the simulation loop can
-// sample freely. Registration and export take a mutex and may allocate.
+// A registry has two write modes, like Tracer. Outside a run the hot-path
+// operations (Counter.Inc/Add, Gauge.Set, Histogram.Observe, Advance) are
+// lock-free atomic updates, so any goroutine may write. During a run
+// (Buffer ... Flush, which Telemetry.Buffer/Flush and so core.Campaign's
+// Start and Stop call) the world's simulation goroutine is the only
+// writer: each operation updates plain writer-local fields, and Publish
+// (the campaign's 256-frame checkpoint) and Flush fold them into the
+// atomics readers load. Readers (Value, Count, Sum, Now, WritePrometheus,
+// WriteJSON) only ever load the published atomics, so a live scrape is
+// race-free and sees every series as of the last fold — at most 256 fuzz
+// frames behind during a run, exact after Flush. Both modes allocate
+// nothing per operation; registration and export take a mutex and may
+// allocate.
 //
 // A nil *Registry is valid: registration returns nil metrics and every
 // metric method is a no-op on a nil receiver, so uninstrumented components
@@ -29,8 +39,14 @@ type Registry struct {
 	metrics []metric
 	index   map[string]metric
 
-	// now is the latest virtual time reported via Advance, in nanoseconds.
+	// now is the published latest virtual time reported via Advance, in
+	// nanoseconds.
 	now atomic.Int64
+
+	// Writer state: the owner's alone while buffered (set and cleared
+	// under mu, so a concurrent registration sees the current mode).
+	buffered bool
+	localNow int64 // Advance's running maximum while buffered
 }
 
 // NewRegistry creates an empty registry.
@@ -45,9 +61,66 @@ func (r *Registry) Advance(now time.Duration) {
 	if r == nil {
 		return
 	}
+	if r.buffered {
+		if int64(now) > r.localNow {
+			r.localNow = int64(now)
+		}
+		return
+	}
 	if cur := r.now.Load(); int64(now) > cur {
 		r.now.Store(int64(now))
 	}
+}
+
+// Buffer switches the registry to buffered mode for a run: from now until
+// Flush the calling goroutine must be its only writer, and its writes
+// reach readers only at Publish or Flush. Idempotent.
+func (r *Registry) Buffer() {
+	if r == nil || r.buffered {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buffered = true
+	r.localNow = r.now.Load()
+	for _, m := range r.metrics {
+		m.setBuffered(true)
+	}
+}
+
+// Publish folds every buffered write into the published atomics, so
+// readers see the series as of this call. A no-op outside buffered mode.
+func (r *Registry) Publish() {
+	if r == nil || !r.buffered {
+		return
+	}
+	r.mu.Lock()
+	r.publishLocked()
+	r.mu.Unlock()
+}
+
+// publishLocked is Publish with mu held.
+func (r *Registry) publishLocked() {
+	for _, m := range r.metrics {
+		m.publish()
+	}
+	r.now.Store(r.localNow)
+}
+
+// Flush publishes every buffered write and returns the registry to the
+// direct atomic mode, after which reads are exact. A no-op outside
+// buffered mode.
+func (r *Registry) Flush() {
+	if r == nil || !r.buffered {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.publishLocked()
+	for _, m := range r.metrics {
+		m.setBuffered(false)
+	}
+	r.buffered = false
 }
 
 // Now returns the latest virtual time the registry has seen.
@@ -125,14 +198,21 @@ type metric interface {
 	writeProm(w io.Writer) error
 	// jsonValue returns the export value for the JSON snapshot.
 	jsonValue() any
-	// zero clears the series value, keeping its registration — the plane
-	// of a pooled world must not carry one trial's counts into the next.
+	// zero clears the series value, published and buffered, keeping its
+	// registration — the plane of a pooled world must not carry one
+	// trial's counts into the next.
 	zero()
+	// setBuffered enters (seeding the writer-local fields from the
+	// published value) or leaves buffered mode; see Registry.Buffer.
+	setBuffered(on bool)
+	// publish folds the writer-local fields into the published atomics.
+	publish()
 }
 
 // Reset zeroes every registered series in place, keeping all
 // registrations (components hold direct metric handles, so the series
-// themselves must survive). Used when a world is reused across trials.
+// themselves must survive) and the write mode; unpublished buffered
+// writes are dropped. Used when a world is reused across trials.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
@@ -143,6 +223,7 @@ func (r *Registry) Reset() {
 		m.zero()
 	}
 	r.now.Store(0)
+	r.localNow = 0
 }
 
 // register interns a series: registering the same name+labels twice returns
@@ -156,6 +237,9 @@ func register[M metric](r *Registry, m M) M {
 			return got
 		}
 		panic(fmt.Sprintf("telemetry: metric %q re-registered as a different type", k))
+	}
+	if r.buffered {
+		m.setBuffered(true)
 	}
 	r.index[k] = m
 	r.metrics = append(r.metrics, m)
@@ -173,10 +257,14 @@ func sortLabels(labels []Label) []Label {
 // --- Counter ---------------------------------------------------------------
 
 // Counter is a monotonically increasing uint64. All methods are safe on a
-// nil receiver (no-op) and safe for concurrent use.
+// nil receiver (no-op) and, outside buffered mode, for concurrent use.
 type Counter struct {
 	d desc
 	v atomic.Uint64
+
+	// Writer-local state while buffered: increments not yet published.
+	buffered bool
+	pending  uint64
 }
 
 // Counter registers (or fetches) a counter series.
@@ -189,19 +277,29 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 
 // Inc adds one.
 func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
+	if c == nil {
+		return
 	}
+	if c.buffered {
+		c.pending++
+		return
+	}
+	c.v.Add(1)
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
+	if c == nil {
+		return
 	}
+	if c.buffered {
+		c.pending += n
+		return
+	}
+	c.v.Add(n)
 }
 
-// Value returns the current count.
+// Value returns the published count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
@@ -212,7 +310,21 @@ func (c *Counter) Value() uint64 {
 func (c *Counter) describe() *desc { return &c.d }
 func (c *Counter) typ() string     { return "counter" }
 func (c *Counter) jsonValue() any  { return c.Value() }
-func (c *Counter) zero()           { c.v.Store(0) }
+
+func (c *Counter) zero() {
+	c.v.Store(0)
+	c.pending = 0
+}
+
+func (c *Counter) setBuffered(on bool) { c.buffered = on }
+
+// publish folds the pending increments as one integer delta.
+func (c *Counter) publish() {
+	if c.pending != 0 {
+		c.v.Add(c.pending)
+		c.pending = 0
+	}
+}
 
 func (c *Counter) writeProm(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s%s %d\n", c.d.name, c.d.labelString(), c.Value())
@@ -221,11 +333,15 @@ func (c *Counter) writeProm(w io.Writer) error {
 
 // --- Gauge -----------------------------------------------------------------
 
-// Gauge is an instantaneous float64. Safe on a nil receiver and for
-// concurrent use.
+// Gauge is an instantaneous float64. Safe on a nil receiver and, outside
+// buffered mode, for concurrent use.
 type Gauge struct {
 	d    desc
 	bits atomic.Uint64
+
+	// Writer-local state while buffered: the latest value set.
+	buffered bool
+	local    float64
 }
 
 // Gauge registers (or fetches) a gauge series.
@@ -238,12 +354,17 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
+	if g == nil {
+		return
 	}
+	if g.buffered {
+		g.local = v
+		return
+	}
+	g.bits.Store(math.Float64bits(v))
 }
 
-// Value returns the current value.
+// Value returns the published value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
@@ -254,10 +375,53 @@ func (g *Gauge) Value() float64 {
 func (g *Gauge) describe() *desc { return &g.d }
 func (g *Gauge) typ() string     { return "gauge" }
 func (g *Gauge) jsonValue() any  { return g.Value() }
-func (g *Gauge) zero()           { g.bits.Store(0) }
+
+func (g *Gauge) zero() {
+	g.bits.Store(0)
+	g.local = 0
+}
+
+func (g *Gauge) setBuffered(on bool) {
+	if on {
+		g.local = g.Value()
+	}
+	g.buffered = on
+}
+
+func (g *Gauge) publish() { g.bits.Store(math.Float64bits(g.local)) }
 
 func (g *Gauge) writeProm(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", g.d.name, g.d.labelString(), formatFloat(g.Value()))
+	return err
+}
+
+// gaugeFunc is a gauge evaluated at export time: it holds no state, so a
+// reader-side plane (the observatory's campaign gauges) can expose values
+// it reads elsewhere without writing into a world's registry.
+type gaugeFunc struct {
+	d  desc
+	fn func() float64
+}
+
+// GaugeFunc registers (or fetches) a gauge series whose value is fn(),
+// called on every export. fn runs on the exporting goroutine and must be
+// safe for concurrent use.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	register(r, &gaugeFunc{d: desc{name: name, help: help}, fn: fn})
+}
+
+func (g *gaugeFunc) describe() *desc     { return &g.d }
+func (g *gaugeFunc) typ() string         { return "gauge" }
+func (g *gaugeFunc) jsonValue() any      { return g.fn() }
+func (g *gaugeFunc) zero()               {}
+func (g *gaugeFunc) setBuffered(on bool) {}
+func (g *gaugeFunc) publish()            {}
+
+func (g *gaugeFunc) writeProm(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%s%s %s\n", g.d.name, g.d.labelString(), formatFloat(g.fn()))
 	return err
 }
 
@@ -266,13 +430,22 @@ func (g *Gauge) writeProm(w io.Writer) error {
 // Histogram accumulates observations into a fixed set of cumulative
 // buckets (Prometheus classic histogram semantics). Bounds are upper
 // limits in ascending order; an implicit +Inf bucket is always present.
-// Observe is a lock-free binary search plus two atomic adds.
+// Observe is a bucket search plus two atomic adds and a CAS outside
+// buffered mode, and plain adds while buffered.
 type Histogram struct {
 	d       desc
 	bounds  []float64
 	buckets []atomic.Uint64 // one per bound, non-cumulative; +Inf is buckets[len(bounds)]
 	count   atomic.Uint64
 	sumBits atomic.Uint64 // math.Float64bits of the running sum, CAS-updated
+
+	// Writer-local state while buffered: per-bucket observations not yet
+	// published, and the running sum seeded from the published one. The
+	// sum is carried, not folded as a delta, so it adds the samples in
+	// exactly the order the direct path would.
+	buffered bool
+	pending  []uint64
+	sum      float64
 }
 
 // DurationBuckets is a default bucket layout for virtual-time latencies
@@ -298,6 +471,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		d:       desc{name: name, help: help, labels: sortLabels(labels)},
 		bounds:  bs,
 		buckets: make([]atomic.Uint64, len(bs)+1),
+		pending: make([]uint64, len(bs)+1),
 	}
 	return register(r, h)
 }
@@ -308,6 +482,11 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
+	if h.buffered {
+		h.pending[i]++
+		h.sum += v
+		return
+	}
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -322,7 +501,7 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a virtual duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
+// Count returns the number of published observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
@@ -330,7 +509,7 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observations.
+// Sum returns the published sum of observations.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
@@ -347,6 +526,32 @@ func (h *Histogram) zero() {
 	}
 	h.count.Store(0)
 	h.sumBits.Store(0)
+	clear(h.pending)
+	h.sum = 0
+}
+
+func (h *Histogram) setBuffered(on bool) {
+	if on {
+		h.sum = h.Sum()
+	}
+	h.buffered = on
+}
+
+// publish folds the pending bucket counts as integer deltas and stores
+// the running sum.
+func (h *Histogram) publish() {
+	var n uint64
+	for i, p := range h.pending {
+		if p != 0 {
+			h.buckets[i].Add(p)
+			h.pending[i] = 0
+			n += p
+		}
+	}
+	if n != 0 {
+		h.count.Add(n)
+		h.sumBits.Store(math.Float64bits(h.sum))
+	}
 }
 
 func (h *Histogram) jsonValue() any {

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -157,39 +159,249 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+// TestConcurrentScrapeWhileWriting scrapes while one goroutine writes,
+// on the direct atomic path and on the buffered single-writer path (with
+// checkpoints); under -race it pins that readers only load published
+// state.
 func TestConcurrentScrapeWhileWriting(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("spin_total", "")
-	h := r.Histogram("spin_seconds", "", DurationBuckets)
-	g := r.Gauge("spin", "")
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				c.Inc()
-				g.Set(float64(c.Value()))
-				h.Observe(0.001)
-				r.Advance(time.Duration(c.Value()))
+	for _, buffered := range []bool{false, true} {
+		t.Run(fmt.Sprint("buffered=", buffered), func(t *testing.T) {
+			r := NewRegistry()
+			c := r.Counter("spin_total", "")
+			h := r.Histogram("spin_seconds", "", DurationBuckets)
+			g := r.Gauge("spin", "")
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if buffered {
+					r.Buffer()
+					defer r.Flush()
+				}
+				for n := uint64(1); ; n++ {
+					select {
+					case <-done:
+						return
+					default:
+						c.Inc()
+						g.Set(float64(n))
+						h.Observe(0.001)
+						r.Advance(time.Duration(n))
+						if n%64 == 0 {
+							r.Publish()
+						}
+					}
+				}
+			}()
+			for i := 0; i < 50; i++ {
+				var buf bytes.Buffer
+				if err := r.WritePrometheus(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
+			close(done)
+			wg.Wait()
+			if c.Value() != h.Count() || uint64(g.Value()) != c.Value() || uint64(r.Now()) != c.Value() {
+				t.Fatalf("after the writer stopped: counter %d, histogram count %d, gauge %v, now %d",
+					c.Value(), h.Count(), g.Value(), r.Now())
+			}
+		})
 	}
-	close(done)
-	wg.Wait()
+}
+
+// regFixture is one registry with a fixed set of series, registered in
+// the same order on every instance.
+type regFixture struct {
+	r  *Registry
+	cs []*Counter
+	gs []*Gauge
+	hs []*Histogram
+}
+
+func newRegFixture() *regFixture {
+	r := NewRegistry()
+	f := &regFixture{r: r}
+	for _, port := range []string{"a", "b", "c"} {
+		f.cs = append(f.cs, r.Counter("frames_total", "frames", Label{"port", port}))
+	}
+	f.cs = append(f.cs, r.Counter("errors_total", "errors"))
+	f.gs = append(f.gs, r.Gauge("load_ratio", "load"), r.Gauge("state", "state", Label{"port", "a"}))
+	f.hs = append(f.hs,
+		r.Histogram("wire_seconds", "wire time", nil),
+		r.Histogram("size_bytes", "size", []float64{1, 4, 8}, Label{"bus", "x"}))
+	return f
+}
+
+// regOp is one hot-path write, applied identically to several fixtures.
+type regOp struct {
+	kind, i int
+	n       uint64
+	v       float64
+	at      time.Duration
+}
+
+func randomRegOp(rng *rand.Rand, step int) regOp {
+	o := regOp{kind: rng.Intn(5), i: rng.Intn(4), n: uint64(rng.Intn(5)), at: time.Duration(step * 1000)}
+	// Values that are not exact in binary, spread over every bucket, so a
+	// reordered float sum shows up in _sum.
+	o.v = rng.ExpFloat64() * []float64{0.0003, 0.002, 3}[rng.Intn(3)]
+	if rng.Intn(50) == 0 {
+		o.at -= 5000 // an out-of-order Advance must not move the clock back
+	}
+	return o
+}
+
+func (f *regFixture) apply(o regOp) {
+	switch o.kind {
+	case 0:
+		f.cs[o.i].Inc()
+	case 1:
+		f.cs[o.i].Add(o.n)
+	case 2:
+		f.gs[o.i%len(f.gs)].Set(o.v)
+	case 3:
+		f.hs[o.i%len(f.hs)].Observe(o.v)
+	case 4:
+		f.r.Advance(o.at)
+	}
+}
+
+// exposition renders both export formats.
+func exposition(t *testing.T, r *Registry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// TestRegistryBufferedMatchesModel applies one seeded write sequence to a
+// direct-mode registry (the model) and to a buffered one that publishes
+// every foldEvery writes, with a Reset and a Flush/Buffer cycle mid-run.
+// Between folds the buffered registry must export exactly the model's
+// exposition as of the last fold — later writes invisible — and after
+// each fold, and after the final Flush, exactly the model's current bytes
+// (histogram _sum included).
+func TestRegistryBufferedMatchesModel(t *testing.T) {
+	const ops = 3000
+	for _, foldEvery := range []int{1, 7, 256, 1001, ops} {
+		t.Run(fmt.Sprint("foldEvery=", foldEvery), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(foldEvery)))
+			model, buf := newRegFixture(), newRegFixture()
+			buf.r.Buffer()
+			published := exposition(t, model.r)
+			for i := 0; i < ops; i++ {
+				o := randomRegOp(rng, i)
+				model.apply(o)
+				buf.apply(o)
+				if i%37 == 0 {
+					if got := exposition(t, buf.r); got != published {
+						t.Fatalf("op %d: mid-run read is not the last fold:\n%s\nwant:\n%s", i, got, published)
+					}
+				}
+				folded := (i+1)%foldEvery == 0
+				if folded {
+					buf.r.Publish()
+				}
+				if i == ops/2 {
+					// Unpublished writes are dropped with the published ones.
+					model.r.Reset()
+					buf.r.Reset()
+					folded = true
+				}
+				if i == 2*ops/3 {
+					buf.r.Flush()
+					buf.r.Buffer()
+					folded = true
+				}
+				if !folded {
+					continue
+				}
+				published = exposition(t, model.r)
+				if got := exposition(t, buf.r); got != published {
+					t.Fatalf("op %d: after the fold:\n%s\nwant:\n%s", i, got, published)
+				}
+			}
+			buf.r.Flush()
+			if got, want := exposition(t, buf.r), exposition(t, model.r); got != want {
+				t.Fatalf("after Flush:\n%s\nwant:\n%s", got, want)
+			}
+			// Flushed, writes are direct again: visible without a fold.
+			o := regOp{kind: 3, v: 0.1}
+			model.apply(o)
+			buf.apply(o)
+			if got, want := exposition(t, buf.r), exposition(t, model.r); got != want {
+				t.Fatalf("write after Flush not direct:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+func TestRegistryResetDiscardsUnpublished(t *testing.T) {
+	f := newRegFixture()
+	f.r.Buffer()
+	f.cs[0].Add(5)
+	f.gs[0].Set(2)
+	f.hs[0].Observe(0.5)
+	f.r.Advance(time.Second)
+	f.r.Reset()
+	f.r.Flush()
+	if f.cs[0].Value() != 0 || f.gs[0].Value() != 0 || f.hs[0].Count() != 0 || f.hs[0].Sum() != 0 || f.r.Now() != 0 {
+		t.Fatalf("Reset kept unpublished writes: counter %d gauge %v hist %d/%v now %v",
+			f.cs[0].Value(), f.gs[0].Value(), f.hs[0].Count(), f.hs[0].Sum(), f.r.Now())
+	}
+	// A series registered while buffered starts buffered too.
+	f.r.Buffer()
+	late := f.r.Counter("late_total", "")
+	late.Inc()
+	if late.Value() != 0 {
+		t.Fatal("a series registered mid-run wrote through before the fold")
+	}
+	f.r.Flush()
+	if late.Value() != 1 {
+		t.Fatalf("late counter = %d after Flush, want 1", late.Value())
+	}
+}
+
+func TestRegistryBufferedZeroAlloc(t *testing.T) {
+	f := newRegFixture()
+	f.r.Buffer()
+	defer f.r.Flush()
+	n := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		n++
+		f.cs[0].Inc()
+		f.cs[1].Add(3)
+		f.gs[0].Set(0.5)
+		f.hs[0].ObserveDuration(250 * time.Microsecond)
+		f.r.Advance(time.Duration(n))
+		if n%256 == 0 {
+			f.r.Publish()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("buffered writes allocate %.1f per op", allocs)
+	}
+}
+
+func TestGaugeFuncEvaluatedAtExport(t *testing.T) {
+	r := NewRegistry()
+	v := 1.5
+	r.GaugeFunc("live_value", "computed on read", func() float64 { return v })
+	r.Reset() // holds no state: nothing to zero
+	v = 4
+	if out := exposition(t, r); !strings.Contains(out, "# TYPE live_value gauge\nlive_value 4\n") ||
+		!strings.Contains(out, `"value": 4`) {
+		t.Fatalf("gauge func not evaluated at export:\n%s", out)
+	}
 }
 
 func TestFormatFloat(t *testing.T) {

@@ -12,12 +12,18 @@
 // one predictable branch per sample and allocates nothing — so the fuzzing
 // hot path is unchanged unless observability is requested.
 //
-// Live reads are race-free and cheap for the writer. Metric series are
-// atomics: a scrape observes the counters as of the last completed event.
-// The tracer publishes in batches during a campaign run: a trace read
-// (/trace.json, /healthz, Events, Len, Total) is as of the last
-// publication, at most 256 events behind during a run, and exact after
-// the campaign stops. A Telemetry instruments one world; see Tracer.
+// Live reads are race-free and cheap for the writer. A campaign run
+// (Buffer ... Flush, called by core.Campaign's Start and Stop) makes the
+// world's goroutine the plane's only writer: metric writes land in
+// writer-local fields that the campaign's 256-frame checkpoint (Publish)
+// and Flush fold into the atomics readers load, and the tracer publishes
+// its ring once per 256 events. So during a run a metric read (/metrics,
+// /metrics.json, /healthz's clock) is as of the last checkpoint, at most
+// 256 fuzz frames behind, and a trace read (/trace.json, /healthz's event
+// count, Events, Len, Total) at most 256 events behind; both are exact
+// after the campaign stops. Outside a run every write is a direct atomic
+// update (or a locked trace append), safe from any goroutine. A Telemetry
+// instruments one world; see Registry and Tracer.
 //
 // Exports:
 //   - Registry: Prometheus text exposition and a JSON snapshot.
@@ -72,6 +78,38 @@ func (t *Telemetry) Advance(now time.Duration) {
 		return
 	}
 	t.Registry.Advance(now)
+}
+
+// Buffer puts the registry and the tracer into buffered mode for a run:
+// until Flush the calling goroutine must be the plane's only writer.
+// Nil-safe and idempotent.
+func (t *Telemetry) Buffer() {
+	if t == nil {
+		return
+	}
+	t.Registry.Buffer()
+	t.Tracer.Buffer()
+}
+
+// Publish folds the registry's buffered writes into its published series
+// (a run checkpoint). The tracer publishes on its own every 256 events.
+// Nil-safe; a no-op outside buffered mode.
+func (t *Telemetry) Publish() {
+	if t == nil {
+		return
+	}
+	t.Registry.Publish()
+}
+
+// Flush publishes everything buffered and returns registry and tracer to
+// their direct, any-goroutine write mode; reads are exact afterwards.
+// Nil-safe; a no-op outside buffered mode.
+func (t *Telemetry) Flush() {
+	if t == nil {
+		return
+	}
+	t.Registry.Flush()
+	t.Tracer.Flush()
 }
 
 // Reset zeroes every metric series and discards retained trace events,
