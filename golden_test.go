@@ -22,12 +22,12 @@ import (
 
 func TestGoldenTable4FuzzerOutput(t *testing.T) {
 	want := []string{
-		"1.196 01E2 6 DC D8 68 CE 02 84",
-		"2.146 0677 3 6E 43 01",
-		"3.134 0240 2 9B 03",
-		"4.162 0400 4 A5 46 7A 8D",
-		"5.148 01CA 3 EF 5F F3",
-		"6.116 0044 1 83",
+		"1.194 0510 6 77 1B E3 B0 AD 89",
+		"2.096 034D 0",
+		"3.170 0094 4 05 FB F9 25",
+		"4.144 046C 3 99 55 98",
+		"5.230 0723 8 3C A7 26 00 A5 43 C4 FA",
+		"6.112 04C6 1 CD",
 	}
 	rows := experiments.Table4(2, 6)
 	if len(rows) != len(want) {
@@ -72,7 +72,7 @@ func TestGoldenGeneratorStream(t *testing.T) {
 		sb.WriteString(gen.Next().String())
 		sb.WriteString("\n")
 	}
-	want := "04B1 8 84 3E DF 61 A5 88 70 D3\n01F9 2 E7 DC\n078C 0\n0604 5 AF 10 AA 16 C4\n"
+	want := "04C1 2 0C 41\n03B7 4 7D 66 DB 05\n0181 5 B7 80 A7 CA 38\n0118 3 6E B0 2A\n"
 	if sb.String() != want {
 		t.Fatalf("stream:\n%q\nwant:\n%q", sb.String(), want)
 	}
@@ -85,8 +85,8 @@ func TestGoldenFigure5Statistics(t *testing.T) {
 	}
 	// Exact values for the fixed seed; any drift means the generator or
 	// the accumulator changed.
-	if got := fmt.Sprintf("%.2f", res.Overall); got != "127.25" {
-		t.Fatalf("overall = %s, want 127.25", got)
+	if got := fmt.Sprintf("%.2f", res.Overall); got != "126.81" {
+		t.Fatalf("overall = %s, want 126.81", got)
 	}
 	if !res.Uniform {
 		t.Fatal("uniformity verdict changed")

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/bus"
@@ -74,8 +74,8 @@ func NewBitFuzzer(sched *clock.Scheduler, port *bus.Port, cfg BitFuzzConfig) *Bi
 		sched: sched,
 		port:  port,
 		cfg:   cfg,
-		rng:   rand.New(newRestartableSource(cfg.Seed)),
 	}
+	_, bf.rng = newRNG(cfg.Seed)
 	bf.onResult = func(res bus.RawResult) {
 		if res == bus.RawDelivered {
 			bf.stats.Delivered++
@@ -109,11 +109,11 @@ func (bf *BitFuzzer) Stop() {
 func (bf *BitFuzzer) InjectOne() { bf.injectOne() }
 
 func (bf *BitFuzzer) injectOne() {
-	base := bf.cfg.Corpus[bf.rng.Intn(len(bf.cfg.Corpus))]
+	base := bf.cfg.Corpus[bf.rng.IntN(len(bf.cfg.Corpus))]
 	bf.scratch = can.AppendEncodeBits(bf.scratch[:0], base)
 	bits := bf.scratch
 	for i := 0; i < bf.cfg.FlipBits; i++ {
-		bits[bf.rng.Intn(len(bits))] ^= 1
+		bits[bf.rng.IntN(len(bits))] ^= 1
 	}
 	if err := bf.port.SendRaw(bits, bf.onResult); err != nil {
 		bf.stats.Rejected++

@@ -54,7 +54,7 @@ func ExampleGenerator() {
 		fmt.Println(gen.Next())
 	}
 	// Output:
-	// 04B1 8 84 3E DF 61 A5 88 70 D3
-	// 01F9 2 E7 DC
-	// 078C 0
+	// 04C1 2 0C 41
+	// 03B7 4 7D 66 DB 05
+	// 0181 5 B7 80 A7 CA 38
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"repro/internal/bus"
@@ -37,6 +37,7 @@ type FDFuzzer struct {
 	sched *clock.Scheduler
 	port  *bus.Port
 	cfg   FDFuzzConfig
+	pcg   *rand.PCG
 	rng   *rand.Rand
 
 	sent   uint64
@@ -71,12 +72,9 @@ func NewFDFuzzer(sched *clock.Scheduler, port *bus.Port, cfg FDFuzzConfig) (*FDF
 	if cfg.Interval < MinInterval {
 		cfg.Interval = MinInterval
 	}
-	return &FDFuzzer{
-		sched: sched,
-		port:  port,
-		cfg:   cfg,
-		rng:   rand.New(newRestartableSource(cfg.Seed)),
-	}, nil
+	f := &FDFuzzer{sched: sched, port: port, cfg: cfg}
+	f.pcg, f.rng = newRNG(cfg.Seed)
+	return f, nil
 }
 
 // Sent returns the number of frames transmitted.
@@ -89,14 +87,14 @@ func (f *FDFuzzer) SendErrors() uint64 { return f.errors }
 func (f *FDFuzzer) Next() can.FDFrame {
 	var id can.ID
 	if n := len(f.cfg.TargetIDs); n > 0 {
-		id = f.cfg.TargetIDs[f.rng.Intn(n)]
+		id = f.cfg.TargetIDs[f.rng.IntN(n)]
 	} else {
-		id = f.cfg.IDMin + can.ID(f.rng.Intn(int(f.cfg.IDMax-f.cfg.IDMin)+1))
+		id = f.cfg.IDMin + can.ID(f.rng.IntN(int(f.cfg.IDMax-f.cfg.IDMin)+1))
 	}
-	size := f.cfg.Sizes[f.rng.Intn(len(f.cfg.Sizes))]
+	size := f.cfg.Sizes[f.rng.IntN(len(f.cfg.Sizes))]
 	data := make([]byte, size)
-	f.rng.Read(data)
-	brs := f.rng.Intn(100) < f.cfg.BRSProbability
+	fillUniform(f.pcg, data)
+	brs := f.rng.IntN(100) < f.cfg.BRSProbability
 	frame, err := can.NewFD(id, data, brs)
 	if err != nil {
 		// Unreachable: sizes and ids are pre-validated.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/can"
 )
@@ -10,7 +11,8 @@ import (
 // deterministic given the seed.
 type Generator struct {
 	cfg Config
-	rng *restartableSource
+	pcg *rand.PCG
+	rng *rand.Rand
 
 	// Sweep state: an odometer over (payload bytes, id).
 	sweepID      can.ID
@@ -29,7 +31,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	// neither is a usable mutation parent (flipping payload bits in an RTR
 	// frame yields an invalid frame the port rejects). Filter here, and fail
 	// loudly if nothing survives — previously an all-filtered corpus reached
-	// nextMutated and panicked in rand.Intn(0).
+	// nextMutated and panicked in an IntN(0) draw.
 	if cfg.Mode == ModeMutate {
 		kept := make([]can.Frame, 0, len(cfg.Corpus))
 		for _, f := range cfg.Corpus {
@@ -43,10 +45,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		}
 		cfg.Corpus = kept
 	}
-	g := &Generator{
-		cfg: cfg,
-		rng: newRestartableSource(cfg.Seed),
-	}
+	g := &Generator{cfg: cfg}
+	g.pcg, g.rng = newRNG(cfg.Seed)
 	if cfg.Mode == ModeSweep {
 		g.sweepID = cfg.IDMin
 		g.sweepPayload = make([]int, cfg.SweepLen)
@@ -64,12 +64,11 @@ func (g *Generator) Config() Config { return g.cfg }
 // (possibly different) seed: the RNG stream restarts from seed and the
 // sweep odometer returns to its origin. The already-validated
 // configuration is retained, so Reset skips validation and corpus
-// filtering and allocates nothing — the restartable source makes a
-// same-seed reseed a state copy rather than a full re-derivation, and
-// either way the stream matches a freshly built generator's.
+// filtering and allocates nothing; the PCG reseeds in place, so the
+// stream matches a freshly built generator's.
 func (g *Generator) Reset(seed int64) {
 	g.cfg.Seed = seed
-	g.rng.Seed(seed)
+	seedRNG(g.pcg, seed)
 	g.sweepWrapped = false
 	if g.cfg.Mode == ModeSweep {
 		g.sweepID = g.cfg.IDMin
@@ -92,24 +91,29 @@ func (g *Generator) Next() can.Frame {
 }
 
 // nextRandom draws a frame uniformly from the configured ranges — the
-// paper's random bytes generator.
+// paper's random bytes generator. The full 0x00–0xFF byte range (the
+// Table III default) fills the payload eight bytes per draw.
 func (g *Generator) nextRandom() can.Frame {
 	var f can.Frame
 	f.ID = g.randomID()
-	length := g.cfg.LenMin + g.rng.Intn(g.cfg.LenMax-g.cfg.LenMin+1)
+	length := g.cfg.LenMin + g.rng.IntN(g.cfg.LenMax-g.cfg.LenMin+1)
 	f.Len = uint8(length)
+	if g.cfg.ByteMin == 0 && g.cfg.ByteMax == 0xFF {
+		fillUniform(g.pcg, f.Data[:length])
+		return f
+	}
 	span := g.cfg.ByteMax - g.cfg.ByteMin + 1
 	for i := 0; i < length; i++ {
-		f.Data[i] = byte(g.cfg.ByteMin + g.rng.Intn(span))
+		f.Data[i] = byte(g.cfg.ByteMin + g.rng.IntN(span))
 	}
 	return f
 }
 
 func (g *Generator) randomID() can.ID {
 	if n := len(g.cfg.TargetIDs); n > 0 {
-		return g.cfg.TargetIDs[g.rng.Intn(n)]
+		return g.cfg.TargetIDs[g.rng.IntN(n)]
 	}
-	return g.cfg.IDMin + can.ID(g.rng.Intn(int(g.cfg.IDMax-g.cfg.IDMin)+1))
+	return g.cfg.IDMin + can.ID(g.rng.IntN(int(g.cfg.IDMax-g.cfg.IDMin)+1))
 }
 
 // nextMutated picks a corpus frame and flips MutateBits random bits in the
@@ -117,10 +121,10 @@ func (g *Generator) randomID() can.ID {
 func (g *Generator) nextMutated() can.Frame {
 	if len(g.cfg.Corpus) == 0 {
 		// Unreachable after NewGenerator's filtering, but a stray empty
-		// corpus must degrade to random — never rand.Intn(0).
+		// corpus must degrade to random — never IntN(0).
 		return g.nextRandom()
 	}
-	f := g.cfg.Corpus[g.rng.Intn(len(g.cfg.Corpus))]
+	f := g.cfg.Corpus[g.rng.IntN(len(g.cfg.Corpus))]
 	payloadBits := int(f.Len) * 8
 	idBits := 0
 	if g.cfg.MutateID {
@@ -131,7 +135,7 @@ func (g *Generator) nextMutated() can.Frame {
 		return f
 	}
 	for i := 0; i < g.cfg.MutateBits; i++ {
-		bit := g.rng.Intn(total)
+		bit := g.rng.IntN(total)
 		if bit < payloadBits {
 			f.Data[bit/8] ^= 1 << (bit % 8)
 			continue

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/bcm"
+	"repro/internal/bus"
 	"repro/internal/can"
+	"repro/internal/clock"
 )
 
 func TestFigure1ShapeFuzzingNearBottom(t *testing.T) {
@@ -96,11 +98,15 @@ func TestTable4SampleOutput(t *testing.T) {
 	if len(lens) < 2 {
 		t.Fatal("fuzzer sample shows no length variation")
 	}
-	// 1 ms pacing: consecutive records ~1 ms apart.
+	// 1 ms pacing. Captures are stamped at end of frame and the fuzzer is
+	// alone on the bus, so consecutive stamps differ by exactly the 1 ms
+	// period plus the difference of the two frames' wire times.
+	b := bus.New(clock.New())
 	for i := 1; i < len(rows); i++ {
 		gap := rows[i].Time - rows[i-1].Time
-		if gap < 900*time.Microsecond || gap > 1100*time.Microsecond {
-			t.Fatalf("inter-frame gap = %v, want ~1ms", gap)
+		want := time.Millisecond + b.FrameTime(rows[i].Frame) - b.FrameTime(rows[i-1].Frame)
+		if gap != want {
+			t.Fatalf("inter-frame gap %d = %v, want %v", i, gap, want)
 		}
 	}
 }

@@ -116,7 +116,7 @@ type Tracer struct {
 
 	// Writer state: the owner's alone while buffered, guarded by mu
 	// otherwise.
-	buf      []Event // capacity + traceSlack slots
+	buf      []Event // capacity + traceSlack slots, allocated on first use
 	capacity int     // events retained for readers
 	w        int     // slot the next event is written to
 	pending  int     // events written but not yet published
@@ -138,12 +138,14 @@ const DefaultTraceCapacity = 1 << 16
 const traceSlack = 256
 
 // NewTracer creates a tracer retaining up to capacity events
-// (DefaultTraceCapacity when capacity <= 0).
+// (DefaultTraceCapacity when capacity <= 0). The ring is allocated at full
+// size when the tracer is first buffered or first records, so a tracer
+// that never does holds no ring for the garbage collector to scan.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{buf: make([]Event, capacity+traceSlack), capacity: capacity}
+	return &Tracer{capacity: capacity}
 }
 
 // SetKinds restricts recording to the given kinds (all kinds when empty;
@@ -167,10 +169,17 @@ func (t *Tracer) records(k EventKind) bool {
 }
 
 // Buffer switches the tracer to buffered mode for a run: from now until
-// Flush the calling goroutine must be its only writer. Idempotent.
+// Flush the calling goroutine must be its only writer. Idempotent. The
+// ring is allocated here or on the first locked-mode record, so the
+// buffered write path never checks for it.
 func (t *Tracer) Buffer() {
 	if t == nil {
 		return
+	}
+	if !t.buffered {
+		t.mu.Lock()
+		t.allocRing()
+		t.mu.Unlock()
 	}
 	t.buffered = true
 }
@@ -210,10 +219,19 @@ func (t *Tracer) Begin(kind EventKind, at time.Duration, actor, name string) *Ev
 	}
 	if !t.buffered {
 		t.mu.Lock()
+		t.allocRing()
 	}
 	e := &t.buf[t.w]
 	e.At, e.Dur, e.Kind, e.Actor, e.Name, e.Detail, e.ID, e.N = at, 0, kind, actor, name, "", 0, 0
 	return e
+}
+
+// allocRing allocates the ring if it has none yet; the caller holds mu,
+// under which readers read buf.
+func (t *Tracer) allocRing() {
+	if t.buf == nil {
+		t.buf = make([]Event, t.capacity+traceSlack)
+	}
 }
 
 // Commit records the event Begin returned.

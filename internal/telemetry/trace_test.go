@@ -263,6 +263,81 @@ func TestTracerConcurrentReadsWhileBuffered(t *testing.T) {
 	}
 }
 
+// TestTracerUnwrittenHoldsNoRing checks the ring is allocated only when
+// the tracer is first buffered or first records: one that never does (or
+// whose kind filter drops everything it is given) holds no ring and
+// reads as empty.
+func TestTracerUnwrittenHoldsNoRing(t *testing.T) {
+	tr := NewTracer(0)
+	tr.SetKinds(EvOracle)
+	tr.Emit(Event{Kind: EvTx})
+	tr.Flush()
+	tr.Reset()
+	if tr.buf != nil {
+		t.Fatalf("unwritten tracer holds a %d-slot ring", len(tr.buf))
+	}
+	if tr.Len() != 0 || tr.Total() != 0 || len(tr.Events()) != 0 {
+		t.Fatal("unwritten tracer is not empty")
+	}
+	var out bytes.Buffer
+	if err := tr.WriteChromeTrace(&out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ TraceEvents []json.RawMessage }
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil || len(doc.TraceEvents) != 0 {
+		t.Fatalf("empty trace = %s (err %v), want no events", out.Bytes(), err)
+	}
+	tr.Emit(Event{Kind: EvOracle})
+	if len(tr.buf) != DefaultTraceCapacity+traceSlack || tr.Len() != 1 {
+		t.Fatalf("after one record: ring %d slots, Len %d", len(tr.buf), tr.Len())
+	}
+	buffered := NewTracer(8)
+	buffered.Buffer()
+	if len(buffered.buf) != 8+traceSlack {
+		t.Fatalf("buffered tracer holds a %d-slot ring, want %d", len(buffered.buf), 8+traceSlack)
+	}
+}
+
+// TestTracerFirstRecordRacesReader has the owner allocate the ring, by
+// buffering or by its first locked-mode record, while another goroutine
+// reads the tracer. Under -race it proves the allocation is published
+// safely.
+func TestTracerFirstRecordRacesReader(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		tr := NewTracer(16)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 3; i++ {
+				if n := len(tr.Events()); n > 16 || tr.Len() > 16 {
+					t.Errorf("snapshot of %d events exceeds capacity", n)
+				}
+				if err := tr.WriteChromeTrace(io.Discard); err != nil {
+					t.Errorf("WriteChromeTrace: %v", err)
+				}
+			}
+		}()
+		close(start)
+		buffered := round%2 == 0
+		if buffered {
+			tr.Buffer()
+		}
+		for i := 0; i < traceSlack+1; i++ {
+			if ev := tr.Begin(EvTx, time.Duration(i), "fuzzer", "tx"); ev != nil {
+				tr.Commit()
+			}
+		}
+		tr.Flush()
+		wg.Wait()
+		if tr.Total() != traceSlack+1 {
+			t.Fatalf("buffered=%v: Total = %d, want %d", buffered, tr.Total(), traceSlack+1)
+		}
+	}
+}
+
 // TestTracerBufferedZeroAlloc pins the buffered write path — Begin/Commit,
 // Emit, the batched publication and Flush — at zero allocations.
 func TestTracerBufferedZeroAlloc(t *testing.T) {
