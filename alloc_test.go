@@ -138,14 +138,7 @@ func TestFleetTrialAllocBudget(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{
-			Sched:    exp.Bench.Scheduler(),
-			Campaign: exp.Campaign,
-			Reset: func(ts fleet.TrialSpec) error {
-				exp.Reset(ts.Seed)
-				return nil
-			},
-		}, nil
+		return exp.World(), nil
 	}
 	run := func() {
 		if _, err := fleet.Run(cfg, factory); err != nil {

@@ -29,15 +29,12 @@ import (
 
 // campaignBench is the standard one-virtual-second bench-fuzzing workload,
 // built once and recycled with the world-reuse machinery: every op resets
-// the scheduler, bench and campaign in place and replays the same seed.
-// The optional telemetry plane makes it the telemetry-overhead yardstick:
-// BenchmarkCampaign exercises the nil-receiver no-op hooks, and
-// BenchmarkCampaignTelemetry the live counters and tracer.
+// the world in place and replays the same seed. The optional telemetry
+// plane makes it the telemetry-overhead yardstick: BenchmarkCampaign
+// exercises the nil-receiver no-op hooks, and BenchmarkCampaignTelemetry
+// the live counters and tracer.
 type campaignBench struct {
-	sched    *clock.Scheduler
-	bench    *testbench.Bench
-	tel      *telemetry.Telemetry
-	campaign *core.Campaign
+	exp *testbench.UnlockExperiment
 }
 
 func newCampaignBench(tb testing.TB, tel *telemetry.Telemetry) *campaignBench {
@@ -55,19 +52,16 @@ func newCampaignBench(tb testing.TB, tel *telemetry.Telemetry) *campaignBench {
 		tb.Fatal(err)
 	}
 	campaign.AddOracle(bench.UnlockOracle())
-	return &campaignBench{sched: sched, bench: bench, tel: tel, campaign: campaign}
+	return &campaignBench{exp: &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}}
 }
 
 // run executes one virtual second of fuzzing on the recycled world.
 func (cb *campaignBench) run() uint64 {
-	cb.sched.Reset()
-	cb.tel.Reset()
-	cb.bench.Reset()
-	cb.campaign.Reset(7)
-	cb.campaign.Start()
-	cb.sched.RunUntil(time.Second)
-	cb.campaign.Stop()
-	return cb.campaign.FramesSent()
+	cb.exp.Reset(7)
+	cb.exp.Campaign.Start()
+	cb.exp.Bench.Scheduler().RunUntil(time.Second)
+	cb.exp.Campaign.Stop()
+	return cb.exp.Campaign.FramesSent()
 }
 
 // BenchmarkCampaign is the uninstrumented baseline: every telemetry hook
@@ -371,11 +365,7 @@ func fleetTable5Factory(spec fleet.TrialSpec) (*fleet.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{
-		Sched:    exp.Bench.Scheduler(),
-		Campaign: exp.Campaign,
-		Reset:    func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil },
-	}, nil
+	return exp.World(), nil
 }
 
 // BenchmarkFleet measures fleet scaling on the Table V workload: the same

@@ -382,13 +382,11 @@ func benchCampaign(b *testing.B, tel *telemetry.Telemetry) {
 		b.Fatal(err)
 	}
 	campaign.AddOracle(bench.UnlockOracle())
+	exp := &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.Reset()
-		tel.Reset()
-		bench.Reset()
-		campaign.Reset(7)
+		exp.Reset(7)
 		campaign.Start()
 		sched.RunUntil(time.Second)
 		campaign.Stop()
@@ -414,11 +412,7 @@ func benchFleet(trials int) func(b *testing.B) {
 				if err != nil {
 					return nil, err
 				}
-				return &fleet.World{
-					Sched:    exp.Bench.Scheduler(),
-					Campaign: exp.Campaign,
-					Reset:    func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil },
-				}, nil
+				return exp.World(), nil
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -56,14 +56,20 @@ func unlockFleetFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{
-		Sched:    exp.Bench.Scheduler(),
-		Campaign: exp.Campaign,
-		Reset: func(ts fleet.TrialSpec) error {
-			exp.Reset(ts.Seed)
-			return nil
-		},
-	}, nil
+	return exp.World(), nil
+}
+
+// coldFactory wraps a factory so its worlds have no Reset hook: every
+// trial builds a fresh world, the cold oracle the reuse path is compared
+// against.
+func coldFactory(factory fleet.TargetFactory) fleet.TargetFactory {
+	return func(spec fleet.TrialSpec) (*fleet.World, error) {
+		w, err := factory(spec)
+		if w != nil {
+			w.Reset = nil
+		}
+		return w, err
+	}
 }
 
 // fleetReportJSON runs a fleet configuration and returns the aggregated
@@ -96,9 +102,7 @@ func TestDeterminismReuseEquivalence(t *testing.T) {
 			MaxPerTrial: 30 * time.Minute,
 		}
 
-		cold := cfg
-		cold.DisableReuse = true
-		coldJSON := fleetReportJSON(t, cold, unlockFleetFactory)
+		coldJSON := fleetReportJSON(t, cfg, coldFactory(unlockFleetFactory))
 
 		reuseJSON := fleetReportJSON(t, cfg, unlockFleetFactory)
 		if !bytes.Equal(coldJSON, reuseJSON) {

@@ -82,12 +82,19 @@ type BCM struct {
 	db  *signal.Database
 	cfg Config
 
+	onChange func(unlocked bool)
+
+	bcmRun
+}
+
+// bcmRun is the application's per-trial state. Reset assigns it whole,
+// so a cold build (New calls Reset) and a warm reset start identically.
+type bcmRun struct {
 	unlocked bool
 	alive    uint8
 	ackSeq   uint8
 	unlocks  uint64
 	locks    uint64
-	onChange func(unlocked bool)
 
 	// cmdFrames counts every frame seen on the command identifier;
 	// nearMisses counts frames carrying a valid command byte that failed the
@@ -103,29 +110,23 @@ func New(e *ecu.ECU, cfg Config) *BCM {
 	if cfg.Check == 0 {
 		cfg.Check = CheckByteOnly
 	}
-	b := &BCM{ecu: e, db: signal.VehicleDB(), cfg: cfg, unlocked: cfg.StartUnlocked}
+	b := &BCM{ecu: e, db: signal.VehicleDB(), cfg: cfg}
 	e.Handle(signal.IDBodyCommand, b.onCommand)
 	e.Periodic(100*time.Millisecond, b.broadcastStatus)
+	b.Reset()
 	return b
 }
 
 // ECU exposes the underlying runtime.
 func (b *BCM) ECU() *ecu.ECU { return b.ecu }
 
-// Reset returns the application state to its as-constructed form for
-// world reuse: lock state back to the configured start, liveness and
-// acknowledgement sequence numbers rewound, transition and feedback
-// counters zeroed. The OnChange callback and the underlying ECU runtime
-// (reset separately via ECU().Reset, which re-arms the status broadcast)
-// are retained.
+// Reset returns the application state to its as-built form; New runs the
+// same code. The lock state starts at the configured value, sequence
+// numbers rewind and the transition and feedback counters zero. The
+// OnChange callback and the underlying ECU runtime (reset separately via
+// ECU().Reset, which re-arms the status broadcast) are retained.
 func (b *BCM) Reset() {
-	b.unlocked = b.cfg.StartUnlocked
-	b.alive = 0
-	b.ackSeq = 0
-	b.unlocks = 0
-	b.locks = 0
-	b.cmdFrames = 0
-	b.nearMisses = 0
+	b.bcmRun = bcmRun{unlocked: b.cfg.StartUnlocked}
 }
 
 // Unlocked reports the lock state (true = unlocked = bench LED on).

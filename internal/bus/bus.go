@@ -205,14 +205,39 @@ type Bus struct {
 	taps          []Receiver
 	fdTaps        []FDReceiver
 	fdDataBitrate int
-	busy          bool
-	delivering    bool
 	corrupt       Corruptor
 	intercept     Interceptor
+	autoRecover   bool
+
+	completeEvent clock.Event // bound once in New to completePending
+	jamEvent      clock.Event // bound once in New to jamEnded
+
+	// win is the sliding load window; Reset rewinds it, keeping the
+	// configured bucket span.
+	win loadWindow
+
+	busRun
+
+	// Telemetry hooks; all nil (no-op) until Instrument is called.
+	tel        *telemetry.Telemetry
+	mDelivered *telemetry.Counter
+	mCorrupted *telemetry.Counter
+	mFaultDrop *telemetry.Counter
+	mFaultDup  *telemetry.Counter
+	mBits      *telemetry.Counter
+	gLoad      *telemetry.Gauge
+	hWireTime  *telemetry.Histogram
+}
+
+// busRun is the bus's per-trial state. Reset assigns it whole, so a
+// cold build (New calls Reset) and a warm reset start identically.
+type busRun struct {
+	busy       bool
+	delivering bool
 
 	// pend is the single in-flight transmission (the bus carries at most one
 	// frame at a time, gated by busy). Keeping it on the Bus and dispatching
-	// through the pre-bound completion events below means starting a
+	// through the pre-bound completion events means starting a
 	// transmission allocates nothing: the old code closed over (port, frame,
 	// dur) in a fresh closure per frame, the third-largest allocation source
 	// on the hot path.
@@ -225,8 +250,6 @@ type Bus struct {
 		dur   time.Duration
 		bits  int
 	}
-	completeEvent clock.Event // bound once in New to completePending
-	jamEvent      clock.Event // bound once in New to jamEnded
 
 	// Stuck-dominant window: no transmission starts and no recessive bits
 	// are observable before jamUntil.
@@ -239,7 +262,6 @@ type Bus struct {
 	// frame — skip the port scan in the overwhelmingly common case of no
 	// node recovering.
 	idle            bool
-	autoRecover     bool
 	recoveringCount int
 
 	// txPending counts queued transmissions across every port and queue
@@ -256,18 +278,7 @@ type Bus struct {
 	pendingMask uint64
 
 	stats Stats
-	start time.Duration
-	win   loadWindow
-
-	// Telemetry hooks; all nil (no-op) until Instrument is called.
-	tel        *telemetry.Telemetry
-	mDelivered *telemetry.Counter
-	mCorrupted *telemetry.Counter
-	mFaultDrop *telemetry.Counter
-	mFaultDup  *telemetry.Counter
-	mBits      *telemetry.Counter
-	gLoad      *telemetry.Gauge
-	hWireTime  *telemetry.Histogram
+	start time.Duration // load baseline: the instant of the last Reset
 }
 
 // New creates a bus on the given scheduler.
@@ -280,7 +291,6 @@ func New(sched *clock.Scheduler, opts ...Option) *Bus {
 		bitrate:  DefaultBitrate,
 		queueCap: DefaultTxQueueCap,
 		name:     "can",
-		start:    sched.Now(),
 		win:      loadWindow{bucket: DefaultLoadWindow / loadWindowBuckets},
 	}
 	for _, o := range opts {
@@ -288,6 +298,7 @@ func New(sched *clock.Scheduler, opts ...Option) *Bus {
 	}
 	b.completeEvent = b.completePending
 	b.jamEvent = b.jamEnded
+	b.Reset()
 	return b
 }
 
@@ -438,15 +449,11 @@ func (b *Bus) FrameTime(f can.Frame) time.Duration {
 
 // Connect attaches a named node to the bus and returns its port.
 func (b *Bus) Connect(name string) *Port {
-	p := &Port{
-		bus:         b,
-		name:        name,
-		state:       ErrorActive,
-		autoRecover: b.autoRecover,
-	}
+	p := &Port{bus: b, name: name}
 	if idx := len(b.ports); idx < 64 {
 		p.bit = 1 << idx
 	}
+	p.reset()
 	b.ports = append(b.ports, p)
 	if b.tel != nil {
 		p.instrument()
@@ -454,37 +461,21 @@ func (b *Bus) Connect(name string) *Port {
 	return p
 }
 
-// Reset returns the bus and every connected port to the freshly-
-// constructed state for world reuse. Configuration survives — bitrate,
-// queue capacity, name, taps, receivers, fault hooks, telemetry handles,
-// the auto-recovery default — while dynamic state is cleared: the
-// in-flight transmission, jam window, idle/recovery tracking, lifetime
-// and sliding-window statistics, and each port's queues, error counters
-// and fault-confinement state. The caller must Reset the scheduler
-// first, so no completion or recovery event from the previous life can
-// fire; the load-window and statistics baselines restart at the
-// scheduler's (new) current instant. Steady state allocates nothing.
+// Reset returns the bus and every connected port to their as-built state;
+// New and Connect run the same code, so a cold build and a warm reset
+// start identically. Configuration survives — bitrate, queue capacity,
+// name, taps, receivers, fault hooks, telemetry handles, the
+// auto-recovery default — while the per-trial state (busRun, the load
+// window, each port's portRun and queues) starts over, with the load
+// baseline at the scheduler's current instant. Under world reuse it runs
+// after a scheduler reset, so no completion or recovery event from the
+// previous life can fire. Steady state allocates nothing.
 func (b *Bus) Reset() {
-	b.busy = false
-	b.delivering = false
-	b.pend.kind = txClassic
-	b.pend.port = nil
-	b.pend.frame = can.Frame{}
-	b.pend.raw = rawTx{}
-	b.pend.fd = can.FDFrame{}
-	b.pend.dur = 0
-	b.pend.bits = 0
-	b.jamUntil = 0
-	b.idle = false
-	b.recoveringCount = 0
-	b.txPending = 0
-	b.pendingMask = 0
-	b.stats = Stats{}
-	b.start = b.sched.Now()
-	b.win.reset()
 	for _, p := range b.ports {
 		p.reset()
 	}
+	b.busRun = busRun{start: b.sched.Now()}
+	b.win.reset()
 }
 
 // tryStart begins the highest-priority pending transmission if the bus is

@@ -47,13 +47,10 @@ func (w *loadWindow) rotate(now time.Duration) {
 	w.curEnd += time.Duration(steps) * w.bucket
 }
 
-// reset clears the accumulated window back to the zero value, keeping
-// the configured bucket span. Used by Bus.Reset for world reuse.
+// reset clears the accumulated window, keeping the configured bucket
+// span. Used by Bus.Reset.
 func (w *loadWindow) reset() {
-	w.busy = [loadWindowBuckets]time.Duration{}
-	w.total = 0
-	w.cur = 0
-	w.curEnd = 0
+	*w = loadWindow{bucket: w.bucket}
 }
 
 // add credits dur of busy time at completion instant now.

@@ -32,18 +32,32 @@ type PortStats struct {
 // Port is a node's attachment to the bus. A port both transmits (Send) and
 // receives (SetReceiver). Ports are created by Bus.Connect.
 type Port struct {
-	bus      *Bus
-	name     string
-	recv     Receiver
-	fdRecv   FDReceiver
-	txq      ring[can.Frame]
-	rawq     ring[rawTx]
-	fdq      ring[can.FDFrame]
-	detached bool
+	bus    *Bus
+	name   string
+	recv   Receiver
+	fdRecv FDReceiver
+	txq    ring[can.Frame]
+	rawq   ring[rawTx]
+	fdq    ring[can.FDFrame]
 
 	// bit is this port's position in the bus's pendingMask (zero for
 	// ports past the first 64, which the mask cannot represent).
 	bit uint64
+
+	portRun
+
+	// Telemetry handles; nil (no-op) until the bus is instrumented.
+	mTx      *telemetry.Counter
+	mRx      *telemetry.Counter
+	mArbLoss *telemetry.Counter
+	mDropped *telemetry.Counter
+	gState   *telemetry.Gauge
+}
+
+// portRun is the port's per-trial state. reset assigns it whole, so a
+// freshly connected port and a reset one start identically.
+type portRun struct {
+	detached bool
 
 	state NodeState
 	tec   int // transmit error counter
@@ -57,13 +71,6 @@ type Port struct {
 	recTimer     *clock.Timer
 
 	stats PortStats
-
-	// Telemetry handles; nil (no-op) until the bus is instrumented.
-	mTx      *telemetry.Counter
-	mRx      *telemetry.Counter
-	mArbLoss *telemetry.Counter
-	mDropped *telemetry.Counter
-	gState   *telemetry.Gauge
 }
 
 // instrument registers the per-port counter series. Called by
@@ -197,24 +204,18 @@ func (p *Port) dropQueued() {
 	p.fdq.clear()
 }
 
-// reset returns the port to its freshly-connected state for world reuse:
-// queues emptied, error-active with zeroed counters, attached, recovery
-// abandoned, statistics cleared. The receiver callback, telemetry
-// handles and the bus's auto-recovery default are retained. Called from
-// Bus.Reset after the scheduler has been reset, so the stale recovery
-// timer handle (already invalidated by the scheduler's generation bump)
-// is simply dropped.
+// reset returns the port to its freshly-connected state: queues emptied,
+// attached and error-active with zeroed counters and statistics, no
+// recovery in progress, the bus's auto-recovery default. Connect and
+// Bus.Reset call it; the receiver callback and telemetry handles are
+// retained. Under Bus.Reset the scheduler was reset first, so the stale
+// recovery timer handle is already invalidated and is simply dropped;
+// the bus-wide pending accounting restarts with the bus's own run state.
 func (p *Port) reset() {
-	p.dropQueued()
-	p.detached = false
-	p.state = ErrorActive
-	p.tec, p.rec = 0, 0
-	p.autoRecover = p.bus.autoRecover
-	p.recovering = false
-	p.recSeq = 0
-	p.recIdleStart = 0
-	p.recTimer = nil
-	p.stats = PortStats{}
+	p.txq.clear()
+	p.rawq.clear()
+	p.fdq.clear()
+	p.portRun = portRun{state: ErrorActive, autoRecover: p.bus.autoRecover}
 	p.gState.Set(float64(p.state))
 }
 

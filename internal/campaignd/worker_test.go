@@ -130,11 +130,7 @@ func resettableBench(baseSeed int64, builds map[int64]int) fleet.TargetFactory {
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{
-			Sched:    exp.Bench.Scheduler(),
-			Campaign: exp.Campaign,
-			Reset:    func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil },
-		}, nil
+		return exp.World(), nil
 	}
 }
 
@@ -209,8 +205,15 @@ func TestWorkerForgetsFinishedCampaigns(t *testing.T) {
 	}
 	for _, fc := range []*fakeCampaign{a, b} {
 		cfg := fc.spec.FleetConfig()
-		cfg.Workers, cfg.DisableReuse = 1, true
-		cold, err := fleet.Run(cfg, resettableBench(0, map[int64]int{}))
+		cfg.Workers = 1
+		warm := resettableBench(0, map[int64]int{})
+		cold, err := fleet.Run(cfg, func(spec fleet.TrialSpec) (*fleet.World, error) {
+			w, err := warm(spec)
+			if w != nil {
+				w.Reset = nil // a fresh world per trial: the cold oracle
+			}
+			return w, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

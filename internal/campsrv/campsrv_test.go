@@ -36,11 +36,7 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{
-		Sched:    exp.Bench.Scheduler(),
-		Campaign: exp.Campaign,
-		Reset:    func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil },
-	}, nil
+	return exp.World(), nil
 }
 
 // workerBuilds is one worker's campaign-agnostic runtime builder. It
@@ -101,8 +97,14 @@ func testSpec(trials int, baseSeed int64) campaignd.CampaignSpec {
 func inProcessGolden(t *testing.T, spec campaignd.CampaignSpec) []byte {
 	t.Helper()
 	cfg := spec.FleetConfig()
-	cfg.Workers, cfg.DisableReuse = 1, true
-	rep, err := fleet.Run(cfg, unlockFactory)
+	cfg.Workers = 1
+	rep, err := fleet.Run(cfg, func(spec fleet.TrialSpec) (*fleet.World, error) {
+		w, err := unlockFactory(spec)
+		if w != nil {
+			w.Reset = nil // a fresh world per trial: the cold oracle
+		}
+		return w, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,43 +167,24 @@ type Campaign struct {
 	gen   *Generator
 	mon   *Monitor
 
-	oracles  []oracle.Oracle
-	findings []Finding
-
-	framesSent  uint64
-	sendErrors  uint64
-	errsByCause [numSendErrorCauses]uint64
-	started     time.Duration
-	running     bool
+	oracles []oracle.Oracle
 	// timer is the pacing loop: a re-armable Periodic allocated once at
 	// construction, so Start/Stop cycles (and pooled world reuse) never
 	// allocate a timer or closure.
 	timer *clock.Periodic
 
+	// Configuration, fixed once the options have run.
 	stopOnFinding bool
+	resilience    *Resilience // nil: no policy
 	reset         func()
 	onStop        func()
 	onFinding     func(Finding)
 	window        int
 	maxFrames     uint64
 	src           FrameSource
-
-	// Construction-time snapshots consulted by Reset: RunUntilFinding
-	// mutates stopOnFinding and lazily installs a default resilience
-	// policy, and a reused world must start the next trial from the
-	// as-constructed values, not whatever the previous trial left behind.
-	stopOnFindingInit bool
-	resCfg            Resilience
-	hasResCfg         bool
-
-	// res is the resilience policy; nil (the default) means no retries and
-	// no watchdog, with zero overhead on the send path.
-	res *resState
-	// wallBudget bounds RunUntilFinding in wall-clock time (0 = unbounded);
-	// wallExpired records that the budget, not the virtual deadline, ended
-	// the run. See SetWallBudget.
-	wallBudget  time.Duration
-	wallExpired bool
+	// wallBudget bounds RunUntilFinding in wall-clock time (0 = unbounded).
+	// See SetWallBudget.
+	wallBudget time.Duration
 	// faultCounts snapshots injected-fault counts for BuildReport.
 	faultCounts func() map[string]uint64
 
@@ -215,6 +196,34 @@ type Campaign struct {
 	mResets   *telemetry.Counter
 	gDistinct *telemetry.Gauge
 	gByteMean *telemetry.Gauge
+
+	// findings keeps its capacity across Reset, so a reset allocates
+	// nothing.
+	findings []Finding
+	campaignRun
+}
+
+// campaignRun is the campaign's per-trial state. Reset assigns it whole,
+// so a cold build (NewCampaign calls Reset) and a warm reset start
+// identically.
+type campaignRun struct {
+	framesSent  uint64
+	sendErrors  uint64
+	errsByCause [numSendErrorCauses]uint64
+	started     time.Duration
+	running     bool
+	// untilFinding is set by RunUntilFinding: the campaign then stops at
+	// its next finding, as if built WithStopOnFinding.
+	untilFinding bool
+	// wallExpired records that the wall budget, not the virtual deadline,
+	// ended the last RunUntilFinding.
+	wallExpired bool
+
+	// res is the resilience policy in force; nil (the default) means no
+	// retries and no watchdog, with zero overhead on the send path. When
+	// set it points at resBuf, so arming a policy allocates nothing.
+	res    *resState
+	resBuf resState
 }
 
 // NewCampaign builds a campaign. The port is the fuzzer's bus attachment
@@ -235,10 +244,6 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 		o(c)
 	}
 	c.timer = sched.NewPeriodic(gen.cfg.Interval, c.sendOne)
-	c.stopOnFindingInit = c.stopOnFinding
-	if c.res != nil {
-		c.resCfg, c.hasResCfg = c.res.Resilience, true
-	}
 	c.mon = NewMonitor(c.window)
 	if c.tel != nil {
 		reg := c.tel.Registry
@@ -253,6 +258,7 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 		}
 	}
 	port.SetReceiver(c.observe)
+	c.Reset(gen.cfg.Seed)
 	return c, nil
 }
 
@@ -362,35 +368,32 @@ func (c *Campaign) Stop() {
 	}
 }
 
-// Reset returns the campaign to its freshly-constructed state under a new
-// seed, for pooled world reuse. The wiring — port receiver, oracles,
-// hooks, frame source, telemetry handles — survives; the run state does
-// not: the generator stream restarts from seed, the monitor statistics
-// and findings are cleared, the error accounting zeroes, and the
-// resilience policy returns to its as-constructed form (in particular,
-// the default watchdog RunUntilFinding installs lazily is discarded, so
-// a reused campaign re-derives it exactly like a fresh one). The caller
-// must Reset the scheduler first; the campaign's pacing timer and
-// watchdog handles from the previous life are already invalidated by the
-// scheduler's generation bump and are simply dropped. Steady state
-// allocates nothing.
+// Reset returns the campaign to its as-built state under a new seed;
+// NewCampaign runs the same code. The wiring — port receiver, oracles,
+// hooks, frame source, telemetry handles — and the configuration
+// survive; the run state does not: the generator stream restarts from
+// seed, the monitor statistics and findings are cleared, the error
+// accounting zeroes, and the resilience policy is the configured one (in
+// particular, the default watchdog RunUntilFinding arms is discarded, so
+// a reused campaign re-derives it exactly like a fresh one). Under world
+// reuse the scheduler was reset first; the pacing timer and watchdog
+// handles from the previous life are already invalidated by its
+// generation bump and are simply dropped. Steady state allocates nothing.
 func (c *Campaign) Reset(seed int64) {
-	c.running = false
 	c.timer.Stop()
 	c.gen.Reset(seed)
 	c.mon.Reset()
 	c.findings = c.findings[:0]
-	c.framesSent = 0
-	c.sendErrors = 0
-	c.errsByCause = [numSendErrorCauses]uint64{}
-	c.started = 0
-	c.wallExpired = false
-	c.stopOnFinding = c.stopOnFindingInit
-	if c.hasResCfg {
-		*c.res = resState{Resilience: c.resCfg}
-	} else {
-		c.res = nil
+	c.campaignRun = campaignRun{}
+	if c.resilience != nil {
+		c.armResilience(*c.resilience)
 	}
+}
+
+// armResilience installs r as the run's resilience policy.
+func (c *Campaign) armResilience(r Resilience) {
+	c.resBuf = resState{Resilience: r}
+	c.res = &c.resBuf
 }
 
 // RunFor starts the campaign and drives the scheduler for the given
@@ -427,15 +430,13 @@ const wallCheckEvery = 1024
 // ends promptly with a classified "watchdog" finding instead of spinning
 // ErrBusOff until maxDuration.
 func (c *Campaign) RunUntilFinding(maxDuration time.Duration) (Finding, bool) {
-	if !c.stopOnFinding {
-		c.stopOnFinding = true
-	}
+	c.untilFinding = true
 	if c.res == nil {
 		w := DefaultResilience().WatchdogWindow
 		if iv := c.gen.cfg.Interval; w < 4*iv {
 			w = 4 * iv // never let a slow sender look like a dead bus
 		}
-		c.res = &resState{Resilience: Resilience{WatchdogWindow: w}}
+		c.armResilience(Resilience{WatchdogWindow: w})
 	}
 	c.wallExpired = false
 	var wallDeadline time.Time
@@ -567,7 +568,7 @@ func (c *Campaign) report(v oracle.Verdict) {
 	if c.onFinding != nil {
 		c.onFinding(f)
 	}
-	if c.stopOnFinding {
+	if c.stopOnFinding || c.untilFinding {
 		c.Stop()
 		return
 	}

@@ -45,27 +45,23 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		}
 		cfg.Corpus = kept
 	}
-	g := &Generator{cfg: cfg}
-	g.pcg, g.rng = newRNG(cfg.Seed)
+	g := &Generator{cfg: cfg, pcg: new(rand.PCG)}
+	g.rng = rand.New(g.pcg)
 	if cfg.Mode == ModeSweep {
-		g.sweepID = cfg.IDMin
 		g.sweepPayload = make([]int, cfg.SweepLen)
-		for i := range g.sweepPayload {
-			g.sweepPayload[i] = cfg.ByteMin
-		}
 	}
+	g.Reset(cfg.Seed)
 	return g, nil
 }
 
 // Config returns the defaulted configuration in effect.
 func (g *Generator) Config() Config { return g.cfg }
 
-// Reset restores the generator to the state NewGenerator produced, under a
-// (possibly different) seed: the RNG stream restarts from seed and the
-// sweep odometer returns to its origin. The already-validated
-// configuration is retained, so Reset skips validation and corpus
-// filtering and allocates nothing; the PCG reseeds in place, so the
-// stream matches a freshly built generator's.
+// Reset restarts the generator under a (possibly different) seed: the RNG
+// stream restarts from seed and the sweep odometer returns to its origin.
+// NewGenerator runs the same code, so the stream matches a freshly built
+// generator's. The already-validated configuration is retained, so Reset
+// skips validation and corpus filtering and allocates nothing.
 func (g *Generator) Reset(seed int64) {
 	g.cfg.Seed = seed
 	seedRNG(g.pcg, seed)

@@ -12,6 +12,14 @@ import (
 // retains a bounded window of recently sent frames so that a finding can
 // record "the conditions that caused it".
 type Monitor struct {
+	recent []can.Frame
+	monitorRun
+}
+
+// monitorRun is the monitor's per-trial state. Reset assigns it whole,
+// so a cold build (NewMonitor calls Reset) and a warm reset start
+// identically.
+type monitorRun struct {
 	sentMeans     analysis.ByteMeans
 	observedMeans analysis.ByteMeans
 
@@ -25,7 +33,7 @@ type Monitor struct {
 	distinctSent     int
 	distinctObserved int
 
-	recent []can.Frame
+	// next is the window write cursor; filled reports a wrap.
 	next   int
 	filled bool
 }
@@ -35,24 +43,16 @@ func NewMonitor(window int) *Monitor {
 	if window <= 0 {
 		window = 32
 	}
-	return &Monitor{
-		recent: make([]can.Frame, window),
-	}
+	m := &Monitor{recent: make([]can.Frame, window)}
+	m.Reset()
+	return m
 }
 
-// Reset clears every accumulated statistic and the recent-frame window in
-// place for world reuse, allocating nothing: the dense per-identifier
-// arrays are zeroed with a memclr and the window ring is rewound (stale
-// frames past the write cursor are unreachable through Recent).
+// Reset clears every accumulated statistic and rewinds the recent-frame
+// window in place, allocating nothing; NewMonitor runs the same code.
+// Stale frames past the write cursor are unreachable through Recent.
 func (m *Monitor) Reset() {
-	m.sentMeans = analysis.ByteMeans{}
-	m.observedMeans = analysis.ByteMeans{}
-	clear(m.sentByID[:])
-	clear(m.observedByID[:])
-	m.distinctSent = 0
-	m.distinctObserved = 0
-	m.next = 0
-	m.filled = false
+	m.monitorRun = monitorRun{}
 }
 
 // NoteSent records a transmitted fuzz frame.

@@ -60,7 +60,7 @@ func DefaultResilience() Resilience {
 
 // WithResilience installs a resilience policy on the campaign.
 func WithResilience(r Resilience) Option {
-	return func(c *Campaign) { c.res = &resState{Resilience: r} }
+	return func(c *Campaign) { c.resilience = &r }
 }
 
 // resState is the live resilience machinery attached to a running campaign.

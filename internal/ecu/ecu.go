@@ -88,25 +88,17 @@ type ECU struct {
 	catchAll []Handler
 
 	periodics []*periodicSpec
-	powered   bool
-	mode      Mode
-
-	nvram map[string][]byte
-	ram   map[string][]byte
-
-	mils      map[string]bool
-	chimes    uint64
-	faults    []Fault
 	onPowerOn []func()
+	onCrash   []func(detail string)
 
-	// Crash/stall fault state. A crashed ECU is off the bus until Recover;
-	// a stalled ECU drops frames and skips periodic work until the stall
-	// window elapses.
-	crashed      bool
-	crashDetail  string
-	stalledUntil time.Duration
-	panicNext    string // armed InjectPanic detail; "" when disarmed
-	onCrash      []func(detail string)
+	// Storage and the fault log are allocated once and emptied in place
+	// by Reset, so a reset allocates nothing.
+	nvram  map[string][]byte
+	ram    map[string][]byte
+	mils   map[string]bool
+	faults []Fault
+
+	ecuRun
 
 	// Telemetry handles; nil (no-op) until Instrument is called.
 	tel         *telemetry.Telemetry
@@ -116,6 +108,22 @@ type ECU struct {
 	mCrashes    *telemetry.Counter
 }
 
+// ecuRun is the ECU's per-trial state. Reset assigns it whole, so a
+// cold build (New calls Reset) and a warm reset start identically.
+type ecuRun struct {
+	powered bool
+	mode    Mode
+	chimes  uint64
+
+	// Crash/stall fault state. A crashed ECU is off the bus until Recover;
+	// a stalled ECU drops frames and skips periodic work until the stall
+	// window elapses.
+	crashed      bool
+	crashDetail  string
+	stalledUntil time.Duration
+	panicNext    string // armed InjectPanic detail; "" when disarmed
+}
+
 // New creates an ECU bound to a bus port. The ECU starts powered on in
 // normal mode, receiving frames.
 func New(name string, sched *clock.Scheduler, port *bus.Port) *ECU {
@@ -123,16 +131,15 @@ func New(name string, sched *clock.Scheduler, port *bus.Port) *ECU {
 		panic("ecu: nil scheduler or port")
 	}
 	e := &ECU{
-		name:    name,
-		sched:   sched,
-		port:    port,
-		nvram:   make(map[string][]byte),
-		ram:     make(map[string][]byte),
-		mils:    make(map[string]bool),
-		powered: true,
-		mode:    ModeNormal,
+		name:  name,
+		sched: sched,
+		port:  port,
+		nvram: make(map[string][]byte),
+		ram:   make(map[string][]byte),
+		mils:  make(map[string]bool),
 	}
 	port.SetReceiver(e.dispatch)
+	e.Reset()
 	return e
 }
 
@@ -409,30 +416,24 @@ func (e *ECU) PowerCycle() {
 	e.PowerOn()
 }
 
-// Reset returns the ECU to its freshly-constructed state for world reuse:
-// powered on in normal mode, storage and indicators cleared, fault/crash/
-// stall state wiped, and every registered periodic re-armed from phase
-// zero in registration order — the same scheduling order construction
-// produced, which is what keeps a reused world's event stream
-// byte-identical to a fresh one's. Registered handlers and callbacks are
-// retained; the caller resets the scheduler and bus around it. Steady
-// state allocates nothing: maps are cleared in place and the periodic
-// timers are reused.
+// Reset returns the ECU to its as-built state; New runs the same code.
+// The ECU is powered on in normal mode with storage, indicators and the
+// fault log emptied and no crash, stall or armed panic, and every
+// registered periodic is re-armed from phase zero in registration order
+// — the order construction armed them in, which keeps a reused world's
+// event stream byte-identical to a fresh one's. Registered handlers and
+// callbacks are retained; the caller resets the scheduler and bus
+// around it. Steady state allocates nothing: maps are cleared in place
+// and the periodic timers are reused.
 func (e *ECU) Reset() {
 	for _, p := range e.periodics {
 		p.per.Stop()
 	}
-	e.powered = true
-	e.mode = ModeNormal
 	clear(e.nvram)
 	clear(e.ram)
 	clear(e.mils)
-	e.chimes = 0
 	e.faults = e.faults[:0]
-	e.crashed = false
-	e.crashDetail = ""
-	e.stalledUntil = 0
-	e.panicNext = ""
+	e.ecuRun = ecuRun{powered: true, mode: ModeNormal}
 	for _, p := range e.periodics {
 		p.per.Start()
 	}

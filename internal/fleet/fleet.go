@@ -178,14 +178,10 @@ type Config struct {
 	// Observer, when non-nil, receives lifecycle callbacks (trial start
 	// and end, campaign start and end) from the worker goroutines.
 	Observer Observer
-	// DisableReuse forces every trial through the TargetFactory even when
-	// worlds advertise a Reset hook — the cold path, kept as the
-	// correctness oracle the reuse differential tests compare against.
-	DisableReuse bool
 	// Pool, when non-nil, seeds each worker's world cache from previously
 	// pooled worlds and returns the caches there after the run, extending
-	// reuse across Run calls. Ignored when DisableReuse is set. All runs
-	// sharing a pool must use the same factory and target configuration.
+	// reuse across Run calls. All runs sharing a pool must use the same
+	// factory and target configuration.
 	Pool *WorldPool
 }
 
@@ -258,7 +254,6 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 		}
 	}()
 
-	reuse := !cfg.DisableReuse
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -269,21 +264,15 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 			// failed reset. Per-trial results stay a pure function of
 			// (BaseSeed, index) because reset-then-run is pinned
 			// bit-identical to fresh-build-then-run.
-			var cached *World
-			if reuse {
-				cached = cfg.Pool.get()
-				defer func() { cfg.Pool.put(cached) }()
-			}
+			cached := cfg.Pool.get()
+			defer func() { cfg.Pool.put(cached) }()
 			for i := range indices {
 				spec := TrialSpec{Index: i, Seed: seeds[i]}
 				if obs != nil {
 					obs.TrialStarted(spec)
 				}
-				res, keep := runTrial(spec, cfg, factory, cached)
-				cached = nil
-				if reuse {
-					cached = keep
-				}
+				var res TrialResult
+				res, cached = runTrial(spec, cfg, factory, cached)
 				results[i] = res
 				if obs != nil {
 					obs.TrialFinished(res)

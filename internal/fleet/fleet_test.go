@@ -234,14 +234,14 @@ func resettableFactory(reset string, builds *int) fleet.TargetFactory {
 		if err != nil {
 			return nil, err
 		}
-		w := &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}
+		w := exp.World()
 		switch reset {
-		case "ok":
-			w.Reset = func(ts fleet.TrialSpec) error { exp.Reset(ts.Seed); return nil }
 		case "error":
 			w.Reset = func(fleet.TrialSpec) error { return fmt.Errorf("reset refused") }
 		case "panic":
 			w.Reset = func(fleet.TrialSpec) error { panic("reset exploded") }
+		case "none":
+			w.Reset = nil
 		}
 		return w, nil
 	}

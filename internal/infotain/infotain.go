@@ -24,11 +24,19 @@ type HeadUnit struct {
 	ecu *ecu.ECU
 	db  *signal.Database
 
-	token    string
+	token string
+	auth  bool
+
+	headUnitRun
+}
+
+// headUnitRun is the application's per-trial state. Reset assigns it
+// whole, so a cold build (New calls Reset) and a warm reset start
+// identically.
+type headUnitRun struct {
 	seq      uint8
 	commands uint64
 	lastAck  bool
-	auth     bool
 }
 
 // New builds the head unit on an ECU runtime. token is the shared secret
@@ -36,19 +44,19 @@ type HeadUnit struct {
 func New(e *ecu.ECU, token string) *HeadUnit {
 	h := &HeadUnit{ecu: e, db: signal.VehicleDB(), token: token}
 	e.Handle(signal.IDUnlockAck, h.onAck)
+	h.Reset()
 	return h
 }
 
 // ECU exposes the underlying runtime.
 func (h *HeadUnit) ECU() *ecu.ECU { return h.ecu }
 
-// Reset returns the application state to its as-constructed form for
-// world reuse: command sequence and counters rewound, acknowledgement
-// flag cleared. The pairing token and authentication mode survive.
+// Reset returns the application state to its as-built form; New runs the
+// same code. The command sequence and counters rewind and the
+// acknowledgement flag clears; the pairing token and authentication mode
+// survive.
 func (h *HeadUnit) Reset() {
-	h.seq = 0
-	h.commands = 0
-	h.lastAck = false
+	h.headUnitRun = headUnitRun{}
 }
 
 // SetAuthenticate enables the truncated-MAC command authentication of the

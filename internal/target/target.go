@@ -247,16 +247,7 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 	// and vehicle targets (their ECU applications keep state the reset
 	// plumbing does not yet cover).
 	if spec.Target == "bench" && o.Plan == nil {
-		world.Reset = func(ts fleet.TrialSpec) error {
-			sched.Reset()
-			tel.Reset()
-			bench.Reset()
-			if eng != nil {
-				eng.Reset(ts.Seed)
-			}
-			campaign.Reset(ts.Seed)
-			return nil
-		}
+		world = (&testbench.UnlockExperiment{Bench: bench, Campaign: campaign, Engine: eng}).World()
 	}
 	return &Built{World: world, Injector: inj, Probes: probes}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -79,12 +80,14 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 	}
 }
 
-// TestBuildTable builds every target × bus × check × recovery × mode
-// combination. A bench world must be reusable: after a dirtying trial,
-// reset-and-run gives the same TrialResult JSON (guided corpus included)
-// as a cold build-and-run at the same seed. Cluster, vehicle and
-// fault-plan worlds must have no Reset hook, so every fleet and campaign
-// service worker builds them fresh for each trial.
+// TestBuildTable builds every target × bus × check × recovery × mode ×
+// instrumentation combination. A bench world must be reusable: after a
+// dirtying trial, reset-and-run gives the same TrialResult JSON (guided
+// corpus included) and campaign report as a cold build-and-run at the
+// same seed, and an instrumented world also the same Prometheus
+// exposition and Chrome trace. Cluster, vehicle and fault-plan worlds
+// must have no Reset hook, so every fleet and campaign service worker
+// builds them fresh for each trial.
 func TestBuildTable(t *testing.T) {
 	var specs []target.Spec
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength, bcm.CheckTwoBytes} {
@@ -99,57 +102,71 @@ func TestBuildTable(t *testing.T) {
 	for _, base := range specs {
 		for _, recovery := range []bool{false, true} {
 			for _, mode := range []core.Mode{core.ModeRandom, core.ModeGuided} {
-				spec := base
-				spec.Recovery = recovery
-				spec.Stop = true
-				name := spec.Target
-				switch spec.Target {
-				case "bench":
-					name += "/check=" + target.CheckModeName(spec.Check)
-				case "vehicle":
-					name += "/bus=" + spec.Bus
-				}
-				name += fmt.Sprintf("/recovery=%t/%s", recovery, mode)
-				t.Run(name, func(t *testing.T) {
-					builds := 0
-					factory := func(ts fleet.TrialSpec) (*fleet.World, error) {
-						builds++
-						b, err := target.Build(spec, core.Config{
-							Seed: ts.Seed, Mode: mode, TargetIDs: []can.ID{signal.IDBodyCommand},
-						}, target.Options{})
+				for _, instrumented := range []bool{false, true} {
+					spec := base
+					spec.Recovery = recovery
+					spec.Stop = true
+					name := spec.Target
+					switch spec.Target {
+					case "bench":
+						name += "/check=" + target.CheckModeName(spec.Check)
+					case "vehicle":
+						name += "/bus=" + spec.Bus
+					}
+					name += fmt.Sprintf("/recovery=%t/%s", recovery, mode)
+					if instrumented {
+						name += "/instrumented"
+					}
+					t.Run(name, func(t *testing.T) {
+						var worlds []builtWorld
+						factory := func(ts fleet.TrialSpec) (*fleet.World, error) {
+							var o target.Options
+							if instrumented {
+								o = target.Options{Telemetry: telemetry.New(0), Introspection: guided.NewIntrospection()}
+							}
+							b, err := target.Build(spec, core.Config{
+								Seed: ts.Seed, Mode: mode, TargetIDs: []can.ID{signal.IDBodyCommand},
+							}, o)
+							if err != nil {
+								return nil, err
+							}
+							worlds = append(worlds, builtWorld{b.World, o.Telemetry})
+							return b.World, nil
+						}
+						w, err := factory(dirty)
 						if err != nil {
-							return nil, err
+							t.Fatal(err)
 						}
-						return b.World, nil
-					}
-					w, err := factory(dirty)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if spec.Target != "bench" {
-						if w.Reset != nil {
-							t.Fatal("non-bench world advertises Reset; the worker's cold fallback must serve it")
+						if spec.Target != "bench" {
+							if w.Reset != nil {
+								t.Fatal("non-bench world advertises Reset; the worker's cold fallback must serve it")
+							}
+							return
 						}
-						return
-					}
-					if w.Reset == nil {
-						t.Fatal("bench world has no Reset hook")
-					}
-					pool := &fleet.WorldPool{}
-					if res := pool.RunTrial(dirty, cfg, factory); res.Status == fleet.StatusError || res.Status == fleet.StatusPanic {
-						t.Fatalf("dirtying trial: %+v", res)
-					}
-					warm := resultJSON(t, pool.RunTrial(trial, cfg, factory))
-					cold := resultJSON(t, fleet.RunTrial(trial, cfg, factory))
-					if !bytes.Equal(warm, cold) {
-						t.Fatalf("reset-and-run differs from a cold build-and-run\nwarm: %s\ncold: %s", warm, cold)
-					}
-					// One build for the probe above, one for the pooled
-					// world, one for the cold run: the reset trial built none.
-					if builds != 3 {
-						t.Fatalf("factory called %d times, want 3", builds)
-					}
-				})
+						if w.Reset == nil {
+							t.Fatal("bench world has no Reset hook")
+						}
+						pool := &fleet.WorldPool{}
+						if res := pool.RunTrial(dirty, cfg, factory); res.Status == fleet.StatusError || res.Status == fleet.StatusPanic {
+							t.Fatalf("dirtying trial: %+v", res)
+						}
+						warmRes := pool.RunTrial(trial, cfg, factory)
+						coldRes := fleet.RunTrial(trial, cfg, factory)
+						// One build for the probe above, one for the pooled
+						// world, one for the cold run: the reset trial built none.
+						if len(worlds) != 3 {
+							t.Fatalf("factory called %d times, want 3", len(worlds))
+						}
+						warm := worlds[1].outputs(t, warmRes)
+						cold := worlds[2].outputs(t, coldRes)
+						for i := range warm {
+							if !bytes.Equal(warm[i].data, cold[i].data) {
+								t.Fatalf("reset-and-run %s differs from a cold build-and-run\nwarm: %s\ncold: %s",
+									warm[i].name, warm[i].data, cold[i].data)
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -167,14 +184,43 @@ func TestBuildTable(t *testing.T) {
 	}
 }
 
-func resultJSON(t *testing.T, res fleet.TrialResult) []byte {
+// builtWorld is one world a TestBuildTable factory built, with the
+// telemetry plane it was built with (nil when uninstrumented).
+type builtWorld struct {
+	world *fleet.World
+	tel   *telemetry.Telemetry
+}
+
+// output is one named serialisation of a trial's outcome.
+type output struct {
+	name string
+	data []byte
+}
+
+// outputs serialises what a trial left behind in the world that ran it:
+// the trial result, the campaign report and, when instrumented, the
+// metrics exposition and the trace.
+func (b builtWorld) outputs(t *testing.T, res fleet.TrialResult) []output {
 	t.Helper()
 	if res.Status == fleet.StatusError || res.Status == fleet.StatusPanic {
 		t.Fatalf("trial %d failed: %+v", res.Trial, res)
 	}
-	b, err := json.Marshal(res)
+	resJSON, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	outs := []output{{"trial result", resJSON}}
+	write := func(name string, fn func(io.Writer) error) {
+		var buf bytes.Buffer
+		if err := fn(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		outs = append(outs, output{name, buf.Bytes()})
+	}
+	write("campaign report", b.world.Campaign.BuildReport().WriteJSON)
+	if b.tel != nil {
+		write("metrics", b.tel.Registry.WritePrometheus)
+		write("trace", b.tel.Tracer.WriteChromeTrace)
+	}
+	return outs
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ecu"
+	"repro/internal/fleet"
 	"repro/internal/guided"
 	"repro/internal/infotain"
 	"repro/internal/oracle"
@@ -43,6 +44,7 @@ type Config struct {
 // Bench is the assembled three-node testbed.
 type Bench struct {
 	sched *clock.Scheduler
+	tel   *telemetry.Telemetry // set by Instrument; zeroed by Reset
 
 	// Bus is the bench CAN bus.
 	Bus *bus.Bus
@@ -72,13 +74,18 @@ func New(sched *clock.Scheduler, cfg Config) *Bench {
 // Scheduler returns the bench clock.
 func (b *Bench) Scheduler() *clock.Scheduler { return b.sched }
 
-// Reset returns the bench to its freshly-assembled state for world reuse.
-// The caller must Reset the scheduler first. The reset order mirrors
-// construction — bus, head unit, BCM, monitor — so the BCM status
-// broadcast is re-armed with the same scheduling sequence number a fresh
-// bench would give it, keeping a reused bench's event stream
-// byte-identical to a new one's.
+// Reset returns the bench to its freshly-assembled state for the next
+// trial: the scheduler it runs on goes back to time zero and drops every
+// pending event, the telemetry plane it is instrumented with is zeroed,
+// and the bus and nodes reset in construction order — bus, head unit,
+// BCM, monitor — so the BCM status broadcast is re-armed with the same
+// scheduling sequence number a fresh bench would give it, keeping a
+// reused bench's event stream byte-identical to a new one's. Whatever
+// else runs on the scheduler (the fuzzer's campaign, a guided engine) is
+// reset after the bench; UnlockExperiment.Reset is that recipe.
 func (b *Bench) Reset() {
+	b.sched.Reset()
+	b.tel.Reset()
 	b.Bus.Reset()
 	b.HeadUnit.ECU().Reset()
 	b.HeadUnit.Reset()
@@ -89,11 +96,12 @@ func (b *Bench) Reset() {
 }
 
 // Instrument attaches the bench bus and its three nodes to a telemetry
-// plane. Passing nil is a no-op.
+// plane, which Reset then zeroes with the bench. Passing nil is a no-op.
 func (b *Bench) Instrument(t *telemetry.Telemetry) {
 	if t == nil {
 		return
 	}
+	b.tel = t
 	b.Bus.Instrument(t)
 	b.HeadUnit.ECU().Instrument(t)
 	b.BCM.ECU().Instrument(t)
@@ -145,6 +153,9 @@ type UnlockExperiment struct {
 	Bench *Bench
 	// Campaign is the armed fuzzer.
 	Campaign *core.Campaign
+	// Engine, when non-nil, is the guided feedback engine installed as the
+	// campaign's frame source.
+	Engine *guided.Engine
 }
 
 // NewUnlockExperiment builds a bench plus fuzzer for one run. The fuzzer
@@ -162,15 +173,35 @@ func NewUnlockExperiment(cfg Config, fuzzCfg core.Config) (*UnlockExperiment, er
 }
 
 // Reset re-initializes the whole experiment world in place under a new
-// seed: scheduler back to time zero, bench to its freshly-assembled
-// state, campaign (generator stream, monitor, findings) to its
-// as-constructed state. A reset experiment runs bit-for-bit identically
-// to one newly built with the same seed, which is what lets fleet
-// workers recycle worlds across trials instead of rebuilding them.
+// seed: the bench (scheduler and telemetry included), then the guided
+// engine if any, then the campaign. It is the one world-reset recipe for
+// bench worlds. A reset experiment runs bit-for-bit identically to one
+// newly built with the same seed, which is what lets fleet workers
+// recycle worlds across trials instead of rebuilding them.
 func (e *UnlockExperiment) Reset(seed int64) {
-	e.Bench.Scheduler().Reset()
 	e.Bench.Reset()
+	if e.Engine != nil {
+		e.Engine.Reset(seed)
+	}
 	e.Campaign.Reset(seed)
+}
+
+// World returns the experiment as a reusable fleet world: its scheduler
+// and campaign, the engine's corpus snapshot when guided, and Reset as
+// the world's reset hook.
+func (e *UnlockExperiment) World() *fleet.World {
+	w := &fleet.World{
+		Sched:    e.Bench.Scheduler(),
+		Campaign: e.Campaign,
+		Reset: func(ts fleet.TrialSpec) error {
+			e.Reset(ts.Seed)
+			return nil
+		},
+	}
+	if e.Engine != nil {
+		w.Corpus = e.Engine.CorpusFrames
+	}
+	return w
 }
 
 // Run executes the experiment and returns the time to unlock. ok is false
@@ -204,15 +235,9 @@ func (b *Bench) GuidedProbes(fuzzer *bus.Port) []guided.Probe {
 }
 
 // GuidedUnlockExperiment is an UnlockExperiment driven by the guided
-// feedback engine instead of the blind generator.
+// feedback engine instead of the blind generator; Engine is always set.
 type GuidedUnlockExperiment struct {
-	// Bench is the assembled testbed.
-	Bench *Bench
-	// Campaign is the armed fuzzer, with the engine installed as its frame
-	// source.
-	Campaign *core.Campaign
-	// Engine is the feedback engine (corpus, novelty map).
-	Engine *guided.Engine
+	UnlockExperiment
 }
 
 // NewGuidedUnlockExperiment builds a bench plus a coverage-guided fuzzer
@@ -235,25 +260,5 @@ func NewGuidedUnlockExperiment(cfg Config, fuzzCfg core.Config, opts ...guided.E
 	}
 	campaign.SetStopHook(engine.PublishStats)
 	campaign.AddOracle(bench.UnlockOracle())
-	return &GuidedUnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}, nil
-}
-
-// Reset re-initializes the guided experiment world in place under a new
-// seed — scheduler, bench, feedback engine (RNG stream, novelty map,
-// corpus) and campaign — so a reused guided world replays exactly like a
-// freshly built one.
-func (e *GuidedUnlockExperiment) Reset(seed int64) {
-	e.Bench.Scheduler().Reset()
-	e.Bench.Reset()
-	e.Engine.Reset(seed)
-	e.Campaign.Reset(seed)
-}
-
-// Run executes the guided experiment; same contract as UnlockExperiment.Run.
-func (e *GuidedUnlockExperiment) Run(maxDuration time.Duration) (timeToUnlock time.Duration, ok bool) {
-	finding, ok := e.Campaign.RunUntilFinding(maxDuration)
-	if !ok {
-		return 0, false
-	}
-	return finding.Elapsed, true
+	return &GuidedUnlockExperiment{UnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}}, nil
 }
