@@ -145,11 +145,6 @@ func WithLoadWindow(d time.Duration) Option {
 	}
 }
 
-// Corruptor decides whether a frame transmission is corrupted on the wire
-// (fault injection). Returning true destroys the frame: receivers never see
-// it and the transmitter's error counter increases.
-type Corruptor func(can.Frame) bool
-
 // TxAction is an Interceptor's verdict on one completed transmission.
 type TxAction int
 
@@ -158,7 +153,7 @@ const (
 	TxDeliver TxAction = iota
 	// TxCorrupt destroys the frame on the wire: every node detects the CRC
 	// error at end of frame, the transmitter's TEC rises by 8 and each
-	// receiver's REC by 1 (the classic Corruptor behaviour).
+	// receiver's REC by 1.
 	TxCorrupt
 	// TxDrop loses the frame silently: it occupies the wire and the
 	// transmitter sees its ACK, but no receiver is handed the frame —
@@ -169,10 +164,8 @@ const (
 	TxDuplicate
 )
 
-// Interceptor is the generalised wire-fault hook: it inspects each
-// transmission at end of frame and decides its fate. It subsumes Corruptor
-// (which remains for compatibility and is consulted only when the
-// interceptor returns TxDeliver).
+// Interceptor is the wire-fault hook: it inspects each transmission at end
+// of frame and decides its fate.
 type Interceptor func(can.Frame) TxAction
 
 // Stats is a snapshot of bus-level counters.
@@ -205,7 +198,6 @@ type Bus struct {
 	taps          []Receiver
 	fdTaps        []FDReceiver
 	fdDataBitrate int
-	corrupt       Corruptor
 	intercept     Interceptor
 	autoRecover   bool
 
@@ -359,12 +351,7 @@ func (b *Bus) Bitrate() int { return b.bitrate }
 // Scheduler returns the clock the bus runs on.
 func (b *Bus) Scheduler() *clock.Scheduler { return b.sched }
 
-// SetCorruptor installs a fault-injection hook. Pass nil to remove it.
-func (b *Bus) SetCorruptor(c Corruptor) { b.corrupt = c }
-
-// SetInterceptor installs the generalised wire-fault hook. Pass nil to
-// remove it. When both an interceptor and a corruptor are installed the
-// corruptor is consulted only for frames the interceptor delivers.
+// SetInterceptor installs the wire-fault hook. Pass nil to remove it.
 func (b *Bus) SetInterceptor(i Interceptor) { b.intercept = i }
 
 // SetAutoRecovery switches ISO bus-off auto-recovery for every currently
@@ -588,9 +575,6 @@ func (b *Bus) complete(tx *Port, frame can.Frame, dur time.Duration, bits int) {
 	action := TxDeliver
 	if b.intercept != nil {
 		action = b.intercept(frame)
-	}
-	if action == TxDeliver && b.corrupt != nil && b.corrupt(frame) {
-		action = TxCorrupt
 	}
 
 	if action == TxCorrupt {

@@ -240,9 +240,12 @@ func TestCorruptorDestroysFrames(t *testing.T) {
 	count := 0
 	rx.SetReceiver(func(Message) { count++ })
 	n := 0
-	b.SetCorruptor(func(can.Frame) bool {
+	b.SetInterceptor(func(can.Frame) TxAction {
 		n++
-		return n%2 == 1 // corrupt every other frame
+		if n%2 == 1 { // corrupt every other frame
+			return TxCorrupt
+		}
+		return TxDeliver
 	})
 	for i := 0; i < 10; i++ {
 		tx.Send(can.MustNew(0x1, []byte{byte(i)}))
@@ -261,7 +264,7 @@ func TestErrorCountersAndBusOff(t *testing.T) {
 	tx := b.Connect("tx")
 	rx := b.Connect("rx")
 	rx.SetReceiver(func(Message) {})
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 
 	// Each corrupted TX adds 8 to TEC; bus-off at 256 => 32 frames.
 	for i := 0; i < 40; i++ {
@@ -278,7 +281,7 @@ func TestErrorCountersAndBusOff(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBusOff", err)
 	}
 	// Recovery via reset.
-	b.SetCorruptor(nil)
+	b.SetInterceptor(nil)
 	tx.ResetErrors()
 	if tx.State() != ErrorActive {
 		t.Fatalf("state after reset = %v", tx.State())
@@ -292,7 +295,7 @@ func TestErrorPassiveTransition(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("tx")
 	b.Connect("rx").SetReceiver(func(Message) {})
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < 16; i++ { // 16*8 = 128 => error passive
 		tx.Send(can.MustNew(0x1, nil))
 		s.RunUntil(s.Now() + 10*time.Millisecond)
@@ -306,7 +309,7 @@ func TestSuccessfulTrafficHealsCounters(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("tx")
 	b.Connect("rx").SetReceiver(func(Message) {})
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < 4; i++ {
 		tx.Send(can.MustNew(0x1, nil))
 		s.RunUntil(s.Now() + 10*time.Millisecond)
@@ -315,7 +318,7 @@ func TestSuccessfulTrafficHealsCounters(t *testing.T) {
 	if tec != 32 {
 		t.Fatalf("tec = %d, want 32", tec)
 	}
-	b.SetCorruptor(nil)
+	b.SetInterceptor(nil)
 	for i := 0; i < 10; i++ {
 		tx.Send(can.MustNew(0x1, nil))
 		s.RunUntil(s.Now() + 10*time.Millisecond)

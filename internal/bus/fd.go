@@ -76,13 +76,16 @@ func (b *Bus) startFD(winner *Port) {
 	b.sched.AfterEvent(dur, b.completeEvent)
 }
 
-// completeFD delivers a finished FD transmission.
+// completeFD delivers a finished FD transmission. The interceptor sees
+// the frame's identifier and may destroy it with TxCorrupt, exactly as on
+// the classic path; the FD model has no drop or duplicate fault, so any
+// other verdict delivers.
 func (b *Bus) completeFD(tx *Port, frame can.FDFrame, dur time.Duration) {
 	b.busy = false
 	b.noteBusy(dur)
 	b.creditFrameEnd()
 
-	if b.corrupt != nil && b.corrupt(can.Frame{ID: frame.ID}) {
+	if b.intercept != nil && b.intercept(can.Frame{ID: frame.ID}) == TxCorrupt {
 		b.noteErrorFrame(tx, frame.ID, dur)
 		for _, p := range b.ports {
 			if p != tx && !p.detached && p.state != BusOff {

@@ -107,11 +107,31 @@ func TestFDTap(t *testing.T) {
 	}
 }
 
+// TestFDInterceptorVerdicts pins the FD path's reading of the wire-fault
+// hook: TxCorrupt destroys the frame, every other verdict delivers it.
+func TestFDInterceptorVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		action    TxAction
+		delivered int
+	}{{TxDeliver, 1}, {TxCorrupt, 0}, {TxDrop, 1}, {TxDuplicate, 1}} {
+		s, b := newBus(t)
+		tx := b.Connect("tx")
+		count := 0
+		b.Connect("rx").SetFDReceiver(func(FDMessage) { count++ })
+		b.SetInterceptor(func(can.Frame) TxAction { return tc.action })
+		tx.SendFD(can.MustNewFD(0x100, []byte{1, 2}, false))
+		s.RunUntil(time.Second)
+		if count != tc.delivered {
+			t.Errorf("verdict %d: receiver saw %d frames, want %d", tc.action, count, tc.delivered)
+		}
+	}
+}
+
 func TestFDBusOffBlocksSend(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("tx")
 	b.Connect("rx").SetFDReceiver(func(FDMessage) {})
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < 40; i++ {
 		if err := tx.SendFD(can.MustNewFD(1, nil, false)); err != nil {
 			break

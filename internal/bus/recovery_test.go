@@ -18,7 +18,7 @@ func driveBusOff(t *testing.T, s *clock.Scheduler, b *Bus, tx *Port) time.Durati
 	t.Helper()
 	frame := can.MustNew(0x1, nil)
 	step := b.FrameTime(frame)
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < 40 && tx.State() != BusOff; i++ {
 		if err := tx.Send(frame); err != nil {
 			break
@@ -28,7 +28,7 @@ func driveBusOff(t *testing.T, s *clock.Scheduler, b *Bus, tx *Port) time.Durati
 	if tx.State() != BusOff {
 		t.Fatalf("failed to drive port to bus-off (state %v)", tx.State())
 	}
-	b.SetCorruptor(nil)
+	b.SetInterceptor(nil)
 	return s.Now()
 }
 
@@ -247,7 +247,7 @@ func TestRECDecrementsOnReceiveAndReturnsErrorActive(t *testing.T) {
 
 	// 128 corrupted transmissions push every receiver's REC to 128:
 	// error-passive.
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < errorPassiveThreshold; i++ {
 		// Keep the transmitter alive: reset its TEC between sends.
 		tx.ResetErrors()
@@ -263,7 +263,7 @@ func TestRECDecrementsOnReceiveAndReturnsErrorActive(t *testing.T) {
 
 	// Each successful reception decrements REC by 1; after one the node is
 	// back under the threshold and error-active again.
-	b.SetCorruptor(nil)
+	b.SetInterceptor(nil)
 	tx.ResetErrors()
 	if err := tx.Send(can.MustNew(0x1, nil)); err != nil {
 		t.Fatalf("healing send: %v", err)
@@ -283,7 +283,7 @@ func TestTECDecrementReturnsErrorActive(t *testing.T) {
 	b.Connect("rx").SetReceiver(func(Message) {})
 
 	// 16 corrupted sends: TEC 128, error-passive.
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) TxAction { return TxCorrupt })
 	for i := 0; i < 16; i++ {
 		tx.Send(can.MustNew(0x1, nil))
 		s.RunUntil(s.Now() + time.Millisecond)
@@ -294,7 +294,7 @@ func TestTECDecrementReturnsErrorActive(t *testing.T) {
 
 	// One successful send: TEC 127, back to error-active; further
 	// successes keep decrementing toward zero.
-	b.SetCorruptor(nil)
+	b.SetInterceptor(nil)
 	tx.Send(can.MustNew(0x1, nil))
 	s.RunUntil(s.Now() + time.Millisecond)
 	if tec, _ := tx.ErrorCounters(); tec != errorPassiveThreshold-1 {

@@ -50,9 +50,6 @@ type Config struct {
 	LeaseTTL time.Duration
 	// Redispatch is the expired-lease backoff (default DefaultRedispatch).
 	Redispatch retry.Policy
-	// CheckpointEvery emits a checkpoint journal line per this many
-	// completed trials (default 10).
-	CheckpointEvery int
 	// Sink, when non-nil, is the journal: every accepted result streams
 	// into it as observatory events, durable enough to resume from.
 	Sink *observatory.Sink
@@ -102,7 +99,6 @@ type Coordinator struct {
 	spec     CampaignSpec
 	ttl      time.Duration
 	policy   retry.Policy
-	every    int
 	sink     *observatory.Sink
 	progress *fleet.Progress
 	log      *slog.Logger
@@ -138,14 +134,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Redispatch.Base <= 0 {
 		cfg.Redispatch = DefaultRedispatch
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 10
-	}
 	c := &Coordinator{
 		spec:        cfg.Spec,
 		ttl:         cfg.LeaseTTL,
 		policy:      cfg.Redispatch,
-		every:       cfg.CheckpointEvery,
 		sink:        cfg.Sink,
 		progress:    cfg.Progress,
 		log:         cfg.Logger,
@@ -258,9 +250,7 @@ func (c *Coordinator) AcquireLease(worker string) Lease {
 			// repeat it — the sorted event log of a crash-free distributed
 			// run stays identical to the in-process observatory's.
 			c.progress.TrialStarted(fleet.TrialSpec{Index: i, Seed: tr.seed})
-			c.sink.Emit(observatory.Event{
-				Type: observatory.EventTrialStart, Trial: i, Seq: 0, Seed: tr.seed,
-			})
+			c.sink.Emit(observatory.TrialStart(i, tr.seed))
 		}
 		if c.log != nil {
 			c.log.Info("lease granted", "trial", i, "lease", tr.leaseID,
@@ -330,48 +320,27 @@ func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) e
 }
 
 // journalResultLocked streams an accepted result into the journal: the
-// same observatory events an in-process fleet emits (finding, trial_end,
-// corpus_merge, periodic checkpoints) plus the trial_result line that
-// makes the journal self-sufficient for resume.
+// events an in-process fleet emits (observatory.AppendTrialEvents, then
+// the checkpoint when due) with the trial_result line that makes the
+// journal self-sufficient for resume between them, so a checkpoint never
+// runs ahead of a durable result. The completed count includes resumed
+// trials.
 func (c *Coordinator) journalResultLocked(res fleet.TrialResult) {
 	if c.sink == nil {
 		return
 	}
-	seq := 1
-	if res.Status == fleet.StatusFinding {
-		c.sink.Emit(observatory.Event{
-			Type: observatory.EventFinding, Trial: res.Trial, Seq: seq,
-			VirtualNanos: int64(res.TimeToFinding),
-			Oracle:       res.Oracle, Detail: res.Detail, TriggerID: res.TriggerID,
-		})
-		seq++
-	}
-	c.sink.Emit(observatory.Event{
-		Type: observatory.EventTrialEnd, Trial: res.Trial, Seq: seq,
-		Status:       res.Status,
-		VirtualNanos: int64(res.VirtualElapsed),
-		Frames:       res.FramesSent,
-		SendErrors:   res.SendErrors,
-		Findings:     res.Findings,
-	})
-	seq++
-	if n := len(res.Corpus); n > 0 {
-		c.sink.Emit(observatory.Event{
-			Type: observatory.EventCorpusMerge, Trial: res.Trial, Seq: seq,
-			Frames: uint64(n),
-		})
-		seq++
-	}
+	var buf [5]observatory.Event
+	evs, seq := observatory.AppendTrialEvents(buf[:0], res)
 	if raw, err := json.Marshal(res); err == nil {
-		c.sink.Emit(observatory.Event{
+		evs = append(evs, observatory.Event{
 			Type: observatory.EventTrialResult, Trial: res.Trial, Seq: seq, Raw: raw,
 		})
 	}
-	if c.done%c.every == 0 || c.done == len(c.trials) {
-		c.sink.Emit(observatory.Event{
-			Type: observatory.EventCheckpoint, Trial: -1, Seq: c.done,
-			Completed: c.done, Total: len(c.trials),
-		})
+	if cp, due := observatory.Checkpoint(c.done, len(c.trials)); due {
+		evs = append(evs, cp)
+	}
+	for _, e := range evs {
+		c.sink.Emit(e)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +32,17 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 		return nil, err
 	}
 	return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+}
+
+// guidedFactory builds the bench world with the coverage-guided engine,
+// which evolves a corpus, so its trials also emit corpus_merge events.
+func guidedFactory(spec fleet.TrialSpec) (*fleet.World, error) {
+	exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+	if err != nil {
+		return nil, err
+	}
+	return exp.World(), nil
 }
 
 // testSpec is the campaign every test here shards.
@@ -79,21 +91,14 @@ func reportBytes(t *testing.T, rep *fleet.Report) []byte {
 	return buf.Bytes()
 }
 
-func TestDistributedReportMatchesInProcess(t *testing.T) {
-	// Three workers race over one lease book (the HTTP layer is campsrv's
-	// and is covered there); the report must match fleet.Run byte for byte
-	// whichever worker computed which trial.
-	spec := testSpec(6)
-	golden := inProcessGolden(t, spec)
-
-	var journal bytes.Buffer
-	sink := observatory.NewSink(&journal)
-	coord, err := campaignd.New(campaignd.Config{Spec: spec, Sink: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
+// drain runs one worker goroutine per name against the lease book until
+// the campaign completes. Each trial runs through pool.RunTrial, so a nil
+// pool builds every trial cold.
+func drain(t *testing.T, coord *campaignd.Coordinator, spec campaignd.CampaignSpec,
+	factory fleet.TargetFactory, pool *fleet.WorldPool, names ...string) {
+	t.Helper()
 	var wg sync.WaitGroup
-	for _, name := range []string{"w1", "w2", "w3"} {
+	for _, name := range names {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
@@ -106,8 +111,8 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				res := fleet.RunTrial(fleet.TrialSpec{Index: l.Trial, Seed: l.Seed},
-					spec.FleetConfig(), unlockFactory)
+				res := pool.RunTrial(fleet.TrialSpec{Index: l.Trial, Seed: l.Seed},
+					spec.FleetConfig(), factory)
 				if err := coord.Submit(l.Trial, l.ID, res); err != nil {
 					t.Errorf("worker %s: submit trial %d: %v", name, l.Trial, err)
 					return
@@ -121,6 +126,22 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("campaign did not complete")
 	}
+}
+
+func TestDistributedReportMatchesInProcess(t *testing.T) {
+	// Three workers race over one lease book (the HTTP layer is campsrv's
+	// and is covered there); the report must match fleet.Run byte for byte
+	// whichever worker computed which trial.
+	spec := testSpec(6)
+	golden := inProcessGolden(t, spec)
+
+	var journal bytes.Buffer
+	sink := observatory.NewSink(&journal)
+	coord, err := campaignd.New(campaignd.Config{Spec: spec, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, coord, spec, unlockFactory, nil, "w1", "w2", "w3")
 	if got := reportBytes(t, coord.Report()); !bytes.Equal(got, golden) {
 		t.Fatalf("distributed report differs from in-process run:\n--- dist ---\n%s\n--- golden ---\n%s", got, golden)
 	}
@@ -153,6 +174,59 @@ func TestDistributedReportMatchesInProcess(t *testing.T) {
 	if !st.Complete || st.Done != spec.Trials {
 		t.Fatalf("status after completion: %+v", st)
 	}
+}
+
+// TestJournalMatchesEventLog runs one guided spec twice: in process with
+// an observatory event log, and through a lease book drained by two
+// workers that recycle their worlds. Without its journal-only lines
+// (campaign_start, trial_result) the sorted journal must equal the sorted
+// event log byte for byte. The trial count makes both a periodic and the
+// final checkpoint fire.
+func TestJournalMatchesEventLog(t *testing.T) {
+	spec := testSpec(2*observatory.CheckpointEvery + 3)
+
+	var eventLog bytes.Buffer
+	cfg := spec.FleetConfig()
+	cfg.Workers = 2
+	cfg.Observer = observatory.New(observatory.Config{Sink: observatory.NewSink(&eventLog)})
+	if _, err := fleet.Run(cfg, guidedFactory); err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []string{"corpus_merge", "checkpoint"} {
+		if !strings.Contains(eventLog.String(), `"type":"`+typ+`"`) {
+			t.Fatalf("event log has no %s line", typ)
+		}
+	}
+
+	var journal bytes.Buffer
+	sink := observatory.NewSink(&journal)
+	coord, err := campaignd.New(campaignd.Config{Spec: spec, Sink: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, coord, spec, guidedFactory, &fleet.WorldPool{}, "w1", "w2")
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var trialEvents []string
+	for _, line := range sortedLines(journal.String()) {
+		if !strings.Contains(line, `"type":"campaign_start"`) && !strings.Contains(line, `"type":"trial_result"`) {
+			trialEvents = append(trialEvents, line)
+		}
+	}
+	want := sortedLines(eventLog.String())
+	if got := strings.Join(trialEvents, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("sorted journal differs from the sorted event log:\n--- journal ---\n%s\n--- event log ---\n%s",
+			got, strings.Join(want, "\n"))
+	}
+}
+
+// sortedLines splits a JSONL log into its lines, sorted.
+func sortedLines(log string) []string {
+	lines := strings.Split(strings.TrimSuffix(log, "\n"), "\n")
+	sort.Strings(lines)
+	return lines
 }
 
 func TestWorkerCrashLeaseRedispatch(t *testing.T) {

@@ -97,7 +97,7 @@ func busOffRig(t *testing.T, busOpts []bus.Option, campOpts ...Option) (*clock.S
 	b := bus.New(s, busOpts...)
 	port := b.Connect("fuzzer")
 	b.Connect("sink").SetReceiver(func(bus.Message) {})
-	b.SetCorruptor(func(can.Frame) bool { return true })
+	b.SetInterceptor(func(can.Frame) bus.TxAction { return bus.TxCorrupt })
 	c, err := NewCampaign(s, port, Config{Seed: 11}, campOpts...)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestWatchdogResetHealsCampaign(t *testing.T) {
 	s, b, port, c := busOffRig(t, nil)
 	c.reset = func() {
 		resets++
-		b.SetCorruptor(nil) // the reset also clears the fault source
+		b.SetInterceptor(nil) // the reset also clears the fault source
 		port.ResetErrors()
 	}
 	c.res = &resState{Resilience: Resilience{WatchdogWindow: 50 * time.Millisecond}}
@@ -169,7 +169,7 @@ func TestAutoRecoveryResumesCampaign(t *testing.T) {
 	s, b, port, c := busOffRig(t, []bus.Option{bus.WithAutoRecovery()},
 		WithResilience(DefaultResilience()))
 	// Clear the fault source shortly after the node goes bus-off.
-	s.At(100*time.Millisecond, func() { b.SetCorruptor(nil) })
+	s.At(100*time.Millisecond, func() { b.SetInterceptor(nil) })
 	c.Start()
 	s.RunUntil(time.Second)
 	c.Stop()

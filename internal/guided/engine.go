@@ -8,7 +8,6 @@ import (
 	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/telemetry"
 )
 
 // rngStream is the engine's stream index in the campaign seed's splitmix64
@@ -54,29 +53,6 @@ func WithProbes(probes ...Probe) EngineOption {
 // noBucket marks a probe not yet sampled since construction or Reset;
 // bucketize never returns it.
 const noBucket = ^uint64(0)
-
-// WithTelemetry exports the engine's internals on the given metrics plane:
-// the corpus_size gauge, the novelty_hits_total counter, the
-// novelty_map_bits_set gauge (map saturation), and the mutate-vs-explore
-// counters guided_mutations_total/guided_explorations_total. Nil is a
-// no-op.
-func WithTelemetry(t *telemetry.Telemetry) EngineOption {
-	return func(e *Engine) {
-		if t == nil {
-			return
-		}
-		e.gCorpus = t.Registry.Gauge("corpus_size",
-			"Guided-mode corpus entries retained by the feedback engine.")
-		e.cNovelty = t.Registry.Counter("novelty_hits_total",
-			"Novel feedback features credited to sent frames.")
-		e.gNovBits = t.Registry.Gauge("novelty_map_bits_set",
-			"Set bits in the 64Ki novelty map (distinct behaviours seen).")
-		e.cMutate = t.Registry.Counter("guided_mutations_total",
-			"Frames generated by mutating a corpus parent.")
-		e.cExplore = t.Registry.Counter("guided_explorations_total",
-			"Frames generated by blind exploration.")
-	}
-}
 
 // WithIntrospection registers the engine on the given introspection plane
 // (the /fuzz.json view). Nil is a no-op: the engine's per-tick publishing
@@ -127,12 +103,6 @@ type Engine struct {
 	pending    []uint64
 
 	engineRun
-
-	gCorpus  *telemetry.Gauge
-	cNovelty *telemetry.Counter
-	gNovBits *telemetry.Gauge
-	cMutate  *telemetry.Counter
-	cExplore *telemetry.Counter
 
 	stats *EngineStats // nil unless WithIntrospection registered the engine
 }
@@ -188,10 +158,13 @@ func NewEngine(cfg core.Config, opts ...EngineOption) (*Engine, error) {
 // counters clear, and the corpus is rebuilt from the seed frames in
 // their recorded order (WithSeedFrames survivors first, then usable
 // config-level corpus frames), so a reused engine's decision stream is
-// identical to a freshly built one's. Probes, telemetry handles and the
-// introspection slot are retained. With no seed corpus the reset
-// allocates nothing; admitting seed frames costs one index key per frame.
+// identical to a freshly built one's. Probes and the introspection slot
+// are retained, and the finished trial's counters fold into the slot's
+// totals, so /fuzz.json keeps counting across a recycled engine. With no
+// seed corpus the reset allocates nothing; admitting seed frames costs
+// one index key per frame.
 func (e *Engine) Reset(seed int64) {
+	e.stats.foldTrial(e)
 	e.cfg.Seed = seed
 	e.rng.Seed(faults.DeriveSeed(seed, rngStream))
 	for i := range e.probeLast {
@@ -224,11 +197,8 @@ func (e *Engine) Next() (can.Frame, bool) {
 		e.noveltyHits += novel
 		e.noveltyBits += novel // each novel feature set a fresh map bit
 		e.sinceNovelty = 0
-		e.cNovelty.Add(novel)
-		e.gNovBits.Set(float64(e.noveltyBits))
 		if e.lastValid {
 			e.corp.add(e.lastSent, novel)
-			e.gCorpus.Set(float64(e.corp.size()))
 		}
 	} else {
 		e.sinceNovelty++
@@ -242,22 +212,22 @@ func (e *Engine) Next() (can.Frame, bool) {
 	return f, true
 }
 
-// PublishStats pushes the engine's exact counters into its introspection
-// slot (atomic stores; the engine goroutine is the only writer) and
-// refreshes the amortised corpus-energy snapshot every energyPublishEvery
-// ticks; a no-op without a slot. Next publishes only every
-// statsPublishEvery ticks and on novelty, so whoever stops the campaign
-// calls this too — see core.Campaign.SetStopHook — to leave the slot
-// exact.
+// PublishStats pushes the engine's exact counters, plus those of the
+// slot's finished trials, into its introspection slot (atomic stores; the
+// engine goroutine is the only writer) and refreshes the amortised
+// corpus-energy snapshot every energyPublishEvery ticks; a no-op without
+// a slot. Next publishes only every statsPublishEvery ticks and on
+// novelty, so whoever stops the campaign calls this too — see
+// core.Campaign.SetStopHook — to leave the slot exact.
 func (e *Engine) PublishStats() {
 	s := e.stats
 	if s == nil {
 		return
 	}
-	s.execs.Store(e.sent)
-	s.noveltyHits.Store(e.noveltyHits)
-	s.mutations.Store(e.mutations)
-	s.explorations.Store(e.explorations)
+	s.execs.Store(s.finished.execs + e.sent)
+	s.noveltyHits.Store(s.finished.noveltyHits + e.noveltyHits)
+	s.mutations.Store(s.finished.mutations + e.mutations)
+	s.explorations.Store(s.finished.explorations + e.explorations)
 	s.execsSinceNovelty.Store(e.sinceNovelty)
 	s.noveltyBits.Store(int64(e.noveltyBits))
 	s.corpusSize.Store(int64(e.corp.size()))
@@ -298,11 +268,9 @@ func (e *Engine) harvest() uint64 {
 func (e *Engine) generate() can.Frame {
 	if e.corp.size() == 0 || e.rng.Intn(exploreOneIn) == 0 {
 		e.explorations++
-		e.cExplore.Inc()
 		return e.randomFrame()
 	}
 	e.mutations++
-	e.cMutate.Inc()
 	return e.mutate(e.corp.pick(e.rng))
 }
 

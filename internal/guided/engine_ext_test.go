@@ -2,6 +2,7 @@ package guided_test
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/bcm"
 	"repro/internal/core"
 	"repro/internal/guided"
+	"repro/internal/observatory"
 	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
@@ -65,20 +67,33 @@ func TestGuidedDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestGuidedTelemetryGauges checks the guided series on the metrics
+// plane: the engine publishes only to its introspection slot, and the
+// observatory's fuzz_* gauges read that slot, so after a run they equal
+// the engine's own corpus size and novelty-map bits.
 func TestGuidedTelemetryGauges(t *testing.T) {
 	tel := telemetry.New(0)
-	exp := guidedExp(t, bcm.CheckByteOnly, 3, guided.WithTelemetry(tel))
+	intr := guided.NewIntrospection()
+	observatory.New(observatory.Config{Fuzz: intr, Telemetry: tel})
+	exp := guidedExp(t, bcm.CheckByteOnly, 3, guided.WithIntrospection(intr))
 	if _, ok := exp.Run(10 * time.Minute); !ok {
 		t.Fatal("no finding")
 	}
-	// Re-registration interns by name, so fetching returns the live series.
-	corpus := tel.Registry.Gauge("corpus_size", "").Value()
-	novelty := tel.Registry.Counter("novelty_hits_total", "").Value()
-	if corpus == 0 || novelty == 0 {
-		t.Fatalf("corpus_size = %v, novelty_hits_total = %v; want both > 0", corpus, novelty)
+	var prom strings.Builder
+	if err := tel.Registry.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
 	}
-	if int(corpus) != exp.Engine.CorpusSize() {
-		t.Fatalf("gauge %v != engine corpus %d", corpus, exp.Engine.CorpusSize())
+	for name, want := range map[string]int{
+		"fuzz_corpus_size":      exp.Engine.CorpusSize(),
+		"fuzz_novelty_bits_set": exp.Engine.NoveltyBits(),
+	} {
+		if want == 0 {
+			t.Fatalf("engine %s is 0 after a finding run", name)
+		}
+		line := name + " " + strconv.Itoa(want) + "\n"
+		if !strings.Contains(prom.String(), "\n"+line) {
+			t.Errorf("exposition lacks %q:\n%s", line, prom.String())
+		}
 	}
 }
 

@@ -44,8 +44,25 @@ type EngineStats struct {
 	noveltyBits       atomic.Int64
 	corpusSize        atomic.Int64
 
+	// finished sums the counters of the trials the engine ran before its
+	// last Reset. Only the engine goroutine touches it: Reset folds a
+	// trial in, PublishStats adds it to the live trial's counters.
+	finished struct{ execs, noveltyHits, mutations, explorations uint64 }
+
 	mu       sync.Mutex
 	energies []uint64
+}
+
+// foldTrial adds the engine's current trial counters to the slot's
+// finished totals; a no-op on a nil slot.
+func (s *EngineStats) foldTrial(e *Engine) {
+	if s == nil {
+		return
+	}
+	s.finished.execs += e.sent
+	s.finished.noveltyHits += e.noveltyHits
+	s.finished.mutations += e.mutations
+	s.finished.explorations += e.explorations
 }
 
 // publishEnergies refreshes the slot's corpus-energy snapshot, reusing the
@@ -103,8 +120,11 @@ type EnergyQuantiles struct {
 }
 
 // FuzzSnapshot is one sample of guided-engine internals — the /fuzz.json
-// document. Counters are summed over every engine registered so far
-// (including finished trials' engines, whose counters simply stop moving).
+// document. Counters are summed over every trial of every engine
+// registered so far: a finished trial's engine stops moving, and a
+// recycled engine carries its finished trials' counts forward. Gauges
+// (novelty bits, corpus size, staleness) describe each engine's current
+// trial.
 type FuzzSnapshot struct {
 	// Engines is the number of registered engine slots.
 	Engines int `json:"engines"`

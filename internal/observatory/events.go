@@ -4,6 +4,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"repro/internal/fleet"
 )
 
 // Event types. Together they are the journal vocabulary of the campaign
@@ -18,8 +20,8 @@ const (
 	// EventCorpusMerge reports a trial contributing its evolved corpus to
 	// the fleet merge.
 	EventCorpusMerge = "corpus_merge"
-	// EventCheckpoint is a campaign-scope progress mark (every Nth
-	// completed trial).
+	// EventCheckpoint is a campaign-scope progress mark (every
+	// CheckpointEvery-th completed trial, and the last).
 	EventCheckpoint = "checkpoint"
 	// EventCampaignStart opens a distributed campaign journal: its Raw
 	// payload is the serialised campaignd spec, which lets a restarted
@@ -68,6 +70,63 @@ type Event struct {
 	// already be valid compact JSON; MarshalJSONL embeds it verbatim, which
 	// keeps the line bytes a pure function of the payload bytes.
 	Raw []byte
+}
+
+// CheckpointEvery is the checkpoint cadence of the event log and of the
+// campaign service journal: a checkpoint follows every CheckpointEvery-th
+// completed trial and the campaign's last one.
+const CheckpointEvery = 10
+
+// TrialStart is the event that opens a trial when a worker first picks it
+// up.
+func TrialStart(trial int, seed int64) Event {
+	return Event{Type: EventTrialStart, Trial: trial, Seq: 0, Seed: seed}
+}
+
+// AppendTrialEvents appends a finished trial's events to dst — its finding
+// (when it ended in one), trial_end, and corpus_merge (when it evolved a
+// corpus), sequenced from 1 — and returns the extended slice and the next
+// free seq. Their content is a pure function of the result, so the
+// in-process event log (Observatory) and the campaign service journal
+// (campaignd.Coordinator), which both build them here, agree line for
+// line.
+func AppendTrialEvents(dst []Event, res fleet.TrialResult) ([]Event, int) {
+	seq := 1
+	if res.Status == fleet.StatusFinding {
+		dst = append(dst, Event{
+			Type: EventFinding, Trial: res.Trial, Seq: seq,
+			VirtualNanos: int64(res.TimeToFinding),
+			Oracle:       res.Oracle, Detail: res.Detail, TriggerID: res.TriggerID,
+		})
+		seq++
+	}
+	dst = append(dst, Event{
+		Type: EventTrialEnd, Trial: res.Trial, Seq: seq,
+		Status:       res.Status,
+		VirtualNanos: int64(res.VirtualElapsed),
+		Frames:       res.FramesSent,
+		SendErrors:   res.SendErrors,
+		Findings:     res.Findings,
+	})
+	seq++
+	if n := len(res.Corpus); n > 0 {
+		dst = append(dst, Event{
+			Type: EventCorpusMerge, Trial: res.Trial, Seq: seq,
+			Frames: uint64(n),
+		})
+		seq++
+	}
+	return dst, seq
+}
+
+// Checkpoint returns the checkpoint event for completed of total trials
+// and whether the cadence calls for one there. The event carries only the
+// count, so it does not depend on which trials finished first.
+func Checkpoint(completed, total int) (Event, bool) {
+	return Event{
+		Type: EventCheckpoint, Trial: -1, Seq: completed,
+		Completed: completed, Total: total,
+	}, completed%CheckpointEvery == 0 || completed == total
 }
 
 // MarshalJSONL appends the event as one JSON line (no trailing newline)

@@ -29,9 +29,6 @@ import (
 type Config struct {
 	// Sink, when non-nil, receives the campaign event stream.
 	Sink *Sink
-	// CheckpointEvery emits a campaign checkpoint event per this many
-	// completed trials (default 10; only meaningful with a Sink).
-	CheckpointEvery int
 	// Fuzz, when non-nil, is the guided-engine introspection plane served
 	// at /fuzz.json.
 	Fuzz *guided.Introspection
@@ -53,9 +50,8 @@ type Observatory struct {
 	fuzz     *guided.Introspection
 	tel      *telemetry.Telemetry
 
-	checkpointEvery int64
-	completions     atomic.Int64
-	trialsTotal     atomic.Int64
+	completions atomic.Int64
+	trialsTotal atomic.Int64
 }
 
 // New assembles an observatory. Every Config field is optional; the zero
@@ -63,14 +59,10 @@ type Observatory struct {
 // metrics plane.
 func New(cfg Config) *Observatory {
 	o := &Observatory{
-		progress:        fleet.NewProgress(),
-		sink:            cfg.Sink,
-		fuzz:            cfg.Fuzz,
-		tel:             cfg.Telemetry,
-		checkpointEvery: int64(cfg.CheckpointEvery),
-	}
-	if o.checkpointEvery <= 0 {
-		o.checkpointEvery = 10
+		progress: fleet.NewProgress(),
+		sink:     cfg.Sink,
+		fuzz:     cfg.Fuzz,
+		tel:      cfg.Telemetry,
 	}
 	if o.tel != nil {
 		// The campaign-level gauges are evaluated at export time from the
@@ -113,49 +105,23 @@ func (o *Observatory) CampaignStarted(cfg fleet.Config, workers int) {
 // TrialStarted implements fleet.Observer.
 func (o *Observatory) TrialStarted(spec fleet.TrialSpec) {
 	o.progress.TrialStarted(spec)
-	o.sink.Emit(Event{Type: EventTrialStart, Trial: spec.Index, Seq: 0, Seed: spec.Seed})
+	o.sink.Emit(TrialStart(spec.Index, spec.Seed))
 }
 
 // TrialFinished implements fleet.Observer: update the tracker, then stream
-// the trial's events — finding (if any), trial_end, corpus_merge (if the
-// trial evolved a corpus) — followed by a campaign checkpoint at every
-// CheckpointEvery-th completion. Per-trial event content is a pure
-// function of the trial result; the checkpoint carries only the completed
-// count, which is worker-count independent too.
+// the trial's events (AppendTrialEvents) followed by a campaign checkpoint
+// when this completion is due one. The checkpoint carries only the
+// completed count, which is worker-count independent too.
 func (o *Observatory) TrialFinished(res fleet.TrialResult) {
 	o.progress.TrialFinished(res)
-	if o.sink != nil {
-		seq := 1
-		if res.Status == fleet.StatusFinding {
-			o.sink.Emit(Event{
-				Type: EventFinding, Trial: res.Trial, Seq: seq,
-				VirtualNanos: int64(res.TimeToFinding),
-				Oracle:       res.Oracle, Detail: res.Detail, TriggerID: res.TriggerID,
-			})
-			seq++
-		}
-		o.sink.Emit(Event{
-			Type: EventTrialEnd, Trial: res.Trial, Seq: seq,
-			Status:       res.Status,
-			VirtualNanos: int64(res.VirtualElapsed),
-			Frames:       res.FramesSent,
-			SendErrors:   res.SendErrors,
-			Findings:     res.Findings,
-		})
-		if n := len(res.Corpus); n > 0 {
-			o.sink.Emit(Event{
-				Type: EventCorpusMerge, Trial: res.Trial, Seq: seq + 1,
-				Frames: uint64(n),
-			})
-		}
-	}
+	var buf [4]Event
+	evs, _ := AppendTrialEvents(buf[:0], res)
 	n := o.completions.Add(1)
-	total := int(o.trialsTotal.Load())
-	if n%o.checkpointEvery == 0 || int(n) == total {
-		o.sink.Emit(Event{
-			Type: EventCheckpoint, Trial: -1, Seq: int(n),
-			Completed: int(n), Total: total,
-		})
+	if cp, due := Checkpoint(int(n), int(o.trialsTotal.Load())); due {
+		evs = append(evs, cp)
+	}
+	for _, e := range evs {
+		o.sink.Emit(e)
 	}
 }
 
@@ -164,13 +130,8 @@ func (o *Observatory) TrialFinished(res fleet.TrialResult) {
 // here instead.
 func (o *Observatory) CampaignDone(rep *fleet.Report) {
 	o.progress.CampaignDone(rep)
-	n := o.completions.Load()
-	total := int(o.trialsTotal.Load())
-	if int(n) != total && n%o.checkpointEvery != 0 {
-		o.sink.Emit(Event{
-			Type: EventCheckpoint, Trial: -1, Seq: int(n),
-			Completed: int(n), Total: total,
-		})
+	if cp, due := Checkpoint(int(o.completions.Load()), int(o.trialsTotal.Load())); !due {
+		o.sink.Emit(cp)
 	}
 }
 

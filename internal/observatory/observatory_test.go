@@ -59,7 +59,7 @@ func guidedFactory(intr *guided.Introspection) fleet.TargetFactory {
 func runObserved(t *testing.T, trials, workers int, buf *bytes.Buffer) (*observatory.Observatory, *fleet.Report) {
 	t.Helper()
 	sink := observatory.NewSink(buf)
-	obs := observatory.New(observatory.Config{Sink: sink, CheckpointEvery: 2})
+	obs := observatory.New(observatory.Config{Sink: sink})
 	rep, err := fleet.Run(fleet.Config{
 		Trials: trials, Workers: workers, BaseSeed: 11,
 		MaxPerTrial: 30 * time.Minute, Observer: obs,
@@ -101,8 +101,9 @@ func TestEventLogSortedDeterminism(t *testing.T) {
 }
 
 func TestEventLogSchema(t *testing.T) {
+	// Enough trials for two periodic checkpoints and a final one.
 	var buf bytes.Buffer
-	const trials = 8
+	const trials = 2*observatory.CheckpointEvery + 3
 	runObserved(t, trials, 2, &buf)
 
 	starts, ends, findings, checkpoints := 0, 0, 0, 0
@@ -159,9 +160,9 @@ func TestEventLogSchema(t *testing.T) {
 	if findings == 0 {
 		t.Error("targeted unlock fleet produced no finding events")
 	}
-	if checkpoints != trials/2 {
-		t.Errorf("got %d checkpoints with CheckpointEvery=2 over %d trials, want %d",
-			checkpoints, trials, trials/2)
+	if want := trials/observatory.CheckpointEvery + 1; checkpoints != want {
+		t.Errorf("got %d checkpoints with CheckpointEvery=%d over %d trials, want %d",
+			checkpoints, observatory.CheckpointEvery, trials, want)
 	}
 	if lastCheckpoint.Completed != trials || lastCheckpoint.Total != trials {
 		t.Errorf("final checkpoint %+v, want completed=total=%d", lastCheckpoint, trials)

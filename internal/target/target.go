@@ -5,11 +5,12 @@
 //
 // Before this package the construction recipe lived inside cmd/canfuzz,
 // which meant every other consumer of a world — the distributed worker, the
-// minimizer, replay tooling — had to route through the CLI. Now the CLI,
-// the campaignd worker runtime, the findings regression replayer
-// (internal/findings) and canreplay all build worlds through the same
-// code path, which is what keeps a trial's result byte-identical no matter
-// which tool executed it.
+// minimizer, replay tooling — had to route through the CLI. Now the CLI
+// (fuzzing, -worker and the minimizer), the findings regression replayer
+// (internal/findings, behind canregress) and the benchmark harness all
+// build worlds through the same code path, which is what keeps a trial's
+// result byte-identical no matter which tool executed it. canreplay does
+// not: it replays a log onto a plain testbench.
 package target
 
 import (
@@ -222,9 +223,6 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 	var eng *guided.Engine
 	if cfg.Mode == core.ModeGuided {
 		engOpts := []guided.EngineOption{guided.WithProbes(probes...)}
-		if tel != nil {
-			engOpts = append(engOpts, guided.WithTelemetry(tel))
-		}
 		if o.Introspection != nil {
 			engOpts = append(engOpts, guided.WithIntrospection(o.Introspection))
 		}

@@ -31,7 +31,9 @@ func (p passThrough) Observe(m bus.Message)   { p.inner.Observe(m) }
 // with live telemetry and introspection, to the unlock with its frame
 // source wrapped, then once more after a world reset: each time the
 // introspection snapshot must equal the engine's own counters exactly,
-// although the engine publishes only periodically while it runs.
+// although the engine publishes only periodically while it runs. The
+// counters are cumulative over both trials; the gauges describe the
+// current one.
 func TestIntrospectionExactThroughWrapper(t *testing.T) {
 	intr := guided.NewIntrospection()
 	b, err := target.Build(target.Spec{Target: "bench", Stop: true},
@@ -47,6 +49,7 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 	}
 	w.Campaign.SetFrameSource(passThrough{eng})
 
+	var before guided.FuzzSnapshot // counters of the trials already finished
 	for trial, seed := range []int64{5, 6} {
 		if trial > 0 {
 			if err := w.Reset(fleet.TrialSpec{Index: trial, Seed: seed}); err != nil {
@@ -58,10 +61,10 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 		}
 		s := intr.Snapshot()
 		want := guided.FuzzSnapshot{
-			Execs:                eng.Mutations() + eng.Explorations(),
-			NoveltyHits:          eng.NoveltyHits(),
-			Mutations:            eng.Mutations(),
-			Explorations:         eng.Explorations(),
+			Execs:                before.Execs + eng.Mutations() + eng.Explorations(),
+			NoveltyHits:          before.NoveltyHits + eng.NoveltyHits(),
+			Mutations:            before.Mutations + eng.Mutations(),
+			Explorations:         before.Explorations + eng.Explorations(),
 			ExecsSinceNoveltyMin: eng.ExecsSinceNovelty(),
 			NoveltyBitsSet:       int64(eng.NoveltyBits()),
 			CorpusSize:           int64(eng.CorpusSize()),
@@ -74,9 +77,54 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: snapshot %+v, engine %+v", trial, got, want)
 		}
-		if want.Execs != w.Campaign.FramesSent() {
-			t.Fatalf("trial %d: engine execs %d, campaign sent %d", trial, want.Execs, w.Campaign.FramesSent())
+		if sent := eng.Mutations() + eng.Explorations(); sent != w.Campaign.FramesSent() {
+			t.Fatalf("trial %d: engine execs %d, campaign sent %d", trial, sent, w.Campaign.FramesSent())
 		}
+		before = want
+	}
+}
+
+// TestIntrospectionCountsEveryTrial runs a guided bench fleet on one
+// worker, once recycling its world and once building every trial cold:
+// either way /fuzz.json must count every frame the fleet sent, so a
+// recycled engine's reset may not drop its finished trials.
+func TestIntrospectionCountsEveryTrial(t *testing.T) {
+	cfg := core.Config{Mode: core.ModeGuided, TargetIDs: []can.ID{signal.IDBodyCommand}}
+	for _, pooled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pooled=%v", pooled), func(t *testing.T) {
+			intr := guided.NewIntrospection()
+			factory := func(ts fleet.TrialSpec) (*fleet.World, error) {
+				c := cfg
+				c.Seed = ts.Seed
+				b, err := target.Build(target.Spec{Target: "bench", Stop: true}, c,
+					target.Options{Introspection: intr})
+				if err != nil {
+					return nil, err
+				}
+				if !pooled {
+					b.World.Reset = nil
+				}
+				return b.World, nil
+			}
+			rep, err := fleet.Run(fleet.Config{
+				Trials: 6, Workers: 1, BaseSeed: 3, MaxPerTrial: 30 * time.Minute,
+			}, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := intr.Snapshot()
+			if s.Execs != rep.FramesSent || s.Mutations+s.Explorations != rep.FramesSent {
+				t.Fatalf("snapshot execs %d (mutations %d + explorations %d), fleet sent %d frames",
+					s.Execs, s.Mutations, s.Explorations, rep.FramesSent)
+			}
+			wantEngines := 1
+			if !pooled {
+				wantEngines = 6
+			}
+			if s.Engines != wantEngines {
+				t.Fatalf("%d engines registered, want %d", s.Engines, wantEngines)
+			}
+		})
 	}
 }
 
