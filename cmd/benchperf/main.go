@@ -4,7 +4,8 @@
 // stuffing, wire-length computation, frame encoding, scheduler cycle,
 // steady-state bus TX, guided campaign step) through testing.Benchmark,
 // then writes a BENCH_<date>.json trajectory file with ns/op, allocs/op,
-// B/op and — for the frame-pumping workloads — frames/sec.
+// B/op and — for the frame-pumping workloads — frames/sec, plus the
+// telemetry overhead (CampaignTelemetry over Campaign ns/op, same run).
 //
 // Usage:
 //
@@ -72,8 +73,12 @@ type File struct {
 	// FindingsCount is the size of the regression corpus (-findings-db) at
 	// snapshot time — deduplicated findings, not raw campaign hits — so the
 	// trend report shows discovery progress alongside performance.
-	FindingsCount int      `json:"findingsCount,omitempty"`
-	Results       []Result `json:"results"`
+	FindingsCount int `json:"findingsCount,omitempty"`
+	// TelemetryOverhead is the cost of the live telemetry plane as a
+	// same-run ratio: the best CampaignTelemetry ns/op over the best
+	// Campaign ns/op. Zero when the run skipped either workload.
+	TelemetryOverhead float64  `json:"telemetryOverhead,omitempty"`
+	Results           []Result `json:"results"`
 }
 
 // workload pairs a benchmark body with the number of frames one op pumps
@@ -161,6 +166,9 @@ func run(args []string) error {
 			"ns/op", fmt.Sprintf("%.0f", r.NsPerOp),
 			"allocs/op", r.AllocsPerOp, "B/op", r.BytesPerOp)
 		f.Results = append(f.Results, r)
+	}
+	if f.TelemetryOverhead = telemetryOverhead(f.Results); f.TelemetryOverhead > 0 {
+		logger.Info("telemetry overhead", "CampaignTelemetry/Campaign", fmt.Sprintf("%.3fx", f.TelemetryOverhead))
 	}
 
 	path := *out
@@ -264,6 +272,24 @@ func checkSpeedup(f File, baselinePath string, minCampaign, minFleetAlloc float6
 		return fmt.Errorf("%d speedup floor(s) not met vs %s", failures, baselinePath)
 	}
 	return nil
+}
+
+// telemetryOverhead returns CampaignTelemetry ns/op over Campaign ns/op,
+// or zero when either is missing.
+func telemetryOverhead(results []Result) float64 {
+	var plain, live float64
+	for _, r := range results {
+		switch r.Name {
+		case "Campaign":
+			plain = r.NsPerOp
+		case "CampaignTelemetry":
+			live = r.NsPerOp
+		}
+	}
+	if plain <= 0 || live <= 0 {
+		return 0
+	}
+	return live / plain
 }
 
 // nsPerOp returns the benchmark's wall time per operation in nanoseconds.

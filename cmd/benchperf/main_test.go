@@ -117,3 +117,19 @@ func TestCheckSpeedupMissingWorkload(t *testing.T) {
 		t.Errorf("baseline without Campaign: err = %v, want a missing-workload error", err)
 	}
 }
+
+func TestTelemetryOverhead(t *testing.T) {
+	for _, tc := range []struct {
+		results []Result
+		want    float64
+	}{
+		{[]Result{{Name: "Campaign", NsPerOp: 400}, {Name: "Fleet", NsPerOp: 9}, {Name: "CampaignTelemetry", NsPerOp: 500}}, 1.25},
+		{[]Result{{Name: "CampaignTelemetry", NsPerOp: 500}}, 0}, // -only without Campaign
+		{[]Result{{Name: "Campaign", NsPerOp: 400}}, 0},
+		{nil, 0},
+	} {
+		if got := telemetryOverhead(tc.results); got != tc.want {
+			t.Errorf("telemetryOverhead(%v) = %v, want %v", tc.results, got, tc.want)
+		}
+	}
+}

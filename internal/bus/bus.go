@@ -515,10 +515,12 @@ func (b *Bus) tryStart() {
 		return
 	}
 	b.leaveIdle()
-	// The uncontended case (one pending sender) has no losers to charge;
-	// skip the loser rescan unless a tracer wants the arb-won event too.
-	if contenders > 1 || b.tel != nil {
+	// The uncontended case (one pending sender) has no losers to charge,
+	// so it skips the loser rescan and records only the arb-won event.
+	if contenders > 1 {
 		b.noteArbitration(winner, winnerID)
+	} else {
+		b.tel.Trc().Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
 	}
 	switch winnerKind {
 	case 1:
@@ -760,6 +762,7 @@ func (b *Bus) rejoin(p *Port) {
 // noteArbitration charges an arbitration loss to every port that contended
 // and lost against the winner, and emits the won/lost trace events.
 func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
+	trc := b.tel.Trc()
 	for _, p := range b.ports {
 		if p == winner || p.detached || p.state == BusOff {
 			continue
@@ -769,15 +772,9 @@ func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
 		}
 		p.stats.ArbLosses++
 		p.mArbLoss.Inc()
-		if ev := b.tel.Begin(telemetry.EvArbLost, b.sched.Now(), p.name, "arb-lost"); ev != nil {
-			ev.ID = uint32(winnerID)
-			b.tel.Commit()
-		}
+		trc.Rec(p.sArbLost, b.sched.Now(), 0, uint32(winnerID), 0)
 	}
-	if ev := b.tel.Begin(telemetry.EvArbWon, b.sched.Now(), winner.name, "arb-won"); ev != nil {
-		ev.ID = uint32(winnerID)
-		b.tel.Commit()
-	}
+	trc.Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
 }
 
 // noteBusy accrues bus occupancy into the lifetime and sliding-window
@@ -798,10 +795,7 @@ func (b *Bus) noteErrorFrame(tx *Port, id can.ID, dur time.Duration) {
 	tx.bumpTEC(8)
 	tx.stats.TxErrors++
 	b.mCorrupted.Inc()
-	if ev := b.tel.Begin(telemetry.EvErrorFrame, b.sched.Now()-dur, tx.name, "error-frame"); ev != nil {
-		ev.Dur, ev.ID = dur, uint32(id)
-		b.tel.Commit()
-	}
+	b.tel.Trc().Rec(tx.sErrorFrame, b.sched.Now()-dur, dur, uint32(id), 0)
 }
 
 // noteDelivered accounts a successful transmission on bus and transmitter.
@@ -815,9 +809,6 @@ func (b *Bus) noteDelivered(tx *Port, id can.ID, dur time.Duration, bits int) {
 	tx.mTx.Inc()
 	if b.tel != nil {
 		b.hWireTime.ObserveDuration(dur)
-		if ev := b.tel.Begin(telemetry.EvTx, b.sched.Now()-dur, tx.name, "tx"); ev != nil {
-			ev.Dur, ev.ID, ev.N = dur, uint32(id), uint64(bits)
-			b.tel.Commit()
-		}
+		b.tel.Trc().Rec(tx.sTx, b.sched.Now()-dur, dur, uint32(id), uint64(bits))
 	}
 }

@@ -2,11 +2,13 @@ package bus
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/can"
 	"repro/internal/clock"
+	"repro/internal/telemetry"
 )
 
 func newBus(t *testing.T, opts ...Option) (*clock.Scheduler, *Bus) {
@@ -134,6 +136,69 @@ func TestArbitrationAmongSimultaneousQueues(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+}
+
+// arbTrace returns the arbitration events an instrumented bus traced, as
+// "kind actor id" strings in order.
+func arbTrace(tel *telemetry.Telemetry) []string {
+	var out []string
+	for _, e := range tel.Tracer.Events() {
+		if e.Kind == telemetry.EvArbWon || e.Kind == telemetry.EvArbLost {
+			out = append(out, fmt.Sprintf("%s %s %03x", e.Name, e.Actor, e.ID))
+		}
+	}
+	return out
+}
+
+// TestArbitrationTraceEvents checks the arbitration trace on an
+// instrumented bus: a lone sender records one arb-won and no arb-lost per
+// frame (the uncontended path skips the loser scan), while contended
+// rounds record an arb-lost for every loser, in attach order, before the
+// winner's arb-won.
+func TestArbitrationTraceEvents(t *testing.T) {
+	t.Run("single sender", func(t *testing.T) {
+		s, b := newBus(t)
+		tel := telemetry.New(0)
+		b.Instrument(tel)
+		tx := b.Connect("tx")
+		b.Connect("rx")
+		for i := 0; i < 3; i++ {
+			if err := tx.Send(can.MustNew(can.ID(0x100+i), []byte{byte(i)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.RunUntil(time.Second)
+		got := fmt.Sprint(arbTrace(tel))
+		if want := "[arb-won tx 100 arb-won tx 101 arb-won tx 102]"; got != want {
+			t.Fatalf("arbitration trace = %s, want %s", got, want)
+		}
+		if st := tx.Stats(); st.ArbLosses != 0 || st.TxFrames != 3 {
+			t.Fatalf("lone sender stats = %+v", st)
+		}
+	})
+	t.Run("contenders", func(t *testing.T) {
+		s, b := newBus(t)
+		tel := telemetry.New(0)
+		b.Instrument(tel)
+		a := b.Connect("a")
+		c := b.Connect("c")
+		d := b.Connect("d")
+		b.Connect("rx")
+		a.Send(can.MustNew(0x7FF, make([]byte, 8))) // occupies the bus first
+		a.Send(can.MustNew(0x300, []byte{3}))
+		c.Send(can.MustNew(0x050, []byte{1}))
+		d.Send(can.MustNew(0x200, []byte{2}))
+		s.RunUntil(time.Second)
+		got := fmt.Sprint(arbTrace(tel))
+		want := "[arb-won a 7ff arb-lost a 050 arb-lost d 050 arb-won c 050 arb-lost a 200 arb-won d 200 arb-won a 300]"
+		if got != want {
+			t.Fatalf("arbitration trace = %s, want %s", got, want)
+		}
+		if a.Stats().ArbLosses != 2 || d.Stats().ArbLosses != 1 || c.Stats().ArbLosses != 0 {
+			t.Fatalf("arbitration losses a=%d c=%d d=%d, want 2/0/1",
+				a.Stats().ArbLosses, c.Stats().ArbLosses, d.Stats().ArbLosses)
+		}
+	})
 }
 
 func TestPerPortFIFO(t *testing.T) {

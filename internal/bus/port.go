@@ -52,6 +52,9 @@ type Port struct {
 	mArbLoss *telemetry.Counter
 	mDropped *telemetry.Counter
 	gState   *telemetry.Gauge
+
+	// Trace emit sites, interned by instrument.
+	sArbWon, sArbLost, sTx, sErrorFrame telemetry.Site
 }
 
 // portRun is the port's per-trial state. reset assigns it whole, so a
@@ -73,9 +76,14 @@ type portRun struct {
 	stats PortStats
 }
 
-// instrument registers the per-port counter series. Called by
-// Bus.Instrument for existing ports and by Connect afterwards.
+// instrument registers the per-port counter series and trace emit sites.
+// Called by Bus.Instrument for existing ports and by Connect afterwards.
 func (p *Port) instrument() {
+	trc := p.bus.tel.Trc()
+	p.sArbWon = trc.Site(telemetry.EvArbWon, p.name, "arb-won")
+	p.sArbLost = trc.Site(telemetry.EvArbLost, p.name, "arb-lost")
+	p.sTx = trc.Site(telemetry.EvTx, p.name, "tx")
+	p.sErrorFrame = trc.Site(telemetry.EvErrorFrame, p.name, "error-frame")
 	reg := p.bus.tel.Reg()
 	busLbl := telemetry.Label{Key: "bus", Value: p.bus.name}
 	portLbl := telemetry.Label{Key: "port", Value: p.name}

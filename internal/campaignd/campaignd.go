@@ -319,12 +319,12 @@ func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) e
 	return nil
 }
 
-// journalResultLocked streams an accepted result into the journal: the
-// events an in-process fleet emits (observatory.AppendTrialEvents, then
-// the checkpoint when due) with the trial_result line that makes the
-// journal self-sufficient for resume between them, so a checkpoint never
-// runs ahead of a durable result. The completed count includes resumed
-// trials.
+// journalResultLocked streams an accepted result into the journal as one
+// write: the events an in-process fleet emits
+// (observatory.AppendTrialEvents, then the checkpoint when due) with the
+// trial_result line that makes the journal self-sufficient for resume
+// between them, so a checkpoint never runs ahead of a durable result. The
+// completed count includes resumed trials.
 func (c *Coordinator) journalResultLocked(res fleet.TrialResult) {
 	if c.sink == nil {
 		return
@@ -339,9 +339,7 @@ func (c *Coordinator) journalResultLocked(res fleet.TrialResult) {
 	if cp, due := observatory.Checkpoint(c.done, len(c.trials)); due {
 		evs = append(evs, cp)
 	}
-	for _, e := range evs {
-		c.sink.Emit(e)
-	}
+	c.sink.EmitBatch(evs)
 }
 
 // reclaimExpiredLocked returns expired leases to the pending pool with a

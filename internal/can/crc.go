@@ -16,8 +16,8 @@ const crc15Poly = 0x4599
 // CRC15 computes the CAN CRC-15 over a bit sequence (one bit per byte,
 // values 0 or 1), as specified in Bosch CAN 2.0 §3.1.1. Eight input bits
 // at a time go through crc15Table; the trailing partial byte steps
-// serially. crc15Ref in reference.go is the bit-serial specification this
-// is tested against.
+// serially. crc15Ref in reference_test.go is the bit-serial
+// specification this is tested against.
 func CRC15(bits []byte) uint16 {
 	var crc uint16
 	i := 0

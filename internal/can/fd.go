@@ -173,6 +173,24 @@ func makeFDTable(poly uint32, width int) (t [256]uint32) {
 	return t
 }
 
+// crcFDRef is the bit-serial n-bit CRC: crcFD's fallback for
+// polynomial/width combinations the byte tables do not cover, and the
+// reference the differential tests (words_test.go) hold the tables to.
+// Never optimise it.
+func crcFDRef(bits []byte, poly uint32, width int) uint32 {
+	var crc uint32
+	top := uint32(1) << (width - 1)
+	mask := top<<1 - 1
+	for _, b := range bits {
+		next := uint32(b&1) ^ (crc >> (width - 1) & 1)
+		crc = (crc << 1) & mask
+		if next == 1 {
+			crc ^= poly & mask
+		}
+	}
+	return crc & mask
+}
+
 // crcFD computes an n-bit CRC over a bit sequence with the given
 // polynomial: byte-at-a-time off the width's table for the two standard
 // FD combinations, bit-serial (crcFDRef) for anything else.

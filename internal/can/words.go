@@ -17,8 +17,9 @@ package can
 //     crc21Table).
 //
 // The original bit-at-a-time implementations survive verbatim in
-// reference.go; the differential suite in words_test.go pins every kernel
-// here byte-identical — output and error — to its reference.
+// reference_test.go (crcFDRef, also a live fallback, in fd.go); the
+// differential suite in words_test.go pins every kernel here
+// byte-identical — output and error — to its reference.
 //
 // All bit-slice inputs follow the package contract: one bit per byte,
 // values 0 or 1.

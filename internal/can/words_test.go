@@ -2,10 +2,10 @@ package can
 
 // Differential battery for the word-level codec kernels (words.go): every
 // kernel is pinned byte-identical — output and error — to its retained
-// bit-at-a-time reference (reference.go) over a seeded sweep of random
-// classic and FD frames, adversarial equal-bit runs, maximum-DLC and
-// worst-case-stuffing payloads, and chunk-boundary lengths around the
-// 1024-bit packing window.
+// bit-at-a-time reference (reference_test.go; crcFDRef in fd.go) over a
+// seeded sweep of random classic and FD frames, adversarial equal-bit
+// runs, maximum-DLC and worst-case-stuffing payloads, and chunk-boundary
+// lengths around the 1024-bit packing window.
 
 import (
 	"errors"

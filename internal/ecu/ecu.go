@@ -106,6 +106,7 @@ type ECU struct {
 	mFaults     *telemetry.Counter
 	mPowerCycle *telemetry.Counter
 	mCrashes    *telemetry.Counter
+	sDispatch   telemetry.Site
 }
 
 // ecuRun is the ECU's per-trial state. Reset assigns it whole, so a
@@ -155,6 +156,7 @@ func (e *ECU) Instrument(t *telemetry.Telemetry) {
 		return
 	}
 	e.tel = t
+	e.sDispatch = t.Trc().Site(telemetry.EvDispatch, e.name, "dispatch")
 	lbl := telemetry.Label{Key: "ecu", Value: e.name}
 	e.mDispatched = t.Registry.Counter("ecu_frames_dispatched_total", "Frames routed to this ECU's handlers.", lbl)
 	e.mFaults = t.Registry.Counter("ecu_faults_total", "Fault-log entries raised by this ECU.", lbl)
@@ -258,10 +260,7 @@ func (e *ECU) dispatch(m bus.Message) {
 		return // wedged application task: the frame is lost
 	}
 	e.mDispatched.Inc()
-	if ev := e.tel.Begin(telemetry.EvDispatch, e.sched.Now(), e.name, "dispatch"); ev != nil {
-		ev.ID = uint32(m.Frame.ID)
-		e.tel.Commit()
-	}
+	e.tel.Trc().Rec(e.sDispatch, e.sched.Now(), 0, uint32(m.Frame.ID), 0)
 	defer e.guard()
 	if e.panicNext != "" {
 		detail := e.panicNext

@@ -209,12 +209,12 @@ func appendJSONString(b []byte, s string) []byte {
 // The file (when one is attached) always holds the full log.
 const sinkRingCap = 8192
 
-// Sink is the append-only JSONL event stream: every Emit marshals one
-// line, appends it to the writer (the -events file) and retains it in a
-// bounded ring for HTTP tailing. Marshalling happens outside the lock, so
-// concurrent fleet workers contend only for the append itself. A nil
-// *Sink drops everything — the no-op path for campaigns run without an
-// event log.
+// Sink is the append-only JSONL event stream: every Emit or EmitBatch
+// marshals its lines, appends them to the writer (the -events file or a
+// service journal) in one Write and retains them in a bounded ring for
+// HTTP tailing. Marshalling happens outside the lock, so concurrent fleet
+// workers contend only for the append itself. A nil *Sink drops
+// everything — the no-op path for campaigns run without an event log.
 type Sink struct {
 	mu      sync.Mutex
 	w       io.Writer // may be nil: ring-only sink for HTTP tailing
@@ -234,18 +234,41 @@ func NewSink(w io.Writer) *Sink {
 
 // Emit appends one event. Safe for concurrent use; nil-safe.
 func (s *Sink) Emit(e Event) {
-	if s == nil {
+	s.EmitBatch([]Event{e})
+}
+
+// EmitBatch appends events in order as one unit: their lines go to the
+// writer in a single Write, enter the tail ring together and wake the
+// long-poll waiters once. The bytes written are those of one Emit per
+// event. Safe for concurrent use; nil-safe.
+func (s *Sink) EmitBatch(evs []Event) {
+	if s == nil || len(evs) == 0 {
 		return
 	}
-	line := e.MarshalJSONL(make([]byte, 0, 128))
+	// Marshal into scratch space, then copy into an exactly sized buffer:
+	// the tail ring keeps the lines, and with them the whole buffer.
+	var scratch [2048]byte
+	tmp := scratch[:0]
+	var endsBuf [8]int
+	ends := endsBuf[:0] // end of each line, before its newline
+	for i := range evs {
+		tmp = evs[i].MarshalJSONL(tmp)
+		ends = append(ends, len(tmp))
+		tmp = append(tmp, '\n')
+	}
+	buf := append([]byte(nil), tmp...)
 	s.mu.Lock()
 	if s.w != nil && s.err == nil {
-		if _, err := s.w.Write(append(line, '\n')); err != nil {
+		if _, err := s.w.Write(buf); err != nil {
 			s.err = err
 		}
 	}
-	s.ring = append(s.ring, line)
-	s.count++
+	start := 0
+	for _, end := range ends {
+		s.ring = append(s.ring, buf[start:end:end])
+		start = end + 1
+	}
+	s.count += uint64(len(ends))
 	if len(s.ring) > sinkRingCap {
 		drop := len(s.ring) - sinkRingCap
 		s.ring = s.ring[drop:]

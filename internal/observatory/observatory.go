@@ -120,9 +120,7 @@ func (o *Observatory) TrialFinished(res fleet.TrialResult) {
 	if cp, due := Checkpoint(int(n), int(o.trialsTotal.Load())); due {
 		evs = append(evs, cp)
 	}
-	for _, e := range evs {
-		o.sink.Emit(e)
-	}
+	o.sink.EmitBatch(evs)
 }
 
 // CampaignDone implements fleet.Observer. With fail-fast skips the final

@@ -384,6 +384,63 @@ func TestSinkRingAndCursors(t *testing.T) {
 	}
 }
 
+// countingWriter records every Write it is handed.
+type countingWriter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestSinkEmitBatch checks a batch reaches the writer in one Write with
+// the bytes of one Emit per event, enters the tail ring as one line per
+// event, and wakes a waiter.
+func TestSinkEmitBatch(t *testing.T) {
+	evs := []observatory.Event{
+		{Type: observatory.EventFinding, Trial: 3, Seq: 1, VirtualNanos: 7, Oracle: "unlock", Detail: "a\"b", TriggerID: "215"},
+		{Type: observatory.EventTrialEnd, Trial: 3, Seq: 2, Status: "finding", Frames: 9, Findings: 1},
+		{Type: observatory.EventTrialResult, Trial: 3, Seq: 3, Raw: []byte(`{"trial":3}`)},
+		{Type: observatory.EventCheckpoint, Trial: -1, Seq: 10, Completed: 10, Total: 23},
+	}
+	var one countingWriter
+	single := observatory.NewSink(&one)
+	for _, e := range evs {
+		single.Emit(e)
+	}
+	var batched countingWriter
+	sink := observatory.NewSink(&batched)
+	sink.Emit(observatory.TrialStart(3, 42))
+	ch := sink.Changed(1)
+	sink.EmitBatch(evs)
+	sink.EmitBatch(nil)
+	if batched.writes != 2 {
+		t.Fatalf("batch took %d writes with the lone Emit, want 2", batched.writes)
+	}
+	if got, want := batched.String(), observatory.TrialStart(3, 42).MarshalJSONL(nil); !strings.HasPrefix(got, string(want)+"\n") ||
+		got[len(want)+1:] != one.String() {
+		t.Fatalf("batched bytes differ from one Emit per event:\n%s\nwant\n%s", got[len(want)+1:], one.String())
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("EmitBatch did not wake the waiter")
+	}
+	lines, next, _ := sink.Since(1, 0)
+	if sink.Count() != 5 || next != 5 || len(lines) != len(evs) {
+		t.Fatalf("count %d, Since(1) = %d lines up to %d; want 5, 4, 5", sink.Count(), len(lines), next)
+	}
+	for i, e := range evs {
+		if want := e.MarshalJSONL(nil); !bytes.Equal(lines[i], want) {
+			t.Fatalf("ring line %d = %s, want %s", i, lines[i], want)
+		}
+	}
+	var nilSink *observatory.Sink
+	nilSink.EmitBatch(evs)
+}
+
 func TestSinkClose(t *testing.T) {
 	sink := observatory.NewSink(nil)
 

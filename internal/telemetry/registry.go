@@ -481,7 +481,14 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	// A linear scan from the smallest bound: samples cluster in the low
+	// buckets (wire times land in the second), where it beats a binary
+	// search. !(b >= v) keeps sort.SearchFloat64s's index for every v,
+	// NaN included, which lands in +Inf.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	if h.buffered {
 		h.pending[i]++
 		h.sum += v
@@ -498,8 +505,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a virtual duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
+// ObserveDuration records a virtual duration in seconds. Below a second
+// d.Seconds() is exactly float64(d)/1e9, which skips its integer split.
+func (h *Histogram) ObserveDuration(d time.Duration) {
+	if d > -time.Second && d < time.Second {
+		h.Observe(float64(d) / 1e9)
+		return
+	}
+	h.Observe(d.Seconds())
+}
 
 // Count returns the number of published observations.
 func (h *Histogram) Count() uint64 {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -82,6 +84,60 @@ func TestCounterGaugeHistogramValues(t *testing.T) {
 	}
 	if got := h.Sum(); got != 50.75 {
 		t.Fatalf("sum = %v", got)
+	}
+}
+
+// TestHistogramBucketIndex checks Observe's linear bucket scan against
+// sort.SearchFloat64s, the search it replaced, on the edge values: NaN,
+// ±Inf, each exact bound and the points just either side of it, in both
+// write modes.
+func TestHistogramBucketIndex(t *testing.T) {
+	bounds := []float64{-1, 0, 0.00025, 0.5, 1}
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -math.MaxFloat64, math.MaxFloat64}
+	for _, b := range bounds {
+		values = append(values, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+	}
+	for _, buffered := range []bool{false, true} {
+		for _, v := range values {
+			r := NewRegistry()
+			h := r.Histogram("h", "", bounds)
+			if buffered {
+				r.Buffer()
+			}
+			h.Observe(v)
+			r.Flush()
+			want := sort.SearchFloat64s(h.bounds, v)
+			for i := range h.buckets {
+				n := uint64(0)
+				if i == want {
+					n = 1
+				}
+				if got := h.buckets[i].Load(); got != n {
+					t.Fatalf("buffered=%v: Observe(%v) left bucket %d at %d, want the sample in bucket %d",
+						buffered, v, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestObserveDurationMatchesSeconds checks ObserveDuration's sub-second
+// fast path records exactly d.Seconds(), so histogram sums stay
+// bit-identical.
+func TestObserveDurationMatchesSeconds(t *testing.T) {
+	ds := []time.Duration{0, 1, -1, 222 * time.Microsecond, time.Second - 1, -time.Second + 1,
+		time.Second, -time.Second, time.Second + 1, 90 * time.Minute}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		ds = append(ds, time.Duration(rng.Int63n(int64(2*time.Second)))-time.Second)
+	}
+	for _, d := range ds {
+		r := NewRegistry()
+		h := r.Histogram("h", "", nil)
+		h.ObserveDuration(d)
+		if got, want := h.Sum(), d.Seconds(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ObserveDuration(%v) recorded %v, want %v", d, got, want)
+		}
 	}
 }
 

@@ -123,18 +123,6 @@ func (t *Telemetry) Reset() {
 	t.Tracer.Reset()
 }
 
-// Begin forwards to Tracer.Begin; nil when t is nil. Pair a non-nil
-// result with Commit.
-func (t *Telemetry) Begin(kind EventKind, at time.Duration, actor, name string) *Event {
-	if t == nil {
-		return nil
-	}
-	return t.Tracer.Begin(kind, at, actor, name)
-}
-
-// Commit forwards to Tracer.Commit.
-func (t *Telemetry) Commit() { t.Tracer.Commit() }
-
 // Emit forwards one trace event.
 func (t *Telemetry) Emit(e Event) {
 	if t == nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -71,9 +72,10 @@ func (k EventKind) category() string {
 	}
 }
 
-// Event is one trace sample on the virtual timeline. The fixed-shape args
-// (ID, N, Detail) keep Emit allocation-free; Kind sits beside ID so the
-// struct packs into 80 bytes, the ring's per-slot cost.
+// Event is one trace sample on the virtual timeline, as Emit takes it and
+// the readers (Events, WriteChromeTrace) return it. The ring does not
+// store Events: it stores a 32-byte traceRec per event and rebuilds the
+// Event from the emit site and the detail table on read.
 type Event struct {
 	// At is the virtual start instant.
 	At time.Duration
@@ -94,16 +96,58 @@ type Event struct {
 	N uint64
 }
 
+// Site is an interned emit site: the (kind, actor, name) triple an event
+// carries, registered once with Tracer.Site so the hot path records a
+// 16-bit index instead of two strings. A Site belongs to the tracer that
+// interned it; the zero Site is only for a nil tracer, on which Rec is a
+// no-op.
+type Site struct {
+	idx  uint16
+	kind EventKind
+}
+
+// siteInfo is one row of the site table.
+type siteInfo struct {
+	kind        EventKind
+	actor, name string
+}
+
+// traceRec is one ring slot. It holds no pointers, so the garbage
+// collector never scans the ring, and packs into 32 bytes. The Detail
+// string, rare and often dynamic, lives in the detail table instead.
+type traceRec struct {
+	at   time.Duration
+	dur  time.Duration
+	n    uint64
+	id   uint32
+	site uint16
+}
+
+// traceDetail is one detail-table entry: the Detail of the seq-th event
+// since the last Reset.
+type traceDetail struct {
+	seq    uint64
+	detail string
+}
+
 // Tracer records events into a bounded ring buffer: when full, the oldest
 // events are overwritten, so a long campaign keeps its most recent history
 // (the frames *before* a finding — exactly what the paper's failure
-// analysis needs). A nil *Tracer is valid and Emit on it is a no-op.
+// analysis needs). A nil *Tracer is valid and every method on it is a
+// no-op.
 //
-// A tracer has two write modes. Outside a run every Emit takes the mutex,
-// so any goroutine may emit. During a run (Buffer ... Flush, which
+// Events enter through two calls. Rec is the hot one: a component interns
+// its emit sites once (Site, when it is instrumented) and then records an
+// event as a site index plus four numbers, one call per event. Emit takes
+// a whole Event and interns its site on the way, for rare events and
+// those with a Detail.
+//
+// A tracer has two write modes. Outside a run every record takes the
+// mutex, so any goroutine may emit. During a run (Buffer ... Flush, which
 // core.Campaign's Start and Stop call) the world's simulation goroutine is
-// the only writer: it fills ring slots no reader can see without locking
-// and publishes them under the mutex once per traceSlack events. Readers
+// the only writer: Rec fills ring slots no reader can see without locking
+// and publishes them under the mutex once per traceSlack events (Emit,
+// which touches the site and detail tables, always locks). Readers
 // (Events, Len, Total, WriteChromeTrace) copy only published slots, under
 // the mutex, so they see every event up to the last publication — at most
 // traceSlack events behind during a run, exact after Flush. A tracer
@@ -116,17 +160,24 @@ type Tracer struct {
 
 	// Writer state: the owner's alone while buffered, guarded by mu
 	// otherwise.
-	buf      []Event // capacity + traceSlack slots, allocated on first use
-	capacity int     // events retained for readers
-	w        int     // slot the next event is written to
-	pending  int     // events written but not yet published
+	buf      []traceRec // capacity + traceSlack slots, allocated on first use
+	capacity int        // events retained for readers
+	w        int        // slot the next event is written to
+	pending  int        // events written but not yet published
 	buffered bool
 
-	// Published state, guarded by mu: readers see the min(pubN, capacity)
-	// events that end just before slot pubW.
-	mu   sync.Mutex
-	pubN uint64
-	pubW int
+	// Guarded by mu: the published state — readers see the
+	// min(pubN, capacity) events that end just before slot pubW — and the
+	// tables readers resolve slots through. sites only grows. details is
+	// in seq order, and publication drops the entries of events that left
+	// the retained window, so it holds at most capacity entries plus
+	// those of unpublished events.
+	mu        sync.Mutex
+	pubN      uint64
+	pubW      int
+	sites     []siteInfo
+	siteIndex map[siteInfo]uint16
+	details   []traceDetail
 }
 
 // DefaultTraceCapacity bounds the ring buffer (events retained).
@@ -137,10 +188,13 @@ const DefaultTraceCapacity = 1 << 16
 // the unpublished ones never overlap the retained window readers copy.
 const traceSlack = 256
 
+// maxSites is the size of the site table a uint16 index addresses.
+const maxSites = 1 << 16
+
 // NewTracer creates a tracer retaining up to capacity events
 // (DefaultTraceCapacity when capacity <= 0). The ring is allocated at full
 // size when the tracer is first buffered or first records, so a tracer
-// that never does holds no ring for the garbage collector to scan.
+// that never does holds no ring.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
@@ -166,6 +220,39 @@ func (t *Tracer) SetKinds(kinds ...EventKind) {
 func (t *Tracer) records(k EventKind) bool {
 	m := t.kinds.Load()
 	return m == 0 || m&(1<<k) != 0
+}
+
+// Site interns the emit site (kind, actor, name) and returns its handle
+// for Rec. Interning the same triple again returns the same handle; sites
+// survive Reset. It panics when the table is full (65 536 distinct
+// sites) rather than let two sites share an index. Returns the zero Site
+// on a nil tracer. Call it on the writer goroutine, when instrumenting.
+func (t *Tracer) Site(kind EventKind, actor, name string) Site {
+	if t == nil {
+		return Site{}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.intern(kind, actor, name)
+}
+
+// intern is Site with mu held.
+func (t *Tracer) intern(kind EventKind, actor, name string) Site {
+	key := siteInfo{kind: kind, actor: actor, name: name}
+	if idx, ok := t.siteIndex[key]; ok {
+		return Site{idx: idx, kind: kind}
+	}
+	if len(t.sites) == maxSites {
+		panic(fmt.Sprintf("telemetry: trace site table full (%d sites); cannot intern %v %q %q",
+			maxSites, kind, actor, name))
+	}
+	if t.siteIndex == nil {
+		t.siteIndex = make(map[siteInfo]uint16)
+	}
+	idx := uint16(len(t.sites))
+	t.sites = append(t.sites, key)
+	t.siteIndex[key] = idx
+	return Site{idx: idx, kind: kind}
 }
 
 // Buffer switches the tracer to buffered mode for a run: from now until
@@ -201,67 +288,100 @@ func (t *Tracer) publish() {
 	t.mu.Unlock()
 }
 
-// publishLocked is publish with mu held.
+// publishLocked makes every written event visible to readers and drops
+// the details of events that left the retained window; mu is held.
 func (t *Tracer) publishLocked() {
 	t.pubN += uint64(t.pending)
 	t.pubW, t.pending = t.w, 0
-}
-
-// Begin returns the ring slot the next event is written into, holding the
-// given kind, instant, actor and name with every other field cleared, or
-// nil when t is nil or the kind filter drops the event. The caller sets
-// any other fields and must call Commit before any other call on t. Hot
-// emit sites use it instead of Emit so the event is written in place
-// rather than built and copied.
-func (t *Tracer) Begin(kind EventKind, at time.Duration, actor, name string) *Event {
-	if t == nil || !t.records(kind) {
-		return nil
+	gone := 0
+	for gone < len(t.details) && t.details[gone].seq+uint64(t.capacity) < t.pubN {
+		gone++
 	}
-	if !t.buffered {
-		t.mu.Lock()
-		t.allocRing()
+	if gone > 0 {
+		clear(t.details[:gone])
+		t.details = t.details[gone:]
 	}
-	e := &t.buf[t.w]
-	e.At, e.Dur, e.Kind, e.Actor, e.Name, e.Detail, e.ID, e.N = at, 0, kind, actor, name, "", 0, 0
-	return e
 }
 
 // allocRing allocates the ring if it has none yet; the caller holds mu,
 // under which readers read buf.
 func (t *Tracer) allocRing() {
 	if t.buf == nil {
-		t.buf = make([]Event, t.capacity+traceSlack)
+		t.buf = make([]traceRec, t.capacity+traceSlack)
 	}
 }
 
-// Commit records the event Begin returned.
-func (t *Tracer) Commit() {
+// advance moves past the slot just written and reports whether the event
+// is due for publication: always in locked mode, once per traceSlack
+// events while buffered.
+func (t *Tracer) advance() bool {
 	if t.w++; t.w == len(t.buf) {
 		t.w = 0
 	}
 	t.pending++
-	if !t.buffered {
+	return !t.buffered || t.pending == traceSlack
+}
+
+// putLocked writes r into the next slot and publishes it when due; mu is
+// held.
+func (t *Tracer) putLocked(r traceRec) {
+	t.allocRing()
+	t.buf[t.w] = r
+	if t.advance() {
 		t.publishLocked()
-		t.mu.Unlock()
+	}
+}
+
+// Rec records one event at site s: its instant, span length (zero for an
+// instant event), CAN identifier and numeric argument. It is the hot
+// emit call — one call per event, no allocation — for sites interned
+// with Site. Safe on a nil receiver, and for concurrent use outside
+// buffered mode.
+func (t *Tracer) Rec(s Site, at, dur time.Duration, id uint32, n uint64) {
+	if t != nil {
+		t.rec(s, at, dur, id, n)
+	}
+}
+
+// rec is Rec on a non-nil tracer. Rec stays small enough to inline, so
+// an uninstrumented component pays a nil check and no call. The slot is
+// written field by field: copying a composed traceRec in costs a
+// store-forwarding stall per event.
+func (t *Tracer) rec(s Site, at, dur time.Duration, id uint32, n uint64) {
+	if !t.records(s.kind) {
 		return
 	}
-	if t.pending == traceSlack {
-		t.publish()
+	if t.buffered {
+		r := &t.buf[t.w]
+		r.at, r.dur, r.n, r.id, r.site = at, dur, n, id, s.idx
+		if t.advance() {
+			t.publish()
+		}
+		return
 	}
+	t.mu.Lock()
+	t.putLocked(traceRec{at: at, dur: dur, n: n, id: id, site: s.idx})
+	t.mu.Unlock()
 }
 
-// Emit records one event. Safe on a nil receiver, and for concurrent use
-// outside buffered mode.
+// Emit records one event, interning its site. Safe on a nil receiver,
+// and for concurrent use outside buffered mode.
 func (t *Tracer) Emit(e Event) {
-	if s := t.Begin(e.Kind, e.At, e.Actor, e.Name); s != nil {
-		*s = e
-		t.Commit()
+	if t == nil || !t.records(e.Kind) {
+		return
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.intern(e.Kind, e.Actor, e.Name)
+	if e.Detail != "" {
+		t.details = append(t.details, traceDetail{seq: t.pubN + uint64(t.pending), detail: e.Detail})
+	}
+	t.putLocked(traceRec{at: e.At, dur: e.Dur, n: e.N, id: e.ID, site: s.idx})
 }
 
-// Reset discards all retained events, published or not (the kind filter,
-// capacity and write mode are kept), so a reused world's trace starts
-// empty like a fresh one's.
+// Reset discards all retained events, published or not, and their
+// details (the kind filter, capacity, write mode and interned sites are
+// kept), so a reused world's trace starts empty like a fresh one's.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
@@ -270,6 +390,8 @@ func (t *Tracer) Reset() {
 	defer t.mu.Unlock()
 	t.w, t.pending = 0, 0
 	t.pubN, t.pubW = 0, 0
+	clear(t.details)
+	t.details = t.details[:0]
 }
 
 // Total returns how many events were published (including overwritten
@@ -310,11 +432,27 @@ func (t *Tracer) Events() []Event {
 	defer t.mu.Unlock()
 	n := t.retained()
 	out := make([]Event, n)
-	if start := t.pubW - n; start >= 0 {
-		copy(out, t.buf[start:t.pubW])
-	} else {
-		k := copy(out, t.buf[len(t.buf)+start:])
-		copy(out[k:], t.buf[:t.pubW])
+	slot := t.pubW - n
+	if slot < 0 {
+		slot += len(t.buf)
+	}
+	seq := t.pubN - uint64(n)
+	d := 0
+	for d < len(t.details) && t.details[d].seq < seq {
+		d++
+	}
+	for i := range out {
+		r := &t.buf[slot]
+		s := &t.sites[r.site]
+		out[i] = Event{At: r.at, Dur: r.dur, Actor: s.actor, Name: s.name, ID: r.id, Kind: s.kind, N: r.n}
+		if d < len(t.details) && t.details[d].seq == seq {
+			out[i].Detail = t.details[d].detail
+			d++
+		}
+		if slot++; slot == len(t.buf) {
+			slot = 0
+		}
+		seq++
 	}
 	return out
 }

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTracerNilSafe(t *testing.T) {
@@ -15,9 +18,11 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.Emit(Event{Kind: EvTx})
 	tr.SetKinds(EvTx)
 	tr.Buffer()
+	tr.Rec(tr.Site(EvTx, "fuzzer", "tx"), 0, 0, 0x215, 1)
 	tr.Flush()
-	if tr.Begin(EvTx, 0, "fuzzer", "tx") != nil {
-		t.Fatal("nil tracer handed out a slot")
+	tr.Reset()
+	if tr.Site(EvTx, "fuzzer", "tx") != (Site{}) {
+		t.Fatal("nil tracer interned a site")
 	}
 	if tr.Total() != 0 || tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
@@ -46,15 +51,12 @@ func TestTracerKindFilter(t *testing.T) {
 		if buffered {
 			tr.Buffer()
 		}
+		dispatch := tr.Site(EvDispatch, "bcm", "dispatch")
 		tr.SetKinds(EvOracle, EvReset)
 		tr.Emit(Event{Kind: EvTx})
 		tr.Emit(Event{Kind: EvOracle})
-		if ev := tr.Begin(EvDispatch, 0, "bcm", "dispatch"); ev != nil {
-			t.Fatalf("buffered=%v: Begin handed out a slot for a filtered kind", buffered)
-		}
-		if ev := tr.Begin(EvReset, 0, "campaign", "reset"); ev != nil {
-			tr.Commit()
-		}
+		tr.Rec(dispatch, 0, 0, 0x215, 0)
+		tr.Rec(tr.Site(EvReset, "campaign", "reset"), 0, 0, 0, 0)
 		tr.Flush()
 		got := tr.Events()
 		if len(got) != 2 || got[0].Kind != EvOracle || got[1].Kind != EvReset {
@@ -62,7 +64,8 @@ func TestTracerKindFilter(t *testing.T) {
 		}
 		tr.SetKinds() // back to all
 		tr.Emit(Event{Kind: EvTx})
-		if tr.Len() != 3 {
+		tr.Rec(dispatch, 0, 0, 0x215, 0)
+		if tr.Len() != 4 {
 			t.Fatalf("buffered=%v: empty SetKinds must re-enable all kinds", buffered)
 		}
 	}
@@ -125,6 +128,10 @@ func TestTracerBufferedMatchesModel(t *testing.T) {
 	for _, flushEvery := range []int{1, 7, 255, 256, 257, 300, 511, events} {
 		t.Run(fmt.Sprint("flushEvery=", flushEvery), func(t *testing.T) {
 			tr := NewTracer(capacity)
+			var sites [13]Site
+			for k := range sites {
+				sites[k] = tr.Site(EventKind(k), "a", "n")
+			}
 			var m traceModel
 			for i := 0; i < events; i++ {
 				if i%flushEvery == 0 && (i/flushEvery)%3 != 1 {
@@ -133,16 +140,16 @@ func TestTracerBufferedMatchesModel(t *testing.T) {
 					tr.Buffer()
 					m.buffered = true
 				}
-				e := Event{At: time.Duration(i), Kind: EventKind(1 + i%12), Actor: "a", Name: "n", ID: uint32(i), N: uint64(i)}
-				// Full events via Emit and in-place ones via Begin share
-				// slots as the ring wraps (5 does not divide the ring
-				// size), so a field Begin fails to clear shows up.
+				e := Event{At: time.Duration(i), Dur: time.Duration(i % 3), Kind: EventKind(1 + i%12), Actor: "a", Name: "n", ID: uint32(i), N: uint64(i)}
+				// Events via Emit, each with its own Detail, and events
+				// via Rec, which have none, share slots as the ring wraps
+				// (5 does not divide the ring size), so a detail that
+				// outlives its event shows up on a Rec event.
 				if i%5 < 2 {
-					e.Dur, e.Detail = 1, "full"
+					e.Detail = fmt.Sprint("detail ", i)
 					tr.Emit(e)
-				} else if ev := tr.Begin(e.Kind, e.At, e.Actor, e.Name); ev != nil {
-					ev.ID, ev.N = e.ID, e.N
-					tr.Commit()
+				} else {
+					tr.Rec(sites[e.Kind], e.At, e.Dur, e.ID, e.N)
 				}
 				m.emit(e)
 				m.check(t, tr, capacity, fmt.Sprintf("after event %d", i))
@@ -248,12 +255,10 @@ func TestTracerConcurrentReadsWhileBuffered(t *testing.T) {
 			}
 		}
 	}()
+	tx := tr.Site(EvTx, "fuzzer", "tx")
 	tr.Buffer()
 	for i := 0; i < events; i++ {
-		if ev := tr.Begin(EvTx, time.Duration(i), "fuzzer", "tx"); ev != nil {
-			ev.N = uint64(i)
-			tr.Commit()
-		}
+		tr.Rec(tx, time.Duration(i), 0, 0x215, uint64(i))
 	}
 	tr.Flush()
 	close(done)
@@ -305,6 +310,7 @@ func TestTracerUnwrittenHoldsNoRing(t *testing.T) {
 func TestTracerFirstRecordRacesReader(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		tr := NewTracer(16)
+		tx := tr.Site(EvTx, "fuzzer", "tx")
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		wg.Add(1)
@@ -326,9 +332,7 @@ func TestTracerFirstRecordRacesReader(t *testing.T) {
 			tr.Buffer()
 		}
 		for i := 0; i < traceSlack+1; i++ {
-			if ev := tr.Begin(EvTx, time.Duration(i), "fuzzer", "tx"); ev != nil {
-				tr.Commit()
-			}
+			tr.Rec(tx, time.Duration(i), 0, 0, 0)
 		}
 		tr.Flush()
 		wg.Wait()
@@ -338,23 +342,111 @@ func TestTracerFirstRecordRacesReader(t *testing.T) {
 	}
 }
 
-// TestTracerBufferedZeroAlloc pins the buffered write path — Begin/Commit,
-// Emit, the batched publication and Flush — at zero allocations.
+// TestTracerBufferedZeroAlloc pins the buffered write path — Rec, Emit
+// of an already interned site, the batched publication and Flush — at
+// zero allocations, and Rec at zero in locked mode too.
 func TestTracerBufferedZeroAlloc(t *testing.T) {
 	tr := NewTracer(64)
+	dispatch := tr.Site(EvDispatch, "bcm", "dispatch")
+	tr.Emit(Event{Kind: EvGenBatch, Actor: "campaign", Name: "gen-batch"})
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.Buffer()
 		for i := 0; i < 2*traceSlack; i++ {
-			if ev := tr.Begin(EvDispatch, time.Duration(i), "bcm", "dispatch"); ev != nil {
-				ev.ID = uint32(i)
-				tr.Commit()
-			}
+			tr.Rec(dispatch, time.Duration(i), 0, uint32(i), 0)
 		}
 		tr.Emit(Event{Kind: EvGenBatch, Actor: "campaign", Name: "gen-batch"})
 		tr.Flush()
+		tr.Rec(dispatch, 0, 0, 0x215, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("buffered emit + flush allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestTraceRecLayout pins the ring slot at 32 bytes or less with no
+// pointer field, so the garbage collector never scans the ring.
+func TestTraceRecLayout(t *testing.T) {
+	if size := unsafe.Sizeof(traceRec{}); size > 32 {
+		t.Fatalf("ring slot is %d bytes, want <= 32", size)
+	}
+	typ := reflect.TypeOf(traceRec{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64, reflect.Uint32, reflect.Uint16, reflect.Uint8, reflect.Bool:
+		default:
+			t.Fatalf("ring slot field %s is a %s; the slot must hold no pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// TestTracerDetailsBounded emits far more distinct details than the
+// capacity, in both write modes and interleaved with Rec events, and
+// checks that the detail table keeps only the retained events' details
+// while every read still matches the model after the ring wraps.
+func TestTracerDetailsBounded(t *testing.T) {
+	const capacity, events = 8, 3000
+	for _, buffered := range []bool{false, true} {
+		tr := NewTracer(capacity)
+		tx := tr.Site(EvTx, "fuzzer", "tx")
+		var m traceModel
+		if buffered {
+			tr.Buffer()
+			m.buffered = true
+		}
+		for i := 0; i < events; i++ {
+			e := Event{At: time.Duration(i), Kind: EvTx, Actor: "fuzzer", Name: "tx", ID: uint32(i)}
+			if i%3 == 0 {
+				tr.Rec(tx, e.At, 0, e.ID, 0)
+			} else {
+				e.Kind, e.Actor, e.Name, e.Detail = EvFault, "faults", "corrupt", fmt.Sprint("p=", i)
+				tr.Emit(e)
+			}
+			m.emit(e)
+			if limit := capacity + m.pending; len(tr.details) > limit {
+				t.Fatalf("buffered=%v: after event %d the detail table holds %d strings, want <= %d",
+					buffered, i, len(tr.details), limit)
+			}
+		}
+		tr.Flush()
+		m.flush()
+		if len(tr.details) > capacity {
+			t.Fatalf("buffered=%v: detail table holds %d strings, want <= capacity %d", buffered, len(tr.details), capacity)
+		}
+		m.check(t, tr, capacity, fmt.Sprint("buffered=", buffered))
+		tr.Reset()
+		if len(tr.details) != 0 {
+			t.Fatalf("buffered=%v: Reset kept %d details", buffered, len(tr.details))
+		}
+	}
+}
+
+// TestTracerSiteTableFull fills the 16-bit site table and checks that one
+// more distinct site panics, through Site and through Emit, instead of
+// aliasing an existing index, while known sites still resolve.
+func TestTracerSiteTableFull(t *testing.T) {
+	tr := NewTracer(8)
+	for i := 0; i < maxSites; i++ {
+		tr.Site(EvCustom, "a", fmt.Sprint(i))
+	}
+	if s := tr.Site(EvCustom, "a", "7"); s.idx != 7 {
+		t.Fatalf("re-interned site has index %d, want 7", s.idx)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), "site table full") {
+				t.Fatalf("%s on a full site table: recovered %v, want a site-table-full panic", what, r)
+			}
+		}()
+		f()
+	}
+	mustPanic("Site", func() { tr.Site(EvCustom, "a", "one too many") })
+	mustPanic("Emit", func() { tr.Emit(Event{Kind: EvOracle, Actor: "campaign", Name: "new"}) })
+	tr.Emit(Event{Kind: EvCustom, Actor: "a", Name: "65535", N: 1})
+	if got := tr.Events(); len(got) != 1 || got[0].Name != "65535" || got[0].N != 1 {
+		t.Fatalf("events after the panics = %+v", got)
 	}
 }
 
@@ -412,9 +504,7 @@ func TestTelemetryNilSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.Advance(time.Second)
 	tel.Emit(Event{Kind: EvReset})
-	if tel.Begin(EvTx, 0, "fuzzer", "tx") != nil {
-		t.Fatal("nil telemetry handed out a slot")
-	}
+	tel.Trc().Rec(tel.Trc().Site(EvTx, "fuzzer", "tx"), 0, 0, 0x215, 0)
 	if tel.Reg() != nil || tel.Trc() != nil {
 		t.Fatal("nil telemetry must hand out nil planes")
 	}
