@@ -597,11 +597,6 @@ type fleetRunOpts struct {
 // otherwise). With -events or -metrics the campaign observatory rides
 // along: a streaming JSONL event log and/or the live HTTP campaign API.
 func runFleet(ctx context.Context, logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, o fleetRunOpts) error {
-	logEvery := o.trials / 10
-	if logEvery < 1 {
-		logEvery = 1
-	}
-
 	// Event sink: file-backed with -events, ring-only (for /events tailing)
 	// when just the HTTP API is up.
 	var sink *observatory.Sink
@@ -628,7 +623,7 @@ func runFleet(ctx context.Context, logger *slog.Logger, spec targetPkg.Spec, cfg
 	if o.metricsAddr != "" && cfg.Mode == core.ModeGuided {
 		intr = guided.NewIntrospection()
 	}
-	obs := observatory.New(observatory.Config{Sink: sink, Fuzz: intr, Telemetry: o.tel})
+	obs := observatory.New(observatory.Config{Sink: sink, Fuzz: intr, Telemetry: o.tel, Logger: logger})
 
 	stopServing, err := serveObservatory(logger, obs, o.metricsAddr, o.pprof)
 	if err != nil {
@@ -645,8 +640,6 @@ func runFleet(ctx context.Context, logger *slog.Logger, spec targetPkg.Spec, cfg
 		MaxPerTrial:  o.maxPerTrial,
 		TrialTimeout: o.trialTimeout,
 		FailFast:     o.failFast,
-		Logger:       logger,
-		LogEvery:     logEvery,
 		Observer:     obs,
 	}, func(ts fleet.TrialSpec) (*fleet.World, error) {
 		tcfg := cfg

@@ -297,7 +297,7 @@ func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]flee
 		}
 	}
 	sink := observatory.NewSink(journal)
-	progress := fleet.NewProgress()
+	progress := fleet.NewProgress(nil)
 	coord, err := campaignd.New(campaignd.Config{
 		Spec:     c.spec,
 		LeaseTTL: s.ttl,

@@ -14,8 +14,8 @@
 //     (BaseSeed, i) — worker count and interleaving cannot touch it.
 //   - Results are collected into a slice indexed by trial and aggregated
 //     sequentially in index order, never in completion order.
-//   - No wall-clock quantity enters the Report (progress logging, which
-//     does report trials/sec, goes to the logger only).
+//   - No wall-clock quantity enters the Report (the live Progress view,
+//     which does report trials/sec, is an Observer outside it).
 //
 // A panicking trial is contained by its worker and becomes a classified
 // TrialResult (StatusPanic) instead of a dead fleet; fail-fast mode stops
@@ -25,10 +25,8 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -170,11 +168,6 @@ type Config struct {
 	// trials were in flight depends on scheduling, so fail-fast runs trade
 	// the byte-identical-report guarantee for early exit.
 	FailFast bool
-	// Logger, when non-nil, receives progress lines.
-	Logger *slog.Logger
-	// LogEvery emits one progress line per this many completed trials
-	// (default 10 when a Logger is set).
-	LogEvery int
 	// Observer, when non-nil, receives lifecycle callbacks (trial start
 	// and end, campaign start and end) from the worker goroutines.
 	Observer Observer
@@ -212,10 +205,6 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 	if workers > cfg.Trials {
 		workers = cfg.Trials
 	}
-	logEvery := cfg.LogEvery
-	if logEvery <= 0 {
-		logEvery = 10
-	}
 
 	results := make([]TrialResult, cfg.Trials)
 	seeds := make([]int64, cfg.Trials)
@@ -229,12 +218,9 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 	}
 
 	var (
-		wg        sync.WaitGroup
-		completed atomic.Int64
-		findings  atomic.Int64
-		stop      = make(chan struct{})
-		stopOnce  sync.Once
-		start     = time.Now()
+		wg       sync.WaitGroup
+		stop     = make(chan struct{})
+		stopOnce sync.Once
 	)
 	indices := make(chan int)
 	go func() {
@@ -277,22 +263,8 @@ func Run(cfg Config, factory TargetFactory) (*Report, error) {
 				if obs != nil {
 					obs.TrialFinished(res)
 				}
-				if res.Findings > 0 {
-					findings.Add(int64(res.Findings))
-					if cfg.FailFast {
-						stopOnce.Do(func() { close(stop) })
-					}
-				}
-				if n := completed.Add(1); cfg.Logger != nil && (n%int64(logEvery) == 0 || n == int64(cfg.Trials)) {
-					elapsed := time.Since(start).Seconds()
-					rate := float64(n)
-					if elapsed > 0 {
-						rate = float64(n) / elapsed
-					}
-					cfg.Logger.Info("fleet progress",
-						"done", n, "total", cfg.Trials,
-						"findings", findings.Load(),
-						"trials_per_sec", fmt.Sprintf("%.1f", rate))
+				if res.Findings > 0 && cfg.FailFast {
+					stopOnce.Do(func() { close(stop) })
 				}
 			}
 		}()

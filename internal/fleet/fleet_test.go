@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"strings"
 	"testing"
@@ -396,22 +395,6 @@ func TestFleetConfigValidation(t *testing.T) {
 	}
 	if _, err := fleet.Run(fleet.Config{Trials: 1, MaxPerTrial: time.Second}, nil); err != fleet.ErrNilFactory {
 		t.Fatalf("nil factory: %v", err)
-	}
-}
-
-func TestFleetProgressLogging(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	mustRun(t, fleet.Config{
-		Trials: 4, BaseSeed: 2, Workers: 2,
-		MaxPerTrial: 30 * time.Minute, Logger: logger, LogEvery: 2,
-	}, unlockFactory(bcm.CheckByteOnly))
-	out := buf.String()
-	if !strings.Contains(out, "fleet progress") || !strings.Contains(out, "total=4") {
-		t.Fatalf("progress log missing: %q", out)
-	}
-	if !strings.Contains(out, "trials_per_sec") {
-		t.Fatalf("progress log lacks throughput: %q", out)
 	}
 }
 

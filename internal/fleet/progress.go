@@ -3,12 +3,15 @@ package fleet
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Progress is the live, lock-free view of a running fleet campaign. It
-// implements Observer: workers feed it through atomic stores and adds, so
-// sampling it from an HTTP handler (or any other goroutine) never stalls
-// the pool. Everything it reports is either monotonic (counters) or a
+// implements Observer: workers feed the fleet series (the ones the
+// report's telemetry section ends with) through atomic adds, so sampling
+// it from an HTTP handler (or any other goroutine) never stalls the pool.
+// Everything it reports is either monotonic (counters) or a
 // consistent-enough snapshot for a dashboard — it is deliberately *not*
 // part of the deterministic report, because wall-clock rates and ETAs
 // depend on the machine.
@@ -16,43 +19,32 @@ import (
 // A nil *Progress is a valid no-op observer target: every method checks
 // the receiver, matching the telemetry package's nil-safe hook style.
 type Progress struct {
+	series *series
+
 	total   atomic.Int64
 	workers atomic.Int64
-
 	started atomic.Int64 // trials dispatched to a worker
-	done    atomic.Int64 // trials finished (any status)
 
-	findings atomic.Int64 // trials that ended in StatusFinding
-	timeouts atomic.Int64
-	stalled  atomic.Int64 // wall-budget cancellations (StatusStalled)
-	panics   atomic.Int64
-	errors   atomic.Int64
-	skipped  atomic.Int64 // known only at campaign end (fail-fast)
-
-	findingsTotal atomic.Int64 // oracle firings summed over trials
-
-	framesSent atomic.Uint64
-	sendErrors atomic.Uint64
-
-	virtualNanos    atomic.Int64 // summed per-trial virtual time
-	maxVirtualNanos atomic.Int64 // deepest single trial
+	virtualNanos atomic.Int64 // summed per-trial virtual time
 
 	buildWallNanos atomic.Int64
 	runWallNanos   atomic.Int64
 
 	startWallNanos atomic.Int64 // unix nanos at CampaignStarted
 	doneFlag       atomic.Bool
-
-	// Time-to-finding histogram so far: cumulative-style buckets over
-	// timeToFindingBoundsSeconds plus +Inf, filled as finding trials land.
-	ttfBuckets [len(timeToFindingBoundsSeconds) + 1]atomic.Uint64
-	ttfCount   atomic.Uint64
-	ttfSum     atomic.Int64 // summed nanos, for the running mean
 }
 
-// NewProgress returns an empty tracker; wire it in via Config.Observer
-// (directly, or wrapped by a composite observer that forwards to it).
-func NewProgress() *Progress { return &Progress{} }
+// NewProgress returns an empty tracker whose fleet series live on reg (a
+// private registry when reg is nil); wire it in via Config.Observer
+// (directly, or wrapped by a composite observer that forwards to it). reg
+// must not be a registry a running world buffers: the tracker's writers
+// are the fleet's worker goroutines.
+func NewProgress(reg *telemetry.Registry) *Progress {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	return &Progress{series: newSeries(reg)}
+}
 
 // CampaignStarted implements Observer.
 func (p *Progress) CampaignStarted(cfg Config, workers int) {
@@ -77,60 +69,29 @@ func (p *Progress) TrialFinished(res TrialResult) {
 	if p == nil {
 		return
 	}
-	switch res.Status {
-	case StatusFinding:
-		p.findings.Add(1)
-		p.ttfCount.Add(1)
-		p.ttfSum.Add(int64(res.TimeToFinding))
-		p.ttfBuckets[ttfBucketIndex(res.TimeToFinding)].Add(1)
-	case StatusTimeout:
-		p.timeouts.Add(1)
-	case StatusStalled:
-		p.stalled.Add(1)
-	case StatusPanic:
-		p.panics.Add(1)
-	case StatusError:
-		p.errors.Add(1)
-	}
-	p.findingsTotal.Add(int64(res.Findings))
-	p.framesSent.Add(res.FramesSent)
-	p.sendErrors.Add(res.SendErrors)
+	p.series.observe(res)
 	p.virtualNanos.Add(int64(res.VirtualElapsed))
-	storeMax(&p.maxVirtualNanos, int64(res.VirtualElapsed))
 	p.buildWallNanos.Add(int64(res.BuildWall))
 	p.runWallNanos.Add(int64(res.RunWall))
-	p.done.Add(1)
 }
 
-// CampaignDone implements Observer.
+// CampaignDone implements Observer: the trials fail-fast never dispatched
+// are counted as skipped, as the report counts them.
 func (p *Progress) CampaignDone(rep *Report) {
 	if p == nil {
 		return
 	}
-	p.skipped.Store(int64(rep.Skipped))
+	p.series.count(StatusSkipped).Add(uint64(rep.Skipped))
 	p.doneFlag.Store(true)
 }
 
-// ttfBucketIndex maps a time-to-finding onto its histogram bucket (the
-// last index is +Inf).
-func ttfBucketIndex(d time.Duration) int {
-	secs := d.Seconds()
-	for i, le := range timeToFindingBoundsSeconds {
-		if secs <= le {
-			return i
-		}
+// TrialsTotal returns the configured trial count (0 before
+// CampaignStarted).
+func (p *Progress) TrialsTotal() int {
+	if p == nil {
+		return 0
 	}
-	return len(timeToFindingBoundsSeconds)
-}
-
-// storeMax lifts v into the atomic if it exceeds the current value.
-func storeMax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	return int(p.total.Load())
 }
 
 // ProgressBucket is one non-cumulative bin of the live time-to-finding
@@ -194,25 +155,26 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 	if p == nil {
 		return s
 	}
+	fs := p.series
 	s.TrialsTotal = int(p.total.Load())
-	s.TrialsDone = int(p.done.Load())
+	s.Workers = int(p.workers.Load())
+	s.Done = p.doneFlag.Load()
+	s.Findings = int(fs.trials[StatusFinding].Value())
+	s.Timeouts = int(fs.trials[StatusTimeout].Value())
+	s.Stalled = int(fs.stalled.Load().Value())
+	s.Panics = int(fs.trials[StatusPanic].Value())
+	s.Errors = int(fs.trials[StatusError].Value())
+	s.Skipped = int(fs.trials[StatusSkipped].Value())
+	s.TrialsDone = s.Findings + s.Timeouts + s.Stalled + s.Panics + s.Errors
 	s.InFlight = int(p.started.Load()) - s.TrialsDone
 	if s.InFlight < 0 {
 		s.InFlight = 0
 	}
-	s.Workers = int(p.workers.Load())
-	s.Done = p.doneFlag.Load()
-	s.Findings = int(p.findings.Load())
-	s.Timeouts = int(p.timeouts.Load())
-	s.Stalled = int(p.stalled.Load())
-	s.Panics = int(p.panics.Load())
-	s.Errors = int(p.errors.Load())
-	s.Skipped = int(p.skipped.Load())
-	s.FindingsTotal = int(p.findingsTotal.Load())
-	s.FramesSent = p.framesSent.Load()
-	s.SendErrors = p.sendErrors.Load()
+	s.FindingsTotal = int(fs.findings.Value())
+	s.FramesSent = fs.frames.Value()
+	s.SendErrors = fs.sendErrors.Value()
 	s.VirtualNanosTotal = p.virtualNanos.Load()
-	s.MaxVirtualNanos = p.maxVirtualNanos.Load()
+	s.MaxVirtualNanos = int64(fs.reg.Now())
 	s.BuildWallSeconds = time.Duration(p.buildWallNanos.Load()).Seconds()
 	s.RunWallSeconds = time.Duration(p.runWallNanos.Load()).Seconds()
 
@@ -230,16 +192,16 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		}
 	}
 
-	if n := p.ttfCount.Load(); n > 0 {
+	if n := fs.ttf.Count(); n > 0 {
 		s.TimeToFindingCount = n
-		s.TimeToFindingMeanSeconds = time.Duration(p.ttfSum.Load() / int64(n)).Seconds()
-		s.TimeToFindingHistogram = make([]ProgressBucket, 0, len(p.ttfBuckets))
-		for i := range p.ttfBuckets {
-			b := ProgressBucket{Count: p.ttfBuckets[i].Load()}
+		s.TimeToFindingMeanSeconds = fs.ttf.Sum() / float64(n)
+		counts := fs.ttf.Buckets()
+		s.TimeToFindingHistogram = make([]ProgressBucket, len(counts))
+		for i, c := range counts {
+			s.TimeToFindingHistogram[i].Count = c
 			if i < len(timeToFindingBoundsSeconds) {
-				b.LeSeconds = timeToFindingBoundsSeconds[i]
+				s.TimeToFindingHistogram[i].LeSeconds = timeToFindingBoundsSeconds[i]
 			}
-			s.TimeToFindingHistogram = append(s.TimeToFindingHistogram, b)
 		}
 	}
 	return s

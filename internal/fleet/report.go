@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -204,13 +205,69 @@ func ReadReport(r io.Reader) (*Report, error) {
 // histogramBins is the bin count for the time-to-finding histogram.
 const histogramBins = 10
 
-// ttfBounds is the number of time-to-finding histogram bounds (Progress
-// sizes its atomic bucket array from it at compile time).
-const ttfBounds = 10
-
 // timeToFindingBoundsSeconds are the telemetry histogram bucket bounds for
 // fleet_time_to_finding_seconds; Table V times span seconds to an hour.
-var timeToFindingBoundsSeconds = [ttfBounds]float64{1, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
+var timeToFindingBoundsSeconds = []float64{1, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
+
+// series holds the fleet's telemetry series: trials by outcome, summed
+// frames, rejected transmissions and oracle firings, the time-to-finding
+// histogram, and the registry clock as the deepest trial's virtual time.
+// Report.aggregate feeds it in trial-index order on a private registry;
+// Progress feeds it live, in completion order, on the registry it is
+// given. observe is safe for concurrent use.
+type series struct {
+	reg *telemetry.Registry
+	// trials holds the eagerly registered fleet_trials_total series; it is
+	// never written after newSeries, so workers may read it concurrently.
+	trials map[string]*telemetry.Counter
+	// stalled is fleet_trials_total{status="stalled"}, nil until the first
+	// stalled trial registers it.
+	stalled atomic.Pointer[telemetry.Counter]
+
+	frames, sendErrors, findings *telemetry.Counter
+	ttf                          *telemetry.Histogram
+}
+
+// newSeries registers the fleet series on reg.
+func newSeries(reg *telemetry.Registry) *series {
+	s := &series{reg: reg, trials: map[string]*telemetry.Counter{}}
+	for _, st := range []string{StatusFinding, StatusTimeout, StatusPanic, StatusError, StatusSkipped} {
+		s.trials[st] = s.count(st)
+	}
+	s.frames = reg.Counter("fleet_frames_sent_total", "Fuzz frames transmitted across the fleet.")
+	s.sendErrors = reg.Counter("fleet_send_errors_total", "Rejected transmissions across the fleet.")
+	s.findings = reg.Counter("fleet_findings_total", "Oracle firings across the fleet.")
+	s.ttf = reg.Histogram("fleet_time_to_finding_seconds",
+		"Virtual time to first finding per finding trial.", timeToFindingBoundsSeconds)
+	return s
+}
+
+// count returns the fleet_trials_total series of a status. Rarer statuses
+// (StatusStalled) register on first use, so a fleet that never produces
+// one keeps its telemetry — and thus the report bytes — unchanged.
+func (s *series) count(status string) *telemetry.Counter {
+	if c, ok := s.trials[status]; ok {
+		return c
+	}
+	c := s.reg.Counter("fleet_trials_total", "Fleet trials by outcome.",
+		telemetry.Label{Key: "status", Value: status})
+	if status == StatusStalled {
+		s.stalled.Store(c)
+	}
+	return c
+}
+
+// observe folds one trial into the series.
+func (s *series) observe(tr TrialResult) {
+	s.count(tr.Status).Inc()
+	s.frames.Add(tr.FramesSent)
+	s.sendErrors.Add(tr.SendErrors)
+	s.findings.Add(uint64(tr.Findings))
+	if tr.Status == StatusFinding {
+		s.ttf.ObserveDuration(tr.TimeToFinding)
+	}
+	s.reg.Advance(tr.VirtualElapsed)
+}
 
 // NewReport assembles the deterministic fleet report from per-trial
 // results ordered by trial index. It is the single aggregation path for
@@ -232,39 +289,18 @@ func NewReport(baseSeed int64, maxPerTrial time.Duration, results []TrialResult)
 }
 
 // aggregate folds the per-trial results (already in index order) into the
-// report: status counts, summed counters, deduplicated findings, the
-// time-to-finding distribution and the merged telemetry snapshot. It is
+// report: the fleet series (which give the status counts and summed
+// counters), deduplicated findings, the time-to-finding distribution and
+// the merged telemetry snapshot. It is
 // pure sequential code, so the result is independent of how the trials
 // were interleaved across workers.
 func (r *Report) aggregate() {
 	reg := telemetry.NewRegistry()
-	mTrials := map[string]*telemetry.Counter{}
-	for _, st := range []string{StatusFinding, StatusTimeout, StatusPanic, StatusError, StatusSkipped} {
-		mTrials[st] = reg.Counter("fleet_trials_total", "Fleet trials by outcome.",
-			telemetry.Label{Key: "status", Value: st})
-	}
-	// Rarer statuses (StatusStalled) register lazily so a fleet that never
-	// produces one keeps its merged telemetry — and thus the report bytes —
-	// unchanged.
-	countTrial := func(st string) {
-		c, ok := mTrials[st]
-		if !ok {
-			c = reg.Counter("fleet_trials_total", "Fleet trials by outcome.",
-				telemetry.Label{Key: "status", Value: st})
-			mTrials[st] = c
-		}
-		c.Inc()
-	}
-	mFrames := reg.Counter("fleet_frames_sent_total", "Fuzz frames transmitted across the fleet.")
-	mErrs := reg.Counter("fleet_send_errors_total", "Rejected transmissions across the fleet.")
-	mFindings := reg.Counter("fleet_findings_total", "Oracle firings across the fleet.")
-	hTTF := reg.Histogram("fleet_time_to_finding_seconds",
-		"Virtual time to first finding per finding trial.", timeToFindingBoundsSeconds[:])
+	fs := newSeries(reg)
 
 	var times []time.Duration
 	dedup := map[string]*AggregatedFinding{}
 	seenCorpus := map[string]bool{}
-	var maxVirtual time.Duration
 	for _, tr := range r.Results {
 		for _, line := range tr.Corpus {
 			if !seenCorpus[line] {
@@ -272,11 +308,8 @@ func (r *Report) aggregate() {
 				r.MergedCorpus = append(r.MergedCorpus, line)
 			}
 		}
-		switch tr.Status {
-		case StatusFinding:
-			r.FoundFindings++
+		if tr.Status == StatusFinding {
 			times = append(times, tr.TimeToFinding)
-			hTTF.ObserveDuration(tr.TimeToFinding)
 			key := tr.Oracle + "\x00" + tr.Detail + "\x00" + tr.TriggerID
 			if f := dedup[key]; f != nil {
 				f.Count++
@@ -289,34 +322,21 @@ func (r *Report) aggregate() {
 					Count: 1, FirstTrial: tr.Trial, MinTimeToFinding: tr.TimeToFinding,
 				}
 			}
-		case StatusTimeout:
-			r.TimedOut++
-		case StatusStalled:
-			r.Stalled++
-		case StatusPanic:
-			r.Panics++
-		case StatusError:
-			r.Errors++
-		case StatusSkipped:
-			r.Skipped++
 		}
-		if tr.Status != StatusSkipped {
-			r.Completed++
-		}
-		countTrial(tr.Status)
-		r.FramesSent += tr.FramesSent
-		r.SendErrors += tr.SendErrors
+		fs.observe(tr)
 		r.VirtualTimeTotal += tr.VirtualElapsed
 		r.BuildWall += tr.BuildWall
 		r.RunWall += tr.RunWall
-		mFindings.Add(uint64(tr.Findings))
-		if tr.VirtualElapsed > maxVirtual {
-			maxVirtual = tr.VirtualElapsed
-		}
 	}
-	mFrames.Add(r.FramesSent)
-	mErrs.Add(r.SendErrors)
-	reg.Advance(maxVirtual)
+	r.FoundFindings = int(fs.trials[StatusFinding].Value())
+	r.TimedOut = int(fs.trials[StatusTimeout].Value())
+	r.Stalled = int(fs.stalled.Load().Value())
+	r.Panics = int(fs.trials[StatusPanic].Value())
+	r.Errors = int(fs.trials[StatusError].Value())
+	r.Skipped = int(fs.trials[StatusSkipped].Value())
+	r.Completed = len(r.Results) - r.Skipped
+	r.FramesSent = fs.frames.Value()
+	r.SendErrors = fs.sendErrors.Value()
 
 	if len(times) > 0 {
 		stats := analysis.RunStats{Times: times}

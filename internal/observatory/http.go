@@ -38,9 +38,10 @@ type HandlerConfig struct {
 //	/debug/pprof/*  (with cfg.Pprof) live CPU/heap/goroutine profiles
 //
 // plus, when the observatory carries a telemetry plane, all telemetry
-// routes (/metrics, /metrics.json, /trace.json, /healthz) with
-// campaign-level gauges evaluated per scrape. Every route reads atomically
-// published state; scraping never stalls fleet workers.
+// routes (/metrics, /metrics.json, /trace.json, /healthz); in fleet mode
+// these carry, live, the fleet series the report's telemetry section ends
+// with. Every route reads atomically published state; scraping never
+// stalls fleet workers.
 func (o *Observatory) Handler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/campaign.json", func(w http.ResponseWriter, r *http.Request) {
@@ -58,11 +59,7 @@ func (o *Observatory) Handler(cfg HandlerConfig) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	if o.tel != nil {
-		inner := telemetry.Handler(o.tel)
-		mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-			o.advanceFleetClock()
-			inner.ServeHTTP(w, r)
-		})
+		mux.Handle("/", telemetry.Handler(o.tel))
 	}
 	return mux
 }

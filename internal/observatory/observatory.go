@@ -12,13 +12,15 @@
 // deterministic in content (stable field order, virtual-time stamps,
 // (trial, seq) sequencing metadata) so the *sorted* log is byte-identical
 // at any worker count, and the campaign service (internal/campsrv) can
-// replay, dedupe or resume a campaign from it. The live API reads atomically published state
-// (fleet.Progress, guided.Introspection) and never stalls a worker.
+// replay, dedupe or resume a campaign from it. The live API reads
+// atomically published state (the fleet series fleet.Progress counts on
+// the metrics plane, guided.Introspection) and never stalls a worker.
 package observatory
 
 import (
+	"fmt"
+	"log/slog"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/guided"
@@ -30,13 +32,17 @@ type Config struct {
 	// Sink, when non-nil, receives the campaign event stream.
 	Sink *Sink
 	// Fuzz, when non-nil, is the guided-engine introspection plane served
-	// at /fuzz.json.
+	// at /fuzz.json and, with a Telemetry plane, as the fuzz_* gauges.
 	Fuzz *guided.Introspection
 	// Telemetry, when non-nil, is the metrics plane whose routes
 	// (/metrics, /metrics.json, /trace.json, /healthz) the observatory
-	// handler also serves, with campaign-level gauges evaluated on every
-	// export.
+	// handler also serves. Its registry carries the fleet series the
+	// progress tracker counts, live, so in fleet mode it must be a plane
+	// no trial world buffers.
 	Telemetry *telemetry.Telemetry
+	// Logger, when non-nil, receives a "fleet progress" line every tenth
+	// of the campaign's trials and at the last one.
+	Logger *slog.Logger
 }
 
 // Observatory implements fleet.Observer: it maintains the live Progress
@@ -49,34 +55,27 @@ type Observatory struct {
 	sink     *Sink
 	fuzz     *guided.Introspection
 	tel      *telemetry.Telemetry
+	log      *slog.Logger
 
 	completions atomic.Int64
-	trialsTotal atomic.Int64
 }
 
 // New assembles an observatory. Every Config field is optional; the zero
-// Config yields a progress tracker with no event log, no fuzz view and no
-// metrics plane.
+// Config yields a progress tracker on a private registry with no event
+// log, no fuzz view and no metrics plane.
 func New(cfg Config) *Observatory {
 	o := &Observatory{
-		progress: fleet.NewProgress(),
+		progress: fleet.NewProgress(cfg.Telemetry.Reg()),
 		sink:     cfg.Sink,
 		fuzz:     cfg.Fuzz,
 		tel:      cfg.Telemetry,
+		log:      cfg.Logger,
 	}
-	if o.tel != nil {
-		// The campaign-level gauges are evaluated at export time from the
-		// trackers' atomic snapshots: the observatory only reads, so it
-		// never writes into a registry a running world owns.
+	if o.tel != nil && o.fuzz != nil {
+		// The guided gauges are evaluated at export time from the
+		// introspection snapshot: the observatory only reads, so it never
+		// writes into a registry a running world owns.
 		reg := o.tel.Registry
-		reg.GaugeFunc("campaign_trials_done", "Fleet trials finished so far.",
-			func() float64 { return float64(o.progress.Snapshot().TrialsDone) })
-		reg.GaugeFunc("campaign_trials_total", "Fleet trials configured.",
-			func() float64 { return float64(o.progress.Snapshot().TrialsTotal) })
-		reg.GaugeFunc("campaign_finding_trials", "Trials that ended in a finding.",
-			func() float64 { return float64(o.progress.Snapshot().Findings) })
-		reg.GaugeFunc("campaign_frames_sent", "Fuzz frames transmitted across finished trials.",
-			func() float64 { return float64(o.progress.Snapshot().FramesSent) })
 		reg.GaugeFunc("fuzz_corpus_size", "Corpus entries summed over guided engines.",
 			func() float64 { return float64(o.fuzz.Snapshot().CorpusSize) })
 		reg.GaugeFunc("fuzz_novelty_bits_set", "Novelty-map bits set, summed over guided engines.",
@@ -98,7 +97,6 @@ func (o *Observatory) Fuzz() *guided.Introspection { return o.fuzz }
 
 // CampaignStarted implements fleet.Observer.
 func (o *Observatory) CampaignStarted(cfg fleet.Config, workers int) {
-	o.trialsTotal.Store(int64(cfg.Trials))
 	o.progress.CampaignStarted(cfg, workers)
 }
 
@@ -110,17 +108,25 @@ func (o *Observatory) TrialStarted(spec fleet.TrialSpec) {
 
 // TrialFinished implements fleet.Observer: update the tracker, then stream
 // the trial's events (AppendTrialEvents) followed by a campaign checkpoint
-// when this completion is due one. The checkpoint carries only the
-// completed count, which is worker-count independent too.
+// when this completion is due one, and log progress when due. The
+// checkpoint carries only the completed count, which is worker-count
+// independent too.
 func (o *Observatory) TrialFinished(res fleet.TrialResult) {
 	o.progress.TrialFinished(res)
 	var buf [4]Event
 	evs, _ := AppendTrialEvents(buf[:0], res)
-	n := o.completions.Add(1)
-	if cp, due := Checkpoint(int(n), int(o.trialsTotal.Load())); due {
+	n := int(o.completions.Add(1))
+	total := o.progress.TrialsTotal()
+	if cp, due := Checkpoint(n, total); due {
 		evs = append(evs, cp)
 	}
 	o.sink.EmitBatch(evs)
+	if o.log != nil && (n%max(1, total/10) == 0 || n == total) {
+		s := o.progress.Snapshot()
+		o.log.Info("fleet progress", "done", n, "total", total,
+			"findings", s.FindingsTotal,
+			"trials_per_sec", fmt.Sprintf("%.1f", s.TrialsPerSec))
+	}
 }
 
 // CampaignDone implements fleet.Observer. With fail-fast skips the final
@@ -128,22 +134,7 @@ func (o *Observatory) TrialFinished(res fleet.TrialResult) {
 // here instead.
 func (o *Observatory) CampaignDone(rep *fleet.Report) {
 	o.progress.CampaignDone(rep)
-	if cp, due := Checkpoint(int(o.completions.Load()), int(o.trialsTotal.Load())); !due {
+	if cp, due := Checkpoint(int(o.completions.Load()), o.progress.TrialsTotal()); !due {
 		o.sink.Emit(cp)
-	}
-}
-
-// advanceFleetClock stands the deepest finished trial in for campaign
-// virtual progress on the registry clock; the HTTP handler calls it before
-// serving any metrics route. Only fleet mode has finished trials, and its
-// plane belongs to no world (trial worlds run uninstrumented), so this is
-// the registry's only writer there. A single-run campaign advances the
-// clock itself and never reaches the write.
-func (o *Observatory) advanceFleetClock() {
-	if o.tel == nil {
-		return
-	}
-	if deepest := o.progress.Snapshot().MaxVirtualNanos; deepest > 0 {
-		o.tel.Advance(time.Duration(deepest))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -290,7 +291,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
-	for _, metric := range []string{"campaign_trials_done", "campaign_trials_total", "fuzz_corpus_size"} {
+	for _, metric := range []string{"fleet_trials_total", "fleet_frames_sent_total", "fuzz_corpus_size"} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("/metrics lacks %s", metric)
 		}
@@ -300,6 +301,117 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Error("pprof served without HandlerConfig.Pprof")
 	}
 	_ = rep
+}
+
+// TestLiveFleetSeriesMatchReport pins the fleet series' one writer: the
+// observatory's metrics plane, fed live by Progress, ends a campaign
+// carrying what the report's telemetry section carries. At one worker the
+// documents are byte-equal. With more workers (and with fail-fast skips,
+// counted at CampaignDone) every counter, bucket count and the clock still
+// agree; only the histogram sum, a float added in completion order, may
+// differ in its last bits. The fleets run blind, so no fuzz_* gauge joins
+// the exposition, and no trial stalls, so the lazily registered
+// fleet_trials_total{status="stalled"} must stay absent.
+func TestLiveFleetSeriesMatchReport(t *testing.T) {
+	run := func(t *testing.T, cfg fleet.Config) (string, *fleet.Report) {
+		t.Helper()
+		tel := telemetry.New(0)
+		obs := observatory.New(observatory.Config{Telemetry: tel})
+		cfg.BaseSeed, cfg.MaxPerTrial, cfg.Observer = 13, 30*time.Minute, obs
+		rep, err := fleet.Run(cfg, unlockFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		obs.Handler(observatory.HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics.json", nil))
+		live := rec.Body.String()
+		if strings.Contains(live, `"stalled"`) {
+			t.Errorf("stalled series registered without a stalled trial:\n%s", live)
+		}
+		return live, rep
+	}
+	withoutSums := func(t *testing.T, doc string) string {
+		t.Helper()
+		var v struct {
+			VirtualTimeMicros int64            `json:"virtualTimeMicros"`
+			Metrics           []map[string]any `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(doc), &v); err != nil {
+			t.Fatalf("%v\n%s", err, doc)
+		}
+		for _, m := range v.Metrics {
+			if hv, ok := m["value"].(map[string]any); ok {
+				delete(hv, "sum")
+			}
+		}
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+
+	live, rep := run(t, fleet.Config{Trials: 6, Workers: 1})
+	if want := string(rep.Telemetry) + "\n"; live != want {
+		t.Errorf("workers=1: /metrics.json differs from the report's telemetry:\n%s\nwant:\n%s", live, want)
+	}
+	for _, cfg := range []fleet.Config{{Trials: 6, Workers: 3}, {Trials: 12, Workers: 3, FailFast: true}} {
+		live, rep := run(t, cfg)
+		if cfg.FailFast && rep.Skipped == 0 {
+			t.Fatal("fail-fast fleet skipped no trial")
+		}
+		if got, want := withoutSums(t, live), withoutSums(t, string(rep.Telemetry)); got != want {
+			t.Errorf("%+v: live fleet series differ from the report's:\n%s\nwant:\n%s", cfg, got, want)
+		}
+	}
+}
+
+// TestProgressRegistersStalledOnFirstStall checks the other half of the
+// lazy registration: the first stalled trial adds the series, live.
+func TestProgressRegistersStalledOnFirstStall(t *testing.T) {
+	tel := telemetry.New(0)
+	obs := observatory.New(observatory.Config{Telemetry: tel})
+	obs.CampaignStarted(fleet.Config{Trials: 2}, 1)
+	obs.TrialFinished(fleet.TrialResult{Trial: 0, Status: fleet.StatusTimeout})
+	var prom strings.Builder
+	if err := tel.Registry.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(prom.String(), `status="stalled"`) {
+		t.Fatalf("stalled series registered before any trial stalled:\n%s", prom.String())
+	}
+	obs.TrialFinished(fleet.TrialResult{Trial: 1, Status: fleet.StatusStalled})
+	prom.Reset()
+	if err := tel.Registry.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), `fleet_trials_total{status="stalled"} 1`) {
+		t.Fatalf("stalled trial not counted:\n%s", prom.String())
+	}
+	if ps := obs.Progress().Snapshot(); ps.Stalled != 1 || ps.TrialsDone != 2 {
+		t.Errorf("snapshot stalled/trialsDone = %d/%d, want 1/2", ps.Stalled, ps.TrialsDone)
+	}
+}
+
+// TestFleetProgressLogging checks the progress lines the observatory logs
+// for a fleet: one per tenth of the trials (here every trial) and the
+// last, each with the totals and the throughput.
+func TestFleetProgressLogging(t *testing.T) {
+	var buf bytes.Buffer
+	obs := observatory.New(observatory.Config{Logger: slog.New(slog.NewTextHandler(&buf, nil))})
+	if _, err := fleet.Run(fleet.Config{
+		Trials: 4, BaseSeed: 2, Workers: 2,
+		MaxPerTrial: 30 * time.Minute, Observer: obs,
+	}, unlockFactory); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if n := strings.Count(out, "fleet progress"); n != 4 || !strings.Contains(out, "total=4") {
+		t.Fatalf("want 4 progress lines with total=4, got %d: %q", n, out)
+	}
+	if !strings.Contains(out, "done=4") || !strings.Contains(out, "trials_per_sec") {
+		t.Fatalf("progress log lacks the last completion or the throughput: %q", out)
+	}
 }
 
 func TestHTTPPprofEnabled(t *testing.T) {

@@ -54,9 +54,12 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]metric)}
 }
 
-// Advance records the current virtual time. Components call it from the
-// simulation goroutine; exports read it atomically, so a live HTTP scrape
-// never races the event loop.
+// Advance records the current virtual time as a running maximum.
+// Components call it from the simulation goroutine; exports read it
+// atomically, so a live HTTP scrape never races the event loop. Outside
+// buffered mode several goroutines may advance the clock at once (a
+// fleet's workers do), so the direct path is a compare-and-swap loop: a
+// plain load-then-store could overwrite a larger time with a smaller one.
 func (r *Registry) Advance(now time.Duration) {
 	if r == nil {
 		return
@@ -67,8 +70,11 @@ func (r *Registry) Advance(now time.Duration) {
 		}
 		return
 	}
-	if cur := r.now.Load(); int64(now) > cur {
-		r.now.Store(int64(now))
+	for {
+		cur := r.now.Load()
+		if int64(now) <= cur || r.now.CompareAndSwap(cur, int64(now)) {
+			return
+		}
 	}
 }
 
@@ -396,7 +402,7 @@ func (g *Gauge) writeProm(w io.Writer) error {
 }
 
 // gaugeFunc is a gauge evaluated at export time: it holds no state, so a
-// reader-side plane (the observatory's campaign gauges) can expose values
+// reader-side plane (the observatory's guided gauges) can expose values
 // it reads elsewhere without writing into a world's registry.
 type gaugeFunc struct {
 	d  desc
@@ -513,6 +519,19 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 		return
 	}
 	h.Observe(d.Seconds())
+}
+
+// Buckets returns the published per-bucket counts, not cumulative: one
+// per bound in ascending order, then +Inf.
+func (h *Histogram) Buckets() []uint64 {
+	if h == nil {
+		return nil
+	}
+	out := make([]uint64, len(h.buckets))
+	for i := range h.buckets {
+		out[i] = h.buckets[i].Load()
+	}
+	return out
 }
 
 // Count returns the number of published observations.

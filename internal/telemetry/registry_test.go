@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -84,6 +85,42 @@ func TestCounterGaugeHistogramValues(t *testing.T) {
 	}
 	if got := h.Sum(); got != 50.75 {
 		t.Fatalf("sum = %v", got)
+	}
+	if got := fmt.Sprint(h.Buckets()); got != "[0 0 2 1]" {
+		t.Fatalf("buckets = %s, want [0 0 2 1]", got)
+	}
+}
+
+// TestAdvanceConcurrentWriters pins Advance as a running maximum under
+// concurrent direct-mode writers, as a fleet's workers each advance the
+// shared clock: once Advance(v) returns, Now() is at least v for every
+// caller, and the clock ends at the largest time any writer reported.
+func TestAdvanceConcurrentWriters(t *testing.T) {
+	const writers, steps = 4, 20000
+	r := NewRegistry()
+	var (
+		wg       sync.WaitGroup
+		backward atomic.Int64
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				v := time.Duration(i*writers + w)
+				r.Advance(v)
+				if r.Now() < v {
+					backward.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := backward.Load(); n > 0 {
+		t.Errorf("the clock fell below a returned Advance %d times", n)
+	}
+	if want := time.Duration(steps*writers - 1); r.Now() != want {
+		t.Errorf("clock = %d after concurrent writers, want %d", r.Now(), want)
 	}
 }
 
