@@ -87,28 +87,35 @@ func TestRandomCampaignStepZeroAlloc(t *testing.T) {
 }
 
 // TestWorldResetZeroAlloc pins a full world reset — scheduler, bus and
-// ports, every bench ECU, telemetry, generator RNG and campaign state —
-// at zero steady-state heap allocations. This is what makes fleet-side
-// world reuse worth having: recycling a trial world must cost CPU only,
-// never garbage.
+// ports, every bench ECU, telemetry, generator or guided-engine RNG and
+// campaign state — at zero steady-state heap allocations, for a blind and
+// a guided bench world, each reset under a fresh seed on every call. This
+// is what makes fleet-side world reuse worth having: recycling a trial
+// world must cost CPU only, never garbage.
 func TestWorldResetZeroAlloc(t *testing.T) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
-		Seed:      5,
-		TargetIDs: []can.ID{0x215},
-		Interval:  time.Millisecond,
-	})
+	cfg := core.Config{Seed: 5, TargetIDs: []can.ID{0x215}, Interval: time.Millisecond}
+	blind, err := testbench.NewUnlockExperiment(testbench.Config{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty the world once so the reset has real state to clear.
-	if _, ok := exp.Run(30 * time.Minute); !ok {
-		t.Fatal("campaign found no unlock within 30 virtual minutes")
+	guided, err := testbench.NewGuidedUnlockExperiment(testbench.Config{},
+		core.Config{Seed: 101, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		exp.Reset(5)
-	})
-	if allocs != 0 {
-		t.Fatalf("world reset allocates %v per call, want 0", allocs)
+	for name, exp := range map[string]*testbench.UnlockExperiment{"blind": blind, "guided": &guided.UnlockExperiment} {
+		// Dirty the world once so the reset has real state to clear.
+		if _, ok := exp.Run(30 * time.Minute); !ok {
+			t.Fatalf("%s campaign found no unlock within 30 virtual minutes", name)
+		}
+		seed := int64(1000)
+		allocs := testing.AllocsPerRun(100, func() {
+			seed++
+			exp.Reset(seed)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s world reset allocates %v per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -25,7 +25,7 @@ var (
 	// reported so it can account the duplicate.
 	ErrTrialDone = errors.New("campaignd: trial already completed")
 	// ErrBadResult means a submission's content contradicts the lease
-	// table (wrong trial index or seed) — a client bug, never accepted.
+	// table (wrong trial index, seed or status) — a client bug, never accepted.
 	ErrBadResult = errors.New("campaignd: result does not match trial")
 )
 
@@ -142,7 +142,7 @@ func New(cfg Config) (*Coordinator, error) {
 		progress:    cfg.Progress,
 		log:         cfg.Logger,
 		trials:      make([]trial, cfg.Spec.Trials),
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(faults.SeedPCG(new(rand.PCG), cfg.Seed)),
 		finishedSig: make(chan struct{}),
 	}
 	c.progress.CampaignStarted(cfg.Spec.FleetConfig(), 0)
@@ -159,9 +159,9 @@ func New(cfg Config) (*Coordinator, error) {
 			if i < 0 || i >= len(c.trials) {
 				return nil, fmt.Errorf("campaignd: resumed trial %d out of range [0,%d)", i, len(c.trials))
 			}
-			if res.Seed != c.trials[i].seed {
-				return nil, fmt.Errorf("campaignd: resumed trial %d has seed %d, spec derives %d",
-					i, res.Seed, c.trials[i].seed)
+			if res.Seed != c.trials[i].seed || !ranStatus(res.Status) {
+				return nil, fmt.Errorf("campaignd: resumed trial %d has seed %d and status %q, spec derives seed %d",
+					i, res.Seed, res.Status, c.trials[i].seed)
 			}
 			c.trials[i].state = stateDone
 			c.trials[i].result = res
@@ -289,11 +289,21 @@ func (c *Coordinator) Heartbeat(leaseID uint64) error {
 	return ErrLeaseGone
 }
 
+// ranStatus reports whether a trial that ran can end in status: any fleet
+// status but skipped, which only a never-dispatched trial gets.
+func ranStatus(status string) bool {
+	switch status {
+	case fleet.StatusFinding, fleet.StatusTimeout, fleet.StatusStalled, fleet.StatusPanic, fleet.StatusError:
+		return true
+	}
+	return false
+}
+
 // Submit accepts a completed trial. The lease ID is advisory: a stale
 // lease does not reject a correct result (the race of a slow worker
-// against its replacement must not lose work), but a result whose index or
-// seed contradicts the shard table is refused, and a duplicate for a
-// completed trial is counted and dropped.
+// against its replacement must not lose work), but a result whose index,
+// seed or status (see ranStatus) contradicts the shard table is refused,
+// and a duplicate for a completed trial is counted and dropped.
 func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -301,9 +311,9 @@ func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) e
 		return fmt.Errorf("%w: trial %d out of range", ErrBadResult, index)
 	}
 	tr := &c.trials[index]
-	if res.Trial != index || res.Seed != tr.seed {
-		return fmt.Errorf("%w: got trial=%d seed=%d, lease table says trial=%d seed=%d",
-			ErrBadResult, res.Trial, res.Seed, index, tr.seed)
+	if res.Trial != index || res.Seed != tr.seed || !ranStatus(res.Status) {
+		return fmt.Errorf("%w: got trial=%d seed=%d status=%q, lease table says trial=%d seed=%d",
+			ErrBadResult, res.Trial, res.Seed, res.Status, index, tr.seed)
 	}
 	if tr.state == stateDone {
 		c.duplicates++

@@ -254,11 +254,17 @@ func TestWorkerCrashLeaseRedispatch(t *testing.T) {
 		t.Fatalf("second lease = %+v", l1)
 	}
 	// ...and then must wait out the dead lease's TTL + redispatch backoff
-	// before trial 0 comes around again.
+	// before trial 0 comes around again. The live worker does not
+	// heartbeat, so trial 1's lease expires too and may come back first,
+	// in an order the redispatch jitter decides; the worker takes it over.
 	var l0 campaignd.Lease
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		l0 = coord.AcquireLease("live")
+		if l0.Status == campaignd.LeaseGranted && l0.Trial == 1 {
+			l1 = l0
+			continue
+		}
 		if l0.Status == campaignd.LeaseGranted {
 			break
 		}
@@ -494,6 +500,41 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := coord.Submit(l.Trial, l.ID, fleet.TrialResult{Trial: l.Trial, Seed: 12345}); err == nil {
 		t.Error("seed-mismatched result accepted")
+	}
+}
+
+// TestSubmitRejectsUnknownStatus: a result's status becomes a label of the
+// report's fleet_trials_total series, so only the statuses a run trial
+// ends in are accepted; skipped, empty and made-up ones are client bugs.
+func TestSubmitRejectsUnknownStatus(t *testing.T) {
+	spec := testSpec(1)
+	coord, err := campaignd.New(campaignd.Config{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := coord.AcquireLease("w")
+	res := fleet.TrialResult{Trial: l.Trial, Seed: l.Seed}
+	for _, status := range []string{"bogus", "", fleet.StatusSkipped} {
+		res.Status = status
+		if err := coord.Submit(l.Trial, l.ID, res); !errors.Is(err, campaignd.ErrBadResult) {
+			t.Fatalf("status %q: err %v, want ErrBadResult", status, err)
+		}
+	}
+	res.Status = fleet.StatusTimeout
+	if err := coord.Submit(l.Trial, l.ID, res); err != nil {
+		t.Fatalf("timeout result rejected: %v", err)
+	}
+	rep := coord.Report()
+	if rep == nil || rep.Completed != 1 || rep.Skipped != 0 {
+		t.Fatalf("report = %+v, want one completed trial", rep)
+	}
+	if bytes.Contains(rep.Telemetry, []byte("bogus")) {
+		t.Fatalf("a rejected status reached the report's telemetry: %s", rep.Telemetry)
+	}
+
+	bad := map[int]fleet.TrialResult{0: {Trial: 0, Seed: l.Seed, Status: "bogus"}}
+	if _, err := campaignd.New(campaignd.Config{Spec: spec, Resumed: bad}); err == nil {
+		t.Fatal("resumed result with an unknown status accepted")
 	}
 }
 

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
+	"math/rand/v2"
+	"sync"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/retry"
 )
@@ -105,7 +107,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if attempts <= 0 {
 		attempts = DefaultTransportAttempts
 	}
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	rng := rand.New(faults.SeedPCG(new(rand.PCG), time.Now().UnixNano()))
 	w.runtimes = map[string]Runtime{}
 
 	for {
@@ -232,38 +234,40 @@ func (w *Worker) runLeased(ctx context.Context, lease Lease, rt Runtime, policy 
 		w.Logger.Info("trial leased", "worker", w.Name, "campaign", lease.Campaign,
 			"trial", lease.Trial, "lease", lease.ID)
 	}
-	// Heartbeat at a third of the TTL while the trial computes. Heartbeat
-	// failures are logged, not fatal: if the lease is gone the trial is
-	// re-running elsewhere with identical content; if the server is down it
-	// may be back before the submission's retry budget runs out.
-	hbCtx, stopHB := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		interval := lease.TTL / 3
-		if interval <= 0 {
-			interval = time.Second
+	// Heartbeat at a third of the TTL while the trial computes, from one
+	// self-re-arming timer. Failures are logged, not fatal: if the lease is
+	// gone the trial is re-running elsewhere with identical content; if the
+	// server is down it may be back before the submission's retries run out.
+	// hbMu spans each heartbeat and the trial's end clears hb under it, so
+	// none is in flight or starts once the submit begins.
+	interval := lease.TTL / 3
+	if interval <= 0 {
+		interval = time.Second
+	}
+	var hbMu sync.Mutex
+	var hb *time.Timer
+	hbMu.Lock()
+	hb = time.AfterFunc(interval, func() {
+		hbMu.Lock()
+		defer hbMu.Unlock()
+		if hb == nil || ctx.Err() != nil {
+			return
 		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-t.C:
-				if err := w.Client.Heartbeat(lease.Campaign, lease.ID); err != nil && w.Logger != nil {
-					w.Logger.Warn("heartbeat failed", "worker", w.Name,
-						"campaign", lease.Campaign, "trial", lease.Trial,
-						"lease", lease.ID, "err", err)
-				}
-			}
+		if err := w.Client.Heartbeat(lease.Campaign, lease.ID); err != nil && w.Logger != nil {
+			w.Logger.Warn("heartbeat failed", "worker", w.Name,
+				"campaign", lease.Campaign, "trial", lease.Trial,
+				"lease", lease.ID, "err", err)
 		}
-	}()
+		hb.Reset(interval)
+	})
+	hbMu.Unlock()
 
 	spec := fleet.TrialSpec{Index: lease.Trial, Seed: lease.Seed}
 	res := rt.pool.RunTrial(spec, rt.FleetCfg, rt.Factory)
-	stopHB()
-	<-hbDone
+	hbMu.Lock()
+	hb.Stop()
+	hb = nil
+	hbMu.Unlock()
 
 	body, err := json.Marshal(res)
 	if err != nil {

@@ -37,6 +37,8 @@ type fakeCampaign struct {
 	cancelAt  int
 	accepted  int
 	cancelled bool
+	// ttl, when > 0, is the lease TTL the campaign's coordinator grants.
+	ttl time.Duration
 }
 
 // fakeService serves its campaigns one after another over the worker
@@ -45,6 +47,10 @@ type fakeService struct {
 	mu    sync.Mutex
 	queue []*fakeCampaign
 	byID  map[string]*fakeCampaign
+
+	heartbeats     int // heartbeat requests served
+	lateHeartbeats int // of those, served after a result request arrived
+	results        int // result requests received
 }
 
 func newFakeService(t *testing.T, campaigns ...*fakeCampaign) *fakeService {
@@ -52,7 +58,7 @@ func newFakeService(t *testing.T, campaigns ...*fakeCampaign) *fakeService {
 	s := &fakeService{queue: campaigns, byID: map[string]*fakeCampaign{}}
 	for _, c := range campaigns {
 		if c.grants == 0 {
-			coord, err := New(Config{Spec: c.spec})
+			coord, err := New(Config{Spec: c.spec, LeaseTTL: c.ttl})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +102,13 @@ func (s *fakeService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		json.NewEncoder(w).Encode(c.spec)
 	case "/campaignd/heartbeat":
+		s.heartbeats++
+		if s.results > 0 {
+			s.lateHeartbeats++
+		}
 		w.WriteHeader(http.StatusNoContent)
 	case "/campaignd/result":
+		s.results++
 		if c == nil || c.coord == nil || c.cancelled {
 			http.Error(w, "campaign gone", http.StatusGone)
 			return
@@ -221,5 +232,44 @@ func TestWorkerForgetsFinishedCampaigns(t *testing.T) {
 			t.Fatalf("campaign %s: worker report differs from the cold in-process run:\n%s\n--- cold ---\n%s",
 				fc.id, got, want)
 		}
+	}
+}
+
+// TestWorkerHeartbeatsDuringTrial: with a 30 ms lease TTL and a trial that
+// takes 120 ms, the worker heartbeats every 10 ms while the trial
+// computes, and none of its heartbeats reaches the service after the
+// result request, nor after Run returns.
+func TestWorkerHeartbeatsDuringTrial(t *testing.T) {
+	const ttl = 30 * time.Millisecond
+	svc := newFakeService(t, &fakeCampaign{id: "a", spec: benchSpec(1, 11), ttl: ttl})
+	hs := httptest.NewServer(svc)
+	defer hs.Close()
+	w := &Worker{
+		Client: &Client{Base: hs.URL},
+		Name:   "w",
+		Build: func(spec CampaignSpec) (Runtime, error) {
+			bench := resettableBench(spec.BaseSeed, map[int64]int{})
+			slow := func(ts fleet.TrialSpec) (*fleet.World, error) {
+				time.Sleep(4 * ttl)
+				return bench(ts)
+			}
+			return Runtime{Factory: slow, FleetCfg: spec.FleetConfig()}, nil
+		},
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	during, late, results := svc.heartbeats, svc.lateHeartbeats, svc.results
+	svc.mu.Unlock()
+	if results != 1 || during < 2 || late != 0 {
+		t.Fatalf("%d heartbeats before the result, %d after it, %d results; want >= 2, 0, 1",
+			during, late, results)
+	}
+	time.Sleep(3 * ttl)
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if svc.heartbeats != during {
+		t.Fatalf("%d heartbeats after Run returned", svc.heartbeats-during)
 	}
 }

@@ -5,6 +5,7 @@ package campsrv_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -357,6 +358,38 @@ func TestCrossCampaignSubmission(t *testing.T) {
 	dup, err := s.SubmitResult(idA, l.Trial, l.ID, res)
 	if err != nil || !dup.Duplicate || dup.Accepted {
 		t.Fatalf("resubmission: ack %+v err %v, want duplicate", dup, err)
+	}
+}
+
+// TestResultRouteRejectsUnknownStatus: POST /campaignd/result answers 400
+// to a result whose status no trial can end in, and the trial stays open
+// for the legitimate result.
+func TestResultRouteRejectsUnknownStatus(t *testing.T) {
+	s := newServer(t, campsrv.Config{})
+	defer s.Close()
+	spec := testSpec(1, 11)
+	id := submit(t, s, spec, 1, 0)
+	h := s.Handler(campsrv.HandlerConfig{})
+	l := s.AcquireLease("w")
+	res := runLease(spec, l)
+	post := func(res fleet.TrialResult) int {
+		body, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		url := "/campaignd/result?campaign=" + id + "&trial=" + strconv.Itoa(l.Trial) +
+			"&lease=" + strconv.FormatUint(l.ID, 10) + "&worker=w"
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
+		return rec.Code
+	}
+	bogus := res
+	bogus.Status = "bogus"
+	if code := post(bogus); code != http.StatusBadRequest {
+		t.Fatalf("bogus status: HTTP %d, want 400", code)
+	}
+	if code := post(res); code != http.StatusOK {
+		t.Fatalf("legitimate result after the rejection: HTTP %d, want 200", code)
 	}
 }
 

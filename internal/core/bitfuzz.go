@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/clock"
+	"repro/internal/faults"
 )
 
 // Data-link-layer fuzzing — the paper's §VII extension "Investigate
@@ -75,7 +76,7 @@ func NewBitFuzzer(sched *clock.Scheduler, port *bus.Port, cfg BitFuzzConfig) *Bi
 		port:  port,
 		cfg:   cfg,
 	}
-	_, bf.rng = newRNG(cfg.Seed)
+	bf.rng = rand.New(faults.SeedPCG(new(rand.PCG), cfg.Seed))
 	bf.onResult = func(res bus.RawResult) {
 		if res == bus.RawDelivered {
 			bf.stats.Delivered++

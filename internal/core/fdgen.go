@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/clock"
+	"repro/internal/faults"
 )
 
 // CAN FD fuzzing — the second half of the paper's §VII FD future-work
@@ -72,8 +73,8 @@ func NewFDFuzzer(sched *clock.Scheduler, port *bus.Port, cfg FDFuzzConfig) (*FDF
 	if cfg.Interval < MinInterval {
 		cfg.Interval = MinInterval
 	}
-	f := &FDFuzzer{sched: sched, port: port, cfg: cfg}
-	f.pcg, f.rng = newRNG(cfg.Seed)
+	f := &FDFuzzer{sched: sched, port: port, cfg: cfg, pcg: faults.SeedPCG(new(rand.PCG), cfg.Seed)}
+	f.rng = rand.New(f.pcg)
 	return f, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/can"
+	"repro/internal/faults"
 )
 
 // Generator produces fuzz frames according to a Config. It is
@@ -64,7 +65,7 @@ func (g *Generator) Config() Config { return g.cfg }
 // skips validation and corpus filtering and allocates nothing.
 func (g *Generator) Reset(seed int64) {
 	g.cfg.Seed = seed
-	seedRNG(g.pcg, seed)
+	faults.SeedPCG(g.pcg, seed)
 	g.sweepWrapped = false
 	if g.cfg.Mode == ModeSweep {
 		g.sweepID = g.cfg.IDMin

@@ -14,7 +14,8 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
+	"maps"
+	"math/rand/v2"
 	"sort"
 	"time"
 
@@ -92,16 +93,20 @@ const (
 	JamDefault = 10 * time.Millisecond
 )
 
-// specRNG returns the independent RNG stream for spec index i of a plan
-// (see seed.go for the derivation).
-func specRNG(seed int64, i int) *rand.Rand {
-	return DeriveRNG(seed, i)
+// wireActions maps each wire-level fault kind to its bus verdict.
+var wireActions = map[Kind]bus.TxAction{
+	KindCorrupt: bus.TxCorrupt,
+	KindDrop:    bus.TxDrop,
+	KindDup:     bus.TxDuplicate,
 }
 
-// wireFault is an armed wire-level spec.
+// wireFault is a wire-level spec with its own PCG, built by New. Start
+// anchors its window and reseeds the PCG from stream i of the plan seed.
 type wireFault struct {
-	spec   Spec
+	spec   Spec // At is absolute once Start anchors it
+	i      int  // index of the spec in the plan
 	action bus.TxAction
+	pcg    rand.PCG
 	rng    *rand.Rand
 }
 
@@ -141,13 +146,21 @@ func New(sched *clock.Scheduler, plan Plan) *Injector {
 	if sched == nil {
 		panic("faults: nil scheduler")
 	}
-	return &Injector{
+	inj := &Injector{
 		sched:  sched,
 		plan:   plan,
 		ecus:   make(map[string]*ecu.ECU),
 		ports:  make(map[string]*bus.Port),
 		counts: make(map[string]uint64),
 	}
+	for i, s := range plan.Specs {
+		if action, ok := wireActions[s.Kind]; ok {
+			wf := &wireFault{spec: s, i: i, action: action}
+			wf.rng = rand.New(&wf.pcg)
+			inj.wire = append(inj.wire, wf)
+		}
+	}
+	return inj
 }
 
 // Plan returns the injector's fault plan.
@@ -185,11 +198,7 @@ func (inj *Injector) Instrument(t *telemetry.Telemetry) {
 // (as a method value) to core.WithFaultCounts to embed the counts in the
 // campaign report.
 func (inj *Injector) Counts() map[string]uint64 {
-	out := make(map[string]uint64, len(inj.counts))
-	for k, v := range inj.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(inj.counts)
 }
 
 // note accounts one injection.
@@ -247,20 +256,14 @@ func (inj *Injector) Start() error {
 	}
 	inj.running = true
 	base := inj.sched.Now()
-	for i, s := range inj.plan.Specs {
+	for _, w := range inj.wire {
+		w.spec.At = inj.plan.Specs[w.i].At + base
+		SeedPCG(&w.pcg, DeriveSeed(inj.plan.Seed, w.i))
+	}
+	for _, s := range inj.plan.Specs {
 		s.At += base
 		switch s.Kind {
 		case KindCorrupt, KindDrop, KindDup:
-			wf := &wireFault{spec: s, rng: specRNG(inj.plan.Seed, i)}
-			switch s.Kind {
-			case KindCorrupt:
-				wf.action = bus.TxCorrupt
-			case KindDrop:
-				wf.action = bus.TxDrop
-			default:
-				wf.action = bus.TxDuplicate
-			}
-			inj.wire = append(inj.wire, wf)
 			inj.traceWindow(s)
 		case KindBabble:
 			inj.armBabble(s)
@@ -328,7 +331,6 @@ func (inj *Injector) Stop() {
 	if len(inj.wire) > 0 && inj.bus != nil {
 		inj.bus.SetInterceptor(nil)
 	}
-	inj.wire = nil
 }
 
 // at schedules a cancellable one-shot injection step.

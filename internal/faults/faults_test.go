@@ -284,3 +284,49 @@ func TestStopDisarmsPendingFaults(t *testing.T) {
 		t.Fatal("disarmed jam still fired")
 	}
 }
+
+// TestRestartReplaysWireVerdicts starts, stops and restarts one injector.
+// Each Start reseeds the wire streams and re-anchors their windows, so
+// every run's verdicts equal a fresh injector's on the same plan.
+func TestRestartReplaysWireVerdicts(t *testing.T) {
+	plan := Plan{Seed: 31, Specs: []Spec{
+		{Kind: KindDrop, Prob: 0.3},
+		{Kind: KindDup, Prob: 0.2, At: 5 * time.Millisecond},
+		{Kind: KindCorrupt, Prob: 0.5, At: 10 * time.Millisecond, For: 20 * time.Millisecond},
+	}}
+	newInjector := func() (*clock.Scheduler, *Injector) {
+		s := clock.New()
+		inj := New(s, plan)
+		inj.AttachBus(bus.New(s))
+		return s, inj
+	}
+	f := can.MustNew(0x100, []byte{1})
+	run := func(s *clock.Scheduler, inj *Injector) []bus.TxAction {
+		if err := inj.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer inj.Stop()
+		base := s.Now()
+		out := make([]bus.TxAction, 0, 200)
+		for k := 0; k < 200; k++ {
+			s.RunUntil(base + time.Duration(k)*250*time.Microsecond)
+			out = append(out, inj.intercept(f))
+		}
+		return out
+	}
+	want := run(newInjector())
+	seen := map[bus.TxAction]bool{}
+	for _, a := range want {
+		seen[a] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("fresh run produced %d distinct verdicts, want all 4: %v", len(seen), seen)
+	}
+	s, inj := newInjector()
+	for restart := 0; restart < 3; restart++ {
+		if got := run(s, inj); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d after %d restarts diverged from a fresh injector", restart+1, restart)
+		}
+		s.RunUntil(s.Now() + 7*time.Millisecond) // restart at another instant
+	}
+}

@@ -1,6 +1,6 @@
 package faults
 
-import "math/rand"
+import "math/rand/v2"
 
 // Seed derivation. Fault plans, and now fleet campaigns, need families of
 // statistically independent RNG streams that are (a) reproducible from one
@@ -29,7 +29,11 @@ func DeriveSeed(base int64, i int) int64 {
 	return int64(SplitMix64(uint64(base) ^ SplitMix64(uint64(i)+1)))
 }
 
-// DeriveRNG returns a rand.Rand over DeriveSeed(base, i).
-func DeriveRNG(base int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(base, i)))
+// SeedPCG restarts pcg's stream from seed and returns pcg. Every
+// simulation stream is a math/rand/v2 PCG seeded here; the second state
+// word is the SplitMix64 of the first, so nearby seeds give unrelated
+// streams, and a warm reset reseeds in place without allocating.
+func SeedPCG(pcg *rand.PCG, seed int64) *rand.PCG {
+	pcg.Seed(uint64(seed), SplitMix64(uint64(seed)))
+	return pcg
 }

@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"strings"
 
@@ -85,7 +85,7 @@ func (c *corpus) pick(rng *rand.Rand) can.Frame {
 	for _, e := range c.entries {
 		total += e.energy
 	}
-	x := uint64(rng.Int63n(int64(total)))
+	x := rng.Uint64N(total)
 	for _, e := range c.entries {
 		if x < e.energy {
 			return e.frame

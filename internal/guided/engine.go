@@ -2,7 +2,7 @@ package guided
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"repro/internal/bus"
 	"repro/internal/can"
@@ -93,6 +93,7 @@ func (e *Engine) addSeedFrames(frames []can.Frame) {
 // deterministic in (config seed, world).
 type Engine struct {
 	cfg  core.Config
+	pcg  rand.PCG
 	rng  *rand.Rand
 	corp *corpus
 
@@ -138,10 +139,10 @@ func NewEngine(cfg core.Config, opts ...EngineOption) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     gen.Config(), // defaults applied
-		rng:     rand.New(rand.NewSource(0)),
 		corp:    newCorpus(),
 		pending: make([]uint64, 0, maxPendingFeatures),
 	}
+	e.rng = rand.New(&e.pcg)
 	for _, o := range opts {
 		o(e)
 	}
@@ -166,7 +167,7 @@ func NewEngine(cfg core.Config, opts ...EngineOption) (*Engine, error) {
 func (e *Engine) Reset(seed int64) {
 	e.stats.foldTrial(e)
 	e.cfg.Seed = seed
-	e.rng.Seed(faults.DeriveSeed(seed, rngStream))
+	faults.SeedPCG(&e.pcg, faults.DeriveSeed(seed, rngStream))
 	for i := range e.probeLast {
 		e.probeLast[i] = noBucket
 	}
@@ -266,7 +267,7 @@ func (e *Engine) harvest() uint64 {
 
 // generate picks the next frame: mutate a corpus parent, or explore.
 func (e *Engine) generate() can.Frame {
-	if e.corp.size() == 0 || e.rng.Intn(exploreOneIn) == 0 {
+	if e.corp.size() == 0 || e.rng.IntN(exploreOneIn) == 0 {
 		e.explorations++
 		return e.randomFrame()
 	}
@@ -279,15 +280,15 @@ func (e *Engine) generate() can.Frame {
 func (e *Engine) randomFrame() can.Frame {
 	var f can.Frame
 	if n := len(e.cfg.TargetIDs); n > 0 {
-		f.ID = e.cfg.TargetIDs[e.rng.Intn(n)]
+		f.ID = e.cfg.TargetIDs[e.rng.IntN(n)]
 	} else {
-		f.ID = e.cfg.IDMin + can.ID(e.rng.Intn(int(e.cfg.IDMax-e.cfg.IDMin)+1))
+		f.ID = e.cfg.IDMin + can.ID(e.rng.IntN(int(e.cfg.IDMax-e.cfg.IDMin)+1))
 	}
-	length := e.cfg.LenMin + e.rng.Intn(e.cfg.LenMax-e.cfg.LenMin+1)
+	length := e.cfg.LenMin + e.rng.IntN(e.cfg.LenMax-e.cfg.LenMin+1)
 	f.Len = uint8(length)
 	span := e.cfg.ByteMax - e.cfg.ByteMin + 1
 	for i := 0; i < length; i++ {
-		f.Data[i] = byte(e.cfg.ByteMin + e.rng.Intn(span))
+		f.Data[i] = byte(e.cfg.ByteMin + e.rng.IntN(span))
 	}
 	return f
 }
@@ -297,23 +298,23 @@ func (e *Engine) randomFrame() can.Frame {
 // the hard-won part of a corpus entry — while payload bits, bytes and
 // length move freely within the configured ranges.
 func (e *Engine) mutate(f can.Frame) can.Frame {
-	ops := 1 + e.rng.Intn(3)
+	ops := 1 + e.rng.IntN(3)
 	span := e.cfg.ByteMax - e.cfg.ByteMin + 1
 	for i := 0; i < ops; i++ {
-		switch e.rng.Intn(8) {
+		switch e.rng.IntN(8) {
 		case 0, 1, 2: // flip one payload bit
 			if f.Len > 0 {
-				bit := e.rng.Intn(int(f.Len) * 8)
+				bit := e.rng.IntN(int(f.Len) * 8)
 				f.Data[bit/8] ^= 1 << (bit % 8)
 			}
 		case 3, 4: // randomize one payload byte
 			if f.Len > 0 {
-				f.Data[e.rng.Intn(int(f.Len))] = byte(e.cfg.ByteMin + e.rng.Intn(span))
+				f.Data[e.rng.IntN(int(f.Len))] = byte(e.cfg.ByteMin + e.rng.IntN(span))
 			}
 		case 5: // resize within the length range, filling new bytes randomly
-			newLen := e.cfg.LenMin + e.rng.Intn(e.cfg.LenMax-e.cfg.LenMin+1)
+			newLen := e.cfg.LenMin + e.rng.IntN(e.cfg.LenMax-e.cfg.LenMin+1)
 			for j := int(f.Len); j < newLen; j++ {
-				f.Data[j] = byte(e.cfg.ByteMin + e.rng.Intn(span))
+				f.Data[j] = byte(e.cfg.ByteMin + e.rng.IntN(span))
 			}
 			for j := newLen; j < int(f.Len); j++ {
 				f.Data[j] = 0
@@ -321,17 +322,17 @@ func (e *Engine) mutate(f can.Frame) can.Frame {
 			f.Len = uint8(newLen)
 		case 6: // nudge a byte ±1 (gradient walking for magic values)
 			if f.Len > 0 {
-				j := e.rng.Intn(int(f.Len))
-				if e.rng.Intn(2) == 0 {
+				j := e.rng.IntN(int(f.Len))
+				if e.rng.IntN(2) == 0 {
 					f.Data[j]++
 				} else {
 					f.Data[j]--
 				}
 			}
 		case 7: // rarely, flip a low identifier bit (stay in the neighbourhood)
-			f.ID ^= 1 << e.rng.Intn(4)
+			f.ID ^= 1 << e.rng.IntN(4)
 			if f.ID < e.cfg.IDMin || f.ID > e.cfg.IDMax {
-				f.ID = e.cfg.IDMin + can.ID(e.rng.Intn(int(e.cfg.IDMax-e.cfg.IDMin)+1))
+				f.ID = e.cfg.IDMin + can.ID(e.rng.IntN(int(e.cfg.IDMax-e.cfg.IDMin)+1))
 			}
 		}
 	}

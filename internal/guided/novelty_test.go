@@ -2,7 +2,7 @@ package guided
 
 import (
 	"bytes"
-	"math/rand"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -14,7 +14,7 @@ func coreFormat(f can.Frame) string { return core.FormatCorpusFrame(f) }
 
 func TestNoveltyMapBounded(t *testing.T) {
 	var n noveltyMap
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewPCG(1, 0))
 	for i := 0; i < 10*mapBits; i++ {
 		n.observe(rng.Uint64())
 	}
@@ -95,7 +95,7 @@ func TestProbeMemoExact(t *testing.T) {
 	}
 
 	// Against an unmemoised reference over a random walk of two probes.
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 	var vals [2]uint64
 	e, err = NewEngine(core.Config{Seed: 1}, WithProbes(
 		Probe{Name: "x", Fn: func() uint64 { return vals[0] }},
@@ -110,8 +110,8 @@ func TestProbeMemoExact(t *testing.T) {
 			ref = noveltyMap{}
 		}
 		for i := range vals {
-			if rng.Intn(4) == 0 {
-				vals[i] = uint64(rng.Intn(200))
+			if rng.IntN(4) == 0 {
+				vals[i] = uint64(rng.IntN(200))
 			}
 		}
 		var want uint64
@@ -173,7 +173,7 @@ func TestCorpusPickEnergyWeighted(t *testing.T) {
 	cold := can.Frame{ID: 0x100, Len: 1, Data: [8]byte{0x01}}
 	c.add(hot, 99)
 	c.add(cold, 1)
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 	hits := 0
 	for i := 0; i < 1000; i++ {
 		if c.pick(rng) == hot {

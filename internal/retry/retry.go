@@ -17,7 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"time"
 )
 
@@ -64,12 +64,8 @@ func (p Policy) Delay(attempt int, rng *rand.Rand) time.Duration {
 		d = p.Cap
 	}
 	if rng != nil && p.Jitter > 0 {
-		j := p.Jitter
-		if j > 1 {
-			j = 1
-		}
-		if span := int64(float64(d) * j); span > 0 {
-			d -= time.Duration(rng.Int63n(span + 1))
+		if span := int64(float64(d) * min(p.Jitter, 1)); span > 0 {
+			d -= time.Duration(rng.Int64N(span + 1))
 		}
 	}
 	return d

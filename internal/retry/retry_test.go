@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -52,7 +52,7 @@ func TestDelayCap(t *testing.T) {
 // range actually exercised (the spread is real, not a constant offset).
 func TestDelayJitterBounds(t *testing.T) {
 	p := Policy{Base: 100 * time.Millisecond, Cap: time.Second, Jitter: 0.5}
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewPCG(42, 0))
 	const attempt = 4 // grown delay: 800ms -> jitter range [400ms, 800ms]
 	lo, hi := 400*time.Millisecond, 800*time.Millisecond
 	min, max := hi, lo
@@ -156,7 +156,7 @@ func TestDoZeroAllocSuccess(t *testing.T) {
 		t.Fatalf("Do success path allocates %.1f objects/op, want 0", allocs)
 	}
 	// Delay itself is pure arithmetic.
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewPCG(1, 0))
 	if allocs := testing.AllocsPerRun(1000, func() {
 		_ = p.Delay(7, rng)
 	}); allocs != 0 {
