@@ -98,12 +98,12 @@ func TestWorldResetZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := testbench.NewGuidedUnlockExperiment(testbench.Config{},
-		core.Config{Seed: 101, Interval: time.Millisecond})
+	guided, err := testbench.NewUnlockExperiment(testbench.Config{},
+		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, exp := range map[string]*testbench.UnlockExperiment{"blind": blind, "guided": &guided.UnlockExperiment} {
+	for name, exp := range map[string]*testbench.UnlockExperiment{"blind": blind, "guided": guided} {
 		// Dirty the world once so the reset has real state to clear.
 		if _, ok := exp.Run(30 * time.Minute); !ok {
 			t.Fatalf("%s campaign found no unlock within 30 virtual minutes", name)

@@ -137,6 +137,17 @@ func run(args []string) error {
 			int(row.Stats.Min()/time.Second), int(row.Stats.Max()/time.Second), row.TimedOut)
 	}
 
+	fmt.Println("\n== Extension: coverage-guided vs blind random fuzzing ==")
+	gRuns := minI(*runs, 6)
+	gvr := experiments.GuidedVsRandom(*seed, gRuns, 2*time.Hour)
+	fmt.Printf("  (%d runs per arm, seeds %d..%d)\n", gRuns, *seed, *seed+int64(gRuns)-1)
+	for _, row := range []experiments.Table5Row{gvr.Random, gvr.Guided} {
+		fmt.Printf("  %-36s times(s): %s\n", row.Message, row.Stats.Seconds())
+		fmt.Printf("  %-36s median %v  mean %v  timeouts %d\n", "", row.Stats.Median().Round(100*time.Millisecond),
+			row.Stats.Mean().Round(100*time.Millisecond), row.TimedOut)
+	}
+	fmt.Printf("  median speedup %.1fx, merged corpus %d frames\n", gvr.MedianSpeedup, len(gvr.MergedCorpus))
+
 	fmt.Println("\n== Ablation: targeted vs blind fuzzing ==")
 	tb := experiments.AblationTargetedVsBlind(*seed, minI(*runs, 3), 12*time.Hour)
 	fmt.Printf("  blind mean %v, targeted mean %v, speedup %.0fx\n",

@@ -28,8 +28,8 @@ import (
 // once: clock event pooling, bus TX queues, frame encoding, novelty
 // hashing and the campaign send loop.
 func TestDeterminismCampaignReportGolden(t *testing.T) {
-	exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{},
-		core.Config{Seed: 101, Interval: time.Millisecond})
+	exp, err := testbench.NewUnlockExperiment(testbench.Config{},
+		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 // guidedFactory builds the bench world with the coverage-guided engine,
 // which evolves a corpus, so its trials also emit corpus_merge events.
 func guidedFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided})
 	if err != nil {
 		return nil, err
 	}

@@ -33,31 +33,17 @@ type TargetedVsBlindResult struct {
 }
 
 // AblationTargetedVsBlind measures the speedup from restricting the fuzz
-// space to the command identifier observed by traffic capture.
+// space to the command identifier observed by traffic capture. Both arms
+// run seeds baseSeed+i through Table5's row runner; timed-out runs are
+// dropped from the times.
 func AblationTargetedVsBlind(baseSeed int64, runs int, maxPerRun time.Duration) TargetedVsBlindResult {
-	var res TargetedVsBlindResult
-	for i := 0; i < runs; i++ {
-		blind, err := testbench.NewUnlockExperiment(
-			testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: baseSeed + int64(i)},
-		)
-		if err != nil {
-			panic(err)
-		}
-		if t, ok := blind.Run(maxPerRun); ok {
-			res.Blind.Times = append(res.Blind.Times, t)
-		}
-		targeted, err := testbench.NewUnlockExperiment(
-			testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: baseSeed + int64(i), TargetIDs: []can.ID{signal.IDBodyCommand}},
-		)
-		if err != nil {
-			panic(err)
-		}
-		if t, ok := targeted.Run(maxPerRun); ok {
-			res.Targeted.Times = append(res.Targeted.Times, t)
-		}
-	}
+	blind, _ := runUnlockRow(bcm.CheckByteOnly, runs, maxPerRun, func(i int) core.Config {
+		return core.Config{Seed: baseSeed + int64(i)}
+	})
+	targeted, _ := runUnlockRow(bcm.CheckByteOnly, runs, maxPerRun, func(i int) core.Config {
+		return core.Config{Seed: baseSeed + int64(i), TargetIDs: []can.ID{signal.IDBodyCommand}}
+	})
+	res := TargetedVsBlindResult{Blind: blind.Stats, Targeted: targeted.Stats}
 	if m := res.Targeted.Mean(); m > 0 {
 		res.SpeedupMean = float64(res.Blind.Mean()) / float64(m)
 	}
@@ -78,12 +64,13 @@ func AblationOracleStrictness(baseSeed int64, runs int, maxPerRun time.Duration)
 	variants := []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength, bcm.CheckTwoBytes}
 	rows := make([]Table5Row, 0, len(variants))
 	for _, check := range variants {
-		rows = append(rows, runUnlockVariantCfg(check, runs, maxPerRun, func(i int) core.Config {
+		row, _ := runUnlockRow(check, runs, maxPerRun, func(i int) core.Config {
 			return core.Config{
 				Seed:      baseSeed + int64(i),
 				TargetIDs: []can.ID{signal.IDBodyCommand},
 			}
-		}))
+		})
+		rows = append(rows, row)
 	}
 	return rows
 }

@@ -127,28 +127,29 @@ func Table5(baseSeed int64, runs int, maxPerRun time.Duration) []Table5Row {
 	variants := []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength}
 	rows := make([]Table5Row, 0, len(variants))
 	for _, check := range variants {
-		rows = append(rows, runUnlockVariant(check, baseSeed, runs, maxPerRun))
+		row, _ := runUnlockRow(check, runs, maxPerRun, func(i int) core.Config {
+			return core.Config{Seed: baseSeed + int64(i)}
+		})
+		rows = append(rows, row)
 	}
 	return rows
 }
 
-// runUnlockVariant executes one Table V row over the full blind space.
-func runUnlockVariant(check bcm.CheckMode, baseSeed int64, runs int, maxPerRun time.Duration) Table5Row {
-	return runUnlockVariantCfg(check, runs, maxPerRun, func(i int) core.Config {
-		return core.Config{Seed: baseSeed + int64(i)}
-	})
-}
-
-// runUnlockVariantCfg executes one unlock-experiment row with a per-run
-// fuzzer configuration. The runs execute on a fleet.Run worker pool — one
-// isolated bench world per run, all cores busy — and the row is assembled
-// from the fleet's index-ordered results, so the Stats are identical to
-// the old sequential loop's, just produced in a fraction of the wall
-// time. cfgFor fixes each run's seed, so the fleet's own derived seeds are
-// intentionally unused here (Table V rows predate the splitmix stream and
-// must keep their published values).
-func runUnlockVariantCfg(check bcm.CheckMode, runs int, maxPerRun time.Duration, cfgFor func(i int) core.Config) Table5Row {
+// runUnlockRow executes one unlock-experiment row, blind or guided by the
+// configs' Mode, and returns it with the guided trials' merged corpus (nil
+// when blind). cfgFor(i) is run i's fuzzer configuration and may vary only
+// Seed: the runs execute on a fleet.Run worker pool where each worker
+// builds one bench world from the first config it sees and recycles it for
+// its later runs, reseeding it from cfgFor(i).Seed. The fleet's own derived
+// seeds are intentionally unused (Table V rows predate the splitmix stream
+// and keep their published values). A recycled world runs bit-for-bit like
+// a fresh one and the row is assembled from the fleet's index-ordered
+// results, so the Stats are those of a sequential cold loop.
+func runUnlockRow(check bcm.CheckMode, runs int, maxPerRun time.Duration, cfgFor func(i int) core.Config) (Table5Row, []string) {
 	row := Table5Row{Message: check.String(), Check: check}
+	if cfgFor(0).Mode == core.ModeGuided {
+		row.Message += " (guided)"
+	}
 	rep, err := fleet.Run(fleet.Config{
 		Trials:      runs,
 		MaxPerTrial: maxPerRun,
@@ -157,7 +158,12 @@ func runUnlockVariantCfg(check bcm.CheckMode, runs int, maxPerRun time.Duration,
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+		w := exp.World()
+		w.Reset = func(ts fleet.TrialSpec) error {
+			exp.Reset(cfgFor(ts.Index).Seed)
+			return nil
+		}
+		return w, nil
 	})
 	if err != nil {
 		panic(err) // static configuration cannot fail
@@ -174,5 +180,5 @@ func runUnlockVariantCfg(check bcm.CheckMode, runs int, maxPerRun time.Duration,
 			panic("experiments: unlock trial ended " + tr.Status + ": " + tr.PanicValue + tr.Err)
 		}
 	}
-	return row
+	return row, rep.MergedCorpus
 }

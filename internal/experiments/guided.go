@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/bcm"
 	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/testbench"
 )
 
 // GuidedVsRandomResult compares time-to-unlock distributions for the blind
@@ -29,56 +27,23 @@ type GuidedVsRandomResult struct {
 // GuidedVsRandom runs `runs` unlock experiments per arm with seeds
 // baseSeed+i — the same legacy seed scheme as Table5, so the random arm's
 // numbers are directly comparable to the published rows — and returns both
-// distributions. The guided engine closes the feedback loop Werquin et al.
-// describe; on the byte-only parser it reaches the unlock well under the
-// blind fuzzer's median because one frame on the command identifier admits
-// a corpus parent whose mutations keep hammering that identifier.
+// distributions. Both arms go through Table5's row runner, the guided arm
+// with core.ModeGuided, so each arm recycles its bench worlds across runs.
+// The guided engine closes the feedback loop Werquin et al. describe; on
+// the byte-only parser it reaches the unlock well under the blind fuzzer's
+// median because one frame on the command identifier admits a corpus
+// parent whose mutations keep hammering that identifier.
 func GuidedVsRandom(baseSeed int64, runs int, maxPerRun time.Duration) GuidedVsRandomResult {
 	const check = bcm.CheckByteOnly
 	res := GuidedVsRandomResult{Check: check}
-	res.Random = runUnlockVariantCfg(check, runs, maxPerRun, func(i int) core.Config {
+	res.Random, _ = runUnlockRow(check, runs, maxPerRun, func(i int) core.Config {
 		return core.Config{Seed: baseSeed + int64(i)}
 	})
-	res.Guided, res.MergedCorpus = runGuidedUnlockRow(check, runs, maxPerRun, func(i int) core.Config {
+	res.Guided, res.MergedCorpus = runUnlockRow(check, runs, maxPerRun, func(i int) core.Config {
 		return core.Config{Seed: baseSeed + int64(i), Mode: core.ModeGuided}
 	})
 	if rm, gm := res.Random.Stats.Median(), res.Guided.Stats.Median(); rm > 0 && gm > 0 {
 		res.MedianSpeedup = float64(rm) / float64(gm)
 	}
 	return res
-}
-
-// runGuidedUnlockRow is runUnlockVariantCfg's guided twin: one
-// GuidedUnlockExperiment world per trial, corpora collected and merged by
-// the fleet.
-func runGuidedUnlockRow(check bcm.CheckMode, runs int, maxPerRun time.Duration, cfgFor func(i int) core.Config) (Table5Row, []string) {
-	row := Table5Row{Message: check.String() + " (guided)", Check: check}
-	rep, err := fleet.Run(fleet.Config{
-		Trials:      runs,
-		MaxPerTrial: maxPerRun,
-	}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: check}, cfgFor(spec.Index))
-		if err != nil {
-			return nil, err
-		}
-		return &fleet.World{
-			Sched:    exp.Bench.Scheduler(),
-			Campaign: exp.Campaign,
-			Corpus:   exp.Engine.CorpusFrames,
-		}, nil
-	})
-	if err != nil {
-		panic(err) // static configuration cannot fail
-	}
-	for _, tr := range rep.Results {
-		switch tr.Status {
-		case fleet.StatusFinding:
-			row.Stats.Times = append(row.Stats.Times, tr.TimeToFinding)
-		case fleet.StatusTimeout:
-			row.TimedOut++
-		default:
-			panic("experiments: guided unlock trial ended " + tr.Status + ": " + tr.PanicValue + tr.Err)
-		}
-	}
-	return row, rep.MergedCorpus
 }

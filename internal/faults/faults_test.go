@@ -231,8 +231,11 @@ func TestPlanDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(c1, c2) || r1 != r2 {
 		t.Fatalf("same seed diverged: %v/%d vs %v/%d", c1, r1, c2, r2)
 	}
-	if c1[string(KindDrop)] == 0 || c1[string(KindDup)] == 0 || c1[string(KindCorrupt)] == 0 {
-		t.Fatalf("not all wire faults fired: %v", c1)
+	// The exact outcome pins the wire-fault streams themselves: a shifted
+	// stream index or seed derivation changes these numbers.
+	want := map[string]uint64{string(KindDrop): 309, string(KindDup): 139, string(KindCorrupt): 10}
+	if !reflect.DeepEqual(c1, want) || r1 != 819 {
+		t.Fatalf("plan outcome = %v/%d received, want %v/819", c1, r1, want)
 	}
 }
 

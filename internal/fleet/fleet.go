@@ -1,7 +1,9 @@
 // Package fleet is the parallel multi-world campaign orchestrator: it runs
-// N independent fuzzing trials, each in its own freshly constructed
-// virtual world (scheduler, bus, target ECUs, campaign), across a bounded
-// worker pool, and folds the outcomes into one deterministic Report.
+// N independent fuzzing trials, each in its own isolated virtual world
+// (scheduler, bus, target ECUs, campaign) — built by the factory, or a
+// worker's previous world reset in place to its as-built state — across a
+// bounded worker pool, and folds the outcomes into one deterministic
+// Report.
 //
 // The paper's quantitative result (Table V) is a *distribution* of
 // time-to-unlock over repeated runs. Each run is a fully isolated
@@ -11,7 +13,8 @@
 //
 //   - Per-trial seeds come from the base seed via the splitmix64 stream
 //     (faults.DeriveSeed), so trial i's world is a pure function of
-//     (BaseSeed, i) — worker count and interleaving cannot touch it.
+//     (BaseSeed, i) — worker count, interleaving and world reuse cannot
+//     touch it (reset-then-run is bit-identical to build-then-run).
 //   - Results are collected into a slice indexed by trial and aggregated
 //     sequentially in index order, never in completion order.
 //   - No wall-clock quantity enters the Report (the live Progress view,

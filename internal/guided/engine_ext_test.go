@@ -16,9 +16,9 @@ import (
 )
 
 // guidedExp builds one guided unlock world; helper for the tests below.
-func guidedExp(t *testing.T, check bcm.CheckMode, seed int64, opts ...guided.EngineOption) *testbench.GuidedUnlockExperiment {
+func guidedExp(t *testing.T, check bcm.CheckMode, seed int64, opts ...guided.EngineOption) *testbench.UnlockExperiment {
 	t.Helper()
-	exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: check},
+	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check},
 		core.Config{Seed: seed, Mode: core.ModeGuided}, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,8 @@ func TestIntrospectionNil(t *testing.T) {
 
 func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	intr := guided.NewIntrospection()
-	exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}},
+	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
 		guided.WithIntrospection(intr))
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func TestIntrospectionAggregatesEngines(t *testing.T) {
 	intr := guided.NewIntrospection()
 	var want uint64
 	for seed := int64(1); seed <= 3; seed++ {
-		exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}},
+		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
 			guided.WithIntrospection(intr))
 		if err != nil {
 			t.Fatal(err)

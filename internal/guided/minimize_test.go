@@ -34,7 +34,7 @@ func benchFactory(check bcm.CheckMode) fleet.TargetFactory {
 // guidedFactory builds a guided unlock world exposing its corpus.
 func guidedFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: check},
+		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check},
 			core.Config{Seed: spec.Seed, Mode: core.ModeGuided})
 		if err != nil {
 			return nil, err

@@ -42,8 +42,8 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 // the introspection plane.
 func guidedFactory(intr *guided.Introspection) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewGuidedUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}},
+		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
+			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
 			guided.WithIntrospection(intr))
 		if err != nil {
 			return nil, err

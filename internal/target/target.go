@@ -240,10 +240,11 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 	// The bench target supports in-place world reuse: every component on
 	// it knows how to return to its as-built state, so fleet workers can
 	// recycle the world across trials instead of rebuilding it. Worlds
-	// with a fault-injection plan are excluded — the injector schedules
-	// its plan at construction and has no re-arm path — as are the cluster
-	// and vehicle targets (their ECU applications keep state the reset
-	// plumbing does not yet cover).
+	// with a fault-injection plan are excluded: the injector's Counts
+	// accumulate across Starts, and the babble port it Connects mid-run
+	// stays on the bus through Bus.Reset, so a recycled world would not
+	// match a fresh one. So are the cluster and vehicle targets (their
+	// ECU applications keep state the reset plumbing does not yet cover).
 	if spec.Target == "bench" && o.Plan == nil {
 		world = (&testbench.UnlockExperiment{Bench: bench, Campaign: campaign, Engine: eng}).World()
 	}

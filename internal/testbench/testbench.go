@@ -12,6 +12,7 @@
 package testbench
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/bcm"
@@ -159,17 +160,37 @@ type UnlockExperiment struct {
 }
 
 // NewUnlockExperiment builds a bench plus fuzzer for one run. The fuzzer
-// uses the full Table III random space at the given seed.
-func NewUnlockExperiment(cfg Config, fuzzCfg core.Config) (*UnlockExperiment, error) {
+// uses the full Table III random space at the given seed. When fuzzCfg.Mode
+// is core.ModeGuided, a guided.Engine fed by the bench probes (and opts)
+// becomes the campaign's frame source and publishes its final stats when
+// the campaign stops — the rule target.Build applies. Engine options with
+// any other mode are an error, never silently dropped.
+func NewUnlockExperiment(cfg Config, fuzzCfg core.Config, opts ...guided.EngineOption) (*UnlockExperiment, error) {
 	sched := clock.New()
 	bench := New(sched, Config{Check: cfg.Check, AckUnlock: true})
 	port := bench.AttachFuzzer("fuzzer")
-	campaign, err := core.NewCampaign(sched, port, fuzzCfg, core.WithStopOnFinding())
+	campOpts := []core.Option{core.WithStopOnFinding()}
+	var engine *guided.Engine
+	if fuzzCfg.Mode == core.ModeGuided {
+		var err error
+		engine, err = guided.NewEngine(fuzzCfg,
+			append([]guided.EngineOption{guided.WithProbes(bench.GuidedProbes(port)...)}, opts...)...)
+		if err != nil {
+			return nil, err
+		}
+		campOpts = append(campOpts, core.WithFrameSource(engine))
+	} else if len(opts) > 0 {
+		return nil, fmt.Errorf("testbench: guided engine options with fuzzer mode %v", fuzzCfg.Mode)
+	}
+	campaign, err := core.NewCampaign(sched, port, fuzzCfg, campOpts...)
 	if err != nil {
 		return nil, err
 	}
+	if engine != nil {
+		campaign.SetStopHook(engine.PublishStats)
+	}
 	campaign.AddOracle(bench.UnlockOracle())
-	return &UnlockExperiment{Bench: bench, Campaign: campaign}, nil
+	return &UnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}, nil
 }
 
 // Reset re-initializes the whole experiment world in place under a new
@@ -232,33 +253,4 @@ func (b *Bench) GuidedProbes(fuzzer *bus.Port) []guided.Probe {
 		{Name: "fuzzer_tec", Fn: func() uint64 { tec, _ := fuzzer.ErrorCounters(); return uint64(tec) }},
 		{Name: "fuzzer_rec", Fn: func() uint64 { _, rec := fuzzer.ErrorCounters(); return uint64(rec) }},
 	}
-}
-
-// GuidedUnlockExperiment is an UnlockExperiment driven by the guided
-// feedback engine instead of the blind generator; Engine is always set.
-type GuidedUnlockExperiment struct {
-	UnlockExperiment
-}
-
-// NewGuidedUnlockExperiment builds a bench plus a coverage-guided fuzzer
-// for one run: the same world as NewUnlockExperiment, with a guided.Engine
-// fed by the bench probes installed as the campaign's frame source.
-func NewGuidedUnlockExperiment(cfg Config, fuzzCfg core.Config, opts ...guided.EngineOption) (*GuidedUnlockExperiment, error) {
-	sched := clock.New()
-	bench := New(sched, Config{Check: cfg.Check, AckUnlock: true})
-	port := bench.AttachFuzzer("fuzzer")
-	fuzzCfg.Mode = core.ModeGuided
-	engine, err := guided.NewEngine(fuzzCfg,
-		append([]guided.EngineOption{guided.WithProbes(bench.GuidedProbes(port)...)}, opts...)...)
-	if err != nil {
-		return nil, err
-	}
-	campaign, err := core.NewCampaign(sched, port, fuzzCfg,
-		core.WithStopOnFinding(), core.WithFrameSource(engine))
-	if err != nil {
-		return nil, err
-	}
-	campaign.SetStopHook(engine.PublishStats)
-	campaign.AddOracle(bench.UnlockOracle())
-	return &GuidedUnlockExperiment{UnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}}, nil
 }

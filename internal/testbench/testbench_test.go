@@ -8,6 +8,7 @@ import (
 	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/guided"
 )
 
 func newSched(t *testing.T) *clock.Scheduler {
@@ -64,6 +65,31 @@ func TestFuzzerHasNoKnowledgeButUnlocks(t *testing.T) {
 	// not milliseconds and not days.
 	if elapsed < time.Second || elapsed > 2*time.Hour {
 		t.Fatalf("time to unlock = %v, implausible", elapsed)
+	}
+}
+
+func TestUnlockExperimentEngineFollowsMode(t *testing.T) {
+	blind, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1})
+	if err != nil || blind.Engine != nil {
+		t.Fatalf("blind experiment: engine %v, err %v; want none", blind.Engine, err)
+	}
+	if _, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1},
+		guided.WithIntrospection(guided.NewIntrospection())); err == nil {
+		t.Fatal("engine options with a blind config were accepted")
+	}
+	intr := guided.NewIntrospection()
+	g, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1, Mode: core.ModeGuided},
+		guided.WithIntrospection(intr))
+	if err != nil || g.Engine == nil {
+		t.Fatalf("guided experiment: engine %v, err %v; want one", g.Engine, err)
+	}
+	if _, ok := g.Run(30 * time.Minute); !ok {
+		t.Fatal("guided unlock did not land within the budget")
+	}
+	// The stop hook leaves the introspection slot exact: every frame the
+	// campaign sent came from the engine.
+	if execs := intr.Snapshot().Execs; execs != g.Campaign.FramesSent() {
+		t.Fatalf("engine execs %d != campaign frames %d", execs, g.Campaign.FramesSent())
 	}
 }
 
