@@ -128,7 +128,9 @@ type campaign struct {
 	spec        campaignd.CampaignSpec
 	specJSON    []byte // canonical bytes, byte-compared on resume
 
-	// Live machinery (running/draining); nil otherwise.
+	// Live machinery (running/draining); nil otherwise. journal is the
+	// open journal until one goroutine takes it under Server.mu to
+	// finalise it; whoever takes it closes it.
 	coord    *campaignd.Coordinator
 	journal  *os.File
 	sink     *observatory.Sink
@@ -156,6 +158,9 @@ type Server struct {
 	activeGauge *telemetry.Gauge
 	queuedGauge *telemetry.Gauge
 
+	// finishing counts the finish calls in flight; Close waits for them.
+	finishing sync.WaitGroup
+
 	mu        sync.Mutex
 	campaigns map[string]*campaign
 	bySeq     []*campaign // submission order, for stable listings
@@ -164,6 +169,7 @@ type Server struct {
 	credit    int         // grants left for ring[cur] before advancing
 	nextSeq   int
 	shutdown  bool
+	closed    bool // Close has begun: no finish may start
 }
 
 // New builds the server, either initialising a fresh data directory or
@@ -330,15 +336,20 @@ func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]flee
 // finish moves a completed campaign running -> draining -> done: the
 // journal is synced and closed, the final report rendered, and a queued
 // campaign promoted into the freed slot. It runs on the per-campaign
-// watcher goroutine.
+// watcher goroutine. Once Close has begun it does nothing: the campaign
+// stays running on disk, and a resume finds its journal complete.
 func (s *Server) finish(id string) {
 	s.mu.Lock()
 	c := s.campaigns[id]
-	if c == nil || c.state != StateRunning {
+	if c == nil || c.state != StateRunning || s.closed {
 		s.mu.Unlock()
 		return
 	}
+	s.finishing.Add(1)
+	defer s.finishing.Done()
 	c.state = StateDraining
+	journal := c.journal
+	c.journal = nil
 	s.dropFromRingLocked(c)
 	_ = s.persistLocked() // the draining mark is advisory; the journal is the truth
 	s.mu.Unlock()
@@ -350,10 +361,10 @@ func (s *Server) finish(id string) {
 	if err := c.sink.Close(); err != nil {
 		failure = fmt.Sprintf("event log: %v", err)
 	}
-	if err := c.journal.Sync(); err != nil && failure == "" {
+	if err := journal.Sync(); err != nil && failure == "" {
 		failure = fmt.Sprintf("event log sync: %v", err)
 	}
-	if err := c.journal.Close(); err != nil && failure == "" {
+	if err := journal.Close(); err != nil && failure == "" {
 		failure = fmt.Sprintf("event log close: %v", err)
 	}
 	rep := c.coord.Report()
@@ -380,7 +391,6 @@ func (s *Server) finish(id string) {
 	c.report = rep
 	c.reportJSON = buf.Bytes()
 	c.failure = failure
-	c.journal = nil // finalised above; Close must not sync it again
 	if err := s.persistLocked(); err != nil && s.log != nil {
 		s.log.Error("index write failed", "campaign", id, "err", err)
 	}
@@ -658,27 +668,40 @@ func (s *Server) BeginShutdown() {
 }
 
 // Close persists the index and finalises every open journal. Campaigns
-// still running stay in state running on disk; resume re-opens them.
+// still running stay in state running on disk; resume re-opens them. It
+// first waits for the finish calls in flight, so nothing writes to the
+// data directory after it returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.shutdown = true
-	var open []*campaign
+	s.closed = true
+	s.mu.Unlock()
+	s.finishing.Wait()
+
+	s.mu.Lock()
+	type openJournal struct {
+		id      string
+		sink    *observatory.Sink
+		journal *os.File
+	}
+	var open []openJournal
 	for _, c := range s.bySeq {
 		if c.journal != nil {
-			open = append(open, c)
+			open = append(open, openJournal{c.id, c.sink, c.journal})
+			c.journal = nil
 		}
 	}
 	err := s.persistLocked()
 	s.mu.Unlock()
-	for _, c := range open {
-		if serr := c.sink.Close(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", c.id, serr)
+	for _, o := range open {
+		if serr := o.sink.Close(); serr != nil && err == nil {
+			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
 		}
-		if serr := c.journal.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", c.id, serr)
+		if serr := o.journal.Sync(); serr != nil && err == nil {
+			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
 		}
-		if serr := c.journal.Close(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", c.id, serr)
+		if serr := o.journal.Close(); serr != nil && err == nil {
+			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
 		}
 	}
 	return err
