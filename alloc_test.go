@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcm"
 	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/guided"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
@@ -94,12 +96,12 @@ func TestRandomCampaignStepZeroAlloc(t *testing.T) {
 // world must cost CPU only, never garbage.
 func TestWorldResetZeroAlloc(t *testing.T) {
 	cfg := core.Config{Seed: 5, TargetIDs: []can.ID{0x215}, Interval: time.Millisecond}
-	blind, err := testbench.NewUnlockExperiment(testbench.Config{}, cfg)
+	blind, err := buildUnlock(bcm.CheckByteOnly, cfg, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := testbench.NewUnlockExperiment(testbench.Config{},
-		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided})
+	guided, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +139,11 @@ func TestFleetTrialAllocBudget(t *testing.T) {
 		Pool:        &fleet.WorldPool{},
 	}
 	factory := func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 			Seed:      spec.Seed,
 			TargetIDs: []can.ID{0x215},
 			Interval:  time.Millisecond,
-		})
+		}, target.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -19,10 +19,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcm"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/target"
 	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
@@ -361,7 +363,7 @@ func BenchmarkAblationIDS(b *testing.B) {
 // fleetTable5Factory builds the Table V workload for the fleet benchmark:
 // one full blind bench-unlock world per trial.
 func fleetTable5Factory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{Seed: spec.Seed})
+	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: spec.Seed}, target.Options{})
 	if err != nil {
 		return nil, err
 	}

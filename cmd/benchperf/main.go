@@ -46,6 +46,7 @@ import (
 	"repro/internal/findings"
 	"repro/internal/fleet"
 	"repro/internal/guided"
+	"repro/internal/target"
 	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
@@ -434,11 +435,12 @@ func benchFleet(trials int) func(b *testing.B) {
 				MaxPerTrial: 12 * time.Hour,
 				Pool:        pool,
 			}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-				exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{Seed: spec.Seed})
+				w, err := target.Build(target.Spec{Target: "bench", Stop: true},
+					core.Config{Seed: spec.Seed}, target.Options{})
 				if err != nil {
 					return nil, err
 				}
-				return exp.World(), nil
+				return w.World, nil
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -598,14 +600,15 @@ func benchFDCRC(b *testing.B) {
 // world ran with, the best case, while WorldResetFreshSeed gives every op
 // a new seed, as every fleet and service trial does.
 func benchWorldReset(b *testing.B, seed func(i int) int64) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+	w, err := target.Build(target.Spec{Target: "bench", Stop: true}, core.Config{
 		Seed:      5,
 		TargetIDs: []can.ID{0x215},
 		Interval:  time.Millisecond,
-	})
+	}, target.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	exp := w.Unlock
 	if _, ok := exp.Run(30 * time.Minute); !ok {
 		b.Fatal("campaign found no unlock within 30 virtual minutes")
 	}

@@ -16,11 +16,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcm"
 	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
+
+// buildUnlock builds the Table V bench world through target.Build, the one
+// constructor of bench fuzz worlds.
+func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	return b.Unlock, nil
+}
 
 // TestDeterminismCampaignReportGolden runs a guided bench-unlock campaign
 // at a pinned seed and asserts its report JSON is byte-identical to the
@@ -28,8 +40,8 @@ import (
 // once: clock event pooling, bus TX queues, frame encoding, novelty
 // hashing and the campaign send loop.
 func TestDeterminismCampaignReportGolden(t *testing.T) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{},
-		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided})
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +60,11 @@ func TestDeterminismCampaignReportGolden(t *testing.T) {
 // factory: the returned world carries a Reset hook, so fleet workers
 // recycle it across trials instead of rebuilding.
 func unlockFleetFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 		Seed:      spec.Seed,
 		TargetIDs: []can.ID{0x215},
 		Interval:  time.Millisecond,
-	})
+	}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -154,11 +166,11 @@ func TestDeterminismResetAfterFinding(t *testing.T) {
 	}
 	mk := func(seed int64) *testbench.UnlockExperiment {
 		t.Helper()
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 			Seed:      seed,
 			TargetIDs: []can.ID{0x215},
 			Interval:  time.Millisecond,
-		})
+		}, target.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +200,11 @@ func TestDeterminismFleetReportGolden(t *testing.T) {
 		BaseSeed:    5,
 		MaxPerTrial: 30 * time.Minute,
 	}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 			Seed:      spec.Seed,
 			TargetIDs: []can.ID{0x215},
 			Interval:  time.Millisecond,
-		})
+		}, target.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/bcm"
+	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
@@ -30,13 +32,12 @@ func main() {
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength} {
 		var stats analysis.RunStats
 		for i := 0; i < *runs; i++ {
-			exp, err := testbench.NewUnlockExperiment(
-				testbench.Config{Check: check},
-				core.Config{Seed: *baseSeed + int64(i)},
-			)
+			w, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
+				core.Config{Seed: *baseSeed + int64(i)}, target.Options{})
 			if err != nil {
 				panic(err)
 			}
+			exp := w.Unlock
 			elapsed, ok := exp.Run(12 * time.Hour)
 			if !ok {
 				fmt.Printf("  run %d: timed out\n", i+1)
@@ -52,12 +53,8 @@ func main() {
 }
 
 func demoNormalOperation() {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{Seed: 1})
-	if err != nil {
-		panic(err)
-	}
-	bench := exp.Bench
-	sched := bench.Scheduler()
+	sched := clock.New()
+	bench := testbench.New(sched, testbench.Config{AckUnlock: true})
 	if err := bench.HeadUnit.AppUnlock(testbench.AppToken); err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ import (
 	"repro/internal/ecu"
 	"repro/internal/oracle"
 	"repro/internal/signal"
-	"repro/internal/testbench"
+	"repro/internal/target"
 	"repro/internal/vehicle"
 )
 
@@ -90,8 +90,7 @@ func TestPaperNarrativeEndToEnd(t *testing.T) {
 	// Stage 4 — Table V: the bench-top unlock, loose then strict parser,
 	// same seed: the strict parser can never be faster.
 	seeds := int64(20180605)
-	loose, err := testbench.NewUnlockExperiment(
-		testbench.Config{Check: bcm.CheckByteOnly}, core.Config{Seed: seeds})
+	loose, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: seeds}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +98,7 @@ func TestPaperNarrativeEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("stage 4: loose parser never unlocked")
 	}
-	strict, err := testbench.NewUnlockExperiment(
-		testbench.Config{Check: bcm.CheckByteAndLength}, core.Config{Seed: seeds})
+	strict, err := buildUnlock(bcm.CheckByteAndLength, core.Config{Seed: seeds}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

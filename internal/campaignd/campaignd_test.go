@@ -21,13 +21,24 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/observatory"
 	"repro/internal/signal"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
+// buildUnlock builds the Table V bench world through target.Build, the one
+// constructor of bench fuzz worlds.
+func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	return b.Unlock, nil
+}
+
 // unlockFactory builds the Table V bench world per trial.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -37,8 +48,8 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 // guidedFactory builds the bench world with the coverage-guided engine,
 // which evolves a corpus, so its trials also emit corpus_merge events.
 func guidedFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided})
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/bcm"
 	"repro/internal/can"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/signal"
@@ -132,16 +133,20 @@ func (s *fakeService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // resettableBench builds the Table V bench world with a Reset hook and
-// counts the builds per campaign base seed.
+// counts the builds per campaign base seed. It assembles the world by hand
+// as target.Build does: target imports this package.
 func resettableBench(baseSeed int64, builds map[int64]int) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
 		builds[baseSeed]++
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+		sched := clock.New()
+		bench := testbench.New(sched, testbench.Config{Check: bcm.CheckByteOnly, AckUnlock: true})
+		campaign, err := core.NewCampaign(sched, bench.AttachFuzzer("fuzzer"),
+			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, core.WithStopOnFinding())
 		if err != nil {
 			return nil, err
 		}
-		return exp.World(), nil
+		campaign.AddOracle(bench.UnlockOracle())
+		return (&testbench.UnlockExperiment{Bench: bench, Campaign: campaign}).World(), nil
 	}
 }
 

@@ -93,13 +93,7 @@ type PacingResult struct {
 func AblationPacing(seed int64, intervals []time.Duration, maxPerRun time.Duration) []PacingResult {
 	out := make([]PacingResult, 0, len(intervals))
 	for _, iv := range intervals {
-		exp, err := testbench.NewUnlockExperiment(
-			testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: seed, Interval: iv},
-		)
-		if err != nil {
-			panic(err)
-		}
+		exp := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed, Interval: iv})
 		r := PacingResult{Interval: iv}
 		if t, ok := exp.Run(maxPerRun); ok {
 			r.TimeToUnlock = t
@@ -318,18 +312,10 @@ type AuthResult struct {
 func AblationAuthentication(seed int64, budget time.Duration) AuthResult {
 	var res AuthResult
 
-	plain, err := testbench.NewUnlockExperiment(
-		testbench.Config{Check: bcm.CheckByteOnly}, core.Config{Seed: seed})
-	if err != nil {
-		panic(err)
-	}
+	plain := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed})
 	res.PlainTime, res.PlainUnlocked = plain.Run(12 * time.Hour)
 
-	hardened, err := testbench.NewUnlockExperiment(
-		testbench.Config{Check: bcm.CheckAuthenticated}, core.Config{Seed: seed})
-	if err != nil {
-		panic(err)
-	}
+	hardened := unlockExperiment(bcm.CheckAuthenticated, core.Config{Seed: seed})
 	_, res.AuthUnlocked = hardened.Run(budget)
 	res.AuthFramesTried = hardened.Campaign.FramesSent()
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/ecu"
 	"repro/internal/fleet"
 	"repro/internal/oracle"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
@@ -135,6 +136,17 @@ func Table5(baseSeed int64, runs int, maxPerRun time.Duration) []Table5Row {
 	return rows
 }
 
+// unlockExperiment builds one Table V bench world through target.Build:
+// the unlock-ack oracle armed, the campaign stopping at its first finding,
+// and a guided engine as its frame source when cfg.Mode asks for one.
+func unlockExperiment(check bcm.CheckMode, cfg core.Config) *testbench.UnlockExperiment {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, target.Options{})
+	if err != nil {
+		panic(err) // static configuration cannot fail
+	}
+	return b.Unlock
+}
+
 // runUnlockRow executes one unlock-experiment row, blind or guided by the
 // configs' Mode, and returns it with the guided trials' merged corpus (nil
 // when blind). cfgFor(i) is run i's fuzzer configuration and may vary only
@@ -154,10 +166,7 @@ func runUnlockRow(check bcm.CheckMode, runs int, maxPerRun time.Duration, cfgFor
 		Trials:      runs,
 		MaxPerTrial: maxPerRun,
 	}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check}, cfgFor(spec.Index))
-		if err != nil {
-			return nil, err
-		}
+		exp := unlockExperiment(check, cfgFor(spec.Index))
 		w := exp.World()
 		w.Reset = func(ts fleet.TrialSpec) error {
 			exp.Reset(cfgFor(ts.Index).Seed)

@@ -11,15 +11,25 @@ import (
 	"repro/internal/core"
 	"repro/internal/guided"
 	"repro/internal/observatory"
+	"repro/internal/target"
 	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
 
+// buildUnlock builds the Table V bench world through target.Build, the one
+// constructor of bench fuzz worlds.
+func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	return b.Unlock, nil
+}
+
 // guidedExp builds one guided unlock world; helper for the tests below.
-func guidedExp(t *testing.T, check bcm.CheckMode, seed int64, opts ...guided.EngineOption) *testbench.UnlockExperiment {
+func guidedExp(t *testing.T, check bcm.CheckMode, seed int64) *testbench.UnlockExperiment {
 	t.Helper()
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check},
-		core.Config{Seed: seed, Mode: core.ModeGuided}, opts...)
+	exp, err := buildUnlock(check, core.Config{Seed: seed, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,11 @@ func TestGuidedTelemetryGauges(t *testing.T) {
 	tel := telemetry.New(0)
 	intr := guided.NewIntrospection()
 	observatory.New(observatory.Config{Fuzz: intr, Telemetry: tel})
-	exp := guidedExp(t, bcm.CheckByteOnly, 3, guided.WithIntrospection(intr))
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: 3, Mode: core.ModeGuided}, target.Options{Introspection: intr})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := exp.Run(10 * time.Minute); !ok {
 		t.Fatal("no finding")
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/guided"
 	"repro/internal/signal"
-	"repro/internal/testbench"
+	"repro/internal/target"
 )
 
 func TestIntrospectionNil(t *testing.T) {
@@ -24,9 +24,8 @@ func TestIntrospectionNil(t *testing.T) {
 
 func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	intr := guided.NewIntrospection()
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
-		guided.WithIntrospection(intr))
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +73,8 @@ func TestIntrospectionAggregatesEngines(t *testing.T) {
 	intr := guided.NewIntrospection()
 	var want uint64
 	for seed := int64(1); seed <= 3; seed++ {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
-			guided.WithIntrospection(intr))
+		exp, err := buildUnlock(bcm.CheckByteOnly,
+			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
 		if err != nil {
 			t.Fatal(err)
 		}

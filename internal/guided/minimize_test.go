@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/guided"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
@@ -22,8 +23,7 @@ import (
 // replaces its frame source anyway, so the generator never runs.
 func benchFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check},
-			core.Config{Seed: spec.Seed})
+		exp, err := buildUnlock(check, core.Config{Seed: spec.Seed}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -34,8 +34,8 @@ func benchFactory(check bcm.CheckMode) fleet.TargetFactory {
 // guidedFactory builds a guided unlock world exposing its corpus.
 func guidedFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: check},
-			core.Config{Seed: spec.Seed, Mode: core.ModeGuided})
+		exp, err := buildUnlock(check,
+			core.Config{Seed: spec.Seed, Mode: core.ModeGuided}, target.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -23,15 +23,26 @@ import (
 	"repro/internal/guided"
 	"repro/internal/observatory"
 	"repro/internal/signal"
+	"repro/internal/target"
 	"repro/internal/telemetry"
 	"repro/internal/testbench"
 )
 
+// buildUnlock builds the Table V bench world through target.Build, the one
+// constructor of bench fuzz worlds.
+func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	return b.Unlock, nil
+}
+
 // unlockFactory builds the Table V bench world per trial, targeted so each
 // trial unlocks within virtual seconds.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}})
+	exp, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -42,9 +53,8 @@ func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 // the introspection plane.
 func guidedFactory(intr *guided.Introspection) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := testbench.NewUnlockExperiment(testbench.Config{Check: bcm.CheckByteOnly},
-			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided},
-			guided.WithIntrospection(intr))
+		exp, err := buildUnlock(bcm.CheckByteOnly,
+			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
 		if err != nil {
 			return nil, err
 		}

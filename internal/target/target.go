@@ -7,10 +7,11 @@
 // which meant every other consumer of a world — the distributed worker, the
 // minimizer, replay tooling — had to route through the CLI. Now the CLI
 // (fuzzing, -worker and the minimizer), the findings regression replayer
-// (internal/findings, behind canregress) and the benchmark harness all
-// build worlds through the same code path, which is what keeps a trial's
-// result byte-identical no matter which tool executed it. canreplay does
-// not: it replays a log onto a plain testbench.
+// (internal/findings, behind canregress), the paper's Table V rows and
+// ablations (internal/experiments) and the benchmark harness all build
+// worlds through the same code path, which is what keeps a trial's result
+// byte-identical no matter which tool executed it. canreplay does not: it
+// replays a log onto a plain testbench.
 package target
 
 import (
@@ -72,13 +73,15 @@ type Options struct {
 
 // Built is one constructed target world plus the handles the caller may
 // need beyond the fleet contract: the armed fault injector (nil without a
-// plan) and the target's reaction probes — the same feature sources the
+// plan), the target's reaction probes — the same feature sources the
 // guided engine's novelty map reads, exposed so replay tooling can capture
-// a world's reaction-feature vector after a run.
+// a world's reaction-feature vector after a run — and, for the bench, the
+// world as a Table V unlock experiment (nil for the other targets).
 type Built struct {
 	World    *fleet.World
 	Injector *faults.Injector
 	Probes   []guided.Probe
+	Unlock   *testbench.UnlockExperiment
 }
 
 // ParseCheckMode maps the textual -bcm-check flag (and the campaign spec's
@@ -135,11 +138,11 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 
 	var campaign *core.Campaign
 	var probes []guided.Probe
-	var bench *testbench.Bench
+	var unlock *testbench.UnlockExperiment
 	var err error
 	switch spec.Target {
 	case "bench":
-		bench = testbench.New(sched, testbench.Config{Check: spec.Check, AckUnlock: true})
+		bench := testbench.New(sched, testbench.Config{Check: spec.Check, AckUnlock: true})
 		bench.Instrument(tel)
 		fuzzPort := bench.AttachFuzzer("fuzzer")
 		armChaos(inj, spec.Recovery, bench.Bus, bench.ECUs(), fuzzPort)
@@ -148,8 +151,8 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 			return nil, err
 		}
 		campaign.AddOracle(bench.UnlockOracle())
-		campaign.AddOracle(bench.LEDOracle(10 * time.Millisecond))
 		probes = bench.GuidedProbes(fuzzPort)
+		unlock = &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}
 
 	case "cluster":
 		b := busPkg.New(sched, busPkg.WithName("bench"))
@@ -245,10 +248,13 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 	// stays on the bus through Bus.Reset, so a recycled world would not
 	// match a fresh one. So are the cluster and vehicle targets (their
 	// ECU applications keep state the reset plumbing does not yet cover).
-	if spec.Target == "bench" && o.Plan == nil {
-		world = (&testbench.UnlockExperiment{Bench: bench, Campaign: campaign, Engine: eng}).World()
+	if unlock != nil {
+		unlock.Engine = eng
+		if o.Plan == nil {
+			world = unlock.World()
+		}
 	}
-	return &Built{World: world, Injector: inj, Probes: probes}, nil
+	return &Built{World: world, Injector: inj, Probes: probes, Unlock: unlock}, nil
 }
 
 // FromCampaignSpec maps a distributed campaign spec onto the world builder

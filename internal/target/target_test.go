@@ -135,7 +135,8 @@ func TestIntrospectionCountsEveryTrial(t *testing.T) {
 // same seed, and an instrumented world also the same Prometheus
 // exposition and Chrome trace. Cluster, vehicle and fault-plan worlds
 // must have no Reset hook, so every fleet and campaign service worker
-// builds them fresh for each trial.
+// builds them fresh for each trial. Every bench world, fault plan or not,
+// carries its unlock experiment (Built.Unlock); no other target does.
 func TestBuildTable(t *testing.T) {
 	var specs []target.Spec
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength, bcm.CheckTwoBytes} {
@@ -177,6 +178,9 @@ func TestBuildTable(t *testing.T) {
 							}, o)
 							if err != nil {
 								return nil, err
+							}
+							if (b.Unlock != nil) != (spec.Target == "bench") {
+								return nil, fmt.Errorf("Built.Unlock set %t for target %s", b.Unlock != nil, spec.Target)
 							}
 							worlds = append(worlds, builtWorld{b.World, o.Telemetry})
 							return b.World, nil
@@ -229,6 +233,9 @@ func TestBuildTable(t *testing.T) {
 	}
 	if b.World.Reset != nil {
 		t.Fatal("fault-plan bench world advertises Reset; its injector cannot be re-armed")
+	}
+	if b.Unlock == nil || b.Unlock.Campaign != b.World.Campaign {
+		t.Fatal("fault-plan bench world lacks its unlock experiment")
 	}
 }
 

@@ -12,7 +12,6 @@
 package testbench
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/bcm"
@@ -146,9 +145,10 @@ func (b *Bench) LEDOracle(interval time.Duration) *oracle.Probe {
 	return oracle.Physical("lock-led", interval, b.BCM.Unlocked, false, "lock LED lit (doors unlocked)")
 }
 
-// UnlockExperiment is one Table V measurement: it wires a fuzz campaign to
-// the bench, runs until the unlock is detected (or maxDuration elapses),
-// and reports the virtual time the fuzzer needed.
+// UnlockExperiment is one Table V measurement: a fuzz campaign wired to
+// the bench, run until the unlock is detected (or maxDuration elapses),
+// reporting the virtual time the fuzzer needed. target.Build assembles it
+// for every bench world (Built.Unlock).
 type UnlockExperiment struct {
 	// Bench is the assembled testbed.
 	Bench *Bench
@@ -157,40 +157,6 @@ type UnlockExperiment struct {
 	// Engine, when non-nil, is the guided feedback engine installed as the
 	// campaign's frame source.
 	Engine *guided.Engine
-}
-
-// NewUnlockExperiment builds a bench plus fuzzer for one run. The fuzzer
-// uses the full Table III random space at the given seed. When fuzzCfg.Mode
-// is core.ModeGuided, a guided.Engine fed by the bench probes (and opts)
-// becomes the campaign's frame source and publishes its final stats when
-// the campaign stops — the rule target.Build applies. Engine options with
-// any other mode are an error, never silently dropped.
-func NewUnlockExperiment(cfg Config, fuzzCfg core.Config, opts ...guided.EngineOption) (*UnlockExperiment, error) {
-	sched := clock.New()
-	bench := New(sched, Config{Check: cfg.Check, AckUnlock: true})
-	port := bench.AttachFuzzer("fuzzer")
-	campOpts := []core.Option{core.WithStopOnFinding()}
-	var engine *guided.Engine
-	if fuzzCfg.Mode == core.ModeGuided {
-		var err error
-		engine, err = guided.NewEngine(fuzzCfg,
-			append([]guided.EngineOption{guided.WithProbes(bench.GuidedProbes(port)...)}, opts...)...)
-		if err != nil {
-			return nil, err
-		}
-		campOpts = append(campOpts, core.WithFrameSource(engine))
-	} else if len(opts) > 0 {
-		return nil, fmt.Errorf("testbench: guided engine options with fuzzer mode %v", fuzzCfg.Mode)
-	}
-	campaign, err := core.NewCampaign(sched, port, fuzzCfg, campOpts...)
-	if err != nil {
-		return nil, err
-	}
-	if engine != nil {
-		campaign.SetStopHook(engine.PublishStats)
-	}
-	campaign.AddOracle(bench.UnlockOracle())
-	return &UnlockExperiment{Bench: bench, Campaign: campaign, Engine: engine}, nil
 }
 
 // Reset re-initializes the whole experiment world in place under a new

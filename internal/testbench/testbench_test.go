@@ -1,4 +1,4 @@
-package testbench
+package testbench_test
 
 import (
 	"testing"
@@ -9,7 +9,19 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/guided"
+	"repro/internal/target"
+	"repro/internal/testbench"
 )
+
+// buildUnlock builds the Table V bench world through target.Build, the one
+// constructor of bench fuzz worlds.
+func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	return b.Unlock, nil
+}
 
 func newSched(t *testing.T) *clock.Scheduler {
 	t.Helper()
@@ -18,16 +30,16 @@ func newSched(t *testing.T) *clock.Scheduler {
 
 func TestNormalOperationLockUnlock(t *testing.T) {
 	// Fig 12/13: the PC app locks and unlocks via the head unit.
-	b := New(newSched(t), Config{AckUnlock: true})
+	b := testbench.New(newSched(t), testbench.Config{AckUnlock: true})
 	s := b.Scheduler()
-	if err := b.HeadUnit.AppUnlock(AppToken); err != nil {
+	if err := b.HeadUnit.AppUnlock(testbench.AppToken); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(100 * time.Millisecond)
 	if !b.BCM.Unlocked() {
 		t.Fatal("LED off after app unlock")
 	}
-	if err := b.HeadUnit.AppLock(AppToken); err != nil {
+	if err := b.HeadUnit.AppLock(testbench.AppToken); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(200 * time.Millisecond)
@@ -37,9 +49,9 @@ func TestNormalOperationLockUnlock(t *testing.T) {
 }
 
 func TestMonitorNodeSeesTraffic(t *testing.T) {
-	b := New(newSched(t), Config{})
+	b := testbench.New(newSched(t), testbench.Config{})
 	s := b.Scheduler()
-	b.HeadUnit.AppUnlock(AppToken)
+	b.HeadUnit.AppUnlock(testbench.AppToken)
 	s.RunUntil(time.Second)
 	if b.MonitorFrames() == 0 {
 		t.Fatal("monitor node saw no traffic")
@@ -50,7 +62,7 @@ func TestFuzzerHasNoKnowledgeButUnlocks(t *testing.T) {
 	// §VI: "When the fuzzer runs it has no knowledge of the CAN message to
 	// activate the locks... the unlock (or lock) functionality was
 	// activated after a few minutes of randomly generated CAN data."
-	exp, err := NewUnlockExperiment(Config{Check: bcm.CheckByteOnly}, core.Config{Seed: 20180625})
+	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 20180625}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +81,13 @@ func TestFuzzerHasNoKnowledgeButUnlocks(t *testing.T) {
 }
 
 func TestUnlockExperimentEngineFollowsMode(t *testing.T) {
-	blind, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1})
+	blind, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 1}, target.Options{})
 	if err != nil || blind.Engine != nil {
 		t.Fatalf("blind experiment: engine %v, err %v; want none", blind.Engine, err)
 	}
-	if _, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1},
-		guided.WithIntrospection(guided.NewIntrospection())); err == nil {
-		t.Fatal("engine options with a blind config were accepted")
-	}
 	intr := guided.NewIntrospection()
-	g, err := NewUnlockExperiment(Config{}, core.Config{Seed: 1, Mode: core.ModeGuided},
-		guided.WithIntrospection(intr))
+	g, err := buildUnlock(bcm.CheckByteOnly,
+		core.Config{Seed: 1, Mode: core.ModeGuided}, target.Options{Introspection: intr})
 	if err != nil || g.Engine == nil {
 		t.Fatalf("guided experiment: engine %v, err %v; want one", g.Engine, err)
 	}
@@ -98,7 +106,7 @@ func TestLengthCheckSlowsFuzzer(t *testing.T) {
 	// stricter parser can never be faster than the loose one for the same
 	// fuzz stream, because it accepts a strict subset of frames.
 	seed := int64(7)
-	loose, err := NewUnlockExperiment(Config{Check: bcm.CheckByteOnly}, core.Config{Seed: seed})
+	loose, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: seed}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +114,7 @@ func TestLengthCheckSlowsFuzzer(t *testing.T) {
 	if !ok {
 		t.Fatal("loose parser never unlocked")
 	}
-	strict, err := NewUnlockExperiment(Config{Check: bcm.CheckByteAndLength}, core.Config{Seed: seed})
+	strict, err := buildUnlock(bcm.CheckByteAndLength, core.Config{Seed: seed}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestLengthCheckSlowsFuzzer(t *testing.T) {
 
 func TestLEDOracleDetectsUnlock(t *testing.T) {
 	sched := newSched(t)
-	bench := New(sched, Config{}) // no ack augmentation: physical oracle instead
+	bench := testbench.New(sched, testbench.Config{}) // no ack augmentation: physical oracle instead
 	port := bench.AttachFuzzer("fuzzer")
 	campaign, err := core.NewCampaign(sched, port, core.Config{Seed: 99}, core.WithStopOnFinding())
 	if err != nil {
@@ -144,7 +152,7 @@ func TestTargetedFuzzingFasterThanBlind(t *testing.T) {
 	// §VII: usefulness "in fuzz testing in a specific message space, close
 	// to known messages". Targeting the observed command ID shrinks the
 	// space by 2048x; with matched seeds the hit should come much sooner.
-	blind, err := NewUnlockExperiment(Config{Check: bcm.CheckByteOnly}, core.Config{Seed: 11})
+	blind, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 11}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +160,10 @@ func TestTargetedFuzzingFasterThanBlind(t *testing.T) {
 	if !ok {
 		t.Fatal("blind run never unlocked")
 	}
-	targeted, err := NewUnlockExperiment(Config{Check: bcm.CheckByteOnly}, core.Config{
+	targeted, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 		Seed:      11,
 		TargetIDs: []can.ID{0x215},
-	})
+	}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bcm"
 	"repro/internal/can"
 	"repro/internal/core"
+	"repro/internal/target"
 	"repro/internal/testbench"
 )
 
@@ -25,11 +27,11 @@ func FuzzWorldReset(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seedA, seedB int64, idLow uint8) {
 		id := 0x200 | can.ID(idLow)
 		mk := func(seed int64) *testbench.UnlockExperiment {
-			exp, err := testbench.NewUnlockExperiment(testbench.Config{}, core.Config{
+			exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
 				Seed:      seed,
 				TargetIDs: []can.ID{id},
 				Interval:  time.Millisecond,
-			})
+			}, target.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
