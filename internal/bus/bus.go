@@ -132,19 +132,6 @@ func WithAutoRecovery() Option {
 	return func(b *Bus) { b.autoRecover = true }
 }
 
-// WithLoadWindow sets the sliding virtual-time window over which WindowLoad
-// computes recent bus utilisation (default DefaultLoadWindow).
-func WithLoadWindow(d time.Duration) Option {
-	return func(b *Bus) {
-		if d > 0 {
-			b.win.bucket = d / loadWindowBuckets
-			if b.win.bucket <= 0 {
-				b.win.bucket = 1
-			}
-		}
-	}
-}
-
 // TxAction is an Interceptor's verdict on one completed transmission.
 type TxAction int
 

@@ -124,9 +124,6 @@ func (p *Port) Stats() PortStats { return p.stats }
 // node transmit-only.
 func (p *Port) SetReceiver(r Receiver) { p.recv = r }
 
-// QueueLen returns the number of frames waiting in the transmit queue.
-func (p *Port) QueueLen() int { return p.txq.len() }
-
 // Send queues a frame for transmission. The frame is validated first. It
 // contends for the bus under standard CAN arbitration: the lowest pending
 // identifier transmits next.

@@ -67,11 +67,6 @@ func WithOnFinding(fn func(Finding)) Option {
 	return func(c *Campaign) { c.onFinding = fn }
 }
 
-// WithRecentWindow sets how many recently sent frames each finding records.
-func WithRecentWindow(n int) Option {
-	return func(c *Campaign) { c.window = n }
-}
-
 // WithMaxFrames bounds the number of frames transmitted.
 func WithMaxFrames(n uint64) Option {
 	return func(c *Campaign) { c.maxFrames = n }
@@ -97,6 +92,9 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 // event, a gauge refresh and a registry publication per this many
 // transmitted frames.
 const genBatchEvery = 256
+
+// recentWindow is how many recently sent frames each finding records.
+const recentWindow = 16
 
 // Send-error causes, as reported by SendErrorsByCause and the campaign
 // report. The paper's automation loop needs to distinguish "the fuzzer
@@ -179,7 +177,6 @@ type Campaign struct {
 	reset         func()
 	onStop        func()
 	onFinding     func(Finding)
-	window        int
 	maxFrames     uint64
 	src           FrameSource
 	// wallBudget bounds RunUntilFinding in wall-clock time (0 = unbounded).
@@ -235,16 +232,15 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 		return nil, err
 	}
 	c := &Campaign{
-		sched:  sched,
-		port:   port,
-		gen:    gen,
-		window: 16,
+		sched: sched,
+		port:  port,
+		gen:   gen,
 	}
 	for _, o := range opts {
 		o(c)
 	}
 	c.timer = sched.NewPeriodic(gen.cfg.Interval, c.sendOne)
-	c.mon = NewMonitor(c.window)
+	c.mon = NewMonitor(recentWindow)
 	if c.tel != nil {
 		reg := c.tel.Registry
 		c.mSent = reg.Counter("campaign_frames_sent_total", "Fuzz frames transmitted by the campaign.")

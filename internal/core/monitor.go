@@ -23,19 +23,32 @@ type monitorRun struct {
 	sentMeans     analysis.ByteMeans
 	observedMeans analysis.ByteMeans
 
-	// Per-identifier counters are dense arrays, not maps: the 11-bit ID
-	// space is only 2048 entries (16 KiB per direction), and NoteSent runs
-	// once per transmitted frame — the map hash + growth was the last
-	// allocation source on the steady-state TX path. Distinct-ID tallies
-	// are maintained incrementally for the same reason.
-	sentByID         [can.MaxID + 1]uint64
-	observedByID     [can.MaxID + 1]uint64
+	// Identifiers seen per direction are 2048-bit sets, not maps: the
+	// 11-bit ID space fits in 256 B, and NoteSent runs once per
+	// transmitted frame — a map's hash and growth would allocate on the
+	// steady-state TX path. Distinct-ID tallies are maintained
+	// incrementally for the same reason.
+	sentIDs          idSet
+	observedIDs      idSet
 	distinctSent     int
 	distinctObserved int
 
 	// next is the window write cursor; filled reports a wrap.
 	next   int
 	filled bool
+}
+
+// idSet is a set over the 11-bit identifier space, one bit per ID.
+type idSet [(can.MaxID + 1) / 64]uint64
+
+// add inserts id and reports whether it was absent.
+func (s *idSet) add(id can.ID) bool {
+	w, bit := id/64, uint64(1)<<(id%64)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
 }
 
 // NewMonitor creates a monitor retaining the last window sent frames.
@@ -58,10 +71,9 @@ func (m *Monitor) Reset() {
 // NoteSent records a transmitted fuzz frame.
 func (m *Monitor) NoteSent(f can.Frame) {
 	m.sentMeans.Add(f)
-	if m.sentByID[f.ID] == 0 {
+	if m.sentIDs.add(f.ID) {
 		m.distinctSent++
 	}
-	m.sentByID[f.ID]++
 	m.recent[m.next] = f
 	m.next++
 	if m.next == len(m.recent) {
@@ -73,10 +85,9 @@ func (m *Monitor) NoteSent(f can.Frame) {
 // NoteObserved records a frame seen on the bus from other nodes.
 func (m *Monitor) NoteObserved(msg bus.Message) {
 	m.observedMeans.Add(msg.Frame)
-	if m.observedByID[msg.Frame.ID] == 0 {
+	if m.observedIDs.add(msg.Frame.ID) {
 		m.distinctObserved++
 	}
-	m.observedByID[msg.Frame.ID]++
 }
 
 // SentMeans returns the integrity statistics over transmitted frames.
@@ -84,9 +95,6 @@ func (m *Monitor) SentMeans() *analysis.ByteMeans { return &m.sentMeans }
 
 // ObservedMeans returns the statistics over observed bus traffic.
 func (m *Monitor) ObservedMeans() *analysis.ByteMeans { return &m.observedMeans }
-
-// SentCount returns the number of frames sent with a given identifier.
-func (m *Monitor) SentCount(id can.ID) uint64 { return m.sentByID[id] }
 
 // DistinctIDsSent returns how many distinct identifiers have been fuzzed —
 // the identifier-coverage numerator. With the full 2048-ID space at 1 ms

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"sort"
 	"strings"
 
 	"repro/internal/can"
@@ -150,31 +149,4 @@ func ReadCorpus(r io.Reader) ([]can.Frame, error) {
 		return nil, fmt.Errorf("guided: %w", err)
 	}
 	return out, nil
-}
-
-// MergeCorpora merges per-trial corpora in trial order, deduplicating by
-// serialized frame. Given the same per-trial slices the result is
-// identical regardless of how many workers produced them — the fleet
-// determinism guarantee extended to corpora.
-func MergeCorpora(perTrial [][]string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, lines := range perTrial {
-		for _, l := range lines {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	return out
-}
-
-// SortedCopy returns a lexicographically sorted copy of lines — handy for
-// comparing corpora from differently-ordered sources in tests.
-func SortedCopy(lines []string) []string {
-	out := make([]string, len(lines))
-	copy(out, lines)
-	sort.Strings(out)
-	return out
 }

@@ -65,7 +65,6 @@ type Minimizer struct {
 	MaxExecutions int
 
 	executions int
-	exhausted  bool
 	detail     string
 	memo       map[string]bool
 }
@@ -113,7 +112,7 @@ func (m *Minimizer) Minimize(frames []can.Frame) (Result, error) {
 	if m.MaxExecutions <= 0 {
 		m.MaxExecutions = 512
 	}
-	m.executions, m.exhausted = 0, false
+	m.executions = 0
 	m.memo = make(map[string]bool)
 
 	res := Result{Oracle: m.Oracle, OriginalFrames: len(frames),
@@ -144,7 +143,6 @@ func (m *Minimizer) execute(cand []can.Frame) bool {
 		return v
 	}
 	if m.executions >= m.MaxExecutions {
-		m.exhausted = true
 		return false
 	}
 	m.executions++
@@ -267,10 +265,6 @@ func corpusKey(frames []can.Frame) string {
 	}
 	return strings.Join(parts, ";")
 }
-
-// Exhausted reports whether the last Minimize run hit its execution budget
-// (the result is then valid but possibly not minimal).
-func (m *Minimizer) Exhausted() bool { return m.exhausted }
 
 // CorpusLines returns the minimized frames in "ID#HEXDATA" form.
 func (r Result) CorpusLines() []string {

@@ -207,21 +207,3 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 		t.Fatal("malformed corpus accepted")
 	}
 }
-
-func TestMergeCorporaIndexOrder(t *testing.T) {
-	got := MergeCorpora([][]string{
-		{"215#20", "100#01"},
-		{"100#01", "300#FF"},
-		nil,
-		{"215#20"},
-	})
-	want := []string{"215#20", "100#01", "300#FF"}
-	if len(got) != len(want) {
-		t.Fatalf("merged = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", got, want)
-		}
-	}
-}
