@@ -4,8 +4,10 @@
 // stuffing, wire-length computation, frame encoding, scheduler cycle,
 // steady-state bus TX, guided campaign step) through testing.Benchmark,
 // then writes a BENCH_<date>.json trajectory file with ns/op, allocs/op,
-// B/op and — for the frame-pumping workloads — frames/sec, plus the
-// telemetry overhead (CampaignTelemetry over Campaign ns/op, same run).
+// B/op and — for the frame-pumping workloads — frames/sec, plus two
+// same-run ratios: the telemetry overhead (CampaignTelemetry over Campaign
+// ns/op) and the guided/blind tick ratio (GuidedStep ns/op over Campaign
+// ns per frame).
 //
 // Usage:
 //
@@ -78,8 +80,12 @@ type File struct {
 	// TelemetryOverhead is the cost of the live telemetry plane as a
 	// same-run ratio: the best CampaignTelemetry ns/op over the best
 	// Campaign ns/op. Zero when the run skipped either workload.
-	TelemetryOverhead float64  `json:"telemetryOverhead,omitempty"`
-	Results           []Result `json:"results"`
+	TelemetryOverhead float64 `json:"telemetryOverhead,omitempty"`
+	// GuidedTickRatio is the guided engine's per-frame cost against the
+	// blind generator's, same run: GuidedStep ns/op (one frame) over
+	// Campaign ns per frame. Zero when the run skipped either workload.
+	GuidedTickRatio float64  `json:"guidedTickRatio,omitempty"`
+	Results         []Result `json:"results"`
 }
 
 // workload pairs a benchmark body with the number of frames one op pumps
@@ -170,6 +176,9 @@ func run(args []string) error {
 	}
 	if f.TelemetryOverhead = telemetryOverhead(f.Results); f.TelemetryOverhead > 0 {
 		logger.Info("telemetry overhead", "CampaignTelemetry/Campaign", fmt.Sprintf("%.3fx", f.TelemetryOverhead))
+	}
+	if f.GuidedTickRatio = guidedTickRatio(f.Results); f.GuidedTickRatio > 0 {
+		logger.Info("guided tick ratio", "GuidedStep/Campaign per frame", fmt.Sprintf("%.3fx", f.GuidedTickRatio))
 	}
 
 	path := *out
@@ -278,19 +287,32 @@ func checkSpeedup(f File, baselinePath string, minCampaign, minFleetAlloc float6
 // telemetryOverhead returns CampaignTelemetry ns/op over Campaign ns/op,
 // or zero when either is missing.
 func telemetryOverhead(results []Result) float64 {
-	var plain, live float64
+	return ratio(results, "CampaignTelemetry", "Campaign", func(r Result) float64 { return r.NsPerOp })
+}
+
+// guidedTickRatio returns GuidedStep ns per frame over Campaign ns per
+// frame — Campaign frames/sec over GuidedStep frames/sec — or zero when
+// either is missing.
+func guidedTickRatio(results []Result) float64 {
+	return ratio(results, "Campaign", "GuidedStep", func(r Result) float64 { return r.FramesPerSec })
+}
+
+// ratio returns metric(num)/metric(den) over the named results, or zero
+// when either is missing or not positive.
+func ratio(results []Result, num, den string, metric func(Result) float64) float64 {
+	var n, d float64
 	for _, r := range results {
 		switch r.Name {
-		case "Campaign":
-			plain = r.NsPerOp
-		case "CampaignTelemetry":
-			live = r.NsPerOp
+		case num:
+			n = metric(r)
+		case den:
+			d = metric(r)
 		}
 	}
-	if plain <= 0 || live <= 0 {
+	if n <= 0 || d <= 0 {
 		return 0
 	}
-	return live / plain
+	return n / d
 }
 
 // nsPerOp returns the benchmark's wall time per operation in nanoseconds.

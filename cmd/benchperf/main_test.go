@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,6 +116,23 @@ func TestCheckSpeedupMissingWorkload(t *testing.T) {
 	}}, noCampaign, 3, 5)
 	if err == nil || !strings.Contains(err.Error(), `"Campaign" missing`) {
 		t.Errorf("baseline without Campaign: err = %v, want a missing-workload error", err)
+	}
+}
+
+func TestGuidedTickRatio(t *testing.T) {
+	for _, tc := range []struct {
+		results []Result
+		want    float64
+	}{
+		// 1000 frames in 400 µs is 400 ns a frame; a 600 ns guided tick is 1.5x.
+		{[]Result{{Name: "Campaign", NsPerOp: 400e3, FramesPerSec: 2.5e6}, {Name: "Fleet", FramesPerSec: 9}, {Name: "GuidedStep", NsPerOp: 600, FramesPerSec: 1e9 / 600}}, 1.5},
+		{[]Result{{Name: "GuidedStep", FramesPerSec: 1e6}}, 0}, // -only without Campaign
+		{[]Result{{Name: "Campaign", FramesPerSec: 1e6}}, 0},
+		{nil, 0},
+	} {
+		if got := guidedTickRatio(tc.results); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("guidedTickRatio(%v) = %v, want %v", tc.results, got, tc.want)
+		}
 	}
 }
 

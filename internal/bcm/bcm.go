@@ -13,9 +13,11 @@
 package bcm
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/bus"
+	"repro/internal/can"
 	"repro/internal/ecu"
 	"repro/internal/signal"
 )
@@ -79,7 +81,6 @@ type Config struct {
 // BCM is the body-control application.
 type BCM struct {
 	ecu *ecu.ECU
-	db  *signal.Database
 	cfg Config
 
 	onChange func(unlocked bool)
@@ -110,7 +111,7 @@ func New(e *ecu.ECU, cfg Config) *BCM {
 	if cfg.Check == 0 {
 		cfg.Check = CheckByteOnly
 	}
-	b := &BCM{ecu: e, db: signal.VehicleDB(), cfg: cfg}
+	b := &BCM{ecu: e, cfg: cfg}
 	e.Handle(signal.IDBodyCommand, b.onCommand)
 	e.Periodic(100*time.Millisecond, b.broadcastStatus)
 	b.Reset()
@@ -210,37 +211,51 @@ func (b *BCM) onCommand(m bus.Message) {
 // used as its fuzzing oracle.
 func (b *BCM) sendAck() {
 	b.ackSeq++
-	def, ok := b.db.ByID(signal.IDUnlockAck)
-	if !ok {
-		return
-	}
-	f, err := def.Encode(map[string]float64{
-		"AckCode": float64(signal.UnlockAckCode),
-		"AckSeq":  float64(b.ackSeq),
-	})
-	if err != nil {
-		return
-	}
-	_ = b.ecu.Send(f)
+	_ = b.ecu.Send(ackFrame(b.ackSeq))
 }
 
 // broadcastStatus emits the periodic BodyStatus message.
 func (b *BCM) broadcastStatus() {
 	b.alive++
-	def, ok := b.db.ByID(signal.IDBodyStatus)
+	_ = b.ecu.Send(statusFrame(b.unlocked, b.alive))
+}
+
+// ackTemplate and statusTemplate are the UnlockAck and BodyStatus frames
+// as the vehicle database encodes them with AckCode set and every other
+// signal zero, built once so each send only writes its own signals.
+var (
+	ackTemplate    = dbFrame(signal.IDUnlockAck, map[string]float64{"AckCode": signal.UnlockAckCode})
+	statusTemplate = dbFrame(signal.IDBodyStatus, nil)
+)
+
+// dbFrame encodes one message of the vehicle database; the values are
+// constants, so a failure is a broken database.
+func dbFrame(id can.ID, values map[string]float64) can.Frame {
+	def, ok := signal.VehicleDB().ByID(id)
 	if !ok {
-		return
+		panic(fmt.Sprintf("bcm: vehicle database lacks %#x", uint16(id)))
 	}
-	locked := 1.0
-	if b.unlocked {
-		locked = 0
-	}
-	f, err := def.Encode(map[string]float64{
-		"DoorsLocked": locked,
-		"BodyAlive":   float64(b.alive),
-	})
+	f, err := def.Encode(values)
 	if err != nil {
-		return
+		panic("bcm: " + err.Error())
 	}
-	_ = b.ecu.Send(f)
+	return f
+}
+
+// ackFrame is the UnlockAck frame carrying seq in AckSeq (bits 8-15).
+func ackFrame(seq uint8) can.Frame {
+	f := ackTemplate
+	f.Data[1] = seq
+	return f
+}
+
+// statusFrame is the BodyStatus frame with DoorsLocked (bit 0) set while
+// locked and alive in BodyAlive (bits 8-15).
+func statusFrame(unlocked bool, alive uint8) can.Frame {
+	f := statusTemplate
+	if !unlocked {
+		f.Data[0] |= 1
+	}
+	f.Data[1] = alive
+	return f
 }

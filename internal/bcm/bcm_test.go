@@ -245,3 +245,40 @@ func TestAuthenticatedCommandIsReplayable(t *testing.T) {
 		t.Fatal("replay of authenticated command rejected (MAC has no freshness; it must replay)")
 	}
 }
+
+// TestSendFramesMatchEncode pins the pre-built ACK and status frames to
+// the vehicle database's map-keyed encode for every sequence and alive
+// value and both lock states.
+func TestSendFramesMatchEncode(t *testing.T) {
+	db := signal.VehicleDB()
+	ackDef, _ := db.ByID(signal.IDUnlockAck)
+	statusDef, _ := db.ByID(signal.IDBodyStatus)
+	for v := 0; v < 256; v++ {
+		want, err := ackDef.Encode(map[string]float64{
+			"AckCode": float64(signal.UnlockAckCode),
+			"AckSeq":  float64(v),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ackFrame(uint8(v)); got != want {
+			t.Fatalf("ackFrame(%d) = %v, Encode = %v", v, got, want)
+		}
+		for _, unlocked := range []bool{false, true} {
+			locked := 1.0
+			if unlocked {
+				locked = 0
+			}
+			want, err := statusDef.Encode(map[string]float64{
+				"DoorsLocked": locked,
+				"BodyAlive":   float64(v),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := statusFrame(unlocked, uint8(v)); got != want {
+				t.Fatalf("statusFrame(%v, %d) = %v, Encode = %v", unlocked, v, got, want)
+			}
+		}
+	}
+}

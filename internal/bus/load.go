@@ -81,7 +81,7 @@ func (w *loadWindow) load(now time.Duration) float64 {
 }
 
 // WindowLoad returns the bus utilisation over the recent sliding
-// virtual-time window (see WithLoadWindow), in [0,1].
+// virtual-time window (DefaultLoadWindow), in [0,1].
 func (b *Bus) WindowLoad() float64 {
 	return b.win.load(b.sched.Now())
 }

@@ -69,6 +69,31 @@ func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	}
 }
 
+// TestIntrospectionEnergyExactAfterEarlyStop stops a guided run well
+// before energyPublishEvery ticks: the stop hook must still leave the
+// energy snapshot equal to the corpus's total energy.
+func TestIntrospectionEnergyExactAfterEarlyStop(t *testing.T) {
+	intr := guided.NewIntrospection()
+	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
+		Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided, Interval: time.Millisecond,
+	}, target.Options{Introspection: intr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Run(300 * time.Millisecond)
+
+	s := intr.Snapshot()
+	if s.Execs == 0 || s.Execs >= 512 {
+		t.Fatalf("execs = %d, want a run stopped within 512 ticks", s.Execs)
+	}
+	if s.CorpusSize == 0 {
+		t.Fatal("corpus empty: the run admitted nothing to weigh")
+	}
+	if want := exp.Engine.CorpusEnergy(); s.Energy.Sum != want {
+		t.Errorf("energy sum = %d, want the corpus total %d", s.Energy.Sum, want)
+	}
+}
+
 func TestIntrospectionAggregatesEngines(t *testing.T) {
 	intr := guided.NewIntrospection()
 	var want uint64

@@ -176,12 +176,75 @@ func TestCorpusPickEnergyWeighted(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 0))
 	hits := 0
 	for i := 0; i < 1000; i++ {
-		if c.pick(rng) == hot {
+		if c.entries[c.pick(rng.Uint64N(c.total))].frame == hot {
 			hits++
 		}
 	}
 	if hits < 900 {
 		t.Fatalf("hot frame picked %d/1000, want >= 900 at 99:1 energy", hits)
+	}
+}
+
+// twoPassPick is the pick the running total replaced, kept as the
+// reference: sum every energy, draw against the sum, walk to the draw.
+func twoPassPick(c *corpus, rng *rand.Rand) int {
+	var total uint64
+	for _, e := range c.entries {
+		total += e.energy
+	}
+	x := rng.Uint64N(total)
+	for i, e := range c.entries {
+		if x < e.energy {
+			return i
+		}
+		x -= e.energy
+	}
+	return len(c.entries) - 1
+}
+
+// TestCorpusPickRunningTotalDifferential drives random admissions,
+// top-ups and evictions and checks, after every step, that the running
+// total equals the sum of the energies and that the same draw picks the
+// same index as the two-pass reference.
+func TestCorpusPickRunningTotalDifferential(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	c := newCorpus()
+	var evictions int
+	for step := 0; step < 4000; step++ {
+		switch op := rng.IntN(4); {
+		case op < 2 || c.size() == 0: // admit a fresh frame, evicting when full
+			f := can.Frame{ID: can.ID(rng.IntN(0x800)), Len: 2,
+				Data: [8]byte{byte(step), byte(step >> 8)}}
+			if c.size() == maxCorpus {
+				evictions++
+			}
+			c.add(f, rng.Uint64N(40))
+		case op == 2: // top up an existing entry
+			c.add(c.entries[rng.IntN(c.size())].frame, 1+rng.Uint64N(40))
+		default: // reset now and then, so the total restarts from zero
+			if rng.IntN(500) == 0 {
+				c.reset()
+			}
+		}
+		var sum uint64
+		for _, e := range c.entries {
+			sum += e.energy
+		}
+		if c.total != sum {
+			t.Fatalf("step %d: running total %d, energies sum to %d", step, c.total, sum)
+		}
+		if c.size() == 0 {
+			continue
+		}
+		pcg := rand.NewPCG(uint64(step), 9)
+		ref, cp := *pcg, *pcg
+		want := twoPassPick(c, rand.New(&ref))
+		if got := c.pick(rand.New(&cp).Uint64N(c.total)); got != want {
+			t.Fatalf("step %d: pick = %d, two-pass reference = %d", step, got, want)
+		}
+	}
+	if evictions == 0 {
+		t.Fatal("no eviction exercised")
 	}
 }
 
