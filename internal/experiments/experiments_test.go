@@ -412,7 +412,7 @@ func TestGuidedVsRandomPinnedSeeds(t *testing.T) {
 	pinTimes(t, "random", res.Random.Stats.Times, []time.Duration{
 		69225362000, 1103740342000, 3759328000, 264048328000, 357070360000, 184348328000})
 	pinTimes(t, "guided", res.Guided.Stats.Times, []time.Duration{
-		6678262000, 12965324000, 4528262000, 13526262000, 15577266000, 19366292000})
+		9413362000, 4103362000, 32654246000, 2418246000, 38898314000, 2922366000})
 	if len(res.MergedCorpus) != 53 {
 		t.Fatalf("merged corpus has %d frames, want 53", len(res.MergedCorpus))
 	}
