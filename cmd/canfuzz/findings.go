@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/findings"
 	"repro/internal/fleet"
+	"repro/internal/guided"
 
 	targetPkg "repro/internal/target"
 )
@@ -42,10 +43,9 @@ func mergeRunFindings(dir string, spec targetPkg.Spec, cfg core.Config, chaos st
 	if minimized != nil {
 		p := prov
 		p.ReplayLog = replayLog
-		// The settle mirrors the minimizer default the trigger was confirmed
-		// under (guided.Minimizer.Settle).
+		// The settle is the one the minimizer confirmed the trigger under.
 		recs = append(recs, findings.FromMinimized(minimized, ctx, gcfg.Seed,
-			gcfg.Interval, 150*time.Millisecond, p))
+			gcfg.Interval, guided.ReplaySettle, p))
 		// The minimizer covered the first finding; keep the rest raw.
 		if len(observed) > 0 {
 			observed = observed[1:]

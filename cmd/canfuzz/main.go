@@ -497,8 +497,10 @@ func run(args []string) (err error) {
 }
 
 // runMinimize shrinks the first finding's trigger window by re-executing
-// candidate subsequences in fresh replay worlds. It returns nil without
-// error when the campaign produced no findings.
+// candidate subsequences: the first in a freshly built replay world, later
+// ones in that world reset in place (bench worlds without a chaos plan) or
+// in a fresh build (every other world). It returns nil without error when
+// the campaign produced no findings.
 func runMinimize(logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, campaign *core.Campaign, outFile string) (*core.MinimizedTrigger, error) {
 	findings := campaign.Findings()
 	if len(findings) == 0 {

@@ -48,20 +48,8 @@ func (p Provenance) apply(rec *Record) {
 // the highest-quality record shape: the frames are already minimal and
 // were confirmed under the stored pacing.
 func FromMinimized(t *core.MinimizedTrigger, ctx Context, seed int64, interval, settle time.Duration, prov Provenance) Record {
-	rec := Record{
-		Oracle:         t.Oracle,
-		Detail:         t.Detail,
-		Target:         ctx.Target,
-		Bus:            ctx.Bus,
-		BCMCheck:       ctx.BCMCheck,
-		Chaos:          ctx.Chaos,
-		Trigger:        append([]string(nil), t.Frames...),
-		Seed:           seed,
-		IntervalMicros: int64(interval / time.Microsecond),
-		SettleMillis:   int64(settle / time.Millisecond),
-		Recovery:       ctx.Recovery,
-	}
-	prov.apply(&rec)
+	rec := FromTrigger(t.Oracle, t.Detail, t.Frames, ctx, seed, interval, prov)
+	rec.SettleMillis = int64(settle / time.Millisecond)
 	return rec
 }
 

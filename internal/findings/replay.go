@@ -1,6 +1,7 @@
 package findings
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,9 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/guided"
 	"repro/internal/target"
 )
@@ -24,8 +25,10 @@ const (
 	// (was fixed, or the trigger no longer reaches it).
 	OutcomeFail = "fail"
 	// OutcomeFlaky: the oracle fired on some attempts but not all. Every
-	// attempt replays the same seed in a fresh world, so flaky means real
-	// nondeterminism in the stack, not seed variance.
+	// attempt replays the same seed: the first in a fresh world, later ones
+	// in that world reset in place when it can reset. So flaky means real
+	// nondeterminism in the stack, or a reset that does not restore the
+	// as-built state — not seed variance.
 	OutcomeFlaky = "flaky"
 	// OutcomeError: the world could not be built or the record could not be
 	// parsed — the record, not the target, is broken.
@@ -179,9 +182,9 @@ func ReadSuiteReport(r io.Reader) (*SuiteReport, error) {
 	return &rep, nil
 }
 
-// RunSuite replays every record and aggregates the outcomes. Replays run
-// on a bounded worker pool; results are collected by index and sorted by
-// key, so the report bytes are independent of scheduling.
+// RunSuite replays every record and aggregates the outcomes. Workers pull
+// record indices from a shared queue; results are collected by index and
+// sorted by key, so the report bytes are independent of scheduling.
 func RunSuite(recs []Record, cfg SuiteConfig) *SuiteReport {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -190,17 +193,21 @@ func RunSuite(recs []Record, cfg SuiteConfig) *SuiteReport {
 		cfg.Attempts = 2
 	}
 	results := make([]FindingResult, len(recs))
+	indices := make(chan int)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i, rec := range recs {
+	for w := 0; w < cfg.Workers && w < len(recs); w++ {
 		wg.Add(1)
-		go func(i int, rec Record) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = ReplayRecord(rec, cfg.Attempts, cfg.Overrides)
-		}(i, rec)
+			for i := range indices {
+				results[i] = ReplayRecord(recs[i], cfg.Attempts, cfg.Overrides)
+			}
+		}()
 	}
+	for i := range recs {
+		indices <- i
+	}
+	close(indices)
 	wg.Wait()
 
 	sort.Slice(results, func(i, j int) bool { return results[i].Key < results[j].Key })
@@ -226,28 +233,44 @@ func RunSuite(recs []Record, cfg SuiteConfig) *SuiteReport {
 }
 
 // ReplayRecord replays one record the given number of times and
-// classifies the outcome. Panics in the replayed world are contained and
-// classified as OutcomeError — a broken record must report, not crash the
-// suite.
+// classifies the outcome. The attempts run through one fleet.WorldPool:
+// the first on a freshly built world, later ones on that world reset in
+// place when it can reset. A world that fails to build or panics is
+// contained and classified as OutcomeError — a broken record must report,
+// not crash the suite.
 func ReplayRecord(rec Record, attempts int, ov Overrides) FindingResult {
 	res := FindingResult{Key: rec.Key(), Oracle: rec.Oracle, Target: rec.Target}
 	if attempts <= 0 {
 		attempts = 1
 	}
+	rw, err := newReplayWorld(rec, ov)
+	if err != nil {
+		res.Attempts, res.Outcome, res.Err = 1, OutcomeError, err.Error()
+		return res
+	}
+	var pool fleet.WorldPool
 	for i := 0; i < attempts; i++ {
-		att, err := replayOnce(rec, ov)
+		tr := pool.RunTrial(fleet.TrialSpec{Seed: rw.cfg.Seed}, fleet.Config{MaxPerTrial: rw.deadline}, rw.factory)
 		res.Attempts++
-		if err != nil {
-			res.Outcome = OutcomeError
-			res.Err = err.Error()
+		switch tr.Status {
+		case fleet.StatusPanic:
+			tr.Err = "replay panicked: " + tr.PanicValue
+			fallthrough
+		case fleet.StatusError:
+			res.Outcome, res.Err = OutcomeError, tr.Err
 			return res
 		}
-		res.ObservedOracle = att.oracle
-		res.ObservedDetail = att.detail
-		res.Features = att.features
-		if att.fired {
+		if rw.built.Injector != nil {
+			rw.built.Injector.Stop()
+		}
+		res.ObservedOracle, res.ObservedDetail = tr.Oracle, tr.Detail
+		res.Features = make(map[string]uint64, len(rw.built.Probes))
+		for _, p := range rw.built.Probes {
+			res.Features[p.Name] = p.Fn()
+		}
+		if tr.Status == fleet.StatusFinding && tr.Oracle == rec.Oracle {
 			res.Fired++
-			res.TimeToFinding = att.timeToFinding
+			res.TimeToFinding = tr.TimeToFinding
 		}
 	}
 	switch res.Fired {
@@ -261,138 +284,86 @@ func ReplayRecord(rec Record, attempts int, ov Overrides) FindingResult {
 	return res
 }
 
-// attempt is one replay execution's observation.
-type attempt struct {
-	fired         bool
-	oracle        string
-	detail        string
-	timeToFinding time.Duration
-	features      map[string]uint64
+// replayWorld is one record's replay setup: the world-builder inputs, the
+// world factory (build, wrapped in the trigger playback for trigger
+// records), the virtual deadline, and the last world built, whose probes
+// give the feature vector.
+type replayWorld struct {
+	spec     target.Spec
+	cfg      core.Config
+	plan     *faults.Plan
+	factory  fleet.TargetFactory
+	deadline time.Duration
+	built    *target.Built
 }
 
-// replayOnce executes one fresh-world replay of a record.
-func replayOnce(rec Record, ov Overrides) (att attempt, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("replay panicked: %v", r)
-		}
-	}()
-
-	spec, cfg, plan, berr := replayWorldInputs(rec, ov)
-	if berr != nil {
-		return att, berr
-	}
-	built, berr := target.Build(spec, cfg, target.Options{Plan: plan})
-	if berr != nil {
-		return att, fmt.Errorf("build world: %w", berr)
-	}
-	w := built.World
-
-	interval := cfg.Interval
-	var deadline time.Duration
-	if len(rec.Trigger) > 0 {
-		frames, perr := parseTrigger(rec.Trigger)
-		if perr != nil {
-			return att, perr
-		}
-		w.Campaign.SetFrameSource(guided.Playback(frames))
-		settle := time.Duration(rec.SettleMillis) * time.Millisecond
-		if settle <= 0 {
-			settle = 150 * time.Millisecond
-		}
-		deadline = interval*time.Duration(len(frames)) + settle
-	} else {
-		deadline = time.Duration(rec.DeadlineMillis) * time.Millisecond
-		if deadline <= 0 {
-			deadline = time.Second
-		}
-	}
-
-	if built.Injector != nil {
-		if ierr := built.Injector.Start(); ierr != nil {
-			return att, fmt.Errorf("chaos plan: %w", ierr)
-		}
-	}
-	finding, found := w.Campaign.RunUntilFinding(deadline)
-	if built.Injector != nil {
-		built.Injector.Stop()
-	}
-
-	if found {
-		att.oracle = finding.Verdict.Oracle
-		att.detail = finding.Verdict.Detail
-		att.timeToFinding = finding.Elapsed
-		att.fired = finding.Verdict.Oracle == rec.Oracle
-	}
-	att.features = make(map[string]uint64, len(built.Probes))
-	for _, p := range built.Probes {
-		att.features[p.Name] = p.Fn()
-	}
-	return att, nil
-}
-
-// replayWorldInputs maps a record (plus overrides) onto the world-builder
-// inputs: the target spec, the generator config and the chaos plan.
-func replayWorldInputs(rec Record, ov Overrides) (target.Spec, core.Config, *faults.Plan, error) {
-	checkName := rec.BCMCheck
-	if ov.BCMCheck != "" {
-		checkName = ov.BCMCheck
-	}
-	check, err := target.ParseCheckMode(checkName)
+// newReplayWorld maps a record (plus overrides) onto its replay setup. A
+// trigger record replays its frames at the record's interval and settle; a
+// generator record runs the generator until its stored deadline.
+func newReplayWorld(rec Record, ov Overrides) (*replayWorld, error) {
+	check, err := target.ParseCheckMode(cmp.Or(ov.BCMCheck, rec.BCMCheck))
 	if err != nil {
-		return target.Spec{}, core.Config{}, nil, err
+		return nil, err
 	}
-	recovery := rec.Recovery
+	rw := &replayWorld{spec: target.Spec{Target: rec.Target, Bus: cmp.Or(ov.Bus, rec.Bus),
+		Check: check, Stop: true, Recovery: rec.Recovery}}
+	rw.factory = rw.build
 	if ov.Recovery != nil {
-		recovery = *ov.Recovery
+		rw.spec.Recovery = *ov.Recovery
 	}
-	busName := rec.Bus
-	if ov.Bus != "" {
-		busName = ov.Bus
-	}
-	spec := target.Spec{
-		Target:   rec.Target,
-		Bus:      busName,
-		Check:    check,
-		Stop:     true,
-		Recovery: recovery,
-	}
-
-	var cfg core.Config
 	if rec.Config != nil {
-		cfg, err = rec.Config.ToConfig()
-		if err != nil {
-			return target.Spec{}, core.Config{}, nil, fmt.Errorf("record config: %w", err)
+		if rw.cfg, err = rec.Config.ToConfig(); err != nil {
+			return nil, fmt.Errorf("record config: %w", err)
 		}
 	}
-	cfg.Seed = rec.Seed
-	if iv := time.Duration(rec.IntervalMicros) * time.Microsecond; iv > cfg.Interval {
-		cfg.Interval = iv
-	}
-	if cfg.Interval < core.MinInterval {
-		cfg.Interval = core.MinInterval
-	}
-
-	var plan *faults.Plan
+	rw.cfg.Seed = rec.Seed
+	rw.cfg.Interval = max(rw.cfg.Interval, time.Duration(rec.IntervalMicros)*time.Microsecond, core.MinInterval)
 	if rec.Chaos != "" {
-		p, perr := faults.ParsePlan(rec.Chaos)
-		if perr != nil {
-			return target.Spec{}, core.Config{}, nil, fmt.Errorf("record chaos plan: %w", perr)
+		plan, err := faults.ParsePlan(rec.Chaos)
+		if err != nil {
+			return nil, fmt.Errorf("record chaos plan: %w", err)
 		}
-		plan = &p
+		rw.plan = &plan
 	}
-	return spec, cfg, plan, nil
-}
-
-// parseTrigger parses a stored trigger back into frames.
-func parseTrigger(lines []string) ([]can.Frame, error) {
-	frames := make([]can.Frame, 0, len(lines))
-	for _, line := range lines {
+	if len(rec.Trigger) == 0 {
+		rw.deadline = time.Duration(rec.DeadlineMillis) * time.Millisecond
+		if rw.deadline <= 0 {
+			rw.deadline = time.Second
+		}
+		return rw, nil
+	}
+	replay := &guided.Replay{Interval: rw.cfg.Interval, Settle: guided.ReplaySettle}
+	if rec.SettleMillis > 0 {
+		replay.Settle = time.Duration(rec.SettleMillis) * time.Millisecond
+	}
+	for _, line := range rec.Trigger {
 		f, err := core.ParseCorpusFrame(line)
 		if err != nil {
 			return nil, fmt.Errorf("trigger frame %q: %w", line, err)
 		}
-		frames = append(frames, f)
+		replay.Frames = append(replay.Frames, f)
 	}
-	return frames, nil
+	rw.factory = replay.Factory(rw.build)
+	rw.deadline = replay.Deadline()
+	return rw, nil
+}
+
+// buildWorld is the world constructor replays use; tests wrap it to count
+// builds or to force the cold path.
+var buildWorld = target.Build
+
+// build is the record's world factory: it builds the world and starts the
+// chaos plan.
+func (rw *replayWorld) build(fleet.TrialSpec) (*fleet.World, error) {
+	built, err := buildWorld(rw.spec, rw.cfg, target.Options{Plan: rw.plan})
+	if err != nil {
+		return nil, fmt.Errorf("build world: %w", err)
+	}
+	if built.Injector != nil {
+		if err := built.Injector.Start(); err != nil {
+			return nil, fmt.Errorf("chaos plan: %w", err)
+		}
+	}
+	rw.built = built
+	return built.World, nil
 }

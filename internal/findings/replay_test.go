@@ -2,9 +2,12 @@ package findings
 
 import (
 	"bytes"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/target"
 )
 
 // watchdogRecord is a generator record: a random campaign aimed away from
@@ -121,5 +124,55 @@ func TestDiffSuitesReportsCheckModeDivergence(t *testing.T) {
 	// Identical configurations must not diverge.
 	if divs := DiffSuites(a, RunSuite(recs, SuiteConfig{Attempts: 1})); len(divs) != 0 {
 		t.Fatalf("self-diff reported divergences: %+v", divs)
+	}
+}
+
+// TestReplayWarmMatchesCold replays both golden records with
+// three attempts twice: as shipped, where a reset-capable world is built
+// once and reset in place between attempts, and cold, with every world's
+// Reset hook stripped so each attempt builds afresh. The results must be
+// identical, features included, and the bench trigger record must build
+// exactly one world.
+func TestReplayWarmMatchesCold(t *testing.T) {
+	db, err := Open(filepath.Join("..", "..", "testdata", "regress"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := db.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("golden database holds %d records, want 2", len(recs))
+	}
+	defer func() { buildWorld = target.Build }()
+	replay := func(rec Record, cold bool) (FindingResult, int) {
+		builds := 0
+		buildWorld = func(spec target.Spec, cfg core.Config, o target.Options) (*target.Built, error) {
+			builds++
+			b, err := target.Build(spec, cfg, o)
+			if err == nil && cold {
+				b.World.Reset = nil
+			}
+			return b, err
+		}
+		return ReplayRecord(rec, 3, Overrides{}), builds
+	}
+	for _, rec := range recs {
+		warm, warmBuilds := replay(rec, false)
+		cold, coldBuilds := replay(rec, true)
+		if !reflect.DeepEqual(warm, cold) {
+			t.Fatalf("record %s: warm %+v\ncold %+v", rec.Key(), warm, cold)
+		}
+		if warm.Outcome != OutcomePass || coldBuilds != 3 {
+			t.Fatalf("record %s: outcome %s, %d cold builds", rec.Key(), warm.Outcome, coldBuilds)
+		}
+		wantBuilds := 3 // a chaos-plan world has no Reset: every attempt builds
+		if len(rec.Trigger) > 0 {
+			wantBuilds = 1
+		}
+		if warmBuilds != wantBuilds {
+			t.Fatalf("record %s: %d builds for 3 attempts, want %d", rec.Key(), warmBuilds, wantBuilds)
+		}
 	}
 }

@@ -305,7 +305,7 @@ const (
 	opSetByte        // randomize one payload byte
 	opResize         // resize within the length range, filling new bytes randomly
 	opNudge          // nudge a byte ±1 (gradient walking for magic values)
-	opFlipID         // flip a low identifier bit (stay in the neighbourhood)
+	opFlipID         // flip a low identifier bit, or pick a listed target ID
 )
 
 // opTable maps an operator word's class field to its operator: the
@@ -347,7 +347,8 @@ func (e *Engine) generate() can.Frame {
 // mutate applies the operator word w to f. The identifier is mostly
 // preserved — reaching a responsive identifier is the hard-won part of a
 // corpus entry — while payload bits, bytes and length move freely within
-// the configured ranges.
+// the configured ranges. Under a TargetIDs list the identifier operator
+// picks a listed identifier instead of flipping a bit.
 func (e *Engine) mutate(f *can.Frame, w uint64) {
 	val, pos := w>>valueShift&(1<<valueBits-1), w>>posShift
 	switch op := opTable[w%8]; op {
@@ -366,6 +367,10 @@ func (e *Engine) mutate(f *can.Frame, w uint64) {
 		}
 		f.Len = uint8(newLen)
 	case opFlipID:
+		if ids := e.cfg.TargetIDs; len(ids) > 0 {
+			f.ID = ids[scale(pos, posBits, len(ids))]
+			return
+		}
 		f.ID ^= 1 << (val & 3)
 		if f.ID < e.cfg.IDMin || f.ID > e.cfg.IDMax {
 			f.ID = e.cfg.IDMin + can.ID(scale(pos, posBits, int(e.cfg.IDMax-e.cfg.IDMin)+1))

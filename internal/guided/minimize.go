@@ -14,8 +14,8 @@ import (
 )
 
 // playback is a core.FrameSource that transmits a fixed sequence once, one
-// frame per timing tick, then goes silent. The minimizer installs one per
-// candidate execution.
+// frame per timing tick, then goes silent. A Replay's factory puts one on
+// its world for every run.
 type playback struct {
 	frames []can.Frame
 	i      int
@@ -38,15 +38,65 @@ func Playback(frames []can.Frame) core.FrameSource {
 	return &playback{frames: frames}
 }
 
+const (
+	// ReplaySettle is the quiet virtual time a replay allows after its last
+	// frame for responses and oracle latency: the settle the minimizer
+	// confirms a reproducer under, and the one a stored trigger is replayed
+	// with when its record names none.
+	ReplaySettle = 150 * time.Millisecond
+	// maxExecutions bounds a minimization's replays. When the budget runs
+	// out the remaining candidates count as non-reproducing, so the result
+	// is still a valid (just less minimal) reproducer.
+	maxExecutions = 512
+)
+
+// Replay plays a fixed frame sequence into a world once, one frame per
+// Interval, then allows Settle of quiet for the reaction.
+type Replay struct {
+	Frames   []can.Frame
+	Interval time.Duration
+	Settle   time.Duration
+}
+
+// Deadline is the virtual run time the replay needs: one interval per frame
+// plus the settle.
+func (r *Replay) Deadline() time.Duration {
+	return r.Interval*time.Duration(len(r.Frames)) + r.Settle
+}
+
+// Factory wraps factory so that every world it builds plays r.Frames, and
+// plays them again from the first frame after each reset in place —
+// r.Frames as they stand at that reset.
+func (r *Replay) Factory(factory fleet.TargetFactory) fleet.TargetFactory {
+	return func(spec fleet.TrialSpec) (*fleet.World, error) {
+		w, err := factory(spec)
+		if err != nil || w == nil || w.Campaign == nil {
+			return w, err
+		}
+		w.Campaign.SetFrameSource(Playback(r.Frames))
+		if reset := w.Reset; reset != nil {
+			w.Reset = func(spec fleet.TrialSpec) error {
+				err := reset(spec)
+				w.Campaign.SetFrameSource(Playback(r.Frames))
+				return err
+			}
+		}
+		return w, nil
+	}
+}
+
 // Minimizer shrinks a finding's trigger window to a minimal reproducer:
 // ddmin over the frame sequence, then per-frame length, byte and bit
-// shrinking, re-executing every candidate in a fresh world built by the
-// fleet factory. Minimization is deterministic: the candidate schedule is
-// a pure function of the input sequence, and each execution is a pure
-// function of (Factory, Seed).
+// shrinking, re-executing every candidate through one fleet.WorldPool per
+// Minimize call. The first candidate runs on a world built by Factory;
+// later ones run on that world reset in place when it can reset, on a
+// fresh build otherwise. Minimization is deterministic: the candidate
+// schedule is a pure function of the input sequence, and each execution
+// is a pure function of (Factory, Seed), because reset-then-run equals
+// build-then-run.
 type Minimizer struct {
-	// Factory builds a fresh world per candidate execution (the same
-	// factory a fleet trial uses). Required.
+	// Factory builds the world a candidate executes in (the same factory a
+	// fleet trial uses). Required.
 	Factory fleet.TargetFactory
 	// Seed is passed to the factory (TrialSpec{Index: 0, Seed: Seed}); use
 	// the seed of the trial being minimized so the world matches.
@@ -56,17 +106,13 @@ type Minimizer struct {
 	Oracle string
 	// Interval is the playback pacing (default core.MinInterval).
 	Interval time.Duration
-	// Settle is extra virtual time after the last frame for responses and
-	// oracle latency (default 150ms).
-	Settle time.Duration
-	// MaxExecutions bounds fresh-world replays (default 512). When the
-	// budget runs out remaining candidates are treated as non-reproducing,
-	// so the result is still a valid (just less minimal) reproducer.
-	MaxExecutions int
 
 	executions int
 	detail     string
 	memo       map[string]bool
+	replay     Replay
+	pool       *fleet.WorldPool
+	factory    fleet.TargetFactory
 }
 
 // Result is a minimization outcome.
@@ -79,7 +125,7 @@ type Result struct {
 	Detail string
 	// OriginalFrames is the input length.
 	OriginalFrames int
-	// Executions is the number of fresh-world replays spent.
+	// Executions is the number of candidate replays spent.
 	Executions int
 	// Reproduced reports whether even the full input tripped the oracle.
 	Reproduced bool
@@ -106,17 +152,14 @@ func (m *Minimizer) Minimize(frames []can.Frame) (Result, error) {
 	if m.Interval < core.MinInterval {
 		m.Interval = core.MinInterval
 	}
-	if m.Settle <= 0 {
-		m.Settle = 150 * time.Millisecond
-	}
-	if m.MaxExecutions <= 0 {
-		m.MaxExecutions = 512
-	}
 	m.executions = 0
 	m.memo = make(map[string]bool)
+	m.replay = Replay{Interval: m.Interval, Settle: ReplaySettle}
+	m.pool = new(fleet.WorldPool)
+	m.factory = m.replay.Factory(m.Factory)
 
 	res := Result{Oracle: m.Oracle, OriginalFrames: len(frames),
-		Interval: m.Interval, Settle: m.Settle}
+		Interval: m.Interval, Settle: ReplaySettle}
 	if !m.execute(frames) {
 		res.Executions = m.executions
 		return res, ErrNoRepro
@@ -132,38 +175,29 @@ func (m *Minimizer) Minimize(frames []can.Frame) (Result, error) {
 	return res, nil
 }
 
-// execute replays a candidate in a fresh world and reports whether the
-// target oracle fired.
+// execute replays a candidate and reports whether the target oracle fired.
+// A candidate whose world fails to build or panics does not reproduce.
 func (m *Minimizer) execute(cand []can.Frame) bool {
 	if len(cand) == 0 {
 		return false
 	}
-	key := corpusKey(cand)
+	key := strings.Join(Result{Frames: cand}.CorpusLines(), ";")
 	if v, ok := m.memo[key]; ok {
 		return v
 	}
-	if m.executions >= m.MaxExecutions {
+	if m.executions >= maxExecutions {
 		return false
 	}
 	m.executions++
-	ok := m.executeFresh(cand)
+	m.replay.Frames = cand
+	tr := m.pool.RunTrial(fleet.TrialSpec{Seed: m.Seed},
+		fleet.Config{MaxPerTrial: m.replay.Deadline()}, m.factory)
+	ok := tr.Status == fleet.StatusFinding && tr.Oracle == m.Oracle
+	if ok {
+		m.detail = tr.Detail
+	}
 	m.memo[key] = ok
 	return ok
-}
-
-func (m *Minimizer) executeFresh(cand []can.Frame) bool {
-	w, err := m.Factory(fleet.TrialSpec{Index: 0, Seed: m.Seed})
-	if err != nil || w == nil || w.Campaign == nil || w.Sched == nil {
-		return false
-	}
-	w.Campaign.SetFrameSource(&playback{frames: cand})
-	deadline := m.Interval*time.Duration(len(cand)) + m.Settle
-	f, found := w.Campaign.RunUntilFinding(deadline)
-	if !found || f.Verdict.Oracle != m.Oracle {
-		return false
-	}
-	m.detail = f.Verdict.Detail
-	return true
 }
 
 // ddmin is Zeller's delta debugging over the frame sequence: try dropping
@@ -256,14 +290,6 @@ func trimFrame(f *can.Frame, newLen int) {
 		f.Data[j] = 0
 	}
 	f.Len = uint8(newLen)
-}
-
-func corpusKey(frames []can.Frame) string {
-	parts := make([]string, len(frames))
-	for i, f := range frames {
-		parts[i] = core.FormatCorpusFrame(f)
-	}
-	return strings.Join(parts, ";")
 }
 
 // CorpusLines returns the minimized frames in "ID#HEXDATA" form.

@@ -94,7 +94,7 @@ func TestMinimizeUnlockToSingleFrame(t *testing.T) {
 	if len(lines) != 1 || lines[0] != "215#20" {
 		t.Fatalf("minimal reproducer = %v, want [215#20]", lines)
 	}
-	if res.Executions == 0 || res.Executions > m.MaxExecutions {
+	if res.Executions == 0 || res.Executions > guided.MaxExecutions {
 		t.Fatalf("executions = %d", res.Executions)
 	}
 	trig := res.Trigger()
@@ -251,5 +251,76 @@ func TestFleetGuidedDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(minimizeFirst(seq), minimizeFirst(par)) {
 		t.Fatal("minimized reproducers differ between worker counts")
+	}
+}
+
+// warmFactory builds the worlds of benchFactory (mode zero) or
+// guidedFactory (core.ModeGuided) as reset-capable exp.World() worlds, and
+// counts its builds.
+func warmFactory(check bcm.CheckMode, mode core.Mode, builds *int) fleet.TargetFactory {
+	return func(spec fleet.TrialSpec) (*fleet.World, error) {
+		*builds++
+		exp, err := buildUnlock(check, core.Config{Seed: spec.Seed, Mode: mode}, target.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return exp.World(), nil
+	}
+}
+
+// TestMinimizeWarmMatchesCold minimizes guided findings twice:
+// on the cold test factories, which build a world per candidate, and on
+// reset-capable worlds, which the minimizer builds once and resets in
+// place for every later candidate. Frames, detail and executions must
+// match for blind and guided bench worlds under both parser checks.
+func TestMinimizeWarmMatchesCold(t *testing.T) {
+	modes := []struct {
+		name string
+		mode core.Mode
+		cold func(bcm.CheckMode) fleet.TargetFactory
+	}{
+		{"blind", 0, benchFactory},
+		{"guided", core.ModeGuided, guidedFactory},
+	}
+	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength} {
+		for seed := int64(1); seed <= 4; seed++ {
+			finding, ok := guidedExp(t, check, seed).Campaign.RunUntilFinding(time.Hour)
+			if !ok {
+				t.Fatalf("check %v seed %d: no finding to minimize", check, seed)
+			}
+			for _, md := range modes {
+				minimize := func(factory fleet.TargetFactory) guided.Result {
+					m := &guided.Minimizer{Factory: factory, Seed: seed, Oracle: finding.Verdict.Oracle}
+					res, err := m.Minimize(finding.Recent)
+					if err != nil {
+						t.Fatalf("check %v seed %d %s: %v", check, seed, md.name, err)
+					}
+					return res
+				}
+				cold := minimize(md.cold(check))
+				builds := 0
+				warm := minimize(warmFactory(check, md.mode, &builds))
+				if !reflect.DeepEqual(warm, cold) {
+					t.Fatalf("check %v seed %d %s: warm %+v\ncold %+v", check, seed, md.name, warm, cold)
+				}
+				if builds != 1 || cold.Executions < 2 {
+					t.Fatalf("check %v seed %d %s: %d builds for %d executions, want 1",
+						check, seed, md.name, builds, cold.Executions)
+				}
+			}
+		}
+	}
+}
+
+// TestMinimizePanickingWorldDoesNotReproduce: a candidate whose world
+// panics is contained and counts as non-reproducing.
+func TestMinimizePanickingWorldDoesNotReproduce(t *testing.T) {
+	m := &guided.Minimizer{
+		Factory: func(fleet.TrialSpec) (*fleet.World, error) { panic("world exploded") },
+		Oracle:  "unlock-ack",
+	}
+	res, err := m.Minimize([]can.Frame{{ID: 0x215, Len: 1, Data: [8]byte{0x20}}})
+	if !errors.Is(err, guided.ErrNoRepro) || res.Executions != 1 {
+		t.Fatalf("err = %v after %d executions, want ErrNoRepro after 1", err, res.Executions)
 	}
 }

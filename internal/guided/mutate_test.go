@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/core"
 )
@@ -178,5 +179,32 @@ func TestGenerateStaysInRanges(t *testing.T) {
 	}
 	if !within(int(e.explorations), n, 1.0/exploreOneIn) {
 		t.Errorf("explored %d of %d frames, want 1 in %d", e.explorations, n, exploreOneIn)
+	}
+}
+
+// TestGuidedKeepsTargetIDs runs 10^5 guided frames without a seed corpus
+// under a TargetIDs list. Each frame is echoed back as a response, so new
+// (identifier, length) pairs are novel, the corpus grows and mutation runs;
+// every frame, mutated or explored, must carry a listed identifier.
+func TestGuidedKeepsTargetIDs(t *testing.T) {
+	const n = 100_000
+	ids := []can.ID{0x100, 0x215, 0x3C0}
+	e, err := NewEngine(core.Config{Seed: 4, Mode: core.ModeGuided, TargetIDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[can.ID]bool{}
+	for _, id := range ids {
+		listed[id] = true
+	}
+	for i := 0; i < n; i++ {
+		f, _ := e.Next()
+		if !listed[f.ID] {
+			t.Fatalf("frame %d: ID %v not in TargetIDs %v", i, f.ID, ids)
+		}
+		e.Observe(bus.Message{Frame: can.Frame{ID: f.ID, Len: f.Len}})
+	}
+	if e.mutations == 0 {
+		t.Fatal("no frame was mutated")
 	}
 }
