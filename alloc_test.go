@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bcm"
 	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -96,24 +95,26 @@ func TestRandomCampaignStepZeroAlloc(t *testing.T) {
 // world must cost CPU only, never garbage.
 func TestWorldResetZeroAlloc(t *testing.T) {
 	cfg := core.Config{Seed: 5, TargetIDs: []can.ID{0x215}, Interval: time.Millisecond}
-	blind, err := buildUnlock(bcm.CheckByteOnly, cfg, target.Options{})
+	blind, err := target.Build(unlockSpec, cfg, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guided, err := buildUnlock(bcm.CheckByteOnly,
+	guided, err := target.Build(unlockSpec,
 		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, exp := range map[string]*testbench.UnlockExperiment{"blind": blind, "guided": guided} {
+	for name, w := range map[string]*fleet.World{"blind": blind.World, "guided": guided.World} {
 		// Dirty the world once so the reset has real state to clear.
-		if _, ok := exp.Run(30 * time.Minute); !ok {
+		if _, ok := w.Campaign.RunUntilFinding(30 * time.Minute); !ok {
 			t.Fatalf("%s campaign found no unlock within 30 virtual minutes", name)
 		}
-		seed := int64(1000)
+		ts := fleet.TrialSpec{Seed: 1000}
 		allocs := testing.AllocsPerRun(100, func() {
-			seed++
-			exp.Reset(seed)
+			ts.Seed++
+			if err := w.Reset(ts); err != nil {
+				t.Fatal(err)
+			}
 		})
 		if allocs != 0 {
 			t.Fatalf("%s world reset allocates %v per call, want 0", name, allocs)
@@ -138,19 +139,8 @@ func TestFleetTrialAllocBudget(t *testing.T) {
 		MaxPerTrial: 30 * time.Minute,
 		Pool:        &fleet.WorldPool{},
 	}
-	factory := func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
-			Seed:      spec.Seed,
-			TargetIDs: []can.ID{0x215},
-			Interval:  time.Millisecond,
-		}, target.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return exp.World(), nil
-	}
 	run := func() {
-		if _, err := fleet.Run(cfg, factory); err != nil {
+		if _, err := fleet.Run(cfg, unlockFleetFactory); err != nil {
 			t.Fatal(err)
 		}
 	}

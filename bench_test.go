@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bcm"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -36,7 +35,8 @@ import (
 // exercises the nil-receiver no-op hooks, and BenchmarkCampaignTelemetry
 // the live counters and tracer.
 type campaignBench struct {
-	exp *testbench.UnlockExperiment
+	bench    *testbench.Bench
+	campaign *core.Campaign
 }
 
 func newCampaignBench(tb testing.TB, tel *telemetry.Telemetry) *campaignBench {
@@ -54,16 +54,17 @@ func newCampaignBench(tb testing.TB, tel *telemetry.Telemetry) *campaignBench {
 		tb.Fatal(err)
 	}
 	campaign.AddOracle(bench.UnlockOracle())
-	return &campaignBench{exp: &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}}
+	return &campaignBench{bench: bench, campaign: campaign}
 }
 
 // run executes one virtual second of fuzzing on the recycled world.
 func (cb *campaignBench) run() uint64 {
-	cb.exp.Reset(7)
-	cb.exp.Campaign.Start()
-	cb.exp.Bench.Scheduler().RunUntil(time.Second)
-	cb.exp.Campaign.Stop()
-	return cb.exp.Campaign.FramesSent()
+	cb.bench.Reset()
+	cb.campaign.Reset(7)
+	cb.campaign.Start()
+	cb.bench.Scheduler().RunUntil(time.Second)
+	cb.campaign.Stop()
+	return cb.campaign.FramesSent()
 }
 
 // BenchmarkCampaign is the uninstrumented baseline: every telemetry hook
@@ -363,11 +364,11 @@ func BenchmarkAblationIDS(b *testing.B) {
 // fleetTable5Factory builds the Table V workload for the fleet benchmark:
 // one full blind bench-unlock world per trial.
 func fleetTable5Factory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: spec.Seed}, target.Options{})
+	b, err := target.Build(unlockSpec, core.Config{Seed: spec.Seed}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return exp.World(), nil
+	return b.World, nil
 }
 
 // BenchmarkFleet measures fleet scaling on the Table V workload: the same

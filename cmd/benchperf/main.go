@@ -12,18 +12,17 @@
 // Usage:
 //
 //	benchperf [-quick] [-out BENCH_2006-01-02.json]
-//	benchperf -quick -baseline testdata/bench_baseline.json [-tolerance 0.15]
+//	benchperf -quick -baseline testdata/bench_baseline.json
 //	benchperf -only Campaign,Fleet -speedup-baseline BENCH_2026-08-05.json
 //
 // With -baseline the run compares against a committed baseline and exits
-// non-zero when any shared workload regresses by more than the tolerance
-// band in ns/op or increases at all in allocs/op. CI runs the -quick set
-// on every push.
+// non-zero when any shared workload regresses by more than the 15%
+// tolerance band in ns/op or increases at all in allocs/op. CI runs the
+// -quick set on every push.
 //
 // With -speedup-baseline the run instead proves a floor against a
-// *historical* trajectory file: Campaign frames/sec must be at least
-// -min-campaign-speedup (default 3x) the old number and Fleet allocs/op
-// must be reduced by at least -min-fleet-alloc-reduction (default 5x).
+// *historical* trajectory file: Campaign frames/sec must be at least 3x
+// the old number and Fleet allocs/op must be reduced by at least 5x.
 // This pins the world-reuse + word-codec optimization gains so a revert
 // cannot slip through even if it passes the drift gate. The speedup
 // comparison must run at the same workload shape as its baseline — the
@@ -88,6 +87,15 @@ type File struct {
 	Results         []Result `json:"results"`
 }
 
+// The gates' thresholds: the allowed fractional ns/op regression vs
+// -baseline, and the Campaign frames/sec multiple and Fleet allocs/op
+// reduction factor required vs -speedup-baseline.
+const (
+	tolerance              = 0.15
+	minCampaignSpeedup     = 3.0
+	minFleetAllocReduction = 5.0
+)
+
 // workload pairs a benchmark body with the number of frames one op pumps
 // (0 when frames/sec is not a meaningful metric for it).
 type workload struct {
@@ -108,10 +116,7 @@ func run(args []string) error {
 	quick := fs.Bool("quick", false, "trim the fleet workload for CI")
 	out := fs.String("out", "", "output path (default BENCH_<date>.json; empty with -baseline writes nothing)")
 	baseline := fs.String("baseline", "", "baseline BENCH json to compare against")
-	tolerance := fs.Float64("tolerance", 0.15, "allowed fractional ns/op regression vs baseline")
 	speedupBaseline := fs.String("speedup-baseline", "", "historical BENCH json the speedup gate measures against")
-	minCampaignSpeedup := fs.Float64("min-campaign-speedup", 3.0, "required Campaign frames/sec multiple vs -speedup-baseline")
-	minFleetAllocReduction := fs.Float64("min-fleet-alloc-reduction", 5.0, "required Fleet allocs/op reduction factor vs -speedup-baseline")
 	reps := fs.Int("reps", 3, "runs per workload; the fastest is kept (noise floor)")
 	only := fs.String("only", "", "comma-separated workload names to run (default all)")
 	findingsDB := fs.String("findings-db", "", "findings database directory; its record count is stamped into the snapshot")
@@ -197,24 +202,24 @@ func run(args []string) error {
 	}
 
 	if *baseline != "" {
-		if err := compare(f, *baseline, *tolerance); err != nil {
+		if err := compare(f, *baseline); err != nil {
 			return err
 		}
 	}
 	if *speedupBaseline != "" {
-		return checkSpeedup(f, *speedupBaseline, *minCampaignSpeedup, *minFleetAllocReduction)
+		return checkSpeedup(f, *speedupBaseline)
 	}
 	return nil
 }
 
 // checkSpeedup enforces the world-reuse + word-codec acceptance floor
 // against a historical trajectory file: Campaign frames/sec must be at
-// least minCampaign times the old number, and Fleet allocs/op must have
-// shrunk by at least minFleetAlloc times. Unlike compare, which guards
-// against backsliding from the current baseline, this gate proves the
-// optimization work actually landed — reverting it fails CI even if the
-// revert is self-consistent.
-func checkSpeedup(f File, baselinePath string, minCampaign, minFleetAlloc float64) error {
+// least minCampaignSpeedup times the old number, and Fleet allocs/op must
+// have shrunk by at least minFleetAllocReduction times. Unlike compare,
+// which guards against backsliding from the current baseline, this gate
+// proves the optimization work actually landed — reverting it fails CI
+// even if the revert is self-consistent.
+func checkSpeedup(f File, baselinePath string) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("read speedup baseline: %w", err)
@@ -245,15 +250,15 @@ func checkSpeedup(f File, baselinePath string, minCampaign, minFleetAlloc float6
 		return fmt.Errorf("campaign frames/sec missing (old %.0f, new %.0f)", oldC.FramesPerSec, newC.FramesPerSec)
 	}
 	speedup := newC.FramesPerSec / oldC.FramesPerSec
-	if speedup < minCampaign {
+	if speedup < minCampaignSpeedup {
 		failures++
 		logger.Error("campaign speedup below floor",
 			"old frames/sec", fmt.Sprintf("%.0f", oldC.FramesPerSec),
 			"now frames/sec", fmt.Sprintf("%.0f", newC.FramesPerSec),
-			"speedup", fmt.Sprintf("%.2fx", speedup), "floor", fmt.Sprintf("%.1fx", minCampaign))
+			"speedup", fmt.Sprintf("%.2fx", speedup), "floor", fmt.Sprintf("%.1fx", minCampaignSpeedup))
 	} else {
 		logger.Info("campaign speedup holds",
-			"speedup", fmt.Sprintf("%.2fx", speedup), "floor", fmt.Sprintf("%.1fx", minCampaign))
+			"speedup", fmt.Sprintf("%.2fx", speedup), "floor", fmt.Sprintf("%.1fx", minCampaignSpeedup))
 	}
 
 	oldF, err := find(base, "Fleet")
@@ -268,14 +273,14 @@ func checkSpeedup(f File, baselinePath string, minCampaign, minFleetAlloc float6
 		return fmt.Errorf("fleet allocs/op missing from speedup baseline")
 	}
 	reduction := float64(oldF.AllocsPerOp) / float64(max(newF.AllocsPerOp, 1))
-	if reduction < minFleetAlloc {
+	if reduction < minFleetAllocReduction {
 		failures++
 		logger.Error("fleet alloc reduction below floor",
 			"old allocs/op", oldF.AllocsPerOp, "now allocs/op", newF.AllocsPerOp,
-			"reduction", fmt.Sprintf("%.2fx", reduction), "floor", fmt.Sprintf("%.1fx", minFleetAlloc))
+			"reduction", fmt.Sprintf("%.2fx", reduction), "floor", fmt.Sprintf("%.1fx", minFleetAllocReduction))
 	} else {
 		logger.Info("fleet alloc reduction holds",
-			"reduction", fmt.Sprintf("%.2fx", reduction), "floor", fmt.Sprintf("%.1fx", minFleetAlloc))
+			"reduction", fmt.Sprintf("%.2fx", reduction), "floor", fmt.Sprintf("%.1fx", minFleetAllocReduction))
 	}
 
 	if failures > 0 {
@@ -326,7 +331,7 @@ func nsPerOp(res testing.BenchmarkResult) float64 {
 // compare checks every workload shared with the baseline: ns/op may drift
 // up to the tolerance band, allocs/op at most 2% (zero for zero-alloc
 // workloads).
-func compare(f File, baselinePath string, tolerance float64) error {
+func compare(f File, baselinePath string) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return fmt.Errorf("read baseline: %w", err)
@@ -431,11 +436,11 @@ func benchCampaign(b *testing.B, tel *telemetry.Telemetry) {
 		b.Fatal(err)
 	}
 	campaign.AddOracle(bench.UnlockOracle())
-	exp := &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.Reset(7)
+		bench.Reset()
+		campaign.Reset(7)
 		campaign.Start()
 		sched.RunUntil(time.Second)
 		campaign.Stop()
@@ -630,13 +635,14 @@ func benchWorldReset(b *testing.B, seed func(i int) int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	exp := w.Unlock
-	if _, ok := exp.Run(30 * time.Minute); !ok {
+	if _, ok := w.World.Campaign.RunUntilFinding(30 * time.Minute); !ok {
 		b.Fatal("campaign found no unlock within 30 virtual minutes")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp.Reset(seed(i))
+		if err := w.World.Reset(fleet.TrialSpec{Seed: seed(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func TestCompareToleranceBand(t *testing.T) {
 		{ns: 1151, wantErr: true}, // +15.1%
 		{ns: 2000, wantErr: true},
 	} {
-		err := compare(File{Results: []Result{{Name: "Campaign", NsPerOp: tc.ns}}}, base, 0.15)
+		err := compare(File{Results: []Result{{Name: "Campaign", NsPerOp: tc.ns}}}, base)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("ns/op %v vs 1000 at 15%%: err = %v, want error %v", tc.ns, err, tc.wantErr)
 		}
@@ -58,7 +58,7 @@ func TestCompareAllocSlack(t *testing.T) {
 		{name: "BusTx", allocs: 1, wantErr: true}, // zero-alloc baselines get no slack
 	} {
 		res := Result{Name: tc.name, NsPerOp: 1, AllocsPerOp: tc.allocs}
-		err := compare(File{Results: []Result{res}}, base, 0.15)
+		err := compare(File{Results: []Result{res}}, base)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s allocs/op %d: err = %v, want error %v", tc.name, tc.allocs, err, tc.wantErr)
 		}
@@ -67,10 +67,10 @@ func TestCompareAllocSlack(t *testing.T) {
 
 func TestCompareSkipsUnknownAndRejectsMissingBaseline(t *testing.T) {
 	base := writeBaseline(t, Result{Name: "Campaign", NsPerOp: 1000})
-	if err := compare(File{Results: []Result{{Name: "NewWorkload", NsPerOp: 1e9, AllocsPerOp: 1e6}}}, base, 0.15); err != nil {
+	if err := compare(File{Results: []Result{{Name: "NewWorkload", NsPerOp: 1e9, AllocsPerOp: 1e6}}}, base); err != nil {
 		t.Errorf("a workload without a baseline entry must be skipped, got %v", err)
 	}
-	if err := compare(File{}, filepath.Join(t.TempDir(), "absent.json"), 0.15); err == nil {
+	if err := compare(File{}, filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("missing baseline file accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestCheckSpeedupRatios(t *testing.T) {
 		return checkSpeedup(File{Results: []Result{
 			{Name: "Campaign", FramesPerSec: fps},
 			{Name: "Fleet", AllocsPerOp: fleetAllocs},
-		}}, base, 3, 5)
+		}}, base)
 	}
 	for _, tc := range []struct {
 		fps         float64
@@ -106,14 +106,14 @@ func TestCheckSpeedupMissingWorkload(t *testing.T) {
 	full := writeBaseline(t,
 		Result{Name: "Campaign", FramesPerSec: 1e6},
 		Result{Name: "Fleet", AllocsPerOp: 1000})
-	err := checkSpeedup(File{Results: []Result{{Name: "Campaign", FramesPerSec: 5e6}}}, full, 3, 5)
+	err := checkSpeedup(File{Results: []Result{{Name: "Campaign", FramesPerSec: 5e6}}}, full)
 	if err == nil || !strings.Contains(err.Error(), `"Fleet" missing`) {
 		t.Errorf("run without Fleet: err = %v, want a missing-workload error", err)
 	}
 	noCampaign := writeBaseline(t, Result{Name: "Fleet", AllocsPerOp: 1000})
 	err = checkSpeedup(File{Results: []Result{
 		{Name: "Campaign", FramesPerSec: 5e6}, {Name: "Fleet", AllocsPerOp: 1},
-	}}, noCampaign, 3, 5)
+	}}, noCampaign)
 	if err == nil || !strings.Contains(err.Error(), `"Campaign" missing`) {
 		t.Errorf("baseline without Campaign: err = %v, want a missing-workload error", err)
 	}

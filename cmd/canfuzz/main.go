@@ -14,6 +14,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -500,7 +501,10 @@ func run(args []string) (err error) {
 // candidate subsequences: the first in a freshly built replay world, later
 // ones in that world reset in place (bench worlds without a chaos plan) or
 // in a fresh build (every other world). It returns nil without error when
-// the campaign produced no findings.
+// the campaign produced no findings, or when the first finding's trigger
+// window does not reproduce it on replay (a finding that depends on state
+// older than the window): the report then stays unminimized and the raw
+// trigger is what -findings-db records.
 func runMinimize(logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, campaign *core.Campaign, outFile string) (*core.MinimizedTrigger, error) {
 	findings := campaign.Findings()
 	if len(findings) == 0 {
@@ -519,6 +523,11 @@ func runMinimize(logger *slog.Logger, spec targetPkg.Spec, cfg core.Config, camp
 		Interval: interval,
 	}
 	res, err := m.Minimize(f.Recent)
+	if errors.Is(err, guided.ErrNoRepro) {
+		logger.Warn("minimize: trigger window does not reproduce the finding; keeping it unminimized",
+			"oracle", f.Verdict.Oracle, "frames", len(f.Recent))
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("minimize: %w", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/findings"
 )
 
 func TestRunBenchTargeted(t *testing.T) {
@@ -279,6 +281,34 @@ func TestRunMinimizeNoFindingIsNotAnError(t *testing.T) {
 		"-seed", "1", "-minimize"})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunMinimizeNoReproKeepsRawFinding(t *testing.T) {
+	// The vehicle's signal-range finding at seed 2 depends on state older
+	// than its trigger window, so the minimizer cannot reproduce it. That
+	// is not a failed run: no reproducer file is written and the raw
+	// trigger record still lands in the findings database.
+	dir := t.TempDir()
+	db, out := dir+"/db", dir+"/repro.log"
+	err := run([]string{"-target", "vehicle", "-dur", "10m", "-seed", "2",
+		"-minimize-out", out, "-findings-db", db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("reproducer file written for an unreproducible finding (stat err %v)", err)
+	}
+	fdb, err := findings.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := fdb.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Oracle != "signal-range" {
+		t.Fatalf("findings db holds %+v, want one signal-range record", recs)
 	}
 }
 

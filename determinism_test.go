@@ -21,18 +21,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/target"
-	"repro/internal/testbench"
 )
 
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
+// unlockSpec is the Table V bench world with the loose (byte-only) BCM
+// parser, its campaign stopping at the unlock.
+var unlockSpec = target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true}
 
 // TestDeterminismCampaignReportGolden runs a guided bench-unlock campaign
 // at a pinned seed and asserts its report JSON is byte-identical to the
@@ -40,15 +33,15 @@ func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testb
 // once: clock event pooling, bus TX queues, frame encoding, novelty
 // hashing and the campaign send loop.
 func TestDeterminismCampaignReportGolden(t *testing.T) {
-	exp, err := buildUnlock(bcm.CheckByteOnly,
+	b, err := target.Build(unlockSpec,
 		core.Config{Seed: 101, Interval: time.Millisecond, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := exp.Run(30 * time.Minute); !ok {
+	if _, ok := b.World.Campaign.RunUntilFinding(30 * time.Minute); !ok {
 		t.Fatal("guided campaign found no unlock within 30 virtual minutes")
 	}
-	rep := exp.Campaign.BuildReport()
+	rep := b.World.Campaign.BuildReport()
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -60,7 +53,7 @@ func TestDeterminismCampaignReportGolden(t *testing.T) {
 // factory: the returned world carries a Reset hook, so fleet workers
 // recycle it across trials instead of rebuilding.
 func unlockFleetFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
+	b, err := target.Build(unlockSpec, core.Config{
 		Seed:      spec.Seed,
 		TargetIDs: []can.ID{0x215},
 		Interval:  time.Millisecond,
@@ -68,7 +61,7 @@ func unlockFleetFactory(spec fleet.TrialSpec) (*fleet.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exp.World(), nil
+	return b.World, nil
 }
 
 // coldFactory wraps a factory so its worlds have no Reset hook: every
@@ -152,34 +145,32 @@ func TestDeterminismReuseEquivalence(t *testing.T) {
 // must yield a report byte-identical to a fresh world's run of the same
 // seed — any counter or monitor surviving the reset shows up here.
 func TestDeterminismResetAfterFinding(t *testing.T) {
-	runJSON := func(e *testbench.UnlockExperiment) []byte {
+	runJSON := func(w *fleet.World) []byte {
 		t.Helper()
-		if _, ok := e.Run(30 * time.Minute); !ok {
+		if _, ok := w.Campaign.RunUntilFinding(30 * time.Minute); !ok {
 			t.Fatal("campaign found no unlock within 30 virtual minutes")
 		}
-		rep := e.Campaign.BuildReport()
+		rep := w.Campaign.BuildReport()
 		var buf bytes.Buffer
 		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	mk := func(seed int64) *testbench.UnlockExperiment {
+	mk := func(seed int64) *fleet.World {
 		t.Helper()
-		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
-			Seed:      seed,
-			TargetIDs: []can.ID{0x215},
-			Interval:  time.Millisecond,
-		}, target.Options{})
+		w, err := unlockFleetFactory(fleet.TrialSpec{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return exp
+		return w
 	}
 
 	reused := mk(5)
 	runJSON(reused) // finding-producing trial: dirties oracles, report state
-	reused.Reset(6)
+	if err := reused.Reset(fleet.TrialSpec{Seed: 6}); err != nil {
+		t.Fatal(err)
+	}
 	got := runJSON(reused)
 
 	want := runJSON(mk(6))
@@ -199,17 +190,7 @@ func TestDeterminismFleetReportGolden(t *testing.T) {
 		Workers:     runtime.NumCPU(),
 		BaseSeed:    5,
 		MaxPerTrial: 30 * time.Minute,
-	}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
-			Seed:      spec.Seed,
-			TargetIDs: []can.ID{0x215},
-			Interval:  time.Millisecond,
-		}, target.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
-	})
+	}, coldFactory(unlockFleetFactory))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecu"
 	"repro/internal/isotp"
-	"repro/internal/oracle"
 	"repro/internal/signal"
 	"repro/internal/uds"
 )
@@ -42,15 +41,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	campaign.AddOracle(&oracle.Probe{
-		OracleName: "cluster-crash", Interval: 10 * time.Millisecond, Once: true,
-		Check: func() string {
-			if c.Crashed() {
-				return "persistent CRASH display latched"
-			}
-			return ""
-		},
-	})
+	campaign.AddOracle(c.CrashOracle())
 
 	finding, ok := campaign.RunUntilFinding(2 * time.Hour)
 	if !ok {

@@ -32,20 +32,20 @@ func main() {
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength} {
 		var stats analysis.RunStats
 		for i := 0; i < *runs; i++ {
-			w, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
+			b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
 				core.Config{Seed: *baseSeed + int64(i)}, target.Options{})
 			if err != nil {
 				panic(err)
 			}
-			exp := w.Unlock
-			elapsed, ok := exp.Run(12 * time.Hour)
+			campaign := b.World.Campaign
+			finding, ok := campaign.RunUntilFinding(12 * time.Hour)
 			if !ok {
 				fmt.Printf("  run %d: timed out\n", i+1)
 				continue
 			}
-			stats.Times = append(stats.Times, elapsed)
+			stats.Times = append(stats.Times, finding.Elapsed)
 			fmt.Printf("  run %d: unlocked after %v (%d frames)\n",
-				i+1, elapsed.Round(time.Second), exp.Campaign.FramesSent())
+				i+1, finding.Elapsed.Round(time.Second), campaign.FramesSent())
 		}
 		fmt.Printf("BCM check %q: times(s) %s -> mean %v\n\n",
 			check, stats.Seconds(), stats.Mean().Round(time.Second))

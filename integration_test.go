@@ -90,22 +90,25 @@ func TestPaperNarrativeEndToEnd(t *testing.T) {
 	// Stage 4 — Table V: the bench-top unlock, loose then strict parser,
 	// same seed: the strict parser can never be faster.
 	seeds := int64(20180605)
-	loose, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: seeds}, target.Options{})
+	loose, err := target.Build(unlockSpec, core.Config{Seed: seeds}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tLoose, ok := loose.Run(12 * time.Hour)
+	fLoose, ok := loose.World.Campaign.RunUntilFinding(12 * time.Hour)
 	if !ok {
 		t.Fatal("stage 4: loose parser never unlocked")
 	}
-	strict, err := buildUnlock(bcm.CheckByteAndLength, core.Config{Seed: seeds}, target.Options{})
+	strictSpec := unlockSpec
+	strictSpec.Check = bcm.CheckByteAndLength
+	strict, err := target.Build(strictSpec, core.Config{Seed: seeds}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tStrict, ok := strict.Run(24 * time.Hour)
+	fStrict, ok := strict.World.Campaign.RunUntilFinding(24 * time.Hour)
 	if !ok {
 		t.Fatal("stage 4: strict parser never unlocked")
 	}
+	tLoose, tStrict := fLoose.Elapsed, fStrict.Elapsed
 	if tStrict < tLoose {
 		t.Fatalf("stage 4: strict (%v) beat loose (%v) on the same stream", tStrict, tLoose)
 	}

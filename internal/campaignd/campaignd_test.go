@@ -1,5 +1,5 @@
 // External test package, like the fleet suite: the trial factories use
-// testbench, which imports guided, which imports fleet.
+// target, which imports campaignd.
 package campaignd_test
 
 import (
@@ -22,38 +22,31 @@ import (
 	"repro/internal/observatory"
 	"repro/internal/signal"
 	"repro/internal/target"
-	"repro/internal/testbench"
 )
 
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
+// unlockSpec is the Table V bench world with the loose (byte-only) BCM
+// parser, its campaign stopping at the unlock.
+var unlockSpec = target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true}
 
 // unlockFactory builds the Table V bench world per trial.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly,
+	b, err := target.Build(unlockSpec,
 		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+	return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign}, nil
 }
 
 // guidedFactory builds the bench world with the coverage-guided engine,
 // which evolves a corpus, so its trials also emit corpus_merge events.
 func guidedFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly,
+	b, err := target.Build(unlockSpec,
 		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return exp.World(), nil
+	return b.World, nil
 }
 
 // testSpec is the campaign every test here shards.

@@ -146,7 +146,11 @@ func resettableBench(baseSeed int64, builds map[int64]int) fleet.TargetFactory {
 			return nil, err
 		}
 		campaign.AddOracle(bench.UnlockOracle())
-		return (&testbench.UnlockExperiment{Bench: bench, Campaign: campaign}).World(), nil
+		return &fleet.World{Sched: sched, Campaign: campaign, Reset: func(ts fleet.TrialSpec) error {
+			bench.Reset()
+			campaign.Reset(ts.Seed)
+			return nil
+		}}, nil
 	}
 }
 

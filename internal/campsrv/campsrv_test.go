@@ -1,5 +1,5 @@
 // External test package, like the campaignd suite: the trial factories
-// use testbench, which imports guided, which imports fleet.
+// use target, which imports campaignd and fleet.
 package campsrv_test
 
 import (
@@ -27,28 +27,17 @@ import (
 	"repro/internal/signal"
 	"repro/internal/target"
 	"repro/internal/telemetry"
-	"repro/internal/testbench"
 )
-
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
 
 // unlockFactory builds the Table V bench world per trial. The world
 // resets in place, so a worker recycles it across a campaign's trials.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly,
+	b, err := target.Build(target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true},
 		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return exp.World(), nil
+	return b.World, nil
 }
 
 // workerBuilds is one worker's campaign-agnostic runtime builder. It

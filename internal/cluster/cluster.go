@@ -28,6 +28,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/ecu"
+	"repro/internal/oracle"
 	"repro/internal/signal"
 	"repro/internal/uds"
 )
@@ -124,6 +125,12 @@ func (c *Cluster) DisplayText() string {
 func (c *Cluster) Crashed() bool {
 	v, ok := c.ecu.NVRead(crashNVKey)
 	return ok && len(v) > 0 && v[0] != 0
+}
+
+// CrashOracle returns the physical oracle for the latched crash display
+// (the paper's Fig 9 damage), sampling Crashed every 10 ms.
+func (c *Cluster) CrashOracle() *oracle.Probe {
+	return oracle.Physical("cluster-crash", 10*time.Millisecond, c.Crashed, false, "persistent CRASH display latched")
 }
 
 // CrashDisplays returns how many times the display has rendered the CRASH

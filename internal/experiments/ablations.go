@@ -93,13 +93,13 @@ type PacingResult struct {
 func AblationPacing(seed int64, intervals []time.Duration, maxPerRun time.Duration) []PacingResult {
 	out := make([]PacingResult, 0, len(intervals))
 	for _, iv := range intervals {
-		exp := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed, Interval: iv})
+		b := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed, Interval: iv})
 		r := PacingResult{Interval: iv}
-		if t, ok := exp.Run(maxPerRun); ok {
-			r.TimeToUnlock = t
-			r.FramesSent = exp.Campaign.FramesSent()
+		if f, ok := b.World.Campaign.RunUntilFinding(maxPerRun); ok {
+			r.TimeToUnlock = f.Elapsed
+			r.FramesSent = b.World.Campaign.FramesSent()
 		}
-		r.BusLoad = exp.Bench.Bus.Load()
+		r.BusLoad = b.Bench.Bus.Load()
 		out = append(out, r)
 	}
 	return out
@@ -312,12 +312,14 @@ type AuthResult struct {
 func AblationAuthentication(seed int64, budget time.Duration) AuthResult {
 	var res AuthResult
 
-	plain := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed})
-	res.PlainTime, res.PlainUnlocked = plain.Run(12 * time.Hour)
+	plain := unlockExperiment(bcm.CheckByteOnly, core.Config{Seed: seed}).World.Campaign
+	if f, ok := plain.RunUntilFinding(12 * time.Hour); ok {
+		res.PlainTime, res.PlainUnlocked = f.Elapsed, true
+	}
 
-	hardened := unlockExperiment(bcm.CheckAuthenticated, core.Config{Seed: seed})
-	_, res.AuthUnlocked = hardened.Run(budget)
-	res.AuthFramesTried = hardened.Campaign.FramesSent()
+	hardened := unlockExperiment(bcm.CheckAuthenticated, core.Config{Seed: seed}).World.Campaign
+	_, res.AuthUnlocked = hardened.RunUntilFinding(budget)
+	res.AuthFramesTried = hardened.FramesSent()
 
 	// The legitimate path must still work when the head unit stamps MACs.
 	sched := clock.New()

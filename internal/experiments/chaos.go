@@ -59,7 +59,11 @@ type ChaosResult struct {
 // When recovery is true the bus auto-recovers bus-off nodes and the
 // campaign runs the default resilience policy, so the injected brick heals
 // and the run ends on the cluster crash; when false the node stays bus-off
-// and the watchdog classifies the dead bus. maxDur bounds the hunt.
+// and the watchdog classifies the dead bus. maxDur bounds the hunt. The
+// world is wired by hand rather than through target.Build: it runs the
+// default resilience policy even without bus recovery and arms the
+// ECU-crash oracle (oracle.Crash), a combination target.Build does not
+// offer.
 func ChaosClusterBrick(seed int64, maxDur time.Duration, recovery bool) ChaosResult {
 	sched := clock.New()
 	busOpts := []bus.Option{bus.WithName("bench")}

@@ -10,11 +10,8 @@ import (
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/ecu"
 	"repro/internal/fleet"
-	"repro/internal/oracle"
 	"repro/internal/target"
-	"repro/internal/testbench"
 )
 
 // Table4 transmits rows random frames onto an otherwise idle bus and
@@ -58,29 +55,13 @@ type Fig9Result struct {
 // and chimes appear, the crash state latches, a power cycle clears the
 // MILs but not the crash. maxDur bounds the hunt.
 func Figure9(seed int64, maxDur time.Duration) (Fig9Result, bool) {
-	sched := clock.New()
-	b := bus.New(sched)
-	clusterECU := ecu.New("cluster", sched, b.Connect("cluster"))
-	c := cluster.New(clusterECU)
-
-	port := b.Connect("fuzzer")
-	campaign, err := core.NewCampaign(sched, port, core.Config{Seed: seed},
-		core.WithStopOnFinding())
+	b, err := target.Build(target.Spec{Target: "cluster", Stop: true}, core.Config{Seed: seed}, target.Options{})
 	if err != nil {
-		panic(err)
+		panic(err) // static configuration cannot fail
 	}
-	campaign.AddOracle(&oracle.Probe{
-		OracleName: "cluster-crash",
-		Interval:   10 * time.Millisecond,
-		Once:       true,
-		Check: func() string {
-			if c.Crashed() {
-				return "persistent CRASH display latched"
-			}
-			return ""
-		},
-	})
-	finding, ok := campaign.RunUntilFinding(maxDur)
+	sched, c := b.World.Sched, b.Cluster
+	clusterECU := c.ECU()
+	finding, ok := b.World.Campaign.RunUntilFinding(maxDur)
 	if !ok {
 		return Fig9Result{}, false
 	}
@@ -139,12 +120,12 @@ func Table5(baseSeed int64, runs int, maxPerRun time.Duration) []Table5Row {
 // unlockExperiment builds one Table V bench world through target.Build:
 // the unlock-ack oracle armed, the campaign stopping at its first finding,
 // and a guided engine as its frame source when cfg.Mode asks for one.
-func unlockExperiment(check bcm.CheckMode, cfg core.Config) *testbench.UnlockExperiment {
+func unlockExperiment(check bcm.CheckMode, cfg core.Config) *target.Built {
 	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, target.Options{})
 	if err != nil {
 		panic(err) // static configuration cannot fail
 	}
-	return b.Unlock
+	return b
 }
 
 // runUnlockRow executes one unlock-experiment row, blind or guided by the
@@ -166,11 +147,11 @@ func runUnlockRow(check bcm.CheckMode, runs int, maxPerRun time.Duration, cfgFor
 		Trials:      runs,
 		MaxPerTrial: maxPerRun,
 	}, func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp := unlockExperiment(check, cfgFor(spec.Index))
-		w := exp.World()
+		w := unlockExperiment(check, cfgFor(spec.Index)).World
+		reset := w.Reset
 		w.Reset = func(ts fleet.TrialSpec) error {
-			exp.Reset(cfgFor(ts.Index).Seed)
-			return nil
+			ts.Seed = cfgFor(ts.Index).Seed
+			return reset(ts)
 		}
 		return w, nil
 	})

@@ -1,6 +1,6 @@
-// The fleet suite lives in an external test package: testbench (used by
-// the factories here) imports internal/guided, which imports fleet for its
-// minimizer worlds — an in-package test would close that cycle.
+// The fleet suite lives in an external test package: target (used by the
+// factories here) imports fleet for the worlds it builds — an in-package
+// test would close that cycle.
 package fleet_test
 
 import (
@@ -22,30 +22,19 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/signal"
 	"repro/internal/target"
-	"repro/internal/testbench"
 )
-
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
 
 // unlockFactory builds the Table V bench world per trial, targeted at the
 // command identifier so each trial finds the unlock within virtual
 // seconds.
 func unlockFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(check,
+		b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
 			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+		return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign}, nil
 	}
 }
 
@@ -253,12 +242,12 @@ func TestRunTrialMatchesFleetRun(t *testing.T) {
 func resettableFactory(reset string, builds *int) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
 		*builds++
-		exp, err := buildUnlock(bcm.CheckByteOnly,
+		b, err := target.Build(target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true},
 			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
-		w := exp.World()
+		w := b.World
 		switch reset {
 		case "error":
 			w.Reset = func(fleet.TrialSpec) error { return fmt.Errorf("reset refused") }
@@ -427,7 +416,7 @@ func TestFleetConfigValidation(t *testing.T) {
 // in every trial world: the chaos campaign run at fleet scale.
 func faultyUnlockFactory(check bcm.CheckMode, planSpec string) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(check,
+		b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
 			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 		if err != nil {
 			return nil, err
@@ -436,12 +425,12 @@ func faultyUnlockFactory(check bcm.CheckMode, planSpec string) fleet.TargetFacto
 		if err != nil {
 			return nil, err
 		}
-		inj := faults.New(exp.Bench.Scheduler(), plan)
-		inj.AttachBus(exp.Bench.Bus)
+		inj := faults.New(b.World.Sched, plan)
+		inj.AttachBus(b.Bench.Bus)
 		if err := inj.Start(); err != nil {
 			return nil, err
 		}
-		return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+		return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign}, nil
 	}
 }
 

@@ -9,63 +9,55 @@ import (
 
 	"repro/internal/bcm"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/guided"
 	"repro/internal/observatory"
 	"repro/internal/target"
 	"repro/internal/telemetry"
-	"repro/internal/testbench"
 )
 
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
-
-// guidedExp builds one guided unlock world; helper for the tests below.
-func guidedExp(t *testing.T, check bcm.CheckMode, seed int64) *testbench.UnlockExperiment {
+// guidedWorld builds one guided Table V bench world through target.Build
+// and returns it with its engine, the campaign's frame source.
+func guidedWorld(t *testing.T, check bcm.CheckMode, cfg core.Config, o target.Options) (*fleet.World, *guided.Engine) {
 	t.Helper()
-	exp, err := buildUnlock(check, core.Config{Seed: seed, Mode: core.ModeGuided}, target.Options{})
+	cfg.Mode = core.ModeGuided
+	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exp
+	return b.World, b.World.Campaign.FrameSource().(*guided.Engine)
 }
 
 func TestGuidedUnlockFindsFinding(t *testing.T) {
-	exp := guidedExp(t, bcm.CheckByteOnly, 1)
-	ttu, ok := exp.Run(10 * time.Minute)
+	w, eng := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 1}, target.Options{})
+	finding, ok := w.Campaign.RunUntilFinding(10 * time.Minute)
 	if !ok {
 		t.Fatal("guided campaign never unlocked within 10 virtual minutes")
 	}
-	if ttu <= 0 {
-		t.Fatalf("time-to-unlock = %v", ttu)
+	if finding.Elapsed <= 0 {
+		t.Fatalf("time-to-unlock = %v", finding.Elapsed)
 	}
-	if exp.Engine.CorpusSize() == 0 {
+	if eng.CorpusSize() == 0 {
 		t.Fatal("corpus empty after a finding run")
 	}
-	if exp.Engine.NoveltyHits() == 0 {
+	if eng.NoveltyHits() == 0 {
 		t.Fatal("no novelty recorded")
 	}
-	rep := exp.Campaign.BuildReport()
+	rep := w.Campaign.BuildReport()
 	if rep.Mode != "guided" {
 		t.Fatalf("report mode = %q", rep.Mode)
 	}
-	if rep.CorpusSize != exp.Engine.CorpusSize() || rep.NoveltyHits != exp.Engine.NoveltyHits() {
+	if rep.CorpusSize != eng.CorpusSize() || rep.NoveltyHits != eng.NoveltyHits() {
 		t.Fatalf("report corpus stats (%d,%d) != engine (%d,%d)",
-			rep.CorpusSize, rep.NoveltyHits, exp.Engine.CorpusSize(), exp.Engine.NoveltyHits())
+			rep.CorpusSize, rep.NoveltyHits, eng.CorpusSize(), eng.NoveltyHits())
 	}
 }
 
 func TestGuidedDeterministicAcrossRuns(t *testing.T) {
 	run := func() (time.Duration, bool, []string, uint64) {
-		exp := guidedExp(t, bcm.CheckByteAndLength, 42)
-		ttu, ok := exp.Run(5 * time.Minute)
-		return ttu, ok, exp.Engine.CorpusFrames(), exp.Engine.NoveltyHits()
+		w, eng := guidedWorld(t, bcm.CheckByteAndLength, core.Config{Seed: 42}, target.Options{})
+		finding, ok := w.Campaign.RunUntilFinding(5 * time.Minute)
+		return finding.Elapsed, ok, eng.CorpusFrames(), eng.NoveltyHits()
 	}
 	t1, ok1, c1, n1 := run()
 	t2, ok2, c2, n2 := run()
@@ -85,12 +77,8 @@ func TestGuidedTelemetryGauges(t *testing.T) {
 	tel := telemetry.New(0)
 	intr := guided.NewIntrospection()
 	observatory.New(observatory.Config{Fuzz: intr, Telemetry: tel})
-	exp, err := buildUnlock(bcm.CheckByteOnly,
-		core.Config{Seed: 3, Mode: core.ModeGuided}, target.Options{Introspection: intr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := exp.Run(10 * time.Minute); !ok {
+	w, eng := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 3}, target.Options{Introspection: intr})
+	if _, ok := w.Campaign.RunUntilFinding(10 * time.Minute); !ok {
 		t.Fatal("no finding")
 	}
 	var prom strings.Builder
@@ -98,8 +86,8 @@ func TestGuidedTelemetryGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]int{
-		"fuzz_corpus_size":      exp.Engine.CorpusSize(),
-		"fuzz_novelty_bits_set": exp.Engine.NoveltyBits(),
+		"fuzz_corpus_size":      eng.CorpusSize(),
+		"fuzz_novelty_bits_set": eng.NoveltyBits(),
 	} {
 		if want == 0 {
 			t.Fatalf("engine %s is 0 after a finding run", name)
@@ -114,11 +102,11 @@ func TestGuidedTelemetryGauges(t *testing.T) {
 // TestGuidedSeedCorpusSharing round-trips an evolved corpus through the
 // file format into a second engine.
 func TestGuidedSeedCorpusSharing(t *testing.T) {
-	exp := guidedExp(t, bcm.CheckByteOnly, 5)
-	if _, ok := exp.Run(10 * time.Minute); !ok {
+	w, eng := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 5}, target.Options{})
+	if _, ok := w.Campaign.RunUntilFinding(10 * time.Minute); !ok {
 		t.Fatal("no finding")
 	}
-	lines := exp.Engine.CorpusFrames()
+	lines := eng.CorpusFrames()
 	if len(lines) == 0 {
 		t.Fatal("empty corpus")
 	}
@@ -130,12 +118,12 @@ func TestGuidedSeedCorpusSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := guided.NewEngine(core.Config{Seed: 6, Mode: core.ModeGuided},
+	seeded, err := guided.NewEngine(core.Config{Seed: 6, Mode: core.ModeGuided},
 		guided.WithSeedFrames(parsed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.CorpusSize() != len(lines) {
-		t.Fatalf("seeded corpus size = %d, want %d", eng.CorpusSize(), len(lines))
+	if seeded.CorpusSize() != len(lines) {
+		t.Fatalf("seeded corpus size = %d, want %d", seeded.CorpusSize(), len(lines))
 	}
 }

@@ -24,12 +24,9 @@ func TestIntrospectionNil(t *testing.T) {
 
 func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	intr := guided.NewIntrospection()
-	exp, err := buildUnlock(bcm.CheckByteOnly,
-		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := exp.Run(30 * time.Minute); !ok {
+	w, eng := guidedWorld(t, bcm.CheckByteOnly,
+		core.Config{Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{Introspection: intr})
+	if _, ok := w.Campaign.RunUntilFinding(30 * time.Minute); !ok {
 		t.Fatal("guided unlock did not land within the budget")
 	}
 
@@ -37,12 +34,12 @@ func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	if s.Engines != 1 {
 		t.Fatalf("engines = %d, want 1", s.Engines)
 	}
-	if s.NoveltyHits != exp.Engine.NoveltyHits() {
-		t.Errorf("noveltyHits = %d, want %d", s.NoveltyHits, exp.Engine.NoveltyHits())
+	if s.NoveltyHits != eng.NoveltyHits() {
+		t.Errorf("noveltyHits = %d, want %d", s.NoveltyHits, eng.NoveltyHits())
 	}
-	if s.Mutations != exp.Engine.Mutations() || s.Explorations != exp.Engine.Explorations() {
+	if s.Mutations != eng.Mutations() || s.Explorations != eng.Explorations() {
 		t.Errorf("mutations/explorations = %d/%d, want %d/%d",
-			s.Mutations, s.Explorations, exp.Engine.Mutations(), exp.Engine.Explorations())
+			s.Mutations, s.Explorations, eng.Mutations(), eng.Explorations())
 	}
 	if s.Mutations+s.Explorations != s.Execs {
 		t.Errorf("mutations %d + explorations %d != execs %d", s.Mutations, s.Explorations, s.Execs)
@@ -56,8 +53,8 @@ func TestIntrospectionTracksGuidedRun(t *testing.T) {
 	if s.CorpusSize <= 0 {
 		t.Errorf("corpusSize = %d, want > 0 after a feedback run", s.CorpusSize)
 	}
-	if s.ExecsSinceNoveltyMin != exp.Engine.ExecsSinceNovelty() {
-		t.Errorf("execsSinceNoveltyMin = %d, want %d", s.ExecsSinceNoveltyMin, exp.Engine.ExecsSinceNovelty())
+	if s.ExecsSinceNoveltyMin != eng.ExecsSinceNovelty() {
+		t.Errorf("execsSinceNoveltyMin = %d, want %d", s.ExecsSinceNoveltyMin, eng.ExecsSinceNovelty())
 	}
 	// The engine runs thousands of ticks past energyPublishEvery, so the
 	// amortised energy snapshot must have been published.
@@ -74,13 +71,10 @@ func TestIntrospectionTracksGuidedRun(t *testing.T) {
 // energy snapshot equal to the corpus's total energy.
 func TestIntrospectionEnergyExactAfterEarlyStop(t *testing.T) {
 	intr := guided.NewIntrospection()
-	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
-		Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided, Interval: time.Millisecond,
+	w, eng := guidedWorld(t, bcm.CheckByteOnly, core.Config{
+		Seed: 9, TargetIDs: []can.ID{signal.IDBodyCommand}, Interval: time.Millisecond,
 	}, target.Options{Introspection: intr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp.Run(300 * time.Millisecond)
+	w.Campaign.RunUntilFinding(300 * time.Millisecond)
 
 	s := intr.Snapshot()
 	if s.Execs == 0 || s.Execs >= 512 {
@@ -89,7 +83,7 @@ func TestIntrospectionEnergyExactAfterEarlyStop(t *testing.T) {
 	if s.CorpusSize == 0 {
 		t.Fatal("corpus empty: the run admitted nothing to weigh")
 	}
-	if want := exp.Engine.CorpusEnergy(); s.Energy.Sum != want {
+	if want := eng.CorpusEnergy(); s.Energy.Sum != want {
 		t.Errorf("energy sum = %d, want the corpus total %d", s.Energy.Sum, want)
 	}
 }
@@ -98,13 +92,10 @@ func TestIntrospectionAggregatesEngines(t *testing.T) {
 	intr := guided.NewIntrospection()
 	var want uint64
 	for seed := int64(1); seed <= 3; seed++ {
-		exp, err := buildUnlock(bcm.CheckByteOnly,
-			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp.Run(30 * time.Minute)
-		want += exp.Engine.Mutations() + exp.Engine.Explorations()
+		w, eng := guidedWorld(t, bcm.CheckByteOnly,
+			core.Config{Seed: seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{Introspection: intr})
+		w.Campaign.RunUntilFinding(30 * time.Minute)
+		want += eng.Mutations() + eng.Explorations()
 	}
 	s := intr.Snapshot()
 	if s.Engines != 3 {

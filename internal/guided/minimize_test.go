@@ -23,27 +23,24 @@ import (
 // replaces its frame source anyway, so the generator never runs.
 func benchFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(check, core.Config{Seed: spec.Seed}, target.Options{})
+		b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
+			core.Config{Seed: spec.Seed}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+		return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign}, nil
 	}
 }
 
 // guidedFactory builds a guided unlock world exposing its corpus.
 func guidedFactory(check bcm.CheckMode) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(check,
+		b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
 			core.Config{Seed: spec.Seed, Mode: core.ModeGuided}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{
-			Sched:    exp.Bench.Scheduler(),
-			Campaign: exp.Campaign,
-			Corpus:   exp.Engine.CorpusFrames,
-		}, nil
+		return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign, Corpus: b.World.Corpus}, nil
 	}
 }
 
@@ -70,8 +67,8 @@ func TestMinimizeUnlockToSingleFrame(t *testing.T) {
 	// Find the unlock with a guided campaign, then minimize its trigger
 	// window. Under CheckByteOnly the true minimal reproducer is one frame:
 	// command identifier, one byte, the unlock code — 215#20.
-	exp := guidedExp(t, bcm.CheckByteOnly, 1)
-	finding, ok := exp.Campaign.RunUntilFinding(10 * time.Minute)
+	w, _ := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 1}, target.Options{})
+	finding, ok := w.Campaign.RunUntilFinding(10 * time.Minute)
 	if !ok {
 		t.Fatal("no finding to minimize")
 	}
@@ -107,8 +104,8 @@ func TestMinimizeLengthCheckKeepsDLC(t *testing.T) {
 	// Under CheckByteAndLength the parser demands the full 7-byte DLC, so
 	// minimization must stop at a 7-byte frame with only the command byte
 	// set: 215#20000000000000.
-	exp := guidedExp(t, bcm.CheckByteAndLength, 42)
-	finding, ok := exp.Campaign.RunUntilFinding(30 * time.Minute)
+	w, _ := guidedWorld(t, bcm.CheckByteAndLength, core.Config{Seed: 42}, target.Options{})
+	finding, ok := w.Campaign.RunUntilFinding(30 * time.Minute)
 	if !ok {
 		t.Fatal("no finding to minimize")
 	}
@@ -167,8 +164,8 @@ func TestMinimizeNoReproReturnsError(t *testing.T) {
 }
 
 func TestMinimizeDeterministic(t *testing.T) {
-	exp := guidedExp(t, bcm.CheckByteOnly, 9)
-	finding, ok := exp.Campaign.RunUntilFinding(10 * time.Minute)
+	w, _ := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 9}, target.Options{})
+	finding, ok := w.Campaign.RunUntilFinding(10 * time.Minute)
 	if !ok {
 		t.Fatal("no finding")
 	}
@@ -255,16 +252,17 @@ func TestFleetGuidedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // warmFactory builds the worlds of benchFactory (mode zero) or
-// guidedFactory (core.ModeGuided) as reset-capable exp.World() worlds, and
-// counts its builds.
+// guidedFactory (core.ModeGuided) as the reset-capable worlds target.Build
+// returns, and counts its builds.
 func warmFactory(check bcm.CheckMode, mode core.Mode, builds *int) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
 		*builds++
-		exp, err := buildUnlock(check, core.Config{Seed: spec.Seed, Mode: mode}, target.Options{})
+		b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true},
+			core.Config{Seed: spec.Seed, Mode: mode}, target.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return exp.World(), nil
+		return b.World, nil
 	}
 }
 
@@ -284,7 +282,8 @@ func TestMinimizeWarmMatchesCold(t *testing.T) {
 	}
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength} {
 		for seed := int64(1); seed <= 4; seed++ {
-			finding, ok := guidedExp(t, check, seed).Campaign.RunUntilFinding(time.Hour)
+			w, _ := guidedWorld(t, check, core.Config{Seed: seed}, target.Options{})
+			finding, ok := w.Campaign.RunUntilFinding(time.Hour)
 			if !ok {
 				t.Fatalf("check %v seed %d: no finding to minimize", check, seed)
 			}

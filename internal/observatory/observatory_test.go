@@ -1,6 +1,5 @@
-// External test package: the fleet factories here use testbench, which
-// imports internal/guided, which imports fleet — the same cycle the fleet
-// suite avoids.
+// External test package: the fleet factories here use target, which
+// imports fleet — the same cycle the fleet suite avoids.
 package observatory_test
 
 import (
@@ -25,43 +24,33 @@ import (
 	"repro/internal/signal"
 	"repro/internal/target"
 	"repro/internal/telemetry"
-	"repro/internal/testbench"
 )
 
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
+// unlockSpec is the Table V bench world with the loose (byte-only) BCM
+// parser, its campaign stopping at the unlock.
+var unlockSpec = target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true}
 
 // unlockFactory builds the Table V bench world per trial, targeted so each
 // trial unlocks within virtual seconds.
 func unlockFactory(spec fleet.TrialSpec) (*fleet.World, error) {
-	exp, err := buildUnlock(bcm.CheckByteOnly,
+	b, err := target.Build(unlockSpec,
 		core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}}, target.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &fleet.World{Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign}, nil
+	return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign}, nil
 }
 
 // guidedFactory is unlockFactory with the coverage-guided engine, wired to
 // the introspection plane.
 func guidedFactory(intr *guided.Introspection) fleet.TargetFactory {
 	return func(spec fleet.TrialSpec) (*fleet.World, error) {
-		exp, err := buildUnlock(bcm.CheckByteOnly,
+		b, err := target.Build(unlockSpec,
 			core.Config{Seed: spec.Seed, TargetIDs: []can.ID{signal.IDBodyCommand}, Mode: core.ModeGuided}, target.Options{Introspection: intr})
 		if err != nil {
 			return nil, err
 		}
-		return &fleet.World{
-			Sched: exp.Bench.Scheduler(), Campaign: exp.Campaign,
-			Corpus: exp.Engine.CorpusFrames,
-		}, nil
+		return &fleet.World{Sched: b.World.Sched, Campaign: b.World.Campaign, Corpus: b.World.Corpus}, nil
 	}
 }
 

@@ -2,6 +2,10 @@
 // construct each simulated system under test (the bench-top unlock testbed,
 // the instrument cluster, the full vehicle) as a fully isolated fleet.World
 // with the target's oracles armed and its guided-fuzzing probes exposed.
+// It is the only owner of how a world is composed and, for the reusable
+// bench world, of the recipe that resets it in place between trials
+// (World.Reset); Built hands out the system under test (Built.Bench,
+// Built.Cluster) for callers that inspect it after a run.
 //
 // Before this package the construction recipe lived inside cmd/canfuzz,
 // which meant every other consumer of a world — the distributed worker, the
@@ -75,13 +79,17 @@ type Options struct {
 // need beyond the fleet contract: the armed fault injector (nil without a
 // plan), the target's reaction probes — the same feature sources the
 // guided engine's novelty map reads, exposed so replay tooling can capture
-// a world's reaction-feature vector after a run — and, for the bench, the
-// world as a Table V unlock experiment (nil for the other targets).
+// a world's reaction-feature vector after a run — and the system under
+// test itself: the Table V testbed for the bench target, the instrument
+// cluster for the cluster target (each nil for the other targets). The
+// campaign and, in guided mode, its engine are reached through World:
+// World.Campaign.FrameSource() is the *guided.Engine.
 type Built struct {
 	World    *fleet.World
 	Injector *faults.Injector
 	Probes   []guided.Probe
-	Unlock   *testbench.UnlockExperiment
+	Bench    *testbench.Bench
+	Cluster  *cluster.Cluster
 }
 
 // ParseCheckMode maps the textual -bcm-check flag (and the campaign spec's
@@ -138,11 +146,12 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 
 	var campaign *core.Campaign
 	var probes []guided.Probe
-	var unlock *testbench.UnlockExperiment
+	var bench *testbench.Bench
+	var clu *cluster.Cluster
 	var err error
 	switch spec.Target {
 	case "bench":
-		bench := testbench.New(sched, testbench.Config{Check: spec.Check, AckUnlock: true})
+		bench = testbench.New(sched, testbench.Config{Check: spec.Check, AckUnlock: true})
 		bench.Instrument(tel)
 		fuzzPort := bench.AttachFuzzer("fuzzer")
 		armChaos(inj, spec.Recovery, bench.Bus, bench.ECUs(), fuzzPort)
@@ -152,31 +161,22 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 		}
 		campaign.AddOracle(bench.UnlockOracle())
 		probes = bench.GuidedProbes(fuzzPort)
-		unlock = &testbench.UnlockExperiment{Bench: bench, Campaign: campaign}
 
 	case "cluster":
 		b := busPkg.New(sched, busPkg.WithName("bench"))
 		b.Instrument(tel)
 		clusterECU := ecu.New("cluster", sched, b.Connect("cluster"))
 		clusterECU.Instrument(tel)
-		c := cluster.New(clusterECU)
+		clu = cluster.New(clusterECU)
 		fuzzPort := b.Connect("fuzzer")
 		armChaos(inj, spec.Recovery, b, map[string]*ecu.ECU{"cluster": clusterECU}, fuzzPort)
 		campaign, err = core.NewCampaign(sched, fuzzPort, cfg, opts...)
 		if err != nil {
 			return nil, err
 		}
-		campaign.AddOracle(&oracle.Probe{
-			OracleName: "cluster-crash", Interval: 10 * time.Millisecond, Once: true,
-			Check: func() string {
-				if c.Crashed() {
-					return "persistent CRASH display latched"
-				}
-				return ""
-			},
-		})
+		campaign.AddOracle(clu.CrashOracle())
 		probes = []guided.Probe{
-			{Name: "cluster_crash_displays", Fn: c.CrashDisplays},
+			{Name: "cluster_crash_displays", Fn: clu.CrashDisplays},
 			{Name: "fuzzer_tec", Fn: func() uint64 { tec, _ := fuzzPort.ErrorCounters(); return uint64(tec) }},
 			{Name: "fuzzer_rec", Fn: func() uint64 { _, rec := fuzzPort.ErrorCounters(); return uint64(rec) }},
 		}
@@ -242,19 +242,27 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 	}
 	// The bench target supports in-place world reuse: every component on
 	// it knows how to return to its as-built state, so fleet workers can
-	// recycle the world across trials instead of rebuilding it. Worlds
-	// with a fault-injection plan are excluded: the injector's Counts
-	// accumulate across Starts, and the babble port it Connects mid-run
-	// stays on the bus through Bus.Reset, so a recycled world would not
-	// match a fresh one. So are the cluster and vehicle targets (their
-	// ECU applications keep state the reset plumbing does not yet cover).
-	if unlock != nil {
-		unlock.Engine = eng
-		if o.Plan == nil {
-			world = unlock.World()
+	// recycle the world across trials instead of rebuilding it. Reset is
+	// the one recipe: the bench first (scheduler and telemetry included),
+	// then the guided engine if any, then the campaign, all under the
+	// trial's seed; a reset world runs bit-for-bit like one newly built
+	// with that seed. Worlds with a fault-injection plan are excluded: the
+	// injector's Counts accumulate across Starts, and the babble port it
+	// Connects mid-run stays on the bus through Bus.Reset, so a recycled
+	// world would not match a fresh one. So are the cluster and vehicle
+	// targets (their ECU applications keep state the reset plumbing does
+	// not yet cover).
+	if bench != nil && o.Plan == nil {
+		world.Reset = func(ts fleet.TrialSpec) error {
+			bench.Reset()
+			if eng != nil {
+				eng.Reset(ts.Seed)
+			}
+			campaign.Reset(ts.Seed)
+			return nil
 		}
 	}
-	return &Built{World: world, Injector: inj, Probes: probes, Unlock: unlock}, nil
+	return &Built{World: world, Injector: inj, Probes: probes, Bench: bench, Cluster: clu}, nil
 }
 
 // FromCampaignSpec maps a distributed campaign spec onto the world builder

@@ -84,6 +84,37 @@ func TestIntrospectionExactThroughWrapper(t *testing.T) {
 	}
 }
 
+// TestBenchEngineFollowsMode checks that a bench world carries a guided
+// engine as its campaign's frame source exactly when the config asks for
+// guided mode, and that the campaign's stop hook leaves the engine's
+// introspection slot exact.
+func TestBenchEngineFollowsMode(t *testing.T) {
+	spec := target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true}
+	blind, err := target.Build(spec, core.Config{Seed: 1}, target.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng, ok := blind.World.Campaign.FrameSource().(*guided.Engine); ok {
+		t.Fatalf("blind world: frame source is engine %p; want none", eng)
+	}
+	intr := guided.NewIntrospection()
+	g, err := target.Build(spec, core.Config{Seed: 1, Mode: core.ModeGuided}, target.Options{Introspection: intr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.World.Campaign.FrameSource().(*guided.Engine); !ok {
+		t.Fatalf("guided world: frame source is %T, want *guided.Engine", g.World.Campaign.FrameSource())
+	}
+	if _, ok := g.World.Campaign.RunUntilFinding(30 * time.Minute); !ok {
+		t.Fatal("guided unlock did not land within the budget")
+	}
+	// The stop hook leaves the introspection slot exact: every frame the
+	// campaign sent came from the engine.
+	if execs := intr.Snapshot().Execs; execs != g.World.Campaign.FramesSent() {
+		t.Fatalf("engine execs %d != campaign frames %d", execs, g.World.Campaign.FramesSent())
+	}
+}
+
 // TestIntrospectionCountsEveryTrial runs a guided bench fleet on one
 // worker, once recycling its world and once building every trial cold:
 // either way /fuzz.json must count every frame the fleet sent, so a
@@ -136,7 +167,8 @@ func TestIntrospectionCountsEveryTrial(t *testing.T) {
 // exposition and Chrome trace. Cluster, vehicle and fault-plan worlds
 // must have no Reset hook, so every fleet and campaign service worker
 // builds them fresh for each trial. Every bench world, fault plan or not,
-// carries its unlock experiment (Built.Unlock); no other target does.
+// hands out its testbed (Built.Bench) and every cluster world its
+// cluster (Built.Cluster); no other target does either.
 func TestBuildTable(t *testing.T) {
 	var specs []target.Spec
 	for _, check := range []bcm.CheckMode{bcm.CheckByteOnly, bcm.CheckByteAndLength, bcm.CheckTwoBytes} {
@@ -179,8 +211,11 @@ func TestBuildTable(t *testing.T) {
 							if err != nil {
 								return nil, err
 							}
-							if (b.Unlock != nil) != (spec.Target == "bench") {
-								return nil, fmt.Errorf("Built.Unlock set %t for target %s", b.Unlock != nil, spec.Target)
+							if (b.Bench != nil) != (spec.Target == "bench") {
+								return nil, fmt.Errorf("Built.Bench set %t for target %s", b.Bench != nil, spec.Target)
+							}
+							if (b.Cluster != nil) != (spec.Target == "cluster") {
+								return nil, fmt.Errorf("Built.Cluster set %t for target %s", b.Cluster != nil, spec.Target)
 							}
 							worlds = append(worlds, builtWorld{b.World, o.Telemetry})
 							return b.World, nil
@@ -234,8 +269,8 @@ func TestBuildTable(t *testing.T) {
 	if b.World.Reset != nil {
 		t.Fatal("fault-plan bench world advertises Reset; its injector cannot be re-armed")
 	}
-	if b.Unlock == nil || b.Unlock.Campaign != b.World.Campaign {
-		t.Fatal("fault-plan bench world lacks its unlock experiment")
+	if b.Bench == nil {
+		t.Fatal("fault-plan bench world lacks its testbed")
 	}
 }
 

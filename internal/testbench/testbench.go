@@ -9,6 +9,10 @@
 // components, further testing of the fuzzer was performed against a
 // bench-top hardware configuration." Table V's quantitative results come
 // from this bench.
+//
+// The package models the testbed only: target.Build composes it with a
+// fuzz campaign, its oracles and (in guided mode) a feedback engine into a
+// fleet world, and owns the recipe that resets that world between trials.
 package testbench
 
 import (
@@ -18,9 +22,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/ecu"
-	"repro/internal/fleet"
 	"repro/internal/guided"
 	"repro/internal/infotain"
 	"repro/internal/oracle"
@@ -82,7 +84,8 @@ func (b *Bench) Scheduler() *clock.Scheduler { return b.sched }
 // scheduling sequence number a fresh bench would give it, keeping a
 // reused bench's event stream byte-identical to a new one's. Whatever
 // else runs on the scheduler (the fuzzer's campaign, a guided engine) is
-// reset after the bench; UnlockExperiment.Reset is that recipe.
+// reset after the bench; the bench world target.Build returns carries
+// that recipe as its World.Reset.
 func (b *Bench) Reset() {
 	b.sched.Reset()
 	b.tel.Reset()
@@ -143,62 +146,6 @@ func (b *Bench) UnlockOracle() *oracle.Ack {
 // vehicle.
 func (b *Bench) LEDOracle(interval time.Duration) *oracle.Probe {
 	return oracle.Physical("lock-led", interval, b.BCM.Unlocked, false, "lock LED lit (doors unlocked)")
-}
-
-// UnlockExperiment is one Table V measurement: a fuzz campaign wired to
-// the bench, run until the unlock is detected (or maxDuration elapses),
-// reporting the virtual time the fuzzer needed. target.Build assembles it
-// for every bench world (Built.Unlock).
-type UnlockExperiment struct {
-	// Bench is the assembled testbed.
-	Bench *Bench
-	// Campaign is the armed fuzzer.
-	Campaign *core.Campaign
-	// Engine, when non-nil, is the guided feedback engine installed as the
-	// campaign's frame source.
-	Engine *guided.Engine
-}
-
-// Reset re-initializes the whole experiment world in place under a new
-// seed: the bench (scheduler and telemetry included), then the guided
-// engine if any, then the campaign. It is the one world-reset recipe for
-// bench worlds. A reset experiment runs bit-for-bit identically to one
-// newly built with the same seed, which is what lets fleet workers
-// recycle worlds across trials instead of rebuilding them.
-func (e *UnlockExperiment) Reset(seed int64) {
-	e.Bench.Reset()
-	if e.Engine != nil {
-		e.Engine.Reset(seed)
-	}
-	e.Campaign.Reset(seed)
-}
-
-// World returns the experiment as a reusable fleet world: its scheduler
-// and campaign, the engine's corpus snapshot when guided, and Reset as
-// the world's reset hook.
-func (e *UnlockExperiment) World() *fleet.World {
-	w := &fleet.World{
-		Sched:    e.Bench.Scheduler(),
-		Campaign: e.Campaign,
-		Reset: func(ts fleet.TrialSpec) error {
-			e.Reset(ts.Seed)
-			return nil
-		},
-	}
-	if e.Engine != nil {
-		w.Corpus = e.Engine.CorpusFrames
-	}
-	return w
-}
-
-// Run executes the experiment and returns the time to unlock. ok is false
-// if the deadline elapsed first.
-func (e *UnlockExperiment) Run(maxDuration time.Duration) (timeToUnlock time.Duration, ok bool) {
-	finding, ok := e.Campaign.RunUntilFinding(maxDuration)
-	if !ok {
-		return 0, false
-	}
-	return finding.Elapsed, true
 }
 
 // GuidedProbes returns the bench's feedback probes for a guided.Engine:

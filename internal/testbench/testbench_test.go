@@ -8,20 +8,9 @@ import (
 	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/guided"
 	"repro/internal/target"
 	"repro/internal/testbench"
 )
-
-// buildUnlock builds the Table V bench world through target.Build, the one
-// constructor of bench fuzz worlds.
-func buildUnlock(check bcm.CheckMode, cfg core.Config, o target.Options) (*testbench.UnlockExperiment, error) {
-	b, err := target.Build(target.Spec{Target: "bench", Check: check, Stop: true}, cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	return b.Unlock, nil
-}
 
 func newSched(t *testing.T) *clock.Scheduler {
 	t.Helper()
@@ -62,42 +51,22 @@ func TestFuzzerHasNoKnowledgeButUnlocks(t *testing.T) {
 	// §VI: "When the fuzzer runs it has no knowledge of the CAN message to
 	// activate the locks... the unlock (or lock) functionality was
 	// activated after a few minutes of randomly generated CAN data."
-	exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 20180625}, target.Options{})
+	b, err := target.Build(target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true},
+		core.Config{Seed: 20180625}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed, ok := exp.Run(4 * time.Hour)
+	finding, ok := b.World.Campaign.RunUntilFinding(4 * time.Hour)
 	if !ok {
 		t.Fatal("fuzzer never unlocked the doors")
 	}
-	if !exp.Bench.BCM.Unlocked() {
+	if !b.Bench.BCM.Unlocked() {
 		t.Fatal("oracle fired but LED is off")
 	}
 	// The expectation at 1 ms pacing over the 2048x9x256 space is minutes,
 	// not milliseconds and not days.
-	if elapsed < time.Second || elapsed > 2*time.Hour {
+	if elapsed := finding.Elapsed; elapsed < time.Second || elapsed > 2*time.Hour {
 		t.Fatalf("time to unlock = %v, implausible", elapsed)
-	}
-}
-
-func TestUnlockExperimentEngineFollowsMode(t *testing.T) {
-	blind, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 1}, target.Options{})
-	if err != nil || blind.Engine != nil {
-		t.Fatalf("blind experiment: engine %v, err %v; want none", blind.Engine, err)
-	}
-	intr := guided.NewIntrospection()
-	g, err := buildUnlock(bcm.CheckByteOnly,
-		core.Config{Seed: 1, Mode: core.ModeGuided}, target.Options{Introspection: intr})
-	if err != nil || g.Engine == nil {
-		t.Fatalf("guided experiment: engine %v, err %v; want one", g.Engine, err)
-	}
-	if _, ok := g.Run(30 * time.Minute); !ok {
-		t.Fatal("guided unlock did not land within the budget")
-	}
-	// The stop hook leaves the introspection slot exact: every frame the
-	// campaign sent came from the engine.
-	if execs := intr.Snapshot().Execs; execs != g.Campaign.FramesSent() {
-		t.Fatalf("engine execs %d != campaign frames %d", execs, g.Campaign.FramesSent())
 	}
 }
 
@@ -106,23 +75,25 @@ func TestLengthCheckSlowsFuzzer(t *testing.T) {
 	// stricter parser can never be faster than the loose one for the same
 	// fuzz stream, because it accepts a strict subset of frames.
 	seed := int64(7)
-	loose, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: seed}, target.Options{})
+	loose, err := target.Build(target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true},
+		core.Config{Seed: seed}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tLoose, ok := loose.Run(12 * time.Hour)
+	fLoose, ok := loose.World.Campaign.RunUntilFinding(12 * time.Hour)
 	if !ok {
 		t.Fatal("loose parser never unlocked")
 	}
-	strict, err := buildUnlock(bcm.CheckByteAndLength, core.Config{Seed: seed}, target.Options{})
+	strict, err := target.Build(target.Spec{Target: "bench", Check: bcm.CheckByteAndLength, Stop: true},
+		core.Config{Seed: seed}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tStrict, ok := strict.Run(12 * time.Hour)
+	fStrict, ok := strict.World.Campaign.RunUntilFinding(12 * time.Hour)
 	if !ok {
 		t.Fatal("strict parser never unlocked within 12h")
 	}
-	if tStrict < tLoose {
+	if tStrict, tLoose := fStrict.Elapsed, fLoose.Elapsed; tStrict < tLoose {
 		t.Fatalf("strict (%v) unlocked before loose (%v) on identical stream", tStrict, tLoose)
 	}
 }
@@ -152,26 +123,27 @@ func TestTargetedFuzzingFasterThanBlind(t *testing.T) {
 	// §VII: usefulness "in fuzz testing in a specific message space, close
 	// to known messages". Targeting the observed command ID shrinks the
 	// space by 2048x; with matched seeds the hit should come much sooner.
-	blind, err := buildUnlock(bcm.CheckByteOnly, core.Config{Seed: 11}, target.Options{})
+	spec := target.Spec{Target: "bench", Check: bcm.CheckByteOnly, Stop: true}
+	blind, err := target.Build(spec, core.Config{Seed: 11}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tBlind, ok := blind.Run(12 * time.Hour)
+	fBlind, ok := blind.World.Campaign.RunUntilFinding(12 * time.Hour)
 	if !ok {
 		t.Fatal("blind run never unlocked")
 	}
-	targeted, err := buildUnlock(bcm.CheckByteOnly, core.Config{
+	targeted, err := target.Build(spec, core.Config{
 		Seed:      11,
 		TargetIDs: []can.ID{0x215},
 	}, target.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tTargeted, ok := targeted.Run(12 * time.Hour)
+	fTargeted, ok := targeted.World.Campaign.RunUntilFinding(12 * time.Hour)
 	if !ok {
 		t.Fatal("targeted run never unlocked")
 	}
-	if tTargeted*10 > tBlind {
+	if tTargeted, tBlind := fTargeted.Elapsed, fBlind.Elapsed; tTargeted*10 > tBlind {
 		t.Fatalf("targeted (%v) not ≫ faster than blind (%v)", tTargeted, tBlind)
 	}
 }

@@ -13,11 +13,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bcm"
 	"repro/internal/can"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/target"
-	"repro/internal/testbench"
 )
 
 func FuzzWorldReset(f *testing.F) {
@@ -26,8 +25,8 @@ func FuzzWorldReset(f *testing.F) {
 	f.Add(int64(-1), int64(1<<40), uint8(0xFF))
 	f.Fuzz(func(t *testing.T, seedA, seedB int64, idLow uint8) {
 		id := 0x200 | can.ID(idLow)
-		mk := func(seed int64) *testbench.UnlockExperiment {
-			exp, err := buildUnlock(bcm.CheckByteOnly, core.Config{
+		mk := func(seed int64) *fleet.World {
+			b, err := target.Build(unlockSpec, core.Config{
 				Seed:      seed,
 				TargetIDs: []can.ID{id},
 				Interval:  time.Millisecond,
@@ -35,14 +34,14 @@ func FuzzWorldReset(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return exp
+			return b.World
 		}
 		// Short virtual horizon keeps each exec cheap; whether the trial
 		// ends in a finding or the deadline, the report must match.
-		reportJSON := func(e *testbench.UnlockExperiment) []byte {
-			e.Run(30 * time.Second)
+		reportJSON := func(w *fleet.World) []byte {
+			w.Campaign.RunUntilFinding(30 * time.Second)
 			var buf bytes.Buffer
-			if err := e.Campaign.BuildReport().WriteJSON(&buf); err != nil {
+			if err := w.Campaign.BuildReport().WriteJSON(&buf); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
@@ -50,7 +49,9 @@ func FuzzWorldReset(f *testing.F) {
 
 		reused := mk(seedA)
 		reportJSON(reused) // dirty the world under seedA
-		reused.Reset(seedB)
+		if err := reused.Reset(fleet.TrialSpec{Seed: seedB}); err != nil {
+			t.Fatal(err)
+		}
 		got := reportJSON(reused)
 
 		want := reportJSON(mk(seedB))
