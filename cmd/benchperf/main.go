@@ -578,7 +578,7 @@ func benchAppendEncodeBits(b *testing.B) {
 	}
 }
 
-// benchUnstuff measures the word-level destuffing kernel on one typical
+// benchUnstuff measures the bit-serial destuffing kernel on one typical
 // frame's stuffed wire bits.
 func benchUnstuff(b *testing.B) {
 	stuffed := can.Stuff(can.RawBits(can.MustNew(0x215, []byte{0x20, 0x5F, 1, 0, 0, 1, 0x20})))
@@ -604,8 +604,8 @@ func benchCRC15(b *testing.B) {
 	_ = crc
 }
 
-// benchFDCRC measures the CAN FD CRC-17/21 word kernel over a 64-byte
-// payload.
+// benchFDCRC measures the CAN FD CRC-17/21 byte-table kernel over a
+// 64-byte payload.
 func benchFDCRC(b *testing.B) {
 	data := make([]byte, 64)
 	for i := range data {

@@ -286,29 +286,41 @@ func TestRunMinimizeNoFindingIsNotAnError(t *testing.T) {
 
 func TestRunMinimizeNoReproKeepsRawFinding(t *testing.T) {
 	// The vehicle's signal-range finding at seed 2 depends on state older
-	// than its trigger window, so the minimizer cannot reproduce it. That
-	// is not a failed run: no reproducer file is written and the raw
-	// trigger record still lands in the findings database.
-	dir := t.TempDir()
-	db, out := dir+"/db", dir+"/repro.log"
-	err := run([]string{"-target", "vehicle", "-dur", "10m", "-seed", "2",
-		"-minimize-out", out, "-findings-db", db})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Fatalf("reproducer file written for an unreproducible finding (stat err %v)", err)
-	}
-	fdb, err := findings.Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := fdb.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Oracle != "signal-range" {
-		t.Fatalf("findings db holds %+v, want one signal-range record", recs)
+	// than its trigger window, so neither the minimizer nor a replay of the
+	// window reproduces it. That is not a failed run: no reproducer file is
+	// written, and the finding lands in the database as a generator record
+	// (seed + deadline) that replays, with or without -minimize.
+	for _, minimize := range []bool{true, false} {
+		dir := t.TempDir()
+		db, out := dir+"/db", dir+"/repro.log"
+		args := []string{"-target", "vehicle", "-dur", "10m", "-seed", "2", "-findings-db", db}
+		if minimize {
+			args = append(args, "-minimize-out", out)
+		}
+		if err := run(args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("reproducer file written for an unreproducible finding (stat err %v)", err)
+		}
+		fdb, err := findings.Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := fdb.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Oracle != "signal-range" {
+			t.Fatalf("minimize=%v: findings db holds %+v, want one signal-range record", minimize, recs)
+		}
+		rec := recs[0]
+		if len(rec.Trigger) != 0 || rec.Config == nil || rec.Seed != 2 || rec.DeadlineMillis == 0 {
+			t.Fatalf("minimize=%v: record %+v, want a generator record (seed 2, config, deadline)", minimize, rec)
+		}
+		if res := findings.ReplayRecord(rec, 2, findings.Overrides{}); res.Outcome != findings.OutcomePass {
+			t.Fatalf("minimize=%v: stored record replays %+v, want pass", minimize, res)
+		}
 	}
 }
 

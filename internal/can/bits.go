@@ -9,7 +9,8 @@ package can
 // length varies with frame content. This file builds the full bit sequence
 // of a standard frame — SOF, arbitration, control, data, CRC — applies
 // stuffing, and appends the fixed-form trailer (CRC delimiter, ACK slot and
-// delimiter, EOF, interframe space).
+// delimiter, EOF, interframe space). Bit sequences hold one bit per byte,
+// values 0 or 1.
 
 const (
 	// Fixed-form trailer bits that are never stuffed:
@@ -19,65 +20,22 @@ const (
 	InterframeSpace = 3
 )
 
-// headerBits returns the unstuffed header bit sequence of a standard frame:
-// SOF(1) + ID(11) + RTR(1) + IDE(1) + r0(1) + DLC(4).
-func headerBits(f Frame) []byte {
-	bits := make([]byte, 0, 19)
-	bits = append(bits, 0) // SOF: dominant
-	for i := 10; i >= 0; i-- {
-		bits = append(bits, byte(uint16(f.ID)>>uint(i)&1))
-	}
-	if f.Remote {
-		bits = append(bits, 1) // RTR recessive for remote frames
-	} else {
-		bits = append(bits, 0)
-	}
-	bits = append(bits, 0, 0) // IDE dominant (standard frame), r0 reserved
-	for i := 3; i >= 0; i-- {
-		bits = append(bits, f.Len>>uint(i)&1)
-	}
-	return bits
-}
-
-// dataBits returns the payload bit sequence, MSB first per byte.
-func dataBits(f Frame) []byte {
-	if f.Remote {
-		return nil
-	}
-	n := int(f.Len)
-	if n > MaxDataLen {
-		n = MaxDataLen
-	}
-	bits := make([]byte, 0, n*8)
-	for _, b := range f.Data[:n] {
-		for i := 7; i >= 0; i-- {
-			bits = append(bits, b>>uint(i)&1)
-		}
-	}
-	return bits
-}
-
 // RawBits returns the unstuffed bit sequence covered by stuffing:
 // header + data + CRC-15.
 func RawBits(f Frame) []byte {
-	bits := append(headerBits(f), dataBits(f)...)
-	crc := CRC15(bits)
-	for i := 14; i >= 0; i-- {
-		bits = append(bits, byte(crc>>uint(i)&1))
-	}
-	return bits
+	var bits [maxRawFrameBits]byte
+	n := rawFrameBits(&bits, f)
+	return append([]byte(nil), bits[:n]...)
 }
 
 // maxRawFrameBits bounds the unstuffed raw sequence of a standard frame:
 // header(19) + data(<=64) + crc(15).
 const maxRawFrameBits = 98
 
-// rawFrameBits fills buf with the unstuffed raw sequence of f — header,
-// data, CRC-15 — and returns the bit count. It is the shared scratch-buffer
-// builder behind the allocation-free paths (WireBits, AppendRawBits,
-// AppendEncodeBits): the caller provides a fixed stack array, and the CRC
-// runs byte-at-a-time off a table (the bit-serial update costs one
-// data-dependent branch per input bit).
+// rawFrameBits fills bits with the unstuffed raw sequence of f — header
+// (SOF, ID, RTR, IDE, r0, DLC), data MSB first per byte, CRC-15 — and
+// returns the bit count. The caller provides a fixed stack array, so
+// AppendEncodeBits allocates nothing.
 func rawFrameBits(bits *[maxRawFrameBits]byte, f Frame) int {
 	n := 0
 	bits[n] = 0 // SOF
@@ -112,17 +70,7 @@ func rawFrameBits(bits *[maxRawFrameBits]byte, f Frame) int {
 			}
 		}
 	}
-	var crc uint16
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		v := bits[i]<<7 | bits[i+1]<<6 | bits[i+2]<<5 | bits[i+3]<<4 |
-			bits[i+4]<<3 | bits[i+5]<<2 | bits[i+6]<<1 | bits[i+7]
-		crc = ((crc << 8) ^ crc15Table[byte(crc>>7)^v]) & 0x7FFF
-	}
-	for ; i < n; i++ {
-		next := uint16(bits[i]) ^ (crc >> 14 & 1)
-		crc = ((crc << 1) & 0x7FFF) ^ next*crc15Poly
-	}
+	crc := CRC15(bits[:n])
 	for i := 14; i >= 0; i-- {
 		bits[n] = byte(crc >> uint(i) & 1)
 		n++
@@ -130,14 +78,69 @@ func rawFrameBits(bits *[maxRawFrameBits]byte, f Frame) int {
 	return n
 }
 
-// AppendRawBits appends the unstuffed raw sequence of f (header + data +
-// CRC-15) to dst and returns the extended slice. It is the scratch-buffer
-// fast path equivalent of RawBits: byte-identical output, zero allocations
-// when dst has capacity.
-func AppendRawBits(dst []byte, f Frame) []byte {
-	var bits [maxRawFrameBits]byte
-	n := rawFrameBits(&bits, f)
-	return append(dst, bits[:n]...)
+// Stuff applies CAN bit stuffing to a bit sequence: after five
+// consecutive identical bits, a bit of opposite polarity is inserted. The
+// stuff bit itself counts toward the next run.
+func Stuff(src []byte) []byte {
+	return AppendStuff(make([]byte, 0, len(src)+len(src)/5), src)
+}
+
+// AppendStuff appends the stuffed form of bits to dst and returns the
+// extended slice. With a pre-sized dst it performs no allocation.
+func AppendStuff(dst, bits []byte) []byte {
+	run := 0
+	var last byte = 2 // sentinel: no previous bit
+	for _, b := range bits {
+		if b == last {
+			run++
+		} else {
+			run = 1
+			last = b
+		}
+		dst = append(dst, b)
+		if run == 5 {
+			stuffed := last ^ 1
+			dst = append(dst, stuffed)
+			last = stuffed
+			run = 1
+		}
+	}
+	return dst
+}
+
+// Unstuff removes stuffing from a bit sequence produced by Stuff. It
+// returns ErrStuffViolation where a real controller would signal an error
+// frame: six consecutive equal bits, i.e. a bit in the stuff position that
+// matches the run it should terminate. A run never passes five: its fifth
+// bit makes the next one a stuff bit.
+func Unstuff(bits []byte) ([]byte, error) {
+	out := make([]byte, 0, len(bits))
+	run := 0
+	var last byte = 2
+	skip := false
+	for _, b := range bits {
+		if skip {
+			// This is a stuff bit; it must differ from the previous run.
+			if b == last {
+				return nil, ErrStuffViolation
+			}
+			last = b
+			run = 1
+			skip = false
+			continue
+		}
+		if b == last {
+			run++
+		} else {
+			run = 1
+			last = b
+		}
+		out = append(out, b)
+		if run == 5 {
+			skip = true
+		}
+	}
+	return out, nil
 }
 
 // crc15Table drives the byte-at-a-time CRC-15 update in the codec paths:

@@ -32,9 +32,3 @@ func CRC15(bits []byte) uint16 {
 	}
 	return crc & 0x7FFF
 }
-
-// FrameCRC returns the CRC-15 of the frame's header and data fields, i.e.
-// the checksum transmitted in the CRC field on the wire.
-func FrameCRC(f Frame) uint16 {
-	return CRC15(append(headerBits(f), dataBits(f)...))
-}

@@ -173,55 +173,6 @@ func makeFDTable(poly uint32, width int) (t [256]uint32) {
 	return t
 }
 
-// crcFDRef is the bit-serial n-bit CRC: crcFD's fallback for
-// polynomial/width combinations the byte tables do not cover, and the
-// reference the differential tests (words_test.go) hold the tables to.
-// Never optimise it.
-func crcFDRef(bits []byte, poly uint32, width int) uint32 {
-	var crc uint32
-	top := uint32(1) << (width - 1)
-	mask := top<<1 - 1
-	for _, b := range bits {
-		next := uint32(b&1) ^ (crc >> (width - 1) & 1)
-		crc = (crc << 1) & mask
-		if next == 1 {
-			crc ^= poly & mask
-		}
-	}
-	return crc & mask
-}
-
-// crcFD computes an n-bit CRC over a bit sequence with the given
-// polynomial: byte-at-a-time off the width's table for the two standard
-// FD combinations, bit-serial (crcFDRef) for anything else.
-func crcFD(bs []byte, poly uint32, width int) uint32 {
-	var t *[256]uint32
-	switch {
-	case poly == crc17Poly && width == 17:
-		t = &crc17Table
-	case poly == crc21Poly && width == 21:
-		t = &crc21Table
-	default:
-		return crcFDRef(bs, poly, width)
-	}
-	mask := uint32(1)<<width - 1
-	var crc uint32
-	i := 0
-	for ; i+8 <= len(bs); i += 8 {
-		v := (bs[i]&1)<<7 | (bs[i+1]&1)<<6 | (bs[i+2]&1)<<5 | (bs[i+3]&1)<<4 |
-			(bs[i+4]&1)<<3 | (bs[i+5]&1)<<2 | (bs[i+6]&1)<<1 | bs[i+7]&1
-		crc = ((crc << 8) ^ t[byte(crc>>(width-8))^v]) & mask
-	}
-	for ; i < len(bs); i++ {
-		next := uint32(bs[i]&1) ^ (crc >> (width - 1) & 1)
-		crc = (crc << 1) & mask
-		if next == 1 {
-			crc ^= poly & mask
-		}
-	}
-	return crc & mask
-}
-
 // fdArbitrationBits counts the FD header bits transmitted at the nominal
 // bitrate: SOF(1) + ID(11) + RRS(1) + IDE(1) + FDF(1) + res(1) + BRS(1).
 const fdArbitrationBits = 17
@@ -247,55 +198,10 @@ func fdPhaseBits(f FDFrame) (arb, data int) {
 // header bits (rounded to 24 for slack) plus the maximum payload.
 const fdStuffRegionMax = 24 + MaxFDDataLen*8
 
-// fdStuffRegionBits fills buf with the dynamically stuffed region of f —
-// header flags + DLC + data — and returns the bit count. Like rawFrameBits
-// for classic frames, the caller provides a fixed stack array so the
-// per-frame FD wire-time math allocates nothing.
-func fdStuffRegionBits(bits *[fdStuffRegionMax]byte, f FDFrame) int {
-	n := 0
-	bits[n] = 0 // SOF
-	n++
-	for i := 10; i >= 0; i-- {
-		bits[n] = byte(uint16(f.ID) >> uint(i) & 1)
-		n++
-	}
-	bits[n] = 0 // RRS
-	n++
-	bits[n] = 0 // IDE
-	n++
-	bits[n] = 1 // FDF
-	n++
-	bits[n] = 0 // res
-	n++
-	if f.BRS {
-		bits[n] = 1
-	} else {
-		bits[n] = 0
-	}
-	n++
-	if f.ESI {
-		bits[n] = 1
-	} else {
-		bits[n] = 0
-	}
-	n++
-	dlc, _ := FDLengthToDLC(int(f.Len))
-	for i := 3; i >= 0; i-- {
-		bits[n] = dlc >> uint(i) & 1
-		n++
-	}
-	for _, by := range f.Data[:f.Len] {
-		for i := 7; i >= 0; i-- {
-			bits[n] = by >> uint(i) & 1
-			n++
-		}
-	}
-	return n
-}
-
 // fdStuffRegionWords packs the dynamically stuffed region of f — header
 // flags + DLC + data — MSB-first into words and returns the bit count
-// (22..534). It is the word-level counterpart of fdStuffRegionBits.
+// (22..534). fdStuffRegionBits in reference_test.go is its bit-slice
+// reference.
 func fdStuffRegionWords(w *[fdStuffRegionMax/64 + 1]uint64, f FDFrame) int {
 	for i := range w {
 		w[i] = 0
@@ -374,47 +280,4 @@ func FDCRC(f FDFrame) (crc uint32, width int) {
 		crc = ((crc << 8) ^ t[byte(crc>>(width-8))^by]) & mask
 	}
 	return crc, width
-}
-
-// MarshalFD encodes an FD frame in a compact binary record:
-// 2-byte header (flags | id), 1-byte length, payload.
-func MarshalFD(f FDFrame) ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	hdr := uint16(f.ID)
-	if f.BRS {
-		hdr |= 0x4000
-	}
-	if f.ESI {
-		hdr |= 0x2000
-	}
-	out := make([]byte, 0, 3+f.Len)
-	out = append(out, byte(hdr>>8), byte(hdr), f.Len)
-	out = append(out, f.Data[:f.Len]...)
-	return out, nil
-}
-
-// UnmarshalFD decodes one FD frame, returning bytes consumed.
-func UnmarshalFD(buf []byte) (FDFrame, int, error) {
-	var f FDFrame
-	if len(buf) < 3 {
-		return f, 0, ErrTruncated
-	}
-	hdr := uint16(buf[0])<<8 | uint16(buf[1])
-	f.BRS = hdr&0x4000 != 0
-	f.ESI = hdr&0x2000 != 0
-	f.ID = ID(hdr & MaxID)
-	if hdr&^uint16(0x6000|MaxID) != 0 {
-		return f, 0, fmt.Errorf("can: reserved FD flag bits set: %#04x", hdr)
-	}
-	f.Len = buf[2]
-	if _, err := FDLengthToDLC(int(f.Len)); err != nil {
-		return f, 0, err
-	}
-	if len(buf) < 3+int(f.Len) {
-		return f, 0, ErrTruncated
-	}
-	copy(f.Data[:f.Len], buf[3:3+f.Len])
-	return f, 3 + int(f.Len), nil
 }

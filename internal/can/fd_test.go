@@ -2,7 +2,6 @@ package can
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -137,44 +136,6 @@ func TestFDBeatsClassicForBulkTransfer(t *testing.T) {
 	}
 	if fdTime >= classicTime {
 		t.Fatalf("FD bulk transfer not faster: %v vs %v", fdTime, classicTime)
-	}
-}
-
-func TestMarshalUnmarshalFDRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	sizes := []int{0, 1, 7, 8, 12, 16, 20, 24, 32, 48, 64}
-	for i := 0; i < 1000; i++ {
-		n := sizes[rng.Intn(len(sizes))]
-		data := make([]byte, n)
-		rng.Read(data)
-		f := MustNewFD(ID(rng.Intn(NumIDs)), data, rng.Intn(2) == 0)
-		f.ESI = rng.Intn(2) == 0
-		buf, err := MarshalFD(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, consumed, err := UnmarshalFD(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if consumed != len(buf) || !f.Equal(g) {
-			t.Fatalf("round trip mismatch: %v vs %v", f, g)
-		}
-	}
-}
-
-func TestUnmarshalFDErrors(t *testing.T) {
-	if _, _, err := UnmarshalFD([]byte{1}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("short header accepted")
-	}
-	if _, _, err := UnmarshalFD([]byte{0x00, 0x10, 9}); !errors.Is(err, ErrFDDataLen) {
-		t.Fatal("bad FD length accepted")
-	}
-	if _, _, err := UnmarshalFD([]byte{0x00, 0x10, 8, 1, 2}); !errors.Is(err, ErrTruncated) {
-		t.Fatal("truncated payload accepted")
-	}
-	if _, _, err := UnmarshalFD([]byte{0x90, 0x10, 0}); err == nil {
-		t.Fatal("reserved flag bits accepted")
 	}
 }
 

@@ -62,24 +62,6 @@ func FuzzDecodeBits(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalFD(f *testing.F) {
-	seed, _ := MarshalFD(MustNewFD(0x100, make([]byte, 12), true))
-	f.Add(seed)
-	f.Add([]byte{0x40, 0x00, 0x0C})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, n, err := UnmarshalFD(data)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("consumed %d of %d bytes", n, len(data))
-		}
-		if err := frame.Validate(); err != nil {
-			t.Fatalf("UnmarshalFD returned invalid frame: %v", err)
-		}
-	})
-}
-
 func FuzzUnstuff(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -1,6 +1,8 @@
 package can
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -121,16 +123,12 @@ func TestAppendFastPathsDifferentialProperty(t *testing.T) {
 		f := randomWireFrame(rng)
 
 		raw := RawBits(f)
-		if got := AppendRawBits(nil, f); !bitsEqual(got, raw) {
-			t.Fatalf("frame %d (%v): AppendRawBits != RawBits\n got %v\nwant %v", i, f, got, raw)
-		}
-		if got := AppendRawBits(prefix, f); !bitsEqual(got[:3], prefix) || !bitsEqual(got[3:], raw) {
-			t.Fatalf("frame %d (%v): AppendRawBits with prefix diverged", i, f)
-		}
-
 		stuffed := Stuff(raw)
 		if got := AppendStuff(nil, raw); !bitsEqual(got, stuffed) {
 			t.Fatalf("frame %d (%v): AppendStuff != Stuff\n got %v\nwant %v", i, f, got, stuffed)
+		}
+		if got := AppendStuff(prefix, raw); !bitsEqual(got[:3], prefix) || !bitsEqual(got[3:], stuffed) {
+			t.Fatalf("frame %d (%v): AppendStuff with prefix diverged", i, f)
 		}
 
 		enc := EncodeBits(f)
@@ -143,107 +141,95 @@ func TestAppendFastPathsDifferentialProperty(t *testing.T) {
 	}
 }
 
-// fdStuffRegionReference builds the FD dynamically stuffed region the
-// slice-building way, mirroring the original fdDynamicStuffEstimate
-// construction; it is the reference the scratch-buffer builder is tested
-// against.
-func fdStuffRegionReference(f FDFrame) []byte {
-	bits := make([]byte, 0, 24+int(f.Len)*8)
-	bits = append(bits, 0) // SOF
-	for i := 10; i >= 0; i-- {
-		bits = append(bits, byte(uint16(f.ID)>>uint(i)&1))
-	}
-	bits = append(bits, 0, 0, 1, 0) // RRS, IDE, FDF=1, res
-	if f.BRS {
-		bits = append(bits, 1)
-	} else {
-		bits = append(bits, 0)
-	}
-	if f.ESI {
-		bits = append(bits, 1)
-	} else {
-		bits = append(bits, 0)
-	}
-	dlc, _ := FDLengthToDLC(int(f.Len))
-	for i := 3; i >= 0; i-- {
-		bits = append(bits, dlc>>uint(i)&1)
-	}
-	for _, by := range f.Data[:f.Len] {
-		for i := 7; i >= 0; i-- {
-			bits = append(bits, by>>uint(i)&1)
-		}
-	}
-	return bits
-}
-
-// TestFDFastPathsDifferentialProperty asserts the FD scratch-buffer paths
-// match their slice-building references: the stuff-region builder is
-// byte-identical, the dynamic stuff estimate equals len(Stuff(region)) -
-// len(region), and FDCRC equals the CRC of the slice-built covered region.
+// TestFDFastPathsDifferentialProperty asserts the word-level FD dynamic
+// stuff count equals len(Stuff(region)) - len(region) for the slice-built
+// stuff region, over random FD frames and maximum-length payloads of
+// stuffing-heavy fill.
 func TestFDFastPathsDifferentialProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		f := randomFDWireFrame(rng)
-
-		ref := fdStuffRegionReference(f)
-		var buf [fdStuffRegionMax]byte
-		n := fdStuffRegionBits(&buf, f)
-		if !bitsEqual(buf[:n], ref) {
-			t.Fatalf("frame %d (%v): fdStuffRegionBits diverged from reference", i, f)
+	check := func(f FDFrame) {
+		t.Helper()
+		region := fdStuffRegionBits(f)
+		want := len(Stuff(region)) - len(region)
+		if got := fdDynamicStuffEstimate(f); got != want {
+			t.Fatalf("frame %v: dynamic stuff estimate = %d, want %d", f, got, want)
 		}
-
-		wantStuff := len(Stuff(ref)) - len(ref)
-		if got := fdDynamicStuffEstimate(f); got != wantStuff {
-			t.Fatalf("frame %d (%v): dynamic stuff estimate = %d, want %d", i, f, got, wantStuff)
-		}
-
-		crcRef := make([]byte, 0, 15+int(f.Len)*8)
-		for b := 10; b >= 0; b-- {
-			crcRef = append(crcRef, byte(uint16(f.ID)>>uint(b)&1))
-		}
-		dlc, _ := FDLengthToDLC(int(f.Len))
-		for b := 3; b >= 0; b-- {
-			crcRef = append(crcRef, dlc>>uint(b)&1)
-		}
-		for _, by := range f.Data[:f.Len] {
-			for b := 7; b >= 0; b-- {
-				crcRef = append(crcRef, by>>uint(b)&1)
-			}
-		}
-		wantWidth, wantPoly := 17, uint32(crc17Poly)
-		if f.Len > 16 {
-			wantWidth, wantPoly = 21, crc21Poly
-		}
-		wantCRC := crcFD(crcRef, wantPoly, wantWidth)
-		if crc, width := FDCRC(f); crc != wantCRC || width != wantWidth {
-			t.Fatalf("frame %d (%v): FDCRC = (%#x, %d), want (%#x, %d)",
-				i, f, crc, width, wantCRC, wantWidth)
-		}
+	}
+	for i := 0; i < 6000; i++ {
+		check(randomFDWireFrame(rng))
+	}
+	for _, fill := range pathologicalFills {
+		check(MustNewFD(0x7FF, bytes.Repeat([]byte{fill}, MaxFDDataLen), true))
 	}
 }
 
-// TestStuffUnstuffRoundTripProperty checks Unstuff(Stuff(bits)) == bits both
-// for real frame encodings and for arbitrary bit strings, including the
-// stuffing-heavy all-equal runs.
+// pathologicalFills are payload bytes that stress stuffing: all-equal
+// bits, alternating bits, and runs of five across byte boundaries.
+var pathologicalFills = []byte{0x00, 0xFF, 0xAA, 0x55, 0x1F, 0xF8}
+
+// adversarialBits builds a bit string dominated by runs of 1..8 equal
+// bits — the stuffing-heavy shapes where off-by-one run-carry bugs would
+// hide.
+func adversarialBits(rng *rand.Rand, n int) []byte {
+	out := make([]byte, 0, n)
+	b := byte(rng.Intn(2))
+	for len(out) < n {
+		run := 1 + rng.Intn(8)
+		if run > n-len(out) {
+			run = n - len(out)
+		}
+		for i := 0; i < run; i++ {
+			out = append(out, b)
+		}
+		if rng.Intn(6) > 0 {
+			b ^= 1
+		}
+	}
+	return out
+}
+
+// hasSixEqualBits reports whether bits holds six equal bits in a row.
+func hasSixEqualBits(bits []byte) bool {
+	run, last := 0, byte(2)
+	for _, b := range bits {
+		if b == last {
+			run++
+		} else {
+			run, last = 1, b
+		}
+		if run >= 6 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestStuffUnstuffRoundTripProperty checks that Stuff never emits six
+// equal bits and that Unstuff(Stuff(bits)) == bits, for real classic frame
+// encodings, FD stuff regions, run-heavy bit strings of every length up to
+// 600, all-equal runs up to 2055 bits, worst-case stuffing and
+// maximum-length payloads of stuffing-heavy fill. It also inserts six
+// equal bits at every offset of a stuffed stream and requires Unstuff to
+// reject the result.
 func TestStuffUnstuffRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	check := func(i int, bits []byte) {
+	check := func(label string, bits []byte) {
 		t.Helper()
-		back, err := Unstuff(Stuff(bits))
+		stuffed := Stuff(bits)
+		if hasSixEqualBits(stuffed) {
+			t.Fatalf("%s: Stuff emitted six equal bits: %v", label, stuffed)
+		}
+		back, err := Unstuff(stuffed)
 		if err != nil {
-			t.Fatalf("case %d: unstuff: %v", i, err)
+			t.Fatalf("%s: unstuff: %v", label, err)
 		}
-		if len(back) != len(bits) {
-			t.Fatalf("case %d: %d bits in, %d out", i, len(bits), len(back))
-		}
-		for j := range bits {
-			if back[j] != bits[j] {
-				t.Fatalf("case %d: bit %d flipped", i, j)
-			}
+		if !bitsEqual(back, bits) {
+			t.Fatalf("%s: round trip\n got %v\nwant %v", label, back, bits)
 		}
 	}
 	for i := 0; i < 1000; i++ {
-		check(i, RawBits(randomFrame(rng)))
+		check("frame", RawBits(randomFrame(rng)))
+		check("FD region", fdStuffRegionBits(randomFDWireFrame(rng)))
 
 		n := rng.Intn(128)
 		bits := make([]byte, n)
@@ -254,6 +240,63 @@ func TestStuffUnstuffRoundTripProperty(t *testing.T) {
 				bits[j] = byte(rng.Intn(2))
 			}
 		}
-		check(i, bits)
+		check("biased", bits)
+	}
+	for n := 0; n <= 600; n++ {
+		check("adversarial", adversarialBits(rng, n))
+	}
+	for _, n := range []int{1, 4, 5, 6, 9, 10, 11, 64, 1024, 2055} {
+		check("all-zero run", make([]byte, n))
+		check("all-one run", bytes.Repeat([]byte{1}, n))
+	}
+	// Worst-case stuffing: alternating blocks of four equal bits after an
+	// initial five — every stuff bit lands flush against the next run.
+	worst := []byte{0, 0, 0, 0, 0}
+	for len(worst) < 512 {
+		b := worst[len(worst)-1] ^ 1
+		worst = append(worst, b, b, b, b)
+	}
+	check("worst-case stuffing", worst)
+	for _, fill := range pathologicalFills {
+		check("max-DLC classic", RawBits(MustNew(0x7FF, bytes.Repeat([]byte{fill}, MaxDataLen))))
+		fd := MustNewFD(0x7FF, bytes.Repeat([]byte{fill}, MaxFDDataLen), true)
+		check("max-DLC FD", fdStuffRegionBits(fd))
+	}
+	valid := Stuff(adversarialBits(rng, 200))
+	for off := 0; off <= len(valid); off++ {
+		for _, b := range []byte{0, 1} {
+			src := append(append(append([]byte(nil), valid[:off]...), b, b, b, b, b, b), valid[off:]...)
+			if _, err := Unstuff(src); !errors.Is(err, ErrStuffViolation) {
+				t.Fatalf("six %d bits at offset %d: err = %v, want ErrStuffViolation", b, off, err)
+			}
+		}
+	}
+}
+
+// TestUnstuffViolationExhaustive runs Unstuff on every bit string of 0 to
+// 16 bits. It must return ErrStuffViolation exactly when the input holds
+// six equal bits in a row; otherwise restuffing its output must give back
+// the input, plus at most the one stuff bit still owed by an input that
+// ends on a run of five.
+func TestUnstuffViolationExhaustive(t *testing.T) {
+	in := make([]byte, 0, 16)
+	for n := 0; n <= 16; n++ {
+		for v := 0; v < 1<<n; v++ {
+			in = in[:0]
+			for i := n - 1; i >= 0; i-- {
+				in = append(in, byte(v>>uint(i)&1))
+			}
+			out, err := Unstuff(in)
+			six := hasSixEqualBits(in)
+			if six != errors.Is(err, ErrStuffViolation) || (!six && err != nil) {
+				t.Fatalf("Unstuff(%v): err = %v, six equal bits = %v", in, err, six)
+			}
+			if six {
+				continue
+			}
+			if re := Stuff(out); len(re) > n+1 || len(re) < n || !bitsEqual(re[:n], in) {
+				t.Fatalf("Unstuff(%v) = %v, restuffs to %v", in, out, re)
+			}
+		}
 	}
 }

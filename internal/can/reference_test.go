@@ -1,102 +1,87 @@
 package can
 
-// Reference kernels for the wire codec.
+// Reference builders and kernels for the wire codec.
 //
-// The production Stuff/Unstuff/countStuffBits/CRC paths run over uint64
-// words (words.go); these are the original bit-at-a-time implementations,
-// kept verbatim as the executable specification. They live in a test file
-// so they do not ship. The differential property suite (words_test.go)
-// and the FuzzUnstuffWords target hold the word kernels byte-identical —
-// output *and* error — to these references, so any divergence introduced
-// by a future optimisation is a failing test, not a silent protocol
-// drift. The FD CRC reference, crcFDRef, stays in fd.go: it is also
-// crcFD's fallback for non-standard polynomial/width combinations.
+// The production frame-bit, CRC and stuff-count paths fill stack arrays or
+// run over byte tables and packed words (bits.go, crc.go, fd.go,
+// words.go). These are the slice-building, bit-at-a-time versions, kept as
+// the executable specification. They live in a test file so they do not
+// ship. The differential tests (words_test.go, property_test.go) hold the
+// production paths byte-identical to them, so any divergence introduced by
+// a future optimisation is a failing test, not a silent protocol drift.
 //
-// Reference-kernel policy: never optimise these. They trade speed for
-// being obviously correct transcriptions of the CAN 2.0 / ISO 11898-1
-// stuffing and CRC rules, one bit per iteration.
+// Reference policy: never optimise these. They trade speed for being
+// obviously correct transcriptions of the CAN 2.0 / ISO 11898-1 frame
+// layout and CRC rules, one bit per iteration.
 
-// appendStuffRef is the bit-at-a-time stuffing reference: after five
-// consecutive identical bits a complement bit is inserted, and the stuff
-// bit itself counts toward the next run.
-func appendStuffRef(dst, bits []byte) []byte {
-	run := 0
-	var last byte = 2 // sentinel: no previous bit
-	for _, b := range bits {
-		if b == last {
-			run++
-		} else {
-			run = 1
-			last = b
-		}
-		dst = append(dst, b)
-		if run == 5 {
-			stuffed := last ^ 1
-			dst = append(dst, stuffed)
-			last = stuffed
-			run = 1
-		}
+// headerBits returns the unstuffed header bit sequence of a standard frame:
+// SOF(1) + ID(11) + RTR(1) + IDE(1) + r0(1) + DLC(4).
+func headerBits(f Frame) []byte {
+	bits := make([]byte, 0, 19)
+	bits = append(bits, 0) // SOF: dominant
+	for i := 10; i >= 0; i-- {
+		bits = append(bits, byte(uint16(f.ID)>>uint(i)&1))
 	}
-	return dst
+	if f.Remote {
+		bits = append(bits, 1) // RTR recessive for remote frames
+	} else {
+		bits = append(bits, 0)
+	}
+	bits = append(bits, 0, 0) // IDE dominant (standard frame), r0 reserved
+	for i := 3; i >= 0; i-- {
+		bits = append(bits, f.Len>>uint(i)&1)
+	}
+	return bits
 }
 
-// unstuffRef is the bit-at-a-time destuffing reference. It returns
-// ErrStuffViolation where a real controller would signal an error frame:
-// six consecutive equal bits, i.e. a bit in the stuff position that
-// matches the run it should terminate.
-func unstuffRef(bits []byte) ([]byte, error) {
-	out := make([]byte, 0, len(bits))
-	run := 0
-	var last byte = 2
-	skip := false
-	for _, b := range bits {
-		if skip {
-			// This is a stuff bit; it must differ from the previous run.
-			if b == last {
-				return nil, ErrStuffViolation
-			}
-			last = b
-			run = 1
-			skip = false
-			continue
-		}
-		if b == last {
-			run++
-		} else {
-			run = 1
-			last = b
-		}
-		if run == 6 {
-			return nil, ErrStuffViolation
-		}
-		out = append(out, b)
-		if run == 5 {
-			skip = true
+// dataBits returns the payload bit sequence, MSB first per byte.
+func dataBits(f Frame) []byte {
+	if f.Remote {
+		return nil
+	}
+	n := int(f.Len)
+	if n > MaxDataLen {
+		n = MaxDataLen
+	}
+	bits := make([]byte, 0, n*8)
+	for _, b := range f.Data[:n] {
+		for i := 7; i >= 0; i-- {
+			bits = append(bits, b>>uint(i)&1)
 		}
 	}
-	return out, nil
+	return bits
 }
 
-// countStuffBitsRef is the bit-at-a-time stuff-count reference; a stuff
-// bit counts toward the next run with inverted polarity.
-func countStuffBitsRef(bits []byte) int {
-	stuffed := 0
-	run := 0
-	var last byte = 2
-	for _, b := range bits {
-		if b == last {
-			run++
-		} else {
-			run = 1
-			last = b
-		}
-		if run == 5 {
-			stuffed++
-			last ^= 1
-			run = 1
+// fdStuffRegionBits returns the dynamically stuffed region of an FD frame —
+// SOF, ID, RRS, IDE, FDF, res, BRS, ESI, DLC and data — that
+// fdStuffRegionWords packs into words.
+func fdStuffRegionBits(f FDFrame) []byte {
+	bits := make([]byte, 0, 24+int(f.Len)*8)
+	bits = append(bits, 0) // SOF
+	for i := 10; i >= 0; i-- {
+		bits = append(bits, byte(uint16(f.ID)>>uint(i)&1))
+	}
+	bits = append(bits, 0, 0, 1, 0) // RRS, IDE, FDF=1, res
+	if f.BRS {
+		bits = append(bits, 1)
+	} else {
+		bits = append(bits, 0)
+	}
+	if f.ESI {
+		bits = append(bits, 1)
+	} else {
+		bits = append(bits, 0)
+	}
+	dlc, _ := FDLengthToDLC(int(f.Len))
+	for i := 3; i >= 0; i-- {
+		bits = append(bits, dlc>>uint(i)&1)
+	}
+	for _, by := range f.Data[:f.Len] {
+		for i := 7; i >= 0; i-- {
+			bits = append(bits, by>>uint(i)&1)
 		}
 	}
-	return stuffed
+	return bits
 }
 
 // crc15Ref is the bit-serial CAN CRC-15 reference (Bosch CAN 2.0 §3.1.1).
@@ -110,4 +95,20 @@ func crc15Ref(bits []byte) uint16 {
 		}
 	}
 	return crc & 0x7FFF
+}
+
+// crcFDRef is the bit-serial n-bit CRC reference the FD byte tables
+// (crc17Table, crc21Table) are held to.
+func crcFDRef(bits []byte, poly uint32, width int) uint32 {
+	var crc uint32
+	top := uint32(1) << (width - 1)
+	mask := top<<1 - 1
+	for _, b := range bits {
+		next := uint32(b&1) ^ (crc >> (width - 1) & 1)
+		crc = (crc << 1) & mask
+		if next == 1 {
+			crc ^= poly & mask
+		}
+	}
+	return crc & mask
 }

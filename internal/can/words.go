@@ -1,35 +1,23 @@
 package can
 
-// Word-level wire codec kernels.
+// Word-level wire-length kernels.
 //
-// The bit-slice codec walked one bit per iteration with a data-dependent
-// branch per bit; on fuzz traffic those branches mispredict constantly and
-// countStuffBits alone was ~40% of a campaign's CPU. This file reworks the
-// stuffing and CRC kernels over uint64 words:
+// The bus computes every transmitted frame's stuffed length, so that path
+// avoids a bit array and a branch per bit:
 //
-//   - frames pack MSB-first into words (bit i of the stream is bit 63-i of
-//     word i/64), built directly from the frame fields without a bit array;
 //   - stuff-bit counting runs a precomputed 9-state DFA one *byte* at a
 //     time (stuffTable), branch-free;
-//   - stuffing/destuffing jump whole runs at once via XOR + LeadingZeros64
-//     instead of stepping bits;
-//   - CRCs run byte-at-a-time off tables (crc15Table, crc17Table,
-//     crc21Table).
+//   - WireBits feeds the DFA straight from the frame fields, fused with the
+//     byte-table CRC-15 (crc15Table);
+//   - the FD wire-time math packs the stuffed region MSB-first into uint64
+//     words (bit i of the stream is bit 63-i of word i/64) and counts it
+//     the same way (countStuffWords).
 //
-// The original bit-at-a-time implementations survive verbatim in
-// reference_test.go (crcFDRef, also a live fallback, in fd.go); the
-// differential suite in words_test.go pins every kernel here
-// byte-identical — output and error — to its reference.
-//
-// All bit-slice inputs follow the package contract: one bit per byte,
-// values 0 or 1.
-
-import "math/bits"
-
-// stuffChunkWords sizes the stack window the slice-based kernels pack
-// into: 16 words = 1024 bits per chunk, carrying DFA state across chunk
-// boundaries for longer inputs.
-const stuffChunkWords = 16
+// Stuff and Unstuff, which build or read whole bit sequences, stay
+// bit-serial (bits.go): they only ever see one frame of at most 98 raw
+// bits, too short for word packing to pay for itself. The differential
+// tests hold these kernels to Stuff and to the bit-serial references in
+// reference_test.go.
 
 // The stuffing DFA has nine states: the start state (no previous bit) and
 // (value, run) for value in {0,1} and run in 1..4 — a run of five resets
@@ -192,209 +180,3 @@ func WireBits(f Frame) int {
 // WireBitsWithIFS is WireBits plus the mandatory 3-bit interframe space;
 // it is the effective bus occupancy of one frame.
 func WireBitsWithIFS(f Frame) int { return WireBits(f) + InterframeSpace }
-
-// packBitChunk packs a bit slice (≤ 1024 bits) MSB-first into w and
-// returns the bit count; unfilled trailing bits are zero.
-func packBitChunk(w *[stuffChunkWords]uint64, src []byte) int {
-	for i := 0; i < (len(src)+63)>>6; i++ {
-		w[i] = 0
-	}
-	i := 0
-	for ; i+8 <= len(src); i += 8 {
-		v := uint64(src[i]&1)<<7 | uint64(src[i+1]&1)<<6 |
-			uint64(src[i+2]&1)<<5 | uint64(src[i+3]&1)<<4 |
-			uint64(src[i+4]&1)<<3 | uint64(src[i+5]&1)<<2 |
-			uint64(src[i+6]&1)<<1 | uint64(src[i+7]&1)
-		w[i>>6] |= v << (56 - uint(i&63))
-	}
-	for ; i < len(src); i++ {
-		w[i>>6] |= uint64(src[i]&1) << (63 - uint(i&63))
-	}
-	return len(src)
-}
-
-// bitAt reads bit i of the packed window.
-func bitAt(w *[stuffChunkWords]uint64, i int) byte {
-	return byte(w[i>>6] >> (63 - uint(i&63)) & 1)
-}
-
-// runLenWords returns the length of the maximal run of bit value b
-// starting at position i within the first n packed bits: XOR against the
-// broadcast value turns matching bits into zeros, and LeadingZeros64
-// measures the run a word at a time.
-func runLenWords(w *[stuffChunkWords]uint64, i, n int, b byte) int {
-	var bcast uint64
-	if b != 0 {
-		bcast = ^uint64(0)
-	}
-	L := 0
-	for i+L < n {
-		idx := (i + L) >> 6
-		off := uint((i + L) & 63)
-		y := (w[idx] ^ bcast) << off
-		z := bits.LeadingZeros64(y)
-		avail := 64 - int(off)
-		if z >= avail {
-			L += avail
-			continue
-		}
-		L += z
-		break
-	}
-	if i+L > n {
-		L = n - i
-	}
-	return L
-}
-
-// appendRun appends n copies of bit b.
-func appendRun(dst []byte, b byte, n int) []byte {
-	for j := 0; j < n; j++ {
-		dst = append(dst, b)
-	}
-	return dst
-}
-
-// Stuff applies CAN bit stuffing to a bit sequence: after five
-// consecutive identical bits, a bit of opposite polarity is inserted. The
-// stuff bit itself counts toward the next run.
-func Stuff(src []byte) []byte {
-	return AppendStuff(make([]byte, 0, len(src)+len(src)/5), src)
-}
-
-// AppendStuff appends the stuffed form of src to dst and returns the
-// extended slice. With a pre-sized dst it performs no allocation; Stuff
-// is AppendStuff into a fresh slice.
-//
-// The kernel packs the input into uint64 words and jumps whole runs: a
-// run of L equal bits entered with c prior equal bits emits its first
-// stuff bit after 5-c bits and one more every 5 thereafter, and the
-// post-run DFA state is derived in O(1) instead of stepping each bit.
-func AppendStuff(dst, src []byte) []byte {
-	var w [stuffChunkWords]uint64
-	var last byte = 2
-	run := 0
-	for base := 0; base < len(src); base += stuffChunkWords * 64 {
-		end := base + stuffChunkWords*64
-		if end > len(src) {
-			end = len(src)
-		}
-		n := packBitChunk(&w, src[base:end])
-		for i := 0; i < n; {
-			b := bitAt(&w, i)
-			L := runLenWords(&w, i, n, b)
-			c := 0
-			if b == last {
-				c = run
-			}
-			if c+L < 5 {
-				dst = appendRun(dst, b, L)
-				last = b
-				run = c + L
-			} else {
-				// First stuff after 5-c bits, then one per further 5.
-				k := 5 - c
-				dst = appendRun(dst, b, k)
-				dst = append(dst, b^1)
-				rem := L - k
-				for rem >= 5 {
-					dst = appendRun(dst, b, 5)
-					dst = append(dst, b^1)
-					rem -= 5
-				}
-				if rem > 0 {
-					dst = appendRun(dst, b, rem)
-					last = b
-					run = rem
-				} else {
-					// The run ended exactly on a stuff bit, which counts
-					// toward the next run with inverted polarity.
-					last = b ^ 1
-					run = 1
-				}
-			}
-			i += L
-		}
-	}
-	return dst
-}
-
-// Unstuff removes stuffing from a bit sequence produced by Stuff. It
-// returns an error if a stuffing violation is found (six consecutive
-// equal bits), which on a real bus signals an error frame.
-//
-// Like AppendStuff it jumps runs over packed words: a run of L equal bits
-// entered with c prior equal bits is a violation iff c+L >= 6, expects a
-// stuff bit right after iff c+L == 5, and is plain payload otherwise.
-func Unstuff(src []byte) ([]byte, error) {
-	out := make([]byte, 0, len(src))
-	var w [stuffChunkWords]uint64
-	var last byte = 2
-	run := 0
-	skip := false
-	for base := 0; base < len(src); base += stuffChunkWords * 64 {
-		end := base + stuffChunkWords*64
-		if end > len(src) {
-			end = len(src)
-		}
-		n := packBitChunk(&w, src[base:end])
-		i := 0
-		if skip {
-			// The stuff bit landed on a chunk boundary.
-			b := bitAt(&w, 0)
-			if b == last {
-				return nil, ErrStuffViolation
-			}
-			last = b
-			run = 1
-			skip = false
-			i = 1
-		}
-		for i < n {
-			b := bitAt(&w, i)
-			L := runLenWords(&w, i, n, b)
-			c := 0
-			if b == last {
-				c = run
-			}
-			if c+L >= 6 {
-				return nil, ErrStuffViolation
-			}
-			out = appendRun(out, b, L)
-			i += L
-			if c+L == 5 {
-				if i < n {
-					// The next bit is the stuff bit; it differs from b by
-					// run maximality, matching the reference's check.
-					last = bitAt(&w, i)
-					run = 1
-					i++
-				} else {
-					last = b
-					skip = true
-				}
-			} else {
-				last = b
-				run = c + L
-			}
-		}
-	}
-	return out, nil
-}
-
-// countStuffBits returns how many stuff bits Stuff would insert into src;
-// a stuff bit counts toward the next run with inverted polarity.
-func countStuffBits(src []byte) int {
-	count := 0
-	var state uint8
-	var w [stuffChunkWords]uint64
-	for base := 0; base < len(src); base += stuffChunkWords * 64 {
-		end := base + stuffChunkWords*64
-		if end > len(src) {
-			end = len(src)
-		}
-		n := packBitChunk(&w, src[base:end])
-		count += countStuffWords(&state, w[:], n)
-	}
-	return count
-}
