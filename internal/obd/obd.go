@@ -10,7 +10,6 @@ package obd
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bus"
 	"repro/internal/can"
@@ -80,19 +79,6 @@ func (s *Server) Requests() uint64 { return s.requests }
 // Malformed returns the number of requests dropped as malformed — under
 // fuzzing this counter races upward while Requests stays near zero.
 func (s *Server) Malformed() uint64 { return s.malformed }
-
-// StoreDTC records a trouble code (e.g. "P0217") in non-volatile storage.
-func (s *Server) StoreDTC(code string) {
-	codes := s.DTCs()
-	for _, c := range codes {
-		if c == code {
-			return
-		}
-	}
-	codes = append(codes, code)
-	sort.Strings(codes)
-	s.e.NVWrite(dtcNVKey, encodeDTCs(codes))
-}
 
 // DTCs returns the stored trouble codes.
 func (s *Server) DTCs() []string {
@@ -283,12 +269,6 @@ func EncodeDTC(code string) (hi, lo byte, err error) {
 	return encodeDTC(code)
 }
 
-// DecodeDTC unpacks the two-byte wire form back to text.
-func DecodeDTC(hi, lo byte) string {
-	sys := [4]byte{'P', 'C', 'B', 'U'}[hi>>6]
-	return fmt.Sprintf("%c%X%X%X%X", sys, hi>>4&0x3, hi&0x0F, lo>>4, lo&0x0F)
-}
-
 func hexVal(c byte) int {
 	switch {
 	case c >= '0' && c <= '9':
@@ -298,16 +278,6 @@ func hexVal(c byte) int {
 	default:
 		return -1
 	}
-}
-
-// encodeDTCs flattens codes for NVRAM storage.
-func encodeDTCs(codes []string) []byte {
-	var out []byte
-	for _, c := range codes {
-		out = append(out, c...)
-		out = append(out, 0)
-	}
-	return out
 }
 
 func decodeDTCs(raw []byte) []string {

@@ -36,6 +36,28 @@ func request(t *testing.T, tester *bus.Port, data ...byte) {
 	}
 }
 
+// storeDTCs writes codes to the server's NVRAM in the format DTCs reads:
+// each code followed by a zero byte.
+func storeDTCs(srv *Server, codes ...string) {
+	var raw []byte
+	for _, c := range codes {
+		raw = append(append(raw, c...), 0)
+	}
+	srv.e.NVWrite(dtcNVKey, raw)
+}
+
+// wantDTC fails unless hi, lo are the wire form of code.
+func wantDTC(t *testing.T, hi, lo byte, code string) {
+	t.Helper()
+	wantHi, wantLo, err := encodeDTC(code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hi != wantHi || lo != wantLo {
+		t.Fatalf("DTC bytes %02X %02X, want %s = %02X %02X", hi, lo, code, wantHi, wantLo)
+	}
+}
+
 func TestMode01RPM(t *testing.T) {
 	s, _, tester, resp := rig(t, Values{RPM: func() float64 { return 856.25 }})
 	request(t, tester, 2, ModeCurrentData, PIDEngineRPM)
@@ -106,9 +128,7 @@ func TestUnsupportedPIDNoAnswer(t *testing.T) {
 
 func TestMode03DTCsRoundTrip(t *testing.T) {
 	s, srv, tester, resp := rig(t, Values{})
-	srv.StoreDTC("P0217")
-	srv.StoreDTC("U0100")
-	srv.StoreDTC("P0217") // duplicate ignored
+	storeDTCs(srv, "P0217", "U0100")
 	request(t, tester, 1, ModeDTCs)
 	s.RunUntil(10 * time.Millisecond)
 	if len(*resp) != 1 {
@@ -118,16 +138,13 @@ func TestMode03DTCsRoundTrip(t *testing.T) {
 	if f.Data[1] != ModeDTCs+positiveOffset || f.Data[2] != 2 {
 		t.Fatalf("response = %v", f)
 	}
-	first := DecodeDTC(f.Data[3], f.Data[4])
-	second := DecodeDTC(f.Data[5], f.Data[6])
-	if first != "P0217" || second != "U0100" {
-		t.Fatalf("decoded DTCs = %q, %q", first, second)
-	}
+	wantDTC(t, f.Data[3], f.Data[4], "P0217")
+	wantDTC(t, f.Data[5], f.Data[6], "U0100")
 }
 
 func TestMode04ClearsDTCs(t *testing.T) {
 	s, srv, tester, resp := rig(t, Values{})
-	srv.StoreDTC("B1D00")
+	storeDTCs(srv, "B1D00")
 	request(t, tester, 1, ModeClearDTCs)
 	s.RunUntil(10 * time.Millisecond)
 	if len(*resp) != 1 || (*resp)[0].Data[1] != ModeClearDTCs+positiveOffset {
@@ -143,7 +160,7 @@ func TestDTCsSurvivePowerCycle(t *testing.T) {
 	b := bus.New(s)
 	e := ecu.New("engine", s, b.Connect("engine"))
 	srv := NewServer(e, IDResponseBase, Values{})
-	srv.StoreDTC("P0300")
+	storeDTCs(srv, "P0300")
 	e.PowerCycle()
 	if got := srv.DTCs(); len(got) != 1 || got[0] != "P0300" {
 		t.Fatalf("DTCs after power cycle = %v", got)
@@ -218,15 +235,13 @@ func TestFuzzingOBDServerStaysDefensive(t *testing.T) {
 }
 
 func TestDecodeDTCSystems(t *testing.T) {
-	cases := map[string]bool{"P0217": true, "C1234": true, "B1D00": true, "U0100": true}
-	for code := range cases {
-		hi, lo, err := encodeDTC(code)
-		if err != nil {
-			t.Fatalf("encodeDTC(%q): %v", code, err)
-		}
-		if got := DecodeDTC(hi, lo); got != code {
-			t.Fatalf("round trip %q -> %q", code, got)
-		}
+	// SAE J2012: the system letter is the top two bits of the first byte.
+	cases := map[string][2]byte{
+		"P0217": {0x02, 0x17}, "C1234": {0x52, 0x34},
+		"B1D00": {0x9D, 0x00}, "U0100": {0xC1, 0x00},
+	}
+	for code, want := range cases {
+		wantDTC(t, want[0], want[1], code)
 	}
 	if _, _, err := encodeDTC("X0000"); err == nil {
 		t.Fatal("bad system letter accepted")
@@ -246,7 +261,7 @@ func TestServerSatisfiesUDSDTCStore(t *testing.T) {
 	b := bus.New(s)
 	e := ecu.New("engine", s, b.Connect("engine"))
 	srv := NewServer(e, IDResponseBase, Values{})
-	srv.StoreDTC("P0217")
+	storeDTCs(srv, "P0217")
 
 	var udsServer *uds.Server
 	ep := isotp.NewEndpoint(s, e.Send, 0x7E9, 0x7E1, isotp.Config{},
@@ -255,37 +270,31 @@ func TestServerSatisfiesUDSDTCStore(t *testing.T) {
 	e.Handle(0x7E1, ep.HandleFrame)
 
 	tester := b.Connect("tester")
-	var client *uds.Client
+	var resp []byte
 	cep := isotp.NewEndpoint(s, tester.Send, 0x7E1, 0x7E9, isotp.Config{},
-		func(resp []byte) { client.HandleResponse(resp) })
-	client = uds.NewClient(s, cep)
+		func(r []byte) { resp = r })
 	tester.SetReceiver(cep.HandleFrame)
 
-	// Read DTCs over UDS, decode the wire bytes, compare with the store.
-	var wire []byte
-	client.ReadDTCsByMask(0xFF, func(d []byte, err error) {
-		if err != nil {
-			t.Errorf("uds read: %v", err)
-			return
-		}
-		wire = d
-	})
+	// Read DTCs over UDS (0x19 reportDTCByStatusMask, all bits), compare
+	// the wire bytes with the store.
+	if err := cep.Send([]byte{uds.SvcReadDTCs, uds.ReportDTCByStatusMask, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
 	s.RunUntil(time.Second)
-	// Response payload: subfunc, availability, then hi lo fault status.
-	if len(wire) != 2+4 {
-		t.Fatalf("wire = % X", wire)
+	// Positive response: service, subfunc, availability, then hi lo fault status.
+	if len(resp) != 3+4 || resp[0] != uds.SvcReadDTCs+0x40 {
+		t.Fatalf("resp = % X", resp)
 	}
-	if got := DecodeDTC(wire[2], wire[3]); got != "P0217" {
-		t.Fatalf("decoded %q", got)
-	}
+	wantDTC(t, resp[3], resp[4], "P0217")
 
-	// Clear over UDS; the J1979 view must empty too.
-	client.ClearAllDTCs(func(d []byte, err error) {
-		if err != nil {
-			t.Errorf("uds clear: %v", err)
-		}
-	})
+	// Clear all groups over UDS (0x14 FFFFFF); the J1979 view must empty too.
+	if err := cep.Send([]byte{uds.SvcClearDTCs, 0xFF, 0xFF, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
 	s.RunUntil(2 * time.Second)
+	if len(resp) != 1 || resp[0] != uds.SvcClearDTCs+0x40 {
+		t.Fatalf("clear resp = % X", resp)
+	}
 	if len(srv.DTCs()) != 0 {
 		t.Fatal("UDS clear did not reach the shared store")
 	}
