@@ -45,9 +45,6 @@ func NewClient(sched *clock.Scheduler, ep *isotp.Endpoint) *Client {
 	return &Client{sched: sched, ep: ep}
 }
 
-// Busy reports whether a request is outstanding.
-func (c *Client) Busy() bool { return c.cb != nil }
-
 func (c *Client) request(svc byte, payload []byte, cb Callback) error {
 	if c.cb != nil {
 		return ErrClientBusy
@@ -109,47 +106,12 @@ func (c *Client) Reset(sub byte, cb Callback) error {
 	return c.request(SvcECUReset, []byte{sub}, cb)
 }
 
-// ReadDID reads a data identifier. The callback payload is the DID value
-// with the 2-byte identifier echo stripped.
-func (c *Client) ReadDID(did DID, cb Callback) error {
-	var req [2]byte
-	binary.BigEndian.PutUint16(req[:], uint16(did))
-	return c.request(SvcReadDID, req[:], func(data []byte, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		if len(data) < 2 {
-			cb(nil, ErrShortReply)
-			return
-		}
-		cb(data[2:], nil)
-	})
-}
-
 // WriteDID writes a data identifier.
 func (c *Client) WriteDID(did DID, value []byte, cb Callback) error {
 	req := make([]byte, 2+len(value))
 	binary.BigEndian.PutUint16(req[:2], uint16(did))
 	copy(req[2:], value)
 	return c.request(SvcWriteDID, req, cb)
-}
-
-// TesterPresent sends a keep-alive.
-func (c *Client) TesterPresent(cb Callback) error {
-	return c.request(SvcTesterPresent, []byte{0x00}, cb)
-}
-
-// ReadDTCsByMask requests service 0x19/0x02 (reportDTCByStatusMask). The
-// callback payload starts with the sub-function echo and availability
-// mask, followed by 4-byte DTC records.
-func (c *Client) ReadDTCsByMask(mask byte, cb Callback) error {
-	return c.request(SvcReadDTCs, []byte{ReportDTCByStatusMask, mask}, cb)
-}
-
-// ClearAllDTCs requests service 0x14 with the all-groups selector.
-func (c *Client) ClearAllDTCs(cb Callback) error {
-	return c.request(SvcClearDTCs, []byte{0xFF, 0xFF, 0xFF}, cb)
 }
 
 // RequestSeed asks for a security seed at the given level.

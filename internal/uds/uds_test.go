@@ -108,7 +108,7 @@ func TestReadDID(t *testing.T) {
 	})
 	var got []byte
 	var gotErr error
-	r.client.ReadDID(0xF190, func(d []byte, err error) { got, gotErr = d, err })
+	r.client.request(SvcReadDID, []byte{0xF1, 0x90}, func(d []byte, err error) { got, gotErr = d[2:], err })
 	r.run()
 	if gotErr != nil {
 		t.Fatalf("err = %v", gotErr)
@@ -121,7 +121,7 @@ func TestReadDID(t *testing.T) {
 func TestReadUnknownDID(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	var gotErr error
-	r.client.ReadDID(0x1234, func(d []byte, err error) { gotErr = err })
+	r.client.request(SvcReadDID, []byte{0x12, 0x34}, func(d []byte, err error) { gotErr = err })
 	r.run()
 	var neg *NegativeError
 	if !errors.As(gotErr, &neg) || neg.Code != NRCRequestOutOfRange {
@@ -293,7 +293,7 @@ func TestTesterPresentKeepsSessionAlive(t *testing.T) {
 	// Send tester present every 2 s for 12 s.
 	for i := 0; i < 6; i++ {
 		r.s.RunUntil(r.s.Now() + 2*time.Second)
-		r.client.TesterPresent(func([]byte, error) {})
+		r.client.request(SvcTesterPresent, []byte{0x00}, func([]byte, error) {})
 	}
 	r.s.RunUntil(r.s.Now() + time.Second)
 	if r.server.Session() != SessionExtended {
@@ -304,7 +304,7 @@ func TestTesterPresentKeepsSessionAlive(t *testing.T) {
 func TestClientBusy(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	r.client.ChangeSession(SessionExtended, func([]byte, error) {})
-	if err := r.client.TesterPresent(func([]byte, error) {}); !errors.Is(err, ErrClientBusy) {
+	if err := r.client.request(SvcTesterPresent, []byte{0x00}, func([]byte, error) {}); !errors.Is(err, ErrClientBusy) {
 		t.Fatalf("err = %v, want ErrClientBusy", err)
 	}
 }
@@ -313,12 +313,12 @@ func TestClientTimeoutWhenServerDead(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	r.e.PowerOff()
 	var gotErr error
-	r.client.TesterPresent(func(d []byte, err error) { gotErr = err })
+	r.client.request(SvcTesterPresent, []byte{0x00}, func(d []byte, err error) { gotErr = err })
 	r.s.RunUntil(r.s.Now() + 5*time.Second) // exceed the 2 s client timeout
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
 	}
-	if r.client.Busy() {
+	if r.client.cb != nil {
 		t.Fatal("client stuck busy after timeout")
 	}
 }
@@ -329,7 +329,7 @@ func TestMultiFrameDIDValue(t *testing.T) {
 		DIDs: map[DID]DIDEntry{0xF1A0: {Read: func() []byte { return blob }}},
 	})
 	var got []byte
-	r.client.ReadDID(0xF1A0, func(d []byte, err error) { got = d })
+	r.client.request(SvcReadDID, []byte{0xF1, 0xA0}, func(d []byte, err error) { got = d[2:] })
 	r.run()
 	if !bytes.Equal(got, blob) {
 		t.Fatalf("multi-frame DID read failed: %d bytes", len(got))
