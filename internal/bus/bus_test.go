@@ -437,7 +437,7 @@ func TestReceiverMaySendInResponse(t *testing.T) {
 	echo := b.Connect("echo")
 	echo.SetReceiver(func(m Message) {
 		if m.Frame.ID == 0x100 {
-			echo.Send(can.MustNew(0x200, m.Frame.Payload()))
+			echo.Send(can.MustNew(0x200, m.Frame.Data[:m.Frame.Len]))
 		}
 	})
 	var got []can.ID

@@ -18,7 +18,7 @@ func TestSendRawValidBitsDeliverAsFrame(t *testing.T) {
 
 	want := can.MustNew(0x123, []byte{0xDE, 0xAD})
 	var result RawResult
-	if err := tx.SendRaw(can.EncodeBits(want), func(r RawResult) { result = r }); err != nil {
+	if err := tx.SendRaw(can.Stuff(can.RawBits(want)), func(r RawResult) { result = r }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunUntil(time.Second)
@@ -37,7 +37,7 @@ func TestSendRawCorruptBitsTriggerErrorFrame(t *testing.T) {
 	count := 0
 	rx.SetReceiver(func(Message) { count++ })
 
-	bits := can.EncodeBits(can.MustNew(0x123, []byte{0xDE, 0xAD}))
+	bits := can.Stuff(can.RawBits(can.MustNew(0x123, []byte{0xDE, 0xAD})))
 	bits[20] ^= 1 // corrupt a payload bit: CRC mismatch
 	var result RawResult
 	tx.SendRaw(bits, func(r RawResult) { result = r })
@@ -65,7 +65,7 @@ func TestSendRawOccupiesBus(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("tx")
 	b.Connect("rx").SetReceiver(func(Message) {})
-	bits := can.EncodeBits(can.MustNew(0x001, make([]byte, 8)))
+	bits := can.Stuff(can.RawBits(can.MustNew(0x001, make([]byte, 8))))
 	bits[30] ^= 1
 	tx.SendRaw(bits, nil)
 	s.RunUntil(time.Second)
@@ -85,7 +85,7 @@ func TestSendRawArbitratesAgainstFrames(t *testing.T) {
 	// Occupy the bus, then queue a raw sequence with a LOW id on one port
 	// and a normal frame with a HIGH id on another; the raw wins.
 	a.Send(can.MustNew(0x7FF, make([]byte, 8)))
-	c.SendRaw(can.EncodeBits(can.MustNew(0x050, []byte{1})), nil)
+	c.SendRaw(can.Stuff(can.RawBits(can.MustNew(0x050, []byte{1}))), nil)
 	a.Send(can.MustNew(0x400, []byte{2}))
 	s.RunUntil(time.Second)
 	want := []can.ID{0x7FF, 0x050, 0x400}
@@ -98,7 +98,7 @@ func TestSendRawRepeatedCorruptionDrivesBusOff(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("attacker")
 	b.Connect("victim").SetReceiver(func(Message) {})
-	bits := can.EncodeBits(can.MustNew(0x100, []byte{1, 2, 3}))
+	bits := can.Stuff(can.RawBits(can.MustNew(0x100, []byte{1, 2, 3})))
 	bits[25] ^= 1
 	for i := 0; i < 40; i++ {
 		if err := tx.SendRaw(bits, nil); err != nil {
@@ -119,7 +119,7 @@ func TestSendRawVictimAccumulatesREC(t *testing.T) {
 	tx := b.Connect("attacker")
 	victim := b.Connect("victim")
 	victim.SetReceiver(func(Message) {})
-	bits := can.EncodeBits(can.MustNew(0x100, []byte{9}))
+	bits := can.Stuff(can.RawBits(can.MustNew(0x100, []byte{9})))
 	bits[22] ^= 1
 	for i := 0; i < 130; i++ {
 		tx.ResetErrors() // keep the attacker alive (it controls its own node)
@@ -136,7 +136,7 @@ func TestSendRawDetachedAndQueueLimits(t *testing.T) {
 	s := clock.New()
 	b := New(s, WithTxQueueCap(1))
 	tx := b.Connect("tx")
-	bits := can.EncodeBits(can.MustNew(0x700, nil))
+	bits := can.Stuff(can.RawBits(can.MustNew(0x700, nil)))
 	// First starts transmitting... raw queue pops at start, so fill it.
 	if err := tx.SendRaw(bits, nil); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 //       byte 2    DLC
 //       byte 3..  DLC data bytes (absent for remote frames)
 //
-//  2. The physical bit sequence (EncodeBits/DecodeBits), which round-trips
+//  2. The physical bit sequence (AppendEncodeBits/DecodeBits), which round-trips
 //     through CRC computation and bit stuffing. The simulated bus does not
 //     ship bits for performance, but tests use this to prove the frame
 //     model is wire-faithful and the fuzzer's bit-level mode manipulates
@@ -76,16 +76,12 @@ func Unmarshal(buf []byte) (Frame, int, error) {
 	return f, n, nil
 }
 
-// EncodeBits returns the stuffed physical bit sequence of the frame
-// (header + data + CRC, stuffed), without the fixed-form trailer.
-func EncodeBits(f Frame) []byte { return Stuff(RawBits(f)) }
-
-// AppendEncodeBits appends the stuffed physical bit sequence of f to dst
-// and returns the extended slice: the scratch-buffer fast path equivalent
-// of EncodeBits (byte-identical output) for callers that re-encode frames
-// per tick, such as the bit-level fuzz mode. The raw sequence is built in a
-// fixed stack buffer, so with a pre-sized dst the call performs no
-// allocation.
+// AppendEncodeBits appends the stuffed physical bit sequence of f (header,
+// data and CRC, stuffed, without the fixed-form trailer) to dst and returns
+// the extended slice. The output equals Stuff(RawBits(f)), for callers that
+// re-encode frames per tick, such as the bit-level fuzz mode. The raw
+// sequence is built in a fixed stack buffer, so with a pre-sized dst the
+// call performs no allocation.
 func AppendEncodeBits(dst []byte, f Frame) []byte {
 	var bits [maxRawFrameBits]byte
 	n := rawFrameBits(&bits, f)
@@ -93,7 +89,7 @@ func AppendEncodeBits(dst []byte, f Frame) []byte {
 }
 
 // DecodeBits reconstructs a frame from a stuffed bit sequence produced by
-// EncodeBits, verifying the CRC-15.
+// AppendEncodeBits, verifying the CRC-15.
 func DecodeBits(stuffed []byte) (Frame, error) {
 	var f Frame
 	raw, err := Unstuff(stuffed)

@@ -112,7 +112,7 @@ func TestEncodeDecodeBitsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
 		f := randomFrame(rng)
-		g, err := DecodeBits(EncodeBits(f))
+		g, err := DecodeBits(Stuff(RawBits(f)))
 		if err != nil {
 			t.Fatalf("DecodeBits(%v): %v", f, err)
 		}
@@ -124,7 +124,7 @@ func TestEncodeDecodeBitsRoundTrip(t *testing.T) {
 
 func TestDecodeBitsRemoteRoundTrip(t *testing.T) {
 	f, _ := NewRemote(0x3AB, 3)
-	g, err := DecodeBits(EncodeBits(f))
+	g, err := DecodeBits(Stuff(RawBits(f)))
 	if err != nil {
 		t.Fatalf("DecodeBits: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestDecodeBitsRemoteRoundTrip(t *testing.T) {
 
 func TestDecodeBitsDetectsCorruption(t *testing.T) {
 	f := MustNew(0x43A, []byte{0x1C, 0x21, 0x17, 0x71})
-	bits := EncodeBits(f)
+	bits := Stuff(RawBits(f))
 	// Flip one payload bit; expect either CRC error or stuffing violation.
 	bits[25] ^= 1
 	if _, err := DecodeBits(bits); err == nil {
@@ -207,13 +207,5 @@ func BenchmarkMarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
 		buf, _ = AppendMarshal(buf, f)
-	}
-}
-
-func BenchmarkEncodeBits(b *testing.B) {
-	f := MustNew(0x43A, []byte{0x1C, 0x21, 0x17, 0x71, 0x17, 0x71, 0xFF, 0xFF})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		EncodeBits(f)
 	}
 }

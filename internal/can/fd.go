@@ -46,22 +46,6 @@ func FDLengthToDLC(n int) (uint8, error) {
 	return 0, fmt.Errorf("%w: %d bytes", ErrFDDataLen, n)
 }
 
-// FDDLCToLength returns the payload length for a DLC code (0..15).
-func FDDLCToLength(code uint8) int {
-	return fdLengths[code&0x0F]
-}
-
-// RoundUpFDLength returns the smallest representable FD payload size >= n
-// (what a controller would pad to), capping at 64.
-func RoundUpFDLength(n int) int {
-	for _, l := range fdLengths {
-		if l >= n {
-			return l
-		}
-	}
-	return MaxFDDataLen
-}
-
 // FDFrame is a CAN FD data frame with a standard 11-bit identifier.
 type FDFrame struct {
 	// ID is the 11-bit arbitration identifier.
@@ -112,13 +96,6 @@ func (f FDFrame) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// Payload returns a copy of the meaningful payload bytes.
-func (f FDFrame) Payload() []byte {
-	p := make([]byte, f.Len)
-	copy(p, f.Data[:f.Len])
-	return p
 }
 
 // Equal reports whether two FD frames match in every meaningful field.

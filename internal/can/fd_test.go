@@ -9,8 +9,8 @@ import (
 func TestFDDLCTable(t *testing.T) {
 	valid := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 20, 24, 32, 48, 64}
 	for code, want := range valid {
-		if got := FDDLCToLength(uint8(code)); got != want {
-			t.Fatalf("FDDLCToLength(%d) = %d, want %d", code, got, want)
+		if got := fdLengths[code]; got != want {
+			t.Fatalf("fdLengths[%d] = %d, want %d", code, got, want)
 		}
 		back, err := FDLengthToDLC(want)
 		if err != nil || back != uint8(code) {
@@ -20,15 +20,6 @@ func TestFDDLCTable(t *testing.T) {
 	for _, bad := range []int{9, 10, 11, 13, 33, 63, 65, -1} {
 		if _, err := FDLengthToDLC(bad); !errors.Is(err, ErrFDDataLen) {
 			t.Fatalf("FDLengthToDLC(%d) accepted", bad)
-		}
-	}
-}
-
-func TestRoundUpFDLength(t *testing.T) {
-	cases := map[int]int{0: 0, 5: 5, 9: 12, 13: 16, 25: 32, 33: 48, 49: 64, 70: 64}
-	for in, want := range cases {
-		if got := RoundUpFDLength(in); got != want {
-			t.Fatalf("RoundUpFDLength(%d) = %d, want %d", in, got, want)
 		}
 	}
 }
@@ -51,11 +42,6 @@ func TestNewFDValidation(t *testing.T) {
 
 func TestFDPayloadAndEqual(t *testing.T) {
 	f := MustNewFD(0x10, []byte{1, 2, 3, 4}, false)
-	p := f.Payload()
-	p[0] = 99
-	if f.Data[0] != 1 {
-		t.Fatal("Payload aliases storage")
-	}
 	g := f
 	if !f.Equal(g) {
 		t.Fatal("Equal broken")

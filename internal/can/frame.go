@@ -117,14 +117,6 @@ func (f Frame) Validate() error {
 	return nil
 }
 
-// Payload returns the meaningful bytes of the frame. The returned slice
-// aliases a copy, so callers may retain or modify it freely.
-func (f Frame) Payload() []byte {
-	p := make([]byte, f.Len)
-	copy(p, f.Data[:f.Len])
-	return p
-}
-
 // Equal reports whether two frames are identical in every meaningful field
 // (bytes beyond Len are ignored).
 func (f Frame) Equal(g Frame) bool {

@@ -120,18 +120,6 @@ func TestFrameStringRemote(t *testing.T) {
 	}
 }
 
-func TestPayloadIsCopy(t *testing.T) {
-	f := MustNew(0x10, []byte{1, 2, 3})
-	p := f.Payload()
-	p[0] = 99
-	if f.Data[0] != 1 {
-		t.Fatal("Payload() aliases frame storage")
-	}
-	if len(p) != 3 {
-		t.Fatalf("len(Payload()) = %d, want 3", len(p))
-	}
-}
-
 func TestEqualIgnoresBytesBeyondLen(t *testing.T) {
 	a := MustNew(0x10, []byte{1, 2})
 	b := a
@@ -171,7 +159,7 @@ func TestPropertyNewRoundTripsPayload(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p := f.Payload()
+		p := f.Data[:f.Len]
 		if len(p) != len(data) {
 			return false
 		}

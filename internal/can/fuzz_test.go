@@ -39,7 +39,7 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 func FuzzDecodeBits(f *testing.F) {
-	f.Add(EncodeBits(MustNew(0x215, []byte{0x20, 0x5F, 1, 0, 0, 1, 0x20})))
+	f.Add(Stuff(RawBits(MustNew(0x215, []byte{0x20, 0x5F, 1, 0, 0, 1, 0x20}))))
 	f.Add([]byte{0, 1, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Normalise to bit values; the decoder contract is bits.
@@ -55,7 +55,7 @@ func FuzzDecodeBits(f *testing.F) {
 			t.Fatalf("DecodeBits returned invalid frame: %v", err)
 		}
 		// Accepted bits must re-encode to an equal frame.
-		back, err := DecodeBits(EncodeBits(frame))
+		back, err := DecodeBits(Stuff(RawBits(frame)))
 		if err != nil || !back.Equal(frame) {
 			t.Fatalf("bit round trip mismatch")
 		}

@@ -97,7 +97,7 @@ func TestCommandFrameMatchesPaperEncoding(t *testing.T) {
 	var gotID uint16
 	peer.SetReceiver(func(m bus.Message) {
 		gotID = uint16(m.Frame.ID)
-		got = m.Frame.Payload()
+		got = m.Frame.Data[:m.Frame.Len]
 	})
 	h.AppUnlock("secret")
 	s.RunUntil(50 * time.Millisecond)
@@ -116,7 +116,7 @@ func TestAuthenticatedRelayStampsMAC(t *testing.T) {
 	h.SetAuthenticate(true)
 	peer := b.Connect("peer")
 	var got []byte
-	peer.SetReceiver(func(m bus.Message) { got = m.Frame.Payload() })
+	peer.SetReceiver(func(m bus.Message) { got = m.Frame.Data[:m.Frame.Len] })
 	if err := h.AppUnlock("secret"); err != nil {
 		t.Fatal(err)
 	}
