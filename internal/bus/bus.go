@@ -183,7 +183,6 @@ type Bus struct {
 
 	ports         []*Port
 	taps          []Receiver
-	fdTaps        []FDReceiver
 	fdDataBitrate int
 	intercept     Interceptor
 	autoRecover   bool

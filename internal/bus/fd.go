@@ -106,17 +106,6 @@ func (b *Bus) completeFD(tx *Port, frame can.FDFrame, dur time.Duration) {
 		p.noteRx()
 		p.fdRecv(msg)
 	}
-	for _, t := range b.fdTaps {
-		t(msg)
-	}
 	b.delivering = false
 	b.tryStart()
-}
-
-// TapFD registers a passive listener for FD traffic.
-func (b *Bus) TapFD(r FDReceiver) {
-	if r == nil {
-		panic("bus: nil FD tap receiver")
-	}
-	b.fdTaps = append(b.fdTaps, r)
 }

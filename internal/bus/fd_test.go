@@ -95,18 +95,6 @@ func TestFDValidationAndQueueLimits(t *testing.T) {
 	}
 }
 
-func TestFDTap(t *testing.T) {
-	s, b := newBus(t)
-	tx := b.Connect("tx")
-	count := 0
-	b.TapFD(func(FDMessage) { count++ })
-	tx.SendFD(can.MustNewFD(0x100, []byte{1, 2}, false))
-	s.RunUntil(time.Second)
-	if count != 1 {
-		t.Fatalf("FD tap saw %d frames", count)
-	}
-}
-
 // TestFDInterceptorVerdicts pins the FD path's reading of the wire-fault
 // hook: TxCorrupt destroys the frame, every other verdict delivers it.
 func TestFDInterceptorVerdicts(t *testing.T) {

@@ -156,9 +156,6 @@ func TestBabbleStarvesLowPriorityTraffic(t *testing.T) {
 	if got := inj.Counts()[string(KindBabble)]; got != floodTotal {
 		t.Fatalf("babble kept sending after its window: %d -> %d", floodTotal, got)
 	}
-	if b.WindowLoad() > 0.5 {
-		t.Fatalf("bus load %v long after the babble window, want drained", b.WindowLoad())
-	}
 }
 
 func TestStallPanicDetachLifecycle(t *testing.T) {
