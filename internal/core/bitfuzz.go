@@ -106,9 +106,7 @@ func (bf *BitFuzzer) Stop() {
 	}
 }
 
-// InjectOne corrupts and injects a single sequence immediately.
-func (bf *BitFuzzer) InjectOne() { bf.injectOne() }
-
+// injectOne corrupts and injects a single sequence immediately.
 func (bf *BitFuzzer) injectOne() {
 	base := bf.cfg.Corpus[bf.rng.IntN(len(bf.cfg.Corpus))]
 	bf.scratch = can.AppendEncodeBits(bf.scratch[:0], base)

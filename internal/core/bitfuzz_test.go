@@ -108,7 +108,7 @@ func TestBitFuzzerCustomCorpus(t *testing.T) {
 	// Inject many; the few that survive decoding must be near the base
 	// frame (single wire-bit flips of it).
 	for i := 0; i < 2000; i++ {
-		bf.InjectOne()
+		bf.injectOne()
 		s.RunFor(time.Millisecond)
 	}
 	for _, id := range seen {

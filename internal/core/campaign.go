@@ -56,17 +56,6 @@ func WithStopOnFinding() Option {
 	return func(c *Campaign) { c.stopOnFinding = true }
 }
 
-// WithResetHook installs a system reset action run after each finding when
-// the campaign continues ("...and the system is reset").
-func WithResetHook(fn func()) Option {
-	return func(c *Campaign) { c.reset = fn }
-}
-
-// WithOnFinding installs a finding callback.
-func WithOnFinding(fn func(Finding)) Option {
-	return func(c *Campaign) { c.onFinding = fn }
-}
-
 // WithMaxFrames bounds the number of frames transmitted.
 func WithMaxFrames(n uint64) Option {
 	return func(c *Campaign) { c.maxFrames = n }
@@ -174,9 +163,7 @@ type Campaign struct {
 	// Configuration, fixed once the options have run.
 	stopOnFinding bool
 	resilience    *Resilience // nil: no policy
-	reset         func()
 	onStop        func()
-	onFinding     func(Finding)
 	maxFrames     uint64
 	src           FrameSource
 	// wallBudget bounds RunUntilFinding in wall-clock time (0 = unbounded).
@@ -190,7 +177,6 @@ type Campaign struct {
 	mSent     *telemetry.Counter
 	mErrCause [numSendErrorCauses]*telemetry.Counter
 	mFindings *telemetry.Counter
-	mResets   *telemetry.Counter
 	gDistinct *telemetry.Gauge
 	gByteMean *telemetry.Gauge
 
@@ -245,7 +231,8 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 		reg := c.tel.Registry
 		c.mSent = reg.Counter("campaign_frames_sent_total", "Fuzz frames transmitted by the campaign.")
 		c.mFindings = reg.Counter("campaign_findings_total", "Oracle firings recorded by the campaign.")
-		c.mResets = reg.Counter("campaign_resets_total", "System resets performed after findings.")
+		// Registered for the exposition format; no campaign resets anything.
+		reg.Counter("campaign_resets_total", "System resets performed after findings.")
 		c.gDistinct = reg.Gauge("campaign_distinct_ids", "Distinct identifiers fuzzed (coverage numerator).")
 		c.gByteMean = reg.Gauge("campaign_sent_byte_mean", "Mean payload byte value of sent frames (Fig 5 integrity; ~127.5 when healthy).")
 		for i, cause := range sendErrorCauses {
@@ -532,7 +519,6 @@ func (c *Campaign) noteSendError(err error) {
 
 // observe feeds bus traffic to the monitor and oracles.
 func (c *Campaign) observe(m bus.Message) {
-	c.mon.NoteObserved(m)
 	if !c.running {
 		return
 	}
@@ -561,21 +547,7 @@ func (c *Campaign) report(v oracle.Verdict) {
 			Actor: "campaign", Name: v.Oracle, Detail: v.Detail, N: c.framesSent,
 		})
 	}
-	if c.onFinding != nil {
-		c.onFinding(f)
-	}
 	if c.stopOnFinding || c.untilFinding {
 		c.Stop()
-		return
-	}
-	if c.reset != nil {
-		c.reset()
-		c.mResets.Inc()
-		if c.tel != nil {
-			c.tel.Emit(telemetry.Event{
-				At: c.sched.Now(), Kind: telemetry.EvReset,
-				Actor: "campaign", Name: "reset",
-			})
-		}
 	}
 }

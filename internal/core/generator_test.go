@@ -200,18 +200,16 @@ func TestSweepEnumeratesWholeSpace(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	want := 4 * 4 // 4 ids x 4 byte values
-	for i := 0; i < want; i++ {
-		if g.Wrapped() {
-			t.Fatalf("wrapped early after %d frames", i)
-		}
+	first := g.Next()
+	seen[first.String()] = true
+	for i := 1; i < want; i++ {
 		seen[g.Next().String()] = true
 	}
 	if len(seen) != want {
 		t.Fatalf("enumerated %d distinct frames, want %d", len(seen), want)
 	}
-	g.Next()
-	if !g.Wrapped() {
-		t.Fatal("sweep did not report wrap")
+	if f := g.Next(); !f.Equal(first) {
+		t.Fatalf("sweep did not wrap: frame %d = %v, want %v", want, f, first)
 	}
 }
 
@@ -224,9 +222,8 @@ func TestSweepZeroLength(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 || a.Len != 0 {
 		t.Fatalf("sweep frames = %v, %v", a, b)
 	}
-	g.Next()
-	if !g.Wrapped() {
-		t.Fatal("0-length sweep did not wrap after covering ids")
+	if c := g.Next(); !c.Equal(a) {
+		t.Fatalf("0-length sweep did not wrap after covering ids: %v", c)
 	}
 }
 

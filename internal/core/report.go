@@ -126,7 +126,6 @@ func (c *Campaign) BuildReport() Report {
 			Retries:          c.res.retries,
 			RetriesExhausted: c.res.retriesExhausted,
 			WatchdogFires:    c.res.watchdogFires,
-			WatchdogResets:   c.res.watchdogResets,
 			PortBusOffs:      ps.BusOffs,
 			PortRecoveries:   ps.Recoveries,
 		}

@@ -129,39 +129,6 @@ func TestRunUntilFindingStopsOnDeadBus(t *testing.T) {
 	}
 }
 
-func TestWatchdogResetHealsCampaign(t *testing.T) {
-	// With a reset hook, the watchdog resurrects the node and the campaign
-	// resumes sending instead of stopping.
-	var resets int
-	s, b, port, c := busOffRig(t, nil)
-	c.reset = func() {
-		resets++
-		b.SetInterceptor(nil) // the reset also clears the fault source
-		port.ResetErrors()
-	}
-	c.res = &resState{Resilience: Resilience{WatchdogWindow: 50 * time.Millisecond}}
-	c.Start()
-	s.RunUntil(500 * time.Millisecond)
-	c.Stop()
-	if resets == 0 {
-		t.Fatal("watchdog never invoked the reset hook")
-	}
-	rep := c.BuildReport()
-	if rep.Resilience.WatchdogResets == 0 {
-		t.Fatal("watchdog resets not counted")
-	}
-	if rep.Resilience.PortBusOffs == 0 {
-		t.Fatal("port bus-off cycle missing from report")
-	}
-	// Healed: frames flowed after the reset.
-	if port.Stats().TxFrames == 0 {
-		t.Fatal("no frames delivered after the watchdog reset")
-	}
-	if len(c.Findings()) != 0 {
-		t.Fatalf("healing run recorded findings: %+v", c.Findings())
-	}
-}
-
 func TestAutoRecoveryResumesCampaign(t *testing.T) {
 	// With ISO auto-recovery on the bus, the node rejoins on its own after
 	// the corruption window and the campaign keeps fuzzing; the report
