@@ -12,8 +12,6 @@ import (
 func TestHandlerPanicCrashesECUNotScheduler(t *testing.T) {
 	s, _, e, peer := rig(t)
 	e.Handle(0x100, func(bus.Message) { panic("boom") })
-	var crashedDetail string
-	e.OnCrash(func(d string) { crashedDetail = d })
 
 	peer.Send(can.MustNew(0x100, nil))
 	s.RunUntil(time.Second) // must not panic through the scheduler
@@ -21,8 +19,8 @@ func TestHandlerPanicCrashesECUNotScheduler(t *testing.T) {
 	if !e.Crashed() {
 		t.Fatal("ECU not crashed after handler panic")
 	}
-	if e.CrashDetail() != "boom" || crashedDetail != "boom" {
-		t.Fatalf("crash detail = %q / observer %q, want boom", e.CrashDetail(), crashedDetail)
+	if e.CrashDetail() != "boom" {
+		t.Fatalf("crash detail = %q, want boom", e.CrashDetail())
 	}
 	if e.Powered() {
 		t.Fatal("crashed ECU still powered")
@@ -35,17 +33,10 @@ func TestHandlerPanicCrashesECUNotScheduler(t *testing.T) {
 	if err := e.Send(can.MustNew(0x1, nil)); err == nil {
 		t.Fatal("Send on crashed ECU succeeded")
 	}
-	// PowerOn alone must not resurrect it; Recover must.
+	// PowerOn must not resurrect it.
 	e.PowerOn()
 	if e.Powered() {
-		t.Fatal("PowerOn resurrected a crashed ECU without Recover")
-	}
-	e.Recover()
-	if e.Crashed() || !e.Powered() {
-		t.Fatalf("after Recover: crashed=%v powered=%v", e.Crashed(), e.Powered())
-	}
-	if e.CrashDetail() != "" {
-		t.Fatalf("crash detail survives Recover: %q", e.CrashDetail())
+		t.Fatal("PowerOn resurrected a crashed ECU")
 	}
 }
 

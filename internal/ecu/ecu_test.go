@@ -122,20 +122,6 @@ func TestOnPowerOnCallback(t *testing.T) {
 	}
 }
 
-func TestPowerCycleClearsRAMKeepsNVRAM(t *testing.T) {
-	_, _, e, _ := rig(t)
-	e.RAMWrite("volatile", []byte{1})
-	e.NVWrite("persistent", []byte{2})
-	e.PowerCycle()
-	if _, ok := e.RAMRead("volatile"); ok {
-		t.Fatal("RAM survived power cycle")
-	}
-	v, ok := e.NVRead("persistent")
-	if !ok || v[0] != 2 {
-		t.Fatal("NVRAM lost on power cycle")
-	}
-}
-
 func TestPowerCycleClearsMILs(t *testing.T) {
 	_, _, e, _ := rig(t)
 	e.SetMIL("ENGINE", true)
@@ -311,20 +297,6 @@ func TestNewPanicsOnNilDeps(t *testing.T) {
 		}
 	}()
 	New("x", nil, nil)
-}
-
-func TestRAMReadMissingAndCopies(t *testing.T) {
-	_, _, e, _ := rig(t)
-	if _, ok := e.RAMRead("missing"); ok {
-		t.Fatal("missing RAM key found")
-	}
-	e.RAMWrite("k", []byte{1, 2})
-	v, _ := e.RAMRead("k")
-	v[0] = 9
-	v2, _ := e.RAMRead("k")
-	if v2[0] != 1 {
-		t.Fatal("RAMRead aliases storage")
-	}
 }
 
 func TestNVReadMissing(t *testing.T) {

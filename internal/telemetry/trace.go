@@ -41,8 +41,8 @@ const (
 	// node, jam, ECU stall/panic, port detach) taking effect.
 	EvFault
 	// EvRecover marks a recovery action: a bus-off node rejoining after the
-	// ISO 11898-1 interval, an ECU rebooting after a crash, or a campaign
-	// watchdog reset restoring bus progress.
+	// ISO 11898-1 interval, or a detached port reattaching after its fault
+	// window.
 	EvRecover
 )
 
