@@ -27,12 +27,6 @@ func (h *ByteHistogram) Add(f can.Frame) {
 	}
 }
 
-// AddByte accumulates one raw byte.
-func (h *ByteHistogram) AddByte(b byte) {
-	h.counts[b]++
-	h.total++
-}
-
 // Total returns the number of bytes accumulated.
 func (h *ByteHistogram) Total() uint64 { return h.total }
 

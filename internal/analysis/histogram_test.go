@@ -11,7 +11,7 @@ func TestHistogramUniformInputPasses(t *testing.T) {
 	var h ByteHistogram
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
-		h.AddByte(byte(rng.Intn(256)))
+		h.Add(can.Frame{Len: 1, Data: [can.MaxDataLen]byte{byte(rng.Intn(256))}})
 	}
 	if !h.UniformP99() {
 		t.Fatalf("uniform bytes failed the chi-square check: chi=%v", h.ChiSquare())
@@ -57,7 +57,7 @@ func TestHistogramChiSquareNearDF(t *testing.T) {
 	var h ByteHistogram
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1_000_000; i++ {
-		h.AddByte(byte(rng.Intn(256)))
+		h.Add(can.Frame{Len: 1, Data: [can.MaxDataLen]byte{byte(rng.Intn(256))}})
 	}
 	chi := h.ChiSquare()
 	if chi < 150 || chi > 400 {
