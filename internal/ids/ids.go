@@ -105,7 +105,6 @@ type Detector struct {
 	alerts    []Alert
 	anomalies int
 	intrusion bool
-	onAlert   func(Alert)
 }
 
 // New builds a detector on the scheduler's clock.
@@ -116,9 +115,6 @@ func New(sched *clock.Scheduler, cfg Config) *Detector {
 		profiles: make(map[can.ID]*profile),
 	}
 }
-
-// OnAlert registers a callback invoked for every alert.
-func (d *Detector) OnAlert(fn func(Alert)) { d.onAlert = fn }
 
 // Trained reports whether the learning window has closed.
 func (d *Detector) Trained() bool { return d.trained }
@@ -191,8 +187,5 @@ func (d *Detector) raise(a Alert) {
 	d.anomalies++
 	if d.anomalies >= d.cfg.AlertThreshold {
 		d.intrusion = true
-	}
-	if d.onAlert != nil {
-		d.onAlert(a)
 	}
 }

@@ -134,27 +134,6 @@ func TestEventDrivenMessagesTolerated(t *testing.T) {
 	}
 }
 
-func TestOnAlertCallback(t *testing.T) {
-	sched := clock.New()
-	b := bus.New(sched)
-	legit := b.Connect("legit")
-	d := New(sched, Config{Training: time.Second})
-	b.Tap(d.Observe)
-	calls := 0
-	d.OnAlert(func(Alert) { calls++ })
-	beat := sched.Every(100*time.Millisecond, func() { legit.Send(can.MustNew(0x110, nil)) })
-	sched.RunUntil(2 * time.Second)
-	beat.Stop()
-	attacker := b.Connect("attacker")
-	for i := 0; i < 5; i++ {
-		attacker.Send(can.MustNew(can.ID(0x700+i), nil))
-	}
-	sched.RunFor(100 * time.Millisecond)
-	if calls != 5 {
-		t.Fatalf("callback fired %d times, want 5", calls)
-	}
-}
-
 func TestAlertKindString(t *testing.T) {
 	if UnknownID.String() != "unknown-id" || RateAnomaly.String() != "rate-anomaly" ||
 		AlertKind(0).String() != "unknown" {
