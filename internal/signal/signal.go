@@ -238,7 +238,6 @@ func (m *MessageDef) Validate() error {
 type Database struct {
 	byID   map[can.ID]*MessageDef
 	byName map[string]*MessageDef
-	order  []*MessageDef
 }
 
 // NewDatabase builds a database, validating every definition.
@@ -261,7 +260,6 @@ func NewDatabase(defs ...MessageDef) (*Database, error) {
 		def := &d
 		db.byID[d.ID] = def
 		db.byName[d.Name] = def
-		db.order = append(db.order, def)
 	}
 	return db, nil
 }
@@ -285,14 +283,6 @@ func (db *Database) ByID(id can.ID) (*MessageDef, bool) {
 func (db *Database) ByName(name string) (*MessageDef, bool) {
 	d, ok := db.byName[name]
 	return d, ok
-}
-
-// Messages returns all definitions in registration order. The slice is a
-// copy; the definitions are shared.
-func (db *Database) Messages() []*MessageDef {
-	out := make([]*MessageDef, len(db.order))
-	copy(out, db.order)
-	return out
 }
 
 // Decode looks up the frame's message definition and decodes its signals.

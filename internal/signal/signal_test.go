@@ -179,7 +179,7 @@ func TestDatabaseLookups(t *testing.T) {
 	if _, ok := db.ByName("nope"); ok {
 		t.Fatal("unexpected message for unknown name")
 	}
-	if n := len(db.Messages()); n < 8 {
+	if n := len(db.byID); n < 8 {
 		t.Fatalf("only %d messages in vehicle DB", n)
 	}
 }
@@ -253,7 +253,7 @@ func TestNewDatabaseRejectsLongTemplate(t *testing.T) {
 func TestVehicleDBValidates(t *testing.T) {
 	// MustNewDatabase panics on invalid definitions; constructing is the test.
 	db := VehicleDB()
-	for _, m := range db.Messages() {
+	for _, m := range db.byID {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("message %s: %v", m.Name, err)
 		}
