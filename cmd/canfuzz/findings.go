@@ -1,8 +1,6 @@
 package main
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/findings"
 	"repro/internal/fleet"
@@ -26,9 +24,7 @@ func specContext(spec targetPkg.Spec, chaos string) findings.Context {
 // mergeRunFindings folds a single-run campaign's findings into the
 // database at dir: the minimizer's structured record for the finding it
 // reproduced (the highest-quality shape, with the canreplay log path as
-// provenance), raw trigger-window records for the rest whose window
-// replays the finding, and generator records for environmental findings
-// and for findings that need more state than the window carries.
+// provenance) and findings.FromFinding records for the rest.
 func mergeRunFindings(dir string, spec targetPkg.Spec, cfg core.Config, chaos string,
 	campaign *core.Campaign, minimized *core.MinimizedTrigger, replayLog string) (int, error) {
 	db, err := findings.Open(dir)
@@ -53,27 +49,14 @@ func mergeRunFindings(dir string, spec targetPkg.Spec, cfg core.Config, chaos st
 		}
 	}
 	for _, f := range observed {
-		gen := findings.FromGenerator(f.Verdict.Oracle, f.Verdict.Detail,
-			ctx, gcfg, gcfg.Seed, f.Elapsed+time.Second, prov)
-		if findings.GeneratorFinding(ctx, f.Verdict.Oracle) {
-			recs = append(recs, gen)
-			continue
-		}
 		frames := make([]string, 0, len(f.Recent))
 		for _, fr := range f.Recent {
 			frames = append(frames, core.FormatCorpusFrame(fr))
 		}
-		if len(frames) == 0 {
-			continue
+		if rec, ok := findings.FromFinding(f.Verdict.Oracle, f.Verdict.Detail, frames,
+			ctx, gcfg, gcfg.Seed, f.Elapsed, prov); ok {
+			recs = append(recs, rec)
 		}
-		rec := findings.FromTrigger(f.Verdict.Oracle, f.Verdict.Detail,
-			frames, ctx, gcfg.Seed, gcfg.Interval, prov)
-		if findings.ReplayRecord(rec, 1, findings.Overrides{}).Outcome != findings.OutcomePass {
-			// The window alone does not re-create the finding (it depends
-			// on older state); the seeded run up to it does.
-			rec = gen
-		}
-		recs = append(recs, rec)
 	}
 	return db.MergeAll(recs)
 }

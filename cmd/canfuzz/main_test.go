@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"runtime"
 	"sort"
 	"strconv"
@@ -322,6 +323,56 @@ func TestRunMinimizeNoReproKeepsRawFinding(t *testing.T) {
 			t.Fatalf("minimize=%v: stored record replays %+v, want pass", minimize, res)
 		}
 	}
+
+	// The same finding from a fleet (-trials 4) goes through the same
+	// replay-or-fallback constructor: every stored record replays, and the
+	// database bytes do not depend on the worker count.
+	var dbs [2]map[string][]byte
+	for i, workers := range []string{"1", "2"} {
+		db := t.TempDir() + "/db"
+		if err := run([]string{"-target", "vehicle", "-trials", "4", "-workers", workers,
+			"-dur", "10m", "-seed", "2", "-findings-db", db}); err != nil {
+			t.Fatal(err)
+		}
+		fdb, err := findings.Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := fdb.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("workers=%s: fleet stored no records", workers)
+		}
+		for _, rec := range recs {
+			if res := findings.ReplayRecord(rec, 2, findings.Overrides{}); res.Outcome != findings.OutcomePass {
+				t.Fatalf("workers=%s: fleet record %s replays %+v, want pass", workers, rec.Key(), res)
+			}
+		}
+		dbs[i] = readDir(t, db)
+	}
+	if !reflect.DeepEqual(dbs[0], dbs[1]) {
+		t.Fatalf("fleet findings db differs between -workers 1 and -workers 2:\n%v\n%v", dbs[0], dbs[1])
+	}
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	for _, e := range ents {
+		b, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
 
 func TestRunFleetEventsLog(t *testing.T) {

@@ -105,24 +105,39 @@ func GeneratorFinding(ctx Context, oracleName string) bool {
 	return ctx.Chaos != "" || oracleName == "watchdog"
 }
 
-// FromTrialResult converts one fleet trial outcome into a record: a
-// trigger record from the trial's trigger-frame window, or a generator
-// record when the finding is environmental. cfg is the fleet's base
-// generator configuration (the trial's own seed is substituted). ok is
-// false for non-finding trials and finding trials without enough material
-// to replay.
+// FromFinding turns one observed finding into a record that replays. The
+// finding fired at elapsed into a run of cfg under seed; frames is its
+// trigger window in corpus form. Environmental findings (GeneratorFinding)
+// are stored as generator records. Otherwise the trigger record is kept
+// when one replay of its window alone passes; when the finding depends on
+// state older than the window, the generator record (the seeded run up to
+// one second past the finding) is stored instead. ok is false for a
+// non-environmental finding without a window.
+func FromFinding(oracleName, detail string, frames []string, ctx Context, cfg core.Config,
+	seed int64, elapsed time.Duration, prov Provenance) (Record, bool) {
+	gen := FromGenerator(oracleName, detail, ctx, cfg, seed, elapsed+time.Second, prov)
+	if GeneratorFinding(ctx, oracleName) {
+		return gen, true
+	}
+	if len(frames) == 0 {
+		return Record{}, false
+	}
+	rec := FromTrigger(oracleName, detail, frames, ctx, seed, cfg.Interval, prov)
+	if ReplayRecord(rec, 1, Overrides{}).Outcome != OutcomePass {
+		return gen, true
+	}
+	return rec, true
+}
+
+// FromTrialResult converts one fleet trial outcome into a record through
+// FromFinding. cfg is the fleet's base generator configuration (the
+// trial's own seed is substituted). ok is false for non-finding trials and
+// finding trials without enough material to replay.
 func FromTrialResult(tr fleet.TrialResult, ctx Context, cfg core.Config, prov Provenance) (Record, bool) {
 	if tr.Status != fleet.StatusFinding || tr.Oracle == "" {
 		return Record{}, false
 	}
-	if GeneratorFinding(ctx, tr.Oracle) {
-		deadline := tr.TimeToFinding + time.Second
-		return FromGenerator(tr.Oracle, tr.Detail, ctx, cfg, tr.Seed, deadline, prov), true
-	}
-	if len(tr.TriggerFrames) == 0 {
-		return Record{}, false
-	}
-	return FromTrigger(tr.Oracle, tr.Detail, tr.TriggerFrames, ctx, tr.Seed, cfg.Interval, prov), true
+	return FromFinding(tr.Oracle, tr.Detail, tr.TriggerFrames, ctx, cfg, tr.Seed, tr.TimeToFinding, prov)
 }
 
 // FromFleetReport extracts a record per finding trial of a fleet report.
