@@ -39,6 +39,28 @@ func decodeStuffState(s uint8) (last byte, run int) {
 	return s >> 2, int(s&3) + 1
 }
 
+// stuffStep advances DFA state s over the low n bits of bits, MSB first,
+// and returns the next state and the number of stuff bits inserted.
+func stuffStep(s uint8, bits uint32, n int) (uint8, int) {
+	last, run := decodeStuffState(s)
+	count := 0
+	for j := n - 1; j >= 0; j-- {
+		b := byte(bits >> uint(j) & 1)
+		if b == last {
+			run++
+		} else {
+			run = 1
+			last = b
+		}
+		if run == 5 {
+			count++
+			last ^= 1
+			run = 1
+		}
+	}
+	return encodeStuffState(last, run), count
+}
+
 // stuffTable[s][b] advances stuffing-DFA state s over the eight bits of b
 // (MSB first) and packs the result as stuffCount<<4 | nextState. At most
 // two stuff bits can fall inside one byte, so the count fits the high
@@ -48,23 +70,8 @@ func decodeStuffState(s uint8) (last byte, run int) {
 var stuffTable = func() (t [16][256]uint8) {
 	for s := 0; s < 9; s++ {
 		for by := 0; by < 256; by++ {
-			last, run := decodeStuffState(uint8(s))
-			count := 0
-			for i := 7; i >= 0; i-- {
-				b := byte(by >> uint(i) & 1)
-				if b == last {
-					run++
-				} else {
-					run = 1
-					last = b
-				}
-				if run == 5 {
-					count++
-					last ^= 1
-					run = 1
-				}
-			}
-			t[s][by] = uint8(count)<<4 | encodeStuffState(last, run)
+			next, count := stuffStep(uint8(s), uint32(by), 8)
+			t[s][by] = uint8(count)<<4 | next
 		}
 	}
 	return t
@@ -85,23 +92,10 @@ func countStuffWords(state *uint8, words []uint64, n int) int {
 		s = e & 0x0F
 	}
 	if rem := n & 7; rem != 0 {
-		last, run := decodeStuffState(s)
-		w := words[nb>>3] >> (56 - uint(nb&7)*8)
-		for j := 7; j > 7-rem; j-- {
-			b := byte(w >> uint(j) & 1)
-			if b == last {
-				run++
-			} else {
-				run = 1
-				last = b
-			}
-			if run == 5 {
-				count++
-				last ^= 1
-				run = 1
-			}
-		}
-		s = encodeStuffState(last, run)
+		b := byte(words[nb>>3] >> (56 - uint(nb&7)*8))
+		var c int
+		s, c = stuffStep(s, uint32(b>>(8-rem)), rem)
+		count += c
 	}
 	*state = s
 	return count
@@ -159,6 +153,8 @@ func WireBits(f Frame) int {
 	count += int(e >> 4)
 	e = stuffTable[e&0x0F][byte(t>>2)]
 	count += int(e >> 4)
+	// The two-bit tail is stuffStep written out: stuffStep does not inline,
+	// and the call measured slower on this once-per-frame path.
 	last, run := decodeStuffState(e & 0x0F)
 	for j := 1; j >= 0; j-- {
 		b := byte(t >> uint(j) & 1)
