@@ -190,8 +190,9 @@ type Bus struct {
 	completeEvent clock.Event // bound once in New to completePending
 	jamEvent      clock.Event // bound once in New to jamEnded
 
-	// win is the sliding load window; Reset rewinds it, keeping the
-	// configured bucket span.
+	// win is the sliding load window behind the can_bus_load_ratio gauge,
+	// accrued only while the bus is instrumented; Reset rewinds it,
+	// keeping the configured bucket span.
 	win loadWindow
 
 	busRun
@@ -255,8 +256,9 @@ type busRun struct {
 	// no bit (p.bit == 0); tryStart falls back to the full scan then.
 	pendingMask uint64
 
-	stats Stats
-	start time.Duration // load baseline: the instant of the last Reset
+	stats  Stats
+	start  time.Duration // load baseline: the instant of the last Reset
+	loadAt time.Duration // completion instant of the last frame in win
 }
 
 // New creates a bus on the given scheduler.
@@ -311,7 +313,8 @@ func (b *Bus) Name() string { return b.name }
 // Instrument attaches the bus (and its current and future ports) to the
 // telemetry plane: bus counters, the sliding-window load gauge, the wire
 // time histogram, and the arbitration/error trace events. Passing nil is a
-// no-op; the bus stays uninstrumented.
+// no-op; the bus stays uninstrumented. The load window counts frames
+// completed from here on: an uninstrumented bus keeps no window.
 func (b *Bus) Instrument(t *telemetry.Telemetry) {
 	if t == nil {
 		return
@@ -325,6 +328,7 @@ func (b *Bus) Instrument(t *telemetry.Telemetry) {
 	b.mFaultDup = reg.Counter("can_frames_duplicated_total", "Transmissions delivered twice by fault injection.", lbl)
 	b.mBits = reg.Counter("can_bits_transmitted_total", "Wire bits of successful frames, including interframe space.", lbl)
 	b.gLoad = reg.Gauge("can_bus_load_ratio", "Fraction of the sliding virtual-time window the bus spent transmitting.", lbl)
+	b.gLoad.SetSource(b.windowLoad)
 	b.hWireTime = reg.Histogram("can_tx_wire_seconds", "Stuffed wire time per successful transmission.", nil, lbl)
 	for _, p := range b.ports {
 		p.instrument()
@@ -447,6 +451,7 @@ func (b *Bus) Reset() {
 	for _, p := range b.ports {
 		p.reset()
 	}
+	b.gLoad.Settle() // a load not yet published reads the old window
 	b.busRun = busRun{start: b.sched.Now()}
 	b.win.reset()
 }
@@ -518,10 +523,16 @@ func (b *Bus) tryStart() {
 	}
 	frame := winner.txq.pop()
 	winner.notePop()
+	b.startClassic(winner, frame)
+}
+
+// startClassic puts a classic frame from p on the wire; its completion
+// fires after the stuffed wire time.
+func (b *Bus) startClassic(p *Port, frame can.Frame) {
 	b.busy = true
 	bits := can.WireBitsWithIFS(frame)
 	dur := time.Duration(bits) * time.Second / time.Duration(b.bitrate)
-	b.pend.kind, b.pend.port, b.pend.frame = txClassic, winner, frame
+	b.pend.kind, b.pend.port, b.pend.frame = txClassic, p, frame
 	b.pend.dur, b.pend.bits = dur, bits
 	b.sched.AfterEvent(dur, b.completeEvent)
 }
@@ -763,17 +774,25 @@ func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
 	trc.Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
 }
 
-// noteBusy accrues bus occupancy into the lifetime and sliding-window
-// accounts and refreshes the load gauge.
+// noteBusy accrues bus occupancy into the lifetime account and, on an
+// instrumented bus, into the sliding window behind the load gauge. The
+// gauge is touched, not set: outside a run it reads the window at once,
+// during one only when the registry publishes (see windowLoad).
 func (b *Bus) noteBusy(dur time.Duration) {
 	b.stats.BusyTime += dur
+	if b.tel == nil {
+		return
+	}
 	now := b.sched.Now()
 	b.win.add(now, dur)
-	if b.tel != nil {
-		b.gLoad.Set(b.win.load(now))
-		b.tel.Advance(now)
-	}
+	b.loadAt = now
+	b.gLoad.Touch()
+	b.tel.Advance(now)
 }
+
+// windowLoad is the load gauge's source: the window's load as of the
+// last completed frame, the instant each frame used to set it at.
+func (b *Bus) windowLoad() float64 { return b.win.load(b.loadAt) }
 
 // noteErrorFrame accounts a destroyed transmission on the transmitter.
 func (b *Bus) noteErrorFrame(tx *Port, id can.ID, dur time.Duration) {

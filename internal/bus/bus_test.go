@@ -201,6 +201,81 @@ func TestArbitrationTraceEvents(t *testing.T) {
 	})
 }
 
+// txStarts returns "port id@start" for every tx span in the trace.
+func txStarts(tel *telemetry.Telemetry) []string {
+	var out []string
+	for _, e := range tel.Tracer.Events() {
+		if e.Kind == telemetry.EvTx {
+			out = append(out, fmt.Sprintf("%s %03x@%v", e.Actor, e.ID, e.At))
+		}
+	}
+	return out
+}
+
+// TestIdleBusStart checks a send onto an idle bus goes on the wire in the
+// sending event, records its uncontended arb-won there, and that sends
+// the bus cannot take at once — a second sender in the same event, or a
+// reply made while a frame is being delivered — queue and arbitrate when
+// the bus frees.
+func TestIdleBusStart(t *testing.T) {
+	t.Run("same event", func(t *testing.T) {
+		s, b := newBus(t)
+		tel := telemetry.New(0)
+		b.Instrument(tel)
+		a, c, d := b.Connect("a"), b.Connect("c"), b.Connect("d")
+		b.Connect("rx")
+		first := can.MustNew(0x300, []byte{3})
+		s.At(time.Millisecond, func() {
+			a.Send(first)
+			c.Send(can.MustNew(0x050, []byte{1}))
+			d.Send(can.MustNew(0x200, []byte{2}))
+		})
+		s.RunUntil(time.Second)
+		if got, want := fmt.Sprint(arbTrace(tel)), "[arb-won a 300 arb-lost d 050 arb-won c 050 arb-won d 200]"; got != want {
+			t.Fatalf("arbitration trace = %s, want %s", got, want)
+		}
+		end := time.Millisecond + b.FrameTime(first)
+		want := fmt.Sprint([]string{"a 300@1ms", fmt.Sprintf("c 050@%v", end),
+			fmt.Sprintf("d 200@%v", end+b.FrameTime(can.MustNew(0x050, []byte{1})))})
+		if got := fmt.Sprint(txStarts(tel)); got != want {
+			t.Fatalf("tx starts = %s, want %s", got, want)
+		}
+		if b.txPending != 0 || b.pendingMask != 0 {
+			t.Fatalf("after the run txPending=%d pendingMask=%b, want 0/0", b.txPending, b.pendingMask)
+		}
+	})
+	t.Run("reply during delivery", func(t *testing.T) {
+		s, b := newBus(t)
+		tel := telemetry.New(0)
+		b.Instrument(tel)
+		tx, early, late := b.Connect("tx"), b.Connect("early"), b.Connect("late")
+		// Both reply inside the delivery of 0x100; 'early' replies first
+		// with the higher identifier, so only queueing lets 0x050 win.
+		early.SetReceiver(func(m Message) {
+			if m.Frame.ID == 0x100 {
+				early.Send(can.MustNew(0x300, nil))
+			}
+		})
+		late.SetReceiver(func(m Message) {
+			if m.Frame.ID == 0x100 {
+				late.Send(can.MustNew(0x050, nil))
+			}
+		})
+		req := can.MustNew(0x100, nil)
+		tx.Send(req)
+		s.RunUntil(time.Second)
+		if got, want := fmt.Sprint(arbTrace(tel)), "[arb-won tx 100 arb-lost early 050 arb-won late 050 arb-won early 300]"; got != want {
+			t.Fatalf("arbitration trace = %s, want %s", got, want)
+		}
+		end := b.FrameTime(req)
+		reply := can.MustNew(0x050, nil)
+		want := fmt.Sprint([]string{"tx 100@0s", fmt.Sprintf("late 050@%v", end), fmt.Sprintf("early 300@%v", end+b.FrameTime(reply))})
+		if got := fmt.Sprint(txStarts(tel)); got != want {
+			t.Fatalf("tx starts = %s, want %s", got, want)
+		}
+	})
+}
+
 func TestPerPortFIFO(t *testing.T) {
 	s, b := newBus(t)
 	tx := b.Connect("tx")

@@ -144,9 +144,20 @@ func (p *Port) Send(f can.Frame) error {
 		p.noteDrop()
 		return fmt.Errorf("send on %s: %w", p.name, ErrTxQueueFull)
 	}
+	b := p.bus
+	if b.txPending == 0 && !b.busy && !b.delivering && b.sched.Now() >= b.jamUntil {
+		// Idle bus, no other contender: the frame wins arbitration
+		// uncontended, so it goes on the wire without the queue round
+		// trip and the arbitration scan tryStart would make. A send made
+		// while the bus delivers (an ECU's reply) still queues.
+		b.leaveIdle()
+		b.tel.Trc().Rec(p.sArbWon, b.sched.Now(), 0, uint32(f.ID), 0)
+		b.startClassic(p, f)
+		return nil
+	}
 	p.txq.push(f)
 	p.notePush()
-	p.bus.tryStart()
+	b.tryStart()
 	return nil
 }
 

@@ -150,6 +150,27 @@ func BenchmarkWireBits(b *testing.B) {
 	}
 }
 
+// BenchmarkWireBitsRandom runs WireBits over 4096 random frames, so the
+// branch predictor cannot learn one frame's stuffing pattern the way it
+// does in BenchmarkWireBits.
+func BenchmarkWireBitsRandom(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	frames := make([]Frame, 4096)
+	for i := range frames {
+		frames[i] = randomFrame(rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += WireBits(frames[i&(len(frames)-1)])
+	}
+	wireBitsSink = n
+}
+
+// wireBitsSink keeps the benchmarked WireBits calls from being removed.
+var wireBitsSink int
+
 func TestWireBitsMatchesSlicePath(t *testing.T) {
 	// The zero-allocation WireBits must agree exactly with the reference
 	// Stuff(RawBits()) construction for every frame shape.

@@ -113,7 +113,8 @@ func countStuffWords(state *uint8, words []uint64, n int) int {
 // bytes the DFA consumes are the 19-bit header followed by the data,
 // so each data byte contributes its top five bits to one stream byte
 // and carries its low three into the next (the header leaves a 3-bit
-// remainder, and 19+8·dlc+15 ≡ 2 mod 8 leaves a 2-bit serial tail).
+// remainder, and 19+8·dlc+15 ≡ 2 mod 8 leaves a 2-bit tail, looked up in
+// stuffTail).
 func WireBits(f Frame) int {
 	var rtr uint32
 	if f.Remote {
@@ -153,25 +154,23 @@ func WireBits(f Frame) int {
 	count += int(e >> 4)
 	e = stuffTable[e&0x0F][byte(t>>2)]
 	count += int(e >> 4)
-	// The two-bit tail is stuffStep written out: stuffStep does not inline,
-	// and the call measured slower on this once-per-frame path.
-	last, run := decodeStuffState(e & 0x0F)
-	for j := 1; j >= 0; j-- {
-		b := byte(t >> uint(j) & 1)
-		if b == last {
-			run++
-		} else {
-			run = 1
-			last = b
-		}
-		if run == 5 {
-			count++
-			last ^= 1
-			run = 1
-		}
-	}
+	count += int(stuffTail[e&0x0F][t&3])
 	return n + 15 + count + trailerBits
 }
+
+// stuffTail[s][b] is the number of stuff bits the DFA inserts from state s
+// over the two bits of b (MSB first): WireBits' tail, one load instead of
+// two data-dependent branches per bit. Rows 9..15 are unreachable and
+// zero, there so the masked state index needs no bounds check.
+var stuffTail = func() (t [16][4]uint8) {
+	for s := 0; s < 9; s++ {
+		for b := 0; b < 4; b++ {
+			_, count := stuffStep(uint8(s), uint32(b), 2)
+			t[s][b] = uint8(count)
+		}
+	}
+	return t
+}()
 
 // WireBitsWithIFS is WireBits plus the mandatory 3-bit interframe space;
 // it is the effective bus occupancy of one frame.

@@ -18,7 +18,10 @@
 // heap is hand-rolled over the pooled nodes (no container/heap interface
 // boxing, no per-node index maintenance), and the AtEvent/AfterEvent
 // entry points skip the cancellation handle entirely for callers that
-// never stop their events.
+// never stop their events. The earliest event may sit in a one-node head
+// slot beside the heap: a fuzz frame's completion, scheduled into an
+// empty slot ahead of everything queued, fires from there without
+// touching the heap.
 package clock
 
 import (
@@ -71,8 +74,13 @@ func (t *Timer) Stop() bool {
 // Scheduler is not safe for concurrent use: the simulation is
 // single-threaded by design so that runs are reproducible.
 type Scheduler struct {
-	now     time.Duration
-	seq     uint64
+	now time.Duration
+	seq uint64
+	// head, when non-nil, is the earliest pending node: it orders before
+	// every node in queue. When nil, the earliest node (if any) is
+	// queue[0]; the slot is refilled only by schedule, never from the
+	// heap, so a pop from the slot costs no sift.
+	head    *item
 	queue   []*item // binary min-heap ordered by (at, seq)
 	free    *item   // recycled nodes
 	running bool
@@ -105,8 +113,45 @@ func (s *Scheduler) schedule(at time.Duration, fn Event) *item {
 	}
 	it.at, it.seq, it.fn = at, s.seq, fn
 	s.seq++
-	s.push(it)
+	// The new node's seq is the largest yet, so it orders before another
+	// node only at a strictly earlier instant.
+	switch {
+	case s.head == nil:
+		if len(s.queue) == 0 || at < s.queue[0].at {
+			s.head = it
+		} else {
+			s.push(it)
+		}
+	case at < s.head.at:
+		s.push(s.head)
+		s.head = it
+	default:
+		s.push(it)
+	}
 	return it
+}
+
+// peek returns the earliest pending node without removing it, or nil.
+func (s *Scheduler) peek() *item {
+	if s.head != nil {
+		return s.head
+	}
+	if len(s.queue) > 0 {
+		return s.queue[0]
+	}
+	return nil
+}
+
+// next removes and returns the earliest pending node, or nil.
+func (s *Scheduler) next() *item {
+	if it := s.head; it != nil {
+		s.head = nil
+		return it
+	}
+	if len(s.queue) > 0 {
+		return s.pop()
+	}
+	return nil
 }
 
 // recycle returns a drained node to the free list, invalidating handles.
@@ -186,6 +231,10 @@ func (s *Scheduler) Reset() {
 	if s.running {
 		panic("clock: Reset while the scheduler is running")
 	}
+	if s.head != nil {
+		s.recycle(s.head)
+		s.head = nil
+	}
 	for _, it := range s.queue {
 		s.recycle(it)
 	}
@@ -263,13 +312,17 @@ func (p *Periodic) Running() bool { return p.running }
 
 // Pending returns the number of events waiting to fire (including dead ones
 // not yet drained).
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int {
+	if s.head != nil {
+		return len(s.queue) + 1
+	}
+	return len(s.queue)
+}
 
 // Step runs the single next event, advancing Now to its instant. It reports
 // false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		it := s.pop()
+	for it := s.next(); it != nil; it = s.next() {
 		if it.dead {
 			s.recycle(it)
 			continue
@@ -292,17 +345,20 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
 	s.running = true
 	defer func() { s.running = false }()
-	for !s.stopped && len(s.queue) > 0 {
-		next := s.queue[0]
+	for !s.stopped {
+		next := s.peek()
+		if next == nil {
+			break
+		}
 		if next.dead {
-			s.pop()
+			s.next()
 			s.recycle(next)
 			continue
 		}
 		if next.at > deadline {
 			break
 		}
-		s.pop()
+		s.next()
 		s.now = next.at
 		fn := next.fn
 		s.recycle(next)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/can"
+	"repro/internal/telemetry"
 )
 
 func TestHandlerPanicCrashesECUNotScheduler(t *testing.T) {
@@ -118,5 +119,72 @@ func TestStallExtendsNotShortens(t *testing.T) {
 	s.RunUntil(120 * time.Millisecond)
 	if !e.Stalled() {
 		t.Fatal("overlapping longer stall did not extend the window")
+	}
+}
+
+// dispatchEvents counts the ECU dispatch records in the trace.
+func dispatchEvents(tel *telemetry.Telemetry) int {
+	n := 0
+	for _, ev := range tel.Tracer.Events() {
+		if ev.Kind == telemetry.EvDispatch {
+			n++
+		}
+	}
+	return n
+}
+
+// TestInjectPanicCrashesWithoutHandler arms a panic on an ECU that has no
+// handler for the next frame's identifier: the frame must still be
+// counted and traced, and the armed panic must still crash the ECU.
+func TestInjectPanicCrashesWithoutHandler(t *testing.T) {
+	s, _, e, peer := rig(t)
+	tel := telemetry.New(64)
+	e.Instrument(tel)
+	handled := 0
+	e.Handle(0x100, func(bus.Message) { handled++ })
+
+	peer.Send(can.MustNew(0x200, nil)) // no handler: counted, traced, dropped
+	s.RunUntil(s.Now() + 10*time.Millisecond)
+	if e.Crashed() || e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
+		t.Fatalf("handler-less frame: crashed=%v dispatched=%d traced=%d",
+			e.Crashed(), e.mDispatched.Value(), dispatchEvents(tel))
+	}
+
+	e.InjectPanic("armed")
+	peer.Send(can.MustNew(0x200, nil))
+	s.RunUntil(s.Now() + 10*time.Millisecond)
+	if !e.Crashed() || e.CrashDetail() != "armed" {
+		t.Fatalf("crashed=%v detail=%q, want a crash on the handler-less frame", e.Crashed(), e.CrashDetail())
+	}
+	if handled != 0 || e.mDispatched.Value() != 2 || dispatchEvents(tel) != 2 {
+		t.Fatalf("handled=%d dispatched=%d traced=%d, want 0/2/2", handled, e.mDispatched.Value(), dispatchEvents(tel))
+	}
+}
+
+// TestStalledECUNeitherCountsNorTraces checks a stalled ECU loses frames
+// before the dispatch counter and trace record, handled or not, and
+// counts and traces a handler-less frame again once the stall ends.
+func TestStalledECUNeitherCountsNorTraces(t *testing.T) {
+	s, _, e, peer := rig(t)
+	tel := telemetry.New(64)
+	e.Instrument(tel)
+	e.Handle(0x100, func(bus.Message) {})
+
+	e.InjectStall(50 * time.Millisecond)
+	peer.Send(can.MustNew(0x100, nil))
+	peer.Send(can.MustNew(0x200, nil))
+	s.RunUntil(40 * time.Millisecond)
+	if n := e.mDispatched.Value(); n != 0 {
+		t.Fatalf("stalled ECU counted %d dispatches", n)
+	}
+	if n := dispatchEvents(tel); n != 0 {
+		t.Fatalf("stalled ECU traced %d dispatches", n)
+	}
+
+	s.RunUntil(60 * time.Millisecond)
+	peer.Send(can.MustNew(0x200, nil))
+	s.RunUntil(70 * time.Millisecond)
+	if e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
+		t.Fatalf("after the stall: dispatched=%d traced=%d, want 1/1", e.mDispatched.Value(), dispatchEvents(tel))
 	}
 }

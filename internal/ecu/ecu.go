@@ -245,10 +245,10 @@ func (e *ECU) Send(f can.Frame) error {
 	return nil
 }
 
-// dispatch routes a received frame to handlers. Handler panics do not
-// propagate into the simulation loop: the guard converts them into an ECU
-// crash (node off the bus, fault logged) so the campaign can observe the
-// failure and keep running.
+// dispatch routes a received frame to handlers. Every frame a powered,
+// running ECU receives is counted and traced; most fuzz frames carry an
+// identifier no handler wants, and those stop there, before the panic
+// guard is deferred.
 func (e *ECU) dispatch(m bus.Message) {
 	if !e.powered || e.crashed {
 		return
@@ -258,19 +258,32 @@ func (e *ECU) dispatch(m bus.Message) {
 	}
 	e.mDispatched.Inc()
 	e.tel.Trc().Rec(e.sDispatch, e.sched.Now(), 0, uint32(m.Frame.ID), 0)
+	var hs []Handler
+	for i := range e.handlers {
+		if e.handlers[i].id == m.Frame.ID {
+			hs = e.handlers[i].hs
+			break
+		}
+	}
+	if hs == nil && e.catchAll == nil && e.panicNext == "" {
+		return
+	}
+	e.run(m, hs)
+}
+
+// run hands a frame to its handlers and then the catch-all ones. Handler
+// panics do not propagate into the simulation loop: the guard converts
+// them into an ECU crash (node off the bus, fault logged) so the campaign
+// can observe the failure and keep running.
+func (e *ECU) run(m bus.Message, hs []Handler) {
 	defer e.guard()
 	if e.panicNext != "" {
 		detail := e.panicNext
 		e.panicNext = ""
 		panic(detail)
 	}
-	for i := range e.handlers {
-		if e.handlers[i].id == m.Frame.ID {
-			for _, h := range e.handlers[i].hs {
-				h(m)
-			}
-			break
-		}
+	for _, h := range hs {
+		h(m)
 	}
 	for _, h := range e.catchAll {
 		h(m)

@@ -348,6 +348,12 @@ type Gauge struct {
 	// Writer-local state while buffered: the latest value set.
 	buffered bool
 	local    float64
+
+	// Writer-side source (SetSource): a Touch made while buffered leaves
+	// stale set, and the value is read from src once, at the next
+	// Publish, Flush or Settle.
+	src   func() float64
+	stale bool
 }
 
 // Gauge registers (or fetches) a gauge series.
@@ -370,6 +376,41 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
+// SetSource gives the gauge a writer-side source for Touch. Setting one
+// replaces the last, so a series re-registered by each rebuilt world
+// holds one source, never a list. Call it on the writer goroutine; a
+// gauge with a source is written through Touch, not Set.
+func (g *Gauge) SetSource(fn func() float64) {
+	if g != nil {
+		g.src = fn
+	}
+}
+
+// Touch records that the source's value changed: outside buffered mode
+// the gauge is set to it at once; while buffered the source is read only
+// at the next Publish, Flush or Settle, however many Touches came first.
+// It is for a value that costs more to compute than to flag, written
+// far more often than readers can see it.
+func (g *Gauge) Touch() {
+	if g == nil {
+		return
+	}
+	if g.buffered {
+		g.stale = true
+		return
+	}
+	g.bits.Store(math.Float64bits(g.src()))
+}
+
+// Settle reads the source now for a Touch still pending, so the writer
+// may then change what the source reads without changing the value the
+// next Publish shows.
+func (g *Gauge) Settle() {
+	if g != nil && g.stale {
+		g.local, g.stale = g.src(), false
+	}
+}
+
 // Value returns the published value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -384,7 +425,7 @@ func (g *Gauge) jsonValue() any  { return g.Value() }
 
 func (g *Gauge) zero() {
 	g.bits.Store(0)
-	g.local = 0
+	g.local, g.stale = 0, false
 }
 
 func (g *Gauge) setBuffered(on bool) {
@@ -394,7 +435,10 @@ func (g *Gauge) setBuffered(on bool) {
 	g.buffered = on
 }
 
-func (g *Gauge) publish() { g.bits.Store(math.Float64bits(g.local)) }
+func (g *Gauge) publish() {
+	g.Settle()
+	g.bits.Store(math.Float64bits(g.local))
+}
 
 func (g *Gauge) writeProm(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s%s %s\n", g.d.name, g.d.labelString(), formatFloat(g.Value()))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -102,8 +101,7 @@ type Event struct {
 // interned it; the zero Site is only for a nil tracer, on which Rec is a
 // no-op.
 type Site struct {
-	idx  uint16
-	kind EventKind
+	idx uint16
 }
 
 // siteInfo is one row of the site table.
@@ -154,10 +152,6 @@ type traceDetail struct {
 // therefore belongs to one world: sharing one between worlds that run at
 // the same time is a data race.
 type Tracer struct {
-	// kinds is the recording filter: bit k set records EventKind k; zero
-	// records every kind.
-	kinds atomic.Uint64
-
 	// Writer state: the owner's alone while buffered, guarded by mu
 	// otherwise.
 	buf      []traceRec // capacity + traceSlack slots, allocated on first use
@@ -202,26 +196,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{capacity: capacity}
 }
 
-// SetKinds restricts recording to the given kinds (all kinds when empty;
-// only kinds below 64 can be selected). Restricting high-rate kinds
-// (EvDispatch, EvTx) stretches the ring's history for long campaigns.
-func (t *Tracer) SetKinds(kinds ...EventKind) {
-	if t == nil {
-		return
-	}
-	var mask uint64
-	for _, k := range kinds {
-		mask |= 1 << k
-	}
-	t.kinds.Store(mask)
-}
-
-// records reports whether the kind filter admits k.
-func (t *Tracer) records(k EventKind) bool {
-	m := t.kinds.Load()
-	return m == 0 || m&(1<<k) != 0
-}
-
 // Site interns the emit site (kind, actor, name) and returns its handle
 // for Rec. Interning the same triple again returns the same handle; sites
 // survive Reset. It panics when the table is full (65 536 distinct
@@ -240,7 +214,7 @@ func (t *Tracer) Site(kind EventKind, actor, name string) Site {
 func (t *Tracer) intern(kind EventKind, actor, name string) Site {
 	key := siteInfo{kind: kind, actor: actor, name: name}
 	if idx, ok := t.siteIndex[key]; ok {
-		return Site{idx: idx, kind: kind}
+		return Site{idx: idx}
 	}
 	if len(t.sites) == maxSites {
 		panic(fmt.Sprintf("telemetry: trace site table full (%d sites); cannot intern %v %q %q",
@@ -252,7 +226,7 @@ func (t *Tracer) intern(kind EventKind, actor, name string) Site {
 	idx := uint16(len(t.sites))
 	t.sites = append(t.sites, key)
 	t.siteIndex[key] = idx
-	return Site{idx: idx, kind: kind}
+	return Site{idx: idx}
 }
 
 // Buffer switches the tracer to buffered mode for a run: from now until
@@ -348,9 +322,6 @@ func (t *Tracer) Rec(s Site, at, dur time.Duration, id uint32, n uint64) {
 // written field by field: copying a composed traceRec in costs a
 // store-forwarding stall per event.
 func (t *Tracer) rec(s Site, at, dur time.Duration, id uint32, n uint64) {
-	if !t.records(s.kind) {
-		return
-	}
 	if t.buffered {
 		r := &t.buf[t.w]
 		r.at, r.dur, r.n, r.id, r.site = at, dur, n, id, s.idx
@@ -367,7 +338,7 @@ func (t *Tracer) rec(s Site, at, dur time.Duration, id uint32, n uint64) {
 // Emit records one event, interning its site. Safe on a nil receiver,
 // and for concurrent use outside buffered mode.
 func (t *Tracer) Emit(e Event) {
-	if t == nil || !t.records(e.Kind) {
+	if t == nil {
 		return
 	}
 	t.mu.Lock()
@@ -380,8 +351,7 @@ func (t *Tracer) Emit(e Event) {
 }
 
 // Reset discards all retained events, published or not, and their
-// details (the kind filter, capacity, write mode and interned sites are
-// kept), so a reused world's trace starts empty like a fresh one's.
+// details (the capacity, write mode and interned sites are kept), so a reused world's trace starts empty like a fresh one's.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return

@@ -16,7 +16,6 @@ import (
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Event{Kind: EvTx})
-	tr.SetKinds(EvTx)
 	tr.Buffer()
 	tr.Rec(tr.Site(EvTx, "fuzzer", "tx"), 0, 0, 0x215, 1)
 	tr.Flush()
@@ -41,32 +40,6 @@ func TestTracerRingOverwritesOldest(t *testing.T) {
 	for i, want := range []time.Duration{2, 3, 4} {
 		if got[i].At != want {
 			t.Fatalf("event %d at %v, want %v (oldest-first order broken)", i, got[i].At, want)
-		}
-	}
-}
-
-func TestTracerKindFilter(t *testing.T) {
-	for _, buffered := range []bool{false, true} {
-		tr := NewTracer(8)
-		if buffered {
-			tr.Buffer()
-		}
-		dispatch := tr.Site(EvDispatch, "bcm", "dispatch")
-		tr.SetKinds(EvOracle, EvReset)
-		tr.Emit(Event{Kind: EvTx})
-		tr.Emit(Event{Kind: EvOracle})
-		tr.Rec(dispatch, 0, 0, 0x215, 0)
-		tr.Rec(tr.Site(EvReset, "campaign", "reset"), 0, 0, 0, 0)
-		tr.Flush()
-		got := tr.Events()
-		if len(got) != 2 || got[0].Kind != EvOracle || got[1].Kind != EvReset {
-			t.Fatalf("buffered=%v: filter failed: %v", buffered, got)
-		}
-		tr.SetKinds() // back to all
-		tr.Emit(Event{Kind: EvTx})
-		tr.Rec(dispatch, 0, 0, 0x215, 0)
-		if tr.Len() != 4 {
-			t.Fatalf("buffered=%v: empty SetKinds must re-enable all kinds", buffered)
 		}
 	}
 }
@@ -269,13 +242,10 @@ func TestTracerConcurrentReadsWhileBuffered(t *testing.T) {
 }
 
 // TestTracerUnwrittenHoldsNoRing checks the ring is allocated only when
-// the tracer is first buffered or first records: one that never does (or
-// whose kind filter drops everything it is given) holds no ring and
-// reads as empty.
+// the tracer is first buffered or first records: one that never does
+// holds no ring and reads as empty.
 func TestTracerUnwrittenHoldsNoRing(t *testing.T) {
 	tr := NewTracer(0)
-	tr.SetKinds(EvOracle)
-	tr.Emit(Event{Kind: EvTx})
 	tr.Flush()
 	tr.Reset()
 	if tr.buf != nil {

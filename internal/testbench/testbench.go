@@ -54,10 +54,9 @@ type Bench struct {
 	HeadUnit *infotain.HeadUnit
 	// BCM owns the lock state; its LED is BCM.Unlocked().
 	BCM *bcm.BCM
-	// Monitor is the third SBC: a passive observer counting traffic.
+	// Monitor is the third SBC: a passive observer; its port counts the
+	// traffic it receives.
 	Monitor *ecu.ECU
-
-	monitorFrames uint64
 }
 
 // New assembles a bench on the given scheduler.
@@ -69,7 +68,6 @@ func New(sched *clock.Scheduler, cfg Config) *Bench {
 		AckUnlock: cfg.AckUnlock,
 	})
 	b.Monitor = ecu.New("monitor", sched, b.Bus.Connect("monitor"))
-	b.Monitor.HandleAll(func(bus.Message) { b.monitorFrames++ })
 	return b
 }
 
@@ -95,7 +93,6 @@ func (b *Bench) Reset() {
 	b.BCM.ECU().Reset()
 	b.BCM.Reset()
 	b.Monitor.Reset()
-	b.monitorFrames = 0
 }
 
 // Instrument attaches the bench bus and its three nodes to a telemetry
@@ -120,9 +117,6 @@ func (b *Bench) ECUs() map[string]*ecu.ECU {
 		b.Monitor.Name():        b.Monitor,
 	}
 }
-
-// MonitorFrames returns the number of frames the monitor node observed.
-func (b *Bench) MonitorFrames() uint64 { return b.monitorFrames }
 
 // AttachFuzzer connects a malicious node to the bench bus.
 func (b *Bench) AttachFuzzer(name string) *bus.Port {

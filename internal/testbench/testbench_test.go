@@ -42,7 +42,7 @@ func TestMonitorNodeSeesTraffic(t *testing.T) {
 	s := b.Scheduler()
 	b.HeadUnit.AppUnlock(testbench.AppToken)
 	s.RunUntil(time.Second)
-	if b.MonitorFrames() == 0 {
+	if b.Monitor.Port().Stats().RxFrames == 0 {
 		t.Fatal("monitor node saw no traffic")
 	}
 }
