@@ -330,7 +330,8 @@ func nsPerOp(res testing.BenchmarkResult) float64 {
 
 // compare checks every workload shared with the baseline: ns/op may drift
 // up to the tolerance band, allocs/op at most 2% (zero for zero-alloc
-// workloads).
+// workloads). A baseline row that names no workload of this tool is an
+// error, so deleting a workload cannot silently drop it from the gate.
 func compare(f File, baselinePath string) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -340,9 +341,21 @@ func compare(f File, baselinePath string) error {
 	if err := json.Unmarshal(buf, &base); err != nil {
 		return fmt.Errorf("parse baseline: %w", err)
 	}
+	known := make(map[string]bool)
+	for _, w := range workloads(false) {
+		known[w.name] = true
+	}
 	byName := make(map[string]Result, len(base.Results))
+	var stale []string
 	for _, r := range base.Results {
 		byName[r.Name] = r
+		if !known[r.Name] {
+			stale = append(stale, r.Name)
+		}
+	}
+	if len(stale) > 0 {
+		return fmt.Errorf("baseline %s has rows for workloads benchperf does not run: %s",
+			baselinePath, strings.Join(stale, ", "))
 	}
 
 	regressions := 0
@@ -407,7 +420,6 @@ func workloads(quick bool) []workload {
 		{name: "AppendEncodeBits", bench: benchAppendEncodeBits},
 		{name: "Unstuff", bench: benchUnstuff},
 		{name: "CRC15", bench: benchCRC15},
-		{name: "FDCRC", bench: benchFDCRC},
 		{name: "WorldReset", bench: func(b *testing.B) {
 			benchWorldReset(b, func(int) int64 { return 5 })
 		}},
@@ -600,23 +612,6 @@ func benchCRC15(b *testing.B) {
 	var crc uint16
 	for i := 0; i < b.N; i++ {
 		crc = can.CRC15(bits)
-	}
-	_ = crc
-}
-
-// benchFDCRC measures the CAN FD CRC-17/21 byte-table kernel over a
-// 64-byte payload.
-func benchFDCRC(b *testing.B) {
-	data := make([]byte, 64)
-	for i := range data {
-		data[i] = byte(i * 37)
-	}
-	f := can.MustNewFD(0x215, data, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var crc uint32
-	for i := 0; i < b.N; i++ {
-		crc, _ = can.FDCRC(f)
 	}
 	_ = crc
 }

@@ -73,6 +73,13 @@ func TestCompareSkipsUnknownAndRejectsMissingBaseline(t *testing.T) {
 	if err := compare(File{}, filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("missing baseline file accepted")
 	}
+	// A baseline row for a workload benchperf no longer runs must fail the
+	// gate, even when the run itself skipped that workload (-only).
+	stale := writeBaseline(t, Result{Name: "Campaign", NsPerOp: 1000}, Result{Name: "Deleted", NsPerOp: 1})
+	err := compare(File{Results: []Result{{Name: "Campaign", NsPerOp: 1000}}}, stale)
+	if err == nil || !strings.Contains(err.Error(), "Deleted") {
+		t.Errorf("baseline row without a workload: err = %v, want an error naming it", err)
+	}
 }
 
 func TestCheckSpeedupRatios(t *testing.T) {
