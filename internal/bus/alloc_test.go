@@ -41,33 +41,3 @@ func TestSteadyStateTxZeroAlloc(t *testing.T) {
 		t.Fatalf("frames delivered = %d, want >= 1000 (path not exercised)", got)
 	}
 }
-
-// TestSteadyStateFDTxZeroAlloc pins the FD transmit path (FDWireTime's
-// scratch-buffer stuff estimate, pooled completion) at zero steady-state
-// allocations too.
-func TestSteadyStateFDTxZeroAlloc(t *testing.T) {
-	sched := clock.New()
-	b := New(sched, WithFDDataBitrate(DefaultFDDataBitrate))
-	tx := b.Connect("fuzzer")
-	rx := b.Connect("ecu")
-	rx.SetFDReceiver(func(FDMessage) {})
-
-	f := can.MustNewFD(0x301, make([]byte, 32), true)
-	dur := can.FDWireTime(f, b.Bitrate(), DefaultFDDataBitrate)
-	for i := 0; i < 32; i++ {
-		if err := tx.SendFD(f); err != nil {
-			t.Fatal(err)
-		}
-		sched.RunFor(dur)
-	}
-
-	allocs := testing.AllocsPerRun(500, func() {
-		if err := tx.SendFD(f); err != nil {
-			t.Error(err)
-		}
-		sched.RunFor(dur)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state FD TX path allocates %v per frame, want 0", allocs)
-	}
-}

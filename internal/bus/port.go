@@ -32,13 +32,11 @@ type PortStats struct {
 // Port is a node's attachment to the bus. A port both transmits (Send) and
 // receives (SetReceiver). Ports are created by Bus.Connect.
 type Port struct {
-	bus    *Bus
-	name   string
-	recv   Receiver
-	fdRecv FDReceiver
-	txq    ring[can.Frame]
-	rawq   ring[rawTx]
-	fdq    ring[can.FDFrame]
+	bus  *Bus
+	name string
+	recv Receiver
+	txq  ring[can.Frame]
+	rawq ring[rawTx]
 
 	// bit is this port's position in the bus's pendingMask (zero for
 	// ports past the first 64, which the mask cannot represent).
@@ -172,7 +170,7 @@ func (p *Port) notePush() {
 // contention bit when its last queued frame left.
 func (p *Port) notePop() {
 	p.bus.txPending--
-	if p.txq.len()|p.rawq.len()|p.fdq.len() == 0 {
+	if p.txq.len()|p.rawq.len() == 0 {
 		p.bus.pendingMask &^= p.bit
 	}
 }
@@ -210,14 +208,13 @@ func (p *Port) cancelRecovery() {
 	}
 }
 
-// dropQueued empties all three transmit queues, keeping the bus-wide
+// dropQueued empties both transmit queues, keeping the bus-wide
 // pending count consistent.
 func (p *Port) dropQueued() {
-	p.bus.txPending -= p.txq.len() + p.rawq.len() + p.fdq.len()
+	p.bus.txPending -= p.txq.len() + p.rawq.len()
 	p.bus.pendingMask &^= p.bit
 	p.txq.clear()
 	p.rawq.clear()
-	p.fdq.clear()
 }
 
 // reset returns the port to its freshly-connected state: queues emptied,
@@ -230,7 +227,6 @@ func (p *Port) dropQueued() {
 func (p *Port) reset() {
 	p.txq.clear()
 	p.rawq.clear()
-	p.fdq.clear()
 	p.portRun = portRun{state: ErrorActive, autoRecover: p.bus.autoRecover}
 	p.gState.Set(float64(p.state))
 }

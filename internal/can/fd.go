@@ -1,22 +1,23 @@
 package can
 
-// CAN FD (flexible data-rate) support — the paper lists "Apply the
+// CAN FD (flexible data-rate) wire timing — the paper lists "Apply the
 // techniques to the Flexible Data-rate (FD) version of CAN" as future work
-// (§VII); this file provides the frame model and wire-timing math so the
-// fuzzer and bus can exercise FD targets.
+// (§VII); this file provides the frame model and the wire-time math behind
+// the FD bulk-transfer ablation. The bus carries no FD frames.
 //
-// Modelled per ISO 11898-1:2015 at the granularity the simulator needs:
+// Modelled per ISO 11898-1:2015 at the granularity the ablation needs:
 //
 //   - payloads up to 64 bytes through the FD DLC code table;
 //   - the arbitration phase (SOF..BRS) runs at the nominal bitrate, the
 //     data phase (ESI..CRC delimiter) at the faster data bitrate when BRS
 //     is set;
-//   - CRC-17 for payloads up to 16 bytes, CRC-21 above;
+//   - a 17-bit CRC field for payloads up to 16 bytes, 21 bits above;
 //   - dynamic stuffing up to the CRC field, fixed stuff bits inside it
 //     (one per four CRC bits, plus the leading one), and the stuff-count
 //     field.
 //
-// There are no remote FD frames.
+// The transmitter is always error-active (ESI clear), and there are no
+// remote FD frames.
 
 import (
 	"errors"
@@ -55,11 +56,9 @@ type FDFrame struct {
 	Len uint8
 	// Data holds the payload; only the first Len bytes are meaningful.
 	Data [MaxFDDataLen]byte
-	// BRS requests the bit-rate switch: the data phase runs at the bus's
+	// BRS requests the bit-rate switch: the data phase runs at the
 	// (faster) data bitrate.
 	BRS bool
-	// ESI is the error-state indicator flag of the transmitter.
-	ESI bool
 }
 
 // NewFD builds an FD frame, validating the identifier and payload size.
@@ -85,69 +84,6 @@ func MustNewFD(id ID, data []byte, brs bool) FDFrame {
 		panic(err)
 	}
 	return f
-}
-
-// Validate checks the FD frame constraints.
-func (f FDFrame) Validate() error {
-	if !f.ID.Valid() {
-		return fmt.Errorf("%w: 0x%X", ErrIDRange, uint16(f.ID))
-	}
-	if _, err := FDLengthToDLC(int(f.Len)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Equal reports whether two FD frames match in every meaningful field.
-func (f FDFrame) Equal(g FDFrame) bool {
-	if f.ID != g.ID || f.Len != g.Len || f.BRS != g.BRS || f.ESI != g.ESI {
-		return false
-	}
-	for i := 0; i < int(f.Len); i++ {
-		if f.Data[i] != g.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the frame like Frame.String with an FD marker.
-func (f FDFrame) String() string {
-	s := fmt.Sprintf("%s FD%d", f.ID, f.Len)
-	for _, b := range f.Data[:f.Len] {
-		s += fmt.Sprintf(" %02X", b)
-	}
-	return s
-}
-
-// CRC polynomials for FD (17- and 21-bit).
-const (
-	crc17Poly = 0x1685B
-	crc21Poly = 0x102899
-)
-
-// crc17Table and crc21Table drive the byte-at-a-time updates for the two
-// FD CRC widths: table[u] is the register after clocking the 8 bits of u
-// through a zeroed register, MSB first.
-var (
-	crc17Table = makeFDTable(crc17Poly, 17)
-	crc21Table = makeFDTable(crc21Poly, 21)
-)
-
-func makeFDTable(poly uint32, width int) (t [256]uint32) {
-	mask := uint32(1)<<width - 1
-	for u := range t {
-		crc := uint32(u) << (width - 8)
-		for b := 0; b < 8; b++ {
-			next := crc >> (width - 1) & 1
-			crc = (crc << 1) & mask
-			if next == 1 {
-				crc ^= poly & mask
-			}
-		}
-		t[u] = crc
-	}
-	return t
 }
 
 // fdArbitrationBits counts the FD header bits transmitted at the nominal
@@ -183,16 +119,13 @@ func fdStuffRegionWords(w *[fdStuffRegionMax/64 + 1]uint64, f FDFrame) int {
 	for i := range w {
 		w[i] = 0
 	}
-	var brs, esi uint64
+	var brs uint64
 	if f.BRS {
 		brs = 1
 	}
-	if f.ESI {
-		esi = 1
-	}
 	dlc, _ := FDLengthToDLC(int(f.Len))
-	// SOF(0) ID(11) RRS(0) IDE(0) FDF(1) res(0) BRS ESI DLC(4) = 22 bits.
-	v := uint64(f.ID)<<10 | 1<<7 | brs<<5 | esi<<4 | uint64(dlc)
+	// SOF(0) ID(11) RRS(0) IDE(0) FDF(1) res(0) BRS ESI(0) DLC(4) = 22 bits.
+	v := uint64(f.ID)<<10 | 1<<7 | brs<<5 | uint64(dlc)
 	w[0] = v << 42
 	n := 22
 	for _, by := range f.Data[:f.Len] {
@@ -234,27 +167,4 @@ func FDWireTime(f FDFrame, nominalBps, dataBps int) time.Duration {
 	arbTime := time.Duration(arb+trailer) * time.Second / time.Duration(nominalBps)
 	dataTime := time.Duration(data+stuff) * time.Second / time.Duration(dataBps)
 	return arbTime + dataTime
-}
-
-// FDCRC returns the frame's CRC value and width (17 or 21 bits), computed
-// over the dynamically stuffed region as on the wire.
-func FDCRC(f FDFrame) (crc uint32, width int) {
-	width = 17
-	t := &crc17Table
-	if f.Len > 16 {
-		width = 21
-		t = &crc21Table
-	}
-	// The covered region is ID(11) + DLC(4) + payload. The register starts
-	// at zero, so one pad bit byte-aligns the 15-bit prefix for free and
-	// the whole CRC runs byte-at-a-time with no bit buffer at all.
-	mask := uint32(1)<<width - 1
-	dlc, _ := FDLengthToDLC(int(f.Len))
-	hdr := uint16(f.ID)<<4 | uint16(dlc)
-	crc = t[byte(hdr>>8)] & mask
-	crc = ((crc << 8) ^ t[byte(crc>>(width-8))^byte(hdr)]) & mask
-	for _, by := range f.Data[:f.Len] {
-		crc = ((crc << 8) ^ t[byte(crc>>(width-8))^by]) & mask
-	}
-	return crc, width
 }

@@ -40,45 +40,6 @@ func TestNewFDValidation(t *testing.T) {
 	}
 }
 
-func TestFDPayloadAndEqual(t *testing.T) {
-	f := MustNewFD(0x10, []byte{1, 2, 3, 4}, false)
-	g := f
-	if !f.Equal(g) {
-		t.Fatal("Equal broken")
-	}
-	g.BRS = true
-	if f.Equal(g) {
-		t.Fatal("Equal ignores BRS")
-	}
-}
-
-func TestFDString(t *testing.T) {
-	f := MustNewFD(0x43A, []byte{0xAB, 0xCD}, true)
-	if got := f.String(); got != "043A FD2 AB CD" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestFDCRCWidthSwitches(t *testing.T) {
-	small := MustNewFD(0x100, make([]byte, 16), false)
-	big := MustNewFD(0x100, make([]byte, 20), false)
-	_, w1 := FDCRC(small)
-	_, w2 := FDCRC(big)
-	if w1 != 17 || w2 != 21 {
-		t.Fatalf("CRC widths = %d, %d", w1, w2)
-	}
-}
-
-func TestFDCRCSensitiveToPayload(t *testing.T) {
-	a := MustNewFD(0x100, []byte{1, 2, 3, 4}, false)
-	b := MustNewFD(0x100, []byte{1, 2, 3, 5}, false)
-	ca, _ := FDCRC(a)
-	cb, _ := FDCRC(b)
-	if ca == cb {
-		t.Fatal("CRC collision on adjacent payloads")
-	}
-}
-
 func TestFDWireTimeBRSFasterForLargePayload(t *testing.T) {
 	data := make([]byte, 64)
 	slow := MustNewFD(0x100, data, false)

@@ -71,7 +71,7 @@ func TestMarshalUnmarshalRoundTripProperty(t *testing.T) {
 }
 
 // randomFDWireFrame draws one valid FD frame: random identifier, a random
-// representable DLC size, random payload and flags.
+// representable DLC size, random payload and bit-rate switch.
 func randomFDWireFrame(rng *rand.Rand) FDFrame {
 	var f FDFrame
 	f.ID = ID(rng.Intn(MaxID + 1))
@@ -80,7 +80,6 @@ func randomFDWireFrame(rng *rand.Rand) FDFrame {
 		f.Data[i] = byte(rng.Intn(256))
 	}
 	f.BRS = rng.Intn(2) == 0
-	f.ESI = rng.Intn(8) == 0
 	return f
 }
 

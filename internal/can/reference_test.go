@@ -67,11 +67,7 @@ func fdStuffRegionBits(f FDFrame) []byte {
 	} else {
 		bits = append(bits, 0)
 	}
-	if f.ESI {
-		bits = append(bits, 1)
-	} else {
-		bits = append(bits, 0)
-	}
+	bits = append(bits, 0) // ESI: error-active transmitter
 	dlc, _ := FDLengthToDLC(int(f.Len))
 	for i := 3; i >= 0; i-- {
 		bits = append(bits, dlc>>uint(i)&1)
@@ -95,20 +91,4 @@ func crc15Ref(bits []byte) uint16 {
 		}
 	}
 	return crc & 0x7FFF
-}
-
-// crcFDRef is the bit-serial n-bit CRC reference the FD byte tables
-// (crc17Table, crc21Table) are held to.
-func crcFDRef(bits []byte, poly uint32, width int) uint32 {
-	var crc uint32
-	top := uint32(1) << (width - 1)
-	mask := top<<1 - 1
-	for _, b := range bits {
-		next := uint32(b&1) ^ (crc >> (width - 1) & 1)
-		crc = (crc << 1) & mask
-		if next == 1 {
-			crc ^= poly & mask
-		}
-	}
-	return crc & mask
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bus"
 	"repro/internal/can"
-	"repro/internal/clock"
 )
 
 // rngModes are generator configurations covering every way a generator
@@ -137,8 +135,7 @@ func chiSquare(counts []int, total int) float64 {
 
 // TestRNGByteUniformity runs a chi-square test of each payload position's
 // byte distribution: on the full-range word-fill path of the blind
-// generator and the FD fuzzer, and on a narrow byte range drawn one value
-// at a time. The limits are the 0.1 % critical values (255 and 15 degrees
+// generator, and on a narrow byte range drawn one value at a time. The limits are the 0.1 % critical values (255 and 15 degrees
 // of freedom); the seeds are fixed, so the test is deterministic.
 func TestRNGByteUniformity(t *testing.T) {
 	const perBin = 200
@@ -167,11 +164,4 @@ func TestRNGByteUniformity(t *testing.T) {
 
 	narrow, _ := NewGenerator(Config{Seed: 3, LenMin: 8, ByteMin: 0x30, ByteMax: 0x3F})
 	check("narrow range", 0x30, 16, 37.7, func() []byte { f := narrow.Next(); return f.Data[:f.Len] })
-
-	s := clock.New()
-	fd, err := NewFDFuzzer(s, bus.New(s).Connect("fd"), FDFuzzConfig{Seed: 3, Sizes: []int{12}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("fd", 0, 256, 330.5, func() []byte { f := fd.Next(); return f.Data[:f.Len] })
 }
