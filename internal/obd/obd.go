@@ -4,13 +4,12 @@
 // dongles mount the MITM attack of §IV. The service layer gives the
 // simulated vehicle a realistic diagnostic responder: a functional request
 // on identifier 0x7DF answered on the ECU's response identifier, with
-// mode 01 live data (engine RPM, vehicle speed, coolant temperature),
-// mode 03 stored trouble codes, and mode 04 clear-DTCs.
+// mode 01 live data (engine RPM, vehicle speed, coolant temperature).
+// No simulated ECU stores trouble codes, so mode 03 always reports zero
+// codes and mode 04 (clear) has nothing to erase.
 package obd
 
 import (
-	"fmt"
-
 	"repro/internal/bus"
 	"repro/internal/can"
 	"repro/internal/ecu"
@@ -40,10 +39,6 @@ const (
 	PIDEngineRPM   = 0x0C
 	PIDSpeed       = 0x0D
 )
-
-// dtcNVKey is the NVRAM key the stored trouble codes live under: they
-// survive power cycles until a scan tool clears them.
-const dtcNVKey = "obd.dtcs"
 
 // Values supplies live data to the server. Nil funcs mean unsupported.
 type Values struct {
@@ -80,18 +75,6 @@ func (s *Server) Requests() uint64 { return s.requests }
 // fuzzing this counter races upward while Requests stays near zero.
 func (s *Server) Malformed() uint64 { return s.malformed }
 
-// DTCs returns the stored trouble codes.
-func (s *Server) DTCs() []string {
-	raw, ok := s.e.NVRead(dtcNVKey)
-	if !ok {
-		return nil
-	}
-	return decodeDTCs(raw)
-}
-
-// ClearDTCs removes all stored codes (service mode 04).
-func (s *Server) ClearDTCs() { s.e.NVDelete(dtcNVKey) }
-
 // onRequest parses one functional request. OBD single frames carry
 // [count, mode, pid, ...]; a defensive parser rejects everything else —
 // this server is the hardened counterexample to the cluster's defective
@@ -120,13 +103,13 @@ func (s *Server) onRequest(m bus.Message) {
 			s.malformed++
 			return
 		}
-		s.serveDTCs()
+		s.requests++
+		s.respond([]byte{2, ModeDTCs + positiveOffset, 0}) // zero stored codes
 	case ModeClearDTCs:
 		if count != 1 {
 			s.malformed++
 			return
 		}
-		s.ClearDTCs()
 		s.requests++
 		s.respond([]byte{1, ModeClearDTCs + positiveOffset})
 	default:
@@ -193,26 +176,6 @@ func (s *Server) serveCurrentData(pid byte) {
 	}
 }
 
-// serveDTCs answers mode 03 with up to two stored codes (the single-frame
-// limit; a full implementation would switch to ISO-TP beyond that).
-func (s *Server) serveDTCs() {
-	codes := s.DTCs()
-	if len(codes) > 2 {
-		codes = codes[:2]
-	}
-	resp := []byte{byte(2 + len(codes)*2), ModeDTCs + positiveOffset, byte(len(codes))}
-	for _, c := range codes {
-		hi, lo, err := encodeDTC(c)
-		if err != nil {
-			continue
-		}
-		resp = append(resp, hi, lo)
-	}
-	resp[0] = byte(len(resp) - 1)
-	s.requests++
-	s.respond(resp)
-}
-
 func (s *Server) respond(payload []byte) {
 	f, err := can.New(s.respID, payload)
 	if err != nil {
@@ -229,67 +192,4 @@ func clampU16(v float64) uint16 {
 		return 65535
 	}
 	return uint16(v)
-}
-
-// encodeDTC packs a five-character code like "P0217" into the two-byte
-// J2012 wire form.
-func encodeDTC(code string) (hi, lo byte, err error) {
-	if len(code) != 5 {
-		return 0, 0, fmt.Errorf("obd: bad DTC %q", code)
-	}
-	var sys byte
-	switch code[0] {
-	case 'P':
-		sys = 0
-	case 'C':
-		sys = 1
-	case 'B':
-		sys = 2
-	case 'U':
-		sys = 3
-	default:
-		return 0, 0, fmt.Errorf("obd: bad DTC system %q", code)
-	}
-	var digits [4]byte
-	for i := 0; i < 4; i++ {
-		d := hexVal(code[i+1])
-		if d < 0 {
-			return 0, 0, fmt.Errorf("obd: bad DTC digit %q", code)
-		}
-		digits[i] = byte(d)
-	}
-	hi = sys<<6 | digits[0]<<4 | digits[1]
-	lo = digits[2]<<4 | digits[3]
-	return hi, lo, nil
-}
-
-// EncodeDTC packs a five-character J2012 code into its two-byte wire form
-// — exported so a UDS server (service 0x19) can share the encoding.
-func EncodeDTC(code string) (hi, lo byte, err error) {
-	return encodeDTC(code)
-}
-
-func hexVal(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	default:
-		return -1
-	}
-}
-
-func decodeDTCs(raw []byte) []string {
-	var out []string
-	start := 0
-	for i, b := range raw {
-		if b == 0 {
-			if i > start {
-				out = append(out, string(raw[start:i]))
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package obd
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -9,8 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/ecu"
-	"repro/internal/isotp"
-	"repro/internal/uds"
 )
 
 func rig(t *testing.T, vals Values) (*clock.Scheduler, *Server, *bus.Port, *[]can.Frame) {
@@ -33,28 +32,6 @@ func request(t *testing.T, tester *bus.Port, data ...byte) {
 	t.Helper()
 	if err := tester.Send(can.MustNew(IDRequest, data)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// storeDTCs writes codes to the server's NVRAM in the format DTCs reads:
-// each code followed by a zero byte.
-func storeDTCs(srv *Server, codes ...string) {
-	var raw []byte
-	for _, c := range codes {
-		raw = append(append(raw, c...), 0)
-	}
-	srv.e.NVWrite(dtcNVKey, raw)
-}
-
-// wantDTC fails unless hi, lo are the wire form of code.
-func wantDTC(t *testing.T, hi, lo byte, code string) {
-	t.Helper()
-	wantHi, wantLo, err := encodeDTC(code)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hi != wantHi || lo != wantLo {
-		t.Fatalf("DTC bytes %02X %02X, want %s = %02X %02X", hi, lo, code, wantHi, wantLo)
 	}
 }
 
@@ -126,44 +103,27 @@ func TestUnsupportedPIDNoAnswer(t *testing.T) {
 	}
 }
 
-func TestMode03DTCsRoundTrip(t *testing.T) {
-	s, srv, tester, resp := rig(t, Values{})
-	storeDTCs(srv, "P0217", "U0100")
-	request(t, tester, 1, ModeDTCs)
-	s.RunUntil(10 * time.Millisecond)
-	if len(*resp) != 1 {
-		t.Fatalf("responses = %d", len(*resp))
-	}
-	f := (*resp)[0]
-	if f.Data[1] != ModeDTCs+positiveOffset || f.Data[2] != 2 {
-		t.Fatalf("response = %v", f)
-	}
-	wantDTC(t, f.Data[3], f.Data[4], "P0217")
-	wantDTC(t, f.Data[5], f.Data[6], "U0100")
-}
-
-func TestMode04ClearsDTCs(t *testing.T) {
-	s, srv, tester, resp := rig(t, Values{})
-	storeDTCs(srv, "B1D00")
-	request(t, tester, 1, ModeClearDTCs)
-	s.RunUntil(10 * time.Millisecond)
-	if len(*resp) != 1 || (*resp)[0].Data[1] != ModeClearDTCs+positiveOffset {
-		t.Fatalf("responses = %v", *resp)
-	}
-	if len(srv.DTCs()) != 0 {
-		t.Fatal("DTCs not cleared")
-	}
-}
-
-func TestDTCsSurvivePowerCycle(t *testing.T) {
-	s := clock.New()
-	b := bus.New(s)
-	e := ecu.New("engine", s, b.Connect("engine"))
-	srv := NewServer(e, IDResponseBase, Values{})
-	storeDTCs(srv, "P0300")
-	e.PowerCycle()
-	if got := srv.DTCs(); len(got) != 1 || got[0] != "P0300" {
-		t.Fatalf("DTCs after power cycle = %v", got)
+// TestTroubleCodeModesAnswerEmpty pins the mode 03 and mode 04 answers
+// of a server that stores no trouble codes — every simulated ECU — on a
+// fresh server and after a power cycle: 02 43 00 (zero codes) and 01 44.
+func TestTroubleCodeModesAnswerEmpty(t *testing.T) {
+	for _, powerCycle := range []bool{false, true} {
+		for _, tc := range []struct {
+			req, want []byte
+		}{
+			{[]byte{1, ModeDTCs}, []byte{2, ModeDTCs + positiveOffset, 0}},
+			{[]byte{1, ModeClearDTCs}, []byte{1, ModeClearDTCs + positiveOffset}},
+		} {
+			s, srv, tester, resp := rig(t, Values{})
+			if powerCycle {
+				srv.e.PowerCycle()
+			}
+			request(t, tester, tc.req...)
+			s.RunUntil(10 * time.Millisecond)
+			if len(*resp) != 1 || !bytes.Equal((*resp)[0].Data[:(*resp)[0].Len], tc.want) {
+				t.Fatalf("power cycle %v, request % X: responses %v, want one % X", powerCycle, tc.req, *resp, tc.want)
+			}
+		}
 	}
 }
 
@@ -232,70 +192,4 @@ func TestFuzzingOBDServerStaysDefensive(t *testing.T) {
 	}
 	t.Logf("fuzz: %d malformed rejected, %d served, %d responses",
 		srv.Malformed(), srv.Requests(), len(responses))
-}
-
-func TestDecodeDTCSystems(t *testing.T) {
-	// SAE J2012: the system letter is the top two bits of the first byte.
-	cases := map[string][2]byte{
-		"P0217": {0x02, 0x17}, "C1234": {0x52, 0x34},
-		"B1D00": {0x9D, 0x00}, "U0100": {0xC1, 0x00},
-	}
-	for code, want := range cases {
-		wantDTC(t, want[0], want[1], code)
-	}
-	if _, _, err := encodeDTC("X0000"); err == nil {
-		t.Fatal("bad system letter accepted")
-	}
-	if _, _, err := encodeDTC("P00"); err == nil {
-		t.Fatal("short code accepted")
-	}
-	if _, _, err := encodeDTC("P0Z00"); err == nil {
-		t.Fatal("bad digit accepted")
-	}
-}
-
-func TestServerSatisfiesUDSDTCStore(t *testing.T) {
-	// The OBD server doubles as the UDS DTC store: one NVRAM-backed code
-	// base served over both J1979 mode 03 and UDS 0x19.
-	s := clock.New()
-	b := bus.New(s)
-	e := ecu.New("engine", s, b.Connect("engine"))
-	srv := NewServer(e, IDResponseBase, Values{})
-	storeDTCs(srv, "P0217")
-
-	var udsServer *uds.Server
-	ep := isotp.NewEndpoint(s, e.Send, 0x7E9, 0x7E1, isotp.Config{},
-		func(req []byte) { udsServer.HandleRequest(req) })
-	udsServer = uds.NewServer(e, ep, uds.ServerConfig{DTCs: srv, EncodeDTC: EncodeDTC})
-	e.Handle(0x7E1, ep.HandleFrame)
-
-	tester := b.Connect("tester")
-	var resp []byte
-	cep := isotp.NewEndpoint(s, tester.Send, 0x7E1, 0x7E9, isotp.Config{},
-		func(r []byte) { resp = r })
-	tester.SetReceiver(cep.HandleFrame)
-
-	// Read DTCs over UDS (0x19 reportDTCByStatusMask, all bits), compare
-	// the wire bytes with the store.
-	if err := cep.Send([]byte{uds.SvcReadDTCs, uds.ReportDTCByStatusMask, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(time.Second)
-	// Positive response: service, subfunc, availability, then hi lo fault status.
-	if len(resp) != 3+4 || resp[0] != uds.SvcReadDTCs+0x40 {
-		t.Fatalf("resp = % X", resp)
-	}
-	wantDTC(t, resp[3], resp[4], "P0217")
-
-	// Clear all groups over UDS (0x14 FFFFFF); the J1979 view must empty too.
-	if err := cep.Send([]byte{uds.SvcClearDTCs, 0xFF, 0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(2 * time.Second)
-	if len(resp) != 1 || resp[0] != uds.SvcClearDTCs+0x40 {
-		t.Fatalf("clear resp = % X", resp)
-	}
-	if len(srv.DTCs()) != 0 {
-		t.Fatal("UDS clear did not reach the shared store")
-	}
 }

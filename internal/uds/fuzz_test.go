@@ -36,7 +36,7 @@ func FuzzUDSDispatch(f *testing.F) {
 	f.Add([]byte{SvcWriteDID, 0x01, 0x00, 0xAA})
 	f.Add([]byte{SvcSecurityAccess, 0x01})
 	f.Add([]byte{SvcTesterPresent, 0x80})
-	f.Add([]byte{SvcReadDTCs, ReportDTCByStatusMask, 0xFF})
+	f.Add([]byte{0x19, 0x02, 0xFF}) // unsupported: read trouble codes
 	f.Add([]byte{0x99, 0x01, 0x02})
 	f.Add([]byte{SvcSessionControl})
 

@@ -19,15 +19,6 @@ const maxKeyAttempts = 3
 // DID is a 16-bit data identifier.
 type DID uint16
 
-// DTCStore connects the server to the ECU's diagnostic-trouble-code
-// storage (the obd package's Server satisfies it).
-type DTCStore interface {
-	// DTCs returns the stored codes in J2012 text form ("P0217").
-	DTCs() []string
-	// ClearDTCs erases all stored codes.
-	ClearDTCs()
-}
-
 // DIDEntry describes one data identifier exposed by a server.
 type DIDEntry struct {
 	// Read returns the current value; nil means the DID is write-only.
@@ -53,12 +44,6 @@ type ServerConfig struct {
 	// Seed generates the next seed; the default derives it from the
 	// virtual clock so runs are deterministic.
 	Seed func() []byte
-	// DTCs optionally exposes trouble-code storage through services 0x19
-	// (read) and 0x14 (clear). Nil rejects both services.
-	DTCs DTCStore
-	// EncodeDTC converts a stored code to its two-byte wire form; required
-	// when DTCs is set (the obd package's encoder fits).
-	EncodeDTC func(code string) (hi, lo byte, err error)
 }
 
 // Server implements the ECU side of UDS. It owns the ECU's operating mode:
@@ -127,10 +112,6 @@ func (s *Server) HandleRequest(req []byte) {
 		s.handleSecurityAccess(req)
 	case SvcTesterPresent:
 		s.handleTesterPresent(req)
-	case SvcReadDTCs:
-		s.handleReadDTCs(req)
-	case SvcClearDTCs:
-		s.handleClearDTCs(req)
 	default:
 		s.negative(svc, NRCServiceNotSupported)
 	}
@@ -320,54 +301,6 @@ func (s *Server) handleTesterPresent(req []byte) {
 	if !suppress {
 		s.respond([]byte{SvcTesterPresent + positiveOffset, req[1] & 0x7F})
 	}
-}
-
-// handleReadDTCs implements service 0x19 sub-function 0x02
-// (reportDTCByStatusMask): every stored code is reported with status 0x09
-// (testFailed | confirmedDTC).
-func (s *Server) handleReadDTCs(req []byte) {
-	if s.cfg.DTCs == nil || s.cfg.EncodeDTC == nil {
-		s.negative(SvcReadDTCs, NRCServiceNotSupported)
-		return
-	}
-	if len(req) != 3 {
-		s.negative(SvcReadDTCs, NRCIncorrectLength)
-		return
-	}
-	if req[1] != ReportDTCByStatusMask {
-		s.negative(SvcReadDTCs, NRCSubFunctionNotSupported)
-		return
-	}
-	const statusAvailability = 0xFF
-	resp := []byte{SvcReadDTCs + positiveOffset, ReportDTCByStatusMask, statusAvailability}
-	for _, code := range s.cfg.DTCs.DTCs() {
-		hi, lo, err := s.cfg.EncodeDTC(code)
-		if err != nil {
-			continue
-		}
-		// 3-byte DTC (high, low, fault byte 0) + status.
-		resp = append(resp, hi, lo, 0x00, 0x09)
-	}
-	s.respond(resp)
-}
-
-// handleClearDTCs implements service 0x14 (clearDiagnosticInformation) for
-// the all-groups selector FFFFFF.
-func (s *Server) handleClearDTCs(req []byte) {
-	if s.cfg.DTCs == nil {
-		s.negative(SvcClearDTCs, NRCServiceNotSupported)
-		return
-	}
-	if len(req) != 4 {
-		s.negative(SvcClearDTCs, NRCIncorrectLength)
-		return
-	}
-	if req[1] != 0xFF || req[2] != 0xFF || req[3] != 0xFF {
-		s.negative(SvcClearDTCs, NRCRequestOutOfRange)
-		return
-	}
-	s.cfg.DTCs.ClearDTCs()
-	s.respond([]byte{SvcClearDTCs + positiveOffset})
 }
 
 func bytesEqual(a, b []byte) bool {

@@ -16,8 +16,6 @@ import "fmt"
 const (
 	SvcSessionControl  = 0x10
 	SvcECUReset        = 0x11
-	SvcClearDTCs       = 0x14
-	SvcReadDTCs        = 0x19
 	SvcReadDID         = 0x22
 	SvcSecurityAccess  = 0x27
 	SvcWriteDID        = 0x2E
@@ -25,10 +23,6 @@ const (
 	positiveOffset     = 0x40
 	negativeResponseID = 0x7F
 )
-
-// ReadDTCs sub-function: report DTCs by status mask (the one every scan
-// tool uses).
-const ReportDTCByStatusMask = 0x02
 
 // Diagnostic session types (sub-functions of SvcSessionControl).
 const (
