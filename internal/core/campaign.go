@@ -70,7 +70,7 @@ func WithFaultCounts(fn func() map[string]uint64) Option {
 
 // WithTelemetry attaches the campaign to a telemetry plane: frame and
 // error counters, coverage and integrity gauges, and trace events for
-// generator progress, oracle firings and system resets. Oracles added via
+// generator progress and oracle firings. Oracles added via
 // AddOracle are wrapped with oracle.Instrumented. A nil argument leaves
 // the campaign uninstrumented (the default, with zero overhead).
 func WithTelemetry(t *telemetry.Telemetry) Option {
@@ -94,7 +94,6 @@ const (
 	CauseBusOff         = "bus-off"
 	CauseDetached       = "detached"
 	CauseRetryExhausted = "retry-exhausted"
-	CauseWatchdogReset  = "watchdog-reset"
 	CauseOther          = "other"
 )
 
@@ -106,7 +105,6 @@ const (
 	causeIdxBusOff
 	causeIdxDetached
 	causeIdxRetryExhausted
-	causeIdxWatchdogReset
 	causeIdxOther
 	numSendErrorCauses
 )
@@ -115,19 +113,17 @@ const (
 // ordered to match the causeIdx constants, for eager counter registration.
 var sendErrorCauses = []string{
 	CauseQueueFull, CauseBusOff, CauseDetached,
-	CauseRetryExhausted, CauseWatchdogReset, CauseOther,
+	CauseRetryExhausted, CauseOther,
 }
 
 // classifySendErrorIndex maps a send-path error to its cause index. The
-// resilience sentinels are checked first: a frame abandoned after exhausted
-// retries or a watchdog reset must not be re-bucketed by whatever transient
-// error happened to be last.
+// resilience sentinel is checked first: a frame abandoned after exhausted
+// retries must not be re-bucketed by whatever transient error happened to
+// be last.
 func classifySendErrorIndex(err error) int {
 	switch {
 	case errors.Is(err, ErrRetryExhausted):
 		return causeIdxRetryExhausted
-	case errors.Is(err, ErrWatchdogReset):
-		return causeIdxWatchdogReset
 	case errors.Is(err, bus.ErrTxQueueFull):
 		return causeIdxQueueFull
 	case errors.Is(err, bus.ErrBusOff):
@@ -231,8 +227,6 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 		reg := c.tel.Registry
 		c.mSent = reg.Counter("campaign_frames_sent_total", "Fuzz frames transmitted by the campaign.")
 		c.mFindings = reg.Counter("campaign_findings_total", "Oracle firings recorded by the campaign.")
-		// Registered for the exposition format; no campaign resets anything.
-		reg.Counter("campaign_resets_total", "System resets performed after findings.")
 		c.gDistinct = reg.Gauge("campaign_distinct_ids", "Distinct identifiers fuzzed (coverage numerator).")
 		c.gByteMean = reg.Gauge("campaign_sent_byte_mean", "Mean payload byte value of sent frames (Fig 5 integrity; ~127.5 when healthy).")
 		for i, cause := range sendErrorCauses {

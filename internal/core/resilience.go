@@ -21,17 +21,10 @@ import (
 // the run with a classified finding. Without a policy the campaign behaves
 // exactly as before (and the hot path pays a single nil check).
 
-// Sentinel errors for fault-induced send outcomes, classified by
-// classifySendError into their own causes rather than "other".
-var (
-	// ErrRetryExhausted marks a transmission abandoned after the retry
-	// budget was spent on transient rejections.
-	ErrRetryExhausted = errors.New("core: send retry budget exhausted")
-	// ErrWatchdogReset marks a pending retransmission abandoned because the
-	// watchdog reset the system under it. The watchdog resets nothing, so
-	// no send path returns it; its cause keeps its row in reports.
-	ErrWatchdogReset = errors.New("core: pending send abandoned by watchdog reset")
-)
+// ErrRetryExhausted marks a transmission abandoned after the retry budget
+// was spent on transient rejections. classifySendError gives it its own
+// cause rather than "other".
+var ErrRetryExhausted = errors.New("core: send retry budget exhausted")
 
 // Resilience configures the campaign's self-healing behaviour.
 type Resilience struct {
@@ -179,9 +172,6 @@ type ResilienceReport struct {
 	RetriesExhausted uint64 `json:"retriesExhausted"`
 	// WatchdogFires counts dead-bus detections.
 	WatchdogFires uint64 `json:"watchdogFires"`
-	// WatchdogResets is always 0: the watchdog reports a finding and
-	// resets nothing. The field keeps the report format.
-	WatchdogResets uint64 `json:"watchdogResets"`
 	// PortBusOffs and PortRecoveries count the fuzzer port's bus-off
 	// entries and ISO 11898-1 rejoins during the run.
 	PortBusOffs    uint64 `json:"portBusOffs"`

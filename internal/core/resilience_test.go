@@ -20,7 +20,6 @@ func TestClassifySendErrorExhaustive(t *testing.T) {
 		{fmt.Errorf("send: %w", bus.ErrBusOff), CauseBusOff},
 		{fmt.Errorf("send: %w", bus.ErrDetached), CauseDetached},
 		{fmt.Errorf("%w (3 attempts, last: %v)", ErrRetryExhausted, bus.ErrTxQueueFull), CauseRetryExhausted},
-		{ErrWatchdogReset, CauseWatchdogReset},
 		{errors.New("anything else"), CauseOther},
 	}
 	seen := map[string]bool{}
