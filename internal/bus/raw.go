@@ -81,7 +81,7 @@ func (b *Bus) startRaw(winner *Port) {
 	b.busy = true
 	bits := len(tx.bits) + can.InterframeSpace
 	dur := time.Duration(bits) * time.Second / time.Duration(b.bitrate)
-	b.pend.kind, b.pend.port, b.pend.raw, b.pend.dur = txRaw, winner, tx, dur
+	b.pend.isRaw, b.pend.port, b.pend.raw, b.pend.dur = true, winner, tx, dur
 	b.sched.AfterEvent(dur, b.completeEvent)
 }
 
