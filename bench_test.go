@@ -35,6 +35,7 @@ import (
 // exercises the nil-receiver no-op hooks, and BenchmarkCampaignTelemetry
 // the live counters and tracer.
 type campaignBench struct {
+	sched    *clock.Scheduler
 	bench    *testbench.Bench
 	campaign *core.Campaign
 }
@@ -54,7 +55,7 @@ func newCampaignBench(tb testing.TB, tel *telemetry.Telemetry) *campaignBench {
 		tb.Fatal(err)
 	}
 	campaign.AddOracle(bench.UnlockOracle())
-	return &campaignBench{bench: bench, campaign: campaign}
+	return &campaignBench{sched: sched, bench: bench, campaign: campaign}
 }
 
 // run executes one virtual second of fuzzing on the recycled world.
@@ -62,7 +63,7 @@ func (cb *campaignBench) run() uint64 {
 	cb.bench.Reset()
 	cb.campaign.Reset(7)
 	cb.campaign.Start()
-	cb.bench.Scheduler().RunUntil(time.Second)
+	cb.sched.RunUntil(time.Second)
 	cb.campaign.Stop()
 	return cb.campaign.FramesSent()
 }

@@ -27,12 +27,6 @@ func (h *ByteHistogram) Add(f can.Frame) {
 	}
 }
 
-// Total returns the number of bytes accumulated.
-func (h *ByteHistogram) Total() uint64 { return h.total }
-
-// Count returns the occurrences of one byte value.
-func (h *ByteHistogram) Count(b byte) uint64 { return h.counts[b] }
-
 // ChiSquare returns the chi-square statistic against the uniform
 // distribution over 256 values (255 degrees of freedom). For genuinely
 // uniform data the expected value is ~255; structured vehicle traffic

@@ -150,11 +150,11 @@ func TestNoAckWhenDisabled(t *testing.T) {
 
 func TestBodyStatusBroadcastReflectsLockState(t *testing.T) {
 	s, m, peer := rig(t, Config{})
-	db := signal.VehicleDB()
+	def, _ := signal.VehicleDB().ByID(signal.IDBodyStatus)
 	var lastLocked float64 = -1
 	peer.SetReceiver(func(msg bus.Message) {
 		if msg.Frame.ID == signal.IDBodyStatus {
-			vals, _ := db.Decode(msg.Frame)
+			vals := def.Decode(msg.Frame)
 			lastLocked = vals["DoorsLocked"]
 		}
 	})

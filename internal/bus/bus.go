@@ -324,9 +324,6 @@ func (b *Bus) Instrument(t *telemetry.Telemetry) {
 // Bitrate returns the configured bit rate in bits per second.
 func (b *Bus) Bitrate() int { return b.bitrate }
 
-// Scheduler returns the clock the bus runs on.
-func (b *Bus) Scheduler() *clock.Scheduler { return b.sched }
-
 // SetInterceptor installs the wire-fault hook. Pass nil to remove it.
 func (b *Bus) SetInterceptor(i Interceptor) { b.intercept = i }
 

@@ -32,7 +32,7 @@ func TestSingleFrameDelivery(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("received %d frames, want 1", len(got))
 	}
-	if !got[0].Frame.Equal(f) {
+	if got[0].Frame != f {
 		t.Fatalf("frame = %v, want %v", got[0].Frame, f)
 	}
 	if got[0].Origin != "tx" {

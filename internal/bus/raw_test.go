@@ -22,7 +22,7 @@ func TestSendRawValidBitsDeliverAsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.RunUntil(time.Second)
-	if len(got) != 1 || !got[0].Equal(want) {
+	if len(got) != 1 || got[0] != want {
 		t.Fatalf("got %v", got)
 	}
 	if result != RawDelivered {

@@ -137,7 +137,6 @@ type campaign struct {
 	progress *fleet.Progress
 
 	// Final output (done).
-	report     *fleet.Report
 	reportJSON []byte
 	failure    string // journal finalisation error, preserved in the index
 
@@ -388,7 +387,6 @@ func (s *Server) finish(id string) {
 
 	s.mu.Lock()
 	c.state = StateDone
-	c.report = rep
 	c.reportJSON = buf.Bytes()
 	c.failure = failure
 	if err := s.persistLocked(); err != nil && s.log != nil {

@@ -196,7 +196,6 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 			return fmt.Errorf("campsrv: campaign %s report: %w", c.id, err)
 		}
 		c.state = StateDone
-		c.report = rep
 		c.reportJSON = buf.Bytes()
 		if s.log != nil {
 			s.log.Info("campaign report rebuilt from journal", "campaign", c.id,

@@ -1,80 +1,12 @@
 package can
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// Wire codec.
-//
-// Two encodings are provided:
-//
-//  1. A compact 4+N byte binary record (Marshal/Unmarshal) used by the
-//     capture package and any transport that ships frames between
-//     processes. Layout, big endian:
-//
-//       byte 0-1  flags(4 bits: bit15 remote) | 11-bit ID in the low bits
-//       byte 2    DLC
-//       byte 3..  DLC data bytes (absent for remote frames)
-//
-//  2. The physical bit sequence (AppendEncodeBits/DecodeBits), which round-trips
-//     through CRC computation and bit stuffing. The simulated bus does not
-//     ship bits for performance, but tests use this to prove the frame
-//     model is wire-faithful and the fuzzer's bit-level mode manipulates
-//     real stuffed sequences.
-
-const flagRemote = 0x8000
-
-// AppendMarshal appends the compact encoding of f to dst and returns the
-// extended slice.
-func AppendMarshal(dst []byte, f Frame) ([]byte, error) {
-	if err := f.Validate(); err != nil {
-		return dst, err
-	}
-	hdr := uint16(f.ID)
-	if f.Remote {
-		hdr |= flagRemote
-	}
-	dst = binary.BigEndian.AppendUint16(dst, hdr)
-	dst = append(dst, f.Len)
-	if !f.Remote {
-		dst = append(dst, f.Data[:f.Len]...)
-	}
-	return dst, nil
-}
-
-// Marshal returns the compact binary encoding of f.
-func Marshal(f Frame) ([]byte, error) {
-	return AppendMarshal(make([]byte, 0, 3+f.Len), f)
-}
-
-// Unmarshal decodes one frame from the start of buf, returning the frame
-// and the number of bytes consumed.
-func Unmarshal(buf []byte) (Frame, int, error) {
-	var f Frame
-	if len(buf) < 3 {
-		return f, 0, ErrTruncated
-	}
-	hdr := binary.BigEndian.Uint16(buf[:2])
-	f.Remote = hdr&flagRemote != 0
-	f.ID = ID(hdr & MaxID)
-	if hdr&^uint16(flagRemote|MaxID) != 0 {
-		return f, 0, fmt.Errorf("can: reserved flag bits set: %#04x", hdr)
-	}
-	f.Len = buf[2]
-	if f.Len > MaxDataLen {
-		return f, 0, fmt.Errorf("%w: dlc %d", ErrDataLen, f.Len)
-	}
-	n := 3
-	if !f.Remote {
-		if len(buf) < 3+int(f.Len) {
-			return f, 0, ErrTruncated
-		}
-		copy(f.Data[:f.Len], buf[3:3+f.Len])
-		n += int(f.Len)
-	}
-	return f, n, nil
-}
+// Wire codec: the physical bit sequence of a frame
+// (AppendEncodeBits/DecodeBits), which round-trips through CRC computation
+// and bit stuffing. The simulated bus does not ship bits for performance,
+// but tests use this to prove the frame model is wire-faithful and the
+// fuzzer's bit-level mode manipulates real stuffed sequences.
 
 // AppendEncodeBits appends the stuffed physical bit sequence of f (header,
 // data and CRC, stuffed, without the fixed-form trailer) to dst and returns

@@ -1,8 +1,8 @@
 // Package can implements the classic CAN 2.0A protocol data model used by
 // the whole reproduction: standard data/remote frames with 11-bit
 // identifiers, frame validation, the CRC-15 checksum, bit-stuffing
-// accounting (needed to compute on-wire transmission time), and a compact
-// wire codec for captures.
+// accounting (needed to compute on-wire transmission time), and the
+// stuffed bit encoding of a frame.
 //
 // The paper's fuzzer operates on standard frames only — "The target vehicle
 // uses standard CAN data packets (11-bit ids)" (§VI) — so extended 29-bit
@@ -115,20 +115,6 @@ func (f Frame) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Equal reports whether two frames are identical in every meaningful field
-// (bytes beyond Len are ignored).
-func (f Frame) Equal(g Frame) bool {
-	if f.ID != g.ID || f.Len != g.Len || f.Remote != g.Remote {
-		return false
-	}
-	for i := uint8(0); i < f.Len && i < MaxDataLen; i++ {
-		if f.Data[i] != g.Data[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the frame in the paper's table layout: "ID LEN DATA...",

@@ -54,15 +54,17 @@ func TestMustNewPanicsOnInvalid(t *testing.T) {
 }
 
 func TestNewRemote(t *testing.T) {
-	f, err := NewRemote(0x100, 4)
-	if err != nil {
-		t.Fatalf("NewRemote: %v", err)
-	}
-	if !f.Remote || f.Len != 4 {
-		t.Fatalf("frame = %+v", f)
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	for _, dlc := range []uint8{4, MaxDataLen} {
+		f, err := NewRemote(0x100, dlc)
+		if err != nil {
+			t.Fatalf("NewRemote(dlc %d): %v", dlc, err)
+		}
+		if !f.Remote || f.Len != dlc {
+			t.Fatalf("frame = %+v", f)
+		}
+		if err := f.Validate(); err != nil {
+			t.Fatalf("Validate: %v", err)
+		}
 	}
 }
 
@@ -120,27 +122,6 @@ func TestFrameStringRemote(t *testing.T) {
 	}
 }
 
-func TestEqualIgnoresBytesBeyondLen(t *testing.T) {
-	a := MustNew(0x10, []byte{1, 2})
-	b := a
-	b.Data[5] = 0xEE // beyond Len
-	if !a.Equal(b) {
-		t.Fatal("Equal should ignore bytes beyond Len")
-	}
-	b.Data[1] = 9
-	if a.Equal(b) {
-		t.Fatal("Equal missed payload difference")
-	}
-}
-
-func TestEqualDistinguishesKind(t *testing.T) {
-	a := MustNew(0x10, nil)
-	r, _ := NewRemote(0x10, 0)
-	if a.Equal(r) {
-		t.Fatal("data and remote frames compared equal")
-	}
-}
-
 // randomFrame builds a uniformly random valid data frame.
 func randomFrame(rng *rand.Rand) Frame {
 	n := rng.Intn(MaxDataLen + 1)
@@ -172,15 +153,5 @@ func TestPropertyNewRoundTripsPayload(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPropertyEqualIsReflexive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		f := randomFrame(rng)
-		if !f.Equal(f) {
-			t.Fatalf("frame not equal to itself: %v", f)
-		}
 	}
 }

@@ -47,29 +47,6 @@ func randomWireFrame(rng *rand.Rand) Frame {
 	return f
 }
 
-// TestMarshalUnmarshalRoundTripProperty checks Unmarshal(Marshal(f)) == f
-// over a seeded sample of the whole frame space.
-func TestMarshalUnmarshalRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		f := randomWireFrame(rng)
-		buf, err := Marshal(f)
-		if err != nil {
-			t.Fatalf("frame %d (%v): marshal: %v", i, f, err)
-		}
-		got, n, err := Unmarshal(buf)
-		if err != nil {
-			t.Fatalf("frame %d (%v): unmarshal: %v", i, f, err)
-		}
-		if n != len(buf) {
-			t.Fatalf("frame %d: consumed %d of %d bytes", i, n, len(buf))
-		}
-		if !got.Equal(f) || got.Remote != f.Remote || got.Len != f.Len {
-			t.Fatalf("frame %d: round trip %v -> %v", i, f, got)
-		}
-	}
-}
-
 // randomFDWireFrame draws one valid FD frame: random identifier, a random
 // representable DLC size, random payload and bit-rate switch.
 func randomFDWireFrame(rng *rand.Rand) FDFrame {

@@ -70,9 +70,6 @@ func (t *Trace) Records() []Record {
 	return out
 }
 
-// At returns the i-th record.
-func (t *Trace) At(i int) Record { return t.records[i] }
-
 // IDs returns the distinct identifiers observed, in first-seen order — the
 // input to targeted fuzzing.
 func (t *Trace) IDs() []can.ID {

@@ -30,8 +30,8 @@ func TestTraceAppendAndLimit(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
-	if tr.At(0).Frame.ID != 2 {
-		t.Fatalf("oldest retained = %v, want 2", tr.At(0).Frame.ID)
+	if tr.Records()[0].Frame.ID != 2 {
+		t.Fatalf("oldest retained = %v, want 2", tr.Records()[0].Frame.ID)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestRecordsReturnsCopy(t *testing.T) {
 	tr.Append(Record{Frame: can.MustNew(1, nil)})
 	recs := tr.Records()
 	recs[0].Frame.ID = 0x7FF
-	if tr.At(0).Frame.ID != 1 {
+	if tr.Records()[0].Frame.ID != 1 {
 		t.Fatal("Records aliases internal storage")
 	}
 }
@@ -75,8 +75,8 @@ func TestRecorderCapturesBusTraffic(t *testing.T) {
 	if rec.Trace().Len() != 5 {
 		t.Fatalf("captured %d frames, want 5", rec.Trace().Len())
 	}
-	if rec.Trace().At(0).Origin != "tx" {
-		t.Fatalf("origin = %q", rec.Trace().At(0).Origin)
+	if rec.Trace().Records()[0].Origin != "tx" {
+		t.Fatalf("origin = %q", rec.Trace().Records()[0].Origin)
 	}
 }
 
@@ -98,11 +98,12 @@ func TestWriteParseLogRoundTrip(t *testing.T) {
 	if got.Len() != 3 {
 		t.Fatalf("parsed %d records", got.Len())
 	}
-	for i := 0; i < 3; i++ {
-		if !got.At(i).Frame.Equal(tr.At(i).Frame) {
-			t.Fatalf("record %d frame mismatch: %v vs %v", i, got.At(i).Frame, tr.At(i).Frame)
+	want := tr.Records()
+	for i, r := range got.Records() {
+		if r.Frame != want[i].Frame {
+			t.Fatalf("record %d frame mismatch: %v vs %v", i, r.Frame, want[i].Frame)
 		}
-		if got.At(i).Time != tr.At(i).Time {
+		if r.Time != want[i].Time {
 			t.Fatalf("record %d time mismatch", i)
 		}
 	}

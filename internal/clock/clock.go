@@ -372,18 +372,7 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 // RunFor advances the clock by d, running all events due in that window.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
-// Run drains the queue completely (or until Stop is called). Use with care:
-// with self-re-arming periodic events this never returns, so simulations
-// normally use RunUntil/RunFor.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	s.running = true
-	defer func() { s.running = false }()
-	for !s.stopped && s.Step() {
-	}
-}
-
-// Stop halts RunUntil/RunFor/Run after the currently executing event
+// Stop halts RunUntil/RunFor after the currently executing event
 // returns. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }
 

@@ -259,18 +259,6 @@ func TestPending(t *testing.T) {
 	}
 }
 
-func TestRunDrainsQueue(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 100; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() { count++ })
-	}
-	s.Run()
-	if count != 100 {
-		t.Fatalf("count = %d, want 100", count)
-	}
-}
-
 func TestManyEventsOrdering(t *testing.T) {
 	s := New()
 	var last time.Duration = -1

@@ -109,7 +109,7 @@ const (
 	numSendErrorCauses
 )
 
-// sendErrorCauses lists every cause label classifySendError can return,
+// sendErrorCauses lists every cause label classifySendErrorIndex can pick,
 // ordered to match the causeIdx constants, for eager counter registration.
 var sendErrorCauses = []string{
 	CauseQueueFull, CauseBusOff, CauseDetached,
@@ -133,11 +133,6 @@ func classifySendErrorIndex(err error) int {
 	default:
 		return causeIdxOther
 	}
-}
-
-// classifySendError maps a send-path error to its cause label.
-func classifySendError(err error) string {
-	return sendErrorCauses[classifySendErrorIndex(err)]
 }
 
 // Campaign drives one fuzz test: a generator paced by the timing loop,

@@ -186,7 +186,7 @@ func TestMutateEmptyPayloadNoID(t *testing.T) {
 	base := can.MustNew(0x100, nil)
 	g, _ := NewGenerator(Config{Seed: 1, Mode: ModeMutate, Corpus: []can.Frame{base}})
 	f := g.Next()
-	if !f.Equal(base) {
+	if f != base {
 		t.Fatal("nothing to mutate but frame changed")
 	}
 }
@@ -208,7 +208,7 @@ func TestSweepEnumeratesWholeSpace(t *testing.T) {
 	if len(seen) != want {
 		t.Fatalf("enumerated %d distinct frames, want %d", len(seen), want)
 	}
-	if f := g.Next(); !f.Equal(first) {
+	if f := g.Next(); f != first {
 		t.Fatalf("sweep did not wrap: frame %d = %v, want %v", want, f, first)
 	}
 }
@@ -222,7 +222,7 @@ func TestSweepZeroLength(t *testing.T) {
 	if a.ID != 0 || b.ID != 1 || a.Len != 0 {
 		t.Fatalf("sweep frames = %v, %v", a, b)
 	}
-	if c := g.Next(); !c.Equal(a) {
+	if c := g.Next(); c != a {
 		t.Fatalf("0-length sweep did not wrap after covering ids: %v", c)
 	}
 }

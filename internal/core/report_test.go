@@ -135,7 +135,7 @@ func TestConfigToJSONRoundTrip(t *testing.T) {
 	if len(back.TargetIDs) != 1 || back.TargetIDs[0] != 0x215 {
 		t.Fatalf("target ids = %v", back.TargetIDs)
 	}
-	if len(back.Corpus) != 1 || !back.Corpus[0].Equal(frame) {
+	if len(back.Corpus) != 1 || back.Corpus[0] != frame {
 		t.Fatalf("corpus = %v", back.Corpus)
 	}
 	// The zero mode stays empty on the wire and parses back to random.

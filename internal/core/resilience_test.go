@@ -24,8 +24,8 @@ func TestClassifySendErrorExhaustive(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, tc := range cases {
-		if got := classifySendError(tc.err); got != tc.want {
-			t.Errorf("classifySendError(%v) = %q, want %q", tc.err, got, tc.want)
+		if got := sendErrorCauses[classifySendErrorIndex(tc.err)]; got != tc.want {
+			t.Errorf("classifySendErrorIndex(%v) picks %q, want %q", tc.err, got, tc.want)
 		}
 		seen[tc.want] = true
 	}

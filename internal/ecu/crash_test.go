@@ -17,9 +17,6 @@ func TestHandlerPanicCrashesECUNotScheduler(t *testing.T) {
 	peer.Send(can.MustNew(0x100, nil))
 	s.RunUntil(time.Second) // must not panic through the scheduler
 
-	if !e.Crashed() {
-		t.Fatal("ECU not crashed after handler panic")
-	}
 	if e.CrashDetail() != "boom" {
 		t.Fatalf("crash detail = %q, want boom", e.CrashDetail())
 	}
@@ -45,8 +42,8 @@ func TestPeriodicPanicCrashesECU(t *testing.T) {
 	s, _, e, _ := rig(t)
 	e.Periodic(10*time.Millisecond, func() { panic("tick bug") })
 	s.RunUntil(time.Second)
-	if !e.Crashed() || e.CrashDetail() != "tick bug" {
-		t.Fatalf("crashed=%v detail=%q", e.Crashed(), e.CrashDetail())
+	if e.CrashDetail() != "tick bug" {
+		t.Fatalf("crash detail = %q", e.CrashDetail())
 	}
 }
 
@@ -57,8 +54,8 @@ func TestInjectPanicArmsNextDispatch(t *testing.T) {
 
 	peer.Send(can.MustNew(0x100, nil))
 	s.RunUntil(s.Now() + 10*time.Millisecond)
-	if handled != 1 || e.Crashed() {
-		t.Fatalf("baseline dispatch: handled=%d crashed=%v", handled, e.Crashed())
+	if handled != 1 || e.CrashDetail() != "" {
+		t.Fatalf("baseline dispatch: handled=%d crash detail=%q", handled, e.CrashDetail())
 	}
 
 	e.InjectPanic("injected fault")
@@ -67,8 +64,8 @@ func TestInjectPanicArmsNextDispatch(t *testing.T) {
 	if handled != 1 {
 		t.Fatalf("handler ran despite armed panic: handled=%d", handled)
 	}
-	if !e.Crashed() || e.CrashDetail() != "injected fault" {
-		t.Fatalf("crashed=%v detail=%q", e.Crashed(), e.CrashDetail())
+	if e.CrashDetail() != "injected fault" {
+		t.Fatalf("crash detail = %q", e.CrashDetail())
 	}
 }
 
@@ -145,16 +142,16 @@ func TestInjectPanicCrashesWithoutHandler(t *testing.T) {
 
 	peer.Send(can.MustNew(0x200, nil)) // no handler: counted, traced, dropped
 	s.RunUntil(s.Now() + 10*time.Millisecond)
-	if e.Crashed() || e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
-		t.Fatalf("handler-less frame: crashed=%v dispatched=%d traced=%d",
-			e.Crashed(), e.mDispatched.Value(), dispatchEvents(tel))
+	if e.CrashDetail() != "" || e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
+		t.Fatalf("handler-less frame: crash detail=%q dispatched=%d traced=%d",
+			e.CrashDetail(), e.mDispatched.Value(), dispatchEvents(tel))
 	}
 
 	e.InjectPanic("armed")
 	peer.Send(can.MustNew(0x200, nil))
 	s.RunUntil(s.Now() + 10*time.Millisecond)
-	if !e.Crashed() || e.CrashDetail() != "armed" {
-		t.Fatalf("crashed=%v detail=%q, want a crash on the handler-less frame", e.Crashed(), e.CrashDetail())
+	if e.CrashDetail() != "armed" {
+		t.Fatalf("crash detail = %q, want a crash on the handler-less frame", e.CrashDetail())
 	}
 	if handled != 0 || e.mDispatched.Value() != 2 || dispatchEvents(tel) != 2 {
 		t.Fatalf("handled=%d dispatched=%d traced=%d, want 0/2/2", handled, e.mDispatched.Value(), dispatchEvents(tel))

@@ -21,35 +21,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode is an ECU operating mode, as in UDS diagnostic sessions. The paper
-// (§II) stresses testers must cover all of them because "these different
-// states have been previously exploited".
-type Mode int
-
-// Operating modes.
-const (
-	// ModeNormal is the default application mode.
-	ModeNormal Mode = iota + 1
-	// ModeDiagnostic is an extended diagnostic session.
-	ModeDiagnostic
-	// ModeProgramming is the (un)locked software-update session.
-	ModeProgramming
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case ModeNormal:
-		return "normal"
-	case ModeDiagnostic:
-		return "diagnostic"
-	case ModeProgramming:
-		return "programming"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Fault is one entry in an ECU's fault log.
 type Fault struct {
 	// Time is the virtual instant the fault was raised.
@@ -62,11 +33,6 @@ type Fault struct {
 
 // Handler consumes a delivered frame.
 type Handler func(bus.Message)
-
-type periodicSpec struct {
-	interval time.Duration
-	per      *clock.Periodic
-}
 
 // handlerEntry pairs one arbitration identifier with its handler chain.
 // Dispatch is a linear scan: ECUs register a handful of identifiers, so
@@ -87,7 +53,7 @@ type ECU struct {
 	handlers []handlerEntry
 	catchAll []Handler
 
-	periodics []*periodicSpec
+	periodics []*clock.Periodic
 	onPowerOn []func()
 
 	// Storage and the fault log are allocated once and emptied in place
@@ -111,7 +77,6 @@ type ECU struct {
 // cold build (New calls Reset) and a warm reset start identically.
 type ecuRun struct {
 	powered bool
-	mode    Mode
 	chimes  uint64
 
 	// Crash/stall fault state. A crashed ECU is off the bus until Reset;
@@ -123,8 +88,8 @@ type ecuRun struct {
 	panicNext    string // armed InjectPanic detail; "" when disarmed
 }
 
-// New creates an ECU bound to a bus port. The ECU starts powered on in
-// normal mode, receiving frames.
+// New creates an ECU bound to a bus port. The ECU starts powered on,
+// receiving frames.
 func New(name string, sched *clock.Scheduler, port *bus.Port) *ECU {
 	if sched == nil || port == nil {
 		panic("ecu: nil scheduler or port")
@@ -173,12 +138,6 @@ func (e *ECU) Now() time.Duration { return e.sched.Now() }
 // Powered reports whether the ECU is currently powered.
 func (e *ECU) Powered() bool { return e.powered }
 
-// Mode returns the current operating mode.
-func (e *ECU) Mode() Mode { return e.mode }
-
-// SetMode switches the operating mode (driven by UDS session control).
-func (e *ECU) SetMode(m Mode) { e.mode = m }
-
 // Handle registers a handler for one arbitration identifier. Multiple
 // handlers per identifier run in registration order.
 func (e *ECU) Handle(id can.ID, h Handler) {
@@ -210,17 +169,16 @@ func (e *ECU) Periodic(interval time.Duration, fn func()) {
 	if fn == nil {
 		panic("ecu: nil periodic")
 	}
-	spec := &periodicSpec{interval: interval}
-	spec.per = e.sched.NewPeriodic(interval, func() {
+	p := e.sched.NewPeriodic(interval, func() {
 		if !e.powered || e.crashed || e.sched.Now() < e.stalledUntil {
 			return // stalled application: the tick is skipped, not deferred
 		}
 		defer e.guard()
 		fn()
 	})
-	e.periodics = append(e.periodics, spec)
+	e.periodics = append(e.periodics, p)
 	if e.powered {
-		spec.per.Start()
+		p.Start()
 	}
 }
 
@@ -318,9 +276,6 @@ func (e *ECU) crash(detail string) {
 	e.PowerOff()
 }
 
-// Crashed reports whether the ECU is down after a software crash.
-func (e *ECU) Crashed() bool { return e.crashed }
-
 // CrashDetail returns the panic value of the crash that took the ECU down
 // ("" when not crashed).
 func (e *ECU) CrashDetail() string { return e.crashDetail }
@@ -350,7 +305,7 @@ func (e *ECU) InjectPanic(detail string) {
 }
 
 // PowerOff halts the ECU: periodic transmissions stop, the port detaches,
-// MILs extinguish, mode returns to normal. NVRAM persists.
+// MILs extinguish. NVRAM persists.
 func (e *ECU) PowerOff() {
 	if !e.powered {
 		return
@@ -364,11 +319,10 @@ func (e *ECU) PowerOff() {
 		})
 	}
 	for _, p := range e.periodics {
-		p.per.Stop()
+		p.Stop()
 	}
 	e.port.Detach()
 	e.mils = make(map[string]bool)
-	e.mode = ModeNormal
 }
 
 // PowerOn restores the ECU after PowerOff: the port reattaches (clearing
@@ -382,7 +336,7 @@ func (e *ECU) PowerOn() {
 	e.powered = true
 	e.port.Reattach()
 	for _, p := range e.periodics {
-		p.per.Start()
+		p.Start()
 	}
 	for _, fn := range e.onPowerOn {
 		fn()
@@ -396,7 +350,7 @@ func (e *ECU) PowerCycle() {
 }
 
 // Reset returns the ECU to its as-built state; New runs the same code.
-// The ECU is powered on in normal mode with storage, indicators and the
+// The ECU is powered on with storage, indicators and the
 // fault log emptied and no crash, stall or armed panic, and every
 // registered periodic is re-armed from phase zero in registration order
 // — the order construction armed them in, which keeps a reused world's
@@ -406,14 +360,14 @@ func (e *ECU) PowerCycle() {
 // and the periodic timers are reused.
 func (e *ECU) Reset() {
 	for _, p := range e.periodics {
-		p.per.Stop()
+		p.Stop()
 	}
 	clear(e.nvram)
 	clear(e.mils)
 	e.faults = e.faults[:0]
-	e.ecuRun = ecuRun{powered: true, mode: ModeNormal}
+	e.ecuRun = ecuRun{powered: true}
 	for _, p := range e.periodics {
-		p.per.Start()
+		p.Start()
 	}
 }
 

@@ -135,15 +135,6 @@ func TestPowerCycleClearsMILs(t *testing.T) {
 	}
 }
 
-func TestPowerCycleResetsMode(t *testing.T) {
-	_, _, e, _ := rig(t)
-	e.SetMode(ModeProgramming)
-	e.PowerCycle()
-	if e.Mode() != ModeNormal {
-		t.Fatalf("mode = %v, want normal", e.Mode())
-	}
-}
-
 func TestMILAccessors(t *testing.T) {
 	_, _, e, _ := rig(t)
 	e.SetMIL("B", true)
@@ -208,15 +199,6 @@ func TestFaultLog(t *testing.T) {
 	faults[0].Code = "X"
 	if e.Faults()[0].Code != "U0100" {
 		t.Fatal("Faults returned aliased storage")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeNormal.String() != "normal" || ModeProgramming.String() != "programming" {
-		t.Fatal("Mode.String broken")
-	}
-	if Mode(0).String() == "" {
-		t.Fatal("unknown mode string empty")
 	}
 }
 
@@ -303,13 +285,5 @@ func TestNVReadMissing(t *testing.T) {
 	_, _, e, _ := rig(t)
 	if _, ok := e.NVRead("missing"); ok {
 		t.Fatal("missing NV key found")
-	}
-}
-
-func TestSetModeAccessor(t *testing.T) {
-	_, _, e, _ := rig(t)
-	e.SetMode(ModeDiagnostic)
-	if e.Mode() != ModeDiagnostic {
-		t.Fatal("SetMode ineffective")
 	}
 }

@@ -45,11 +45,11 @@ func TestIdleWobbles(t *testing.T) {
 
 func TestBroadcastsEngineData(t *testing.T) {
 	s, _, _, peer := rig(t)
-	db := signal.VehicleDB()
+	def, _ := signal.VehicleDB().ByID(signal.IDEngineData)
 	var rpms []float64
 	peer.SetReceiver(func(m bus.Message) {
 		if m.Frame.ID == signal.IDEngineData {
-			vals, _ := db.Decode(m.Frame)
+			vals := def.Decode(m.Frame)
 			rpms = append(rpms, vals["EngineRPM"])
 		}
 	})

@@ -115,7 +115,7 @@ func TestTable4SampleOutput(t *testing.T) {
 func TestTable4Deterministic(t *testing.T) {
 	a, b := Table4(7, 6), Table4(7, 6)
 	for i := range a {
-		if !a[i].Frame.Equal(b[i].Frame) {
+		if a[i].Frame != b[i].Frame {
 			t.Fatal("Table4 not deterministic")
 		}
 	}

@@ -35,9 +35,6 @@ func Open(dir string) (*DB, error) {
 	return &DB{dir: dir}, nil
 }
 
-// Dir reports the database directory.
-func (db *DB) Dir() string { return db.dir }
-
 // Merge folds one record into the database: a new key writes a fresh
 // record, an existing key merges provenance and keeps the canonical replay
 // context (see merge). It reports whether the key was new. Records that

@@ -204,7 +204,7 @@ func TestParseOverrides(t *testing.T) {
 	if _, err := ParseOverrides("frobnicate=1"); err == nil {
 		t.Fatal("accepted unknown key")
 	}
-	if zero, err := ParseOverrides(""); err != nil || !zero.IsZero() {
+	if zero, err := ParseOverrides(""); err != nil || zero != (Overrides{}) {
 		t.Fatalf("empty overrides: %+v err=%v", zero, err)
 	}
 }

@@ -47,11 +47,6 @@ type Overrides struct {
 	Bus string `json:"bus,omitempty"`
 }
 
-// IsZero reports whether no override is set.
-func (o Overrides) IsZero() bool {
-	return o.BCMCheck == "" && o.Recovery == nil && o.Bus == ""
-}
-
 // Label renders the overrides compactly for reports ("" when zero).
 func (o Overrides) Label() string {
 	var parts []string

@@ -115,7 +115,7 @@ func TestForwardedFramePreservesPayload(t *testing.T) {
 	want := can.MustNew(0x43A, []byte{0x1C, 0x21, 0x17, 0x71, 0x17, 0x71, 0xFF, 0xFF})
 	pa.Send(want)
 	s.RunUntil(time.Second)
-	if !got.Equal(want) {
+	if got != want {
 		t.Fatalf("forwarded frame = %v, want %v", got, want)
 	}
 }

@@ -422,6 +422,3 @@ func (e *Engine) ExecsSinceNovelty() uint64 { return e.sinceNovelty }
 // CorpusFrames returns the corpus in serialized "ID#HEXDATA" form,
 // admission order.
 func (e *Engine) CorpusFrames() []string { return e.corp.frames() }
-
-// Config returns the defaulted configuration in effect.
-func (e *Engine) Config() core.Config { return e.cfg }

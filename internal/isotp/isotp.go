@@ -77,16 +77,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts endpoint activity.
-type Stats struct {
-	// MessagesSent counts completed outbound messages.
-	MessagesSent uint64
-	// MessagesReceived counts completed inbound messages.
-	MessagesReceived uint64
-	// Errors counts aborted transfers in either direction.
-	Errors uint64
-}
-
 // Endpoint is one side of an ISO-TP connection: it transmits on txID and
 // listens on rxID. Wire HandleFrame to the owning ECU's dispatch for rxID.
 type Endpoint struct {
@@ -99,9 +89,8 @@ type Endpoint struct {
 	onMessage func([]byte)
 	onError   func(error)
 
-	tx    *txState
-	rx    *rxState
-	stats Stats
+	tx *txState
+	rx *rxState
 }
 
 type txState struct {
@@ -144,14 +133,10 @@ func NewEndpoint(sched *clock.Scheduler, send func(can.Frame) error, txID, rxID 
 // OnError registers a callback for aborted transfers.
 func (ep *Endpoint) OnError(fn func(error)) { ep.onError = fn }
 
-// Stats returns a snapshot of the endpoint counters.
-func (ep *Endpoint) Stats() Stats { return ep.stats }
-
 // Busy reports whether an outbound transfer is in progress.
 func (ep *Endpoint) Busy() bool { return ep.tx != nil }
 
 func (ep *Endpoint) fail(err error) {
-	ep.stats.Errors++
 	if ep.onError != nil {
 		ep.onError(err)
 	}
@@ -177,11 +162,7 @@ func (ep *Endpoint) Send(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if err := ep.send(f); err != nil {
-			return err
-		}
-		ep.stats.MessagesSent++
-		return nil
+		return ep.send(f)
 	}
 
 	// Multi-frame: FF carries 6 bytes, then CFs of up to 7.
@@ -235,7 +216,6 @@ func (ep *Endpoint) handleSingle(f can.Frame) {
 	ep.abortRx()
 	payload := make([]byte, n)
 	copy(payload, f.Data[1:1+n])
-	ep.stats.MessagesReceived++
 	if ep.onMessage != nil {
 		ep.onMessage(payload)
 	}
@@ -280,7 +260,6 @@ func (ep *Endpoint) handleConsecutive(f can.Frame) {
 	if len(st.buf) >= st.expected {
 		payload := st.buf
 		ep.abortRx()
-		ep.stats.MessagesReceived++
 		if ep.onMessage != nil {
 			ep.onMessage(payload)
 		}
@@ -370,7 +349,6 @@ func (ep *Endpoint) sendNextCF() {
 	st.offset += n
 	if st.offset >= len(st.payload) {
 		ep.tx = nil
-		ep.stats.MessagesSent++
 		return
 	}
 	if !st.unlimitedBlock {

@@ -86,15 +86,6 @@ func New(cfg Config) *Observatory {
 	return o
 }
 
-// Progress returns the live tracker behind /campaign.json.
-func (o *Observatory) Progress() *fleet.Progress { return o.progress }
-
-// Sink returns the event sink (nil when no event log is attached).
-func (o *Observatory) Sink() *Sink { return o.sink }
-
-// Fuzz returns the guided introspection plane (may be nil).
-func (o *Observatory) Fuzz() *guided.Introspection { return o.fuzz }
-
 // CampaignStarted implements fleet.Observer.
 func (o *Observatory) CampaignStarted(cfg fleet.Config, workers int) {
 	o.progress.CampaignStarted(cfg, workers)

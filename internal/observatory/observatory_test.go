@@ -172,7 +172,7 @@ func TestEventLogSchema(t *testing.T) {
 func TestProgressSnapshotAfterRun(t *testing.T) {
 	var buf bytes.Buffer
 	obs, rep := runObserved(t, 6, 2, &buf)
-	ps := obs.Progress().Snapshot()
+	ps := progressOf(t, obs)
 	if !ps.Done {
 		t.Error("progress not marked done after CampaignDone")
 	}
@@ -387,7 +387,7 @@ func TestProgressRegistersStalledOnFirstStall(t *testing.T) {
 	if !strings.Contains(prom.String(), `fleet_trials_total{status="stalled"} 1`) {
 		t.Fatalf("stalled trial not counted:\n%s", prom.String())
 	}
-	if ps := obs.Progress().Snapshot(); ps.Stalled != 1 || ps.TrialsDone != 2 {
+	if ps := progressOf(t, obs); ps.Stalled != 1 || ps.TrialsDone != 2 {
 		t.Errorf("snapshot stalled/trialsDone = %d/%d, want 1/2", ps.Stalled, ps.TrialsDone)
 	}
 }
@@ -711,10 +711,24 @@ func TestObservatoryNilSinkFleet(t *testing.T) {
 	}, unlockFactory); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.Progress().Snapshot().TrialsDone; got != 2 {
+	if got := progressOf(t, obs).TrialsDone; got != 2 {
 		t.Errorf("trialsDone = %d, want 2", got)
 	}
-	if obs.Sink() != nil {
-		t.Error("Sink() should be nil when none was configured")
+	rec := httptest.NewRecorder()
+	obs.Handler(observatory.HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("/events without a sink: status %d, want 404", rec.Code)
 	}
+}
+
+// progressOf reads the progress snapshot obs serves at /campaign.json.
+func progressOf(t *testing.T, obs *observatory.Observatory) fleet.ProgressSnapshot {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	obs.Handler(observatory.HandlerConfig{}).ServeHTTP(rec, httptest.NewRequest("GET", "/campaign.json", nil))
+	var ps fleet.ProgressSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &ps); err != nil {
+		t.Fatalf("/campaign.json is not a ProgressSnapshot: %v\n%s", err, rec.Body)
+	}
+	return ps
 }

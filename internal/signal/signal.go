@@ -171,16 +171,6 @@ type MessageDef struct {
 	Signals []Signal
 }
 
-// Signal returns the named signal definition.
-func (m *MessageDef) Signal(name string) (Signal, bool) {
-	for _, s := range m.Signals {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Signal{}, false
-}
-
 // Decode extracts all signals from a frame payload.
 func (m *MessageDef) Decode(f can.Frame) map[string]float64 {
 	out := make(map[string]float64, len(m.Signals))
@@ -283,14 +273,4 @@ func (db *Database) ByID(id can.ID) (*MessageDef, bool) {
 func (db *Database) ByName(name string) (*MessageDef, bool) {
 	d, ok := db.byName[name]
 	return d, ok
-}
-
-// Decode looks up the frame's message definition and decodes its signals.
-// Unknown identifiers return ok=false.
-func (db *Database) Decode(f can.Frame) (map[string]float64, bool) {
-	d, ok := db.byID[f.ID]
-	if !ok {
-		return nil, false
-	}
-	return d.Decode(f), true
 }

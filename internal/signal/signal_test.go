@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/can"
 )
 
 func TestRawInsertExtractRoundTrip(t *testing.T) {
@@ -184,22 +182,6 @@ func TestDatabaseLookups(t *testing.T) {
 	}
 }
 
-func TestDatabaseDecode(t *testing.T) {
-	db := VehicleDB()
-	def, _ := db.ByName("Fuel")
-	f, _ := def.Encode(map[string]float64{"FuelLevel": 75})
-	vals, ok := db.Decode(f)
-	if !ok {
-		t.Fatal("Decode: unknown id")
-	}
-	if vals["FuelLevel"] != 75 {
-		t.Fatalf("FuelLevel = %v", vals["FuelLevel"])
-	}
-	if _, ok := db.Decode(can.MustNew(0x7AA, nil)); ok {
-		t.Fatal("Decode accepted unknown id")
-	}
-}
-
 func TestNewDatabaseRejectsDuplicateID(t *testing.T) {
 	_, err := NewDatabase(
 		MessageDef{ID: 1, Name: "a", Len: 8},
@@ -257,17 +239,6 @@ func TestVehicleDBValidates(t *testing.T) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("message %s: %v", m.Name, err)
 		}
-	}
-}
-
-func TestMessageSignalLookup(t *testing.T) {
-	db := VehicleDB()
-	def, _ := db.ByName("EngineData")
-	if _, ok := def.Signal("EngineRPM"); !ok {
-		t.Fatal("Signal lookup failed")
-	}
-	if _, ok := def.Signal("nope"); ok {
-		t.Fatal("Signal lookup false positive")
 	}
 }
 

@@ -71,9 +71,6 @@ func New(sched *clock.Scheduler, cfg Config) *Bench {
 	return b
 }
 
-// Scheduler returns the bench clock.
-func (b *Bench) Scheduler() *clock.Scheduler { return b.sched }
-
 // Reset returns the bench to its freshly-assembled state for the next
 // trial: the scheduler it runs on goes back to time zero and drops every
 // pending event, the telemetry plane it is instrumented with is zeroed,

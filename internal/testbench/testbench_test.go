@@ -19,8 +19,8 @@ func newSched(t *testing.T) *clock.Scheduler {
 
 func TestNormalOperationLockUnlock(t *testing.T) {
 	// Fig 12/13: the PC app locks and unlocks via the head unit.
-	b := testbench.New(newSched(t), testbench.Config{AckUnlock: true})
-	s := b.Scheduler()
+	s := newSched(t)
+	b := testbench.New(s, testbench.Config{AckUnlock: true})
 	if err := b.HeadUnit.AppUnlock(testbench.AppToken); err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,8 @@ func TestNormalOperationLockUnlock(t *testing.T) {
 }
 
 func TestMonitorNodeSeesTraffic(t *testing.T) {
-	b := testbench.New(newSched(t), testbench.Config{})
-	s := b.Scheduler()
+	s := newSched(t)
+	b := testbench.New(s, testbench.Config{})
 	b.HeadUnit.AppUnlock(testbench.AppToken)
 	s.RunUntil(time.Second)
 	if b.Monitor.Port().Stats().RxFrames == 0 {

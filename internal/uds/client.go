@@ -101,11 +101,6 @@ func (c *Client) ChangeSession(session byte, cb Callback) error {
 	return c.request(SvcSessionControl, []byte{session}, cb)
 }
 
-// Reset requests an ECU reset.
-func (c *Client) Reset(sub byte, cb Callback) error {
-	return c.request(SvcECUReset, []byte{sub}, cb)
-}
-
 // WriteDID writes a data identifier.
 func (c *Client) WriteDID(did DID, value []byte, cb Callback) error {
 	req := make([]byte, 2+len(value))

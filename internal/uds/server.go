@@ -46,8 +46,8 @@ type ServerConfig struct {
 	Seed func() []byte
 }
 
-// Server implements the ECU side of UDS. It owns the ECU's operating mode:
-// session changes and resets act on the underlying ecu.ECU.
+// Server implements the ECU side of UDS. It owns the diagnostic session;
+// an ECU reset power-cycles the underlying ecu.ECU.
 type Server struct {
 	e   *ecu.ECU
 	ep  *isotp.Endpoint
@@ -88,9 +88,6 @@ func NewServer(e *ecu.ECU, ep *isotp.Endpoint, cfg ServerConfig) *Server {
 
 // Session returns the active diagnostic session.
 func (s *Server) Session() byte { return s.session }
-
-// Unlocked reports whether security access has been granted.
-func (s *Server) Unlocked() bool { return s.unlocked }
 
 // HandleRequest processes one ISO-TP request payload. Wire it as the
 // endpoint's onMessage callback.
@@ -150,13 +147,8 @@ func (s *Server) enterSession(sub byte) {
 	case SessionDefault:
 		s.unlocked = false
 		s.pendingSeed = nil
-		s.e.SetMode(ecu.ModeNormal)
 		s.stopS3()
-	case SessionProgramming:
-		s.e.SetMode(ecu.ModeProgramming)
-		s.armS3()
-	case SessionExtended:
-		s.e.SetMode(ecu.ModeDiagnostic)
+	case SessionProgramming, SessionExtended:
 		s.armS3()
 	}
 }

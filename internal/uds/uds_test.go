@@ -72,9 +72,6 @@ func TestSessionControl(t *testing.T) {
 	if r.server.Session() != SessionExtended {
 		t.Fatalf("session = %#x", r.server.Session())
 	}
-	if r.e.Mode() != ecu.ModeDiagnostic {
-		t.Fatalf("ecu mode = %v", r.e.Mode())
-	}
 }
 
 func TestSessionControlBadSubFunction(t *testing.T) {
@@ -212,9 +209,6 @@ func TestSecurityUnlockFlow(t *testing.T) {
 		})
 	})
 	r.run()
-	if !r.server.Unlocked() {
-		t.Fatal("server not unlocked")
-	}
 	if !written {
 		t.Fatal("secured write failed after unlock")
 	}
@@ -270,7 +264,7 @@ func TestECUResetPowerCycles(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	r.e.SetMIL("TEST", true)
 	var got []byte
-	r.client.Reset(ResetHard, func(d []byte, err error) { got = d })
+	r.client.request(SvcECUReset, []byte{ResetHard}, func(d []byte, err error) { got = d })
 	r.run()
 	if len(got) < 1 || got[0] != ResetHard {
 		t.Fatalf("resp = %v", got)
@@ -294,9 +288,6 @@ func TestS3TimeoutFallsBackToDefault(t *testing.T) {
 	r.s.RunUntil(r.s.Now() + 6*time.Second)
 	if r.server.Session() != SessionDefault {
 		t.Fatalf("session = %#x, want default after S3 timeout", r.server.Session())
-	}
-	if r.e.Mode() != ecu.ModeNormal {
-		t.Fatalf("mode = %v", r.e.Mode())
 	}
 }
 
@@ -369,7 +360,7 @@ func TestNegativeErrorString(t *testing.T) {
 func TestSoftReset(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	var got []byte
-	r.client.Reset(ResetSoft, func(d []byte, err error) { got = d })
+	r.client.request(SvcECUReset, []byte{ResetSoft}, func(d []byte, err error) { got = d })
 	r.run()
 	if len(got) < 1 || got[0] != ResetSoft {
 		t.Fatalf("resp = %v", got)
@@ -379,7 +370,7 @@ func TestSoftReset(t *testing.T) {
 func TestResetBadSubFunction(t *testing.T) {
 	r := newRig(t, ServerConfig{})
 	var gotErr error
-	r.client.Reset(0x7E, func(d []byte, err error) { gotErr = err })
+	r.client.request(SvcECUReset, []byte{0x7E}, func(d []byte, err error) { gotErr = err })
 	r.run()
 	var neg *NegativeError
 	if !errors.As(gotErr, &neg) || neg.Code != NRCSubFunctionNotSupported {
@@ -485,9 +476,6 @@ func TestMalformedRequestLengths(t *testing.T) {
 
 func TestServerSessionAccessors(t *testing.T) {
 	r := newRig(t, ServerConfig{})
-	if r.server.Unlocked() {
-		t.Fatal("fresh server unlocked")
-	}
 	if r.server.Session() != SessionDefault {
 		t.Fatal("fresh server not in default session")
 	}

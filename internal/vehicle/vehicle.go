@@ -181,9 +181,6 @@ func attachClusterUDS(e *ecu.ECU, c *cluster.Cluster) *uds.Server {
 	return server
 }
 
-// Scheduler returns the vehicle's virtual clock.
-func (v *Vehicle) Scheduler() *clock.Scheduler { return v.sched }
-
 // Instrument attaches the whole car to a telemetry plane: both buses (with
 // per-port counters and sliding-window load) and every ECU's dispatch
 // accounting. Passing nil is a no-op.

@@ -218,11 +218,11 @@ func TestDriveRaisesSpeedAndGear(t *testing.T) {
 		t.Fatalf("cluster speed = %v", v.Cluster.DisplayedSpeed())
 	}
 	// The transmission broadcasts a forward gear.
-	db := signal.VehicleDB()
+	def, _ := signal.VehicleDB().ByID(signal.IDTransmission)
 	var gear float64
 	v.TapOBD(OBDPowertrain, func(m bus.Message) {
 		if m.Frame.ID == signal.IDTransmission {
-			vals, _ := db.Decode(m.Frame)
+			vals := def.Decode(m.Frame)
 			gear = vals["GearEngaged"]
 		}
 	})
