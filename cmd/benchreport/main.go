@@ -138,6 +138,17 @@ func run(args []string, w io.Writer) error {
 			seconds(row.Stats.Min()), seconds(row.Stats.Max()), row.TimedOut)
 	}
 
+	fmt.Fprintln(w, "\n== Ablation: oracle strictness (§VII two-byte prediction) ==")
+	fmt.Fprintf(w, "  (%d runs per variant, seeds %d..%d, command id 215 only)\n", *runs, *seed, *seed+int64(*runs)-1)
+	strict := experiments.AblationOracleStrictness(*seed, *runs, 12*time.Hour)
+	for _, row := range strict {
+		fmt.Fprintf(w, "  %-38s mean %v  median %v  timeouts %d\n", row.Message,
+			row.Stats.Mean().Round(10*time.Millisecond), row.Stats.Median().Round(10*time.Millisecond), row.TimedOut)
+	}
+	if m := strict[0].Stats.Mean(); m > 0 {
+		fmt.Fprintf(w, "  two bytes vs byte only: %.0fx\n", float64(strict[2].Stats.Mean())/float64(m))
+	}
+
 	fmt.Fprintln(w, "\n== Extension: coverage-guided vs blind random fuzzing ==")
 	gRuns := minI(*runs, 6)
 	gvr := experiments.GuidedVsRandom(*seed, gRuns, 2*time.Hour)
@@ -153,6 +164,13 @@ func run(args []string, w io.Writer) error {
 	tb := experiments.AblationTargetedVsBlind(*seed, minI(*runs, 3), 12*time.Hour)
 	fmt.Fprintf(w, "  blind mean %v, targeted mean %v, speedup %.0fx\n",
 		tb.Blind.Mean().Round(time.Second), tb.Targeted.Mean().Round(time.Millisecond), tb.SpeedupMean)
+
+	fmt.Fprintln(w, "\n== Ablation: frame pacing ==")
+	for _, p := range experiments.AblationPacing(*seed, []time.Duration{
+		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}, 24*time.Hour) {
+		fmt.Fprintf(w, "  interval %-4v unlock after %-9v (%d frames)  bus load %.1f%%\n",
+			p.Interval, p.TimeToUnlock.Round(time.Second), p.FramesSent, p.BusLoad*100)
+	}
 
 	fmt.Fprintln(w, "\n== Ablation: frequency-anomaly IDS ==")
 	idsRes := experiments.AblationIDS(*seed)
@@ -184,6 +202,23 @@ func run(args []string, w io.Writer) error {
 		gw.ForwardAllUnlocked, gw.ForwardAllTime.Round(time.Second))
 	fmt.Fprintf(w, "  allow-list gateway:  unlocked=%v (%d frames blocked)\n",
 		gw.AllowListUnlocked, gw.AllowListBlocked)
+
+	fmt.Fprintln(w, "\n== Chaos: cluster brick under injected faults ==")
+	for _, recovery := range []bool{true, false} {
+		c := experiments.ChaosClusterBrick(*seed, time.Hour, recovery)
+		label := "with recovery:   "
+		if !recovery {
+			label = "without recovery:"
+		}
+		if !c.Found {
+			fmt.Fprintf(w, "  %s no finding within %v\n", label, time.Hour)
+			continue
+		}
+		fmt.Fprintf(w, "  %s %s after %v (%d frames); fuzzer bus-offs %d, recoveries %d, ends %v\n",
+			label, c.Finding.Verdict.Oracle, c.Elapsed.Round(time.Millisecond), c.Finding.FramesSent,
+			c.BusOffs, c.Recoveries, c.FuzzerState)
+		fmt.Fprintf(w, "  %-17s faults injected: %v\n", "", c.Report.FaultsInjected)
+	}
 
 	return nil
 }
