@@ -14,6 +14,7 @@
 //	benchperf [-quick] [-out BENCH_2006-01-02.json]
 //	benchperf -quick -baseline testdata/bench_baseline.json
 //	benchperf -only Campaign,Fleet -speedup-baseline BENCH_2026-08-05.json
+//	benchperf -trend [-trend-dir .]
 //
 // With -baseline the run compares against a committed baseline and exits
 // non-zero when any shared workload regresses by more than the 15%
@@ -27,6 +28,10 @@
 // cannot slip through even if it passes the drift gate. The speedup
 // comparison must run at the same workload shape as its baseline — the
 // committed BENCH_2026-08-05.json is a full (non -quick) run.
+//
+// -trend runs no workload: it renders the committed BENCH_*.json snapshots
+// as markdown trend tables (frames/sec, allocs/op and ns/op per workload
+// over time) on stdout.
 package main
 
 import (
@@ -120,8 +125,13 @@ func run(args []string) error {
 	reps := fs.Int("reps", 3, "runs per workload; the fastest is kept (noise floor)")
 	only := fs.String("only", "", "comma-separated workload names to run (default all)")
 	findingsDB := fs.String("findings-db", "", "findings database directory; its record count is stamped into the snapshot")
+	trend := fs.Bool("trend", false, "render the committed BENCH_*.json snapshots as markdown trend tables instead")
+	trendDir := fs.String("trend-dir", ".", "directory holding the BENCH_*.json snapshots")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trend {
+		return runTrend(os.Stdout, *trendDir)
 	}
 	if *reps < 1 {
 		*reps = 1

@@ -11,46 +11,25 @@ import (
 )
 
 // The -trend mode renders the committed BENCH_*.json snapshots (written by
-// cmd/benchperf) as markdown trend tables — frames/sec and allocs/op per
+// this tool) as markdown trend tables — frames/sec and allocs/op per
 // benchmark over time — so performance history is readable straight from
 // the repo without re-running anything.
 
-// benchResult mirrors cmd/benchperf's Result (duplicated rather than
-// imported: main packages cannot import each other, and the JSON schema is
-// the stable contract between the two tools).
-type benchResult struct {
-	Name         string  `json:"name"`
-	NsPerOp      float64 `json:"nsPerOp"`
-	AllocsPerOp  int64   `json:"allocsPerOp"`
-	BytesPerOp   int64   `json:"bytesPerOp"`
-	FramesPerSec float64 `json:"framesPerSec,omitempty"`
-}
-
-// benchFile mirrors cmd/benchperf's File.
-type benchFile struct {
-	Date          string        `json:"date"`
-	GoVersion     string        `json:"goVersion"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	Quick         bool          `json:"quick"`
-	FindingsCount int           `json:"findingsCount,omitempty"`
-	Results       []benchResult `json:"results"`
-}
-
 // loadBenchFiles reads every BENCH_*.json under dir, sorted by filename
 // (the date-stamped naming makes that chronological).
-func loadBenchFiles(dir string) ([]benchFile, error) {
+func loadBenchFiles(dir string) ([]File, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(paths)
-	var files []benchFile
+	var files []File
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
 		if err != nil {
 			return nil, err
 		}
-		var f benchFile
+		var f File
 		if err := json.Unmarshal(data, &f); err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
@@ -71,7 +50,7 @@ func runTrend(w io.Writer, dir string) error {
 		return err
 	}
 	if len(files) == 0 {
-		return fmt.Errorf("no BENCH_*.json snapshots under %s (run cmd/benchperf first)", dir)
+		return fmt.Errorf("no BENCH_*.json snapshots under %s (run benchperf first)", dir)
 	}
 
 	// Benchmark rows in first-seen order, so new benchmarks append at the
@@ -86,19 +65,19 @@ func runTrend(w io.Writer, dir string) error {
 			}
 		}
 	}
-	lookup := func(f benchFile, name string) (benchResult, bool) {
+	lookup := func(f File, name string) (Result, bool) {
 		for _, r := range f.Results {
 			if r.Name == name {
 				return r, true
 			}
 		}
-		return benchResult{}, false
+		return Result{}, false
 	}
 
 	fmt.Fprintf(w, "# Benchmark trend (%d snapshots)\n", len(files))
 
 	fmt.Fprintf(w, "\n## Throughput (frames/sec)\n\n")
-	writeTrendTable(w, files, names, func(r benchResult) (string, bool) {
+	writeTrendTable(w, files, names, func(r Result) (string, bool) {
 		if r.FramesPerSec <= 0 {
 			return "", false
 		}
@@ -106,12 +85,12 @@ func runTrend(w io.Writer, dir string) error {
 	}, lookup)
 
 	fmt.Fprintf(w, "\n## Allocations (allocs/op)\n\n")
-	writeTrendTable(w, files, names, func(r benchResult) (string, bool) {
+	writeTrendTable(w, files, names, func(r Result) (string, bool) {
 		return fmt.Sprintf("%d", r.AllocsPerOp), true
 	}, lookup)
 
 	fmt.Fprintf(w, "\n## Latency (ns/op)\n\n")
-	writeTrendTable(w, files, names, func(r benchResult) (string, bool) {
+	writeTrendTable(w, files, names, func(r Result) (string, bool) {
 		return fmt.Sprintf("%.0f", r.NsPerOp), true
 	}, lookup)
 
@@ -122,7 +101,7 @@ func runTrend(w io.Writer, dir string) error {
 // writeFindingsTrend renders the regression-corpus size per snapshot (one
 // row, dates across) when any snapshot was stamped with -findings-db; old
 // snapshots without the field render as empty cells.
-func writeFindingsTrend(w io.Writer, files []benchFile) {
+func writeFindingsTrend(w io.Writer, files []File) {
 	any := false
 	for _, f := range files {
 		if f.FindingsCount > 0 {
@@ -156,9 +135,9 @@ func writeFindingsTrend(w io.Writer, files []benchFile) {
 // across, cell values picked by the metric function (second return false
 // means the metric does not apply to that benchmark). Rows where no
 // snapshot has the metric are dropped.
-func writeTrendTable(w io.Writer, files []benchFile, names []string,
-	metric func(benchResult) (string, bool),
-	lookup func(benchFile, string) (benchResult, bool)) {
+func writeTrendTable(w io.Writer, files []File, names []string,
+	metric func(Result) (string, bool),
+	lookup func(File, string) (Result, bool)) {
 	header := "| Benchmark |"
 	rule := "| --- |"
 	for _, f := range files {

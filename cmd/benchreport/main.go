@@ -1,17 +1,15 @@
-// Command benchreport regenerates every table and figure of the paper in
-// one run, printing each in a layout close to the original. It is the
-// human-readable companion to the root bench_test.go harness.
+// Command benchreport regenerates every table, figure and ablation of the
+// paper in one run, printing each in a layout close to the original. It is
+// the one program behind the numbers EXPERIMENTS.md quotes: the default
+// report is pinned byte for byte by testdata/benchreport_golden.txt.
 //
 // Usage:
 //
-//	benchreport [-quick] [-runs 12] [-seed 100]
-//	benchreport -trend [-trend-dir .]
+//	benchreport [-runs 12] [-seed 100]
 //
-// -quick trims the expensive experiments (Table V and the ablations run
-// fewer repetitions) so the whole report finishes in well under a minute.
-// -trend skips the experiments entirely and instead renders the committed
-// BENCH_*.json performance snapshots (from cmd/benchperf) as markdown
-// trend tables: frames/sec, allocs/op and ns/op per benchmark over time.
+// -runs sets the repetitions of Table V and the oracle-strictness
+// ablation; the guided and targeted comparisons run at most 6 and 3 of
+// them. Every section derives its seeds from -seed.
 package main
 
 import (
@@ -38,19 +36,10 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "fewer repetitions for the slow experiments")
-	runs := fs.Int("runs", 12, "Table V runs per variant (paper: 12)")
+	runs := fs.Int("runs", 12, "Table V and oracle-strictness runs per variant (paper: 12)")
 	seed := fs.Int64("seed", 100, "base seed")
-	trend := fs.Bool("trend", false, "render the committed BENCH_*.json snapshots as markdown trend tables instead")
-	trendDir := fs.String("trend-dir", ".", "directory holding the BENCH_*.json snapshots")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *trend {
-		return runTrend(w, *trendDir)
-	}
-	if *quick && *runs > 3 {
-		*runs = 3
 	}
 
 	fmt.Fprintln(w, "== Figure 1: testing methods in the automotive industry ==")

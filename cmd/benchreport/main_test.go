@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -55,10 +57,84 @@ func TestReportGolden(t *testing.T) {
 
 func TestQuickReportRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick report still simulates minutes of virtual fuzzing")
+		t.Skip("a one-run report still simulates minutes of virtual fuzzing")
 	}
-	if err := run([]string{"-quick", "-runs", "1", "-seed", "1"}, io.Discard); err != nil {
+	if err := run([]string{"-runs", "1", "-seed", "1"}, io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// experimentsDoc is the paper-versus-measured write-up that quotes the
+// golden report.
+var experimentsDoc = filepath.Join("..", "..", "EXPERIMENTS.md")
+
+// reportHeader is a report section header cited in backticks.
+var reportHeader = regexp.MustCompile("`(== [^`]+ ==)`")
+
+// TestExperimentsQuoteGolden keeps EXPERIMENTS.md and the golden report
+// from drifting apart, without running the report. Every fenced block but
+// the sh commands quotes whole, contiguous lines of the golden; every
+// section header EXPERIMENTS cites in backticks is a line of the golden;
+// and every row of a table whose last column is "Regenerated by" cites
+// one there.
+func TestExperimentsQuoteGolden(t *testing.T) {
+	golden, err := os.ReadFile(reportGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := "\n" + string(golden)
+	hasLines := func(lines []string) bool {
+		return strings.Contains(report, "\n"+strings.Join(lines, "\n")+"\n")
+	}
+
+	var block []string
+	inBlock, quote, blocks := false, false, 0
+	regen := false // inside a table whose last column is "Regenerated by"
+	for n, line := range strings.Split(string(doc), "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			if !inBlock {
+				inBlock, quote, block = true, strings.TrimPrefix(line, "```") != "sh", nil
+				continue
+			}
+			inBlock = false
+			if quote {
+				blocks++
+				if !hasLines(block) {
+					t.Errorf("%s:%d: quoted block is not a run of lines of %s:\n%s",
+						experimentsDoc, n+1, reportGolden, strings.Join(block, "\n"))
+				}
+			}
+		case inBlock:
+			block = append(block, line)
+		case strings.HasPrefix(line, "|"):
+			cells := strings.Split(strings.TrimSuffix(line, "|"), "|")
+			last := strings.TrimSpace(cells[len(cells)-1])
+			switch {
+			case last == "Regenerated by":
+				regen = true
+			case regen && !strings.HasPrefix(last, "---") && !reportHeader.MatchString(last):
+				t.Errorf("%s:%d: row cites no report section: %s", experimentsDoc, n+1, last)
+			}
+		default:
+			regen = false
+		}
+	}
+	if blocks == 0 {
+		t.Fatalf("%s quotes no block of the report", experimentsDoc)
+	}
+	cited := reportHeader.FindAllStringSubmatch(string(doc), -1)
+	if len(cited) == 0 {
+		t.Fatalf("%s cites no report section", experimentsDoc)
+	}
+	for _, m := range cited {
+		if !hasLines([]string{m[1]}) {
+			t.Errorf("%s cites %s, which %s does not print", experimentsDoc, m[0], reportGolden)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@
 //     traffic capture, and measurement tooling
 //   - experiments: one harness per table and figure of the paper
 //
-// The root-level bench_test.go regenerates every table and figure; see
+// cmd/benchreport regenerates every table, figure and ablation in one
+// report, pinned byte for byte by testdata/benchreport_golden.txt; see
 // DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-// results against the paper's numbers.
+// results against the paper's numbers, each quoted from that report. The
+// root bench_test.go only times the simulation (campaign and fleet).
 package repro

@@ -15,9 +15,12 @@ package repro
 //
 // Reachability is over resolved objects, not names: a reachable
 // declaration reaches every object its body names, and a reachable named
-// type reaches each of its methods that implements a method of an
-// interface declared here or in an imported package, so String, Error
-// and RoundTrip methods stay without an explicit call.
+// type that implements (itself or as a pointer) a whole interface declared
+// here or in an imported package reaches its methods of that interface,
+// so String, Error and RoundTrip methods stay without an explicit call. A
+// method that only shares its name and signature with an interface
+// method, such as Len on a type that is no sort.Interface, stays only if
+// something calls it.
 
 import (
 	"bufio"
@@ -299,16 +302,17 @@ func findDeadCode(t *testing.T, root, module string, allow map[string]string) de
 				reach(decls[obj.Pos()])
 				return true
 			})
-			// A reachable type reaches each of its methods that
-			// implements an interface method, whether or not anything
-			// names it.
+			// A reachable type reaches its methods of each interface it
+			// implements, whether or not anything names them.
 			if d.typ == nil {
 				continue
 			}
 			nt := d.typ.Type().(*types.Named)
 			for i := 0; i < nt.NumMethods(); i++ {
 				m := nt.Method(i)
-				if slices.ContainsFunc(ifaces[m.Id()], func(im *types.Func) bool { return types.Identical(im.Type(), m.Type()) }) {
+				if slices.ContainsFunc(ifaces[m.Id()], func(it *types.Interface) bool {
+					return types.Implements(nt, it) || types.Implements(types.NewPointer(nt), it)
+				}) {
 					reach(decls[m.Pos()])
 				}
 			}
@@ -347,16 +351,16 @@ func findDeadCode(t *testing.T, root, module string, allow map[string]string) de
 	return res
 }
 
-// interfaceMethods indexes by Id every method of an interface type
-// declared at package level by pkgs or by a package they import, directly
-// or not, and the method of error.
-func interfaceMethods(pkgs map[string]*types.Package) map[string][]*types.Func {
-	out := map[string][]*types.Func{}
+// interfaceMethods indexes by method Id every interface type declared at
+// package level by pkgs or by a package they import, directly or not, and
+// error: each interface is listed under the Id of each of its methods.
+func interfaceMethods(pkgs map[string]*types.Package) map[string][]*types.Interface {
+	out := map[string][]*types.Interface{}
 	add := func(tn *types.TypeName) {
 		if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 			for i := 0; i < it.NumMethods(); i++ {
-				m := it.Method(i)
-				out[m.Id()] = append(out[m.Id()], m)
+				id := it.Method(i).Id()
+				out[id] = append(out[id], it)
 			}
 		}
 	}
@@ -490,6 +494,8 @@ func TestDeadCodeWalk(t *testing.T) {
 		{name: "a dead caller keeps nothing alive", dead: []string{"deadCaller", "callee"}},
 		{name: "methods satisfying std interfaces stay",
 			live: []string{"label.String", "transport.RoundTrip"}, dead: []string{"label.Unused"}},
+		{name: "a method of an interface the type does not implement is reported",
+			dead: []string{"shelf.Len"}},
 		{name: "an allowlist root keeps its callees", allow: []string{"Kept"},
 			live: []string{"Kept", "keptCallee"}, dead: []string{"deadCaller"}},
 		{name: "a write-only field is reported", writeOnly: []string{"record.written"}},

@@ -293,9 +293,6 @@ func (b *Bus) completePending() {
 	b.complete(b.pend.port, b.pend.frame, b.pend.dur, b.pend.bits)
 }
 
-// Name returns the telemetry label of the bus.
-func (b *Bus) Name() string { return b.name }
-
 // Instrument attaches the bus (and its current and future ports) to the
 // telemetry plane: bus counters, the sliding-window load gauge, the wire
 // time histogram, and the arbitration/error trace events. Passing nil is a

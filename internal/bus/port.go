@@ -106,9 +106,6 @@ func (p *Port) noteDrop() {
 	p.mDropped.Inc()
 }
 
-// Name returns the node name given at Connect time.
-func (p *Port) Name() string { return p.name }
-
 // State returns the node's fault-confinement state.
 func (p *Port) State() NodeState { return p.state }
 

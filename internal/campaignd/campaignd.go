@@ -124,7 +124,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	specJSON, err := cfg.Spec.marshal()
+	specJSON, err := cfg.Spec.Canonical()
 	if err != nil {
 		return nil, fmt.Errorf("campaignd: marshal spec: %w", err)
 	}

@@ -143,7 +143,7 @@ func (j *Journal) Compatible(spec CampaignSpec) error {
 	if j.Spec == nil {
 		return fmt.Errorf("campaignd: journal has no campaign_start line")
 	}
-	canonical, err := spec.marshal()
+	canonical, err := spec.Canonical()
 	if err != nil {
 		return err
 	}

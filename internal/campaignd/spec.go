@@ -113,10 +113,7 @@ func (s CampaignSpec) FleetConfig() fleet.Config {
 	}
 }
 
-// marshal renders the spec compactly — the canonical bytes used for the
-// campaign_start journal line and for resume compatibility checks.
-func (s CampaignSpec) marshal() ([]byte, error) { return json.Marshal(s) }
-
-// Canonical exposes the canonical spec bytes to the multi-campaign
-// service, which byte-compares them on resume exactly like Compatible.
-func (s CampaignSpec) Canonical() ([]byte, error) { return s.marshal() }
+// Canonical renders the spec compactly: the bytes of the campaign_start
+// journal line, which a resume byte-compares (Journal.Compatible here, the
+// multi-campaign service in campsrv).
+func (s CampaignSpec) Canonical() ([]byte, error) { return json.Marshal(s) }

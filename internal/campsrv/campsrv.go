@@ -241,9 +241,9 @@ func (s *Server) Submit(sub Submission) (CampaignView, error) {
 	if sub.MaxInflight < 0 {
 		return CampaignView{}, fmt.Errorf("campsrv: maxInflight must be >= 0, got %d", sub.MaxInflight)
 	}
-	specJSON, err := canonicalSpec(sub.Spec)
+	specJSON, err := sub.Spec.Canonical()
 	if err != nil {
-		return CampaignView{}, err
+		return CampaignView{}, fmt.Errorf("campsrv: marshal spec: %w", err)
 	}
 
 	s.mu.Lock()
@@ -729,14 +729,4 @@ func (s *Server) syncGaugesLocked() {
 	}
 	s.activeGauge.Set(float64(len(s.ring)))
 	s.queuedGauge.Set(float64(queued))
-}
-
-// canonicalSpec renders the spec's canonical bytes — the same
-// serialisation campaignd journals and compares on resume.
-func canonicalSpec(spec campaignd.CampaignSpec) ([]byte, error) {
-	b, err := spec.Canonical()
-	if err != nil {
-		return nil, fmt.Errorf("campsrv: marshal spec: %w", err)
-	}
-	return b, nil
 }

@@ -84,7 +84,6 @@ type Scheduler struct {
 	queue   []*item // binary min-heap ordered by (at, seq)
 	free    *item   // recycled nodes
 	running bool
-	stopped bool
 }
 
 // New returns a Scheduler positioned at virtual time zero.
@@ -241,7 +240,6 @@ func (s *Scheduler) Reset() {
 	s.queue = s.queue[:0]
 	s.now = 0
 	s.seq = 0
-	s.stopped = false
 }
 
 // Periodic is a reusable repeating timer: allocated once, then armed and
@@ -342,10 +340,9 @@ func (s *Scheduler) Step() bool {
 // scheduled exactly at deadline do fire. Now is left at deadline even if the
 // queue drains early, so subsequent scheduling is relative to the deadline.
 func (s *Scheduler) RunUntil(deadline time.Duration) {
-	s.stopped = false
 	s.running = true
 	defer func() { s.running = false }()
-	for !s.stopped {
+	for {
 		next := s.peek()
 		if next == nil {
 			break
@@ -364,17 +361,13 @@ func (s *Scheduler) RunUntil(deadline time.Duration) {
 		s.recycle(next)
 		fn()
 	}
-	if !s.stopped && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
 // RunFor advances the clock by d, running all events due in that window.
 func (s *Scheduler) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
-
-// Stop halts RunUntil/RunFor after the currently executing event
-// returns. Pending events remain queued.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // --- Binary heap over pooled nodes ------------------------------------------
 //

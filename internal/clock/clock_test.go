@@ -219,21 +219,6 @@ func TestStepSkipsDeadEvents(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New()
-	count := 0
-	s.Every(time.Millisecond, func() {
-		count++
-		if count == 5 {
-			s.Stop()
-		}
-	})
-	s.RunUntil(time.Second)
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
 func TestEventsScheduledDuringRunFire(t *testing.T) {
 	s := New()
 	var got []time.Duration

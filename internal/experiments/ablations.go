@@ -17,8 +17,8 @@ import (
 	"repro/internal/vehicle"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out. Each is
-// an extension of the paper's discussion section, quantified.
+// Ablations of the design choices DESIGN.md calls out. Each is an
+// extension of the paper's discussion section, quantified.
 
 // TargetedVsBlindResult compares the §VII recommendation ("fuzz testing in
 // a specific message space, close to known messages") against the blind

@@ -1,8 +1,7 @@
 // Package experiments contains one harness per table and figure of the
 // paper's evaluation. Each harness is deterministic given its seed and
-// returns typed rows; cmd/benchreport and the root bench_test.go render
-// them in the paper's layout. EXPERIMENTS.md records paper-vs-measured for
-// each.
+// returns typed rows; cmd/benchreport renders them in the paper's layout.
+// EXPERIMENTS.md records paper-vs-measured for each, quoting that report.
 package experiments
 
 import (

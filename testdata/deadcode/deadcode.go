@@ -6,6 +6,7 @@ package deadcode
 import (
 	"fmt"
 	"net/http"
+	"sort"
 )
 
 // Root is reachable: a package-level var initialiser is a root.
@@ -14,6 +15,8 @@ var Root = start()
 func start() fmt.Stringer {
 	r := &record{read: 1, written: 2}
 	_ = &http.Client{Transport: transport{}}
+	_ = shelf{}
+	sort.Ints(nil) // brings sort.Interface into view
 	return label(fmt.Sprint(r.read))
 }
 
@@ -32,6 +35,12 @@ func (l label) Unused() {}
 type transport struct{}
 
 func (transport) RoundTrip(*http.Request) (*http.Response, error) { return nil, nil }
+
+// shelf is reachable and its Len has the signature of sort.Interface's,
+// but shelf has no Less or Swap: it is no sort.Interface, so Len is dead.
+type shelf struct{}
+
+func (shelf) Len() int { return 0 }
 
 // deadCaller is unreachable, so the callee it calls is too.
 func deadCaller() { callee() }
