@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -104,59 +102,25 @@ func runWorker(logger *slog.Logger, serverURL, name, token string) error {
 	return w.Run(ctx)
 }
 
-// svcRequest issues one authenticated request against the service.
-func svcRequest(method, url, token string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, url, body)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	return http.DefaultClient.Do(req)
-}
-
-// svcGetJSON fetches and decodes one JSON document.
-func svcGetJSON(url, token string, v any) error {
-	resp, err := svcRequest(http.MethodGet, url, token, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: %s: %s", url, resp.Status, bytes.TrimSpace(body))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
 // runSubmit posts the campaign spec to the service and prints the
 // assigned campaign ID. With -watch it instead polls until the campaign
 // completes, writes the merged corpus to -corpus-out and prints only the
 // final report (the exact bytes of /report.json with -json — identical to
 // an in-process -json run — the human summary otherwise).
 func runSubmit(ctx context.Context, logger *slog.Logger, baseURL, token string, spec campaignd.CampaignSpec, o submitOpts) error {
-	base := strings.TrimSuffix(baseURL, "/")
+	cli := &campaignd.Client{Base: baseURL, Token: token}
 	body, err := json.Marshal(campsrv.Submission{
 		Spec: spec, Priority: o.priority, MaxInflight: o.maxInflight,
 	})
 	if err != nil {
 		return err
 	}
-	resp, err := svcRequest(http.MethodPost, base+"/campaigns", token, bytes.NewReader(body))
+	raw, err := cli.API(http.MethodPost, "/campaigns", body, http.StatusCreated)
 	if err != nil {
 		return fmt.Errorf("submit to %s: %w", baseURL, err)
 	}
-	respBody, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("submit to %s: %s: %s", baseURL, resp.Status, bytes.TrimSpace(respBody))
-	}
 	var v campsrv.CampaignView
-	if err := json.Unmarshal(respBody, &v); err != nil {
+	if err := json.Unmarshal(raw, &v); err != nil {
 		return fmt.Errorf("submit response: %w", err)
 	}
 	logger.Info("campaign submitted", "campaign", v.ID, "state", v.State,
@@ -165,18 +129,27 @@ func runSubmit(ctx context.Context, logger *slog.Logger, baseURL, token string, 
 		fmt.Println(v.ID)
 		return nil
 	}
-	if err := watchCampaign(ctx, logger, base, token, v.ID); err != nil {
+	if err := watchCampaign(ctx, logger, cli, v.ID); err != nil {
 		return err
 	}
-	return printRemoteReport(logger, base, token, v.ID, o)
+	return printRemoteReport(logger, cli, v.ID, o)
+}
+
+// getJSON fetches and decodes one JSON document of the service API.
+func getJSON(cli *campaignd.Client, path string, v any) error {
+	raw, err := cli.API(http.MethodGet, path, nil, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
 }
 
 // watchCampaign polls the campaign until it completes.
-func watchCampaign(ctx context.Context, logger *slog.Logger, base, token, id string) error {
+func watchCampaign(ctx context.Context, logger *slog.Logger, cli *campaignd.Client, id string) error {
 	lastDone := -1
 	for {
 		var d campsrv.CampaignDetail
-		if err := svcGetJSON(base+"/campaigns/"+id, token, &d); err != nil {
+		if err := getJSON(cli, "/campaigns/"+id, &d); err != nil {
 			return err
 		}
 		switch d.State {
@@ -205,18 +178,10 @@ func watchCampaign(ctx context.Context, logger *slog.Logger, base, token, id str
 // merged corpus to o.corpusOut when set. With o.jsonOut the exact server
 // bytes go to stdout — byte-identical to an in-process fleet.Run -json
 // report; otherwise the shared human summary is printed.
-func printRemoteReport(logger *slog.Logger, base, token, id string, o submitOpts) error {
-	resp, err := svcRequest(http.MethodGet, base+"/campaigns/"+id+"/report.json", token, nil)
+func printRemoteReport(logger *slog.Logger, cli *campaignd.Client, id string, o submitOpts) error {
+	raw, err := cli.API(http.MethodGet, "/campaigns/"+id+"/report.json", nil, http.StatusOK)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("report for %s: %s: %s", id, resp.Status, bytes.TrimSpace(raw))
 	}
 	var rep fleet.Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
@@ -239,9 +204,8 @@ func printRemoteReport(logger *slog.Logger, base, token, id string, o submitOpts
 // campaign with id, state, progress, ETA and findings — the quick
 // operator check the dashboardless need.
 func runStatus(baseURL, token string) error {
-	base := strings.TrimSuffix(baseURL, "/")
 	var fleetView campsrv.FleetView
-	if err := svcGetJSON(base+"/fleet.json", token, &fleetView); err != nil {
+	if err := getJSON(&campaignd.Client{Base: baseURL, Token: token}, "/fleet.json", &fleetView); err != nil {
 		return err
 	}
 	fmt.Printf("%-8s %-10s %5s  %11s  %8s  %8s\n",

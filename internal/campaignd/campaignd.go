@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/faults"
@@ -33,10 +33,10 @@ var (
 // extend it by the same amount.
 const DefaultLeaseTTL = 10 * time.Second
 
-// DefaultRedispatch is the backoff policy for re-dispatching expired
-// leases: capped exponential with jitter, so a crash-looping worker fleet
-// does not hammer one doomed trial in lockstep.
-var DefaultRedispatch = retry.Policy{
+// redispatch is the backoff policy for re-dispatching expired leases:
+// capped exponential with jitter, so a crash-looping worker fleet does not
+// hammer one doomed trial in lockstep.
+var redispatch = retry.Policy{
 	Base:   250 * time.Millisecond,
 	Cap:    5 * time.Second,
 	Jitter: 0.5,
@@ -44,12 +44,11 @@ var DefaultRedispatch = retry.Policy{
 
 // Config assembles a Coordinator.
 type Config struct {
-	// Spec describes the campaign to shard (required).
+	// Spec describes the campaign to shard (required). Its BaseSeed also
+	// seeds the redispatch jitter (content determinism never depends on it).
 	Spec CampaignSpec
 	// LeaseTTL is the lease deadline (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// Redispatch is the expired-lease backoff (default DefaultRedispatch).
-	Redispatch retry.Policy
 	// Sink, when non-nil, is the journal: every accepted result streams
 	// into it as observatory events, durable enough to resume from.
 	Sink *observatory.Sink
@@ -62,9 +61,6 @@ type Config struct {
 	// already holds the campaign_start line: its trials are born completed
 	// and their events are not re-emitted. Nil starts a fresh journal.
 	Resumed map[int]fleet.TrialResult
-	// Seed seeds the redispatch jitter RNG (content determinism never
-	// depends on it; 0 is fine).
-	Seed int64
 }
 
 // trialState is the lease state machine: pending -> leased -> done, with
@@ -93,26 +89,35 @@ type trial struct {
 
 // Coordinator is one campaign's lease book: it shards the campaign into
 // leases and folds accepted results into the same deterministic report an
-// in-process fleet.Run produces. All methods are safe for concurrent use;
-// campsrv schedules many of them behind one HTTP API.
+// in-process fleet.Run produces. It is a plain state machine and not safe
+// for concurrent use: campsrv makes every call under its server lock.
+//
+// Dispatch hands out the lowest pending trial whose backoff has passed.
+// No call walks every trial: a pending trial is either never dispatched,
+// at or above the cursor next, or reclaimed from an expired lease and
+// waiting in retry, always below next. So the lowest dispatchable trial is
+// the first available retry entry, else next. inflight and retry hold
+// trial indices in ascending order; inflight has one entry per busy
+// worker.
 type Coordinator struct {
 	spec     CampaignSpec
 	ttl      time.Duration
-	policy   retry.Policy
 	sink     *observatory.Sink
 	progress *fleet.Progress
 	log      *slog.Logger
+	now      func() time.Time // wall clock; a test seam
 
-	mu          sync.Mutex
-	trials      []trial
-	done        int
-	resumed     int // completed trials inherited from the journal
-	nextLease   uint64
-	duplicates  int
-	expiries    int
-	rng         *rand.Rand
-	report      *fleet.Report
-	finishedSig chan struct{}
+	trials     []trial
+	next       int   // lowest never-dispatched trial
+	inflight   []int // leased trials
+	retry      []int // reclaimed trials waiting out their backoff
+	done       int
+	resumed    int // completed trials inherited from the journal
+	nextLease  uint64
+	duplicates int
+	expiries   int
+	rng        *rand.Rand
+	report     *fleet.Report
 }
 
 // New builds a lease book for the spec, journalling to cfg.Sink. With
@@ -131,19 +136,15 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.Redispatch.Base <= 0 {
-		cfg.Redispatch = DefaultRedispatch
-	}
 	c := &Coordinator{
-		spec:        cfg.Spec,
-		ttl:         cfg.LeaseTTL,
-		policy:      cfg.Redispatch,
-		sink:        cfg.Sink,
-		progress:    cfg.Progress,
-		log:         cfg.Logger,
-		trials:      make([]trial, cfg.Spec.Trials),
-		rng:         rand.New(faults.SeedPCG(new(rand.PCG), cfg.Seed)),
-		finishedSig: make(chan struct{}),
+		spec:     cfg.Spec,
+		ttl:      cfg.LeaseTTL,
+		sink:     cfg.Sink,
+		progress: cfg.Progress,
+		log:      cfg.Logger,
+		now:      time.Now,
+		trials:   make([]trial, cfg.Spec.Trials),
+		rng:      rand.New(faults.SeedPCG(new(rand.PCG), cfg.Spec.BaseSeed)),
 	}
 	c.progress.CampaignStarted(cfg.Spec.FleetConfig(), 0)
 	for i := range c.trials {
@@ -176,9 +177,7 @@ func New(cfg Config) (*Coordinator, error) {
 			c.log.Info("campaign resumed from journal", "completed", c.done, "remaining", len(c.trials)-c.done)
 		}
 	}
-	c.mu.Lock()
-	c.maybeFinishLocked()
-	c.mu.Unlock()
+	c.maybeFinish()
 	return c, nil
 }
 
@@ -217,57 +216,72 @@ type Lease struct {
 // AcquireLease hands the worker the lowest dispatchable trial, or tells it
 // to wait or that the campaign is done. Expired leases are reclaimed
 // lazily here — the lease book needs no background goroutine, which keeps
-// its state machine single-threaded under the mutex and trivially
-// crash-consistent: the only durable state is the journal.
+// it a single-threaded state machine and trivially crash-consistent: the
+// only durable state is the journal.
 func (c *Coordinator) AcquireLease(worker string) Lease {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimExpiredLocked(now)
+	now := c.now()
+	c.reclaimExpired(now)
 	if c.done == len(c.trials) {
 		return Lease{Status: LeaseDone}
 	}
-	var nextAvail time.Time
-	for i := range c.trials {
-		tr := &c.trials[i]
-		if tr.state != statePending {
-			continue
-		}
-		if tr.availableAt.After(now) {
-			if nextAvail.IsZero() || tr.availableAt.Before(nextAvail) {
-				nextAvail = tr.availableAt
+	i, nextAvail := c.dispatchable(now)
+	if i < 0 {
+		wait := c.ttl / 4
+		if !nextAvail.IsZero() {
+			if until := nextAvail.Sub(now); until < wait {
+				wait = until
 			}
-			continue
 		}
-		c.nextLease++
-		tr.state = stateLeased
-		tr.leaseID = c.nextLease
-		tr.worker = worker
-		tr.expiry = now.Add(c.ttl)
-		tr.attempts++
-		if tr.attempts == 1 {
-			// First dispatch: journal the trial_start. Re-dispatches do not
-			// repeat it — the sorted event log of a crash-free distributed
-			// run stays identical to the in-process observatory's.
-			c.progress.TrialStarted(fleet.TrialSpec{Index: i, Seed: tr.seed})
-			c.sink.Emit(observatory.TrialStart(i, tr.seed))
+		if wait < 50*time.Millisecond {
+			wait = 50 * time.Millisecond
 		}
-		if c.log != nil {
-			c.log.Info("lease granted", "trial", i, "lease", tr.leaseID,
-				"worker", worker, "attempt", tr.attempts)
-		}
-		return Lease{Status: LeaseGranted, Trial: i, Seed: tr.seed, ID: tr.leaseID, TTL: c.ttl}
+		return Lease{Status: LeaseWait, RetryAfter: wait}
 	}
-	wait := c.ttl / 4
-	if !nextAvail.IsZero() {
-		if until := nextAvail.Sub(now); until < wait {
-			wait = until
+	tr := &c.trials[i]
+	c.nextLease++
+	tr.state = stateLeased
+	tr.leaseID = c.nextLease
+	tr.worker = worker
+	tr.expiry = now.Add(c.ttl)
+	tr.attempts++
+	c.inflight = insertIndex(c.inflight, i)
+	if tr.attempts == 1 {
+		// First dispatch: journal the trial_start. Re-dispatches do not
+		// repeat it — the sorted event log of a crash-free distributed
+		// run stays identical to the in-process observatory's.
+		c.progress.TrialStarted(fleet.TrialSpec{Index: i, Seed: tr.seed})
+		c.sink.Emit(observatory.TrialStart(i, tr.seed))
+	}
+	if c.log != nil {
+		c.log.Info("lease granted", "trial", i, "lease", tr.leaseID,
+			"worker", worker, "attempt", tr.attempts)
+	}
+	return Lease{Status: LeaseGranted, Trial: i, Seed: tr.seed, ID: tr.leaseID, TTL: c.ttl}
+}
+
+// dispatchable takes the lowest pending trial whose backoff has passed off
+// its list and returns it, or -1 and the earliest time a reclaimed trial
+// becomes available (zero when none waits).
+func (c *Coordinator) dispatchable(now time.Time) (int, time.Time) {
+	var nextAvail time.Time
+	for k, i := range c.retry {
+		at := c.trials[i].availableAt
+		if !at.After(now) {
+			c.retry = slices.Delete(c.retry, k, k+1)
+			return i, time.Time{}
+		}
+		if nextAvail.IsZero() || at.Before(nextAvail) {
+			nextAvail = at
 		}
 	}
-	if wait < 50*time.Millisecond {
-		wait = 50 * time.Millisecond
+	for c.next < len(c.trials) && c.trials[c.next].state == stateDone {
+		c.next++
 	}
-	return Lease{Status: LeaseWait, RetryAfter: wait}
+	if c.next == len(c.trials) {
+		return -1, nextAvail
+	}
+	c.next++
+	return c.next - 1, time.Time{}
 }
 
 // Heartbeat extends the lease deadline. ErrLeaseGone tells the worker its
@@ -275,13 +289,10 @@ func (c *Coordinator) AcquireLease(worker string) Lease {
 // computing and submits anyway — a correct result is accepted from anyone
 // first, content being identical by construction.
 func (c *Coordinator) Heartbeat(leaseID uint64) error {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimExpiredLocked(now)
-	for i := range c.trials {
-		tr := &c.trials[i]
-		if tr.state == stateLeased && tr.leaseID == leaseID {
+	now := c.now()
+	c.reclaimExpired(now)
+	for _, i := range c.inflight {
+		if tr := &c.trials[i]; tr.leaseID == leaseID {
 			tr.expiry = now.Add(c.ttl)
 			return nil
 		}
@@ -305,8 +316,6 @@ func ranStatus(status string) bool {
 // seed or status (see ranStatus) contradicts the shard table is refused,
 // and a duplicate for a completed trial is counted and dropped.
 func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if index < 0 || index >= len(c.trials) {
 		return fmt.Errorf("%w: trial %d out of range", ErrBadResult, index)
 	}
@@ -315,27 +324,46 @@ func (c *Coordinator) Submit(index int, leaseID uint64, res fleet.TrialResult) e
 		return fmt.Errorf("%w: got trial=%d seed=%d status=%q, lease table says trial=%d seed=%d",
 			ErrBadResult, res.Trial, res.Seed, res.Status, index, tr.seed)
 	}
-	if tr.state == stateDone {
+	switch {
+	case tr.state == stateDone:
 		c.duplicates++
 		return ErrTrialDone
+	case tr.state == stateLeased:
+		c.inflight = removeIndex(c.inflight, index)
+	case tr.attempts > 0:
+		c.retry = removeIndex(c.retry, index)
 	}
 	_ = leaseID // advisory; see doc comment
 	tr.state = stateDone
 	tr.result = res
 	c.done++
 	c.progress.TrialFinished(res)
-	c.journalResultLocked(res)
-	c.maybeFinishLocked()
+	c.journalResult(res)
+	c.maybeFinish()
 	return nil
 }
 
-// journalResultLocked streams an accepted result into the journal as one
+// insertIndex adds trial i to the ascending index list.
+func insertIndex(list []int, i int) []int {
+	k, _ := slices.BinarySearch(list, i)
+	return slices.Insert(list, k, i)
+}
+
+// removeIndex drops trial i from the ascending index list.
+func removeIndex(list []int, i int) []int {
+	if k, ok := slices.BinarySearch(list, i); ok {
+		return slices.Delete(list, k, k+1)
+	}
+	return list
+}
+
+// journalResult streams an accepted result into the journal as one
 // write: the events an in-process fleet emits
 // (observatory.AppendTrialEvents, then the checkpoint when due) with the
 // trial_result line that makes the journal self-sufficient for resume
 // between them, so a checkpoint never runs ahead of a durable result. The
 // completed count includes resumed trials.
-func (c *Coordinator) journalResultLocked(res fleet.TrialResult) {
+func (c *Coordinator) journalResult(res fleet.TrialResult) {
 	if c.sink == nil {
 		return
 	}
@@ -352,16 +380,20 @@ func (c *Coordinator) journalResultLocked(res fleet.TrialResult) {
 	c.sink.EmitBatch(evs)
 }
 
-// reclaimExpiredLocked returns expired leases to the pending pool with a
-// capped, jittered backoff before re-dispatch.
-func (c *Coordinator) reclaimExpiredLocked(now time.Time) {
-	for i := range c.trials {
+// reclaimExpired returns expired leases to the pending pool with a
+// capped, jittered backoff before re-dispatch. It visits the leases in
+// trial-index order, the order the jitter draws are made in.
+func (c *Coordinator) reclaimExpired(now time.Time) {
+	kept := c.inflight[:0]
+	for _, i := range c.inflight {
 		tr := &c.trials[i]
-		if tr.state != stateLeased || tr.expiry.After(now) {
+		if tr.expiry.After(now) {
+			kept = append(kept, i)
 			continue
 		}
 		tr.state = statePending
-		tr.availableAt = now.Add(c.policy.Delay(tr.attempts, c.rng))
+		tr.availableAt = now.Add(redispatch.Delay(tr.attempts, c.rng))
+		c.retry = insertIndex(c.retry, i)
 		c.expiries++
 		if c.log != nil {
 			c.log.Warn("lease expired", "trial", i, "lease", tr.leaseID,
@@ -369,10 +401,11 @@ func (c *Coordinator) reclaimExpiredLocked(now time.Time) {
 				"redispatch_in", tr.availableAt.Sub(now).Round(time.Millisecond))
 		}
 	}
+	c.inflight = kept
 }
 
-// maybeFinishLocked builds the final report once every trial is done.
-func (c *Coordinator) maybeFinishLocked() {
+// maybeFinish builds the final report once every trial is done.
+func (c *Coordinator) maybeFinish() {
 	if c.report != nil || c.done != len(c.trials) {
 		return
 	}
@@ -383,45 +416,18 @@ func (c *Coordinator) maybeFinishLocked() {
 	rep := fleet.NewReport(c.spec.BaseSeed, time.Duration(c.spec.MaxPerTrialNanos), results)
 	c.report = rep
 	c.progress.CampaignDone(rep)
-	close(c.finishedSig)
-}
-
-// Done is closed once the campaign completes.
-func (c *Coordinator) Done() <-chan struct{} { return c.finishedSig }
-
-// Finished reports completion without blocking.
-func (c *Coordinator) Finished() bool {
-	select {
-	case <-c.finishedSig:
-		return true
-	default:
-		return false
-	}
 }
 
 // Leased counts the currently leased trials after reclaiming expired
 // leases — the live in-flight width a fair-share scheduler caps per
 // campaign (campsrv's max-inflight).
 func (c *Coordinator) Leased() int {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimExpiredLocked(now)
-	n := 0
-	for i := range c.trials {
-		if c.trials[i].state == stateLeased {
-			n++
-		}
-	}
-	return n
+	c.reclaimExpired(c.now())
+	return len(c.inflight)
 }
 
-// Report returns the final report (nil until Done closes).
-func (c *Coordinator) Report() *fleet.Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.report
-}
+// Report returns the final report: nil until every trial is done.
+func (c *Coordinator) Report() *fleet.Report { return c.report }
 
 // Status is the lease book's live view, served in campsrv's
 // GET /campaigns/{id} detail.
@@ -438,22 +444,11 @@ type Status struct {
 
 // Snapshot samples the lease book state.
 func (c *Coordinator) Snapshot() Status {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reclaimExpiredLocked(now)
-	s := Status{
-		Trials: len(c.trials), Done: c.done, Resumed: c.resumed,
+	leased := c.Leased()
+	return Status{
+		Trials: len(c.trials), Done: c.done, Leased: leased,
+		Pending: len(c.trials) - c.done - leased, Resumed: c.resumed,
 		Expiries: c.expiries, Duplicates: c.duplicates,
 		Complete: c.report != nil,
 	}
-	for i := range c.trials {
-		switch c.trials[i].state {
-		case stateLeased:
-			s.Leased++
-		case statePending:
-			s.Pending++
-		}
-	}
-	return s
 }

@@ -97,17 +97,21 @@ func reportBytes(t *testing.T, rep *fleet.Report) []byte {
 
 // drain runs one worker goroutine per name against the lease book until
 // the campaign completes. Each trial runs through pool.RunTrial, so a nil
-// pool builds every trial cold.
+// pool builds every trial cold. The lease book is not safe for concurrent
+// use: the workers share it under one mutex, as campsrv's do.
 func drain(t *testing.T, coord *campaignd.Coordinator, spec campaignd.CampaignSpec,
 	factory fleet.TargetFactory, pool *fleet.WorldPool, names ...string) {
 	t.Helper()
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, name := range names {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
 			for {
+				mu.Lock()
 				l := coord.AcquireLease(name)
+				mu.Unlock()
 				switch l.Status {
 				case campaignd.LeaseDone:
 					return
@@ -117,7 +121,10 @@ func drain(t *testing.T, coord *campaignd.Coordinator, spec campaignd.CampaignSp
 				}
 				res := pool.RunTrial(fleet.TrialSpec{Index: l.Trial, Seed: l.Seed},
 					spec.FleetConfig(), factory)
-				if err := coord.Submit(l.Trial, l.ID, res); err != nil {
+				mu.Lock()
+				err := coord.Submit(l.Trial, l.ID, res)
+				mu.Unlock()
+				if err != nil {
 					t.Errorf("worker %s: submit trial %d: %v", name, l.Trial, err)
 					return
 				}
@@ -125,9 +132,7 @@ func drain(t *testing.T, coord *campaignd.Coordinator, spec campaignd.CampaignSp
 		}(name)
 	}
 	wg.Wait()
-	select {
-	case <-coord.Done():
-	case <-time.After(30 * time.Second):
+	if coord.Report() == nil {
 		t.Fatal("campaign did not complete")
 	}
 }
@@ -235,16 +240,16 @@ func sortedLines(log string) []string {
 
 func TestWorkerCrashLeaseRedispatch(t *testing.T) {
 	// A worker that takes a lease and dies must not strand its trial: the
-	// lease expires and the trial is re-dispatched after backoff.
+	// lease expires and the trial is re-dispatched after backoff. The lease
+	// book reads a stepped clock, so the test waits for nothing.
 	spec := testSpec(2)
-	coord, err := campaignd.New(campaignd.Config{
-		Spec:       spec,
-		LeaseTTL:   60 * time.Millisecond,
-		Redispatch: campaignd.DefaultRedispatch, // Base 250ms
-	})
+	coord, err := campaignd.New(campaignd.Config{Spec: spec, LeaseTTL: 60 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	now := time.Unix(1_000_000, 0)
+	start := now
+	campaignd.SetNow(coord, func() time.Time { return now })
 
 	// "Crashed" worker: leases trial 0, never heartbeats, never submits.
 	dead := coord.AcquireLease("crashed")
@@ -258,11 +263,11 @@ func TestWorkerCrashLeaseRedispatch(t *testing.T) {
 		t.Fatalf("second lease = %+v", l1)
 	}
 	// ...and then must wait out the dead lease's TTL + redispatch backoff
-	// before trial 0 comes around again. The live worker does not
-	// heartbeat, so trial 1's lease expires too and may come back first,
-	// in an order the redispatch jitter decides; the worker takes it over.
+	// (Base 250ms) before trial 0 comes around again. The live worker does
+	// not heartbeat, so trial 1's lease expires too and may come back
+	// first, in an order the redispatch jitter decides; the worker takes it
+	// over.
 	var l0 campaignd.Lease
-	deadline := time.Now().Add(10 * time.Second)
 	for {
 		l0 = coord.AcquireLease("live")
 		if l0.Status == campaignd.LeaseGranted && l0.Trial == 1 {
@@ -272,13 +277,16 @@ func TestWorkerCrashLeaseRedispatch(t *testing.T) {
 		if l0.Status == campaignd.LeaseGranted {
 			break
 		}
-		if time.Now().After(deadline) {
+		if now.Sub(start) > 10*time.Second {
 			t.Fatalf("trial 0 never re-dispatched: %+v", l0)
 		}
-		time.Sleep(l0.RetryAfter)
+		now = now.Add(l0.RetryAfter)
 	}
 	if l0.Trial != 0 || l0.ID == dead.ID {
 		t.Fatalf("redispatched lease = %+v (dead lease id %d)", l0, dead.ID)
+	}
+	if waited := now.Sub(start); waited < 60*time.Millisecond+campaignd.Redispatch.Base/2 {
+		t.Fatalf("trial 0 re-dispatched after %v, before its TTL and backoff", waited)
 	}
 	if st := coord.Snapshot(); st.Expiries == 0 {
 		t.Fatalf("no expiry recorded: %+v", st)

@@ -58,6 +58,31 @@ func (c *Client) do(method, url, contentType string, body io.Reader) (*http.Resp
 	return c.http().Do(req)
 }
 
+// API issues one request against the service's client API at path (such
+// as "/campaigns"), sending body, when non-nil, as JSON, and returns the
+// response body. A status other than want is an error carrying the status
+// and the start of the body.
+func (c *Client) API(method, path string, body []byte, want int) ([]byte, error) {
+	var rd io.Reader
+	contentType := ""
+	if body != nil {
+		rd, contentType = bytes.NewReader(body), "application/json"
+	}
+	resp, err := c.do(method, strings.TrimSuffix(c.Base, "/")+path, contentType, rd)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		return nil, fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(raw[:min(len(raw), 4096)]))
+	}
+	return raw, nil
+}
+
 // Spec fetches and validates a campaign spec.
 func (c *Client) Spec(campaign string) (CampaignSpec, error) {
 	var spec CampaignSpec

@@ -30,7 +30,11 @@
 // the journal: every accepted result is appended to the observatory event
 // log as a trial_result line, and a restarted server reopens that log
 // (OpenJournal), skipping completed trials and re-leasing the rest.
-// DESIGN §12 documents the full state machine.
+//
+// The lease book is a plain state machine, not safe for concurrent use:
+// campsrv serialises every call under its one server lock. It tracks only
+// the trials in flight and those waiting to be re-dispatched, so no call
+// walks every trial. DESIGN §12 documents the full state machine.
 package campaignd
 
 import (

@@ -77,7 +77,7 @@ func (s *fakeService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c := s.byID[q.Get("campaign")]
 	switch r.URL.Path {
 	case "/campaignd/lease":
-		for len(s.queue) > 0 && s.queue[0].coord != nil && (s.queue[0].cancelled || s.queue[0].coord.Finished()) {
+		for len(s.queue) > 0 && s.queue[0].coord != nil && (s.queue[0].cancelled || s.queue[0].coord.Report() != nil) {
 			s.queue = s.queue[1:]
 		}
 		if len(s.queue) == 0 {
@@ -126,7 +126,7 @@ func (s *fakeService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		c.accepted++
-		json.NewEncoder(w).Encode(SubmitAck{Accepted: true, CampaignDone: c.coord.Finished()})
+		json.NewEncoder(w).Encode(SubmitAck{Accepted: true, CampaignDone: c.coord.Report() != nil})
 	default:
 		http.NotFound(w, r)
 	}

@@ -130,7 +130,8 @@ type campaign struct {
 
 	// Live machinery (running/draining); nil otherwise. journal is the
 	// open journal until one goroutine takes it under Server.mu to
-	// finalise it; whoever takes it closes it.
+	// finalise it; whoever takes it closes it. coord is only ever called
+	// under Server.mu.
 	coord    *campaignd.Coordinator
 	journal  *os.File
 	sink     *observatory.Sink
@@ -144,8 +145,10 @@ type campaign struct {
 }
 
 // Server is the multi-campaign scheduler. All exported methods are safe
-// for concurrent use. Lock order is Server.mu before any lease book's
-// internal mutex; lease books never call back into the server.
+// for concurrent use: every lease-book call and every campaign state
+// change happens under mu. The one goroutine the server starts per
+// campaign runs finish, which syncs and closes the journal, renders the
+// report and merges findings outside the lock.
 type Server struct {
 	dataDir string
 	ttl     time.Duration
@@ -157,7 +160,8 @@ type Server struct {
 	activeGauge *telemetry.Gauge
 	queuedGauge *telemetry.Gauge
 
-	// finishing counts the finish calls in flight; Close waits for them.
+	// finishing counts the finish goroutines in flight; Close waits for
+	// them.
 	finishing sync.WaitGroup
 
 	mu        sync.Mutex
@@ -293,7 +297,8 @@ func (s *Server) slotFreeLocked() bool {
 // startLocked opens the campaign's lease book and enters it into the
 // scheduler ring. A fresh campaign passes a nil journal (one is created);
 // a resumed one passes its reopened journal and the results recovered
-// from it. The lease book owns the journal from here on.
+// from it. The lease book owns the journal from here on. A resumed book
+// that is already complete goes straight on to draining.
 func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]fleet.TrialResult) error {
 	if journal == nil {
 		var err error
@@ -310,7 +315,6 @@ func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]flee
 		Progress: progress,
 		Logger:   s.log,
 		Resumed:  resumed,
-		Seed:     c.spec.BaseSeed,
 	})
 	if err != nil {
 		journal.Close()
@@ -321,59 +325,52 @@ func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]flee
 	c.leased = s.tel.Reg().Counter("trials_leased_total",
 		"lease grants per campaign", telemetry.Label{Key: "campaign", Value: c.id})
 	s.ring = append(s.ring, c)
-	go func() {
-		<-coord.Done()
-		s.finish(c.id)
-	}()
 	if s.log != nil {
 		s.log.Info("campaign running", "campaign", c.id, "trials", c.spec.Trials,
 			"resumed", len(resumed))
 	}
+	if coord.Report() != nil {
+		s.drainLocked(c)
+	}
 	return nil
 }
 
-// finish moves a completed campaign running -> draining -> done: the
-// journal is synced and closed, the final report rendered, and a queued
-// campaign promoted into the freed slot. It runs on the per-campaign
-// watcher goroutine. Once Close has begun it does nothing: the campaign
-// stays running on disk, and a resume finds its journal complete.
-func (s *Server) finish(id string) {
-	s.mu.Lock()
-	c := s.campaigns[id]
-	if c == nil || c.state != StateRunning || s.closed {
-		s.mu.Unlock()
+// drainLocked moves a campaign whose lease book just completed from
+// running to draining: out of the scheduler ring, its journal handed to a
+// finish goroutine. Once Close has begun it does nothing: the campaign
+// stays running on disk, Close closes its journal, and a resume finds the
+// journal complete.
+func (s *Server) drainLocked(c *campaign) {
+	if s.closed {
 		return
 	}
-	s.finishing.Add(1)
-	defer s.finishing.Done()
 	c.state = StateDraining
-	journal := c.journal
-	c.journal = nil
 	s.dropFromRingLocked(c)
+	sink, journal := c.sink, c.journal
+	c.journal = nil
 	_ = s.persistLocked() // the draining mark is advisory; the journal is the truth
-	s.mu.Unlock()
+	s.finishing.Add(1)
+	go s.finish(c, sink, journal, c.coord.Report())
+}
 
-	// Finalise the journal outside the lock: sink errors are sticky, and a
-	// journal that lost writes must be visible — a resume from it would
-	// silently re-run trials.
+// finish moves a draining campaign to done: the journal is synced and
+// closed, the final report rendered and its findings merged, all outside
+// the lock, and then a queued campaign is promoted into the freed slot.
+func (s *Server) finish(c *campaign, sink *observatory.Sink, journal *os.File, rep *fleet.Report) {
+	defer s.finishing.Done()
+	// Sink errors are sticky, and a journal that lost writes must be
+	// visible — a resume from it would silently re-run trials.
 	var failure string
-	if err := c.sink.Close(); err != nil {
-		failure = fmt.Sprintf("event log: %v", err)
+	if err := closeJournal(sink, journal); err != nil {
+		failure = err.Error()
 	}
-	if err := journal.Sync(); err != nil && failure == "" {
-		failure = fmt.Sprintf("event log sync: %v", err)
-	}
-	if err := journal.Close(); err != nil && failure == "" {
-		failure = fmt.Sprintf("event log close: %v", err)
-	}
-	rep := c.coord.Report()
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil && failure == "" {
 		failure = fmt.Sprintf("render report: %v", err)
 	}
 	// Completion hook: fold the campaign's findings into the regression
-	// database. The DB serialises its own writes, so concurrent watcher
-	// goroutines finishing at once are safe; a DB error must not lose the
+	// database. The DB serialises its own writes, so finish goroutines of
+	// several campaigns are safe together; a DB error must not lose the
 	// campaign itself, so it is recorded as the failure note instead.
 	if s.fdb != nil {
 		if n, err := s.mergeFindings(c, rep); err != nil {
@@ -390,17 +387,33 @@ func (s *Server) finish(id string) {
 	c.reportJSON = buf.Bytes()
 	c.failure = failure
 	if err := s.persistLocked(); err != nil && s.log != nil {
-		s.log.Error("index write failed", "campaign", id, "err", err)
+		s.log.Error("index write failed", "campaign", c.id, "err", err)
 	}
 	s.promoteLocked()
 	s.syncGaugesLocked()
+	st := c.coord.Snapshot()
 	s.mu.Unlock()
 	if s.log != nil {
-		st := c.coord.Snapshot()
-		s.log.Info("campaign complete", "campaign", id, "trials", st.Trials,
+		s.log.Info("campaign complete", "campaign", c.id, "trials", st.Trials,
 			"findings", rep.FoundFindings, "lease_expiries", st.Expiries,
 			"duplicate_results", st.Duplicates, "failure", failure)
 	}
+}
+
+// closeJournal flushes a campaign's event log and syncs and closes its
+// file, returning the first error.
+func closeJournal(sink *observatory.Sink, journal *os.File) error {
+	err := sink.Close()
+	if err != nil {
+		err = fmt.Errorf("event log: %w", err)
+	}
+	if serr := journal.Sync(); serr != nil && err == nil {
+		err = fmt.Errorf("event log sync: %w", serr)
+	}
+	if serr := journal.Close(); serr != nil && err == nil {
+		err = fmt.Errorf("event log close: %w", serr)
+	}
+	return err
 }
 
 // mergeFindings folds a finished campaign's replayable findings into the
@@ -509,8 +522,6 @@ func (s *Server) AcquireLease(worker string) campaignd.Lease {
 					retry = l.RetryAfter
 				}
 			}
-			// LeaseDone: the campaign drained but its watcher has not
-			// finished it yet — treat as nothing dispatchable here.
 		} else if wait := s.ttl / 4; wait < retry {
 			// A capped campaign frees capacity at worst when a lease expires.
 			retry = wait
@@ -534,75 +545,72 @@ func (s *Server) advanceLocked() {
 	}
 }
 
-// lookup fetches a campaign record.
-func (s *Server) lookup(id string) (*campaign, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// lookupLocked fetches a campaign record.
+func (s *Server) lookupLocked(id string) (*campaign, error) {
 	c := s.campaigns[id]
 	if c == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	if c.state == StateCancelled {
+		return nil, fmt.Errorf("%w: %q", ErrGone, id)
 	}
 	return c, nil
 }
 
 // SpecJSON serves a campaign's canonical spec bytes to workers.
 func (s *Server) SpecJSON(id string) ([]byte, error) {
-	c, err := s.lookup(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.lookupLocked(id)
 	if err != nil {
 		return nil, err
-	}
-	if s.stateOf(c) == StateCancelled {
-		return nil, fmt.Errorf("%w: %q", ErrGone, id)
 	}
 	return c.specJSON, nil
 }
 
 // Heartbeat extends a lease on the named campaign.
 func (s *Server) Heartbeat(id string, leaseID uint64) error {
-	c, err := s.lookup(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.lookupLocked(id)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	coord, state := c.coord, c.state
-	s.mu.Unlock()
-	if state == StateCancelled {
-		return fmt.Errorf("%w: %q", ErrGone, id)
-	}
-	if coord == nil {
+	if c.coord == nil {
 		return campaignd.ErrLeaseGone
 	}
-	return coord.Heartbeat(leaseID)
+	return c.coord.Heartbeat(leaseID)
 }
 
 // SubmitResult routes a worker's completed trial to its campaign's lease
 // book and reports, via the ack, whether that campaign drained
 // (CampaignDone) and whether the whole server is out of work (Done — only
 // during shutdown; a long-lived scheduler always expects more campaigns).
+// The result that completes a campaign moves it to draining.
 func (s *Server) SubmitResult(id string, index int, leaseID uint64, res fleet.TrialResult) (campaignd.SubmitAck, error) {
-	c, err := s.lookup(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, err := s.lookupLocked(id)
 	if err != nil {
 		return campaignd.SubmitAck{}, err
 	}
-	s.mu.Lock()
-	coord, state, shutdown := c.coord, c.state, s.shutdown
-	s.mu.Unlock()
-	if state == StateCancelled {
-		return campaignd.SubmitAck{}, fmt.Errorf("%w: %q", ErrGone, id)
-	}
-	if coord == nil {
+	if c.coord == nil {
 		// Resumed-as-done campaign: the trial is already in the journal.
-		return campaignd.SubmitAck{Duplicate: true, CampaignDone: true, Done: shutdown}, nil
+		return campaignd.SubmitAck{Duplicate: true, CampaignDone: true, Done: s.shutdown}, nil
 	}
-	serr := coord.Submit(index, leaseID, res)
+	serr := c.coord.Submit(index, leaseID, res)
 	if serr != nil && !errors.Is(serr, campaignd.ErrTrialDone) {
 		return campaignd.SubmitAck{}, serr
+	}
+	complete := c.coord.Report() != nil
+	if serr == nil && complete {
+		s.drainLocked(c)
 	}
 	return campaignd.SubmitAck{
 		Accepted:     serr == nil,
 		Duplicate:    serr != nil,
-		CampaignDone: coord.Finished(),
-		Done:         shutdown,
+		CampaignDone: complete,
+		Done:         s.shutdown,
 	}, nil
 }
 
@@ -642,9 +650,7 @@ func (s *Server) Cancel(id string) (CampaignView, error) {
 	s.mu.Unlock()
 
 	if journal != nil {
-		_ = sink.Close()
-		_ = journal.Sync()
-		_ = journal.Close()
+		_ = closeJournal(sink, journal)
 	}
 	if s.log != nil {
 		s.log.Info("campaign cancelled", "campaign", id, "was_running", wasRunning)
@@ -667,8 +673,8 @@ func (s *Server) BeginShutdown() {
 
 // Close persists the index and finalises every open journal. Campaigns
 // still running stay in state running on disk; resume re-opens them. It
-// first waits for the finish calls in flight, so nothing writes to the
-// data directory after it returns.
+// first waits for the finish goroutines in flight, so nothing writes to
+// the data directory after it returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.shutdown = true
@@ -692,24 +698,11 @@ func (s *Server) Close() error {
 	err := s.persistLocked()
 	s.mu.Unlock()
 	for _, o := range open {
-		if serr := o.sink.Close(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
-		}
-		if serr := o.journal.Sync(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
-		}
-		if serr := o.journal.Close(); serr != nil && err == nil {
-			err = fmt.Errorf("campaign %s event log: %w", o.id, serr)
+		if cerr := closeJournal(o.sink, o.journal); cerr != nil && err == nil {
+			err = fmt.Errorf("campaign %s %w", o.id, cerr)
 		}
 	}
 	return err
-}
-
-// stateOf samples a campaign's state under the server lock.
-func (s *Server) stateOf(c *campaign) State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return c.state
 }
 
 // syncGauges refreshes the service gauges (also available with the lock

@@ -179,8 +179,8 @@ func drainWith(t *testing.T, s *campsrv.Server, specs map[string]campaignd.Campa
 			t.Fatal("scheduler answered done with campaigns still outstanding")
 		}
 	}
-	// The watcher goroutine finalises reports asynchronously after the last
-	// ack; wait for every campaign to reach done.
+	// A finish goroutine finalises each report asynchronously after the
+	// last ack; wait for every campaign to reach done.
 	for id := range specs {
 		waitState(t, s, id, campsrv.StateDone)
 	}
@@ -394,7 +394,7 @@ func TestResultRouteRejectsUnknownStatus(t *testing.T) {
 }
 
 // TestCloseRacesCampaignCompletion closes the server the moment a
-// campaign's last result lands, while its watcher goroutine finalises the
+// campaign's last result lands, while its finish goroutine finalises the
 // journal: exactly one of the two closes the journal, Close reports no
 // error, and nothing writes to the data directory after Close returns
 // (each iteration's TempDir cleanup would fail on a late index write).

@@ -111,23 +111,15 @@ func (s *Server) Fleet() FleetView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := FleetView{ShuttingDown: s.shutdown}
-	coords := make([]*campaignd.Coordinator, 0, len(s.ring))
 	for _, c := range s.bySeq {
 		v.Campaigns = append(v.Campaigns, s.viewLocked(c))
 		switch c.state {
 		case StateRunning:
 			v.Active++
-			coords = append(coords, c.coord)
+			v.Leased += c.coord.Leased()
 		case StateQueued:
 			v.Queued++
 		}
 	}
-	s.mu.Unlock()
-	// Leased counts take each lease book's lock; sample them outside the
-	// server lock to keep /fleet.json scrapes off the lease hot path.
-	for _, coord := range coords {
-		v.Leased += coord.Leased()
-	}
-	s.mu.Lock()
 	return v
 }

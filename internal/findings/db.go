@@ -15,7 +15,7 @@ import (
 
 // DB is a findings database: a directory holding one `<key>.json` file per
 // deduplicated finding. It is safe for concurrent use from one process
-// (campsrv merges findings from per-campaign watcher goroutines);
+// (campsrv merges findings from per-campaign finish goroutines);
 // cross-process writers are serialized per record by the atomic
 // temp-file + rename protocol, which never exposes a half-written record.
 type DB struct {
