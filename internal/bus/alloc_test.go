@@ -41,3 +41,42 @@ func TestSteadyStateTxZeroAlloc(t *testing.T) {
 		t.Fatalf("frames delivered = %d, want >= 1000 (path not exercised)", got)
 	}
 }
+
+// TestRawInjectionAllocs pins one raw injection, from SendRaw through its
+// completion, at the single allocation the decode makes: the queued entry
+// holds the decoded frame, not a copy of the bits.
+func TestRawInjectionAllocs(t *testing.T) {
+	sched := clock.New()
+	b := New(sched)
+	tx := b.Connect("fuzzer")
+	b.Connect("ecu").SetReceiver(func(Message) {})
+
+	f := can.MustNew(0x215, []byte{0x20, 0x5F, 1, 0, 0, 1, 0x20})
+	bits := can.AppendEncodeBits(nil, f)
+	step := b.FrameTime(f)
+	delivered := 0
+	done := func(r RawResult) {
+		if r == RawDelivered {
+			delivered++
+		}
+	}
+	for i := 0; i < 32; i++ {
+		if err := tx.SendRaw(bits, done); err != nil {
+			t.Fatal(err)
+		}
+		sched.RunFor(step)
+	}
+
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := tx.SendRaw(bits, done); err != nil {
+			t.Error(err)
+		}
+		sched.RunFor(step)
+	})
+	if allocs > 1 {
+		t.Fatalf("raw injection allocates %v, want at most 1 (the decode)", allocs)
+	}
+	if delivered < 1000 {
+		t.Fatalf("raw deliveries = %d, want >= 1000 (path not exercised)", delivered)
+	}
+}

@@ -220,12 +220,9 @@ type busRun struct {
 	// dur) in a fresh closure per frame, the third-largest allocation source
 	// on the hot path.
 	pend struct {
-		isRaw bool // raw holds the transmission, else frame
-		port  *Port
-		frame can.Frame
-		raw   rawTx
-		dur   time.Duration
-		bits  int
+		port *Port
+		tx   txEntry
+		dur  time.Duration
 	}
 
 	// Stuck-dominant window: no transmission starts and no recessive bits
@@ -241,17 +238,11 @@ type busRun struct {
 	idle            bool
 	recoveringCount int
 
-	// txPending counts queued transmissions across every port and queue
-	// kind, so the post-completion tryStart — which usually finds an empty
-	// bus — can skip the per-port queue scan entirely. Queues are always
-	// emptied when a port detaches or goes bus-off, so a non-zero count
-	// means the scan will find a contender.
-	txPending int
-
 	// pendingMask has bit i set iff ports[i] has at least one queued
-	// transmission, so arbitration visits only contending ports instead of
-	// scanning both queues on every port. Ports beyond the first 64 have
-	// no bit (p.bit == 0); tryStart falls back to the full scan then.
+	// transmission, so arbitration visits only contending ports, and the
+	// post-completion tryStart — which usually finds an empty bus — skips
+	// the scan entirely. Queues are always emptied when a port detaches or
+	// goes bus-off, so every port in the mask contends.
 	pendingMask uint64
 
 	stats  Stats
@@ -281,16 +272,10 @@ func New(sched *clock.Scheduler, opts ...Option) *Bus {
 }
 
 // completePending finishes the in-flight transmission recorded in pend.
-// Arguments are copied out of pend at the call, so the completion handlers
-// are free to start (and record) the next transmission.
+// Arguments are copied out of pend at the call, so the completion handler
+// is free to start (and record) the next transmission.
 func (b *Bus) completePending() {
-	if b.pend.isRaw {
-		raw := b.pend.raw
-		b.pend.raw = rawTx{} // release the bit slice and callback
-		b.completeRaw(b.pend.port, raw, b.pend.dur)
-		return
-	}
-	b.complete(b.pend.port, b.pend.frame, b.pend.dur, b.pend.bits)
+	b.complete(b.pend.port, b.pend.tx, b.pend.dur)
 }
 
 // Instrument attaches the bus (and its current and future ports) to the
@@ -404,12 +389,17 @@ func (b *Bus) FrameTime(f can.Frame) time.Duration {
 	return time.Duration(bits) * time.Second / time.Duration(b.bitrate)
 }
 
-// Connect attaches a named node to the bus and returns its port.
+// maxPorts bounds the ports one bus carries: each has a bit in the
+// arbitration mask.
+const maxPorts = 64
+
+// Connect attaches a named node to the bus and returns its port. It
+// panics on a port past maxPorts.
 func (b *Bus) Connect(name string) *Port {
-	p := &Port{bus: b, name: name}
-	if idx := len(b.ports); idx < 64 {
-		p.bit = 1 << idx
+	if len(b.ports) == maxPorts {
+		panic("bus: more than 64 ports on one bus")
 	}
+	p := &Port{bus: b, name: name, bit: 1 << len(b.ports)}
 	p.reset()
 	b.ports = append(b.ports, p)
 	if b.tel != nil {
@@ -437,9 +427,7 @@ func (b *Bus) Reset() {
 }
 
 // tryStart begins the highest-priority pending transmission if the bus is
-// idle. Called whenever a frame is queued or a transmission completes.
-// Raw bit sequences (SendRaw) contend in the same arbitration using the
-// identifier encoded in their leading bits.
+// idle. Called whenever a transmission is queued or completes.
 func (b *Bus) tryStart() {
 	if b.busy || b.delivering {
 		return
@@ -447,130 +435,94 @@ func (b *Bus) tryStart() {
 	if b.sched.Now() < b.jamUntil {
 		return // stuck-dominant window: arbitration resumes at jamEnded
 	}
-	if b.txPending == 0 {
+	if b.pendingMask == 0 {
 		b.enterIdle()
 		return
 	}
+	// Bit index equals port index, so this visits contenders in attach
+	// order, and the winner is replaced only on a strictly lower
+	// identifier: ties keep the earlier port.
 	var winner *Port
 	var winnerID can.ID
-	winnerRaw := false
-	contenders := 0
-	if len(b.ports) <= 64 {
-		// Bit index equals port index, so this visits contenders in attach
-		// order — the same tie-break as the full scan below.
-		for m := b.pendingMask; m != 0; m &= m - 1 {
-			p := b.ports[mathbits.TrailingZeros64(m)]
-			if p.detached || p.state == BusOff {
-				continue
-			}
-			var pending bool
-			winner, winnerID, winnerRaw, pending = arbConsider(p, winner, winnerID, winnerRaw)
-			if pending {
-				contenders++
-			}
+	for m := b.pendingMask; m != 0; m &= m - 1 {
+		p := b.ports[mathbits.TrailingZeros64(m)]
+		if id := p.txq.front().frame.ID; winner == nil || id < winnerID {
+			winner, winnerID = p, id
 		}
-	} else {
-		for _, p := range b.ports {
-			if p.detached || p.state == BusOff {
-				continue
-			}
-			var pending bool
-			winner, winnerID, winnerRaw, pending = arbConsider(p, winner, winnerID, winnerRaw)
-			if pending {
-				contenders++
-			}
-		}
-	}
-	if winner == nil {
-		b.enterIdle()
-		return
 	}
 	b.leaveIdle()
 	// The uncontended case (one pending sender) has no losers to charge,
 	// so it skips the loser rescan and records only the arb-won event.
-	if contenders > 1 {
+	if b.pendingMask&(b.pendingMask-1) != 0 {
 		b.noteArbitration(winner, winnerID)
 	} else {
 		b.tel.Trc().Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
 	}
-	if winnerRaw {
-		b.startRaw(winner)
-		return
-	}
-	frame := winner.txq.pop()
-	winner.notePop()
-	b.startClassic(winner, frame)
+	b.transmit(winner, winner.pop())
 }
 
-// startClassic puts a classic frame from p on the wire; its completion
-// fires after the stuffed wire time.
-func (b *Bus) startClassic(p *Port, frame can.Frame) {
+// transmit puts e from p on the wire; its completion fires after the wire
+// time.
+func (b *Bus) transmit(p *Port, e txEntry) {
 	b.busy = true
-	bits := can.WireBitsWithIFS(frame)
-	dur := time.Duration(bits) * time.Second / time.Duration(b.bitrate)
-	b.pend.isRaw, b.pend.port, b.pend.frame = false, p, frame
-	b.pend.dur, b.pend.bits = dur, bits
+	if e.bits == 0 {
+		e.bits = can.WireBitsWithIFS(e.frame)
+	}
+	dur := time.Duration(e.bits) * time.Second / time.Duration(b.bitrate)
+	b.pend.port, b.pend.tx, b.pend.dur = p, e, dur
 	b.sched.AfterEvent(dur, b.completeEvent)
 }
 
-// arbConsider evaluates one port's queue heads against the current
-// arbitration winner and reports whether the port contended. The winner
-// is replaced only on a strictly lower identifier, so ties keep the
-// earlier port — callers must therefore visit ports in attach order.
-func arbConsider(p *Port, winner *Port, winnerID can.ID, winnerRaw bool) (*Port, can.ID, bool, bool) {
-	pending := false
-	if p.txq.len() > 0 {
-		pending = true
-		if id := p.txq.front().ID; winner == nil || id < winnerID {
-			winner, winnerID, winnerRaw = p, id, false
-		}
-	}
-	if p.rawq.len() > 0 {
-		pending = true
-		if id := rawArbID(p.rawq.front().bits); winner == nil || id < winnerID {
-			winner, winnerID, winnerRaw = p, id, true
-		}
-	}
-	return winner, winnerID, winnerRaw, pending
-}
-
 // complete finishes a transmission: updates error counters, delivers to
-// receivers and taps, then arbitrates the next frame.
-func (b *Bus) complete(tx *Port, frame can.Frame, dur time.Duration, bits int) {
+// receivers and taps or signals an error frame, reports a raw outcome,
+// then arbitrates the next transmission.
+func (b *Bus) complete(tx *Port, e txEntry, dur time.Duration) {
 	b.busy = false
 	b.noteBusy(dur)
 	b.creditFrameEnd()
 
 	action := TxDeliver
-	if b.intercept != nil {
-		action = b.intercept(frame)
+	if e.corrupt {
+		action = TxCorrupt
+	} else if b.intercept != nil {
+		action = b.intercept(e.frame)
 	}
 
 	if action == TxCorrupt {
-		b.noteErrorFrame(tx, frame.ID, dur)
+		b.noteErrorFrame(tx, e.frame.ID, dur)
 		for _, p := range b.ports {
 			if p != tx && !p.detached && p.state != BusOff {
 				p.bumpREC(1)
 			}
 		}
+		if e.done != nil {
+			e.done(RawErrorFrame)
+		}
 		b.tryStart()
 		return
 	}
 
-	b.noteDelivered(tx, frame.ID, dur, bits)
-
+	b.noteDelivered(tx, e.frame.ID, dur, e.bits)
 	if action == TxDrop {
 		// The wire carried the frame and the transmitter saw its ACK, but
 		// no receiver was handed it.
 		b.stats.FramesDropped++
 		b.mFaultDrop.Inc()
-		b.tryStart()
-		return
+	} else {
+		b.deliver(tx, e.frame, action == TxDuplicate)
 	}
+	if e.done != nil {
+		e.done(RawDelivered)
+	}
+	b.tryStart()
+}
 
+// deliver hands a completed frame to every receiving port and tap, twice
+// when the interceptor duplicated it.
+func (b *Bus) deliver(tx *Port, frame can.Frame, twice bool) {
 	msg := Message{Frame: frame, Time: b.sched.Now(), Origin: tx.name}
 	passes := 1
-	if action == TxDuplicate {
+	if twice {
 		passes = 2
 		b.stats.FramesDuplicated++
 		b.mFaultDup.Inc()
@@ -589,7 +541,6 @@ func (b *Bus) complete(tx *Port, frame can.Frame, dur time.Duration, bits int) {
 		}
 	}
 	b.delivering = false
-	b.tryStart()
 }
 
 // --- Bus-off recovery (ISO 11898-1 §8.3.4) ----------------------------------
@@ -721,8 +672,8 @@ func (b *Bus) rejoin(p *Port) {
 
 // --- Telemetry accounting ---------------------------------------------------
 //
-// The note* helpers centralise the counter and trace updates shared by the
-// classic and raw completion paths. Every telemetry handle is nil when
+// The note* helpers keep the counter and trace updates out of the
+// arbitration and completion paths. Every telemetry handle is nil when
 // the bus is uninstrumented, so the added cost is a few predictable
 // branches.
 
@@ -730,13 +681,8 @@ func (b *Bus) rejoin(p *Port) {
 // and lost against the winner, and emits the won/lost trace events.
 func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
 	trc := b.tel.Trc()
-	for _, p := range b.ports {
-		if p == winner || p.detached || p.state == BusOff {
-			continue
-		}
-		if p.txq.len() == 0 && p.rawq.len() == 0 {
-			continue
-		}
+	for m := b.pendingMask &^ winner.bit; m != 0; m &= m - 1 {
+		p := b.ports[mathbits.TrailingZeros64(m)]
 		p.stats.ArbLosses++
 		p.mArbLoss.Inc()
 		trc.Rec(p.sArbLost, b.sched.Now(), 0, uint32(winnerID), 0)

@@ -240,8 +240,8 @@ func TestIdleBusStart(t *testing.T) {
 		if got := fmt.Sprint(txStarts(tel)); got != want {
 			t.Fatalf("tx starts = %s, want %s", got, want)
 		}
-		if b.txPending != 0 || b.pendingMask != 0 {
-			t.Fatalf("after the run txPending=%d pendingMask=%b, want 0/0", b.txPending, b.pendingMask)
+		if b.pendingMask != 0 {
+			t.Fatalf("after the run pendingMask=%b, want 0", b.pendingMask)
 		}
 	})
 	t.Run("reply during delivery", func(t *testing.T) {
@@ -601,4 +601,19 @@ func TestFrameTimeAccessor(t *testing.T) {
 	if got := b.FrameTime(f); got != want {
 		t.Fatalf("FrameTime = %v, want %v", got, want)
 	}
+}
+
+// TestConnectRefusesPortPastMax pins the port limit: every port has a bit
+// in the 64-bit arbitration mask, so a 65th is refused by name.
+func TestConnectRefusesPortPastMax(t *testing.T) {
+	_, b := newBus(t)
+	for i := 0; i < maxPorts; i++ {
+		b.Connect(fmt.Sprintf("n%d", i))
+	}
+	defer func() {
+		if r := recover(); r != "bus: more than 64 ports on one bus" {
+			t.Fatalf("recovered %v, want the port-limit panic", r)
+		}
+	}()
+	b.Connect("one-too-many")
 }

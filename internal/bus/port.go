@@ -35,11 +35,9 @@ type Port struct {
 	bus  *Bus
 	name string
 	recv Receiver
-	txq  ring[can.Frame]
-	rawq ring[rawTx]
+	txq  ring[txEntry]
 
-	// bit is this port's position in the bus's pendingMask (zero for
-	// ports past the first 64, which the mask cannot represent).
+	// bit is this port's position in the bus's pendingMask.
 	bit uint64
 
 	portRun
@@ -123,6 +121,29 @@ func (p *Port) SetReceiver(r Receiver) { p.recv = r }
 // contends for the bus under standard CAN arbitration: the lowest pending
 // identifier transmits next.
 func (p *Port) Send(f can.Frame) error {
+	return p.enqueue(txEntry{frame: f})
+}
+
+// txEntry is one queued transmission: a frame from Send, or a raw bit
+// sequence from SendRaw, decoded once when it is queued.
+type txEntry struct {
+	// frame is what arbitrates and is delivered. For raw bits that do not
+	// decode it carries only their arbitration identifier.
+	frame can.Frame
+	// corrupt marks raw bits that violate the protocol: the transmission
+	// ends in an error frame instead of a delivery.
+	corrupt bool
+	// bits is the wire length including interframe space when it differs
+	// from the frame's own (raw entries); zero means
+	// can.WireBitsWithIFS(frame). transmit fills it in.
+	bits int
+	// done, if non-nil, hears the outcome after the delivery or the error
+	// frame. It never fires for an entry dropped from the queue.
+	done func(RawResult)
+}
+
+// enqueue admits one transmission to the port's FIFO and arbitrates.
+func (p *Port) enqueue(e txEntry) error {
 	if p.detached {
 		p.noteDrop()
 		return ErrDetached
@@ -131,7 +152,7 @@ func (p *Port) Send(f can.Frame) error {
 		p.noteDrop()
 		return ErrBusOff
 	}
-	if err := f.Validate(); err != nil {
+	if err := e.frame.Validate(); err != nil {
 		p.noteDrop()
 		return fmt.Errorf("send on %s: %w", p.name, err)
 	}
@@ -140,36 +161,30 @@ func (p *Port) Send(f can.Frame) error {
 		return fmt.Errorf("send on %s: %w", p.name, ErrTxQueueFull)
 	}
 	b := p.bus
-	if b.txPending == 0 && !b.busy && !b.delivering && b.sched.Now() >= b.jamUntil {
-		// Idle bus, no other contender: the frame wins arbitration
+	if b.pendingMask == 0 && !b.busy && !b.delivering && b.sched.Now() >= b.jamUntil {
+		// Idle bus, no other contender: the entry wins arbitration
 		// uncontended, so it goes on the wire without the queue round
 		// trip and the arbitration scan tryStart would make. A send made
 		// while the bus delivers (an ECU's reply) still queues.
 		b.leaveIdle()
-		b.tel.Trc().Rec(p.sArbWon, b.sched.Now(), 0, uint32(f.ID), 0)
-		b.startClassic(p, f)
+		b.tel.Trc().Rec(p.sArbWon, b.sched.Now(), 0, uint32(e.frame.ID), 0)
+		b.transmit(p, e)
 		return nil
 	}
-	p.txq.push(f)
-	p.notePush()
+	p.txq.push(e)
+	b.pendingMask |= p.bit
 	b.tryStart()
 	return nil
 }
 
-// notePush accounts one newly queued transmission in the bus-wide
-// pending count and contention mask.
-func (p *Port) notePush() {
-	p.bus.txPending++
-	p.bus.pendingMask |= p.bit
-}
-
-// notePop accounts one dequeued transmission, clearing the port's
-// contention bit when its last queued frame left.
-func (p *Port) notePop() {
-	p.bus.txPending--
-	if p.txq.len()|p.rawq.len() == 0 {
+// pop dequeues the port's head entry, clearing its contention bit when
+// the queue empties.
+func (p *Port) pop() txEntry {
+	e := p.txq.pop()
+	if p.txq.len() == 0 {
 		p.bus.pendingMask &^= p.bit
 	}
+	return e
 }
 
 // SetAutoRecover switches ISO bus-off auto-recovery for this node. Enabling
@@ -205,25 +220,22 @@ func (p *Port) cancelRecovery() {
 	}
 }
 
-// dropQueued empties both transmit queues, keeping the bus-wide
-// pending count consistent.
+// dropQueued empties the transmit queue and clears the port's
+// contention bit.
 func (p *Port) dropQueued() {
-	p.bus.txPending -= p.txq.len() + p.rawq.len()
 	p.bus.pendingMask &^= p.bit
 	p.txq.clear()
-	p.rawq.clear()
 }
 
-// reset returns the port to its freshly-connected state: queues emptied,
+// reset returns the port to its freshly-connected state: queue emptied,
 // attached and error-active with zeroed counters and statistics, no
 // recovery in progress, the bus's auto-recovery default. Connect and
 // Bus.Reset call it; the receiver callback and telemetry handles are
 // retained. Under Bus.Reset the scheduler was reset first, so the stale
 // recovery timer handle is already invalidated and is simply dropped;
-// the bus-wide pending accounting restarts with the bus's own run state.
+// the bus-wide contention mask restarts with the bus's own run state.
 func (p *Port) reset() {
 	p.txq.clear()
-	p.rawq.clear()
 	p.portRun = portRun{state: ErrorActive, autoRecover: p.bus.autoRecover}
 	p.gState.Set(float64(p.state))
 }

@@ -1,10 +1,6 @@
 package bus
 
-import (
-	"time"
-
-	"repro/internal/can"
-)
+import "repro/internal/can"
 
 // Raw bit-level injection — the paper's future-work item "Investigate
 // manipulation of data packets at the bit level to fuzz CAN protocol
@@ -30,34 +26,18 @@ const (
 	RawErrorFrame
 )
 
-// SendRaw queues a raw bit sequence for transmission. The priority used in
-// arbitration is the identifier encoded in the first twelve bits (valid or
-// not). The callback, if non-nil, reports the eventual outcome.
+// SendRaw queues a raw bit sequence for transmission. The sequence is
+// decoded once, here; from then on it queues, arbitrates and completes
+// like a frame from Send, in the same FIFO. A sequence that decodes
+// arbitrates at its identifier, one that does not at the identifier read
+// from its leading bits. The callback, if non-nil, reports the eventual
+// outcome. The caller may reuse bits once SendRaw returns.
 func (p *Port) SendRaw(bits []byte, done func(RawResult)) error {
-	if p.detached {
-		p.noteDrop()
-		return ErrDetached
+	f, err := can.DecodeBits(bits)
+	if err != nil {
+		f = can.Frame{ID: rawArbID(bits)}
 	}
-	if p.state == BusOff {
-		p.noteDrop()
-		return ErrBusOff
-	}
-	if p.rawq.len() >= p.bus.queueCap {
-		p.noteDrop()
-		return ErrTxQueueFull
-	}
-	seq := make([]byte, len(bits))
-	copy(seq, bits)
-	p.rawq.push(rawTx{bits: seq, done: done})
-	p.notePush()
-	p.bus.tryStart()
-	return nil
-}
-
-// rawTx is one queued raw transmission.
-type rawTx struct {
-	bits []byte
-	done func(RawResult)
+	return p.enqueue(txEntry{frame: f, corrupt: err != nil, bits: len(bits) + can.InterframeSpace, done: done})
 }
 
 // rawArbID extracts the arbitration priority from the first bits of a raw
@@ -72,59 +52,4 @@ func rawArbID(bits []byte) can.ID {
 		id = id<<1 | uint16(b&1)
 	}
 	return can.ID(id & can.MaxID)
-}
-
-// startRaw begins a raw transmission for the winning port.
-func (b *Bus) startRaw(winner *Port) {
-	tx := winner.rawq.pop()
-	winner.notePop()
-	b.busy = true
-	bits := len(tx.bits) + can.InterframeSpace
-	dur := time.Duration(bits) * time.Second / time.Duration(b.bitrate)
-	b.pend.isRaw, b.pend.port, b.pend.raw, b.pend.dur = true, winner, tx, dur
-	b.sched.AfterEvent(dur, b.completeEvent)
-}
-
-// completeRaw finishes a raw transmission: decode, then deliver or signal
-// an error frame.
-func (b *Bus) completeRaw(tx *Port, raw rawTx, dur time.Duration) {
-	b.busy = false
-	b.noteBusy(dur)
-	b.creditFrameEnd()
-
-	frame, err := can.DecodeBits(raw.bits)
-	if err != nil || frame.Validate() != nil {
-		// Protocol violation: error frame. Same fault-confinement rules as
-		// a corrupted transmission.
-		b.noteErrorFrame(tx, rawArbID(raw.bits), dur)
-		for _, p := range b.ports {
-			if p != tx && !p.detached && p.state != BusOff {
-				p.bumpREC(1)
-			}
-		}
-		if raw.done != nil {
-			raw.done(RawErrorFrame)
-		}
-		b.tryStart()
-		return
-	}
-
-	b.noteDelivered(tx, frame.ID, dur, len(raw.bits)+can.InterframeSpace)
-	msg := Message{Frame: frame, Time: b.sched.Now(), Origin: tx.name}
-	b.delivering = true
-	for _, p := range b.ports {
-		if p == tx || p.detached || p.state == BusOff || p.recv == nil {
-			continue
-		}
-		p.noteRx()
-		p.recv(msg)
-	}
-	for _, t := range b.taps {
-		t(msg)
-	}
-	b.delivering = false
-	if raw.done != nil {
-		raw.done(RawDelivered)
-	}
-	b.tryStart()
 }

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -156,5 +157,83 @@ func TestSendRawDetachedAndQueueLimits(t *testing.T) {
 func TestRawArbIDShortSequence(t *testing.T) {
 	if id := rawArbID([]byte{0, 1}); id != can.MaxID {
 		t.Fatalf("short sequence id = %v, want lowest priority", id)
+	}
+}
+
+// TestSendRawSharesFIFOWithSend pins one transmit queue per port: raw and
+// classic sends from one port leave in the order they were queued, even
+// when the later one carries the lower identifier.
+func TestSendRawSharesFIFOWithSend(t *testing.T) {
+	s, b := newBus(t)
+	a := b.Connect("a")
+	rx := b.Connect("rx")
+	var order []can.ID
+	rx.SetReceiver(func(m Message) { order = append(order, m.Frame.ID) })
+
+	a.Send(can.MustNew(0x7FF, make([]byte, 8))) // occupies the bus
+	a.SendRaw(can.AppendEncodeBits(nil, can.MustNew(0x600, []byte{1})), nil)
+	a.Send(can.MustNew(0x100, []byte{2}))
+	s.RunUntil(time.Second)
+	if got, want := fmt.Sprint(order), fmt.Sprint([]can.ID{0x7FF, 0x600, 0x100}); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+}
+
+// TestSendRawSharesQueueCapacity pins one queue capacity for raw and
+// classic sends.
+func TestSendRawSharesQueueCapacity(t *testing.T) {
+	s := clock.New()
+	b := New(s, WithTxQueueCap(1))
+	tx := b.Connect("tx")
+	f := can.MustNew(0x700, nil)
+	if err := tx.Send(f); err != nil { // on the wire at once
+		t.Fatal(err)
+	}
+	if err := tx.Send(f); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	if err := tx.SendRaw(can.AppendEncodeBits(nil, f), nil); !errors.Is(err, ErrTxQueueFull) {
+		t.Fatalf("err = %v, want ErrTxQueueFull", err)
+	}
+}
+
+// TestSendRawDoneSkipsDroppedEntries pins that the outcome callback fires
+// only for a transmission that completes, never for one dropped from the
+// queue.
+func TestSendRawDoneSkipsDroppedEntries(t *testing.T) {
+	s, b := newBus(t)
+	tx := b.Connect("tx")
+	b.Connect("rx").SetReceiver(func(Message) {})
+	f := can.MustNew(0x123, []byte{1})
+	calls := 0
+	tx.SendRaw(can.AppendEncodeBits(nil, f), func(RawResult) { calls++ }) // on the wire
+	tx.SendRaw(can.AppendEncodeBits(nil, f), func(RawResult) { calls++ }) // queued
+	tx.Detach()
+	s.RunUntil(time.Second)
+	if calls != 1 {
+		t.Fatalf("done fired %d times, want 1 (the queued entry was dropped)", calls)
+	}
+}
+
+// TestSendRawThroughInterceptor pins that a raw sequence completes like a
+// frame: the wire-fault hook sees it, and a corrupted one reports an
+// error frame.
+func TestSendRawThroughInterceptor(t *testing.T) {
+	s, b := newBus(t)
+	tx := b.Connect("tx")
+	b.Connect("rx").SetReceiver(func(Message) { t.Error("corrupted frame delivered") })
+	var seen []can.ID
+	b.SetInterceptor(func(f can.Frame) TxAction {
+		seen = append(seen, f.ID)
+		return TxCorrupt
+	})
+	var result RawResult
+	tx.SendRaw(can.AppendEncodeBits(nil, can.MustNew(0x123, []byte{1})), func(r RawResult) { result = r })
+	s.RunUntil(time.Second)
+	if len(seen) != 1 || seen[0] != 0x123 || result != RawErrorFrame {
+		t.Fatalf("interceptor saw %v, result %v; want [0123] and an error frame", seen, result)
+	}
+	if tec, _ := tx.ErrorCounters(); tec != 8 {
+		t.Fatalf("tx TEC = %d, want 8", tec)
 	}
 }

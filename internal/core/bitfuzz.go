@@ -53,9 +53,9 @@ type BitFuzzer struct {
 	stats BitFuzzStats
 	timer *clock.Timer
 
-	// Per-tick reuse: the encode scratch buffer (SendRaw copies the bits it
-	// queues, so reusing it across ticks is safe) and the result callback,
-	// bound once instead of closed over per injection.
+	// Per-tick reuse: the encode scratch buffer (SendRaw decodes the bits
+	// before it returns, so reusing it across ticks is safe) and the result
+	// callback, bound once instead of closed over per injection.
 	scratch  []byte
 	onResult func(bus.RawResult)
 }
