@@ -28,28 +28,46 @@ const (
 
 // SendRaw queues a raw bit sequence for transmission. The sequence is
 // decoded once, here; from then on it queues, arbitrates and completes
-// like a frame from Send, in the same FIFO. A sequence that decodes
-// arbitrates at its identifier, one that does not at the identifier read
-// from its leading bits. The callback, if non-nil, reports the eventual
-// outcome. The caller may reuse bits once SendRaw returns.
+// like a frame from Send, in the same FIFO. It arbitrates at the
+// identifier read from its leading bits, which for a valid encoding is
+// the frame's own, and holds the bus for its length plus the fixed-form
+// trailer and interframe space, as Send would for the same frame. The
+// callback, if non-nil, reports the eventual outcome. The caller may
+// reuse bits once SendRaw returns.
 func (p *Port) SendRaw(bits []byte, done func(RawResult)) error {
 	f, err := can.DecodeBits(bits)
 	if err != nil {
 		f = can.Frame{ID: rawArbID(bits)}
 	}
-	return p.enqueue(txEntry{frame: f, corrupt: err != nil, bits: len(bits) + can.InterframeSpace, done: done})
+	wire := len(bits) + can.TrailerBits + can.InterframeSpace
+	return p.enqueue(txEntry{frame: f, corrupt: err != nil, bits: wire, done: done})
 }
 
-// rawArbID extracts the arbitration priority from the first bits of a raw
-// sequence (SOF + 11 identifier bits); short sequences arbitrate at the
-// lowest priority.
+// rawArbID reads the arbitration priority of a raw sequence: the 11
+// identifier bits after SOF, with stuff bits removed as a receiver
+// removes them. A stuff bit is skipped whatever its value. A sequence
+// too short to carry the identifier arbitrates at the lowest priority.
 func rawArbID(bits []byte) can.ID {
-	if len(bits) < 12 {
-		return can.MaxID
-	}
 	var id uint16
-	for _, b := range bits[1:12] {
-		id = id<<1 | uint16(b&1)
+	n, run := 0, 0
+	var last byte = 2 // sentinel: no previous bit
+	for _, b := range bits {
+		b &= 1
+		if run == 5 {
+			last, run = b, 1 // stuff bit
+			continue
+		}
+		if b == last {
+			run++
+		} else {
+			last, run = b, 1
+		}
+		if n > 0 {
+			id = id<<1 | uint16(b)
+		}
+		if n++; n == 12 {
+			return can.ID(id)
+		}
 	}
-	return can.ID(id & can.MaxID)
+	return can.MaxID
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/can"
 	"repro/internal/clock"
+	"repro/internal/telemetry"
 )
 
 func TestSendRawValidBitsDeliverAsFrame(t *testing.T) {
@@ -151,6 +152,73 @@ func TestSendRawDetachedAndQueueLimits(t *testing.T) {
 	tx.Detach()
 	if err := tx.SendRaw(bits, nil); !errors.Is(err, ErrDetached) {
 		t.Fatalf("err = %v, want ErrDetached", err)
+	}
+}
+
+// TestRawArbIDEveryID checks that a valid encoding arbitrates at its own
+// identifier for all 2048 IDs, data and remote frames alike, although a
+// stuff bit falls inside the first twelve wire bits of many of them.
+func TestRawArbIDEveryID(t *testing.T) {
+	var bits []byte
+	wrong := 0
+	for id := can.ID(0); id <= can.MaxID; id++ {
+		remote, err := can.NewRemote(id, uint8(id%9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []can.Frame{can.MustNew(id, []byte{byte(id)}), remote} {
+			bits = can.AppendEncodeBits(bits[:0], f)
+			if got := rawArbID(bits); got != f.ID {
+				if wrong++; wrong <= 5 {
+					t.Errorf("rawArbID(%v) = %v, want %v", f, got, f.ID)
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d encodings arbitrate at the wrong identifier", wrong, 2*can.NumIDs)
+	}
+}
+
+// TestSendRawWireTimeMatchesSend checks that a valid encoding sent with
+// SendRaw holds the bus exactly as long as Send holds it for the same
+// frame: the same busy time, delivery instant and tx span.
+func TestSendRawWireTimeMatchesSend(t *testing.T) {
+	remote, err := can.NewRemote(0x7DF, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []can.Frame{
+		can.MustNew(0x215, []byte{0x20, 0x5F, 1, 0, 0, 1, 0x20}),
+		can.MustNew(0x000, nil),
+		can.MustNew(0x7FF, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}),
+		remote,
+	}
+	run := func(f can.Frame, raw bool) string {
+		s, b := newBus(t)
+		tel := telemetry.New(0)
+		b.Instrument(tel)
+		tx := b.Connect("tx")
+		var at time.Duration
+		b.Connect("rx").SetReceiver(func(m Message) { at = m.Time })
+		if raw {
+			tx.SendRaw(can.AppendEncodeBits(nil, f), nil)
+		} else {
+			tx.Send(f)
+		}
+		s.RunUntil(time.Second)
+		var spans []string
+		for _, e := range tel.Tracer.Events() {
+			if e.Kind == telemetry.EvTx {
+				spans = append(spans, fmt.Sprintf("%03x@%v+%v bits=%d", e.ID, e.At, e.Dur, e.N))
+			}
+		}
+		return fmt.Sprintf("busy=%v delivered@%v tx=%v", b.Stats().BusyTime, at, spans)
+	}
+	for _, f := range frames {
+		if got, want := run(f, true), run(f, false); got != want {
+			t.Errorf("%v: SendRaw %s, Send %s", f, got, want)
+		}
 	}
 }
 

@@ -13,9 +13,10 @@ package can
 // values 0 or 1.
 
 const (
-	// Fixed-form trailer bits that are never stuffed:
+	// TrailerBits counts the fixed-form trailer bits that follow the
+	// stuffed sequence and are never stuffed:
 	// CRC delimiter (1) + ACK slot (1) + ACK delimiter (1) + EOF (7).
-	trailerBits = 10
+	TrailerBits = 10
 	// InterframeSpace is the mandatory idle period between frames, in bits.
 	InterframeSpace = 3
 )

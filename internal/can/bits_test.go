@@ -177,7 +177,7 @@ func TestWireBitsMatchesSlicePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 5000; i++ {
 		f := randomFrame(rng)
-		want := len(Stuff(RawBits(f))) + trailerBits
+		want := len(Stuff(RawBits(f))) + TrailerBits
 		if got := WireBits(f); got != want {
 			t.Fatalf("WireBits(%v) = %d, want %d", f, got, want)
 		}
@@ -185,7 +185,7 @@ func TestWireBitsMatchesSlicePath(t *testing.T) {
 	// Remote frames too.
 	for dlc := uint8(0); dlc <= 8; dlc++ {
 		f, _ := NewRemote(ID(rng.Intn(NumIDs)), dlc)
-		want := len(Stuff(RawBits(f))) + trailerBits
+		want := len(Stuff(RawBits(f))) + TrailerBits
 		if got := WireBits(f); got != want {
 			t.Fatalf("WireBits(remote %v) = %d, want %d", f, got, want)
 		}

@@ -81,7 +81,7 @@ func TestWireBitsStuffRelationProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 1000; i++ {
 		f := randomWireFrame(rng)
-		want := len(Stuff(RawBits(f))) + trailerBits
+		want := len(Stuff(RawBits(f))) + TrailerBits
 		if got := WireBits(f); got != want {
 			t.Fatalf("frame %d (%v): WireBits = %d, want len(Stuff(RawBits))+trailer = %d",
 				i, f, got, want)

@@ -155,7 +155,7 @@ func WireBits(f Frame) int {
 	e = stuffTable[e&0x0F][byte(t>>2)]
 	count += int(e >> 4)
 	count += int(stuffTail[e&0x0F][t&3])
-	return n + 15 + count + trailerBits
+	return n + 15 + count + TrailerBits
 }
 
 // stuffTail[s][b] is the number of stuff bits the DFA inserts from state s
