@@ -16,10 +16,10 @@
 //	<data>/<id>/events.jsonl per-campaign journal (campaignd format)
 //
 // A restarted server reopens every journal through campaignd.OpenJournal:
-// it rebuilds every done campaign's report from its journal and re-opens
-// a lease book for every interrupted one, and the per-campaign determinism
-// guarantee — final report byte-identical to an in-process fleet.Run —
-// survives any SIGKILL. DESIGN §12 documents the scheduler, the campaign
+// it rebuilds every done campaign as a complete lease book from its
+// journal and re-opens a live one for every interrupted one, and the
+// per-campaign determinism guarantee — final report byte-identical to an
+// in-process fleet.Run — survives any SIGKILL. DESIGN §12 documents the scheduler, the campaign
 // state machine and the resume protocol.
 package campsrv
 
@@ -128,10 +128,11 @@ type campaign struct {
 	spec        campaignd.CampaignSpec
 	specJSON    []byte // canonical bytes, byte-compared on resume
 
-	// Live machinery (running/draining); nil otherwise. journal is the
-	// open journal until one goroutine takes it under Server.mu to
-	// finalise it; whoever takes it closes it. coord is only ever called
-	// under Server.mu.
+	// Lease book and progress view: set once the campaign starts, or on
+	// resume, complete, for a done one; nil while it is queued. journal is
+	// the open journal (running/draining) until one goroutine takes it
+	// under Server.mu to finalise it; whoever takes it closes it. coord is
+	// only ever called under Server.mu.
 	coord    *campaignd.Coordinator
 	journal  *os.File
 	sink     *observatory.Sink
@@ -297,8 +298,8 @@ func (s *Server) slotFreeLocked() bool {
 // startLocked opens the campaign's lease book and enters it into the
 // scheduler ring. A fresh campaign passes a nil journal (one is created);
 // a resumed one passes its reopened journal and the results recovered
-// from it. The lease book owns the journal from here on. A resumed book
-// that is already complete goes straight on to draining.
+// from it, fewer than its trials (a complete journal resumes straight to
+// done). The lease book owns the journal from here on.
 func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]fleet.TrialResult) error {
 	if journal == nil {
 		var err error
@@ -328,9 +329,6 @@ func (s *Server) startLocked(c *campaign, journal *os.File, resumed map[int]flee
 	if s.log != nil {
 		s.log.Info("campaign running", "campaign", c.id, "trials", c.spec.Trials,
 			"resumed", len(resumed))
-	}
-	if coord.Report() != nil {
-		s.drainLocked(c)
 	}
 	return nil
 }
@@ -577,7 +575,7 @@ func (s *Server) Heartbeat(id string, leaseID uint64) error {
 		return err
 	}
 	if c.coord == nil {
-		return campaignd.ErrLeaseGone
+		return campaignd.ErrLeaseGone // queued: no lease book yet
 	}
 	return c.coord.Heartbeat(leaseID)
 }
@@ -595,8 +593,8 @@ func (s *Server) SubmitResult(id string, index int, leaseID uint64, res fleet.Tr
 		return campaignd.SubmitAck{}, err
 	}
 	if c.coord == nil {
-		// Resumed-as-done campaign: the trial is already in the journal.
-		return campaignd.SubmitAck{Duplicate: true, CampaignDone: true, Done: s.shutdown}, nil
+		// Queued: no lease book, so no lease this result could belong to.
+		return campaignd.SubmitAck{}, campaignd.ErrLeaseGone
 	}
 	serr := c.coord.Submit(index, leaseID, res)
 	if serr != nil && !errors.Is(serr, campaignd.ErrTrialDone) {

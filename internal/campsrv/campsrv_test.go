@@ -631,6 +631,72 @@ func TestKillResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestResumedDoneCampaignLeaseBook resumes a data directory holding a
+// campaign that finished before the restart, one still running and one
+// queued behind it. The finished one comes back as a complete lease book:
+// its progress reads every trial done, a late result is a duplicate of a
+// drained campaign and a late heartbeat finds its lease gone. The queued
+// one has no lease book: a stray result or heartbeat for it finds no
+// lease.
+func TestResumedDoneCampaignLeaseBook(t *testing.T) {
+	done, running, queued := testSpec(3, 11), testSpec(2, 42), testSpec(2, 99)
+	dir := t.TempDir()
+	s1 := newServer(t, campsrv.Config{DataDir: dir, MaxActive: 1})
+	idDone := submit(t, s1, done, 1, 0)
+	var late fleet.TrialResult
+	for n := 0; n < done.Trials; n++ {
+		l := s1.AcquireLease("w")
+		if l.Status != campaignd.LeaseGranted || l.Campaign != idDone {
+			t.Fatalf("lease %d: %+v, want a trial of %s", n, l, idDone)
+		}
+		res := runLease(done, l)
+		if l.Trial == 0 {
+			late = res
+		}
+		if _, err := s1.SubmitResult(l.Campaign, l.Trial, l.ID, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(t, s1, running, 1, 0) // takes the one running slot
+	idQueued := submit(t, s1, queued, 1, 0)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newServer(t, campsrv.Config{DataDir: dir, Resume: true, MaxActive: 1})
+	defer s2.Close()
+	views := map[string]campsrv.CampaignView{}
+	for _, v := range s2.Fleet().Campaigns {
+		views[v.ID] = v
+	}
+	if v := views[idDone]; v.State != campsrv.StateDone || v.Progress.TrialsDone != done.Trials || !v.Progress.Done {
+		t.Fatalf("resumed done campaign: state %s, progress %+v; want done with %d trials done",
+			v.State, v.Progress, done.Trials)
+	}
+	if v := views[idQueued]; v.State != campsrv.StateQueued || v.Progress.TrialsDone != 0 {
+		t.Fatalf("queued campaign: state %s, progress %+v", v.State, v.Progress)
+	}
+
+	ack, err := s2.SubmitResult(idDone, 0, 1, late)
+	if err != nil || ack.Accepted || !ack.Duplicate || !ack.CampaignDone {
+		t.Fatalf("late result for a resumed done campaign: ack %+v, err %v; want a duplicate of a drained campaign", ack, err)
+	}
+	if err := s2.Heartbeat(idDone, 1); !errors.Is(err, campaignd.ErrLeaseGone) {
+		t.Fatalf("late heartbeat for a resumed done campaign: %v, want ErrLeaseGone", err)
+	}
+	stray := late
+	stray.Seed = faults.DeriveSeed(queued.BaseSeed, 0)
+	if ack, err := s2.SubmitResult(idQueued, 0, 1, stray); !errors.Is(err, campaignd.ErrLeaseGone) {
+		t.Fatalf("stray result for a queued campaign: ack %+v, err %v; want ErrLeaseGone", ack, err)
+	}
+	if err := s2.Heartbeat(idQueued, 1); !errors.Is(err, campaignd.ErrLeaseGone) {
+		t.Fatalf("stray heartbeat for a queued campaign: %v, want ErrLeaseGone", err)
+	}
+	if d, err := s2.Detail(idQueued); err != nil || d.State != campsrv.StateQueued || d.Progress.TrialsDone != 0 {
+		t.Fatalf("queued campaign after stray calls: %+v, %v", d, err)
+	}
+}
+
 // TestJournalCrashPointResume cuts a running campaign's journal at every
 // byte offset — each state a SIGKILL mid-append can leave on disk —
 // resumes the data directory and finishes the campaign. Every cut must

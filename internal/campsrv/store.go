@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"repro/internal/campaignd"
 	"repro/internal/durable"
@@ -178,23 +177,22 @@ func (s *Server) resumeCampaignLocked(c *campaign) error {
 		return fmt.Errorf("campsrv: campaign %s: %w", c.id, err)
 	}
 	if len(j.Results) == c.spec.Trials {
-		// Every trial is durably recorded: rebuild the report directly —
-		// fleet.NewReport over the results in index order, the same
-		// aggregation an in-process fleet.Run performs — and skip the lease
-		// book entirely.
-		results := make([]fleet.TrialResult, c.spec.Trials)
-		for i := range results {
-			res, ok := j.Results[i]
-			if !ok {
-				return fmt.Errorf("campsrv: campaign %s journal: trial %d missing", c.id, i)
-			}
-			results[i] = res
+		// Every trial is durably recorded: a lease book born complete,
+		// with no journal to write, rebuilds the report and the progress
+		// view, and answers late results and heartbeats as it would have
+		// before the restart.
+		progress := fleet.NewProgress(nil)
+		coord, err := campaignd.New(campaignd.Config{
+			Spec: c.spec, LeaseTTL: s.ttl, Progress: progress, Resumed: j.Results,
+		})
+		if err != nil {
+			return fmt.Errorf("campsrv: campaign %s journal: %w", c.id, err)
 		}
-		rep := fleet.NewReport(c.spec.BaseSeed, time.Duration(c.spec.MaxPerTrialNanos), results)
 		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
+		if err := coord.Report().WriteJSON(&buf); err != nil {
 			return fmt.Errorf("campsrv: campaign %s report: %w", c.id, err)
 		}
+		c.coord, c.progress = coord, progress
 		c.state = StateDone
 		c.reportJSON = buf.Bytes()
 		if s.log != nil {
