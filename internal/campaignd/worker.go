@@ -15,19 +15,19 @@ import (
 	"repro/internal/retry"
 )
 
-// DefaultTransportRetry is the worker's backoff for server outages. The
-// cap is generous relative to the base because the interesting outage is a
+// transportRetry is the worker's backoff for server outages. The cap is
+// generous relative to the base because the interesting outage is a
 // server crash-and-resume: the worker must still be polling when the
 // restarted server comes back up with its journals reloaded.
-var DefaultTransportRetry = retry.Policy{
+var transportRetry = retry.Policy{
 	Base:   200 * time.Millisecond,
 	Cap:    2 * time.Second,
 	Jitter: 0.5,
 }
 
-// DefaultTransportAttempts bounds consecutive failed calls before the
-// worker gives up on the server entirely.
-const DefaultTransportAttempts = 60
+// transportAttempts bounds consecutive failed calls before the worker
+// gives up on the server entirely.
+const transportAttempts = 60
 
 // Runtime is everything a worker needs to execute one campaign's trials:
 // the world factory and the fleet configuration (deadlines) both sides
@@ -71,12 +71,6 @@ type Worker struct {
 	Build RuntimeBuilder
 	// Logger, when non-nil, receives per-trial lines.
 	Logger *slog.Logger
-	// Transport is the backoff for server outages (default
-	// DefaultTransportRetry).
-	Transport retry.Policy
-	// TransportAttempts bounds consecutive transport failures (default
-	// DefaultTransportAttempts).
-	TransportAttempts int
 
 	// runtimes caches the built runtime, and with it the campaign's
 	// recycled world, per campaign ID across leases. An entry is dropped
@@ -90,7 +84,7 @@ type Worker struct {
 
 // Run leases, executes and submits trials until done. It returns nil when
 // the server reports no work left (it is shutting down), ctx.Err on
-// cancellation, and a transport error only after TransportAttempts
+// cancellation, and a transport error only after transportAttempts
 // consecutive failed calls — a server crash shorter than that window is
 // invisible apart from latency. A submit ack that only says *this campaign* drained does not
 // end the worker: it re-polls the scheduler, which may hold other
@@ -99,20 +93,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Client == nil || w.Build == nil {
 		return errors.New("campaignd: worker needs Client and Build")
 	}
-	policy := w.Transport
-	if policy.Base <= 0 {
-		policy = DefaultTransportRetry
-	}
-	attempts := w.TransportAttempts
-	if attempts <= 0 {
-		attempts = DefaultTransportAttempts
-	}
 	rng := rand.New(faults.SeedPCG(new(rand.PCG), time.Now().UnixNano()))
 	w.runtimes = map[string]Runtime{}
 
 	for {
 		var lease Lease
-		err := retry.Do(ctx, policy, attempts, rng, func() error {
+		err := retry.Do(ctx, transportRetry, transportAttempts, rng, func() error {
 			var lerr error
 			lease, lerr = w.Client.Lease(w.Name)
 			return lerr
@@ -140,7 +126,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return fmt.Errorf("campaignd: worker %s: unknown lease status %q", w.Name, lease.Status)
 		}
 
-		rt, ok, err := w.runtime(ctx, lease.Campaign, policy, attempts, rng)
+		rt, ok, err := w.runtime(ctx, lease.Campaign, rng)
 		if err != nil {
 			return err
 		}
@@ -154,7 +140,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		ack, err := w.runLeased(ctx, lease, rt, policy, attempts, rng)
+		ack, err := w.runLeased(ctx, lease, rt, rng)
 		if err != nil {
 			return err
 		}
@@ -181,12 +167,12 @@ func (w *Worker) Run(ctx context.Context) error {
 // (gone, or its spec does not build) — skip, don't crash: one bad campaign
 // must not take down a worker serving many good ones. A non-nil error is
 // fatal to the worker (transport budget exhausted or cancellation).
-func (w *Worker) runtime(ctx context.Context, campaign string, policy retry.Policy, attempts int, rng *rand.Rand) (Runtime, bool, error) {
+func (w *Worker) runtime(ctx context.Context, campaign string, rng *rand.Rand) (Runtime, bool, error) {
 	if rt, ok := w.runtimes[campaign]; ok {
 		return rt, true, nil
 	}
 	var spec CampaignSpec
-	err := retry.Do(ctx, policy, attempts, rng, func() error {
+	err := retry.Do(ctx, transportRetry, transportAttempts, rng, func() error {
 		s, serr := w.Client.Spec(campaign)
 		if errors.Is(serr, ErrCampaignGone) {
 			// Terminal, not transient: stop the retry loop by succeeding
@@ -229,7 +215,7 @@ func (w *Worker) runtime(ctx context.Context, campaign string, policy retry.Poli
 
 // runLeased heartbeats and executes one leased trial, then submits it,
 // returning the submit ack.
-func (w *Worker) runLeased(ctx context.Context, lease Lease, rt Runtime, policy retry.Policy, attempts int, rng *rand.Rand) (SubmitAck, error) {
+func (w *Worker) runLeased(ctx context.Context, lease Lease, rt Runtime, rng *rand.Rand) (SubmitAck, error) {
 	if w.Logger != nil {
 		w.Logger.Info("trial leased", "worker", w.Name, "campaign", lease.Campaign,
 			"trial", lease.Trial, "lease", lease.ID)
@@ -274,7 +260,7 @@ func (w *Worker) runLeased(ctx context.Context, lease Lease, rt Runtime, policy 
 		return SubmitAck{}, fmt.Errorf("campaignd: worker %s: marshal result: %w", w.Name, err)
 	}
 	var ack SubmitAck
-	err = retry.Do(ctx, policy, attempts, rng, func() error {
+	err = retry.Do(ctx, transportRetry, transportAttempts, rng, func() error {
 		a, serr := w.Client.Submit(lease.Campaign, lease.Trial, lease.ID, w.Name, body)
 		if serr == nil {
 			ack = a
