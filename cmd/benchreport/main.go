@@ -34,11 +34,19 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+// parseFlags reads the report's two flags: the Table V and
+// oracle-strictness repetitions and the base seed.
+func parseFlags(args []string) (runs int, seed int64, err error) {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
-	runs := fs.Int("runs", 12, "Table V and oracle-strictness runs per variant (paper: 12)")
-	seed := fs.Int64("seed", 100, "base seed")
-	if err := fs.Parse(args); err != nil {
+	fs.IntVar(&runs, "runs", 12, "Table V and oracle-strictness runs per variant (paper: 12)")
+	fs.Int64Var(&seed, "seed", 100, "base seed")
+	err = fs.Parse(args)
+	return runs, seed, err
+}
+
+func run(args []string, w io.Writer) error {
+	runs, seed, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
 
@@ -55,7 +63,7 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintln(w, "\n== Table II: example CAN packets captured from the car ==")
 	fmt.Fprintf(w, "  %-12s %-5s %-6s %s\n", "Time (ms)", "Id", "Length", "Data")
-	for _, r := range experiments.Table2(*seed, 5*time.Second, 5) {
+	for _, r := range experiments.Table2(seed, 5*time.Second, 5) {
 		fmt.Fprintf(w, "  %-12.3f %-5s %-6d % X\n",
 			float64(r.Time)/float64(time.Millisecond), r.Frame.ID, r.Frame.Len,
 			r.Frame.Data[:r.Frame.Len])
@@ -73,33 +81,33 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintln(w, "\n== Table IV: sample random CAN packet output from the fuzzer ==")
 	fmt.Fprintf(w, "  %-12s %-5s %-6s %s\n", "Time (ms)", "Id", "Length", "Data")
-	for _, r := range experiments.Table4(*seed, 6) {
+	for _, r := range experiments.Table4(seed, 6) {
 		fmt.Fprintf(w, "  %-12.3f %-5s %-6d % X\n",
 			float64(r.Time)/float64(time.Millisecond), r.Frame.ID, r.Frame.Len,
 			r.Frame.Data[:r.Frame.Len])
 	}
 
 	fmt.Fprintln(w, "\n== Figure 4: mean byte values, 100000 captured vehicle messages ==")
-	f4 := experiments.Figure4(*seed, 100000)
+	f4 := experiments.Figure4(seed, 100000)
 	printMeans(w, f4)
 
 	fmt.Fprintln(w, "\n== Figure 5: mean byte values, 66144 fuzzer messages ==")
-	f5 := experiments.Figure5(*seed, 66144)
+	f5 := experiments.Figure5(seed, 66144)
 	printMeans(w, f5)
 	fmt.Fprintf(w, "  contrast: vehicle spread %.1f vs fuzzer spread %.1f\n", f4.Spread, f5.Spread)
 
 	fmt.Fprintln(w, "\n== Figure 6: normal vehicle signals (10 s idle) ==")
-	f6 := experiments.Figure6(*seed, 10*time.Second)
+	f6 := experiments.Figure6(seed, 10*time.Second)
 	printSeries(w, f6)
 
 	fmt.Fprintln(w, "\n== Figure 7: effect of fuzzing on signals (5 s fuzzed) ==")
-	f7 := experiments.Figure7(*seed, 5*time.Second)
+	f7 := experiments.Figure7(seed, 5*time.Second)
 	printSeries(w, f7)
 	fmt.Fprintf(w, "  erratic factor (RPM stddev fuzzed/normal): %.1fx\n",
 		f7.Get("DisplayedRPM").StdDev()/maxF(f6.Get("DisplayedRPM").StdDev(), 1))
 
 	fmt.Fprintln(w, "\n== Figure 8: physically invalid value on the simulator ==")
-	if f8, ok := experiments.Figure8(*seed, 30*time.Minute); ok {
+	if f8, ok := experiments.Figure8(seed, 30*time.Minute); ok {
 		fmt.Fprintf(w, "  cluster displayed %.1f rpm after %v (%d fuzz frames)\n",
 			f8.NegativeRPM, f8.Elapsed.Round(time.Millisecond), f8.FramesSent)
 	} else {
@@ -107,7 +115,7 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\n== Figure 9: crashing a vehicle component ==")
-	if f9, ok := experiments.Figure9(*seed, 2*time.Hour); ok {
+	if f9, ok := experiments.Figure9(seed, 2*time.Hour); ok {
 		fmt.Fprintf(w, "  crash latched after %v (%d frames); MILs lit: %d, chimes: %d\n",
 			f9.TimeToCrash.Round(time.Millisecond), f9.FramesToCrash,
 			f9.MILsDuringFuzz, f9.ChimesDuringFuzz)
@@ -119,8 +127,8 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\n== Table V: fuzzer run times to activate unlock ==")
-	fmt.Fprintf(w, "  (%d runs per variant, seeds %d..%d)\n", *runs, *seed, *seed+int64(*runs)-1)
-	for _, row := range experiments.Table5(*seed, *runs, 12*time.Hour) {
+	fmt.Fprintf(w, "  (%d runs per variant, seeds %d..%d)\n", runs, seed, seed+int64(runs)-1)
+	for _, row := range experiments.Table5(seed, runs, 12*time.Hour) {
 		fmt.Fprintf(w, "  %-36s times(s): %s\n", row.Message, row.Stats.Seconds())
 		fmt.Fprintf(w, "  %-36s mean %ds  median %ds  min %ds  max %ds  timeouts %d\n", "",
 			seconds(row.Stats.Mean()), seconds(row.Stats.Median()),
@@ -128,8 +136,8 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\n== Ablation: oracle strictness (§VII two-byte prediction) ==")
-	fmt.Fprintf(w, "  (%d runs per variant, seeds %d..%d, command id 215 only)\n", *runs, *seed, *seed+int64(*runs)-1)
-	strict := experiments.AblationOracleStrictness(*seed, *runs, 12*time.Hour)
+	fmt.Fprintf(w, "  (%d runs per variant, seeds %d..%d, command id 215 only)\n", runs, seed, seed+int64(runs)-1)
+	strict := experiments.AblationOracleStrictness(seed, runs, 12*time.Hour)
 	for _, row := range strict {
 		fmt.Fprintf(w, "  %-38s mean %v  median %v  timeouts %d\n", row.Message,
 			row.Stats.Mean().Round(10*time.Millisecond), row.Stats.Median().Round(10*time.Millisecond), row.TimedOut)
@@ -139,9 +147,9 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintln(w, "\n== Extension: coverage-guided vs blind random fuzzing ==")
-	gRuns := minI(*runs, 6)
-	gvr := experiments.GuidedVsRandom(*seed, gRuns, 2*time.Hour)
-	fmt.Fprintf(w, "  (%d runs per arm, seeds %d..%d)\n", gRuns, *seed, *seed+int64(gRuns)-1)
+	gRuns := minI(runs, 6)
+	gvr := experiments.GuidedVsRandom(seed, gRuns, 2*time.Hour)
+	fmt.Fprintf(w, "  (%d runs per arm, seeds %d..%d)\n", gRuns, seed, seed+int64(gRuns)-1)
 	for _, row := range []experiments.Table5Row{gvr.Random, gvr.Guided} {
 		fmt.Fprintf(w, "  %-36s times(s): %s\n", row.Message, row.Stats.Seconds())
 		fmt.Fprintf(w, "  %-36s median %v  mean %v  timeouts %d\n", "", row.Stats.Median().Round(100*time.Millisecond),
@@ -150,19 +158,19 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  median speedup %.1fx, merged corpus %d frames\n", gvr.MedianSpeedup, len(gvr.MergedCorpus))
 
 	fmt.Fprintln(w, "\n== Ablation: targeted vs blind fuzzing ==")
-	tb := experiments.AblationTargetedVsBlind(*seed, minI(*runs, 3), 12*time.Hour)
+	tb := experiments.AblationTargetedVsBlind(seed, minI(runs, 3), 12*time.Hour)
 	fmt.Fprintf(w, "  blind mean %v, targeted mean %v, speedup %.0fx\n",
 		tb.Blind.Mean().Round(time.Second), tb.Targeted.Mean().Round(time.Millisecond), tb.SpeedupMean)
 
 	fmt.Fprintln(w, "\n== Ablation: frame pacing ==")
-	for _, p := range experiments.AblationPacing(*seed, []time.Duration{
+	for _, p := range experiments.AblationPacing(seed, []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond}, 24*time.Hour) {
 		fmt.Fprintf(w, "  interval %-4v unlock after %-9v (%d frames)  bus load %.1f%%\n",
 			p.Interval, p.TimeToUnlock.Round(time.Second), p.FramesSent, p.BusLoad*100)
 	}
 
 	fmt.Fprintln(w, "\n== Ablation: frequency-anomaly IDS ==")
-	idsRes := experiments.AblationIDS(*seed)
+	idsRes := experiments.AblationIDS(seed)
 	fmt.Fprintf(w, "  quiet minute: %d false positives over %d learned ids\n",
 		idsRes.FalsePositives, idsRes.KnownIDs)
 	fmt.Fprintf(w, "  blind fuzz detected after %v (%d fuzz frames)\n",
@@ -174,19 +182,19 @@ func run(args []string, w io.Writer) error {
 		fd.ClassicTime.Round(time.Microsecond), fd.FDTime.Round(time.Microsecond), fd.Speedup)
 
 	fmt.Fprintln(w, "\n== Ablation: data-link-layer (bit-level) fuzzing ==")
-	dl := experiments.AblationDataLinkFuzz(*seed, 10*time.Second)
+	dl := experiments.AblationDataLinkFuzz(seed, 10*time.Second)
 	fmt.Fprintf(w, "  %d injected, %d error frames, %d still valid; victim degraded=%v (REC %d)\n",
 		dl.Injected, dl.ErrorFrames, dl.StillValid, dl.VictimErrorPassive, dl.VictimREC)
 
 	fmt.Fprintln(w, "\n== Ablation: command authentication ==")
-	auth := experiments.AblationAuthentication(*seed, 30*time.Minute)
+	auth := experiments.AblationAuthentication(seed, 30*time.Minute)
 	fmt.Fprintf(w, "  plain BCM: fuzzer unlocked=%v after %v\n",
 		auth.PlainUnlocked, auth.PlainTime.Round(time.Second))
 	fmt.Fprintf(w, "  MAC BCM:   fuzzer unlocked=%v after %d frames; paired app still works=%v\n",
 		auth.AuthUnlocked, auth.AuthFramesTried, auth.LegitWorks)
 
 	fmt.Fprintln(w, "\n== Ablation: gateway protection ==")
-	gw := experiments.AblationGateway(*seed, time.Hour)
+	gw := experiments.AblationGateway(seed, time.Hour)
 	fmt.Fprintf(w, "  forward-all gateway: unlocked=%v after %v\n",
 		gw.ForwardAllUnlocked, gw.ForwardAllTime.Round(time.Second))
 	fmt.Fprintf(w, "  allow-list gateway:  unlocked=%v (%d frames blocked)\n",
@@ -194,7 +202,7 @@ func run(args []string, w io.Writer) error {
 
 	fmt.Fprintln(w, "\n== Chaos: cluster brick under injected faults ==")
 	for _, recovery := range []bool{true, false} {
-		c := experiments.ChaosClusterBrick(*seed, time.Hour, recovery)
+		c := experiments.ChaosClusterBrick(seed, time.Hour, recovery)
 		label := "with recovery:   "
 		if !recovery {
 			label = "without recovery:"

@@ -55,12 +55,28 @@ func TestReportGolden(t *testing.T) {
 	}
 }
 
-func TestQuickReportRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a one-run report still simulates minutes of virtual fuzzing")
+// TestReportFlags checks that -runs and -seed are read, and that the
+// defaults are the paper's 12 runs at seed 100 the golden pins.
+// TestReportGolden already runs every section, so this renders none.
+func TestReportFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		runs int
+		seed int64
+	}{
+		{nil, 12, 100},
+		{[]string{"-runs", "1", "-seed", "1"}, 1, 1},
+		{[]string{"-seed=-7"}, 12, -7},
+	} {
+		runs, seed, err := parseFlags(tc.args)
+		if err != nil || runs != tc.runs || seed != tc.seed {
+			t.Errorf("parseFlags(%q) = %d, %d, %v; want %d, %d", tc.args, runs, seed, err, tc.runs, tc.seed)
+		}
 	}
-	if err := run([]string{"-runs", "1", "-seed", "1"}, io.Discard); err != nil {
-		t.Fatal(err)
+	for _, args := range [][]string{{"-runs", "x"}, {"-bogus"}} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) accepted a bad flag", args)
+		}
 	}
 }
 
