@@ -220,9 +220,10 @@ type busRun struct {
 	// dur) in a fresh closure per frame, the third-largest allocation source
 	// on the hot path.
 	pend struct {
-		port *Port
-		tx   txEntry
-		dur  time.Duration
+		port  *Port
+		frame can.Frame
+		raw   rawPart
+		dur   time.Duration
 	}
 
 	// Stuck-dominant window: no transmission starts and no recessive bits
@@ -275,7 +276,7 @@ func New(sched *clock.Scheduler, opts ...Option) *Bus {
 // Arguments are copied out of pend at the call, so the completion handler
 // is free to start (and record) the next transmission.
 func (b *Bus) completePending() {
-	b.complete(b.pend.port, b.pend.tx, b.pend.dur)
+	b.complete(b.pend.port, b.pend.frame, b.pend.raw, b.pend.dur)
 }
 
 // Instrument attaches the bus (and its current and future ports) to the
@@ -458,61 +459,62 @@ func (b *Bus) tryStart() {
 	} else {
 		b.tel.Trc().Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
 	}
-	b.transmit(winner, winner.pop())
+	e := winner.pop()
+	b.transmit(winner, e.frame, e.rawPart)
 }
 
-// transmit puts e from p on the wire; its completion fires after the wire
-// time.
-func (b *Bus) transmit(p *Port, e txEntry) {
+// transmit puts f, with its raw part, from p on the wire; its completion
+// fires after the wire time.
+func (b *Bus) transmit(p *Port, f can.Frame, raw rawPart) {
 	b.busy = true
-	if e.bits == 0 {
-		e.bits = can.WireBitsWithIFS(e.frame)
+	if raw.bits == 0 {
+		raw.bits = can.WireBitsWithIFS(f)
 	}
-	dur := time.Duration(e.bits) * time.Second / time.Duration(b.bitrate)
-	b.pend.port, b.pend.tx, b.pend.dur = p, e, dur
+	dur := time.Duration(raw.bits) * time.Second / time.Duration(b.bitrate)
+	b.pend.port, b.pend.frame, b.pend.raw, b.pend.dur = p, f, raw, dur
 	b.sched.AfterEvent(dur, b.completeEvent)
 }
 
 // complete finishes a transmission: updates error counters, delivers to
 // receivers and taps or signals an error frame, reports a raw outcome,
 // then arbitrates the next transmission.
-func (b *Bus) complete(tx *Port, e txEntry, dur time.Duration) {
+func (b *Bus) complete(tx *Port, frame can.Frame, raw rawPart, dur time.Duration) {
 	b.busy = false
 	b.noteBusy(dur)
 	b.creditFrameEnd()
 
 	action := TxDeliver
-	if e.corrupt {
+	if raw.corrupt {
 		action = TxCorrupt
 	} else if b.intercept != nil {
-		action = b.intercept(e.frame)
+		action = b.intercept(frame)
 	}
 
 	if action == TxCorrupt {
-		b.noteErrorFrame(tx, e.frame.ID, dur)
+		b.noteErrorFrame(tx, frame.ID, dur)
 		for _, p := range b.ports {
 			if p != tx && !p.detached && p.state != BusOff {
 				p.bumpREC(1)
 			}
 		}
-		if e.done != nil {
-			e.done(RawErrorFrame)
+		if raw.done != nil {
+			raw.done(RawErrorFrame)
 		}
 		b.tryStart()
 		return
 	}
 
-	b.noteDelivered(tx, e.frame.ID, dur, e.bits)
+	b.noteDelivered(tx, frame.ID, dur, raw.bits)
 	if action == TxDrop {
 		// The wire carried the frame and the transmitter saw its ACK, but
 		// no receiver was handed it.
 		b.stats.FramesDropped++
 		b.mFaultDrop.Inc()
 	} else {
-		b.deliver(tx, e.frame, action == TxDuplicate)
+		b.deliver(tx, frame, action == TxDuplicate)
 	}
-	if e.done != nil {
-		e.done(RawDelivered)
+	if raw.done != nil {
+		raw.done(RawDelivered)
 	}
 	b.tryStart()
 }

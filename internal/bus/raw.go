@@ -40,7 +40,7 @@ func (p *Port) SendRaw(bits []byte, done func(RawResult)) error {
 		f = can.Frame{ID: rawArbID(bits)}
 	}
 	wire := len(bits) + can.TrailerBits + can.InterframeSpace
-	return p.enqueue(txEntry{frame: f, corrupt: err != nil, bits: wire, done: done})
+	return p.enqueue(f, rawPart{corrupt: err != nil, bits: wire, done: done})
 }
 
 // rawArbID reads the arbitration priority of a raw sequence: the 11
