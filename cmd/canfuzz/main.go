@@ -72,7 +72,7 @@ func run(args []string) (err error) {
 	lenMax := fs.Int("len-max", can.MaxDataLen, "maximum payload length")
 	stop := fs.Bool("stop-on-finding", true, "halt at first finding")
 	check := fs.String("bcm-check", "byte", "bench BCM parser: byte, length or twobytes")
-	mode := fs.String("mode", "random", "generation mode: random, mutate, sweep or bits")
+	mode := fs.String("mode", "random", "generation mode: random, mutate, sweep, bits or guided")
 	configFile := fs.String("config", "", "JSON campaign configuration (overrides the range flags)")
 	jsonOut := fs.Bool("json", false, "print a machine-readable campaign report")
 	corpusFile := fs.String("corpus", "", "capture log seeding mutate/bits modes (candump format)")

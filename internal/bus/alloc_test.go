@@ -42,10 +42,10 @@ func TestSteadyStateTxZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRawInjectionAllocs pins one raw injection, from SendRaw through its
-// completion, at the single allocation the decode makes: the queued entry
-// holds the decoded frame, not a copy of the bits.
-func TestRawInjectionAllocs(t *testing.T) {
+// TestRawInjectionAllocBudget pins one raw injection, from SendRaw through
+// its completion, at the single allocation the decode makes: the queued
+// entry holds the decoded frame, not a copy of the bits.
+func TestRawInjectionAllocBudget(t *testing.T) {
 	sched := clock.New()
 	b := New(sched)
 	tx := b.Connect("fuzzer")

@@ -19,8 +19,8 @@
 // it rebuilds every done campaign as a complete lease book from its
 // journal and re-opens a live one for every interrupted one, and the
 // per-campaign determinism guarantee — final report byte-identical to an
-// in-process fleet.Run — survives any SIGKILL. DESIGN §12 documents the scheduler, the campaign
-// state machine and the resume protocol.
+// in-process fleet.Run — survives any SIGKILL. DESIGN §12 documents the
+// scheduler, the campaign state machine and the resume protocol.
 package campsrv
 
 import (
