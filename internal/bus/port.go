@@ -137,7 +137,8 @@ type txEntry struct {
 // leaves it zero. It travels beside the frame, not inside one entry value,
 // on the way to the wire: Send then passes it in registers and builds no
 // 32-byte entry on the stack, whose copy stalls on a store-to-load
-// forward and cost about 25 ns per frame in BenchmarkBusThroughput.
+// forward and cost about 25 ns per frame in BenchmarkBusThroughput (2-vCPU
+// Xeon host).
 type rawPart struct {
 	// corrupt marks raw bits that violate the protocol: the transmission
 	// ends in an error frame instead of a delivery.
