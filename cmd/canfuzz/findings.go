@@ -1,6 +1,7 @@
 package main
 
 import (
+	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/findings"
 	"repro/internal/fleet"
@@ -51,7 +52,7 @@ func mergeRunFindings(dir string, spec targetPkg.Spec, cfg core.Config, chaos st
 	for _, f := range observed {
 		frames := make([]string, 0, len(f.Recent))
 		for _, fr := range f.Recent {
-			frames = append(frames, core.FormatCorpusFrame(fr))
+			frames = append(frames, string(can.AppendFrame(nil, fr)))
 		}
 		if rec, ok := findings.FromFinding(f.Verdict.Oracle, f.Verdict.Detail, frames,
 			ctx, gcfg, gcfg.Seed, f.Elapsed, prov); ok {

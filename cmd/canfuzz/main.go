@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,7 +74,7 @@ func run(args []string) (err error) {
 	mode := fs.String("mode", "random", "generation mode: random, mutate, sweep, bits or guided")
 	configFile := fs.String("config", "", "JSON campaign configuration (overrides the range flags)")
 	jsonOut := fs.Bool("json", false, "print a machine-readable campaign report")
-	corpusFile := fs.String("corpus", "", "capture log seeding mutate/bits modes (candump format)")
+	corpusFile := fs.String("corpus", "", "seed corpus for mutate, bits and guided modes: ID#HEXDATA lines or a capture log")
 	mutateBits := fs.Int("mutate-bits", 1, "bits flipped per frame in mutate/bits modes")
 	sweepLen := fs.Int("sweep-len", 1, "fixed payload length for sweep mode")
 	chaosSpec := fs.String("chaos", "", `fault-injection plan, e.g. "seed=1;corrupt(p=1,at=2s,for=50ms);jam(at=5s,for=10ms)"`)
@@ -86,7 +85,6 @@ func run(args []string) (err error) {
 	trials := fs.Int("trials", 1, "number of independent fleet trials (>= 1; > 1 enables fleet mode)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "fleet worker-pool size (>= 1)")
 	failFast := fs.Bool("fail-fast", false, "fleet mode: stop dispatching trials after the first confirmed finding")
-	corpusIn := fs.String("corpus-in", "", "guided mode: seed corpus file, one ID#HEXDATA frame per line")
 	corpusOut := fs.String("corpus-out", "", "guided mode: write the evolved corpus here (fleet: the merged corpus)")
 	minimize := fs.Bool("minimize", false, "minimize the first finding's trigger window to a minimal reproducer after the run")
 	minimizeOut := fs.String("minimize-out", "", "write the minimized reproducer as a canreplay-compatible capture log (implies -minimize)")
@@ -166,6 +164,9 @@ func run(args []string) (err error) {
 	if *trialTimeout < 0 {
 		return fmt.Errorf("-trial-timeout must be >= 0, got %v", *trialTimeout)
 	}
+	if *trialTimeout != 0 && *trials <= 1 && *submitURL == "" {
+		return fmt.Errorf("-trial-timeout requires fleet mode (-trials > 1) or -submit: a single run has no trial to cancel")
+	}
 	if *submitURL != "" {
 		switch {
 		case *chaosSpec != "" || *traceFile != "" || *minimize:
@@ -220,11 +221,11 @@ func run(args []string) (err error) {
 	}
 	if *ids != "" {
 		for _, tok := range strings.Split(*ids, ",") {
-			id64, err := strconv.ParseUint(strings.TrimSpace(tok), 16, 16)
-			if err != nil || id64 > can.MaxID {
-				return fmt.Errorf("bad target id %q", tok)
+			id, err := can.ParseID(strings.TrimSpace(tok))
+			if err != nil {
+				return fmt.Errorf("-ids: %w", err)
 			}
-			cfg.TargetIDs = append(cfg.TargetIDs, can.ID(id64))
+			cfg.TargetIDs = append(cfg.TargetIDs, id)
 		}
 	}
 
@@ -234,13 +235,10 @@ func run(args []string) (err error) {
 		if err != nil {
 			return err
 		}
-		trace, err := capture.ParseLog(f)
+		corpus, err = capture.ReadFrames(f)
 		f.Close()
 		if err != nil {
-			return err
-		}
-		for _, r := range trace.Records() {
-			corpus = append(corpus, r.Frame)
+			return fmt.Errorf("corpus %s: %w", *corpusFile, err)
 		}
 		if len(corpus) == 0 {
 			return fmt.Errorf("corpus %q holds no frames", *corpusFile)
@@ -261,8 +259,11 @@ func run(args []string) (err error) {
 	ctx, cancelSig := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancelSig()
 
-	if *mode != "guided" && (*corpusIn != "" || *corpusOut != "") {
-		return fmt.Errorf("-corpus-in/-corpus-out require -mode guided")
+	if *mode != "guided" && *corpusOut != "" {
+		return fmt.Errorf("-corpus-out requires -mode guided")
+	}
+	if (*mode == "random" || *mode == "sweep") && corpus != nil {
+		return fmt.Errorf("-corpus seeds mutate, bits and guided modes, not -mode %s", *mode)
 	}
 
 	switch *mode {
@@ -277,6 +278,9 @@ func run(args []string) (err error) {
 		cfg.Mode = core.ModeSweep
 	case "guided":
 		cfg.Mode = core.ModeGuided
+		if len(corpus) > 0 {
+			cfg.Corpus = corpus
+		}
 	case "bits":
 		if *chaosSpec != "" || *recovery {
 			return fmt.Errorf("-chaos/-recover are not supported in bits mode")
@@ -290,32 +294,16 @@ func run(args []string) (err error) {
 		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	// Guided seed corpora use the one-frame-per-line ID#HEXDATA format so
-	// fleet-merged corpora feed straight back in.
-	var guidedSeed []can.Frame
-	if *corpusIn != "" {
-		f, err := os.Open(*corpusIn)
-		if err != nil {
-			return err
-		}
-		guidedSeed, err = guided.ReadCorpus(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("corpus-in %s: %w", *corpusIn, err)
-		}
-	}
-
 	checkMode, err := targetPkg.ParseCheckMode(*check)
 	if err != nil {
 		return err
 	}
 	spec := targetPkg.Spec{
-		Target:     *target,
-		Bus:        *busName,
-		Check:      checkMode,
-		Stop:       *stop,
-		Recovery:   *recovery,
-		GuidedSeed: guidedSeed,
+		Target:   *target,
+		Bus:      *busName,
+		Check:    checkMode,
+		Stop:     *stop,
+		Recovery: *recovery,
 	}
 
 	// The chaos plan is parsed up front; the injector itself is built per
@@ -344,9 +332,6 @@ func run(args []string) (err error) {
 			MaxPerTrialNanos:  int64(*dur),
 			TrialTimeoutNanos: int64(*trialTimeout),
 			Config:            cfg.ToJSON(),
-		}
-		for _, f := range spec.GuidedSeed {
-			wireSpec.GuidedSeed = append(wireSpec.GuidedSeed, core.FormatCorpusFrame(f))
 		}
 		return runSubmit(ctx, logger, *submitURL, *token, wireSpec, submitOpts{
 			priority:    *priority,

@@ -152,6 +152,10 @@ func TestRunFleetFailFast(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
+	corpus := t.TempDir() + "/seed.corpus"
+	if err := os.WriteFile(corpus, []byte("215#20\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{"-trials", "0"},
 		{"-trials", "-3"},
@@ -169,9 +173,11 @@ func TestRunFlagValidation(t *testing.T) {
 		{"-minimize", "-chaos", "seed=1;jam(at=1s)"},
 		{"-mode", "bits", "-minimize"},
 		{"-mode", "random", "-corpus-out", "/tmp/c.corpus"},
-		{"-mode", "mutate", "-corpus-in", "/tmp/c.corpus"},
-		{"-mode", "guided", "-corpus-in", "/nonexistent.corpus"},
+		{"-mode", "random", "-corpus", corpus},
+		{"-mode", "sweep", "-corpus", corpus},
+		{"-mode", "guided", "-corpus", "/nonexistent.corpus"},
 		{"-trial-timeout", "-1s"},
+		{"-trial-timeout", "1s"},
 		// The single-campaign coordinator is gone; canfuzzd serves every
 		// distributed campaign.
 		{"-coordinator", ":0", "-trials", "2", "-events", "/tmp/j.jsonl"},
@@ -216,7 +222,7 @@ func TestRunGuidedMode(t *testing.T) {
 	}
 	// The evolved corpus must feed back in as a seed corpus.
 	err = run([]string{"-target", "bench", "-mode", "guided", "-dur", "30m",
-		"-seed", "8", "-corpus-in", corpusOut})
+		"-seed", "8", "-corpus", corpusOut})
 	if err != nil {
 		t.Fatal(err)
 	}

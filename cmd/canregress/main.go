@@ -6,11 +6,11 @@
 //	canregress run  -db DIR                replay every finding, assert oracles
 //	canregress diff -db DIR -a ... -b ...  compare two configurations
 //
-// Sources for add: fleet report files (canfuzz -json output, positional
-// arguments, with -target/-check/... naming the world they ran against),
-// a canfuzzd data directory (-campaigns), and a
-// canreplay-compatible trigger log (-log, with -oracle naming the oracle
-// it reproduces).
+// Sources for add: a canfuzzd data directory (-campaigns) and a trigger
+// file (-log: a canreplay-compatible capture log or ID#HEXDATA lines, with
+// -oracle naming the oracle it reproduces and -target/-check/... the world
+// it ran against). A saved report carries no generator config, so its
+// findings go in through a deterministic rerun with canfuzz -findings-db.
 //
 // run exits non-zero when any finding fails or errors — a silenced oracle
 // is a regression. diff replays the corpus under two configurations (a
@@ -20,6 +20,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,15 +30,20 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/can"
 	"repro/internal/capture"
-	"repro/internal/core"
 	"repro/internal/findings"
-	"repro/internal/fleet"
 	"repro/internal/target"
 	"repro/internal/telemetry"
 )
 
 var logger = telemetry.NewCLILogger(os.Stderr, "canregress", slog.LevelInfo)
+
+// errReportSource refuses a report file given to add: a fleet report
+// carries no generator config, so records built from it would replay a
+// different stream than the campaign ran.
+var errReportSource = errors.New("report files are not a source: a report carries no generator config; " +
+	"rerun the campaign with canfuzz ... -findings-db DIR to record its findings")
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -67,12 +73,12 @@ func runAdd(args []string) error {
 	fs := flag.NewFlagSet("canregress add", flag.ContinueOnError)
 	dbDir := fs.String("db", "", "findings database directory (required)")
 	campaignsDir := fs.String("campaigns", "", "canfuzzd data directory to scan (one journal per campaign subdirectory)")
-	logFile := fs.String("log", "", "canreplay-compatible trigger log to store as one finding (requires -oracle)")
+	logFile := fs.String("log", "", "trigger to store as one finding, as a capture log or ID#HEXDATA lines (requires -oracle)")
 	oracleName := fs.String("oracle", "", "oracle the -log trigger reproduces")
 	detail := fs.String("detail", "", "finding detail for the -log trigger")
-	targetName := fs.String("target", "bench", "target world for -log triggers and report files: bench, cluster or vehicle")
-	busName := fs.String("bus", "body", "vehicle bus for -log triggers and report files")
-	check := fs.String("check", "byte", "bench BCM unlock check for -log triggers and report files: byte, length or twobytes")
+	targetName := fs.String("target", "bench", "target world for -log triggers: bench, cluster or vehicle")
+	busName := fs.String("bus", "body", "vehicle bus for -log triggers")
+	check := fs.String("check", "byte", "bench BCM unlock check for -log triggers: byte, length or twobytes")
 	recovery := fs.Bool("recover", false, "findings were observed with the resilience policy armed")
 	interval := fs.Duration("interval", time.Millisecond, "trigger playback interval")
 	mode := fs.String("mode", "", "generation mode provenance (random, mutate, sweep, guided)")
@@ -89,9 +95,11 @@ func runAdd(args []string) error {
 	if _, err := target.ParseCheckMode(*check); err != nil {
 		return err
 	}
-	reports := fs.Args()
-	if *campaignsDir == "" && *logFile == "" && len(reports) == 0 {
-		return fmt.Errorf("add: nothing to merge (give report files, -campaigns or -log)")
+	if fs.NArg() > 0 {
+		return fmt.Errorf("add: %w: %s", errReportSource, strings.Join(fs.Args(), " "))
+	}
+	if *campaignsDir == "" && *logFile == "" {
+		return fmt.Errorf("add: nothing to merge (give -campaigns or -log)")
 	}
 
 	db, err := findings.Open(*dbDir)
@@ -106,14 +114,6 @@ func runAdd(args []string) error {
 	}
 
 	var recs []findings.Record
-	for _, path := range reports {
-		sub, err := recordsFromReportFile(path, ctx, *interval, *mode)
-		if err != nil {
-			return fmt.Errorf("add %s: %w", path, err)
-		}
-		logger.Info("report scanned", "file", path, "findings", len(sub))
-		recs = append(recs, sub...)
-	}
 	if *campaignsDir != "" {
 		sub, err := findings.FromDataDir(*campaignsDir)
 		if err != nil {
@@ -146,38 +146,21 @@ func runAdd(args []string) error {
 	return nil
 }
 
-// recordsFromReportFile extracts records from a fleet report JSON file
-// (canfuzz -trials N -json output).
-func recordsFromReportFile(path string, ctx findings.Context, interval time.Duration, mode string) ([]findings.Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rep, err := fleet.ReadReport(f)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{Interval: interval}
-	prov := findings.Provenance{Source: "canregress-add", Mode: mode}
-	return findings.FromFleetReport(rep, ctx, cfg, prov), nil
-}
-
-// recordFromTriggerLog converts a canreplay-compatible capture log (the
-// minimizer's -minimize-out artefact) into a trigger record.
+// recordFromTriggerLog converts a trigger file (the minimizer's
+// -minimize-out capture log, or ID#HEXDATA lines) into a trigger record.
 func recordFromTriggerLog(path, oracleName, detail string, ctx findings.Context, interval time.Duration, prov findings.Provenance) (findings.Record, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return findings.Record{}, err
 	}
 	defer f.Close()
-	trace, err := capture.ParseLog(f)
+	trigger, err := capture.ReadFrames(f)
 	if err != nil {
 		return findings.Record{}, err
 	}
 	var frames []string
-	for _, r := range trace.Records() {
-		frames = append(frames, core.FormatCorpusFrame(r.Frame))
+	for _, fr := range trigger {
+		frames = append(frames, string(can.AppendFrame(nil, fr)))
 	}
 	if len(frames) == 0 {
 		return findings.Record{}, fmt.Errorf("log holds no frames")

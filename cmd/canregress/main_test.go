@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,9 +25,17 @@ func TestAddLogThenRun(t *testing.T) {
 	if err := run([]string{"run", "-db", db}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	// Idempotent: re-adding the same log must not error or duplicate.
+	// Idempotent: re-adding the same log must not error or duplicate, and
+	// the same trigger as a bare ID#HEXDATA line is the same finding.
 	if err := run([]string{"add", "-db", db, "-log", log, "-oracle", "unlock-ack"}); err != nil {
 		t.Fatalf("re-add: %v", err)
+	}
+	bare := filepath.Join(dir, "repro.corpus")
+	if err := os.WriteFile(bare, []byte("215#20\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"add", "-db", db, "-log", bare, "-oracle", "unlock-ack"}); err != nil {
+		t.Fatalf("add bare trigger: %v", err)
 	}
 	entries, err := os.ReadDir(db)
 	if err != nil {
@@ -56,6 +65,20 @@ func TestRunFailsOnSilencedOracle(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "regression suite failed") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestAddRefusesReportFile: a fleet report carries no generator config, so
+// add refuses it by name instead of storing records with a default config.
+func TestAddRefusesReportFile(t *testing.T) {
+	dir := t.TempDir()
+	report := filepath.Join(dir, "report.json")
+	if err := os.WriteFile(report, []byte(`{"trials":0}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"add", "-db", filepath.Join(dir, "db"), report})
+	if !errors.Is(err, errReportSource) {
+		t.Fatalf("add REPORT.json: err = %v, want errReportSource", err)
 	}
 }
 

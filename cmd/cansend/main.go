@@ -10,12 +10,10 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -69,15 +67,7 @@ func run(args []string) error {
 			return err
 		}
 	case *rawID != "":
-		id64, err := strconv.ParseUint(*rawID, 16, 16)
-		if err != nil || id64 > can.MaxID {
-			return fmt.Errorf("bad identifier %q", *rawID)
-		}
-		data, err := hex.DecodeString(strings.ReplaceAll(*rawData, " ", ""))
-		if err != nil {
-			return fmt.Errorf("bad payload: %w", err)
-		}
-		f, err := can.New(can.ID(id64), data)
+		f, err := can.ParseFrame(*rawID + "#" + strings.ReplaceAll(*rawData, " ", ""))
 		if err != nil {
 			return err
 		}

@@ -64,8 +64,6 @@ type CampaignSpec struct {
 	StopOnFinding bool `json:"stopOnFinding,omitempty"`
 	// Recovery arms the default resilience policy (canfuzz -recover).
 	Recovery bool `json:"recovery,omitempty"`
-	// GuidedSeed holds guided-mode seed frames in "ID#HEXDATA" form.
-	GuidedSeed []string `json:"guidedSeed,omitempty"`
 
 	// Trials and BaseSeed shard the campaign: trial i runs with seed
 	// faults.DeriveSeed(BaseSeed, i).

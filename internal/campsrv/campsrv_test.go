@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -390,6 +391,28 @@ func TestResultRouteRejectsUnknownStatus(t *testing.T) {
 	}
 	if code := post(res); code != http.StatusOK {
 		t.Fatalf("legitimate result after the rejection: HTTP %d, want 200", code)
+	}
+}
+
+// TestSubmissionRefusesUnknownFields: a submission that still carries the
+// retired spec.guidedSeed field is refused by name instead of running the
+// campaign without its seeds; the seeds belong in spec.config.corpus.
+func TestSubmissionRefusesUnknownFields(t *testing.T) {
+	s := newServer(t, campsrv.Config{})
+	defer s.Close()
+	h := s.Handler(campsrv.HandlerConfig{})
+	post := func(body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(body)))
+		return rec
+	}
+	const head = `{"spec":{"target":"bench","trials":1,"maxPerTrialNanos":1000000,`
+	rec := post(head + `"guidedSeed":["215#20"],"config":{"mode":"guided"}}}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"guidedSeed"`) {
+		t.Fatalf("guidedSeed submission: HTTP %d %q, want 400 naming the field", rec.Code, rec.Body)
+	}
+	if rec := post(head + `"config":{"mode":"guided","corpus":["215#20"]}}}`); rec.Code != http.StatusCreated {
+		t.Fatalf("config.corpus submission: HTTP %d %q, want 201", rec.Code, rec.Body)
 	}
 }
 

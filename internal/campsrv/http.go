@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 
@@ -16,8 +15,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// maxSubmissionBody bounds one POST /campaigns document; guided seed
-// corpora are the large case and stay far under this.
+// maxSubmissionBody bounds one POST /campaigns document; seed corpora in
+// spec.config.corpus are the large case and stay far under this.
 const maxSubmissionBody = 8 << 20
 
 // maxResultBody bounds one submitted TrialResult document; guided-corpus
@@ -66,6 +65,9 @@ func (s *Server) Handler(cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var sub Submission
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmissionBody))
+		// A field this server does not know would otherwise be dropped and
+		// the campaign run without part of its definition.
+		dec.DisallowUnknownFields()
 		if err := dec.Decode(&sub); err != nil {
 			http.Error(w, fmt.Sprintf("bad submission: %v", err), http.StatusBadRequest)
 			return
@@ -179,11 +181,7 @@ func (s *Server) Handler(cfg HandlerConfig) http.Handler {
 	})
 
 	if cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		telemetry.MountPprof(mux)
 	}
 	if s.tel != nil {
 		mux.Handle("/", telemetry.Handler(s.tel))

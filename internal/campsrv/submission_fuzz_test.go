@@ -21,7 +21,7 @@ func FuzzSubmission(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte(`{"spec":{"target":"bench","trials":1,"baseSeed":-7,"maxPerTrialNanos":1,` +
-		`"guidedSeed":["215#20"],"config":{"seed":3,"mode":"guided","idMin":533}}}`))
+		`"config":{"seed":3,"mode":"guided","idMin":533,"corpus":["215#20"]}}}`))
 	f.Add([]byte(`{"spec":{"target":"bench","trials":100001,"maxPerTrialNanos":1}}`))
 	f.Add([]byte(`{"spec":{"target":"bench","trials":1,"maxPerTrialNanos":1},"priority":-1}`))
 	f.Add([]byte(`{"spec":{"target":"","trials":1}}`))

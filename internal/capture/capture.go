@@ -110,19 +110,13 @@ func (r *Recorder) Trace() *Trace { return r.trace }
 // the same shape candump -l produces, so existing tooling habits transfer.
 func WriteLog(w io.Writer, t *Trace, iface string) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, r := range t.records {
 		secs := r.Time / time.Second
 		micros := (r.Time % time.Second) / time.Microsecond
-		if r.Frame.Remote {
-			if _, err := fmt.Fprintf(bw, "(%d.%06d) %s %03X#R%d\n",
-				secs, micros, iface, uint16(r.Frame.ID), r.Frame.Len); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Fprintf(bw, "(%d.%06d) %s %03X#%X\n",
-			secs, micros, iface, uint16(r.Frame.ID),
-			r.Frame.Data[:r.Frame.Len]); err != nil {
+		line = fmt.Appendf(line[:0], "(%d.%06d) %s ", secs, micros, iface)
+		line = append(can.AppendFrame(line, r.Frame), '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -133,6 +127,44 @@ func WriteLog(w io.Writer, t *Trace, iface string) error {
 // same format) back into a trace.
 func ParseLog(r io.Reader) (*Trace, error) {
 	t := NewTrace(0)
+	err := scanLines(r, func(line string) error {
+		rec, err := parseLogLine(line)
+		if err == nil {
+			t.Append(rec)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// ReadFrames reads a seed corpus, one frame per line: either the bare
+// can.ParseFrame text form ("215#205F01", as canfuzz -corpus-out and the
+// minimizer write it) or a WriteLog line ("(0.001000) can0 215#205F01",
+// as candump and -minimize-out write it). Both forms may share a file.
+func ReadFrames(r io.Reader) ([]can.Frame, error) {
+	var out []can.Frame
+	err := scanLines(r, func(line string) error {
+		if !strings.ContainsAny(line, " \t") {
+			f, err := can.ParseFrame(line)
+			out = append(out, f)
+			return err
+		}
+		rec, err := parseLogLine(line)
+		out = append(out, rec.Frame)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// scanLines calls fn on every line of r, trimmed, skipping blank lines and
+// '#' comments; an error names the line it came from.
+func scanLines(r io.Reader, fn func(line string) error) error {
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -141,16 +173,14 @@ func ParseLog(r io.Reader) (*Trace, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		rec, err := parseLogLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("capture: line %d: %w", lineNo, err)
+		if err := fn(line); err != nil {
+			return fmt.Errorf("capture: line %d: %w", lineNo, err)
 		}
-		t.Append(rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("capture: %w", err)
+		return fmt.Errorf("capture: %w", err)
 	}
-	return t, nil
+	return nil
 }
 
 func parseLogLine(line string) (Record, error) {
@@ -174,45 +204,8 @@ func parseLogLine(line string) (Record, error) {
 	}
 	rec.Time = time.Duration(secs)*time.Second + time.Duration(micros)*time.Microsecond
 	rec.Origin = fields[1]
-
-	idData := strings.SplitN(fields[2], "#", 2)
-	if len(idData) != 2 {
-		return rec, fmt.Errorf("missing '#' separator in %q", fields[2])
-	}
-	id64, err := strconv.ParseUint(idData[0], 16, 16)
-	if err != nil || id64 > can.MaxID {
-		return rec, fmt.Errorf("bad identifier %q", idData[0])
-	}
-	if strings.HasPrefix(idData[1], "R") {
-		dlc, err := strconv.ParseUint(idData[1][1:], 10, 8)
-		if err != nil || dlc > can.MaxDataLen {
-			return rec, fmt.Errorf("bad remote dlc %q", idData[1])
-		}
-		f, err := can.NewRemote(can.ID(id64), uint8(dlc))
-		if err != nil {
-			return rec, err
-		}
-		rec.Frame = f
-		return rec, nil
-	}
-	hexStr := idData[1]
-	if len(hexStr)%2 != 0 || len(hexStr) > can.MaxDataLen*2 {
-		return rec, fmt.Errorf("bad data %q", hexStr)
-	}
-	data := make([]byte, len(hexStr)/2)
-	for i := range data {
-		b, err := strconv.ParseUint(hexStr[i*2:i*2+2], 16, 8)
-		if err != nil {
-			return rec, fmt.Errorf("bad data byte: %w", err)
-		}
-		data[i] = byte(b)
-	}
-	f, err := can.New(can.ID(id64), data)
-	if err != nil {
-		return rec, err
-	}
-	rec.Frame = f
-	return rec, nil
+	rec.Frame, err = can.ParseFrame(fields[2])
+	return rec, err
 }
 
 // Replay schedules every record of a trace for transmission on the port,

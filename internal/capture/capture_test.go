@@ -136,6 +136,7 @@ func TestParseLogErrors(t *testing.T) {
 		"(0.000001) can0",                          // missing frame field
 		"(abc) can0 001#AA",                        // bad timestamp
 		"(0.000001) can0 FFFF#AA",                  // id out of range
+		"(0.000001) can0 10215#AA",                 // id out of range
 		"(0.000001) can0 001#AAA",                  // odd hex digits
 		"(0.000001) can0 001#AABBCCDDEEFF00112233", // too long
 		"(0.000001) can0 001#R9",                   // remote dlc out of range
@@ -144,6 +145,35 @@ func TestParseLogErrors(t *testing.T) {
 	for _, line := range bad {
 		if _, err := ParseLog(strings.NewReader(line)); err == nil {
 			t.Errorf("ParseLog(%q) succeeded, want error", line)
+		}
+	}
+}
+
+// TestReadFramesBothForms: a seed corpus may hold bare ID#HEXDATA lines
+// (canfuzz -corpus-out) and capture-log lines (candump, -minimize-out),
+// mixed, and each line names the same frame either way.
+func TestReadFramesBothForms(t *testing.T) {
+	rem, _ := can.NewRemote(0x215, 3)
+	want := []can.Frame{can.MustNew(0x215, []byte{0x20}), can.MustNew(0x110, []byte{0xAB, 0xCD}), rem, can.MustNew(0x7FF, nil)}
+	in := "# seeds\n215#20\n\n(0.001000) can0 110#ABCD\n  215#R3\n(2.000000) vcan0 7FF#\n"
+	got, err := ReadFrames(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("read %d frames, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("frame %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if _, err := ReadFrames(strings.NewReader("215#20\n10215#20\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("wrapped identifier: err = %v, want an error naming line 2", err)
+	}
+	for _, bad := range []string{"(0.001000) can0 215#2", "(x) can0 215#20", "215#20 extra"} {
+		if _, err := ReadFrames(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadFrames(%q) succeeded, want error", bad)
 		}
 	}
 }

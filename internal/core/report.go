@@ -187,14 +187,14 @@ type ConfigJSON struct {
 	MutateID bool `json:"mutateId,omitempty"`
 	// SweepLen fixes the sweep payload length.
 	SweepLen int `json:"sweepLen,omitempty"`
-	// Corpus holds mutate-mode seed frames as "ID#HEXDATA" strings
-	// (identifier in hex, like the candump format).
+	// Corpus holds mutate- and guided-mode seed frames in the can.ParseFrame
+	// text form ("ID#HEXDATA", remote frames "ID#R<dlc>").
 	Corpus []string `json:"corpus,omitempty"`
 }
 
 // ToJSON converts a Config to its wire form — the inverse of ToConfig, up
 // to defaulting: a zero Mode stays the empty string (ToConfig reads both
-// as random), and corpus frames render in the shared "ID#HEXDATA" form.
+// as random), and corpus frames render in the can.AppendFrame text form.
 // The distributed campaign service ships worker configuration through it,
 // so a leased trial's generator is built from exactly the bytes the
 // service validated.
@@ -219,7 +219,7 @@ func (c Config) ToJSON() ConfigJSON {
 		cj.TargetIDs = append(cj.TargetIDs, uint16(id))
 	}
 	for _, f := range c.Corpus {
-		cj.Corpus = append(cj.Corpus, FormatCorpusFrame(f))
+		cj.Corpus = append(cj.Corpus, string(can.AppendFrame(nil, f)))
 	}
 	return cj
 }
@@ -260,15 +260,15 @@ func (cj ConfigJSON) ToConfig() (Config, error) {
 	case "guided":
 		cfg.Mode = ModeGuided
 	default:
-		return cfg, &json.UnsupportedValueError{Str: "mode " + cj.Mode}
+		return cfg, fmt.Errorf("core: unknown mode %q", cj.Mode)
 	}
 	for _, id := range cj.TargetIDs {
 		cfg.TargetIDs = append(cfg.TargetIDs, can.ID(id))
 	}
 	for _, s := range cj.Corpus {
-		f, err := parseCorpusFrame(s)
+		f, err := can.ParseFrame(s)
 		if err != nil {
-			return cfg, err
+			return cfg, fmt.Errorf("core: corpus: %w", err)
 		}
 		cfg.Corpus = append(cfg.Corpus, f)
 	}
@@ -279,62 +279,12 @@ func (cj ConfigJSON) ToConfig() (Config, error) {
 	return cfg, nil
 }
 
-// ParseCorpusFrame parses a corpus entry in "215#205F010000012000" form
-// (hex identifier, '#', hex payload) — the format ConfigJSON.Corpus and
-// guided corpus files share.
-func ParseCorpusFrame(s string) (can.Frame, error) { return parseCorpusFrame(s) }
-
-// FormatCorpusFrame renders a frame in the corpus "ID#HEXDATA" form,
-// the inverse of ParseCorpusFrame.
-func FormatCorpusFrame(f can.Frame) string {
-	return fmt.Sprintf("%03X#%X", uint16(f.ID), f.Data[:f.Len])
-}
-
-// parseCorpusFrame parses "215#205F010000012000" (hex id '#' hex data).
-func parseCorpusFrame(s string) (can.Frame, error) {
-	var f can.Frame
-	hash := -1
-	for i := range s {
-		if s[i] == '#' {
-			hash = i
-			break
-		}
+// ParseCorpusFrame parses a data frame in the corpus "ID#HEXDATA" form
+// (see can.ParseFrame); remote frames are rejected.
+func ParseCorpusFrame(s string) (can.Frame, error) {
+	f, err := can.ParseFrame(s)
+	if err == nil && f.Remote {
+		err = fmt.Errorf("core: corpus frame %q is a remote frame", s)
 	}
-	if hash < 1 {
-		return f, &json.UnsupportedValueError{Str: "corpus frame " + s}
-	}
-	var id uint16
-	for _, c := range s[:hash] {
-		v := hexDigit(byte(c))
-		if v < 0 {
-			return f, &json.UnsupportedValueError{Str: "corpus id " + s}
-		}
-		id = id<<4 | uint16(v)
-	}
-	hexData := s[hash+1:]
-	if len(hexData)%2 != 0 || len(hexData)/2 > can.MaxDataLen {
-		return f, &json.UnsupportedValueError{Str: "corpus data " + s}
-	}
-	data := make([]byte, len(hexData)/2)
-	for i := range data {
-		hi, lo := hexDigit(hexData[2*i]), hexDigit(hexData[2*i+1])
-		if hi < 0 || lo < 0 {
-			return f, &json.UnsupportedValueError{Str: "corpus data " + s}
-		}
-		data[i] = byte(hi<<4 | lo)
-	}
-	return can.New(can.ID(id), data)
-}
-
-func hexDigit(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	default:
-		return -1
-	}
+	return f, err
 }

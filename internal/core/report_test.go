@@ -144,6 +144,31 @@ func TestConfigToJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigToJSONKeepsRemoteFrames: a remote corpus frame crosses the
+// wire as "ID#R<dlc>" and comes back remote, so a worker's generator drops
+// it exactly as the local one does, instead of mutating a zero payload.
+func TestConfigToJSONKeepsRemoteFrames(t *testing.T) {
+	remote, err := can.NewRemote(0x215, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := can.MustNew(0x110, []byte{0x61, 0x0D})
+	cj := Config{Mode: ModeMutate, Corpus: []can.Frame{remote, data}}.ToJSON()
+	if want := []string{"215#R3", "110#610D"}; strings.Join(cj.Corpus, ",") != strings.Join(want, ",") {
+		t.Fatalf("wire corpus = %q, want %q", cj.Corpus, want)
+	}
+	back, err := cj.ToConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Corpus) != 2 || back.Corpus[0] != remote || !back.Corpus[0].Remote || back.Corpus[1] != data {
+		t.Fatalf("corpus = %v", back.Corpus)
+	}
+	if _, err := ParseCorpusFrame("215#R3"); err == nil {
+		t.Fatal("ParseCorpusFrame accepted a remote frame")
+	}
+}
+
 func TestParseConfigJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"bad json":        `{`,
@@ -153,6 +178,8 @@ func TestParseConfigJSONErrors(t *testing.T) {
 		"bad corpus id":   `{"mode": "mutate", "corpus": ["zz#00"]}`,
 		"bad corpus data": `{"mode": "mutate", "corpus": ["215#0"]}`,
 		"long corpus":     `{"mode": "mutate", "corpus": ["215#000102030405060708"]}`,
+		"wrapped id":      `{"mode": "mutate", "corpus": ["10215#20"]}`,
+		"remote only":     `{"mode": "mutate", "corpus": ["215#R3"]}`,
 		"mutate no corp":  `{"mode": "mutate"}`,
 		"invalid ranges":  `{"lenMin": 5, "lenMax": 3}`,
 	}

@@ -89,12 +89,7 @@ func parseClause(clause string) (Spec, error) {
 		case "p", "prob":
 			s.Prob, err = strconv.ParseFloat(val, 64)
 		case "id":
-			var id uint64
-			id, err = strconv.ParseUint(val, 16, 32)
-			if err == nil && id > uint64(can.MaxID) {
-				err = fmt.Errorf("identifier %03X above max %03X", id, uint64(can.MaxID))
-			}
-			s.ID = can.ID(id)
+			s.ID, err = can.ParseID(val)
 		case "ecu", "port", "target":
 			s.Target = val
 		case "detail":

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
@@ -332,9 +333,9 @@ func newReplayWorld(rec Record, ov Overrides) (*replayWorld, error) {
 		replay.Settle = time.Duration(rec.SettleMillis) * time.Millisecond
 	}
 	for _, line := range rec.Trigger {
-		f, err := core.ParseCorpusFrame(line)
+		f, err := can.ParseFrame(line)
 		if err != nil {
-			return nil, fmt.Errorf("trigger frame %q: %w", line, err)
+			return nil, fmt.Errorf("trigger frame: %w", err)
 		}
 		replay.Frames = append(replay.Frames, f)
 	}

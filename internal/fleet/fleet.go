@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -400,7 +401,7 @@ func runTrial(spec TrialSpec, cfg Config, factory TargetFactory, cached *World) 
 		res.TriggerID = fmt.Sprintf("%03X", uint16(finding.Recent[n-1].ID))
 		res.TriggerFrames = make([]string, 0, n)
 		for _, f := range finding.Recent {
-			res.TriggerFrames = append(res.TriggerFrames, core.FormatCorpusFrame(f))
+			res.TriggerFrames = append(res.TriggerFrames, string(can.AppendFrame(nil, f)))
 		}
 	}
 	return res, keep

@@ -192,8 +192,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // ReadReport decodes a serialised fleet report (the inverse of WriteJSON)
-// — the entry point for offline consumers like canregress add, which
-// mines archived reports for trigger records.
+// for offline consumers such as the perfbench service workload. A report
+// carries no generator config, so findings records are built from the
+// campaign itself (canfuzz -findings-db, canfuzzd), not from a report.
 func ReadReport(r io.Reader) (*Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {

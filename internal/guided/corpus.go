@@ -4,10 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/can"
-	"repro/internal/core"
 )
 
 // maxCorpus bounds the corpus; when full, the lowest-energy entry is
@@ -27,12 +25,19 @@ type entry struct {
 // what makes fleet-merged corpora independent of worker count.
 type corpus struct {
 	entries []entry
-	index   map[string]int // serialized frame -> entries index
-	total   uint64         // sum of entry energies, kept current by add and evict
+	index   map[can.Frame]int // indexKey(frame) -> entries index
+	total   uint64            // sum of entry energies, kept current by add and evict
 }
 
 func newCorpus() *corpus {
-	return &corpus{index: make(map[string]int)}
+	return &corpus{index: make(map[can.Frame]int)}
+}
+
+// indexKey is the frame with the payload bytes past Len cleared, so two
+// frames that print the same text share one entry.
+func indexKey(f can.Frame) can.Frame {
+	clear(f.Data[min(int(f.Len), can.MaxDataLen):])
+	return f
 }
 
 func (c *corpus) size() int { return len(c.entries) }
@@ -50,7 +55,7 @@ func (c *corpus) add(f can.Frame, energy uint64) bool {
 	if energy == 0 {
 		energy = 1
 	}
-	key := core.FormatCorpusFrame(f)
+	key := indexKey(f)
 	if i, ok := c.index[key]; ok {
 		c.entries[i].energy += energy
 		c.total += energy
@@ -74,10 +79,10 @@ func (c *corpus) evict() {
 		}
 	}
 	c.total -= c.entries[lo].energy
-	delete(c.index, core.FormatCorpusFrame(c.entries[lo].frame))
+	delete(c.index, indexKey(c.entries[lo].frame))
 	c.entries = append(c.entries[:lo], c.entries[lo+1:]...)
 	for i := lo; i < len(c.entries); i++ {
-		c.index[core.FormatCorpusFrame(c.entries[i].frame)] = i
+		c.index[indexKey(c.entries[i].frame)] = i
 	}
 }
 
@@ -105,19 +110,21 @@ func (c *corpus) energies(dst []uint64) []uint64 {
 	return dst
 }
 
-// frames returns the corpus in serialized "ID#HEXDATA" form, insertion
-// order.
+// frames returns the corpus in the can.AppendFrame "ID#HEXDATA" form,
+// insertion order.
 func (c *corpus) frames() []string {
 	out := make([]string, len(c.entries))
+	var buf []byte
 	for i, e := range c.entries {
-		out[i] = core.FormatCorpusFrame(e.frame)
+		buf = can.AppendFrame(buf[:0], e.frame)
+		out[i] = string(buf)
 	}
 	return out
 }
 
 // WriteCorpus writes corpus lines (one "ID#HEXDATA" frame per line) — the
 // same format as ConfigJSON.Corpus entries, so a written corpus feeds back
-// into -corpus-in or a mutate-mode config unchanged.
+// into canfuzz -corpus (capture.ReadFrames) or a config corpus unchanged.
 func WriteCorpus(w io.Writer, lines []string) error {
 	bw := bufio.NewWriter(w)
 	for _, l := range lines {
@@ -126,28 +133,4 @@ func WriteCorpus(w io.Writer, lines []string) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCorpus parses a corpus file written by WriteCorpus; blank lines and
-// '#'-prefixed comment lines are skipped.
-func ReadCorpus(r io.Reader) ([]can.Frame, error) {
-	var out []can.Frame
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f, err := core.ParseCorpusFrame(line)
-		if err != nil {
-			return nil, fmt.Errorf("guided: corpus line %d: %w", lineNo, err)
-		}
-		out = append(out, f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("guided: %w", err)
-	}
-	return out, nil
 }

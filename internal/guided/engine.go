@@ -71,22 +71,6 @@ func WithIntrospection(in *Introspection) EngineOption {
 	}
 }
 
-// WithSeedFrames preloads the corpus (e.g. from a -corpus-in file written
-// by a previous campaign). Invalid or remote frames are skipped — a shared
-// corpus file must never brick the engine.
-func WithSeedFrames(frames []can.Frame) EngineOption {
-	return func(e *Engine) { e.addSeedFrames(frames) }
-}
-
-// addSeedFrames records the usable frames among frames for Reset to admit.
-func (e *Engine) addSeedFrames(frames []can.Frame) {
-	for _, f := range frames {
-		if !f.Remote && f.Validate() == nil {
-			e.seedFrames = append(e.seedFrames, f)
-		}
-	}
-}
-
 // Engine is the coverage-guided frame source: it implements
 // core.FrameSource (install with WithFrameSource/SetFrameSource) and
 // core.CorpusStats (so BuildReport embeds corpus size and novelty hits).
@@ -108,7 +92,7 @@ type Engine struct {
 	probes     []Probe
 	probeHash  []uint64    // hashName of each probe, cached at registration
 	probeLast  []uint64    // each probe's bucket at the previous tick, or noBucket
-	seedFrames []can.Frame // usable seed and config corpus frames, admitted by Reset
+	seedFrames []can.Frame // usable config corpus frames, admitted by Reset
 	pending    []uint64
 
 	engineRun
@@ -155,23 +139,25 @@ func NewEngine(cfg core.Config, opts ...EngineOption) (*Engine, error) {
 		o(e)
 	}
 	e.probeLast = make([]uint64, len(e.probes))
-	// Config-level corpus frames seed the pool too (ConfigJSON reuse),
-	// after any WithSeedFrames survivors.
-	e.addSeedFrames(e.cfg.Corpus)
+	// The config corpus seeds the pool. Invalid or remote frames are
+	// skipped: a shared corpus file must never brick the engine.
+	for _, f := range e.cfg.Corpus {
+		if !f.Remote && f.Validate() == nil {
+			e.seedFrames = append(e.seedFrames, f)
+		}
+	}
 	e.Reset(cfg.Seed)
 	return e, nil
 }
 
 // Reset restarts the engine under a new seed; NewEngine runs the same
 // code. The RNG streams derive from the seed, the novelty map and
-// counters clear, and the corpus is rebuilt from the seed frames in
-// their recorded order (WithSeedFrames survivors first, then usable
-// config-level corpus frames), so a reused engine's decision stream is
+// counters clear, and the corpus is rebuilt from the usable config corpus
+// frames in their recorded order, so a reused engine's decision stream is
 // identical to a freshly built one's. Probes and the introspection slot
 // are retained, and the finished trial's counters fold into the slot's
-// totals, so /fuzz.json keeps counting across a recycled engine. With no
-// seed corpus the reset allocates nothing; admitting seed frames costs
-// one index key per frame.
+// totals, so /fuzz.json keeps counting across a recycled engine. Reset
+// allocates nothing: the corpus index is keyed by frame value.
 func (e *Engine) Reset(seed int64) {
 	e.stats.foldTrial(e)
 	e.cfg.Seed = seed

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/bcm"
+	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/guided"
@@ -100,7 +101,7 @@ func TestGuidedTelemetryGauges(t *testing.T) {
 }
 
 // TestGuidedSeedCorpusSharing round-trips an evolved corpus through the
-// file format into a second engine.
+// file format and the config corpus into a second engine.
 func TestGuidedSeedCorpusSharing(t *testing.T) {
 	w, eng := guidedWorld(t, bcm.CheckByteOnly, core.Config{Seed: 5}, target.Options{})
 	if _, ok := w.Campaign.RunUntilFinding(10 * time.Minute); !ok {
@@ -114,12 +115,11 @@ func TestGuidedSeedCorpusSharing(t *testing.T) {
 	if err := guided.WriteCorpus(&buf, lines); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := guided.ReadCorpus(strings.NewReader(buf.String()))
+	parsed, err := capture.ReadFrames(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := guided.NewEngine(core.Config{Seed: 6, Mode: core.ModeGuided},
-		guided.WithSeedFrames(parsed))
+	seeded, err := guided.NewEngine(core.Config{Seed: 6, Mode: core.ModeGuided, Corpus: parsed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -292,11 +292,12 @@ func trimFrame(f *can.Frame, newLen int) {
 	f.Len = uint8(newLen)
 }
 
-// CorpusLines returns the minimized frames in "ID#HEXDATA" form.
+// CorpusLines returns the minimized frames in the can.AppendFrame
+// "ID#HEXDATA" form.
 func (r Result) CorpusLines() []string {
 	out := make([]string, len(r.Frames))
 	for i, f := range r.Frames {
-		out[i] = core.FormatCorpusFrame(f)
+		out[i] = string(can.AppendFrame(nil, f))
 	}
 	return out
 }

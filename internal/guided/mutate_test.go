@@ -153,11 +153,12 @@ func TestMutateOperatorDistribution(t *testing.T) {
 func TestGenerateStaysInRanges(t *testing.T) {
 	const n = 1_000_000
 	cfg := core.Config{Seed: 2, Mode: core.ModeGuided,
-		IDMin: 0x7F0, IDMax: 0x7FF, LenMin: 1, LenMax: 5, ByteMin: 0x40, ByteMax: 0x5F}
-	e, err := NewEngine(cfg, WithSeedFrames([]can.Frame{
-		{ID: 0x7F0, Len: 1, Data: [8]byte{0x40}},
-		{ID: 0x7FF, Len: 5, Data: [8]byte{0x5F, 0x5F, 0x5F, 0x5F, 0x5F}},
-	}))
+		IDMin: 0x7F0, IDMax: 0x7FF, LenMin: 1, LenMax: 5, ByteMin: 0x40, ByteMax: 0x5F,
+		Corpus: []can.Frame{
+			{ID: 0x7F0, Len: 1, Data: [8]byte{0x40}},
+			{ID: 0x7FF, Len: 5, Data: [8]byte{0x5F, 0x5F, 0x5F, 0x5F, 0x5F}},
+		}}
+	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/can"
+	"repro/internal/capture"
 	"repro/internal/core"
 )
-
-func coreFormat(f can.Frame) string { return core.FormatCorpusFrame(f) }
 
 func TestNoveltyMapBounded(t *testing.T) {
 	var n noveltyMap
@@ -161,8 +160,8 @@ func TestCorpusEvictionDeterministic(t *testing.T) {
 	}
 	// index map must stay consistent after the shift.
 	for key, i := range c.index {
-		if got := coreFormat(c.entries[i].frame); got != key {
-			t.Fatalf("index[%q] -> entry %q", key, got)
+		if got := c.entries[i].frame; indexKey(got) != key {
+			t.Fatalf("index[%v] -> entry %v", key, got)
 		}
 	}
 }
@@ -254,7 +253,7 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 	if err := WriteCorpus(&buf, lines); err != nil {
 		t.Fatal(err)
 	}
-	frames, err := ReadCorpus(strings.NewReader(buf.String() + "\n# comment\n\n"))
+	frames, err := capture.ReadFrames(strings.NewReader(buf.String() + "\n# comment\n\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +261,11 @@ func TestCorpusFileRoundTrip(t *testing.T) {
 		t.Fatalf("read %d frames, want %d", len(frames), len(lines))
 	}
 	for i, f := range frames {
-		if coreFormat(f) != lines[i] {
-			t.Errorf("frame %d = %q, want %q", i, coreFormat(f), lines[i])
+		if got := string(can.AppendFrame(nil, f)); got != lines[i] {
+			t.Errorf("frame %d = %q, want %q", i, got, lines[i])
 		}
 	}
-	if _, err := ReadCorpus(strings.NewReader("bogus line\n")); err == nil {
+	if _, err := capture.ReadFrames(strings.NewReader("bogus line\n")); err == nil {
 		t.Fatal("malformed corpus accepted")
 	}
 }

@@ -3,7 +3,6 @@ package observatory
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -52,11 +51,7 @@ func (o *Observatory) Handler(cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/events", o.serveEvents)
 	if cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		telemetry.MountPprof(mux)
 	}
 	if o.tel != nil {
 		mux.Handle("/", telemetry.Handler(o.tel))

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/bcm"
 	"repro/internal/campaignd"
-	"repro/internal/can"
 	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -54,8 +53,6 @@ type Spec struct {
 	// Recovery arms ISO 11898-1 bus-off auto-recovery plus the campaign
 	// resilience policy.
 	Recovery bool
-	// GuidedSeed holds seed frames injected into every guided engine.
-	GuidedSeed []can.Frame
 }
 
 // Options carries the optional instrumentation a world can be built with.
@@ -229,9 +226,6 @@ func Build(spec Spec, cfg core.Config, o Options) (*Built, error) {
 		if o.Introspection != nil {
 			engOpts = append(engOpts, guided.WithIntrospection(o.Introspection))
 		}
-		if len(spec.GuidedSeed) > 0 {
-			engOpts = append(engOpts, guided.WithSeedFrames(spec.GuidedSeed))
-		}
 		eng, err = guided.NewEngine(cfg, engOpts...)
 		if err != nil {
 			return nil, err
@@ -277,25 +271,16 @@ func FromCampaignSpec(spec campaignd.CampaignSpec) (Spec, core.Config, error) {
 	if err != nil {
 		return Spec{}, core.Config{}, fmt.Errorf("spec config: %w", err)
 	}
-	var guidedSeed []can.Frame
-	for _, line := range spec.GuidedSeed {
-		f, err := core.ParseCorpusFrame(line)
-		if err != nil {
-			return Spec{}, core.Config{}, fmt.Errorf("spec guided seed %q: %w", line, err)
-		}
-		guidedSeed = append(guidedSeed, f)
-	}
 	busName := spec.Bus
 	if busName == "" {
 		busName = "body"
 	}
 	ts := Spec{
-		Target:     spec.Target,
-		Bus:        busName,
-		Check:      checkMode,
-		Stop:       spec.StopOnFinding,
-		Recovery:   spec.Recovery,
-		GuidedSeed: guidedSeed,
+		Target:   spec.Target,
+		Bus:      busName,
+		Check:    checkMode,
+		Stop:     spec.StopOnFinding,
+		Recovery: spec.Recovery,
 	}
 	return ts, cfg, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -40,6 +41,16 @@ func Handler(t *Telemetry) http.Handler {
 			int64(t.Reg().Now()/time.Microsecond), t.Trc().Len())
 	})
 	return mux
+}
+
+// MountPprof registers the net/http/pprof routes under /debug/pprof/ on
+// mux, for the servers that offer live CPU and heap profiles.
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // Serve starts the introspection endpoint on addr (e.g. "localhost:9900";
