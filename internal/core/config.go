@@ -95,7 +95,7 @@ type Config struct {
 	// to MinInterval.
 	Interval time.Duration
 
-	// Corpus seeds ModeMutate; ModeSweep uses Corpus[0]'s length when set.
+	// Corpus seeds ModeMutate and ModeGuided; the other modes ignore it.
 	Corpus []can.Frame
 	// MutateBits is the number of bits flipped per mutated frame.
 	MutateBits int
