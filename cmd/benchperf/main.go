@@ -5,9 +5,10 @@
 // steady-state bus TX, guided campaign step) through testing.Benchmark,
 // then writes a BENCH_<date>.json trajectory file with ns/op, allocs/op,
 // B/op and — for the frame-pumping workloads — frames/sec, plus two
-// same-run ratios: the telemetry overhead (CampaignTelemetry over Campaign
-// ns/op) and the guided/blind tick ratio (GuidedStep ns/op over Campaign
-// ns per frame).
+// same-run derived numbers: the telemetry cost per frame (CampaignTelemetry
+// minus Campaign, in ns per frame) and the guided/blind tick ratio
+// (GuidedStep ns/op over Campaign ns per frame). Each rep runs every
+// selected workload once, so the reps of paired workloads interleave.
 //
 // Usage:
 //
@@ -81,10 +82,12 @@ type File struct {
 	// snapshot time — deduplicated findings, not raw campaign hits — so the
 	// trend report shows discovery progress alongside performance.
 	FindingsCount int `json:"findingsCount,omitempty"`
-	// TelemetryOverhead is the cost of the live telemetry plane as a
-	// same-run ratio: the best CampaignTelemetry ns/op over the best
-	// Campaign ns/op. Zero when the run skipped either workload.
-	TelemetryOverhead float64 `json:"telemetryOverhead,omitempty"`
+	// TelemetryNsPerFrame is what the live telemetry plane adds to one
+	// simulated frame: the best CampaignTelemetry ns per frame minus the
+	// best Campaign ns per frame, their reps interleaved. A difference,
+	// not a ratio, so a faster shared frame path does not read as dearer
+	// telemetry. Zero when the run skipped either workload.
+	TelemetryNsPerFrame float64 `json:"telemetryNsPerFrame,omitempty"`
 	// GuidedTickRatio is the guided engine's per-frame cost against the
 	// blind generator's, same run: GuidedStep ns/op (one frame) over
 	// Campaign ns per frame. Zero when the run skipped either workload.
@@ -162,19 +165,27 @@ func run(args []string) error {
 			want[strings.TrimSpace(name)] = true
 		}
 	}
+	var selected []workload
 	for _, w := range workloads(*quick) {
-		if want != nil && !want[w.name] {
-			continue
+		if want == nil || want[w.name] {
+			selected = append(selected, w)
 		}
-		logger.Info("running", "workload", w.name)
-		res := testing.Benchmark(w.bench)
-		// Keep the fastest of -reps runs: the minimum is the scheduling-noise
-		// floor, which is what a regression gate should compare.
-		for rep := 1; rep < *reps; rep++ {
-			if alt := testing.Benchmark(w.bench); nsPerOp(alt) < nsPerOp(res) {
-				res = alt
+	}
+	// Every rep runs each selected workload once, so paired workloads
+	// (Campaign and CampaignTelemetry) meet the same host drift; each
+	// keeps the fastest of its -reps runs, the scheduling-noise floor,
+	// which is what a regression gate should compare.
+	best := make([]testing.BenchmarkResult, len(selected))
+	for rep := 0; rep < *reps; rep++ {
+		for i, w := range selected {
+			logger.Info("running", "workload", w.name, "rep", rep+1)
+			if res := testing.Benchmark(w.bench); rep == 0 || nsPerOp(res) < nsPerOp(best[i]) {
+				best[i] = res
 			}
 		}
+	}
+	for i, w := range selected {
+		res := best[i]
 		r := Result{
 			Name:        w.name,
 			NsPerOp:     nsPerOp(res),
@@ -189,8 +200,8 @@ func run(args []string) error {
 			"allocs/op", r.AllocsPerOp, "B/op", r.BytesPerOp)
 		f.Results = append(f.Results, r)
 	}
-	if f.TelemetryOverhead = telemetryOverhead(f.Results); f.TelemetryOverhead > 0 {
-		logger.Info("telemetry overhead", "CampaignTelemetry/Campaign", fmt.Sprintf("%.3fx", f.TelemetryOverhead))
+	if f.TelemetryNsPerFrame = telemetryNsPerFrame(f.Results); f.TelemetryNsPerFrame != 0 {
+		logger.Info("telemetry cost", "CampaignTelemetry-Campaign ns/frame", fmt.Sprintf("%.1f", f.TelemetryNsPerFrame))
 	}
 	if f.GuidedTickRatio = guidedTickRatio(f.Results); f.GuidedTickRatio > 0 {
 		logger.Info("guided tick ratio", "GuidedStep/Campaign per frame", fmt.Sprintf("%.3fx", f.GuidedTickRatio))
@@ -299,10 +310,16 @@ func checkSpeedup(f File, baselinePath string) error {
 	return nil
 }
 
-// telemetryOverhead returns CampaignTelemetry ns/op over Campaign ns/op,
-// or zero when either is missing.
-func telemetryOverhead(results []Result) float64 {
-	return ratio(results, "CampaignTelemetry", "Campaign", func(r Result) float64 { return r.NsPerOp })
+// telemetryNsPerFrame returns CampaignTelemetry ns per frame minus
+// Campaign ns per frame — (CampaignTelemetry - Campaign) ns/op over the
+// frames one op pumps — or zero when either is missing.
+func telemetryNsPerFrame(results []Result) float64 {
+	with := metric(results, "CampaignTelemetry", func(r Result) float64 { return r.FramesPerSec })
+	without := metric(results, "Campaign", func(r Result) float64 { return r.FramesPerSec })
+	if with <= 0 || without <= 0 {
+		return 0
+	}
+	return 1e9/with - 1e9/without
 }
 
 // guidedTickRatio returns GuidedStep ns per frame over Campaign ns per
@@ -312,22 +329,24 @@ func guidedTickRatio(results []Result) float64 {
 	return ratio(results, "Campaign", "GuidedStep", func(r Result) float64 { return r.FramesPerSec })
 }
 
-// ratio returns metric(num)/metric(den) over the named results, or zero
-// when either is missing or not positive.
-func ratio(results []Result, num, den string, metric func(Result) float64) float64 {
-	var n, d float64
-	for _, r := range results {
-		switch r.Name {
-		case num:
-			n = metric(r)
-		case den:
-			d = metric(r)
-		}
-	}
+// ratio returns get(num)/get(den) over the named results, or zero when
+// either is missing or not positive.
+func ratio(results []Result, num, den string, get func(Result) float64) float64 {
+	n, d := metric(results, num, get), metric(results, den, get)
 	if n <= 0 || d <= 0 {
 		return 0
 	}
 	return n / d
+}
+
+// metric returns get of the named result, or zero when it is missing.
+func metric(results []Result, name string, get func(Result) float64) float64 {
+	for _, r := range results {
+		if r.Name == name {
+			return get(r)
+		}
+	}
+	return 0
 }
 
 // nsPerOp returns the benchmark's wall time per operation in nanoseconds.

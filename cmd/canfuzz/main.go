@@ -272,7 +272,9 @@ func run(args []string) (err error) {
 		cfg.Mode = core.ModeMutate
 		if len(corpus) > 0 {
 			cfg.Corpus = corpus
-			cfg.MutateID = true
+			// Identifier mutation is the flag-built default; a -config
+			// file states its own mutateId.
+			cfg.MutateID = *configFile == ""
 		}
 	case "sweep":
 		cfg.Mode = core.ModeSweep
@@ -713,6 +715,10 @@ func printFleetReport(rep *fleet.Report) {
 	}
 }
 
+// bitsPublishEvery is the virtual-time step at which a bits-mode run
+// publishes its telemetry plane (Telemetry.RunBuffered).
+const bitsPublishEvery = 100 * time.Millisecond
+
 // runBitsMode runs the data-link-layer fuzzer against a bench-mounted
 // victim ECU and reports the protocol-level damage: error-frame counts and
 // the victim's fault-confinement state.
@@ -746,7 +752,8 @@ func runBitsMode(ctx context.Context, logger *slog.Logger, seed int64, dur, inte
 	bf.Start()
 	// Malicious hardware that ignores fault confinement resets itself.
 	sched.Every(25*time.Millisecond, port.ResetErrors)
-	sched.RunUntil(sched.Now() + dur)
+	// The run is the plane's only writer, so the endpoint may read it.
+	tel.RunBuffered(sched.Now(), sched.Now()+dur, bitsPublishEvery, sched.RunUntil)
 	bf.Stop()
 
 	if err := finishTelemetry(ctx, logger, tel, traceFile, metricsHold); err != nil {

@@ -79,6 +79,62 @@ func TestRunMutateModeWithCorpus(t *testing.T) {
 	}
 }
 
+// runStdout runs the command with args and returns what it printed to
+// stdout.
+func runStdout(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestRunMutateConfigKeepsMutateID pins that -corpus does not override a
+// -config file's "mutateId": false: the run mutates payloads only, so it
+// sends the one identifier of its corpus, while the flag-built mutate
+// run (no -config) mutates identifiers too.
+func TestRunMutateConfigKeepsMutateID(t *testing.T) {
+	dir := t.TempDir()
+	corpus, cfgFile := dir+"/corpus.txt", dir+"/campaign.json"
+	if err := os.WriteFile(corpus, []byte("300#20\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := `{"seed":1,"mode":"mutate","corpus":["300#20"],"mutateId":false}`
+	if err := os.WriteFile(cfgFile, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	distinct := func(args ...string) int {
+		t.Helper()
+		var rep struct {
+			DistinctIDs int `json:"distinctIds"`
+		}
+		out := runStdout(t, append([]string{"-target", "bench", "-dur", "2s", "-json"}, args...)...)
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("report %q: %v", out, err)
+		}
+		return rep.DistinctIDs
+	}
+	if n := distinct("-config", cfgFile, "-corpus", corpus); n != 1 {
+		t.Errorf("-config with mutateId false plus -corpus sent %d distinct identifiers, want 1", n)
+	}
+	if n := distinct("-mode", "mutate", "-seed", "1", "-corpus", corpus); n < 2 {
+		t.Errorf("flag-built mutate run sent %d distinct identifiers, want identifier mutation", n)
+	}
+}
+
 func TestRunModeErrors(t *testing.T) {
 	if err := run([]string{"-mode", "nope"}); err == nil {
 		t.Fatal("unknown mode accepted")

@@ -11,6 +11,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -64,8 +65,9 @@ func run(args []string) error {
 
 	sched := clock.New()
 	v := vehicle.New(sched, vehicle.Config{Seed: *seed})
+	var tel *telemetry.Telemetry
 	if *metricsAddr != "" {
-		tel := telemetry.New(0)
+		tel = telemetry.New(0)
 		v.Instrument(tel)
 		srv, bound, err := telemetry.Serve(*metricsAddr, tel)
 		if err != nil {
@@ -78,25 +80,8 @@ func run(args []string) error {
 	if *throttle > 0 {
 		v.Drive(*throttle)
 	}
-
-	switch *mode {
-	case "traffic":
-		v.TapOBD(which, func(m bus.Message) {
-			fmt.Println(capture.Record{Time: m.Time, Frame: m.Frame, Origin: m.Origin})
-		})
-		sched.RunUntil(*dur)
-	case "signals":
-		fmt.Printf("%10s %12s %12s %10s %12s\n", "t", "rpm", "speed", "fuel%", "coolantC")
-		end := *dur
-		for sched.Now() < end {
-			sched.RunFor(500 * time.Millisecond)
-			fmt.Printf("%10v %12.1f %12.1f %10.1f %12.1f\n",
-				sched.Now().Round(time.Millisecond),
-				v.Cluster.DisplayedRPM(), v.Cluster.DisplayedSpeed(),
-				v.Cluster.DisplayedFuel(), v.Cluster.DisplayedCoolant())
-		}
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	if err := simulate(os.Stdout, sched, v, tel, *mode, which, *dur); err != nil {
+		return err
 	}
 
 	st := v.Body.Stats()
@@ -115,4 +100,42 @@ func run(args []string) error {
 		telemetry.Hold(ctx, *metricsHold)
 	}
 	return nil
+}
+
+// step is the virtual time between signal samples and between
+// publications of a -metrics plane: the run writes the plane buffered, so
+// a live scrape sees the simulation as of the last step boundary.
+const step = 500 * time.Millisecond
+
+// simulate runs the vehicle to dur, printing the traffic log or the
+// signal samples to out. With a telemetry plane the run is the plane's
+// only writer: the plane is buffered for the run, published at every
+// step boundary and flushed at the end (see Telemetry.RunBuffered), so
+// the endpoint reads it while the simulation goroutine writes.
+func simulate(out io.Writer, sched *clock.Scheduler, v *vehicle.Vehicle, tel *telemetry.Telemetry,
+	mode string, which vehicle.OBDBus, dur time.Duration) error {
+	switch mode {
+	case "traffic":
+		v.TapOBD(which, func(m bus.Message) {
+			fmt.Fprintln(out, capture.Record{Time: m.Time, Frame: m.Frame, Origin: m.Origin})
+		})
+		tel.RunBuffered(sched.Now(), dur, step, sched.RunUntil)
+		return nil
+	case "signals":
+		fmt.Fprintf(out, "%10s %12s %12s %10s %12s\n", "t", "rpm", "speed", "fuel%", "coolantC")
+		tel.Buffer()
+		for sched.Now() < dur {
+			sched.RunFor(step)
+			tel.Advance(sched.Now())
+			tel.Publish()
+			fmt.Fprintf(out, "%10v %12.1f %12.1f %10.1f %12.1f\n",
+				sched.Now().Round(time.Millisecond),
+				v.Cluster.DisplayedRPM(), v.Cluster.DisplayedSpeed(),
+				v.Cluster.DisplayedFuel(), v.Cluster.DisplayedCoolant())
+		}
+		tel.Flush()
+		return nil
+	default:
+		return fmt.Errorf("unknown mode %q", mode)
+	}
 }

@@ -196,15 +196,11 @@ type Bus struct {
 
 	busRun
 
-	// Telemetry hooks; all nil (no-op) until Instrument is called.
-	tel        *telemetry.Telemetry
-	mDelivered *telemetry.Counter
-	mCorrupted *telemetry.Counter
-	mFaultDrop *telemetry.Counter
-	mFaultDup  *telemetry.Counter
-	mBits      *telemetry.Counter
-	gLoad      *telemetry.Gauge
-	hWireTime  *telemetry.Histogram
+	// Telemetry hooks; all nil (no-op) until Instrument is called. The
+	// bus counter series are views of stats.
+	tel       *telemetry.Telemetry
+	gLoad     *telemetry.Gauge
+	hWireTime *telemetry.Histogram
 }
 
 // busRun is the bus's per-trial state. Reset assigns it whole, so a
@@ -291,11 +287,12 @@ func (b *Bus) Instrument(t *telemetry.Telemetry) {
 	b.tel = t
 	reg := t.Registry
 	lbl := telemetry.Label{Key: "bus", Value: b.name}
-	b.mDelivered = reg.Counter("can_frames_delivered_total", "Successfully transmitted frames.", lbl)
-	b.mCorrupted = reg.Counter("can_frames_corrupted_total", "Transmissions destroyed by corruption or protocol violation.", lbl)
-	b.mFaultDrop = reg.Counter("can_frames_dropped_total", "Transmissions lost silently by fault injection.", lbl)
-	b.mFaultDup = reg.Counter("can_frames_duplicated_total", "Transmissions delivered twice by fault injection.", lbl)
-	b.mBits = reg.Counter("can_bits_transmitted_total", "Wire bits of successful frames, including interframe space.", lbl)
+	st := &b.stats
+	reg.CounterView(&st.FramesDelivered, "can_frames_delivered_total", "Successfully transmitted frames.", lbl)
+	reg.CounterView(&st.FramesCorrupted, "can_frames_corrupted_total", "Transmissions destroyed by corruption or protocol violation.", lbl)
+	reg.CounterView(&st.FramesDropped, "can_frames_dropped_total", "Transmissions lost silently by fault injection.", lbl)
+	reg.CounterView(&st.FramesDuplicated, "can_frames_duplicated_total", "Transmissions delivered twice by fault injection.", lbl)
+	reg.CounterView(&st.BitsTransmitted, "can_bits_transmitted_total", "Wire bits of successful frames, including interframe space.", lbl)
 	b.gLoad = reg.Gauge("can_bus_load_ratio", "Fraction of the sliding virtual-time window the bus spent transmitting.", lbl)
 	b.gLoad.SetSource(b.windowLoad)
 	b.hWireTime = reg.Histogram("can_tx_wire_seconds", "Stuffed wire time per successful transmission.", nil, lbl)
@@ -509,7 +506,6 @@ func (b *Bus) complete(tx *Port, frame can.Frame, raw rawPart, dur time.Duration
 		// The wire carried the frame and the transmitter saw its ACK, but
 		// no receiver was handed it.
 		b.stats.FramesDropped++
-		b.mFaultDrop.Inc()
 	} else {
 		b.deliver(tx, frame, action == TxDuplicate)
 	}
@@ -527,7 +523,6 @@ func (b *Bus) deliver(tx *Port, frame can.Frame, twice bool) {
 	if twice {
 		passes = 2
 		b.stats.FramesDuplicated++
-		b.mFaultDup.Inc()
 	}
 	b.delivering = true
 	for i := 0; i < passes; i++ {
@@ -686,7 +681,6 @@ func (b *Bus) noteArbitration(winner *Port, winnerID can.ID) {
 	for m := b.pendingMask &^ winner.bit; m != 0; m &= m - 1 {
 		p := b.ports[mathbits.TrailingZeros64(m)]
 		p.stats.ArbLosses++
-		p.mArbLoss.Inc()
 		trc.Rec(p.sArbLost, b.sched.Now(), 0, uint32(winnerID), 0)
 	}
 	trc.Rec(winner.sArbWon, b.sched.Now(), 0, uint32(winnerID), 0)
@@ -717,7 +711,6 @@ func (b *Bus) noteErrorFrame(tx *Port, id can.ID, dur time.Duration) {
 	b.stats.FramesCorrupted++
 	tx.bumpTEC(8)
 	tx.stats.TxErrors++
-	b.mCorrupted.Inc()
 	b.tel.Trc().Rec(tx.sErrorFrame, b.sched.Now()-dur, dur, uint32(id), 0)
 }
 
@@ -727,9 +720,6 @@ func (b *Bus) noteDelivered(tx *Port, id can.ID, dur time.Duration, bits int) {
 	b.stats.BitsTransmitted += uint64(bits)
 	tx.decTEC()
 	tx.stats.TxFrames++
-	b.mDelivered.Inc()
-	b.mBits.Add(uint64(bits))
-	tx.mTx.Inc()
 	if b.tel != nil {
 		b.hWireTime.ObserveDuration(dur)
 		b.tel.Trc().Rec(tx.sTx, b.sched.Now()-dur, dur, uint32(id), uint64(bits))

@@ -42,12 +42,9 @@ type Port struct {
 
 	portRun
 
-	// Telemetry handles; nil (no-op) until the bus is instrumented.
-	mTx      *telemetry.Counter
-	mRx      *telemetry.Counter
-	mArbLoss *telemetry.Counter
-	mDropped *telemetry.Counter
-	gState   *telemetry.Gauge
+	// Telemetry handle; nil (no-op) until the bus is instrumented. The
+	// port counter series are views of stats.
+	gState *telemetry.Gauge
 
 	// Trace emit sites, interned by instrument.
 	sArbWon, sArbLost, sTx, sErrorFrame telemetry.Site
@@ -83,10 +80,11 @@ func (p *Port) instrument() {
 	reg := p.bus.tel.Reg()
 	busLbl := telemetry.Label{Key: "bus", Value: p.bus.name}
 	portLbl := telemetry.Label{Key: "port", Value: p.name}
-	p.mTx = reg.Counter("can_port_tx_frames_total", "Frames this port successfully transmitted.", busLbl, portLbl)
-	p.mRx = reg.Counter("can_port_rx_frames_total", "Frames this port received.", busLbl, portLbl)
-	p.mArbLoss = reg.Counter("can_port_arb_losses_total", "Arbitration rounds this port lost.", busLbl, portLbl)
-	p.mDropped = reg.Counter("can_port_dropped_total", "Frames rejected at Send time (full queue, bus-off, detached).", busLbl, portLbl)
+	st := &p.stats
+	reg.CounterView(&st.TxFrames, "can_port_tx_frames_total", "Frames this port successfully transmitted.", busLbl, portLbl)
+	reg.CounterView(&st.RxFrames, "can_port_rx_frames_total", "Frames this port received.", busLbl, portLbl)
+	reg.CounterView(&st.ArbLosses, "can_port_arb_losses_total", "Arbitration rounds this port lost.", busLbl, portLbl)
+	reg.CounterView(&st.Dropped, "can_port_dropped_total", "Frames rejected at Send time (full queue, bus-off, detached).", busLbl, portLbl)
 	p.gState = reg.Gauge("bus_node_state", "Fault-confinement state of the node (1 error-active, 2 error-passive, 3 bus-off).", busLbl, portLbl)
 	p.gState.Set(float64(p.state))
 }
@@ -94,14 +92,12 @@ func (p *Port) instrument() {
 // noteRx accounts one received frame.
 func (p *Port) noteRx() {
 	p.stats.RxFrames++
-	p.mRx.Inc()
 	p.decREC()
 }
 
 // noteDrop accounts one rejected Send.
 func (p *Port) noteDrop() {
 	p.stats.Dropped++
-	p.mDropped.Inc()
 }
 
 // State returns the node's fault-confinement state.
@@ -353,16 +349,18 @@ func (p *Port) noteStateChange() {
 	})
 }
 
-// noteRecovery records a completed ISO bus-off recovery.
+// noteRecovery records a completed ISO bus-off recovery. The recoveries
+// series, a view of stats.Recoveries, registers at the first one, so a
+// run without recoveries exports no such series.
 func (p *Port) noteRecovery() {
 	tel := p.bus.tel
 	if tel == nil {
 		return
 	}
-	tel.Reg().Counter("can_busoff_recoveries_total",
+	tel.Reg().CounterView(&p.stats.Recoveries, "can_busoff_recoveries_total",
 		"Automatic bus-off recoveries (ISO 11898-1 rejoin).",
 		telemetry.Label{Key: "bus", Value: p.bus.name},
-		telemetry.Label{Key: "port", Value: p.name}).Inc()
+		telemetry.Label{Key: "port", Value: p.name})
 	tel.Emit(telemetry.Event{
 		At: p.bus.sched.Now(), Kind: telemetry.EvRecover,
 		Actor: p.name, Name: "bus-off-recovered",

@@ -163,10 +163,9 @@ type Campaign struct {
 	// faultCounts snapshots injected-fault counts for BuildReport.
 	faultCounts func() map[string]uint64
 
-	// Telemetry handles; nil (no-op) unless WithTelemetry was given.
+	// Telemetry handles; nil (no-op) unless WithTelemetry was given. The
+	// frames-sent and send-error series are views of campaignRun.
 	tel       *telemetry.Telemetry
-	mSent     *telemetry.Counter
-	mErrCause [numSendErrorCauses]*telemetry.Counter
 	mFindings *telemetry.Counter
 	gDistinct *telemetry.Gauge
 	gByteMean *telemetry.Gauge
@@ -220,12 +219,12 @@ func NewCampaign(sched *clock.Scheduler, port *bus.Port, cfg Config, opts ...Opt
 	c.mon = NewMonitor(recentWindow)
 	if c.tel != nil {
 		reg := c.tel.Registry
-		c.mSent = reg.Counter("campaign_frames_sent_total", "Fuzz frames transmitted by the campaign.")
+		reg.CounterView(&c.framesSent, "campaign_frames_sent_total", "Fuzz frames transmitted by the campaign.")
 		c.mFindings = reg.Counter("campaign_findings_total", "Oracle firings recorded by the campaign.")
 		c.gDistinct = reg.Gauge("campaign_distinct_ids", "Distinct identifiers fuzzed (coverage numerator).")
 		c.gByteMean = reg.Gauge("campaign_sent_byte_mean", "Mean payload byte value of sent frames (Fig 5 integrity; ~127.5 when healthy).")
 		for i, cause := range sendErrorCauses {
-			c.mErrCause[i] = reg.Counter("campaign_send_errors_total",
+			reg.CounterView(&c.errsByCause[i], "campaign_send_errors_total",
 				"Rejected transmissions, by cause.", telemetry.Label{Key: "cause", Value: cause})
 		}
 	}
@@ -482,7 +481,6 @@ func (c *Campaign) sendOne() {
 	}
 	c.framesSent++
 	c.mon.NoteSent(f)
-	c.mSent.Inc()
 	if c.tel != nil && c.framesSent%genBatchEvery == 0 {
 		now := c.sched.Now()
 		c.tel.Advance(now)
@@ -499,11 +497,7 @@ func (c *Campaign) sendOne() {
 // noteSendError accounts one abandoned transmission by cause.
 func (c *Campaign) noteSendError(err error) {
 	c.sendErrors++
-	idx := classifySendErrorIndex(err)
-	c.errsByCause[idx]++
-	if c.tel != nil {
-		c.mErrCause[idx].Inc()
-	}
+	c.errsByCause[classifySendErrorIndex(err)]++
 }
 
 // observe feeds bus traffic to the monitor and oracles.

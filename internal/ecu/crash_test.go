@@ -142,9 +142,9 @@ func TestInjectPanicCrashesWithoutHandler(t *testing.T) {
 
 	peer.Send(can.MustNew(0x200, nil)) // no handler: counted, traced, dropped
 	s.RunUntil(s.Now() + 10*time.Millisecond)
-	if e.CrashDetail() != "" || e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
+	if e.CrashDetail() != "" || e.dispatched != 1 || dispatchEvents(tel) != 1 {
 		t.Fatalf("handler-less frame: crash detail=%q dispatched=%d traced=%d",
-			e.CrashDetail(), e.mDispatched.Value(), dispatchEvents(tel))
+			e.CrashDetail(), e.dispatched, dispatchEvents(tel))
 	}
 
 	e.InjectPanic("armed")
@@ -153,8 +153,8 @@ func TestInjectPanicCrashesWithoutHandler(t *testing.T) {
 	if e.CrashDetail() != "armed" {
 		t.Fatalf("crash detail = %q, want a crash on the handler-less frame", e.CrashDetail())
 	}
-	if handled != 0 || e.mDispatched.Value() != 2 || dispatchEvents(tel) != 2 {
-		t.Fatalf("handled=%d dispatched=%d traced=%d, want 0/2/2", handled, e.mDispatched.Value(), dispatchEvents(tel))
+	if handled != 0 || e.dispatched != 2 || dispatchEvents(tel) != 2 {
+		t.Fatalf("handled=%d dispatched=%d traced=%d, want 0/2/2", handled, e.dispatched, dispatchEvents(tel))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestStalledECUNeitherCountsNorTraces(t *testing.T) {
 	peer.Send(can.MustNew(0x100, nil))
 	peer.Send(can.MustNew(0x200, nil))
 	s.RunUntil(40 * time.Millisecond)
-	if n := e.mDispatched.Value(); n != 0 {
+	if n := e.dispatched; n != 0 {
 		t.Fatalf("stalled ECU counted %d dispatches", n)
 	}
 	if n := dispatchEvents(tel); n != 0 {
@@ -181,7 +181,7 @@ func TestStalledECUNeitherCountsNorTraces(t *testing.T) {
 	s.RunUntil(60 * time.Millisecond)
 	peer.Send(can.MustNew(0x200, nil))
 	s.RunUntil(70 * time.Millisecond)
-	if e.mDispatched.Value() != 1 || dispatchEvents(tel) != 1 {
-		t.Fatalf("after the stall: dispatched=%d traced=%d, want 1/1", e.mDispatched.Value(), dispatchEvents(tel))
+	if e.dispatched != 1 || dispatchEvents(tel) != 1 {
+		t.Fatalf("after the stall: dispatched=%d traced=%d, want 1/1", e.dispatched, dispatchEvents(tel))
 	}
 }

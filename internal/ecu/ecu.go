@@ -64,9 +64,9 @@ type ECU struct {
 
 	ecuRun
 
-	// Telemetry handles; nil (no-op) until Instrument is called.
+	// Telemetry handles; nil (no-op) until Instrument is called. The
+	// dispatch series is a view of dispatched.
 	tel         *telemetry.Telemetry
-	mDispatched *telemetry.Counter
 	mFaults     *telemetry.Counter
 	mPowerCycle *telemetry.Counter
 	mCrashes    *telemetry.Counter
@@ -76,8 +76,9 @@ type ECU struct {
 // ecuRun is the ECU's per-trial state. Reset assigns it whole, so a
 // cold build (New calls Reset) and a warm reset start identically.
 type ecuRun struct {
-	powered bool
-	chimes  uint64
+	powered    bool
+	chimes     uint64
+	dispatched uint64 // frames handed to dispatch's handler lookup
 
 	// Crash/stall fault state. A crashed ECU is off the bus until Reset;
 	// a stalled ECU drops frames and skips periodic work until the stall
@@ -120,7 +121,7 @@ func (e *ECU) Instrument(t *telemetry.Telemetry) {
 	e.tel = t
 	e.sDispatch = t.Trc().Site(telemetry.EvDispatch, e.name, "dispatch")
 	lbl := telemetry.Label{Key: "ecu", Value: e.name}
-	e.mDispatched = t.Registry.Counter("ecu_frames_dispatched_total", "Frames routed to this ECU's handlers.", lbl)
+	t.Registry.CounterView(&e.dispatched, "ecu_frames_dispatched_total", "Frames routed to this ECU's handlers.", lbl)
 	e.mFaults = t.Registry.Counter("ecu_faults_total", "Fault-log entries raised by this ECU.", lbl)
 	e.mPowerCycle = t.Registry.Counter("ecu_power_cycles_total", "Power-off/power-on transitions of this ECU.", lbl)
 	e.mCrashes = t.Registry.Counter("ecu_crashes_total", "Handler panics recovered by crashing this ECU.", lbl)
@@ -214,7 +215,7 @@ func (e *ECU) dispatch(m bus.Message) {
 	if e.sched.Now() < e.stalledUntil {
 		return // wedged application task: the frame is lost
 	}
-	e.mDispatched.Inc()
+	e.dispatched++
 	e.tel.Trc().Rec(e.sDispatch, e.sched.Now(), 0, uint32(m.Frame.ID), 0)
 	var hs []Handler
 	for i := range e.handlers {

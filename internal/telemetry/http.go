@@ -17,10 +17,12 @@ import (
 //	/healthz       liveness + virtual-time progress
 //
 // All routes read published state, so scraping while the simulation loop
-// runs is race-free. A scrape observes the counters as of the last
-// completed event; /trace.json and the /healthz event count are as of the
-// tracer's last publication — at most 256 events behind during a campaign
-// run, exact after the campaign stops.
+// runs buffered (Telemetry.Buffer ... Flush) is race-free; a simulation
+// writing unbuffered must not be scraped, since counter views then read
+// their owners' plain counts. A scrape observes the metrics as of the
+// writer's last Publish; /trace.json and the /healthz event count are as
+// of the tracer's last publication — at most 256 events behind during a
+// campaign run. Both are exact once the writer flushes.
 func Handler(t *Telemetry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -31,6 +31,11 @@ import (
 // nothing per operation; registration and export take a mutex and may
 // allocate.
 //
+// A counter view (CounterView) has no write operation at all: it reads a
+// count its owner keeps, copying it at Publish and Flush while buffered
+// and loading it directly otherwise. So a plane with views is safe to
+// read live only while its writer runs buffered.
+//
 // A nil *Registry is valid: registration returns nil metrics and every
 // metric method is a no-op on a nil receiver, so uninstrumented components
 // pay only a nil check.
@@ -334,6 +339,67 @@ func (c *Counter) publish() {
 
 func (c *Counter) writeProm(w io.Writer) error {
 	_, err := fmt.Fprintf(w, "%s%s %d\n", c.d.name, c.d.labelString(), c.Value())
+	return err
+}
+
+// counterView is a counter series whose count its owner keeps: a plain
+// uint64 the owning component increments on its own path (CounterView).
+// The series holds no second copy that every increment must update; it
+// reads the owner's count when it publishes or is read.
+type counterView struct {
+	d   desc
+	r   *Registry
+	src *uint64
+	v   atomic.Uint64 // *src as of the last Publish or Flush
+
+	buffered bool // guarded by r.mu
+}
+
+// CounterView registers a counter series that reads *src, a count its
+// caller alone writes. While the registry is buffered the series
+// publishes a copy of *src at each Publish and Flush, taken on the
+// writer's goroutine. Outside buffered mode a read loads *src itself, so
+// a simulation whose plane another goroutine reads live must run
+// buffered. One series has one source: registering it again with the
+// same pointer is a no-op, with another pointer a panic. Registry.Reset
+// zeroes the published copy; the owner zeroes *src.
+func (r *Registry) CounterView(src *uint64, name, help string, labels ...Label) {
+	if r == nil {
+		return
+	}
+	v := register(r, &counterView{d: desc{name: name, help: help, labels: sortLabels(labels)}, r: r, src: src})
+	if v.src != src {
+		panic(fmt.Sprintf("telemetry: counter %q already reads another source", v.d.key()))
+	}
+}
+
+// value returns the published copy while buffered and *src otherwise.
+// It holds r.mu, which Buffer and Flush take to switch modes, so a
+// reader never loads *src once the writer may be writing it.
+func (c *counterView) value() uint64 {
+	c.r.mu.Lock()
+	defer c.r.mu.Unlock()
+	if c.buffered {
+		return c.v.Load()
+	}
+	return *c.src
+}
+
+func (c *counterView) describe() *desc { return &c.d }
+func (c *counterView) typ() string     { return "counter" }
+func (c *counterView) jsonValue() any  { return c.value() }
+func (c *counterView) zero()           { c.v.Store(0) }
+func (c *counterView) publish()        { c.v.Store(*c.src) }
+
+func (c *counterView) setBuffered(on bool) {
+	if on {
+		c.publish()
+	}
+	c.buffered = on
+}
+
+func (c *counterView) writeProm(w io.Writer) error {
+	_, err := fmt.Fprintf(w, "%s%s %d\n", c.d.name, c.d.labelString(), c.value())
 	return err
 }
 

@@ -263,6 +263,12 @@ func TestConcurrentScrapeWhileWriting(t *testing.T) {
 			c := r.Counter("spin_total", "")
 			h := r.Histogram("spin_seconds", "", DurationBuckets)
 			g := r.Gauge("spin", "")
+			// A view reads a plain count, so only a buffered writer may
+			// keep one under a live scrape.
+			var owned uint64
+			if buffered {
+				r.CounterView(&owned, "owned_total", "")
+			}
 			done := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -278,6 +284,9 @@ func TestConcurrentScrapeWhileWriting(t *testing.T) {
 						return
 					default:
 						c.Inc()
+						if buffered {
+							owned++
+						}
 						g.Set(float64(n))
 						h.Observe(0.001)
 						r.Advance(time.Duration(n))
@@ -298,6 +307,9 @@ func TestConcurrentScrapeWhileWriting(t *testing.T) {
 			}
 			close(done)
 			wg.Wait()
+			if buffered && !strings.Contains(exposition(t, r), fmt.Sprintf("owned_total %d\n", c.Value())) {
+				t.Fatalf("view after Flush does not read %d:\n%s", c.Value(), exposition(t, r))
+			}
 			if c.Value() != h.Count() || uint64(g.Value()) != c.Value() || uint64(r.Now()) != c.Value() {
 				t.Fatalf("after the writer stopped: counter %d, histogram count %d, gauge %v, now %d",
 					c.Value(), h.Count(), g.Value(), r.Now())
@@ -313,6 +325,8 @@ type regFixture struct {
 	cs []*Counter
 	gs []*Gauge
 	hs []*Histogram
+	// vs are counts the fixture owns, behind counter views.
+	vs [2]uint64
 }
 
 func newRegFixture() *regFixture {
@@ -326,7 +340,16 @@ func newRegFixture() *regFixture {
 	f.hs = append(f.hs,
 		r.Histogram("wire_seconds", "wire time", nil),
 		r.Histogram("size_bytes", "size", []float64{1, 4, 8}, Label{"bus", "x"}))
+	r.CounterView(&f.vs[0], "owned_total", "owned", Label{"port", "a"})
+	r.CounterView(&f.vs[1], "owned_total", "owned", Label{"port", "b"})
 	return f
+}
+
+// reset zeroes the plane and, as every reset recipe does, the counts
+// its views read.
+func (f *regFixture) reset() {
+	f.r.Reset()
+	f.vs = [2]uint64{}
 }
 
 // regOp is one hot-path write, applied identically to several fixtures.
@@ -338,7 +361,7 @@ type regOp struct {
 }
 
 func randomRegOp(rng *rand.Rand, step int) regOp {
-	o := regOp{kind: rng.Intn(5), i: rng.Intn(4), n: uint64(rng.Intn(5)), at: time.Duration(step * 1000)}
+	o := regOp{kind: rng.Intn(6), i: rng.Intn(4), n: uint64(rng.Intn(5)), at: time.Duration(step * 1000)}
 	// Values that are not exact in binary, spread over every bucket, so a
 	// reordered float sum shows up in _sum.
 	o.v = rng.ExpFloat64() * []float64{0.0003, 0.002, 3}[rng.Intn(3)]
@@ -360,6 +383,8 @@ func (f *regFixture) apply(o regOp) {
 		f.hs[o.i%len(f.hs)].Observe(o.v)
 	case 4:
 		f.r.Advance(o.at)
+	case 5:
+		f.vs[o.i%len(f.vs)] += o.n + 1
 	}
 }
 
@@ -406,8 +431,8 @@ func TestRegistryBufferedMatchesModel(t *testing.T) {
 				}
 				if i == ops/2 {
 					// Unpublished writes are dropped with the published ones.
-					model.r.Reset()
-					buf.r.Reset()
+					model.reset()
+					buf.reset()
 					folded = true
 				}
 				if i == 2*ops/3 {
@@ -461,6 +486,110 @@ func TestRegistryResetDiscardsUnpublished(t *testing.T) {
 	f.r.Flush()
 	if late.Value() != 1 {
 		t.Fatalf("late counter = %d after Flush, want 1", late.Value())
+	}
+}
+
+// TestCounterViewOneSource pins the one-owner rule: the same source
+// registered again is a no-op, another source under the series panics
+// naming it, and so does a plain counter under a view's name.
+func TestCounterViewOneSource(t *testing.T) {
+	r := NewRegistry()
+	var a, b uint64
+	r.CounterView(&a, "frames_total", "", Label{"bus", "x"})
+	r.CounterView(&a, "frames_total", "", Label{"bus", "x"})
+	r.CounterView(&b, "frames_total", "", Label{"bus", "y"})
+	a, b = 3, 4
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "# HELP frames_total \n# TYPE frames_total counter\n" +
+		"frames_total{bus=\"x\"} 3\nframes_total{bus=\"y\"} 4\n"
+	if buf.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	mustPanic := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			got := fmt.Sprint(recover())
+			if !strings.Contains(got, want) {
+				t.Errorf("%s: panic %q, want one naming %q", what, got, want)
+			}
+		}()
+		fn()
+	}
+	mustPanic("second source", "frames_total{bus=x}", func() {
+		r.CounterView(&b, "frames_total", "", Label{"bus", "x"})
+	})
+	mustPanic("plain counter", "frames_total{bus=y}", func() {
+		r.Counter("frames_total", "", Label{"bus", "y"})
+	})
+	var nilReg *Registry
+	nilReg.CounterView(&a, "frames_total", "")
+}
+
+// TestCounterViewReadsOwner pins when a view reads its owner's count:
+// at once outside buffered mode; while buffered only as of the last
+// Publish, Flush or Buffer; and Reset zeroes the published copy.
+func TestCounterViewReadsOwner(t *testing.T) {
+	r := NewRegistry()
+	var n uint64
+	r.CounterView(&n, "owned_total", "")
+	read := func() uint64 {
+		t.Helper()
+		var doc struct {
+			Metrics []struct {
+				Value uint64 `json:"value"`
+			} `json:"metrics"`
+		}
+		var buf bytes.Buffer
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil || len(doc.Metrics) != 1 {
+			t.Fatalf("snapshot %s: %v", buf.String(), err)
+		}
+		return doc.Metrics[0].Value
+	}
+	n = 5
+	if got := read(); got != 5 {
+		t.Fatalf("direct read = %d, want 5", got)
+	}
+	r.Buffer()
+	n = 9
+	if got := read(); got != 5 {
+		t.Fatalf("buffered read before Publish = %d, want the count at Buffer, 5", got)
+	}
+	r.Publish()
+	if got := read(); got != 9 {
+		t.Fatalf("after Publish = %d, want 9", got)
+	}
+	n = 12
+	r.Reset()
+	if got := read(); got != 0 {
+		t.Fatalf("after Reset = %d, want 0", got)
+	}
+	r.Flush()
+	if got := read(); got != 12 {
+		t.Fatalf("after Flush = %d, want 12", got)
+	}
+	n = 13
+	if got := read(); got != 13 {
+		t.Fatalf("direct read after Flush = %d, want 13", got)
+	}
+	// A view registered mid-run publishes the count it reads at once.
+	r.Buffer()
+	m := uint64(2)
+	r.CounterView(&m, "late_total", "")
+	m = 3
+	r.Flush()
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "late_total 3\n") {
+		t.Fatalf("late view after Flush:\n%s", buf.String())
 	}
 }
 

@@ -112,6 +112,27 @@ func (t *Telemetry) Flush() {
 	t.Tracer.Flush()
 }
 
+// RunBuffered drives a simulation from virtual time from to end as the
+// plane's only writer, so a live endpoint may read the plane meanwhile:
+// the plane is buffered, runUntil advances the simulation to each step
+// boundary in turn (end last) on the calling goroutine, the plane
+// publishes at each boundary, and it flushes after the last. No event is
+// scheduled for the publications, so the simulation runs exactly as one
+// runUntil(end) would. With a nil plane it only runs the steps.
+func (t *Telemetry) RunBuffered(from, end, step time.Duration, runUntil func(time.Duration)) {
+	t.Buffer()
+	for at := from; ; {
+		at = min(at+step, end)
+		runUntil(at)
+		t.Advance(at)
+		t.Publish()
+		if at >= end {
+			break
+		}
+	}
+	t.Flush()
+}
+
 // Reset zeroes every metric series and discards retained trace events,
 // keeping all registrations and handles. Called when a pooled world is
 // reused so one trial's telemetry cannot leak into the next. Nil-safe.
