@@ -5,84 +5,61 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/guided"
 	"repro/internal/observatory"
+	targetPkg "repro/internal/target"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 )
 
-// bitsRoutes are the routes a `canfuzz -mode bits -metrics` run serves
-// that read its telemetry plane.
-var bitsRoutes = []string{"/metrics", "/metrics.json", "/healthz", "/trace.json"}
-
-// runBitsScraped runs bits mode for 2 virtual seconds on a fresh plane
-// behind the observatory handler while scrapers goroutines GET every
-// route in a loop, and returns every route's body afterwards.
-func runBitsScraped(t *testing.T, scrapers int) map[string]string {
-	t.Helper()
-	tel := telemetry.New(0)
-	srv := httptest.NewServer(observatory.New(observatory.Config{Telemetry: tel}).Handler(observatory.HandlerConfig{}))
-	defer srv.Close()
-	get := func(route string) string {
-		resp, err := http.Get(srv.URL + route)
-		if err != nil {
-			t.Error(err)
-			return ""
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d, %v", route, resp.StatusCode, err)
-		}
-		return string(body)
-	}
-	done := make(chan struct{})
-	var wg, ready sync.WaitGroup
-	for i := 0; i < scrapers; i++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; ; n++ {
-				get(bitsRoutes[n%len(bitsRoutes)])
-				if n == 0 {
-					ready.Done()
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	ready.Wait()
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := runBitsMode(context.Background(), logger, 9, 2*time.Second, time.Millisecond, 2, nil, tel, "", "", 0); err != nil {
-		t.Fatal(err)
-	}
-	close(done)
-	wg.Wait()
-	bodies := make(map[string]string, len(bitsRoutes))
-	for _, route := range bitsRoutes {
-		bodies[route] = get(route)
-	}
-	return bodies
-}
+// liveRoutes are the routes a `canfuzz -metrics` single run serves that
+// read its telemetry plane.
+var liveRoutes = []string{"/metrics", "/metrics.json", "/healthz", "/trace.json"}
 
 // TestLiveScrapeOfBitsRun scrapes the endpoint of a bits-mode run. Under
 // -race it pins that the run writes its plane buffered and the endpoint
 // only reads; afterwards every route must serve exactly what an
 // unscraped run serves.
 func TestLiveScrapeOfBitsRun(t *testing.T) {
-	quiet, scraped := runBitsScraped(t, 0), runBitsScraped(t, 3)
-	for _, route := range bitsRoutes {
-		if scraped[route] != quiet[route] {
-			t.Errorf("%s after a scraped run differs from the unscraped run:\n%s\nwant:\n%s",
-				route, scraped[route], quiet[route])
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	telemetrytest.CheckLiveScrape(t, liveRoutes, 3, func() (http.Handler, func()) {
+		tel := telemetry.New(0)
+		return observatory.New(observatory.Config{Telemetry: tel}).Handler(observatory.HandlerConfig{}), func() {
+			if err := runBitsMode(context.Background(), logger, 9, 2*time.Second, time.Millisecond, 2, nil, tel, "", "", 0); err != nil {
+				t.Error(err)
+			}
 		}
-	}
+	})
+}
+
+// TestLiveScrapeOfSingleRunPastFinding scrapes the endpoint of a
+// `canfuzz -target bench -mode guided -metrics` run that stops at its
+// finding long before -dur ends, while the bench's own periodic traffic
+// goes on writing the plane. Under -race it pins that the plane stays
+// buffered until the run, not the campaign, ends; afterwards every route
+// must serve exactly what an unscraped run serves.
+func TestLiveScrapeOfSingleRunPastFinding(t *testing.T) {
+	const dur = 10 * time.Minute
+	routes := []string{"/metrics", "/metrics.json", "/healthz", "/trace.json", "/fuzz.json"}
+	telemetrytest.CheckLiveScrape(t, routes, 3, func() (http.Handler, func()) {
+		tel := telemetry.New(0)
+		intr := guided.NewIntrospection()
+		world, _, err := newWorld(targetPkg.Spec{Target: "bench", Stop: true},
+			core.Config{Mode: core.ModeGuided, Seed: 3, Interval: time.Millisecond}, tel, nil, intr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := observatory.New(observatory.Config{Fuzz: intr, Telemetry: tel})
+		return obs.Handler(observatory.HandlerConfig{}), func() {
+			runCampaign(world.Sched, world.Campaign, tel, dur)
+			f := world.Campaign.Findings()
+			if len(f) == 0 || f[0].Elapsed > dur/2 {
+				t.Errorf("findings %v: want one well before %v", f, dur)
+			}
+		}
+	})
 }

@@ -399,9 +399,7 @@ func run(args []string) (err error) {
 	}
 
 	runStart := time.Now()
-	campaign.Start()
-	sched.RunUntil(sched.Now() + *dur)
-	campaign.Stop()
+	runCampaign(sched, campaign, tel, *dur)
 	runWall := time.Since(runStart)
 	if inj != nil {
 		inj.Stop()
@@ -715,9 +713,21 @@ func printFleetReport(rep *fleet.Report) {
 	}
 }
 
-// bitsPublishEvery is the virtual-time step at which a bits-mode run
-// publishes its telemetry plane (Telemetry.RunBuffered).
-const bitsPublishEvery = 100 * time.Millisecond
+// publishEvery is the virtual-time step at which a single run publishes
+// its telemetry plane (Telemetry.RunBuffered).
+const publishEvery = 100 * time.Millisecond
+
+// runCampaign runs one campaign for dur of virtual time as the only
+// writer of its telemetry plane, so the endpoint may read the plane
+// meanwhile. The run, not the campaign, holds the plane buffered: the
+// campaign may stop early (at a finding, or at its frame cap) while the
+// target's own periodic traffic goes on writing the plane until dur ends.
+func runCampaign(sched *clock.Scheduler, campaign *core.Campaign, tel *telemetry.Telemetry, dur time.Duration) {
+	tel.Buffer()
+	campaign.Start()
+	tel.RunBuffered(sched.Now(), sched.Now()+dur, publishEvery, sched.RunUntil)
+	campaign.Stop()
+}
 
 // runBitsMode runs the data-link-layer fuzzer against a bench-mounted
 // victim ECU and reports the protocol-level damage: error-frame counts and
@@ -753,7 +763,7 @@ func runBitsMode(ctx context.Context, logger *slog.Logger, seed int64, dur, inte
 	// Malicious hardware that ignores fault confinement resets itself.
 	sched.Every(25*time.Millisecond, port.ResetErrors)
 	// The run is the plane's only writer, so the endpoint may read it.
-	tel.RunBuffered(sched.Now(), sched.Now()+dur, bitsPublishEvery, sched.RunUntil)
+	tel.RunBuffered(sched.Now(), sched.Now()+dur, publishEvery, sched.RunUntil)
 	bf.Stop()
 
 	if err := finishTelemetry(ctx, logger, tel, traceFile, metricsHold); err != nil {

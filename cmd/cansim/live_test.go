@@ -3,68 +3,17 @@ package main
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/telemetrytest"
 	"repro/internal/vehicle"
 )
 
 // liveRoutes are the routes `cansim -metrics` serves.
 var liveRoutes = []string{"/metrics", "/metrics.json", "/healthz", "/trace.json"}
-
-// scrapeDuring runs fn while scrapers goroutines GET every route of h in
-// a loop, then returns every route's body once fn has returned.
-func scrapeDuring(t *testing.T, h http.Handler, scrapers int, fn func()) map[string]string {
-	t.Helper()
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	get := func(route string) string {
-		resp, err := http.Get(srv.URL + route)
-		if err != nil {
-			t.Error(err)
-			return ""
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d, %v", route, resp.StatusCode, err)
-		}
-		return string(body)
-	}
-	done := make(chan struct{})
-	var wg, ready sync.WaitGroup
-	for i := 0; i < scrapers; i++ {
-		wg.Add(1)
-		ready.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; ; n++ {
-				get(liveRoutes[n%len(liveRoutes)])
-				if n == 0 {
-					ready.Done()
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	ready.Wait()
-	fn()
-	close(done)
-	wg.Wait()
-	bodies := make(map[string]string, len(liveRoutes))
-	for _, route := range liveRoutes {
-		bodies[route] = get(route)
-	}
-	return bodies
-}
 
 // TestLiveScrapeOfCansimRun scrapes the endpoint of an instrumented
 // vehicle run in both output modes. Under -race it pins that the run
@@ -73,24 +22,17 @@ func scrapeDuring(t *testing.T, h http.Handler, scrapers int, fn func()) map[str
 func TestLiveScrapeOfCansimRun(t *testing.T) {
 	for _, mode := range []string{"traffic", "signals"} {
 		t.Run(mode, func(t *testing.T) {
-			runOnce := func(scrapers int) map[string]string {
+			telemetrytest.CheckLiveScrape(t, liveRoutes, 3, func() (http.Handler, func()) {
 				sched := clock.New()
 				v := vehicle.New(sched, vehicle.Config{Seed: 4})
 				tel := telemetry.New(0)
 				v.Instrument(tel)
-				return scrapeDuring(t, telemetry.Handler(tel), scrapers, func() {
+				return telemetry.Handler(tel), func() {
 					if err := simulate(io.Discard, sched, v, tel, mode, vehicle.OBDBody, 3*time.Second); err != nil {
-						t.Fatal(err)
+						t.Error(err)
 					}
-				})
-			}
-			quiet, scraped := runOnce(0), runOnce(3)
-			for _, route := range liveRoutes {
-				if scraped[route] != quiet[route] {
-					t.Errorf("%s after a scraped run differs from the unscraped run:\n%s\nwant:\n%s",
-						route, scraped[route], quiet[route])
 				}
-			}
+			})
 		})
 	}
 }

@@ -123,17 +123,19 @@ func simulate(out io.Writer, sched *clock.Scheduler, v *vehicle.Vehicle, tel *te
 		return nil
 	case "signals":
 		fmt.Fprintf(out, "%10s %12s %12s %10s %12s\n", "t", "rpm", "speed", "fuel%", "coolantC")
-		tel.Buffer()
-		for sched.Now() < dur {
-			sched.RunFor(step)
-			tel.Advance(sched.Now())
-			tel.Publish()
+		// One sample per step boundary; a -dur that is no whole number
+		// of steps runs on to the next boundary.
+		end := sched.Now()
+		for end < dur {
+			end += step
+		}
+		tel.RunBuffered(sched.Now(), end, step, func(at time.Duration) {
+			sched.RunUntil(at)
 			fmt.Fprintf(out, "%10v %12.1f %12.1f %10.1f %12.1f\n",
-				sched.Now().Round(time.Millisecond),
+				at.Round(time.Millisecond),
 				v.Cluster.DisplayedRPM(), v.Cluster.DisplayedSpeed(),
 				v.Cluster.DisplayedFuel(), v.Cluster.DisplayedCoolant())
-		}
-		tel.Flush()
+		})
 		return nil
 	default:
 		return fmt.Errorf("unknown mode %q", mode)

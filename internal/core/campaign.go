@@ -185,6 +185,10 @@ type campaignRun struct {
 	errsByCause [numSendErrorCauses]uint64
 	started     time.Duration
 	running     bool
+	// ownsBuffer records that Start opened the telemetry plane's
+	// buffered run, so Stop flushes it. Otherwise whoever buffered the
+	// plane first drives the run and flushes it, and Stop only publishes.
+	ownsBuffer bool
 	// untilFinding is set by RunUntilFinding: the campaign then stops at
 	// its next finding, as if built WithStopOnFinding.
 	untilFinding bool
@@ -303,7 +307,7 @@ func (c *Campaign) Start() {
 	c.started = c.sched.Now()
 	// The run's metric writes and events all come from this scheduler
 	// goroutine, so the plane can batch its publications until Stop.
-	c.tel.Buffer()
+	c.ownsBuffer = c.tel.Buffer()
 	for _, o := range c.oracles {
 		o.Start(c.sched, c.report)
 	}
@@ -327,7 +331,11 @@ func (c *Campaign) Stop() {
 			At: c.sched.Now(), Kind: telemetry.EvGenBatch,
 			Actor: "campaign", Name: "gen-batch", N: c.framesSent,
 		})
-		c.tel.Flush()
+		if c.ownsBuffer {
+			c.tel.Flush()
+		} else {
+			c.tel.Publish()
+		}
 	}
 	c.timer.Stop()
 	c.stopWatchdog()

@@ -17,9 +17,11 @@ import (
 //	/healthz       liveness + virtual-time progress
 //
 // All routes read published state, so scraping while the simulation loop
-// runs buffered (Telemetry.Buffer ... Flush) is race-free; a simulation
-// writing unbuffered must not be scraped, since counter views then read
-// their owners' plain counts. A scrape observes the metrics as of the
+// runs buffered (Telemetry.Buffer ... Flush, or Telemetry.RunBuffered) is
+// race-free; a simulation writing unbuffered must not be scraped, since
+// counter views then read their owners' plain counts. The buffered run
+// must last as long as the simulation does, not only as long as a
+// campaign inside it. A scrape observes the metrics as of the
 // writer's last Publish; /trace.json and the /healthz event count are as
 // of the tracer's last publication — at most 256 events behind during a
 // campaign run. Both are exact once the writer flushes.

@@ -85,10 +85,12 @@ func (r *Registry) Advance(now time.Duration) {
 
 // Buffer switches the registry to buffered mode for a run: from now until
 // Flush the calling goroutine must be its only writer, and its writes
-// reach readers only at Publish or Flush. Idempotent.
-func (r *Registry) Buffer() {
+// reach readers only at Publish or Flush. Idempotent: it reports whether
+// this call switched modes, so the one that opened a run knows that it
+// is the one to Flush it.
+func (r *Registry) Buffer() bool {
 	if r == nil || r.buffered {
-		return
+		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -97,6 +99,7 @@ func (r *Registry) Buffer() {
 	for _, m := range r.metrics {
 		m.setBuffered(true)
 	}
+	return true
 }
 
 // Publish folds every buffered write into the published atomics, so
@@ -351,8 +354,6 @@ type counterView struct {
 	r   *Registry
 	src *uint64
 	v   atomic.Uint64 // *src as of the last Publish or Flush
-
-	buffered bool // guarded by r.mu
 }
 
 // CounterView registers a counter series that reads *src, a count its
@@ -379,7 +380,7 @@ func (r *Registry) CounterView(src *uint64, name, help string, labels ...Label) 
 func (c *counterView) value() uint64 {
 	c.r.mu.Lock()
 	defer c.r.mu.Unlock()
-	if c.buffered {
+	if c.r.buffered {
 		return c.v.Load()
 	}
 	return *c.src
@@ -395,7 +396,6 @@ func (c *counterView) setBuffered(on bool) {
 	if on {
 		c.publish()
 	}
-	c.buffered = on
 }
 
 func (c *counterView) writeProm(w io.Writer) error {

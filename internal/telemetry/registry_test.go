@@ -556,7 +556,9 @@ func TestCounterViewReadsOwner(t *testing.T) {
 	if got := read(); got != 5 {
 		t.Fatalf("direct read = %d, want 5", got)
 	}
-	r.Buffer()
+	if !r.Buffer() || r.Buffer() {
+		t.Fatal("Buffer must report that the first call opened the run and the second did not")
+	}
 	n = 9
 	if got := read(); got != 5 {
 		t.Fatalf("buffered read before Publish = %d, want the count at Buffer, 5", got)

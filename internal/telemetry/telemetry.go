@@ -82,13 +82,15 @@ func (t *Telemetry) Advance(now time.Duration) {
 
 // Buffer puts the registry and the tracer into buffered mode for a run:
 // until Flush the calling goroutine must be the plane's only writer.
-// Nil-safe and idempotent.
-func (t *Telemetry) Buffer() {
+// Nil-safe and idempotent: it reports whether this call opened the run,
+// that is whether the plane was not buffered before.
+func (t *Telemetry) Buffer() bool {
 	if t == nil {
-		return
+		return false
 	}
-	t.Registry.Buffer()
+	opened := t.Registry.Buffer()
 	t.Tracer.Buffer()
+	return opened
 }
 
 // Publish folds the registry's buffered writes into its published series
@@ -118,17 +120,15 @@ func (t *Telemetry) Flush() {
 // boundary in turn (end last) on the calling goroutine, the plane
 // publishes at each boundary, and it flushes after the last. No event is
 // scheduled for the publications, so the simulation runs exactly as one
-// runUntil(end) would. With a nil plane it only runs the steps.
+// runUntil(end) would; when end is not after from, nothing runs. With a
+// nil plane it only runs the steps.
 func (t *Telemetry) RunBuffered(from, end, step time.Duration, runUntil func(time.Duration)) {
 	t.Buffer()
-	for at := from; ; {
+	for at := from; at < end; {
 		at = min(at+step, end)
 		runUntil(at)
 		t.Advance(at)
 		t.Publish()
-		if at >= end {
-			break
-		}
 	}
 	t.Flush()
 }
